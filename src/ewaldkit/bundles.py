@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .classify import is_monotone, is_smooth
@@ -289,33 +290,31 @@ def catalog() -> dict:
     return entries
 
 
+# family name -> (number of integer arguments, builder)
+_FAMILIES = {
+    "simplex": (1, monotone_simplex),
+    "smooth-simplex": (2, smooth_simplex),
+    "cube": (1, cube),
+    "delpezzo": (1, del_pezzo),
+    "ssb": (2, ssb),
+    "smallfiber": (3, lambda dim, facet, n: small_fiber_bundle(cube(dim), facet, n)),
+    "paffenholz": (0, paffenholz_p6),
+    "t": (1, nill_triangle),
+    "segment": (0, segment),
+    **{
+        name: (0, partial(monotone_polygon, name))
+        for name in ("triangle", "trapezoid", "square", "pentagon", "hexagon")
+    },
+}
+
+
 def generate(family: str, args: tuple = ()) -> HPolytope:
     """Catalog access by family name and integer arguments (the CLI `gen`
     surface)."""
     args = tuple(int(a) for a in args)
-    if family == "simplex":
-        return monotone_simplex(*args)
-    if family == "smooth-simplex":
-        return smooth_simplex(*args)
-    if family == "cube":
-        return cube(*args)
-    if family == "delpezzo":
-        return del_pezzo(*args)
-    if family == "ssb":
-        return ssb(*args)
-    if family == "smallfiber":
-        dim, facet, n = args
-        return small_fiber_bundle(cube(dim), facet, n)
-    if family == "paffenholz":
-        if args:
-            raise ValueError("paffenholz takes no arguments")
-        return paffenholz_p6()
-    if family == "t":
-        return nill_triangle(*args)
-    if family in ("triangle", "trapezoid", "square", "pentagon", "hexagon"):
-        if args:
-            raise ValueError("%s takes no arguments" % family)
-        return monotone_polygon(family)
-    if family == "segment":
-        return segment()
-    raise ValueError("unknown family %r" % family)
+    if family not in _FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    arity, build = _FAMILIES[family]
+    if len(args) != arity:
+        raise ValueError("%s takes %d argument(s), got %d" % (family, arity, len(args)))
+    return build(*args)

@@ -36,7 +36,12 @@ __all__ = ["main"]
 
 def _env_int(var, fallback):
     val = os.environ.get(var)
-    return int(val) if val else fallback
+    if not val:
+        return fallback
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (var, val)) from None
 
 
 def _read_polytope(path, allow_large):
@@ -87,6 +92,8 @@ def _report_text(report):
         )
         if r["star_ewald_failing_face"] is not None:
             lines.append("star fails at face with facets %s" % r["star_ewald_failing_face"])
+        if "star_ewald_skipped" in r:
+            lines.append("star condition %s" % r["star_ewald_skipped"])
     else:
         lines.append(r["ewald_conditions"])
     if "neat" in r:
@@ -169,10 +176,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    radius_default = _env_int("EWALDKIT_RADIUS", DEFAULT_RADIUS)
-    bound_default = _env_int("EWALDKIT_BOUND", DEFAULT_BOUND)
-
     try:
+        radius_default = _env_int("EWALDKIT_RADIUS", DEFAULT_RADIUS)
+        bound_default = _env_int("EWALDKIT_BOUND", DEFAULT_BOUND)
         return _dispatch(args, radius_default, bound_default)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -19,6 +19,7 @@ from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
+    _exact,
     dot,
     enumerate_vertices,
     face_slice,
@@ -152,19 +153,14 @@ def _vertex_margin_constraints(p: HPolytope):
                 if coeff:
                     terms[row_idx] = terms.get(row_idx, 0) + coeff
             norm_terms = tuple(
-                sorted((i, _exactify(c)) for i, c in terms.items() if c)
+                sorted((i, _exact(c)) for i, c in terms.items() if c)
             )
-            constraints.add((_exactify(const), norm_terms))
+            constraints.add((_exact(const), norm_terms))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)
         grouped.setdefault(level, []).append((const, terms))
     return grouped
-
-
-def _exactify(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
 
 
 def normally_isomorphic_displacements(p: HPolytope, radius: int):

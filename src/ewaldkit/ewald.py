@@ -7,11 +7,12 @@ including 0 whenever 0 ∈ P.  (Some authors drop the origin; we do not.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import ceil, floor
 
 from .classify import is_monotone, is_smooth
-from .intlinalg import det, find_unimodular_basis, inverse_unimodular, mat_vec
+from .intlinalg import _xgcd, det, find_unimodular_basis, inverse_unimodular, mat_vec
 from .polytope import FaceRef, HPolytope, dot
 
 __all__ = [
@@ -45,10 +46,36 @@ class EwaldSet:
         return tuple(x) in self.points
 
     def ordered(self) -> tuple:
-        """Deterministic scan order: max-norm ascending, then lexicographic."""
+        """Deterministic scan order: max-norm ascending, then lexicographic.
+        Sorted on the first call; every call returns that same tuple."""
+        return self._ordered
+
+    @cached_property
+    def _ordered(self) -> tuple:
         return tuple(
             sorted(self.points, key=lambda p: (max((abs(x) for x in p), default=0), p))
         )
+
+
+def _tight_masks(p: HPolytope) -> tuple:
+    """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
+    polytope: t has bit i set when facet i is tight at λ, tn when it is
+    tight at −λ.  The strong, star and FS checks read these masks instead of
+    dotting every point against every facet again."""
+    if "ewald_masks" not in p._cache:
+        rows = tuple(enumerate(zip(p.normals, p.offsets)))
+        table = []
+        for lam in ewald_set(p).ordered():
+            t = tn = 0
+            for i, (u, c) in rows:
+                s = dot(u, lam)
+                if s == c:
+                    t |= 1 << i
+                if s == -c:
+                    tn |= 1 << i
+            table.append((lam, t, tn))
+        p._cache["ewald_masks"] = tuple(table)
+    return p._cache["ewald_masks"]
 
 
 def cube_normalization(p: HPolytope):
@@ -122,10 +149,10 @@ class StrongEwaldResult:
 def strong_ewald(p: HPolytope) -> StrongEwaldResult:
     """Search a unimodular basis inside E(P) ∩ F for every facet F."""
     _require_origin_interior(p)
-    e = ewald_set(p)
+    table = _tight_masks(p)
     bases = []
-    for i, (u, c) in enumerate(zip(p.normals, p.offsets)):
-        on_facet = [x for x in e.points if dot(u, x) == c]
+    for i in range(p.nfacets):
+        on_facet = [lam for lam, t, _ in table if t >> i & 1]
         basis = find_unimodular_basis(on_facet, p.dim)
         bases.append(basis)
         if basis is None:
@@ -175,29 +202,37 @@ def _pairs(idx):
     ]
 
 
+def _face_mask(p: HPolytope, f: FaceRef) -> int:
+    if len(set(f.tight)) != len(f.tight) or not all(0 <= i < p.nfacets for i in f.tight):
+        raise ValueError("invalid face")
+    return sum(1 << i for i in f.tight)
+
+
+def _star_witness(table, face: int):
+    # first λ with exactly one facet of the face tight at λ and none at −λ
+    for lam, t, tn in table:
+        hit = t & face
+        if hit and not hit & (hit - 1) and not tn & face:
+            return lam
+    return None
+
+
 def star_ewald_face(p: HPolytope, f: FaceRef):
-    """(flag, λ): does some λ ∈ E(P) lie in Star*(f) with −λ ∉ Star(f)?"""
+    """(flag, λ): does some λ ∈ E(P) lie in Star*(f) with −λ ∉ Star(f)?
+    λ is the first such point in E(P)'s scan order."""
     _require_origin_interior(p)
-    e = ewald_set(p)
-    rows = [(p.normals[i], p.offsets[i]) for i in f.tight]
-    for lam in e.ordered():
-        cnt = sum(1 for u, c in rows if dot(u, lam) == c)
-        if cnt != 1:
-            continue
-        neg = tuple(-x for x in lam)
-        if all(dot(u, neg) != c for u, c in rows):
-            return True, lam
-    return False, None
+    lam = _star_witness(_tight_masks(p), _face_mask(p, f))
+    return lam is not None, lam
 
 
 def star_ewald(p: HPolytope):
     """(flag, failing_face): the star condition over every proper face,
     scanned by increasing codimension, witness-first."""
     _require_origin_interior(p)
+    table = _tight_masks(p)
     for codim in range(1, p.dim + 1):
         for f in p.faces(codim):
-            ok, _ = star_ewald_face(p, f)
-            if not ok:
+            if _star_witness(table, _face_mask(p, f)) is None:
                 return False, f
     return True, None
 
@@ -206,11 +241,10 @@ def fs_property(p: HPolytope) -> bool:
     """Every facet meets E(P).  Defined for monotone polytopes."""
     if not is_monotone(p):
         raise ValueError("FS property is defined for monotone polytopes")
-    e = ewald_set(p)
-    return all(
-        any(dot(u, x) == c for x in e.points)
-        for u, c in zip(p.normals, p.offsets)
-    )
+    met = 0
+    for _, t, _ in _tight_masks(p):
+        met |= t
+    return met == (1 << p.nfacets) - 1
 
 
 def nill2d_basis(p: HPolytope):
@@ -241,17 +275,6 @@ def nill2d_basis(p: HPolytope):
         if x[1] == 1:
             return q, mat_vec(minv, x)
     return None
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        qq, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - qq * x1
-        y0, y1 = y1, y0 - qq * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:

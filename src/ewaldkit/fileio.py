@@ -26,7 +26,7 @@ from math import gcd
 from .classify import classify
 from .displace import DEFAULT_RADIUS, is_neat
 from .ewald import ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
-from .polytope import HPolytope, VPolytope, convex_hull, irredundant_rows
+from .polytope import HPolytope, convex_hull, irredundant_rows
 
 __all__ = [
     "ParsedPolytope",
@@ -117,11 +117,12 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
             warnings.append("row %r normalized to primitive form" % (r,))
         normals.append(tuple(u))
         offsets.append(c)
-    rn, ro, dropped = irredundant_rows(dim, tuple(normals), tuple(offsets))
+    # the reduced polytope carries the vertices found while reducing, so
+    # validate() checks them without enumerating a second time
+    p, dropped = irredundant_rows(dim, tuple(normals), tuple(offsets))
     if dropped:
         warnings.append("dropped %d redundant row(s): %s" % (len(dropped), list(dropped)))
-    p = HPolytope(dim, rn, ro).validate()
-    return ParsedPolytope(p, name, tuple(warnings))
+    return ParsedPolytope(p.validate(), name, tuple(warnings))
 
 
 def serialize_polytope(p: HPolytope, name: str | None = None) -> str:
@@ -152,7 +153,8 @@ def analyze_polytope(
     run_neat: bool = True,
 ) -> dict:
     """Full analysis record: classification, |E(P)|, the Ewald condition
-    flags with witnesses (origin-interior inputs only), and the bounded
+    flags with witnesses (origin-interior inputs only; the star condition
+    only for simple inputs, null with a reason otherwise), and the bounded
     neatness verdict.  Timing lives under 'meta', outside the stable
     comparable payload under 'result'."""
     start = time.monotonic()
@@ -169,7 +171,8 @@ def analyze_polytope(
     if p.origin_interior():
         okw, basis = weak_ewald(p)
         res = strong_ewald(p)
-        oks, failing = star_ewald(p)
+        # the star condition is stated for simple (Delzant) polytopes
+        oks, failing = star_ewald(p) if rep.simple else (None, None)
         result["weak_ewald"] = okw
         result["weak_ewald_basis"] = _jsonable(basis) if basis else None
         result["strong_ewald"] = res.ok
@@ -178,6 +181,8 @@ def analyze_polytope(
         result["star_ewald_failing_face"] = (
             list(failing.tight) if failing is not None else None
         )
+        if not rep.simple:
+            result["star_ewald_skipped"] = "skipped: polytope not simple"
         if rep.monotone:
             result["fs_property"] = fs_property(p)
     else:

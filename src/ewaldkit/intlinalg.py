@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple  # tuple of ints
 Mat = tuple  # tuple of Vec rows
@@ -23,6 +23,8 @@ __all__ = [
     "kernel_basis",
     "solve_integer",
     "solve_rational",
+    "fraction_free_solve",
+    "kernel_direction",
     "inverse_unimodular",
     "find_unimodular_basis",
     "mat_vec",
@@ -223,10 +225,6 @@ def smith_diagonal(m) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-def rank(m) -> int:
-    return len(smith_diagonal(m))
-
-
 def is_saturated(rows) -> bool:
     """True iff the rows are independent and span a saturated sublattice.
 
@@ -278,22 +276,98 @@ def solve_integer(a, b):
     return tuple(sum(y[i] * u[i][c] for i in range(n)) for c in range(n))
 
 
+def _reduce(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of integer rows, in place, pivoting on the first `width` columns.
+
+    Every entry stays a minor of the input, so each division by the previous
+    pivot is exact and no Fraction is built.  Returns (piv, d): piv lists the
+    pivot columns, row i holding the pivot of column piv[i], and d is the
+    last pivot, the value every pivot ends with.  Pivot columns are not
+    updated outside their pivot row (they would read 0); every other column
+    is fully reduced.
+    """
+    piv, free = [], []
+    prev = 1
+    ncols = len(rows[0]) if rows else 0
+    for col in range(width):
+        r = len(piv)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            free.append(col)
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pr = rows[r]
+        a = pr[col]
+        live = free + list(range(col + 1, ncols))
+        for i, ri in enumerate(rows):
+            if i != r:
+                b = ri[col]
+                for j in live:
+                    ri[j] = (a * ri[j] - b * pr[j]) // prev
+        prev = a
+        piv.append(col)
+    return piv, prev
+
+
+def rank(m) -> int:
+    """Rank over Q of a matrix with integer or rational entries."""
+    rows = [_integer_row(row) for row in m]
+    return len(_reduce(rows, len(rows[0]) if rows else 0)[0])
+
+
+def fraction_free_solve(aug):
+    """Solve an integer augmented system [A | b] with square A, in place.
+
+    Returns (d, y) with d = |det A| > 0 and A y = d b, or None if A is
+    singular; the solution is y / d.
+    """
+    n = len(aug)
+    piv, d = _reduce(aug, n)
+    if len(piv) < n:
+        return None
+    y = [row[n] for row in aug]
+    if d < 0:
+        return -d, [-v for v in y]
+    return d, y
+
+
+def kernel_direction(rows):
+    """A nonzero integer vector spanning the kernel of integer rows whose
+    rank is one less than their length, or None when the rank is lower."""
+    rows = [list(row) for row in rows]
+    n = len(rows[0])
+    piv, d = _reduce(rows, n)
+    if len(piv) != n - 1:
+        return None
+    (f,) = set(range(n)) - set(piv)
+    x = [0] * n
+    x[f] = d
+    for row, col in zip(rows, piv):
+        x[col] = -row[f]
+    return tuple(x)
+
+
+def _integer_row(row) -> list:
+    # the same equation with integer coefficients: scale by the common denominator
+    if all(isinstance(x, int) for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
+
+
 def solve_rational(a, b):
-    """Unique exact solution of a square system a @ x = b, or None if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    """Unique exact solution of a square system a @ x = b, or None if singular.
+
+    Rational rows are scaled to integers first; the elimination itself is
+    fraction_free_solve.
+    """
+    sol = fraction_free_solve([_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)])
+    if sol is None:
+        return None
+    d, y = sol
+    return tuple(Fraction(v, d) for v in y)
 
 
 def inverse_unimodular(m) -> Mat:

@@ -10,13 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .intlinalg import (
+    _integer_row,
     det,
+    fraction_free_solve,
     inverse_unimodular,
     is_saturated,
     kernel_basis,
+    kernel_direction,
     mat_vec,
     primitive_part,
     rank,
@@ -61,23 +64,6 @@ def dot(u, x):
     return sum(a * b for a, b in zip(u, x))
 
 
-def rank_rational(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col] / m[r][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a set of points."""
     pts = list(points)
@@ -88,16 +74,12 @@ def affine_rank(points) -> int:
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0
-    return rank_rational(rows)
+    return rank(rows)
 
 
 def _integerize(row):
     # scale a rational vector to a primitive integer vector (same direction)
-    denom = 1
-    for x in row:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = [int(x * denom) for x in row]
-    return primitive_part(ints)
+    return primitive_part(_integer_row(row))
 
 
 @dataclass(frozen=True)
@@ -202,11 +184,6 @@ class HPolytope:
     def is_lattice(self) -> bool:
         return all(all(isinstance(x, int) for x in v) for v in self.vertices())
 
-    def interior_point(self) -> tuple:
-        verts = self.vertices()
-        k = len(verts)
-        return tuple(sum(Fraction(v[i]) for v in verts) / k for i in range(self.dim))
-
     def bounding_box(self) -> tuple:
         verts = self.vertices()
         lo = tuple(min(v[i] for v in verts) for i in range(self.dim))
@@ -306,28 +283,31 @@ class HPolytope:
 def enumerate_vertices(dim, normals, offsets):
     """Basic-solution enumeration over row subsets; exact, handles non-simple.
 
-    Returns (vertices, tight_sets), both sorted by vertex; empty when the
-    system is infeasible.  Boundedness is the caller's concern.
+    Offsets are scaled to integers by their common denominator, so each
+    subset's system is solved and tested for feasibility in integers; a
+    Fraction is built only for a vertex.  Returns (vertices, tight_sets),
+    both sorted by vertex; empty when the system is infeasible.
+    Boundedness is the caller's concern.
     """
     offsets = tuple(_exact(c) for c in offsets)
     if dim == 0:
         if all(c >= 0 for c in offsets):
             return ((),), (frozenset(),)
         return (), ()
-    m = len(normals)
+    scale = lcm(1, *(c.denominator for c in offsets))
+    rows = tuple(zip(normals, (int(c * scale) for c in offsets)))
     found = {}
-    for subset in combinations(range(m), dim):
-        sub = [normals[i] for i in subset]
-        x = solve_rational(sub, [offsets[i] for i in subset])
-        if x is None:
+    for subset in combinations(rows, dim):
+        sol = fraction_free_solve([list(u) + [c] for u, c in subset])
+        if sol is None:
             continue
-        x = _point(x)
-        if x in found:
+        d, y = sol  # the basic solution is y / (d * scale)
+        if any(dot(u, y) > c * d for u, c in rows):
             continue
-        if all(dot(u, x) <= c for u, c in zip(normals, offsets)):
-            found[x] = frozenset(
-                i for i, (u, c) in enumerate(zip(normals, offsets)) if dot(u, x) == c
-            )
+        den = d * scale
+        x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y)
+        if x not in found:
+            found[x] = frozenset(i for i, (u, c) in enumerate(rows) if dot(u, y) == c * d)
     verts = tuple(sorted(found))
     return verts, tuple(found[v] for v in verts)
 
@@ -340,14 +320,10 @@ def _is_bounded(dim, normals) -> bool:
     if dim == 1:
         vals = [u[0] for u in normals]
         return any(v > 0 for v in vals) and any(v < 0 for v in vals)
-    for subset in combinations(range(len(normals)), dim - 1):
-        sub = [normals[i] for i in subset]
-        if rank(sub) < dim - 1:
+    for sub in combinations(normals, dim - 1):
+        d = kernel_direction(sub)
+        if d is None:
             continue
-        kb = kernel_basis(sub)
-        if len(kb) != 1:
-            continue
-        d = kb[0]
         if all(dot(u, d) <= 0 for u in normals):
             return False
         if all(dot(u, d) >= 0 for u in normals):
@@ -358,37 +334,46 @@ def _is_bounded(dim, normals) -> bool:
 def irredundant_rows(dim, normals, offsets):
     """Reduce a system to its facet-defining rows.
 
-    Returns (normals, offsets, dropped_indices); raises on an empty system.
+    Returns (polytope, dropped_indices); raises on an empty system.  The
+    polytope keeps the facet rows in input order and arrives with its vertex
+    cache filled: the vertices are enumerated once, with duplicate normals
+    collapsed to the binding offset, and their tight sets are re-indexed to
+    the kept rows.  Dropping redundant rows leaves a bounded full-dimensional
+    polytope unchanged, so the cache equals a fresh enumeration whenever
+    validate() passes.
     """
     offsets = [_exact(c) for c in offsets]
     if dim == 0:
         if any(c < 0 for c in offsets):
             raise ValueError("empty system")
-        return (), (), tuple(range(len(offsets)))
+        return HPolytope(0, (), ()), tuple(range(len(offsets)))
     # collapse duplicate normals to the binding offset
     best = {}
     for i, (u, c) in enumerate(zip(normals, offsets)):
         if u not in best or c < best[u][1]:
             best[u] = (i, c)
-    rows = sorted(best.values())
-    keep_idx = [i for i, _ in rows]
-    sys_n = tuple(normals[i] for i in keep_idx)
-    sys_c = tuple(offsets[i] for i in keep_idx)
-    verts, tights = enumerate_vertices(dim, sys_n, sys_c)
+    keep_idx = [i for i, _ in sorted(best.values())]
+    verts, tights = enumerate_vertices(
+        dim, [normals[i] for i in keep_idx], [offsets[i] for i in keep_idx]
+    )
     if not verts:
         raise ValueError("empty system")
-    final = []
-    for j in range(len(sys_n)):
-        tv = [v for v, t in zip(verts, tights) if j in t]
-        if affine_rank(tv) == dim - 1:
-            final.append(keep_idx[j])
-    final_set = set(final)
-    dropped = tuple(i for i in range(len(normals)) if i not in final_set)
-    return (
-        tuple(normals[i] for i in final),
-        tuple(offsets[i] for i in final),
-        dropped,
+    final = [
+        j
+        for j in range(len(keep_idx))
+        if affine_rank([v for v, t in zip(verts, tights) if j in t]) == dim - 1
+    ]
+    p = HPolytope(
+        dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
+    new_index = {j: k for k, j in enumerate(final)}
+    p._cache["vertices"] = verts
+    p._cache["tights"] = tuple(
+        frozenset(new_index[j] for j in t if j in new_index) for t in tights
+    )
+    final_set = {keep_idx[j] for j in final}
+    dropped = tuple(i for i in range(len(normals)) if i not in final_set)
+    return p, dropped
 
 
 @dataclass(frozen=True)
@@ -432,12 +417,10 @@ def convex_hull(points, dim=None) -> HPolytope:
         diffs = [
             [a - b for a, b in zip(p, subset[0])] for p in subset[1:]
         ]
-        if rank_rational(diffs) != n - 1:
+        d = kernel_direction([_integerize(r) for r in diffs])
+        if d is None:
             continue
-        kb = kernel_basis([_integerize(r) for r in diffs])
-        if len(kb) != 1:
-            continue
-        u = primitive_part(kb[0])
+        u = primitive_part(d)
         c = dot(u, subset[0])
         vals = [dot(u, p) for p in pts]
         if max(vals) == c:
@@ -634,11 +617,13 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
         )
     normals = tuple(r for r, _ in chart_rows)
     offs = tuple(c for _, c in chart_rows)
-    verts, _tights = enumerate_vertices(chart_dim, normals, offs)
-    poly = None
-    if verts and affine_rank(verts) == chart_dim:
-        rn, ro, _ = irredundant_rows(chart_dim, normals, offs)
-        poly = HPolytope(chart_dim, rn, ro)
+    try:
+        poly, _ = irredundant_rows(chart_dim, normals, offs)
+    except ValueError:  # no vertices: the slice is empty
+        return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
+    verts = poly.vertices()
+    if affine_rank(verts) != chart_dim:
+        poly = None
     return Slice(p, tight, inset, chart_dim, basis, origin, verts, poly)
 
 

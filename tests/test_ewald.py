@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_unimodular
 from ewaldkit.bundles import (
+    catalog,
     cube,
     del_pezzo,
     monotone_polygon,
@@ -15,7 +16,7 @@ from ewaldkit.bundles import (
     smooth_simplex,
     ssb,
 )
-from ewaldkit.classify import is_deeply_smooth, vertex_edge_directions
+from ewaldkit.classify import is_deeply_smooth, is_monotone, vertex_edge_directions
 from ewaldkit.ewald import (
     cube_normalization,
     deeply_smooth_origin_vertex_basis,
@@ -30,7 +31,7 @@ from ewaldkit.ewald import (
     verify_origin_next_to,
     weak_ewald,
 )
-from ewaldkit.intlinalg import det, mat_vec
+from ewaldkit.intlinalg import det, find_unimodular_basis, mat_vec
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
@@ -266,3 +267,74 @@ def test_origin_next_to_verifiers():
     assert b3 is not None and abs(det(b3)) == 1
     # monotone simplex: origin next to every vertex
     assert deeply_smooth_origin_vertex_basis(monotone_simplex(3)) is not None
+
+
+# -- slow oracles for the mask-based checks --------------------------------
+
+
+def _oracle_star_face(p, f):
+    # the per-face scan: re-sort E(P), dot every λ against the face's facets
+    e = ewald_set(p).points
+    rows = [(p.normals[i], p.offsets[i]) for i in f.tight]
+    for lam in sorted(e, key=lambda q: (max((abs(x) for x in q), default=0), q)):
+        if sum(1 for u, c in rows if dot(u, lam) == c) != 1:
+            continue
+        neg = tuple(-x for x in lam)
+        if all(dot(u, neg) != c for u, c in rows):
+            return True, lam
+    return False, None
+
+
+def _oracle_star(p):
+    for codim in range(1, p.dim + 1):
+        for f in p.faces(codim):
+            if not _oracle_star_face(p, f)[0]:
+                return False, f
+    return True, None
+
+
+def _oracle_strong_bases(p):
+    e = ewald_set(p).points
+    bases = []
+    for u, c in zip(p.normals, p.offsets):
+        bases.append(find_unimodular_basis([x for x in e if dot(u, x) == c], p.dim))
+        if bases[-1] is None:
+            break
+    return tuple(bases)
+
+
+def _star_suite(rng):
+    members = [p for p in catalog().values() if p.origin_interior()]
+    small = [p for p in members if p.dim <= 3]
+    products = [cartesian_product(a, b) for a, b in combinations_with_replacement(small[:6], 2)]
+    images = [p.transform(random_unimodular(rng, p.dim)) for p in members + products[:8]]
+    return members + products + images
+
+
+def test_star_masks_match_per_face_oracle(rng):
+    faces = 0
+    for p in _star_suite(rng):
+        assert star_ewald(p) == _oracle_star(p)
+        for codim in range(1, p.dim + 1):
+            for f in p.faces(codim):
+                assert star_ewald_face(p, f) == _oracle_star_face(p, f)
+                faces += 1
+        assert strong_ewald(p).bases == _oracle_strong_bases(p)
+        if is_monotone(p):
+            e = ewald_set(p).points
+            expect = all(any(dot(u, x) == c for x in e) for u, c in zip(p.normals, p.offsets))
+            assert fs_property(p) == expect
+    assert faces > 2000
+
+
+def test_star_ewald_face_rejects_invalid_faces():
+    with pytest.raises(ValueError):
+        star_ewald_face(cube(2), FaceRef((0, 9), 2))
+    with pytest.raises(ValueError):
+        star_ewald_face(cube(2), FaceRef((0, 0), 2))
+
+
+def test_ordered_is_sorted_once():
+    e = ewald_set(ssb(3, 2))
+    assert e.ordered() is e.ordered()
+    assert list(e.ordered()) == sorted(e.points, key=lambda q: (max(map(abs, q)), q))

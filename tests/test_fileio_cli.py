@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ewaldkit import polytope
 from ewaldkit.bundles import catalog, cube, monotone_simplex, paffenholz_p6, ssb
 from ewaldkit.cli import main
 from ewaldkit.fileio import (
@@ -73,6 +74,50 @@ def test_parse_redundant_rows_reported():
     parsed = parse_polytope(text)
     assert parsed.polytope == cube(2)
     assert any("redundant" in w for w in parsed.warnings)
+
+
+CACHE_CASES = {
+    # a redundant row and a duplicate normal with a looser offset
+    "dropped": "dim 2\nfacets 6\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n1 1 5\n1 0 3\n",
+    # x + y <= 2 touches the square only at the vertex (1, 1)
+    "weakly_redundant": "dim 2\nfacets 5\n1 1 2\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n",
+    # rows with a common factor, rescaled to primitive form
+    "non_primitive": "dim 3\nfacets 6\n2 0 0 2\n-3 0 0 3\n0 1 0 1\n0 -1 0 1\n0 0 4 4\n0 0 -1 1\n",
+    # 4x + 5y <= 3 passes through the rational vertex (1/3, 1/3) only
+    "rational": "dim 2\nfacets 5\n2 1 1\n-1 0 1\n4 5 3\n0 -1 1\n1 2 1\n",
+}
+
+
+def test_parse_cache_matches_fresh_enumeration():
+    texts = dict(CACHE_CASES)
+    texts.update((name, serialize_polytope(p, name)) for name, p in catalog().items())
+    for name, text in texts.items():
+        parsed = parse_polytope(text)
+        p = parsed.polytope
+        fresh = polytope.enumerate_vertices(p.dim, p.normals, p.offsets)
+        assert (p._cache["vertices"], p._cache["tights"]) == fresh, name
+    assert any("dropped 2" in w for w in parse_polytope(CACHE_CASES["dropped"]).warnings)
+    assert parse_polytope(CACHE_CASES["weakly_redundant"]).polytope == cube(2)
+    assert parse_polytope(CACHE_CASES["non_primitive"]).polytope == cube(3)
+    rational = parse_polytope(CACHE_CASES["rational"]).polytope
+    assert rational.normals == ((2, 1), (-1, 0), (0, -1), (1, 2))
+    assert not rational.is_lattice()
+
+
+def test_parse_enumerates_vertices_once(monkeypatch):
+    calls = []
+    enumerate_vertices = polytope.enumerate_vertices
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_vertices(*args)
+
+    monkeypatch.setattr(polytope, "enumerate_vertices", counted)
+    p = parse_polytope(serialize_polytope(paffenholz_p6(), "p6")).polytope
+    assert len(calls) == 1
+    p.validate()
+    p.vertices()
+    assert len(calls) == 1
 
 
 def test_vertex_block_adapter():
@@ -180,3 +225,32 @@ def test_cli_env_radius(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["result"]["neat"]["radius"] == 1
     assert doc["meta"]["radius"] == 1
+
+
+def test_cli_check_non_simple_skips_star(capsys):
+    code, dp3, _ = run_cli(["gen", "delpezzo", "3"], capsys=capsys)
+    assert code == 0
+    code, out, err = run_cli(["check", "-", "--skip-neat"], stdin_text=dp3, capsys=capsys)
+    assert code == 0 and "Traceback" not in err
+    assert "weak=True strong=True star=None" in out
+    assert "star condition skipped: polytope not simple" in out
+    code, out, _ = run_cli(["check", "-", "--skip-neat", "--json"], stdin_text=dp3, capsys=capsys)
+    r = json.loads(out)["result"]
+    assert r["star_ewald"] is None and r["star_ewald_failing_face"] is None
+    assert r["star_ewald_skipped"] == "skipped: polytope not simple"
+    assert r["weak_ewald"] is True and r["strong_ewald"] is True
+
+
+@pytest.mark.parametrize("var", ["EWALDKIT_RADIUS", "EWALDKIT_BOUND"])
+def test_cli_rejects_non_integer_env(var, capsys, monkeypatch):
+    monkeypatch.setenv(var, "abc")
+    code, out, err = run_cli(["count", "simplex", "3"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s must be an integer" % var)
+
+
+@pytest.mark.parametrize("argv", [["gen", "cube"], ["gen", "cube", "2", "3"], ["gen", "segment", "1"]])
+def test_cli_gen_checks_argument_count(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s takes" % argv[1])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +11,7 @@ from ewaldkit.intlinalg import (
     inverse_unimodular,
     is_saturated,
     kernel_basis,
+    kernel_direction,
     mat_mul,
     mat_vec,
     primitive_part,
@@ -125,6 +127,82 @@ def test_kernel_and_solve():
         x = solve_integer(m, b)
         assert x is not None and mat_vec(m, x) == b
     assert solve_integer(((2, 0), (0, 2)), (1, 0)) is None
+
+
+def gauss_jordan_oracle(a, b):
+    # elimination over Fraction, dividing each pivot row by its pivot
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return tuple(m[i][n] for i in range(n))
+
+
+def rank_oracle(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][col] / m[r][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def random_system(rng, rows, cols):
+    """Integer rows with planted dependencies, zero columns and rational rows."""
+    m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.4:
+        i, j = rng.sample(range(rows), 2)
+        c = rng.randint(-2, 2)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if rows and rng.random() < 0.2:
+        col = rng.randrange(cols)
+        for row in m:
+            row[col] = 0
+    if rows and rng.random() < 0.3:
+        m[rng.randrange(rows)] = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+    return m
+
+
+def test_solve_rational_matches_fraction_oracle():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        a = random_system(rng, n, max(n, 1))[:n] if n else []
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        x = solve_rational(a, b)
+        assert x == gauss_jordan_oracle(a, b)
+        singular += x is None
+    assert 100 < singular < 1400
+
+
+def test_rank_and_kernel_direction_match_oracles():
+    rng = random.Random(12)
+    for _ in range(1500):
+        cols = rng.randint(1, 6)
+        m = random_system(rng, rng.randint(0, 7), cols)
+        assert rank(m) == rank_oracle(m)
+        if cols >= 2 and all(isinstance(x, int) for row in m for x in row):
+            sub = (m + [[0] * cols] * cols)[: cols - 1]
+            d = kernel_direction(sub)
+            if rank_oracle(sub) == cols - 1:
+                assert any(d) and not any(mat_vec(sub, d))
+            else:
+                assert d is None
 
 
 def test_solve_rational_and_inverse():
