@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 
 from .intlinalg import det, primitive_part
 from .polytope import (
@@ -120,17 +121,6 @@ def _two_faces(p: HPolytope):
     return tuple(sorted(set(out)))
 
 
-def _face_lattice_point_count(p: HPolytope, tight) -> int:
-    s = face_slice(p, tight, inset=0)
-    if not all(isinstance(x, int) for x in s.origin):
-        return 0  # the affine span of the face misses the lattice entirely
-    if s.polytope is None:
-        if s.chart_dim == 0:
-            return 1 if not s.is_empty else 0
-        raise ValueError("face slice degenerated unexpectedly")
-    return len(s.polytope.lattice_points())
-
-
 def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:
     need = set(tight)
     vs = [v for v, t in zip(p.vertices(), p.vertex_tight_sets()) if need <= t]
@@ -138,12 +128,15 @@ def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:
         return False
     if not all(all(isinstance(x, int) for x in v) for v in vs):
         return False
-    return _face_lattice_point_count(p, tight) == 3
+    a, b, c = vs
+    e, f = [x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]
+    return gcd(*(e[i] * f[j] - e[j] * f[i] for i, j in combinations(range(len(a)), 2))) == 1
 
 
 def is_ut_free(p: HPolytope):
     """(flag, witness 2-face): a 2-face is a unimodular triangle iff it has
-    exactly 3 vertices and exactly 3 lattice points."""
+    exactly 3 vertices a, b, c, all integer, and the 2x2 minors of
+    (b - a, c - a) have gcd 1 (equivalently, exactly 3 lattice points)."""
     if not p.is_simple():
         raise ValueError("UT-freeness requires a simple polytope")
 

@@ -20,6 +20,7 @@ from .polytope import (
     HPolytope,
     Slice,
     _exact,
+    _facet_rows,
     dot,
     enumerate_vertices,
     face_slice,
@@ -52,32 +53,18 @@ class DisplacedSystem:
     def normals(self):
         return self.parent.normals
 
-    def contains(self, point, strict=False) -> bool:
-        if strict:
-            return all(dot(u, point) < c for u, c in zip(self.normals, self.offsets))
-        return all(dot(u, point) <= c for u, c in zip(self.normals, self.offsets))
-
     def analyze(self) -> dict:
         """Validity flags: emptiness, dimension, boundedness (inherited from
         the parent since the recession cone ignores offsets), irredundancy
         over the same rows, and normal isomorphism with the parent."""
-        verts, tights = enumerate_vertices(
-            self.parent.dim, self.normals, self.offsets
-        )
-        from .polytope import affine_rank
-
-        nonempty = bool(verts)
-        full_dim = nonempty and affine_rank(verts) == self.parent.dim
-        irredundant = full_dim and all(
-            affine_rank([v for v, t in zip(verts, tights) if i in t])
-            == self.parent.dim - 1
-            for i in range(len(self.normals))
-        )
+        verts, tights = enumerate_vertices(self.parent.dim, self.normals, self.offsets)
+        full_dim, facets = _facet_rows(self.parent.dim, verts, tights, len(self.normals))
+        irredundant = full_dim and len(facets) == len(self.normals)
         iso = irredundant and frozenset(
             tuple(sorted(t)) for t in tights
         ) == normal_fan_signature(self.parent).cones
         return {
-            "nonempty": nonempty,
+            "nonempty": bool(verts),
             "full_dim": full_dim,
             "bounded": True,
             "irredundant_same_rows": irredundant,

@@ -14,13 +14,9 @@ from math import ceil, floor, gcd, lcm
 
 from .intlinalg import (
     _integer_row,
-    det,
     fraction_free_solve,
     inverse_unimodular,
-    is_saturated,
     kernel_basis,
-    kernel_direction,
-    mat_vec,
     primitive_part,
     rank,
     solve_integer,
@@ -252,15 +248,13 @@ class HPolytope:
             return self
         if len(set(self.normals)) != len(self.normals):
             raise ValueError("duplicate facet normals")
-        if not _is_bounded(self.dim, self.normals):
-            raise ValueError("unbounded inequality system")
-        verts = self.vertices()
-        if affine_rank(verts) != self.dim:
+        # vertices() raises on an unbounded system, having met a recession ray
+        verts, tights = self.vertices(), self.vertex_tight_sets()
+        full_dim, facets = _facet_rows(self.dim, verts, tights, self.nfacets)
+        if not full_dim:
             raise ValueError("polytope is not full-dimensional")
-        for i in range(len(self.normals)):
-            tv = [v for v, t in zip(verts, self.vertex_tight_sets()) if i in t]
-            if affine_rank(tv) != self.dim - 1:
-                raise ValueError("row %d is redundant" % i)
+        if len(facets) < self.nfacets:
+            raise ValueError("row %d is redundant" % min(set(range(self.nfacets)) - set(facets)))
         return self
 
     # -- images ----------------------------------------------------------
@@ -280,14 +274,62 @@ class HPolytope:
         )
 
 
-def enumerate_vertices(dim, normals, offsets):
-    """Basic-solution enumeration over row subsets; exact, handles non-simple.
+def _extreme_rays(rows, d):
+    """Extreme rays of the pointed cone {y : r·y <= 0 for every integer row r}.
 
-    Offsets are scaled to integers by their common denominator, so each
-    subset's system is solved and tested for feasibility in integers; a
-    Fraction is built only for a vertex.  Returns (vertices, tight_sets),
-    both sorted by vertex; empty when the system is infeasible.
-    Boundedness is the caller's concern.
+    Double description (Motzkin; Fukuda-Prodon 1996): start from the simplicial
+    cone of the first d independent rows and cut it by the others in input
+    order, joining two rays on opposite sides when they are adjacent: they
+    share at least d - 2 tight rows and no third ray is tight on all of them.
+    Returns (primitive ray, mask) pairs, bit i of mask set iff row i is tight
+    on the ray; raises ValueError when the rows have rank below d.
+    """
+    basis = []
+    for i, r in enumerate(rows):
+        if len(basis) < d and rank([rows[j] for j in basis] + [r]) > len(basis):
+            basis.append(i)
+    if len(basis) < d:
+        raise ValueError("cone is not pointed")
+    every = sum(1 << i for i in basis)
+    rays = []
+    for bj in basis:
+        # the ray tight on every basis row but bj: A y = -e_j
+        _, y = fraction_free_solve([list(rows[i]) + [-(i == bj)] for i in basis])
+        rays.append((primitive_part(y), every ^ (1 << bj)))
+    for i, a in enumerate(rows):
+        if i in basis:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for y, z in rays:
+            s = dot(a, y)
+            if s > 0:
+                pos.append((s, y, z))
+            else:
+                kept.append((y, z | bit if s == 0 else z))
+                if s < 0:
+                    neg.append((s, y, z))
+        masks = [z for _, z in rays]
+        for sp, yp, zp in pos:
+            for sn, yn, zn in neg:
+                common = zp & zn
+                if common.bit_count() < d - 2 or sum(z & common == common for z in masks) > 2:
+                    continue
+                y = [sp * b - sn * c for b, c in zip(yn, yp)]  # a·y = 0
+                kept.append((primitive_part(y), common | bit))
+        rays = kept
+    return rays
+
+
+def enumerate_vertices(dim, normals, offsets):
+    """Vertices of {x : normals @ x <= offsets}; exact, handles non-simple.
+
+    The system is homogenized to the cone of rows (u, -c * scale) and
+    (0, ..., 0, -1), with scale the common denominator of the offsets; an
+    extreme ray (y, t) of it with t > 0 is the vertex y / (t * scale), and
+    one with t = 0 is a recession direction.  Returns (vertices,
+    tight_sets), both sorted by vertex; empty when the system is
+    infeasible.  Raises ValueError on an unbounded system.
     """
     offsets = tuple(_exact(c) for c in offsets)
     if dim == 0:
@@ -295,52 +337,46 @@ def enumerate_vertices(dim, normals, offsets):
             return ((),), (frozenset(),)
         return (), ()
     scale = lcm(1, *(c.denominator for c in offsets))
-    rows = tuple(zip(normals, (int(c * scale) for c in offsets)))
+    rows = [(0,) * dim + (-1,)]
+    rows += [tuple(u) + (-int(c * scale),) for u, c in zip(normals, offsets)]
+    try:
+        rays = _extreme_rays(rows, dim + 1)
+    except ValueError:
+        raise ValueError("unbounded inequality system") from None
     found = {}
-    for subset in combinations(rows, dim):
-        sol = fraction_free_solve([list(u) + [c] for u, c in subset])
-        if sol is None:
-            continue
-        d, y = sol  # the basic solution is y / (d * scale)
-        if any(dot(u, y) > c * d for u, c in rows):
-            continue
-        den = d * scale
-        x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y)
-        if x not in found:
-            found[x] = frozenset(i for i, (u, c) in enumerate(rows) if dot(u, y) == c * d)
+    for y, mask in rays:
+        den = y[-1] * scale
+        if den == 0:
+            raise ValueError("unbounded inequality system")
+        x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y[:-1])
+        found[x] = frozenset(i for i in range(len(normals)) if mask >> (i + 1) & 1)
     verts = tuple(sorted(found))
     return verts, tuple(found[v] for v in verts)
 
 
-def _is_bounded(dim, normals) -> bool:
-    # Bounded iff the recession cone {y : Ny <= 0} is {0}: N must have full
-    # column rank and no (dim-1)-subset kernel direction may satisfy Ny <= 0.
-    if rank(normals) < dim:
-        return False
-    if dim == 1:
-        vals = [u[0] for u in normals]
-        return any(v > 0 for v in vals) and any(v < 0 for v in vals)
-    for sub in combinations(normals, dim - 1):
-        d = kernel_direction(sub)
-        if d is None:
-            continue
-        if all(dot(u, d) <= 0 for u in normals):
-            return False
-        if all(dot(u, d) >= 0 for u in normals):
-            return False
-    return True
+def _facet_rows(dim, verts, tights, nrows):
+    """(full_dim, facets): whether the vertices affinely span dimension dim,
+    and the rows whose tight vertex set no other row's strictly contains.  On
+    a full-dimensional polytope these are its facet-defining rows: every facet
+    is some row's face, and every other face lies in a facet."""
+    on_row = [0] * nrows
+    for k, t in enumerate(tights):
+        for i in t:
+            on_row[i] |= 1 << k
+    facets = [i for i, f in enumerate(on_row) if not any(f & g == f != g for g in on_row)]
+    return affine_rank(verts) == dim, facets
 
 
 def irredundant_rows(dim, normals, offsets):
     """Reduce a system to its facet-defining rows.
 
-    Returns (polytope, dropped_indices); raises on an empty system.  The
-    polytope keeps the facet rows in input order and arrives with its vertex
-    cache filled: the vertices are enumerated once, with duplicate normals
-    collapsed to the binding offset, and their tight sets are re-indexed to
-    the kept rows.  Dropping redundant rows leaves a bounded full-dimensional
-    polytope unchanged, so the cache equals a fresh enumeration whenever
-    validate() passes.
+    Returns (polytope, dropped_indices); raises on an unbounded system before
+    dropping any row, and on an empty one.  The polytope keeps the facet rows
+    in input order and arrives with its vertex cache filled: the vertices are
+    enumerated once, with duplicate normals collapsed to the binding offset,
+    and their tight sets are re-indexed to the kept rows.  Dropping redundant
+    rows leaves a bounded full-dimensional polytope unchanged, so the cache
+    equals a fresh enumeration whenever validate() passes.
     """
     offsets = [_exact(c) for c in offsets]
     if dim == 0:
@@ -358,11 +394,7 @@ def irredundant_rows(dim, normals, offsets):
     )
     if not verts:
         raise ValueError("empty system")
-    final = [
-        j
-        for j in range(len(keep_idx))
-        if affine_rank([v for v, t in zip(verts, tights) if j in t]) == dim - 1
-    ]
+    _, final = _facet_rows(dim, verts, tights, len(keep_idx))
     p = HPolytope(
         dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
@@ -399,35 +431,27 @@ def vertices(p: HPolytope) -> VPolytope:
 
 
 def convex_hull(points, dim=None) -> HPolytope:
-    """Exact H-rep of the convex hull of a full-dimensional point set."""
+    """Exact H-rep of the convex hull of a full-dimensional point set.
+
+    The facets are the extreme rays (u, c) of the cone {u·p <= c for every
+    point p}, pointed iff the points are full-dimensional.  Rows are sorted
+    by normal, descending in dim 1.
+    """
     pts = sorted({_point(p) for p in points})
     if not pts:
         raise ValueError("no points")
     n = len(pts[0]) if dim is None else dim
     if any(len(p) != n for p in pts):
         raise ValueError("mixed dimensions")
-    if affine_rank(pts) != n:
-        raise ValueError("not full-dimensional")
-    if n == 1:
-        lo = min(p[0] for p in pts)
-        hi = max(p[0] for p in pts)
-        return HPolytope(1, ((1,), (-1,)), (hi, -lo))
+    try:
+        rays = _extreme_rays([_integer_row(p + (-1,)) for p in pts], n + 1)
+    except ValueError:
+        raise ValueError("not full-dimensional") from None
     rows = {}
-    for subset in combinations(pts, n):
-        diffs = [
-            [a - b for a, b in zip(p, subset[0])] for p in subset[1:]
-        ]
-        d = kernel_direction([_integerize(r) for r in diffs])
-        if d is None:
-            continue
-        u = primitive_part(d)
-        c = dot(u, subset[0])
-        vals = [dot(u, p) for p in pts]
-        if max(vals) == c:
-            rows.setdefault(u, c)
-        elif min(vals) == c:
-            rows.setdefault(tuple(-x for x in u), -c)
-    normals = tuple(sorted(rows))
+    for y, mask in rays:
+        u = primitive_part(y[:n])
+        rows[u] = dot(u, pts[(mask & -mask).bit_length() - 1])  # c = u·p, p on the facet
+    normals = tuple(sorted(rows, reverse=n == 1))
     return HPolytope(n, normals, tuple(rows[u] for u in normals))
 
 
@@ -483,16 +507,10 @@ def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
 
 
 def minkowski_sum(v: VPolytope, w: VPolytope) -> VPolytope:
-    """Vertices of v + w.
-
-    Builds the exact hull of all pairwise vertex sums; intended for the
-    low-dimensional instance checks (dim <= 3 or few vertices).
-    """
+    """Vertices of v + w, from the exact hull of all pairwise vertex sums."""
     if v.dim != w.dim:
         raise ValueError("dimension mismatch")
     sums = {tuple(a + b for a, b in zip(p, q)) for p in v.points for q in w.points}
-    if affine_rank(sums) < v.dim:
-        raise ValueError("sum is not full-dimensional")
     h = convex_hull(sums, v.dim)
     return VPolytope(v.dim, h.vertices())
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_unimodular, smooth_suite
 from ewaldkit.bundles import (
+    catalog,
     cube,
     del_pezzo,
     monotone_polygon,
@@ -22,7 +23,8 @@ from ewaldkit.classify import (
     is_smooth,
     is_ut_free,
 )
-from ewaldkit.polytope import HPolytope, VPolytope, face_slice, facet_description
+from ewaldkit.classify import _is_unimodular_triangle_face, _two_faces
+from ewaldkit.polytope import HPolytope, VPolytope, dot, face_slice, facet_description
 
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
@@ -75,6 +77,24 @@ def test_is_ut_free_examples():
         assert is_ut_free(cube(n))[0]
     with pytest.raises(ValueError):
         is_ut_free(del_pezzo(3))
+
+
+def test_unimodular_triangle_faces_match_lattice_point_count():
+    # oracle: a 2-face is a unimodular triangle iff it has 3 vertices and
+    # exactly 3 of P's lattice points lie on it
+    polys = [p for p in catalog().values() if 2 <= p.dim <= 4]
+    polys += [smooth_simplex(3, 1), smooth_simplex(4, 1)]
+    polys += smooth_suite(random.Random(5), max_dim=4, count=20)
+    seen = set()
+    for p in polys:
+        pts = p.lattice_points()
+        for tight in _two_faces(p):
+            nverts = sum(1 for t in p.vertex_tight_sets() if set(tight) <= t)
+            npts = sum(1 for x in pts if all(dot(p.normals[i], x) == p.offsets[i] for i in tight))
+            got = _is_unimodular_triangle_face(p, tight)
+            assert got == (nverts == 3 and npts == 3), (p, tight)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_is_deeply_smooth_examples():

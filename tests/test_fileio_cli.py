@@ -241,6 +241,13 @@ def test_cli_check_non_simple_skips_star(capsys):
     assert r["weak_ewald"] is True and r["strong_ewald"] is True
 
 
+def test_cli_check_rejects_unbounded_strip(capsys):
+    strip = "dim 2\nfacets 2\n1 0 1\n-1 0 1\n"  # -1 <= x <= 1, y free
+    code, out, err = run_cli(["check", "-", "--skip-neat"], stdin_text=strip, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unbounded inequality system")
+
+
 @pytest.mark.parametrize("var", ["EWALDKIT_RADIUS", "EWALDKIT_BOUND"])
 def test_cli_rejects_non_integer_env(var, capsys, monkeypatch):
     monkeypatch.setenv(var, "abc")
