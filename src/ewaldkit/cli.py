@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     p_probe.add_argument("--samples", type=int, default=4)
 
     p_count = sub.add_parser("count", help="closed-form Ewald counts and tables")
-    p_count.add_argument("what", choices=["simplex", "ssb", "emin", "tables"])
+    p_count.add_argument("what", choices=list(_COUNTS))
     p_count.add_argument("args", nargs="*", type=int)
     p_count.add_argument("--json", action="store_true", help="machine-readable rows")
 
@@ -298,17 +298,29 @@ def _dispatch(args, radius_default, bound_default) -> int:
     raise AssertionError("unhandled command")
 
 
+# count subcommand -> (number of integer arguments, closed form)
+_COUNTS = {
+    "simplex": (1, ewald_count_simplex),
+    "ssb": (2, ewald_count_ssb),
+    "emin": (1, emin_upper_bound),
+    "tables": (0, None),
+}
+# the largest n `count` accepts; every answer up to it has fewer than n
+# digits, so it also prints within Python's default int-to-str limit
+MAX_COUNT_N = 4300
+
+
 def _count(args) -> int:
     what = args.what
-    if what == "simplex":
-        (n,) = args.args
-        print(ewald_count_simplex(n))
-    elif what == "ssb":
-        n, k = args.args
-        print(ewald_count_ssb(n, k))
-    elif what == "emin":
-        (n,) = args.args
-        print(emin_upper_bound(n))
+    arity, formula = _COUNTS[what]
+    if len(args.args) != arity:
+        raise ValueError("count %s takes %d argument(s), got %d" % (what, arity, len(args.args)))
+    if args.args and args.args[0] > MAX_COUNT_N:
+        raise ValueError(
+            "count %s: n = %d is above the limit of %d" % (what, args.args[0], MAX_COUNT_N)
+        )
+    if formula is not None:
+        print(formula(*args.args))
     elif args.json:  # tables, machine-readable
         doc = {
             "simplex": {str(n): ewald_count_simplex(n) for n in range(1, 10)},

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .classify import is_monotone
 from .ewald import ewald_set
@@ -28,27 +29,18 @@ __all__ = [
     "normalized_volume",
 ]
 
-_TRINOMIAL_ROWS = [(1,)]  # row n lists T(n,0..2n), coefficients of (1+x+x^2)^n
-
 
 def trinomial(n: int, k: int) -> int:
-    """Coefficient of x^k in (1+x+x^2)^n; 0 outside [0, 2n]."""
+    """Coefficient of x^k in (1+x+x^2)^n; 0 outside [0, 2n].
+
+    Choosing x^2 from j of the n factors and x from k - 2j of the others
+    gives the sum of C(n, j) · C(n - j, k - 2j) over j.
+    """
     if n < 0:
         raise ValueError("trinomial needs n >= 0")
-    while len(_TRINOMIAL_ROWS) <= n:
-        prev = _TRINOMIAL_ROWS[-1]
-        m = len(_TRINOMIAL_ROWS) - 1
-        row = []
-        for j in range(2 * (m + 1) + 1):
-            val = 0
-            for d in (0, 1, 2):
-                if 0 <= j - d <= 2 * m:
-                    val += prev[j - d]
-            row.append(val)
-        _TRINOMIAL_ROWS.append(tuple(row))
     if k < 0 or k > 2 * n:
         return 0
-    return _TRINOMIAL_ROWS[n][k]
+    return sum(comb(n, j) * comb(n - j, k - 2 * j) for j in range(k // 2 + 1))
 
 
 def ewald_count_simplex(n: int) -> int:

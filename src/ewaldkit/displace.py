@@ -14,7 +14,7 @@ from itertools import product
 from math import ceil, floor
 
 from .classify import is_smooth
-from .intlinalg import solve_rational
+from .intlinalg import inverse_unimodular, scaled_inverse
 from .polytope import (
     FaceRef,
     HPolytope,
@@ -121,13 +121,8 @@ def _vertex_margin_constraints(p: HPolytope):
     constraints = set()
     for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
         s = sorted(tight)
-        a_s = [p.normals[i] for i in s]
-        inv_cols = []
-        for col in range(n):
-            e = [0] * n
-            e[col] = 1
-            inv_cols.append(solve_rational(a_s, e))
-        # inv_cols[j][t] = (A_S^{-1})[t][j]; x_S(b) = v + A_S^{-1} b_S
+        # e = d A_S^{-1}; x_S(b) = v + A_S^{-1} b_S
+        d, e = scaled_inverse([p.normals[i] for i in s])
         for j in range(p.nfacets):
             if j in tight:
                 continue
@@ -136,7 +131,7 @@ def _vertex_margin_constraints(p: HPolytope):
             terms = {j: 1}
             for t, row_idx in enumerate(s):
                 # coefficient of b_S[t] in -u · (A_S^{-1} b_S)
-                coeff = -sum(Fraction(u[c]) * inv_cols[t][c] for c in range(n))
+                coeff = Fraction(-sum(u[c] * e[c][t] for c in range(n)), d)
                 if coeff:
                     terms[row_idx] = terms.get(row_idx, 0) + coeff
             norm_terms = tuple(
@@ -216,8 +211,6 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     n = p.dim
     # vertex inverses are integer matrices because every vertex cone of a
     # lattice smooth polytope is unimodular
-    from .intlinalg import inverse_unimodular
-
     vertex_data = []
     for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
         s = sorted(tight)

@@ -226,8 +226,11 @@ class DatabaseStats:
 
 def _analyze_file(path, radius, run_neat):
     fname = os.path.basename(path)
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return fname, None, "read error: %s" % exc
     try:
         parsed = parse_polytope(text)
     except ValueError as exc:

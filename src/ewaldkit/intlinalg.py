@@ -3,12 +3,24 @@
 Everything operates on plain tuples of Python ints (vectors) and tuples of
 such tuples (matrices, row-major).  Rational results use fractions.Fraction.
 No floating point anywhere.
+
+Two elimination routines do all the work over Q and over Z:
+
+- _reduce, fraction-free Gauss-Jordan elimination (Bareiss), answers every
+  question over Q: det, rank, solve_rational and fraction_free_solve, the
+  inverses (scaled_inverse, inverse_unimodular), and in polytope.py the
+  starting rows and rays of the double-description core and the particular
+  solution of a face chart.
+- is_saturated runs Euclid down the columns of the transpose without keeping
+  a transform; it prunes the unimodular-basis search of the Ewald checks.
+
+hermite_normal_form keeps its unimodular transform: kernel_basis and
+solve_integer read it, and it fixes the basis of every face chart.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 Vec = tuple  # tuple of ints
@@ -18,13 +30,12 @@ __all__ = [
     "primitive_part",
     "det",
     "hermite_normal_form",
-    "smith_diagonal",
     "is_saturated",
     "kernel_basis",
     "solve_integer",
     "solve_rational",
     "fraction_free_solve",
-    "kernel_direction",
+    "scaled_inverse",
     "inverse_unimodular",
     "find_unimodular_basis",
     "mat_vec",
@@ -67,30 +78,13 @@ def primitive_part(v) -> Vec:
 
 
 def det(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    m = [list(row) for row in m]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square integer matrix, read off _reduce."""
+    rows = [list(row) for row in m]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    piv, d, sign = _reduce(rows, n)
+    return sign * d if len(piv) == n else 0
 
 
 def hermite_normal_form(m) -> tuple[Mat, Mat]:
@@ -156,86 +150,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_diagonal(m) -> tuple[int, ...]:
-    """Nonzero elementary divisors of an integer matrix, in divisibility order."""
-    m = [list(row) for row in _as_mat(m)]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    divisors = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero pivot
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        m[top], m[i] = m[i], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j] = m[r][j], m[r][top]
-        # alternate row/column clearing until both are clear
-        while True:
-            dirty = False
-            for i in range(top + 1, rows):
-                a, b = m[top][top], m[i][top]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    rt, ri = m[top], m[i]
-                    m[top] = [x * s + y * t for s, t in zip(rt, ri)]
-                    m[i] = [-q * s + p * t for s, t in zip(rt, ri)]
-                    dirty = True
-            for j in range(top + 1, cols):
-                a, b = m[top][top], m[top][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for r in range(rows):
-                        m[r][j] -= q * m[r][top]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    for r in range(rows):
-                        s, t = m[r][top], m[r][j]
-                        m[r][top] = x * s + y * t
-                        m[r][j] = -q * s + p * t
-                    dirty = True
-            if not dirty:
-                break
-        divisors.append(abs(m[top][top]))
-        top += 1
-    # enforce divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            a, b = divisors[i], divisors[j]
-            g = gcd(a, b)
-            divisors[i], divisors[j] = g, a * b // g
-    return tuple(divisors)
-
-
 def is_saturated(rows) -> bool:
     """True iff the rows are independent and span a saturated sublattice.
 
-    Equivalently, the rows extend to a basis of the full lattice: all
-    elementary divisors equal 1.
+    Equivalently, the rows extend to a basis of the full lattice: the gcd of
+    their maximal minors is 1.  Euclid's algorithm runs down each column of
+    the transpose in turn, by unimodular row operations whose transform is
+    not kept.  Up to sign, the gcd of the maximal minors is then the product
+    of the pivots, so every pivot must be ±1.
     """
-    rows = _as_mat(rows)
-    if not rows:
-        return True
-    d = smith_diagonal(rows)
-    return len(d) == len(rows) and all(x == 1 for x in d)
+    m = _as_mat(rows)
+    k = len(m)
+    t = [list(col) for col in zip(*m)]
+    if k > len(t):
+        return False
+    for c in range(k):
+        for i in range(c + 1, len(t)):
+            while t[i][c]:
+                q = t[c][c] // t[i][c]
+                t[c], t[i] = t[i], [a - q * b for a, b in zip(t[c], t[i])]
+        if t[c][c] not in (1, -1):
+            return False
+    return True
 
 
 def kernel_basis(m) -> Mat:
@@ -281,14 +217,16 @@ def _reduce(rows, width):
     1968) of integer rows, in place, pivoting on the first `width` columns.
 
     Every entry stays a minor of the input, so each division by the previous
-    pivot is exact and no Fraction is built.  Returns (piv, d): piv lists the
-    pivot columns, row i holding the pivot of column piv[i], and d is the
-    last pivot, the value every pivot ends with.  Pivot columns are not
+    pivot is exact and no Fraction is built.  Returns (piv, d, sign): piv
+    lists the pivot columns, greedily the first independent ones, row i
+    holding the pivot of column piv[i]; d is the last pivot, the value every
+    pivot ends with, and sign is the parity (±1) of the row swaps, so that a
+    square nonsingular input has determinant sign * d.  Pivot columns are not
     updated outside their pivot row (they would read 0); every other column
     is fully reduced.
     """
     piv, free = [], []
-    prev = 1
+    prev, sign = 1, 1
     ncols = len(rows[0]) if rows else 0
     for col in range(width):
         r = len(piv)
@@ -296,7 +234,9 @@ def _reduce(rows, width):
         if k is None:
             free.append(col)
             continue
-        rows[r], rows[k] = rows[k], rows[r]
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
         pr = rows[r]
         a = pr[col]
         live = free + list(range(col + 1, ncols))
@@ -307,7 +247,7 @@ def _reduce(rows, width):
                     ri[j] = (a * ri[j] - b * pr[j]) // prev
         prev = a
         piv.append(col)
-    return piv, prev
+    return piv, prev, sign
 
 
 def rank(m) -> int:
@@ -323,29 +263,13 @@ def fraction_free_solve(aug):
     singular; the solution is y / d.
     """
     n = len(aug)
-    piv, d = _reduce(aug, n)
+    piv, d, _ = _reduce(aug, n)
     if len(piv) < n:
         return None
     y = [row[n] for row in aug]
     if d < 0:
         return -d, [-v for v in y]
     return d, y
-
-
-def kernel_direction(rows):
-    """A nonzero integer vector spanning the kernel of integer rows whose
-    rank is one less than their length, or None when the rank is lower."""
-    rows = [list(row) for row in rows]
-    n = len(rows[0])
-    piv, d = _reduce(rows, n)
-    if len(piv) != n - 1:
-        return None
-    (f,) = set(range(n)) - set(piv)
-    x = [0] * n
-    x[f] = d
-    for row, col in zip(rows, piv):
-        x[col] = -row[f]
-    return tuple(x)
 
 
 def _integer_row(row) -> list:
@@ -370,23 +294,30 @@ def solve_rational(a, b):
     return tuple(Fraction(v, d) for v in y)
 
 
-def inverse_unimodular(m) -> Mat:
-    """Exact integer inverse of a matrix with determinant ±1."""
+def scaled_inverse(m):
+    """(d, e) with e = d · m^-1 an integer matrix, or None if m is singular.
+
+    One _reduce of [m | I]: its row operations turn it into [d I | e], with d
+    the last pivot, ± det m.
+    """
     m = _as_mat(m)
     n = len(m)
-    d = det(m)
-    if d not in (1, -1):
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    piv, d, _ = _reduce(rows, n)
+    if len(piv) < n:
+        return None
+    return d, tuple(tuple(row[n:]) for row in rows)
+
+
+def inverse_unimodular(m) -> Mat:
+    """Exact integer inverse of a matrix with determinant ±1."""
+    inv = scaled_inverse(m)
+    if inv is None or inv[0] not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # adjugate via cofactors; n stays small here
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = det(minor) * (-1 if (i + j) % 2 else 1)
-            row.append(cof * d)
-        inv.append(tuple(row))
-    return tuple(inv)
+    d, e = inv
+    return tuple(tuple(d * x for x in row) for row in e)  # 1 / d == d
 
 
 def find_unimodular_basis(points, n: int):

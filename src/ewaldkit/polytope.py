@@ -14,11 +14,12 @@ from math import ceil, floor, gcd, lcm
 
 from .intlinalg import (
     _integer_row,
-    fraction_free_solve,
+    _reduce,
     inverse_unimodular,
     kernel_basis,
     primitive_part,
     rank,
+    scaled_inverse,
     solve_integer,
     solve_rational,
 )
@@ -278,24 +279,23 @@ def _extreme_rays(rows, d):
     """Extreme rays of the pointed cone {y : r·y <= 0 for every integer row r}.
 
     Double description (Motzkin; Fukuda-Prodon 1996): start from the simplicial
-    cone of the first d independent rows and cut it by the others in input
-    order, joining two rays on opposite sides when they are adjacent: they
-    share at least d - 2 tight rows and no third ray is tight on all of them.
+    cone of the first d independent rows (the pivot columns of one _reduce of
+    the transposed rows) and cut it by the others in input order, joining two
+    rays on opposite sides when they are adjacent: they share at least d - 2
+    tight rows and no third ray is tight on all of them.
     Returns (primitive ray, mask) pairs, bit i of mask set iff row i is tight
     on the ray; raises ValueError when the rows have rank below d.
     """
-    basis = []
-    for i, r in enumerate(rows):
-        if len(basis) < d and rank([rows[j] for j in basis] + [r]) > len(basis):
-            basis.append(i)
+    basis, _, _ = _reduce([list(col) for col in zip(*rows)], len(rows))
     if len(basis) < d:
         raise ValueError("cone is not pointed")
     every = sum(1 << i for i in basis)
+    # the ray tight on every basis row but bj is -A^-1 e_j, with A^-1 = e / q
+    q, e = scaled_inverse([rows[i] for i in basis])
+    s = -1 if q > 0 else 1
     rays = []
-    for bj in basis:
-        # the ray tight on every basis row but bj: A y = -e_j
-        _, y = fraction_free_solve([list(rows[i]) + [-(i == bj)] for i in basis])
-        rays.append((primitive_part(y), every ^ (1 << bj)))
+    for j, bj in enumerate(basis):
+        rays.append((primitive_part([s * row[j] for row in e]), every ^ (1 << bj)))
     for i, a in enumerate(rows):
         if i in basis:
             continue
@@ -646,15 +646,15 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
 
 
 def _rational_particular(rows, targets):
-    # deterministic rational solution of rows @ x = targets (rows independent)
-    k = len(rows)
+    """The rational solution of rows @ x = targets (rows independent) that is
+    0 off the lexicographically first independent columns: one _reduce of the
+    augmented rows, whose greedy pivot columns are exactly those columns."""
     n = len(rows[0])
-    for cols in combinations(range(n), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        x = solve_rational(sub, targets)
-        if x is not None:
-            full = [Fraction(0)] * n
-            for c, val in zip(cols, x):
-                full[c] = val
-            return _point(full)
-    raise ValueError("inconsistent slice system")
+    aug = [_integer_row(tuple(row) + (t,)) for row, t in zip(rows, targets)]
+    piv, d, _ = _reduce(aug, n)
+    if len(piv) < len(rows):
+        raise ValueError("inconsistent slice system")
+    x = [0] * n
+    for row, col in zip(aug, piv):
+        x[col] = Fraction(row[n], d)
+    return _point(x)

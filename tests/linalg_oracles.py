@@ -1,0 +1,135 @@
+"""Slow reference routines that the library no longer carries.
+
+Each was once part of ewaldkit and was replaced by a single elimination
+(see ewaldkit.intlinalg): the Smith normal form and the saturation test read
+from it, the kernel direction of a corank-one system, the column-subset scan
+for a rational particular solution, and the row-by-row rank loop that picked
+the starting rows of the double-description core.  They serve only as
+oracles in the differential tests.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+from ewaldkit.intlinalg import _reduce, _xgcd, rank, solve_rational
+from ewaldkit.polytope import _point
+
+
+def smith_diagonal(m) -> tuple[int, ...]:
+    """Nonzero elementary divisors of an integer matrix, in divisibility order."""
+    m = [[int(x) for x in row] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    divisors = []
+    top = 0
+    while top < rows and top < cols:
+        # find a nonzero pivot
+        piv = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if m[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        m[top], m[i] = m[i], m[top]
+        for r in range(rows):
+            m[r][top], m[r][j] = m[r][j], m[r][top]
+        # alternate row/column clearing until both are clear
+        while True:
+            dirty = False
+            for i in range(top + 1, rows):
+                a, b = m[top][top], m[i][top]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    rt, ri = m[top], m[i]
+                    m[top] = [x * s + y * t for s, t in zip(rt, ri)]
+                    m[i] = [-q * s + p * t for s, t in zip(rt, ri)]
+                    dirty = True
+            for j in range(top + 1, cols):
+                a, b = m[top][top], m[top][j]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    q = b // a
+                    for r in range(rows):
+                        m[r][j] -= q * m[r][top]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    for r in range(rows):
+                        s, t = m[r][top], m[r][j]
+                        m[r][top] = x * s + y * t
+                        m[r][j] = -q * s + p * t
+                    dirty = True
+            if not dirty:
+                break
+        divisors.append(abs(m[top][top]))
+        top += 1
+    # enforce divisibility chain
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = gcd(a, b)
+            divisors[i], divisors[j] = g, a * b // g
+    return tuple(divisors)
+
+
+def smith_saturated(rows) -> bool:
+    """The rows extend to a lattice basis: all elementary divisors are 1."""
+    rows = tuple(tuple(r) for r in rows)
+    if not rows:
+        return True
+    d = smith_diagonal(rows)
+    return len(d) == len(rows) and all(x == 1 for x in d)
+
+
+def kernel_direction(rows):
+    """A nonzero integer vector spanning the kernel of integer rows whose
+    rank is one less than their length, or None when the rank is lower."""
+    rows = [list(row) for row in rows]
+    n = len(rows[0])
+    piv, d, _ = _reduce(rows, n)
+    if len(piv) != n - 1:
+        return None
+    (f,) = set(range(n)) - set(piv)
+    x = [0] * n
+    x[f] = d
+    for row, col in zip(rows, piv):
+        x[col] = -row[f]
+    return tuple(x)
+
+
+def subset_particular(rows, targets):
+    """Rational solution of rows @ x = targets supported on the first column
+    subset, in lexicographic order, whose square system is nonsingular."""
+    k = len(rows)
+    n = len(rows[0])
+    for cols in combinations(range(n), k):
+        sub = [[row[c] for c in cols] for row in rows]
+        x = solve_rational(sub, targets)
+        if x is not None:
+            full = [Fraction(0)] * n
+            for c, val in zip(cols, x):
+                full[c] = val
+            return _point(full)
+    raise ValueError("inconsistent slice system")
+
+
+def first_independent_rows(rows, d):
+    """Indices of the first d rows that raise the rank, one rank call per row."""
+    basis = []
+    for i, r in enumerate(rows):
+        if len(basis) < d and rank([rows[j] for j in basis] + [r]) > len(basis):
+            basis.append(i)
+    return basis

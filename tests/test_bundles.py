@@ -167,3 +167,46 @@ def test_generate_dispatch():
         generate("nonsense", ())
     with pytest.raises(ValueError):
         generate("t", (0,))
+
+
+def test_vertex_checks_cover_the_base_midpoints():
+    # build_bundle checks the fiber's fan over the base vertices only: the
+    # fan-preserving offsets form a convex cone and the offsets are affine
+    # over the base, so no spec passes at every vertex and fails at a
+    # midpoint of two vertices
+    from fractions import Fraction
+    from itertools import combinations
+
+    from ewaldkit.bundles import _fiber_offsets_over, _same_fan_same_rows
+
+    rng = random.Random(20261018)
+    bases = [segment(), monotone_polygon("triangle"), monotone_polygon("square"), monotone_polygon("hexagon")]
+    fibers = [segment(), monotone_polygon("triangle"), monotone_polygon("pentagon"), del_pezzo(3)]
+    assert not del_pezzo(3).is_simple()
+    seen = {"rejected": 0, "accepted_perturbed": 0, "accepted_non_simple": 0}
+    for _ in range(300):
+        base, fiber = rng.choice(bases), rng.choice(fibers)
+        # a lattice translation of the fiber along the base, with up to two
+        # fiber rows perturbed in twist and shift
+        lin = [[rng.randint(-1, 1) for _ in range(base.dim)] for _ in range(fiber.dim)]
+        twist = [[sum(a * l[c] for a, l in zip(u, lin)) for c in range(base.dim)] for u in fiber.normals]
+        shifts = [0] * fiber.nfacets
+        perturbed = rng.choice((0, 1, 2))
+        for _ in range(perturbed):
+            j = rng.randrange(fiber.nfacets)
+            twist[j] = [x + rng.randint(-1, 1) for x in twist[j]]
+            shifts[j] += rng.randint(-1, 1)
+        spec = BundleSpec(base=base, fiber=fiber, twist=tuple(map(tuple, twist)), shifts=tuple(shifts))
+
+        def keeps_fan(x):
+            return _same_fan_same_rows(fiber, _fiber_offsets_over(spec, x))
+
+        verts = base.vertices()
+        if not all(keeps_fan(v) for v in verts):
+            seen["rejected"] += 1
+            continue
+        seen["accepted_perturbed"] += perturbed > 0
+        seen["accepted_non_simple"] += not fiber.is_simple()
+        for a, b in combinations(verts, 2):
+            assert keeps_fan(tuple(Fraction(x + y) / 2 for x, y in zip(a, b))), spec
+    assert min(seen.values()) >= 20, seen

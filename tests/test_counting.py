@@ -61,6 +61,22 @@ def test_trinomial_examples_and_oracle():
         trinomial(-1, 0)
 
 
+def test_trinomial_closed_sum_matches_oracle_rows():
+    for n in range(40):
+        row = [trinomial(n, k) for k in range(-2, 2 * n + 3)]
+        assert row == [brute_trinomial(n, k) for k in range(-2, 2 * n + 3)]
+
+
+def test_trinomial_large_n_is_direct():
+    # one coefficient at large n without building the earlier rows; the
+    # central coefficients obey n a(n) = (2n - 1) a(n-1) + 3 (n - 1) a(n-2)
+    n = 2000
+    a0, a1, a2 = (trinomial(m, m) for m in (n - 2, n - 1, n))
+    assert n * a2 == (2 * n - 1) * a1 + 3 * (n - 1) * a0
+    assert 3**n // (2 * n) < a2 < 3**n
+    assert trinomial(n, 1) == n and trinomial(n, 2 * n - 1) == n
+
+
 def test_trinomial_palindrome_and_row_sums():
     for n in range(65):
         row = [trinomial(n, k) for k in range(2 * n + 1)]

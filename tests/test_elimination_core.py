@@ -1,0 +1,163 @@
+"""The single elimination core against the routines it replaced.
+
+ewaldkit.intlinalg keeps one fraction-free elimination (_reduce) and one
+transform-free echelon (is_saturated).  The references in linalg_oracles are
+the former implementations: the Smith normal form, the column-subset scan for
+a particular solution and the row-by-row rank loop.
+"""
+
+import random
+from fractions import Fraction
+
+from conftest import random_unimodular
+from ewaldkit import polytope
+from ewaldkit.bundles import monotone_polygon
+from ewaldkit.fileio import parse_polytope, serialize_polytope
+from ewaldkit.intlinalg import (
+    _reduce,
+    det,
+    inverse_unimodular,
+    is_saturated,
+    mat_mul,
+    scaled_inverse,
+    solve_rational,
+)
+from linalg_oracles import first_independent_rows, smith_saturated, subset_particular
+
+
+def planted_rows(rng, k, n, lo=-3, hi=3):
+    """k integer rows of length n with planted dependent and zero rows."""
+    m = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(k)]
+    if k >= 2 and rng.random() < 0.3:
+        i, j = rng.sample(range(k), 2)
+        c = rng.randint(-2, 2)
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    if k and rng.random() < 0.15:
+        m[rng.randrange(k)] = [0] * n
+    return m
+
+
+def test_is_saturated_matches_smith_oracle():
+    rng = random.Random(41)
+    seen = {"saturated": 0, "not": 0, "dependent": 0, "zero_row": 0, "tall": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n + 2)
+        m = planted_rows(rng, k, n, *rng.choice(((-1, 1), (-3, 3))))
+        got = is_saturated(m)
+        assert got == smith_saturated(m), m
+        seen["saturated" if got else "not"] += 1
+        seen["zero_row"] += any(not any(r) for r in m)
+        seen["tall"] += k > n
+        seen["dependent"] += 0 < k <= n and polytope.rank(m) < k
+    assert min(seen.values()) >= 100, seen
+
+
+def test_is_saturated_on_unimodular_rows():
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        u = random_unimodular(rng, n)
+        for k in range(n + 1):
+            assert is_saturated(u[:k])
+        scaled = (tuple(2 * x for x in u[0]),) + u[1:]
+        assert not is_saturated(scaled)
+
+
+def test_inverse_unimodular_on_gl_images():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        u = random_unimodular(rng, n, steps=rng.randint(0, 12))
+        inv = inverse_unimodular(u)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert mat_mul(u, inv) == identity and mat_mul(inv, u) == identity
+        assert inverse_unimodular(inv) == u
+    for bad in (((2, 0), (0, 1)), ((1, 2), (2, 4)), ((0, 0), (0, 0))):
+        try:
+            inverse_unimodular(bad)
+        except ValueError:
+            continue
+        raise AssertionError("accepted %r" % (bad,))
+
+
+def test_scaled_inverse_matches_solve_rational():
+    rng = random.Random(44)
+    singular = 0
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        m = planted_rows(rng, n, n)
+        got = scaled_inverse(m)
+        if got is None:
+            singular += 1
+            assert det(m) == 0
+            continue
+        d, e = got
+        assert abs(d) == abs(det(m))
+        for col in range(n):
+            want = solve_rational(m, [int(i == col) for i in range(n)])
+            assert tuple(Fraction(e[r][col], d) for r in range(n)) == want
+    assert singular > 20
+
+
+def test_rational_particular_matches_column_subset_scan():
+    rng = random.Random(45)
+    checked = 0
+    while checked < 800:
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        rows = planted_rows(rng, k, n)
+        if rng.random() < 0.3:  # leading zero columns push the pivots right
+            for row in rows:
+                row[0] = 0
+        targets = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+        if polytope.rank(rows) < k:
+            for fn in (polytope._rational_particular, subset_particular):
+                try:
+                    fn(rows, targets)
+                except ValueError:
+                    continue
+                raise AssertionError("dependent rows accepted")
+            continue
+        assert polytope._rational_particular(rows, targets) == subset_particular(rows, targets)
+        checked += 1
+
+
+def test_extreme_rays_basis_matches_rank_loop(monkeypatch):
+    # _extreme_rays starts from the pivots of its one _reduce call
+    picked = []
+
+    def spy(rows, width):
+        out = _reduce(rows, width)
+        picked.append(out[0])
+        return out
+
+    monkeypatch.setattr(polytope, "_reduce", spy)
+    rng = random.Random(46)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        rows = planted_rows(rng, rng.randint(1, 9), d)
+        picked.clear()
+        try:
+            polytope._extreme_rays(rows, d)
+        except ValueError:
+            assert len(first_independent_rows(rows, d)) < d
+            continue
+        assert picked[0] == first_independent_rows(rows, d)
+
+
+def test_parse_makes_at_most_two_rank_calls(monkeypatch):
+    hexagon = monotone_polygon("hexagon")
+    cube_like = polytope.cartesian_product(hexagon, polytope.cartesian_product(hexagon, hexagon))
+    assert cube_like.nfacets == 18
+    text = serialize_polytope(cube_like, "hexagon3")
+    calls = []
+    rank = polytope.rank
+
+    def counted(m):
+        calls.append(len(m))
+        return rank(m)
+
+    monkeypatch.setattr(polytope, "rank", counted)
+    parse_polytope(text)
+    assert len(calls) <= 2, calls

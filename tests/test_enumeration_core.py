@@ -14,8 +14,9 @@ from math import comb, lcm
 import pytest
 
 from conftest import random_unimodular
+from linalg_oracles import kernel_direction
 from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, ssb
-from ewaldkit.intlinalg import fraction_free_solve, kernel_direction, primitive_part, rank
+from ewaldkit.intlinalg import fraction_free_solve, primitive_part, rank
 from ewaldkit.polytope import (
     _exact,
     _facet_rows,

@@ -261,3 +261,35 @@ def test_cli_gen_checks_argument_count(argv, capsys):
     code, out, err = run_cli(argv, capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: %s takes" % argv[1])
+
+
+def test_cli_batch_excludes_undecodable_file(tmp_path, capsys):
+    code, square, _ = run_cli(["gen", "square"], capsys=capsys)
+    assert code == 0
+    (tmp_path / "a_square.poly").write_text(square)
+    (tmp_path / "b_binary.poly").write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(["batch", str(tmp_path), "--json"], capsys=capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert len(doc["reports"]) == 1
+    assert len(doc["excluded"]) == 1
+    name, reason = doc["excluded"][0]
+    assert name == "b_binary.poly" and reason.startswith("read error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "simplex"], ["count", "ssb", "4"], ["count", "emin", "5", "6"], ["count", "tables", "3"]]
+)
+def test_cli_count_checks_argument_count(argv, capsys):
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: count %s takes" % argv[1])
+
+
+def test_cli_count_refuses_large_n(capsys):
+    for argv in (["count", "emin", "100000000000"], ["count", "simplex", "4301"], ["count", "ssb", "5000", "2"]):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: count %s: n = %s is above the limit" % (argv[1], argv[2]))
+    code, out, _ = run_cli(["count", "simplex", "4300"], capsys=capsys)
+    assert code == 0 and 2000 < len(out.strip()) < 4300

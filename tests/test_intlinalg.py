@@ -11,15 +11,14 @@ from ewaldkit.intlinalg import (
     inverse_unimodular,
     is_saturated,
     kernel_basis,
-    kernel_direction,
     mat_mul,
     mat_vec,
     primitive_part,
     rank,
-    smith_diagonal,
     solve_integer,
     solve_rational,
 )
+from linalg_oracles import kernel_direction, smith_diagonal
 
 
 def brute_det(m):
