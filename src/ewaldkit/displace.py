@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
 
 from .classify import is_smooth
 from .intlinalg import inverse_unimodular, scaled_inverse
@@ -145,39 +144,52 @@ def _vertex_margin_constraints(p: HPolytope):
     return grouped
 
 
+def _fan_preserving(p: HPolytope, radius: int, paired: bool):
+    """The margin descent: every b with max-norm <= radius whose margins all
+    hold, so that P_b keeps the fan of the simple polytope p, in
+    lexicographic order, smallest entry first.
+
+    Paired, each margin must hold for -b as well (|sum coeff*b_i| < const),
+    and the first nonzero entry of b must be negative (b <= -b): the stream
+    is then the pairs (b, -b) with both displacements fan-preserving, each
+    pair once.
+    """
+    grouped = _vertex_margin_constraints(p)
+    m = p.nfacets
+    b = [0] * m
+
+    def descend(depth, leading_zeros):
+        if depth == m:
+            yield tuple(b)
+            return
+        top = 0 if paired and leading_zeros else radius
+        for val in range(-radius, top + 1):
+            b[depth] = val
+            ok = True
+            for const, terms in grouped.get(depth, ()):
+                s = 0
+                for i, coeff in terms:
+                    s += coeff * b[i]
+                if const + s <= 0 or (paired and const - s <= 0):
+                    ok = False
+                    break
+            if ok:
+                yield from descend(depth + 1, leading_zeros and val == 0)
+        b[depth] = 0
+
+    yield from descend(0, True)
+
+
 def normally_isomorphic_displacements(p: HPolytope, radius: int):
     """Yield all b with max-norm <= radius whose displacement is bounded,
     full-dimensional, irredundant over the same rows, and has the parent's
     normal fan signature.  Lexicographic order, smallest entry first."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    m = p.nfacets
     if p.is_simple():
-        grouped = _vertex_margin_constraints(p)
-        b = [0] * m
-        rng = range(-radius, radius + 1)
-
-        def descend(depth):
-            if depth == m:
-                yield tuple(b)
-                return
-            for val in rng:
-                b[depth] = val
-                ok = True
-                for const, terms in grouped.get(depth, ()):
-                    margin = const
-                    for i, coeff in terms:
-                        margin += coeff * b[i]
-                    if margin <= 0:
-                        ok = False
-                        break
-                if ok:
-                    yield from descend(depth + 1)
-            b[depth] = 0
-
-        yield from descend(0)
+        yield from _fan_preserving(p, radius, paired=False)
     else:
-        for b in product(range(-radius, radius + 1), repeat=m):
+        for b in product(range(-radius, radius + 1), repeat=p.nfacets):
             if displace(p, b).analyze()["normally_isomorphic_to_parent"]:
                 yield b
 
@@ -187,7 +199,6 @@ class NeatVerdict:
     status: str  # "neat_up_to_radius" | "counterexample"
     radius: int
     witness_b: tuple | None = None
-    witness_x: tuple | None = None
 
     @property
     def is_counterexample(self):
@@ -198,69 +209,102 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     """Bounded search for a neatness counterexample.
 
     For every b with P_b and P_{-b} both normally isomorphic to P, some
-    integer x must satisfy x ∈ P_b and −x ∈ P_{-b}.  The verdict reports the
-    lexicographically smallest failing b, or neat_up_to_radius.
+    integer x must satisfy x ∈ P_b and −x ∈ P_{-b}.  The pairs (b, −b) with
+    b <= −b and both displacements qualifying are tested in lexicographic
+    order of b; the verdict reports the first failing b, or
+    neat_up_to_radius.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     ok, _ = is_smooth(p)
     if not ok or not p.is_lattice():
         raise ValueError("neatness is defined for lattice smooth polytopes")
-    qualifying = list(normally_isomorphic_displacements(p, radius))
-    qualifying_set = set(qualifying)
-    n = p.dim
-    # vertex inverses are integer matrices because every vertex cone of a
-    # lattice smooth polytope is unimodular
-    vertex_data = []
-    for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
-        s = sorted(tight)
-        inv = inverse_unimodular([p.normals[i] for i in s])
-        vertex_data.append((v, s, inv))
-
-    def displaced_vertices(b):
-        out = []
-        for v, s, inv in vertex_data:
-            bs = [b[i] for i in s]
-            out.append(
-                tuple(
-                    x + sum(inv[r][t] * bs[t] for t in range(n))
-                    for r, x in enumerate(v)
-                )
-            )
-        return out
-
-    for b in qualifying:
-        nb = tuple(-x for x in b)
-        if nb not in qualifying_set or b > nb:
-            continue
-        if _symmetric_lattice_point(p, b, nb, displaced_vertices) is None:
+    _, search = _slab_search(p)
+    for b in _fan_preserving(p, radius, paired=True):
+        if search(b) is None:
             return NeatVerdict("counterexample", radius, witness_b=b)
     return NeatVerdict("neat_up_to_radius", radius)
 
 
-def _symmetric_lattice_point(p, b, nb, displaced_vertices):
-    # first lattice x with x in P_b and -x in P_{-b}, scanning the exact box
-    vb = displaced_vertices(b)
-    vnb = displaced_vertices(nb)
-    n = p.dim
-    lo, hi = [], []
-    for i in range(n):
-        lo_b = min(v[i] for v in vb)
-        hi_b = max(v[i] for v in vb)
-        lo_m = -max(v[i] for v in vnb)
-        hi_m = -min(v[i] for v in vnb)
-        lo.append(ceil(max(lo_b, lo_m)))
-        hi.append(floor(min(hi_b, hi_m)))
-    if any(a > b2 for a, b2 in zip(lo, hi)):
-        return None
-    cb = tuple(c + d for c, d in zip(p.offsets, b))
-    cnb = tuple(c + d for c, d in zip(p.offsets, nb))
-    for x in product(*[range(a, b2 + 1) for a, b2 in zip(lo, hi)]):
-        if all(dot(u, x) <= c for u, c in zip(p.normals, cb)) and all(
-            -dot(u, x) <= c for u, c in zip(p.normals, cnb)
-        ):
-            return x
-    return None
+def _slab_search(p: HPolytope):
+    """The lattice test of is_neat as a function of b.
+
+    Returns (inv, search): search(b) gives the coordinates y = A x of a
+    lattice x with x ∈ P_b and −x ∈ P_{-b}, or None, and inv = A^-1, so
+    that x = inv y.
+
+    Both conditions together say |u_j·x − b_j| <= c_j for every row j.  The
+    rows S0 tight at the first vertex form a unimodular matrix A (p is
+    lattice smooth), so y = A x runs over the lattice as x does, and row j
+    reads w_j·y with w_j = u_j A^-1.  Write y = b_S0 + z: the rows of S0 put
+    z in the box |z_t| <= c_S0[t], and every other row says
+    |w_j·z − d_j| <= c_j with d_j = b_j − w_j·b_S0.  A depth-first search
+    over z narrows each coordinate's range by every such slab, widened by the
+    row's largest reach over the coordinates still free; the range of the
+    last coordinate is then exact.  Everything but d is fixed per polytope.
+    """
+    n, m, c = p.dim, p.nfacets, p.offsets
+    empty = any(cj < 0 for cj in c)  # some slab is empty, whatever b is
+    s0 = sorted(p.vertex_tight_sets()[0])
+    inv = inverse_unimodular([p.normals[i] for i in s0])
+    cols = tuple(zip(*inv))
+    box = [c[i] for i in s0]
+    rows, levels = [], [[] for _ in range(n)]
+    for j in range(m):
+        if j in s0:
+            continue
+        w = [dot(p.normals[j], col) for col in cols]
+        r = len(rows)
+        # reach[k] = c_j + sum_{t >= k} |w_t| box_t: how far w·z may stray
+        # from d_j while z_k, ..., z_{n-1} are free
+        reach = [c[j]] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            reach[t] = reach[t + 1] + abs(w[t]) * box[t]
+            if w[t]:
+                levels[t].append((r, w[t], reach[t + 1]))
+        rows.append((j, [(s0[t], w[t]) for t in range(n) if w[t]], reach[0]))
+
+    def search(b):
+        if empty:
+            return None
+        d = []
+        for j, terms, reach in rows:
+            dj = b[j]
+            for i, wt in terms:
+                dj -= wt * b[i]
+            if abs(dj) > reach:
+                return None  # the only test of a row with w = 0 (dim 0)
+            d.append(dj)
+        z = [0] * n
+
+        def descend(k, e):
+            # e[r] = d_r − sum_{t < k} w_t z_t for the r-th row
+            if k == n:
+                return True
+            first, last = -box[k], box[k]
+            for r, a, reach in levels[k]:
+                # |e_r − a z_k − rest| <= reach[k+1] covers every free rest
+                below, above = e[r] - reach, e[r] + reach
+                if a < 0:
+                    below, above = above, below
+                first = max(first, -(-below // a))
+                last = min(last, above // a)
+                if first > last:
+                    return False
+            for v in range(first, last + 1):
+                z[k] = v
+                nxt = e[:]
+                for r, a, _ in levels[k]:
+                    nxt[r] -= a * v
+                if descend(k + 1, nxt):
+                    return True
+            return False
+
+        if not descend(0, d):
+            return None
+        return tuple(b[i] + zt for i, zt in zip(s0, z))
+
+    return inv, search
 
 
 def neat_transfer_bundle_check(base, fiber, twist, radius: int) -> bool:

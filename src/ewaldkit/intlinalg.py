@@ -11,8 +11,9 @@ Two elimination routines do all the work over Q and over Z:
   inverses (scaled_inverse, inverse_unimodular), and in polytope.py the
   starting rows and rays of the double-description core and the particular
   solution of a face chart.
-- is_saturated runs Euclid down the columns of the transpose without keeping
-  a transform; it prunes the unimodular-basis search of the Ewald checks.
+- _extend_saturated adds one row to a saturated set by Euclid's algorithm on
+  the functionals vanishing on the set; is_saturated and the unimodular-basis
+  search of the Ewald checks are chains of it.
 
 hermite_normal_form keeps its unimodular transform: kernel_basis and
 solve_integer read it, and it fixes the basis of every face chart.
@@ -150,26 +151,46 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _extend_saturated(dual, v):
+    """One step of the saturation echelon: the rows of `dual` are a basis of
+    the integer functionals vanishing on some saturated rows R.  R + [v] is
+    saturated iff the values f·v share the gcd 1; Euclid's algorithm on them
+    then leaves, beside the one row with value ±1, a basis of the functionals
+    vanishing on R + [v], which is returned.  Otherwise None.
+    """
+    rows = list(dual)
+    vals = [sum(a * b for a, b in zip(f, v)) for f in rows]
+    if not vals:
+        return None
+    for i in range(1, len(rows)):
+        while vals[i]:
+            q = vals[0] // vals[i]
+            vals[0], vals[i] = vals[i], vals[0] - q * vals[i]
+            rows[0], rows[i] = rows[i], [a - q * b for a, b in zip(rows[0], rows[i])]
+    if vals[0] not in (1, -1):
+        return None
+    return rows[1:]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def is_saturated(rows) -> bool:
     """True iff the rows are independent and span a saturated sublattice.
 
     Equivalently, the rows extend to a basis of the full lattice: the gcd of
-    their maximal minors is 1.  Euclid's algorithm runs down each column of
-    the transpose in turn, by unimodular row operations whose transform is
-    not kept.  Up to sign, the gcd of the maximal minors is then the product
-    of the pivots, so every pivot must be ±1.
+    their maximal minors is 1.  The rows are added one at a time by
+    _extend_saturated, starting from the functionals of the standard basis;
+    this is Euclid's algorithm down the columns of the transpose, by
+    unimodular operations whose transform is kept only on the rows still
+    unused.
     """
     m = _as_mat(rows)
-    k = len(m)
-    t = [list(col) for col in zip(*m)]
-    if k > len(t):
-        return False
-    for c in range(k):
-        for i in range(c + 1, len(t)):
-            while t[i][c]:
-                q = t[c][c] // t[i][c]
-                t[c], t[i] = t[i], [a - q * b for a, b in zip(t[c], t[i])]
-        if t[c][c] not in (1, -1):
+    dual = _identity(len(m[0]) if m else 0)
+    for v in m:
+        dual = _extend_saturated(dual, v)
+        if dual is None:
             return False
     return True
 
@@ -325,8 +346,9 @@ def find_unimodular_basis(points, n: int):
 
     Depth-first over candidates sorted by max-norm then lexicographically;
     a partial selection is pruned unless its span is a saturated sublattice
-    (otherwise it cannot extend to a unimodular basis).  Returns a tuple of
-    n points or None.
+    (otherwise it cannot extend to a unimodular basis).  Each level carries
+    the echelon of its prefix, so one more candidate costs one
+    _extend_saturated step.  Returns a tuple of n points or None.
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
@@ -337,16 +359,18 @@ def find_unimodular_basis(points, n: int):
     cands = [p for p in cands if len(p) == n]
     chosen: list[Vec] = []
 
-    def extend(start: int):
+    def extend(start: int, dual):
         if len(chosen) == n:
             return True
         for idx in range(start, len(cands)):
-            chosen.append(cands[idx])
-            if is_saturated(chosen) and extend(idx + 1):
-                return True
-            chosen.pop()
+            rest = _extend_saturated(dual, cands[idx])
+            if rest is not None:
+                chosen.append(cands[idx])
+                if extend(idx + 1, rest):
+                    return True
+                chosen.pop()
         return False
 
-    if extend(0):
+    if extend(0, _identity(n)):
         return tuple(chosen)
     return None

@@ -4,8 +4,10 @@ Each was once part of ewaldkit and was replaced by a single elimination
 (see ewaldkit.intlinalg): the Smith normal form and the saturation test read
 from it, the kernel direction of a corank-one system, the column-subset scan
 for a rational particular solution, and the row-by-row rank loop that picked
-the starting rows of the double-description core.  They serve only as
-oracles in the differential tests.
+the starting rows of the double-description core.  The transform-free
+saturation echelon and the unimodular-basis search that re-ran it on every
+partial basis were replaced by one echelon carried down the search.  They
+serve only as oracles in the differential tests.
 """
 
 from fractions import Fraction
@@ -92,6 +94,47 @@ def smith_saturated(rows) -> bool:
         return True
     d = smith_diagonal(rows)
     return len(d) == len(rows) and all(x == 1 for x in d)
+
+
+def transpose_saturated(rows) -> bool:
+    """Saturation by Euclid down each column of the transpose, from scratch:
+    the rows extend to a lattice basis iff every pivot is ±1."""
+    m = [tuple(int(x) for x in row) for row in rows]
+    k = len(m)
+    t = [list(col) for col in zip(*m)]
+    if k > len(t):
+        return False
+    for c in range(k):
+        for i in range(c + 1, len(t)):
+            while t[i][c]:
+                q = t[c][c] // t[i][c]
+                t[c], t[i] = t[i], [a - q * b for a, b in zip(t[c], t[i])]
+        if t[c][c] not in (1, -1):
+            return False
+    return True
+
+
+def per_step_basis_search(points, n):
+    """find_unimodular_basis with a fresh saturation test of every partial
+    basis: the same candidate order, depth first."""
+    cands = sorted(
+        {tuple(int(x) for x in p) for p in points if any(p)},
+        key=lambda p: (max(abs(x) for x in p), p),
+    )
+    cands = [p for p in cands if len(p) == n]
+    chosen = []
+
+    def extend(start):
+        if len(chosen) == n:
+            return True
+        for idx in range(start, len(cands)):
+            chosen.append(cands[idx])
+            if transpose_saturated(chosen) and extend(idx + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(0) else None
 
 
 def kernel_direction(rows):

@@ -1,0 +1,79 @@
+"""The neatness search as ewaldkit ran it before the slab form, kept as a
+differential-test reference.
+
+It lists every fan-preserving b up to the radius, keeps the pairs (b, −b)
+with b <= −b and −b qualifying as well, and for each pair rebuilds every
+vertex of P_b and of P_{−b} to bound a box, which it scans point by point
+for an x with x ∈ P_b and −x ∈ P_{−b}.
+"""
+
+from itertools import product
+from math import ceil, floor
+
+from ewaldkit.displace import normally_isomorphic_displacements
+from ewaldkit.intlinalg import inverse_unimodular
+from ewaldkit.polytope import dot
+
+
+def qualifying_pairs(p, radius):
+    """The b that is_neat tests, in its order: all qualifying b are listed
+    first, then filtered to b <= −b with −b qualifying."""
+    qualifying = list(normally_isomorphic_displacements(p, radius))
+    qualifying_set = set(qualifying)
+    pairs = []
+    for b in qualifying:
+        nb = tuple(-x for x in b)
+        if nb in qualifying_set and b <= nb:
+            pairs.append(b)
+    return pairs
+
+
+def box_scan(p):
+    """A function of b: the first lattice x in the box around the displaced
+    vertices with x ∈ P_b and −x ∈ P_{−b}, or None."""
+    n = p.dim
+    # vertex inverses are integer matrices because every vertex cone of a
+    # lattice smooth polytope is unimodular
+    vertex_data = []
+    for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
+        s = sorted(tight)
+        vertex_data.append((v, s, inverse_unimodular([p.normals[i] for i in s])))
+
+    def displaced_vertices(b):
+        out = []
+        for v, s, inv in vertex_data:
+            bs = [b[i] for i in s]
+            out.append(
+                tuple(x + sum(inv[r][t] * bs[t] for t in range(n)) for r, x in enumerate(v))
+            )
+        return out
+
+    def scan(b):
+        nb = tuple(-x for x in b)
+        vb = displaced_vertices(b)
+        vnb = displaced_vertices(nb)
+        lo, hi = [], []
+        for i in range(n):
+            lo.append(ceil(max(min(v[i] for v in vb), -max(v[i] for v in vnb))))
+            hi.append(floor(min(max(v[i] for v in vb), -min(v[i] for v in vnb))))
+        if any(a > z for a, z in zip(lo, hi)):
+            return None
+        cb = tuple(c + d for c, d in zip(p.offsets, b))
+        cnb = tuple(c + d for c, d in zip(p.offsets, nb))
+        for x in product(*[range(a, z + 1) for a, z in zip(lo, hi)]):
+            if all(dot(u, x) <= c for u, c in zip(p.normals, cb)) and all(
+                -dot(u, x) <= c for u, c in zip(p.normals, cnb)
+            ):
+                return x
+        return None
+
+    return scan
+
+
+def oracle_verdict(p, pairs):
+    """(status, witness_b) of is_neat, given the pairs it tests."""
+    scan = box_scan(p)
+    for b in pairs:
+        if scan(b) is None:
+            return "counterexample", b
+    return "neat_up_to_radius", None

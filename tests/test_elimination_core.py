@@ -1,28 +1,39 @@
 """The single elimination core against the routines it replaced.
 
 ewaldkit.intlinalg keeps one fraction-free elimination (_reduce) and one
-transform-free echelon (is_saturated).  The references in linalg_oracles are
-the former implementations: the Smith normal form, the column-subset scan for
-a particular solution and the row-by-row rank loop.
+saturation echelon (_extend_saturated, behind is_saturated and
+find_unimodular_basis).  The references in linalg_oracles are the former
+implementations: the Smith normal form, the column-subset scan for a
+particular solution, the row-by-row rank loop, and the unimodular-basis
+search that re-ran a transpose echelon on every partial basis.
 """
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 from conftest import random_unimodular
 from ewaldkit import polytope
 from ewaldkit.bundles import monotone_polygon
+from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import (
     _reduce,
     det,
+    find_unimodular_basis,
     inverse_unimodular,
     is_saturated,
     mat_mul,
     scaled_inverse,
     solve_rational,
 )
-from linalg_oracles import first_independent_rows, smith_saturated, subset_particular
+from linalg_oracles import (
+    first_independent_rows,
+    per_step_basis_search,
+    smith_saturated,
+    subset_particular,
+)
 
 
 def planted_rows(rng, k, n, lo=-3, hi=3):
@@ -51,6 +62,37 @@ def test_is_saturated_matches_smith_oracle():
         seen["tall"] += k > n
         seen["dependent"] += 0 < k <= n and polytope.rank(m) < k
     assert min(seen.values()) >= 100, seen
+
+
+def _check_workload_inputs(seed):
+    """The polytopes of the benchmark's `check` workload for one seed."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import oracles
+    import run
+    import workloads
+
+    items = run.make_pass(workloads.WORKLOADS["check"](oracles.load_tables()), seed)
+    return [parse_polytope(item.texts[0]).polytope for item in items]
+
+
+def test_find_unimodular_basis_matches_per_step_search_on_check_inputs():
+    # every point set the weak and strong Ewald checks search: E(P) and
+    # E(P) on each facet
+    searched = 0
+    for seed in (1, 5):
+        for p in _check_workload_inputs(seed):
+            if not p.origin_interior():
+                continue
+            points = ewald_set(p).points
+            sets = [points] + [
+                [x for x in points if polytope.dot(u, x) == c] for u, c in zip(p.normals, p.offsets)
+            ]
+            for pts in sets:
+                assert find_unimodular_basis(pts, p.dim) == per_step_basis_search(pts, p.dim)
+                searched += 1
+    assert searched > 1000
 
 
 def test_is_saturated_on_unimodular_rows():

@@ -293,3 +293,22 @@ def test_cli_count_refuses_large_n(capsys):
         assert err.startswith("error: count %s: n = %s is above the limit" % (argv[1], argv[2]))
     code, out, _ = run_cli(["count", "simplex", "4300"], capsys=capsys)
     assert code == 0 and 2000 < len(out.strip()) < 4300
+
+
+def test_cli_neat_counterexample(capsys):
+    # cube3 shifted by 2·e_1 misses the origin: the first tested pair fails
+    text = serialize_polytope(cube(3).translate((2, 0, 0)), "cube3_shifted")
+    code, out, err = run_cli(["neat", "-", "--radius", "1"], stdin_text=text, capsys=capsys)
+    assert code == 1 and "Traceback" not in err
+    assert out.splitlines() == [
+        "status: counterexample",
+        "radius: 1",
+        "witness b: (-1, 0, -1, 0, -1, 0)",
+    ]
+    code, out, err = run_cli(["check", "-", "--radius", "1", "--json"], stdin_text=text, capsys=capsys)
+    assert "Traceback" not in err
+    assert json.loads(out)["result"]["neat"] == {
+        "status": "counterexample",
+        "radius": 1,
+        "witness_b": [-1, 0, -1, 0, -1, 0],
+    }

@@ -1,0 +1,90 @@
+"""The neatness search (joint (b, −b) enumeration and the slab-form lattice
+search) against the search it replaced, kept in neat_oracles."""
+
+import random
+
+from conftest import smooth_suite
+from ewaldkit.bundles import catalog, monotone_polygon, segment
+from ewaldkit.displace import _fan_preserving, _slab_search, is_neat
+from ewaldkit.intlinalg import mat_vec
+from ewaldkit.polytope import HPolytope, cartesian_product, dot
+from neat_oracles import box_scan, oracle_verdict, qualifying_pairs
+
+
+def _check(p, radius):
+    """is_neat, its pair stream and its lattice search all agree with the
+    oracle on p; returns the verdict."""
+    pairs = qualifying_pairs(p, radius)
+    assert list(_fan_preserving(p, radius, paired=True)) == pairs
+    verdict = is_neat(p, radius)
+    assert (verdict.status, verdict.witness_b) == oracle_verdict(p, pairs)
+    return verdict
+
+
+def _in_both(p, b, x):
+    """x ∈ P_b and −x ∈ P_{−b}: the 2m half-spaces, row by row."""
+    return all(
+        dot(u, x) <= c + bj and -dot(u, x) <= c - bj
+        for u, c, bj in zip(p.normals, p.offsets, b)
+    )
+
+
+def _catalog_cases():
+    for name, p in catalog().items():
+        for shift in (0, 1, 2):
+            q = p.translate((shift,) + (0,) * (p.dim - 1))
+            for r in (0, 1, 2):
+                if r == 2 and p.nfacets > 8:
+                    continue
+                yield "%s+%de1|r=%d" % (name, shift, r), q, r
+
+
+def test_is_neat_matches_oracle_on_catalog_translates():
+    verdicts = {label: _check(q, r) for label, q, r in _catalog_cases()}
+    # shifted by 2·e_1 every member misses the origin, so the first pair fails
+    assert verdicts["cube3+2e1|r=0"].witness_b == (0,) * 6
+    assert verdicts["cube3+2e1|r=1"].witness_b == (-1, 0, -1, 0, -1, 0)
+    assert verdicts["cube3+2e1|r=2"].witness_b == (-2, 1, -2, 1, -2, 1)
+    assert not verdicts["cube4+1e1|r=2"].is_counterexample
+
+
+def test_is_neat_matches_oracle_on_unimodular_images():
+    rng = random.Random(20261018)
+    for p in smooth_suite(rng, max_dim=4, count=30):
+        _check(p, 1)
+        if p.dim <= 3:
+            _check(p, 2)
+
+
+def test_is_neat_matches_oracle_on_products():
+    hexagon, triangle = monotone_polygon("hexagon"), monotone_polygon("triangle")
+    for p in (cartesian_product(triangle, segment()), cartesian_product(hexagon, segment())):
+        for shift in (0, 1):
+            _check(p.translate((shift,) + (0,) * (p.dim - 1)), 1)
+
+
+def test_is_neat_in_dimension_zero():
+    for p in (HPolytope(0, (), ()), HPolytope(0, ((), ()), (0, 2))):
+        for r in (0, 1, 3):
+            _check(p, r)
+    _, search = _slab_search(HPolytope(0, ((),), (1,)))
+    assert search((1,)) == () and search((2,)) is None
+
+
+def test_slab_search_agrees_with_box_scan_pair_by_pair():
+    rng = random.Random(7)
+    # the Hirzebruch polygon F_2: its row (1, 2) reads (−1, −2) in the slab
+    # coordinates, so the search divides by −2 and must round each bound inward
+    hirzebruch = HPolytope(2, ((-1, 0), (0, -1), (0, 1), (1, 2)), (0, 0, 1, 4))
+    cases = [catalog()["ssb32"], catalog()["hexagon"].translate((1, 0))]
+    cases += [hirzebruch.translate((-2, -1)), hirzebruch.translate((-1, -1))]
+    cases += smooth_suite(rng, max_dim=3, count=12)
+    for p in cases:
+        inv, search = _slab_search(p)
+        scan = box_scan(p)
+        for b in _fan_preserving(p, 2, paired=True):
+            y = search(b)
+            assert (y is None) == (scan(b) is None), (p, b)
+            if y is not None:
+                assert _in_both(p, b, mat_vec(inv, y)), (p, b)
+
