@@ -13,13 +13,15 @@ from fractions import Fraction
 from itertools import product
 
 from .classify import is_smooth
-from .intlinalg import inverse_unimodular, scaled_inverse
+from .intlinalg import scaled_inverse
 from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
     _exact,
     _facet_rows,
+    _lattice_search,
+    _slab_frame,
     dot,
     enumerate_vertices,
     face_slice,
@@ -127,16 +129,13 @@ def _vertex_margin_constraints(p: HPolytope):
                 continue
             u = p.normals[j]
             const = p.offsets[j] - dot(u, v)
-            terms = {j: 1}
+            terms = [(j, 1)]
             for t, row_idx in enumerate(s):
                 # coefficient of b_S[t] in -u · (A_S^{-1} b_S)
-                coeff = Fraction(-sum(u[c] * e[c][t] for c in range(n)), d)
-                if coeff:
-                    terms[row_idx] = terms.get(row_idx, 0) + coeff
-            norm_terms = tuple(
-                sorted((i, _exact(c)) for i, c in terms.items() if c)
-            )
-            constraints.add((_exact(const), norm_terms))
+                num = -sum(u[c] * e[c][t] for c in range(n))
+                if num:
+                    terms.append((row_idx, num // d if num % d == 0 else Fraction(num, d)))
+            constraints.add((_exact(const), tuple(sorted(terms))))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)
@@ -219,92 +218,13 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     ok, _ = is_smooth(p)
     if not ok or not p.is_lattice():
         raise ValueError("neatness is defined for lattice smooth polytopes")
-    _, search = _slab_search(p)
+    # both conditions say |u_j·x − b_j| <= c_j; p is smooth, so the search
+    # reads p's own rows in the coordinates of its first vertex cone
+    _, search = _lattice_search(*_slab_frame(p), p.offsets)
     for b in _fan_preserving(p, radius, paired=True):
-        if search(b) is None:
+        if not search(b, lambda y: True):
             return NeatVerdict("counterexample", radius, witness_b=b)
     return NeatVerdict("neat_up_to_radius", radius)
-
-
-def _slab_search(p: HPolytope):
-    """The lattice test of is_neat as a function of b.
-
-    Returns (inv, search): search(b) gives the coordinates y = A x of a
-    lattice x with x ∈ P_b and −x ∈ P_{-b}, or None, and inv = A^-1, so
-    that x = inv y.
-
-    Both conditions together say |u_j·x − b_j| <= c_j for every row j.  The
-    rows S0 tight at the first vertex form a unimodular matrix A (p is
-    lattice smooth), so y = A x runs over the lattice as x does, and row j
-    reads w_j·y with w_j = u_j A^-1.  Write y = b_S0 + z: the rows of S0 put
-    z in the box |z_t| <= c_S0[t], and every other row says
-    |w_j·z − d_j| <= c_j with d_j = b_j − w_j·b_S0.  A depth-first search
-    over z narrows each coordinate's range by every such slab, widened by the
-    row's largest reach over the coordinates still free; the range of the
-    last coordinate is then exact.  Everything but d is fixed per polytope.
-    """
-    n, m, c = p.dim, p.nfacets, p.offsets
-    empty = any(cj < 0 for cj in c)  # some slab is empty, whatever b is
-    s0 = sorted(p.vertex_tight_sets()[0])
-    inv = inverse_unimodular([p.normals[i] for i in s0])
-    cols = tuple(zip(*inv))
-    box = [c[i] for i in s0]
-    rows, levels = [], [[] for _ in range(n)]
-    for j in range(m):
-        if j in s0:
-            continue
-        w = [dot(p.normals[j], col) for col in cols]
-        r = len(rows)
-        # reach[k] = c_j + sum_{t >= k} |w_t| box_t: how far w·z may stray
-        # from d_j while z_k, ..., z_{n-1} are free
-        reach = [c[j]] * (n + 1)
-        for t in range(n - 1, -1, -1):
-            reach[t] = reach[t + 1] + abs(w[t]) * box[t]
-            if w[t]:
-                levels[t].append((r, w[t], reach[t + 1]))
-        rows.append((j, [(s0[t], w[t]) for t in range(n) if w[t]], reach[0]))
-
-    def search(b):
-        if empty:
-            return None
-        d = []
-        for j, terms, reach in rows:
-            dj = b[j]
-            for i, wt in terms:
-                dj -= wt * b[i]
-            if abs(dj) > reach:
-                return None  # the only test of a row with w = 0 (dim 0)
-            d.append(dj)
-        z = [0] * n
-
-        def descend(k, e):
-            # e[r] = d_r − sum_{t < k} w_t z_t for the r-th row
-            if k == n:
-                return True
-            first, last = -box[k], box[k]
-            for r, a, reach in levels[k]:
-                # |e_r − a z_k − rest| <= reach[k+1] covers every free rest
-                below, above = e[r] - reach, e[r] + reach
-                if a < 0:
-                    below, above = above, below
-                first = max(first, -(-below // a))
-                last = min(last, above // a)
-                if first > last:
-                    return False
-            for v in range(first, last + 1):
-                z[k] = v
-                nxt = e[:]
-                for r, a, _ in levels[k]:
-                    nxt[r] -= a * v
-                if descend(k + 1, nxt):
-                    return True
-            return False
-
-        if not descend(0, d):
-            return None
-        return tuple(b[i] + zt for i, zt in zip(s0, z))
-
-    return inv, search
 
 
 def neat_transfer_bundle_check(base, fiber, twist, radius: int) -> bool:

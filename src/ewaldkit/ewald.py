@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import ceil, floor
+from math import floor
 
 from .classify import is_monotone, is_smooth
 from .intlinalg import _xgcd, det, find_unimodular_basis, inverse_unimodular, mat_vec
-from .polytope import FaceRef, HPolytope, dot
+from .polytope import FaceRef, HPolytope, _slab_points, dot
 
 __all__ = [
     "EwaldSet",
@@ -94,37 +93,13 @@ def cube_normalization(p: HPolytope):
 
 
 def ewald_set(p: HPolytope) -> EwaldSet:
-    """Symmetric lattice points of P, computed exactly.
-
-    For reflexive-at-a-vertex inputs (all monotone polytopes) the scan is
-    restricted to the 3^n candidates of the normalized unit cube; otherwise
-    the exact bounding box of P ∩ −P is scanned.
-    """
-    if "ewald" in p._cache:
-        return p._cache["ewald"]
-    n = p.dim
-    pts = set()
-    try:
-        m = cube_normalization(p)
-        minv = inverse_unimodular(m)
-    except ValueError:
-        minv = None
-    if minv is not None:
-        for cand in product((-1, 0, 1), repeat=n):
-            y = mat_vec(minv, cand)
-            if p.contains(y) and p.contains(tuple(-c for c in y)):
-                pts.add(y)
-    else:
-        lo, hi = p.bounding_box()
-        ranges = [
-            range(ceil(max(a, -b)), floor(min(b, -a)) + 1) for a, b in zip(lo, hi)
-        ]
-        for cand in product(*ranges):
-            if p.contains(cand) and p.contains(tuple(-c for c in cand)):
-                pts.add(cand)
-    out = EwaldSet(n, frozenset(pts))
-    p._cache["ewald"] = out
-    return out
+    """Symmetric lattice points of P, computed exactly: the integer x with
+    |u_j·x| <= ⌊c_j⌋ on every row, by the lattice-point search of polytope."""
+    if "ewald" not in p._cache:
+        floors = [floor(c) for c in p.offsets]
+        points = _slab_points(p, [-f for f in floors], floors)
+        p._cache["ewald"] = EwaldSet(p.dim, frozenset(points))
+    return p._cache["ewald"]
 
 
 def _require_origin_interior(p: HPolytope):

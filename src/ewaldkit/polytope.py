@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
 from .intlinalg import (
     _integer_row,
     _reduce,
+    det,
     inverse_unimodular,
     kernel_basis,
+    mat_vec,
     primitive_part,
     rank,
     scaled_inverse,
@@ -149,11 +151,6 @@ class HPolytope:
             return all(dot(u, point) < c for u, c in zip(self.normals, self.offsets))
         return all(dot(u, point) <= c for u, c in zip(self.normals, self.offsets))
 
-    def tight_rows_at(self, point) -> frozenset:
-        return frozenset(
-            i for i, (u, c) in enumerate(zip(self.normals, self.offsets)) if dot(u, point) == c
-        )
-
     def origin_interior(self) -> bool:
         return all(c > 0 for c in self.offsets)
 
@@ -226,18 +223,10 @@ class HPolytope:
 
     def lattice_points(self) -> frozenset:
         if "lattice_points" not in self._cache:
-            self._cache["lattice_points"] = frozenset(self._scan_lattice())
+            upper = [floor(c) for c in self.offsets]
+            points = _slab_points(self, [None] * self.nfacets, upper)
+            self._cache["lattice_points"] = frozenset(points)
         return self._cache["lattice_points"]
-
-    def _scan_lattice(self):
-        if self.dim == 0:
-            yield ()
-            return
-        lo, hi = self.bounding_box()
-        ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]
-        for pt in product(*ranges):
-            if self.contains(pt):
-                yield pt
 
     # -- validation ------------------------------------------------------
 
@@ -406,6 +395,132 @@ def irredundant_rows(dim, normals, offsets):
     final_set = {keep_idx[j] for j in final}
     dropped = tuple(i for i in range(len(normals)) if i not in final_set)
     return p, dropped
+
+
+# -- lattice points of slab systems --------------------------------------
+
+
+def _slab_frame(p: HPolytope):
+    """(rows, coords): the rows the lattice-point search reads for p, and the
+    indices of n of them that form a unimodular matrix.  These are the rows
+    tight at the first vertex when they are n rows of determinant ±1, as on
+    every smooth polytope; otherwise the unit rows e_1, ..., e_n, appended
+    after p's rows and bounded by its bounding box."""
+    n, m = p.dim, p.nfacets
+    rows = list(p.normals)
+    tight = sorted(p.vertex_tight_sets()[0])
+    if len(tight) == n and det([rows[i] for i in tight]) in (1, -1):
+        return rows, tight
+    rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return rows, list(range(m, m + n))
+
+
+def _lattice_search(rows, coords, half):
+    """The one lattice-point enumerator: depth-first search over a slab
+    system with per-level bounds (Fincke–Pohst, Math. Comp. 44, 1985;
+    Schnorr–Euchner, Math. Programming 66, 1994).
+
+    rows are integer vectors u_j, coords the indices of n of them that form a
+    unimodular matrix A, and half the integer half-widths h_j.  Returns
+    (inv, search) with inv = A^-1: search(d, visit), for integer centres d,
+    calls visit(y) on y = A x for every integer x with |u_j·x − d_j| <= h_j
+    on every row, until visit returns true, and returns whether it did.
+
+    Row j reads w_j·y with w_j = u_j A^-1.  Write y = d_coords + z: the
+    coordinate rows put z in the box |z_t| <= h_coords[t], and every other
+    row says |w_j·z − e_j| <= h_j with e_j = d_j − w_j·d_coords.  The search
+    fixes z_0, z_1, ... in turn, each over the range every slab allows,
+    widened by the row's largest reach over the coordinates still free; the
+    last coordinate's range is exact.  Everything but d is fixed here.
+    """
+    n = len(coords)
+    inv = inverse_unimodular([rows[i] for i in coords])
+    cols = tuple(zip(*inv))
+    box = [half[i] for i in coords]
+    empty = any(h < 0 for h in half)  # some slab is empty, whatever d is
+    slabs, levels = [], [[] for _ in range(n)]
+    for j, u in enumerate(rows):
+        if j in coords:
+            continue
+        w = [dot(u, col) for col in cols]
+        r = len(slabs)
+        # reach[k] = h_j + sum_{t >= k} |w_t| box_t: how far w·z may stray
+        # from e_j while z_k, ..., z_{n-1} are free
+        reach = [half[j]] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            reach[t] = reach[t + 1] + abs(w[t]) * box[t]
+            if w[t]:
+                levels[t].append((r, w[t], reach[t + 1]))
+        slabs.append((j, [(t, w[t]) for t in range(n) if w[t]], reach[0]))
+
+    def search(d, visit):
+        if empty:
+            return False
+        base = [d[i] for i in coords]
+        e = []
+        for j, terms, reach in slabs:
+            ej = d[j]
+            for t, wt in terms:
+                ej -= wt * base[t]
+            if abs(ej) > reach:
+                return False  # the only test of a row with w = 0 (dim 0)
+            e.append(ej)
+        z = [0] * n
+
+        def descend(k, e):
+            # e[r] = e_r − sum_{t < k} w_t z_t for the r-th slab
+            if k == n:
+                return visit([a + b for a, b in zip(base, z)])
+            first, last = -box[k], box[k]
+            for r, a, reach in levels[k]:
+                # |e_r − a z_k − rest| <= reach[k+1] covers every free rest
+                below, above = e[r] - reach, e[r] + reach
+                if a < 0:
+                    below, above = above, below
+                first = max(first, -(-below // a))
+                last = min(last, above // a)
+                if first > last:
+                    return False
+            for v in range(first, last + 1):
+                z[k] = v
+                nxt = e[:]
+                for r, a, _ in levels[k]:
+                    nxt[r] -= a * v
+                if descend(k + 1, nxt):
+                    return True
+            return False
+
+        found = descend(0, e)
+        del descend  # a closure over itself: free visit's data now, not at the next collection
+        return found
+
+    return inv, search
+
+
+def _slab_points(p: HPolytope, lower, upper, scale=1) -> list:
+    """Every integer x with lower_j <= u_j·x <= upper_j on the rows of p,
+    given that each such x lies in scale·P.
+
+    A lower bound of None, and both bounds of a unit row of _slab_frame, are
+    implied by the vertices of scale·P.  Such a lower bound moves down by one
+    where that makes lo + hi even, which leaves the point set unchanged and
+    every centre an integer; given bounds must have an even sum.
+    """
+    rows, coords = _slab_frame(p)
+    bounds = list(zip(lower, upper)) + [(None, None)] * (len(rows) - p.nfacets)
+    centre, half = [], []
+    for u, (lo, hi) in zip(rows, bounds):
+        if lo is None:
+            values = [dot(u, v) * scale for v in p.vertices()]
+            lo = ceil(min(values))
+            hi = floor(max(values)) if hi is None else hi
+            lo -= (lo + hi) % 2
+        centre.append((lo + hi) // 2)
+        half.append((hi - lo) // 2)
+    inv, search = _lattice_search(rows, coords, half)
+    points = []
+    search(centre, lambda y: points.append(mat_vec(inv, y)))  # None: never stops
+    return points
 
 
 @dataclass(frozen=True)

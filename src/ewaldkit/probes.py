@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import ceil
 
 from .ewald import star_ewald
 from .classify import is_monotone
-from .polytope import HPolytope, dot
+from .polytope import HPolytope, _slab_points, dot
 
 __all__ = [
     "Probe",
@@ -47,13 +49,11 @@ def is_integrally_transverse(lam, u_f) -> bool:
     return dot(u_f, lam) in (1, -1)
 
 
-def _directions(n, bound):
-    for lam in sorted(
-        product(range(-bound, bound + 1), repeat=n),
-        key=lambda t: (max(abs(x) for x in t), t),
-    ):
-        if any(lam):
-            yield lam
+@cache
+def _directions(n, bound) -> tuple:
+    """The nonzero directions of max-norm <= bound, by max-norm, then lex."""
+    box = (t for t in product(range(-bound, bound + 1), repeat=n) if any(t))
+    return tuple(sorted(box, key=lambda t: (max(abs(x) for x in t), t)))
 
 
 def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
@@ -67,9 +67,8 @@ def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
     u = tuple(Fraction(x) for x in u)
     if not p.contains(u, strict=True):
         raise ValueError("probe base point must be strictly interior")
-    dirs = list(_directions(p.dim, bound))
     for fi, (nf, cf) in enumerate(zip(p.normals, p.offsets)):
-        for lam in dirs:
+        for lam in _directions(p.dim, bound):
             if dot(nf, lam) != -1:
                 continue
             t = dot(nf, u) - cf  # negative since u is interior
@@ -95,23 +94,13 @@ def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
 
 def interior_sample_grid(p: HPolytope, samples: int):
     """Deterministic rational grid: points q/samples strictly inside P,
-    the origin excluded."""
+    the origin excluded, in lexicographic order.  Strictly inside reads
+    u_j·q <= ⌈c_j·samples⌉ − 1 on every row, for integer q."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    lo, hi = p.bounding_box()
-    ranges = []
-    for a, b in zip(lo, hi):
-        lo_i = int(a * samples) - 1
-        hi_i = int(b * samples) + 1
-        ranges.append(range(lo_i, hi_i + 1))
-    out = []
-    for q in product(*ranges):
-        if not any(q):
-            continue
-        pt = tuple(Fraction(x, samples) for x in q)
-        if p.contains(pt, strict=True):
-            out.append(pt)
-    return tuple(out)
+    upper = [ceil(c * samples) - 1 for c in p.offsets]
+    grid = sorted(q for q in _slab_points(p, [None] * p.nfacets, upper, samples) if any(q))
+    return tuple(tuple(Fraction(x, samples) for x in q) for q in grid)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -81,3 +83,15 @@ def smooth_suite(rng, max_dim=4, count=25):
             q = q.translate(t)
         out.append(q)
     return out
+
+
+def workload_items(name, seed):
+    """The items of one pass of the benchmark workload `name` at `seed`."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import oracles
+    import run
+    import workloads
+
+    return run.make_pass(workloads.WORKLOADS[name](oracles.load_tables()), seed)

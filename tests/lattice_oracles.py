@@ -1,0 +1,68 @@
+"""The lattice-point scans ewaldkit ran before its single enumerator, kept as
+differential-test references.
+
+Each scan walks a whole box point by point: the 3^n cube of the vertex
+normalization or the bounding box of P ∩ −P for E(P), the bounding box of P
+for lattice_points, and the box of samples·P, widened by one, for the probe
+grid.
+"""
+
+from fractions import Fraction
+from itertools import product
+from math import ceil, floor
+
+from ewaldkit.ewald import cube_normalization
+from ewaldkit.intlinalg import inverse_unimodular, mat_vec
+
+
+def _symmetric(p, x):
+    return p.contains(x) and p.contains(tuple(-c for c in x))
+
+
+def ewald_cube_scan(p):
+    """E(P) from the 3^n candidates of the normalized unit cube, or None when
+    P has no cube normalization (its first vertex is not smooth at offsets 1)."""
+    try:
+        minv = inverse_unimodular(cube_normalization(p))
+    except ValueError:
+        return None
+    candidates = (mat_vec(minv, c) for c in product((-1, 0, 1), repeat=p.dim))
+    return frozenset(y for y in candidates if _symmetric(p, y))
+
+
+def ewald_box_scan(p):
+    """E(P) from the bounding box of P ∩ −P."""
+    lo, hi = p.bounding_box()
+    ranges = [range(ceil(max(a, -b)), floor(min(b, -a)) + 1) for a, b in zip(lo, hi)]
+    return frozenset(x for x in product(*ranges) if _symmetric(p, x))
+
+
+def ewald_scan(p):
+    """E(P) as ewald_set found it: the cube scan where it applies, else the
+    box scan."""
+    found = ewald_cube_scan(p)
+    return ewald_box_scan(p) if found is None else found
+
+
+def scan_lattice(p):
+    """The lattice points of P, from its bounding box."""
+    if p.dim == 0:
+        return frozenset({()})
+    lo, hi = p.bounding_box()
+    ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]
+    return frozenset(x for x in product(*ranges) if p.contains(x))
+
+
+def product_grid(p, samples):
+    """interior_sample_grid: the points q/samples strictly inside P, origin
+    excluded, in the lexicographic order of the box scan."""
+    lo, hi = p.bounding_box()
+    ranges = [range(int(a * samples) - 1, int(b * samples) + 2) for a, b in zip(lo, hi)]
+    out = []
+    for q in product(*ranges):
+        if not any(q):
+            continue
+        pt = tuple(Fraction(x, samples) for x in q)
+        if p.contains(pt, strict=True):
+            out.append(pt)
+    return tuple(out)

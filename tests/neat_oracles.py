@@ -1,5 +1,6 @@
 """The neatness search as ewaldkit ran it before the slab form, kept as a
-differential-test reference.
+differential-test reference, and the margin constraints as it built them
+with a Fraction per coefficient.
 
 It lists every fan-preserving b up to the radius, keeps the pairs (b, −b)
 with b <= −b and −b qualifying as well, and for each pair rebuilds every
@@ -7,12 +8,13 @@ vertex of P_b and of P_{−b} to bound a box, which it scans point by point
 for an x with x ∈ P_b and −x ∈ P_{−b}.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
 from ewaldkit.displace import normally_isomorphic_displacements
-from ewaldkit.intlinalg import inverse_unimodular
-from ewaldkit.polytope import dot
+from ewaldkit.intlinalg import inverse_unimodular, scaled_inverse
+from ewaldkit.polytope import _exact, dot
 
 
 def qualifying_pairs(p, radius):
@@ -77,3 +79,30 @@ def oracle_verdict(p, pairs):
         if scan(b) is None:
             return "counterexample", b
     return "neat_up_to_radius", None
+
+
+def fraction_margin_constraints(p):
+    """_vertex_margin_constraints with every coefficient built as a Fraction
+    and normalized by _exact: {level: [(const, terms), ...]}."""
+    n = p.dim
+    constraints = set()
+    for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
+        s = sorted(tight)
+        d, e = scaled_inverse([p.normals[i] for i in s])
+        for j in range(p.nfacets):
+            if j in tight:
+                continue
+            u = p.normals[j]
+            const = p.offsets[j] - dot(u, v)
+            terms = {j: 1}
+            for t, row_idx in enumerate(s):
+                coeff = Fraction(-sum(u[c] * e[c][t] for c in range(n)), d)
+                if coeff:
+                    terms[row_idx] = terms.get(row_idx, 0) + coeff
+            norm_terms = tuple(sorted((i, _exact(c)) for i, c in terms.items() if c))
+            constraints.add((_exact(const), norm_terms))
+    grouped = {}
+    for const, terms in constraints:
+        level = max(i for i, _ in terms)
+        grouped.setdefault(level, []).append((const, terms))
+    return grouped

@@ -8,12 +8,10 @@ particular solution, the row-by-row rank loop, and the unimodular-basis
 search that re-ran a transpose echelon on every partial basis.
 """
 
-import os
 import random
-import sys
 from fractions import Fraction
 
-from conftest import random_unimodular
+from conftest import random_unimodular, workload_items
 from ewaldkit import polytope
 from ewaldkit.bundles import monotone_polygon
 from ewaldkit.ewald import ewald_set
@@ -66,15 +64,7 @@ def test_is_saturated_matches_smith_oracle():
 
 def _check_workload_inputs(seed):
     """The polytopes of the benchmark's `check` workload for one seed."""
-    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-    if perfbench not in sys.path:
-        sys.path.insert(0, perfbench)
-    import oracles
-    import run
-    import workloads
-
-    items = run.make_pass(workloads.WORKLOADS["check"](oracles.load_tables()), seed)
-    return [parse_polytope(item.texts[0]).polytope for item in items]
+    return [parse_polytope(item.texts[0]).polytope for item in workload_items("check", seed)]
 
 
 def test_find_unimodular_basis_matches_per_step_search_on_check_inputs():

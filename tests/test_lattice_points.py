@@ -1,0 +1,68 @@
+"""The one lattice-point enumerator of polytope (behind ewald_set,
+lattice_points and interior_sample_grid) against the box scans it replaced,
+kept in lattice_oracles."""
+
+import random
+from fractions import Fraction
+
+from conftest import smooth_suite
+from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
+from ewaldkit.ewald import ewald_set
+from ewaldkit.polytope import HPolytope, _slab_frame, cartesian_product
+from ewaldkit.probes import interior_sample_grid
+from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice
+
+# x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
+RATIONAL_POLYGON = HPolytope(
+    2, ((-1, -1), (0, 1), (1, -1), (1, 0)), (Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), Fraction(3, 2))
+)
+
+
+def _cases():
+    for name, p in catalog().items():
+        for shift in (0, 1, -2):
+            yield "%s%+de1" % (name, shift), p.translate((shift,) + (0,) * (p.dim - 1))
+    hexagon, triangle = monotone_polygon("hexagon"), monotone_polygon("triangle")
+    yield "triangle_x_segment", cartesian_product(triangle, segment())
+    yield "hexagon_x_segment", cartesian_product(hexagon, segment())
+    for k, p in enumerate(smooth_suite(random.Random(20261018), max_dim=4, count=20)):
+        yield "gl%d" % k, p
+    yield "dp3", del_pezzo(3)
+    yield "dp5", del_pezzo(5)
+    yield "t2", nill_triangle(2)
+    yield "rational", RATIONAL_POLYGON
+    yield "off_centre_box", HPolytope(2, ((-1, 0), (0, -1), (0, 1), (1, 0)), (-1, 2, 3, 4))
+    yield "dim0", HPolytope(0, (), ())
+    yield "dim1", HPolytope(1, ((-1,), (1,)), (Fraction(3, 2), 4))
+
+
+# the dim-3 inputs whose grids are compared: the box scan of a 3-dimensional
+# GL image at samples 4 takes seconds
+GRID_3D = ("simplex3+0e1", "cube3+1e1", "ssb31-2e1", "ssb32+0e1", "triangle_x_segment", "dp3")
+
+
+def test_lattice_points_match_the_box_scans():
+    empty_ewald = grids = 0
+    for label, p in _cases():
+        e = ewald_set(p).points
+        assert e == ewald_scan(p), label
+        empty_ewald += not e
+        if p.dim <= 4:
+            assert p.lattice_points() == scan_lattice(p), label
+        if p.dim <= 2 or label in GRID_3D:
+            grids += 1
+            for samples in (1, 2, 4):
+                assert interior_sample_grid(p, samples) == product_grid(p, samples), (label, samples)
+    assert empty_ewald >= 5 and grids == 36
+
+
+def test_both_coordinate_choices_are_exercised():
+    # DP3 is not simple and T_2 is simple but not smooth at its first vertex,
+    # so both search in the unit coordinates; smooth inputs use their own rows
+    for p in (del_pezzo(3), nill_triangle(2)):
+        rows, coords = _slab_frame(p)
+        assert len(rows) == p.nfacets + p.dim and coords == list(range(p.nfacets, len(rows)))
+        assert ewald_set(p).points == ewald_box_scan(p)
+    for p in catalog().values():
+        rows, coords = _slab_frame(p)
+        assert len(rows) == p.nfacets

@@ -1,14 +1,16 @@
 """The neatness search (joint (b, −b) enumeration and the slab-form lattice
-search) against the search it replaced, kept in neat_oracles."""
+search, now the lattice-point enumerator of polytope) against the search it
+replaced, kept in neat_oracles."""
 
 import random
 
-from conftest import smooth_suite
+from conftest import smooth_suite, workload_items
 from ewaldkit.bundles import catalog, monotone_polygon, segment
-from ewaldkit.displace import _fan_preserving, _slab_search, is_neat
+from ewaldkit.displace import _fan_preserving, _vertex_margin_constraints, is_neat
+from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import mat_vec
-from ewaldkit.polytope import HPolytope, cartesian_product, dot
-from neat_oracles import box_scan, oracle_verdict, qualifying_pairs
+from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
+from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
 
 
 def _check(p, radius):
@@ -19,6 +21,21 @@ def _check(p, radius):
     verdict = is_neat(p, radius)
     assert (verdict.status, verdict.witness_b) == oracle_verdict(p, pairs)
     return verdict
+
+
+def _slab_search(p):
+    """The lattice test of is_neat as a function of b: the first x the
+    enumerator visits with x ∈ P_b and −x ∈ P_{−b}, or None."""
+    rows, coords = _slab_frame(p)
+    assert len(rows) == p.nfacets  # p is smooth: no unit rows
+    inv, search = _lattice_search(rows, coords, p.offsets)
+
+    def first(b):
+        found = []
+        search(b, lambda y: found.append(mat_vec(inv, y)) or True)
+        return found[0] if found else None
+
+    return first
 
 
 def _in_both(p, b, x):
@@ -67,7 +84,7 @@ def test_is_neat_in_dimension_zero():
     for p in (HPolytope(0, (), ()), HPolytope(0, ((), ()), (0, 2))):
         for r in (0, 1, 3):
             _check(p, r)
-    _, search = _slab_search(HPolytope(0, ((),), (1,)))
+    search = _slab_search(HPolytope(0, ((),), (1,)))
     assert search((1,)) == () and search((2,)) is None
 
 
@@ -80,11 +97,28 @@ def test_slab_search_agrees_with_box_scan_pair_by_pair():
     cases += [hirzebruch.translate((-2, -1)), hirzebruch.translate((-1, -1))]
     cases += smooth_suite(rng, max_dim=3, count=12)
     for p in cases:
-        inv, search = _slab_search(p)
-        scan = box_scan(p)
+        search, scan = _slab_search(p), box_scan(p)
         for b in _fan_preserving(p, 2, paired=True):
-            y = search(b)
-            assert (y is None) == (scan(b) is None), (p, b)
-            if y is not None:
-                assert _in_both(p, b, mat_vec(inv, y)), (p, b)
+            x = search(b)
+            assert (x is None) == (scan(b) is None), (p, b)
+            if x is not None:
+                assert _in_both(p, b, x), (p, b)
 
+
+def test_margin_constraints_match_the_fraction_build():
+    # integer coefficients where the scaled inverse's d divides them, as on
+    # every lattice smooth input (d = ±1); a Fraction only otherwise
+    inputs = list(catalog().values()) + [
+        parse_polytope(item.texts[0]).polytope
+        for seed in (1, 5)
+        for item in workload_items("neat", seed)
+    ]
+    inputs.append(HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3)))  # d = 2
+    for p in inputs:
+        got, want = _vertex_margin_constraints(p), fraction_margin_constraints(p)
+        assert got == want
+        assert _coefficient_types(got) == _coefficient_types(want)
+
+
+def _coefficient_types(grouped):
+    return [type(c) for level in grouped.values() for _, terms in level for _, c in terms]
