@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import det, primitive_part
+from .intlinalg import primitive_part, scaled_inverse
 from .polytope import (
     FaceRef,
     HPolytope,
@@ -43,19 +43,42 @@ def _cached(p: HPolytope, key, fn):
     return p._cache[key]
 
 
+def _vertex_cone(p: HPolytope, vi: int) -> tuple:
+    """(d, dirs) at vertex vi, computed once per vertex: dirs are the sorted
+    primitive edge directions.  When exactly n rows are tight (a simple
+    vertex), d = ± their determinant and dirs come from one scaled inverse:
+    the edge leaving facet k is the primitive part of −(column k of A^-1),
+    since A d_k = −e_k; for d = ±1 that column is already primitive.
+    Otherwise d is None and dirs come from the adjacency scan."""
+    cones = p._cache.setdefault("vertex_cones", {})
+    if vi not in cones:
+        tight = sorted(p.vertex_tight_sets()[vi])
+        if len(tight) == p.dim:
+            d, e = scaled_inverse([p.normals[i] for i in tight])
+            s = -1 if d > 0 else 1
+            dirs = [tuple(s * x for x in col) for col in zip(*e)]
+            if d not in (1, -1):
+                dirs = [primitive_part(col) for col in dirs]
+        else:
+            d, verts = None, p.vertices()
+            dirs = [
+                _integerize([a - b for a, b in zip(verts[wj], verts[vi])])
+                for wj in p.adjacent_vertex_indices(vi)
+            ]
+        cones[vi] = (d, tuple(sorted(dirs)))
+    return cones[vi]
+
+
 def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
     """Primitive edge directions at vertex vi of a simple polytope, sorted."""
-    verts = p.vertices()
-    dirs = []
-    for wj in p.adjacent_vertex_indices(vi):
-        diff = [a - b for a, b in zip(verts[wj], verts[vi])]
-        dirs.append(_integerize(diff))
-    return tuple(sorted(dirs))
+    return _vertex_cone(p, vi)[1]
 
 
 def is_smooth(p: HPolytope):
     """(flag, witness): at every vertex the primitive edge directions must
-    form a lattice basis; the witness is the first offending vertex."""
+    form a lattice basis; the witness is the first offending vertex.  For
+    primitive normals that holds exactly when the n tight rows have
+    determinant ±1."""
 
     def compute():
         if p.dim == 0:
@@ -69,8 +92,7 @@ def is_smooth(p: HPolytope):
             )
             return False, bad
         for i, v in enumerate(verts):
-            dirs = vertex_edge_directions(p, i)
-            if len(dirs) != p.dim or abs(det(dirs)) != 1:
+            if abs(_vertex_cone(p, i)[0]) != 1:
                 return False, v
         return True, None
 
@@ -160,15 +182,24 @@ def _ut_free_region(p: HPolytope) -> bool:
 
 def is_deeply_smooth(p: HPolytope):
     """(flag, witness corner): P must contain every vertex's corner
-    parallelepiped; the witness is the first missing corner point."""
+    parallelepiped; the witness is the first missing corner point.
+
+    The corners of v are v + Σ_{i∈S} d_i over the subsets S of its edge
+    directions, so row j holds at all of them iff
+    u_j·v + Σ_i max(0, u_j·d_i) <= c_j, an O(m·n) test per vertex.  The
+    corners v and v + d_i lie in P, so a vertex failing the test misses a
+    corner of two or more directions; the corners are listed, in the order
+    that fixes the witness, only at the first such vertex."""
     smooth, w = is_smooth(p)
     if not smooth or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
 
     def compute():
-        verts = p.vertices()
-        for i, v in enumerate(verts):
+        rows = tuple(zip(p.normals, p.offsets))
+        for i, v in enumerate(p.vertices()):
             dirs = vertex_edge_directions(p, i)
+            if all(dot(u, v) + sum(max(0, dot(u, d)) for d in dirs) <= c for u, c in rows):
+                continue
             for r in range(2, len(dirs) + 1):
                 for subset in combinations(dirs, r):
                     corner = tuple(

@@ -11,7 +11,7 @@ from functools import cached_property
 from math import floor
 
 from .classify import is_monotone, is_smooth
-from .intlinalg import _xgcd, det, find_unimodular_basis, inverse_unimodular, mat_vec
+from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec
 from .polytope import FaceRef, HPolytope, _slab_points, dot
 
 __all__ = [
@@ -110,7 +110,7 @@ def _require_origin_interior(p: HPolytope):
 def weak_ewald(p: HPolytope):
     """(flag, basis): does E(P) contain a unimodular basis of Z^n?"""
     _require_origin_interior(p)
-    basis = find_unimodular_basis(ewald_set(p).points, p.dim)
+    basis = _basis_search(ewald_set(p).ordered(), p.dim)
     return basis is not None, basis
 
 
@@ -122,13 +122,18 @@ class StrongEwaldResult:
 
 
 def strong_ewald(p: HPolytope) -> StrongEwaldResult:
-    """Search a unimodular basis inside E(P) ∩ F for every facet F."""
+    """Search a unimodular basis inside E(P) ∩ F for every facet F.  One
+    pass over the tight masks lists each facet's λ in E(P)'s scan order."""
     _require_origin_interior(p)
-    table = _tight_masks(p)
+    on_facet = [[] for _ in range(p.nfacets)]
+    for lam, t, _ in _tight_masks(p):
+        while t:
+            low = t & -t
+            on_facet[low.bit_length() - 1].append(lam)
+            t ^= low
     bases = []
     for i in range(p.nfacets):
-        on_facet = [lam for lam, t, _ in table if t >> i & 1]
-        basis = find_unimodular_basis(on_facet, p.dim)
+        basis = _basis_search(on_facet[i], p.dim)
         bases.append(basis)
         if basis is None:
             return StrongEwaldResult(False, tuple(bases), i)
@@ -289,7 +294,7 @@ def dim3_origin_edge_basis(p: HPolytope):
     _require_origin_interior(p)
     for f in p.faces(2):
         if verify_origin_next_to(p, f):
-            basis = find_unimodular_basis(ewald_set(p).points, 3)
+            basis = _basis_search(ewald_set(p).ordered(), 3)
             if basis is None:
                 raise AssertionError("origin next to an edge but no basis in E(P)")
             return basis

@@ -62,11 +62,15 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "dim":
-            dim = int(parts[1])
-        elif parts[0] in ("facets", "vertices"):
-            mode = parts[0]
-            count = int(parts[1])
+        if parts[0] in ("dim", "facets", "vertices"):
+            try:
+                (value,) = map(int, parts[1:])  # exactly one integer
+            except ValueError:
+                raise ValueError("line %d: expected '%s <integer>'" % (lineno, parts[0])) from None
+            if parts[0] == "dim":
+                dim = value
+            else:
+                mode, count = parts[0], value
         elif parts[0] == "name":
             name = line.split(None, 1)[1] if len(parts) > 1 else ""
         else:

@@ -344,11 +344,8 @@ def inverse_unimodular(m) -> Mat:
 def find_unimodular_basis(points, n: int):
     """Search a subset of `points` forming a determinant-±1 basis of Z^n.
 
-    Depth-first over candidates sorted by max-norm then lexicographically;
-    a partial selection is pruned unless its span is a saturated sublattice
-    (otherwise it cannot extend to a unimodular basis).  Each level carries
-    the echelon of its prefix, so one more candidate costs one
-    _extend_saturated step.  Returns a tuple of n points or None.
+    The candidates are sorted by max-norm then lexicographically and
+    searched by _basis_search.  Returns a tuple of n points or None.
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
@@ -356,7 +353,19 @@ def find_unimodular_basis(points, n: int):
         {tuple(int(x) for x in p) for p in points if any(p)},
         key=lambda p: (max(abs(x) for x in p), p),
     )
-    cands = [p for p in cands if len(p) == n]
+    return _basis_search([p for p in cands if len(p) == n], n)
+
+
+def _basis_search(cands, n: int):
+    """Depth-first search for n of `cands`, distinct integer n-vectors
+    already in scan order, forming a unimodular basis; the first found in
+    that order, or None.
+
+    A partial selection is pruned unless its span is a saturated sublattice
+    (otherwise it cannot extend to a unimodular basis); a zero candidate is
+    never accepted.  Each level carries the echelon of its prefix, so one
+    more candidate costs one _extend_saturated step.
+    """
     chosen: list[Vec] = []
 
     def extend(start: int, dual):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import ceil
+from math import ceil, lcm
 
 from .ewald import star_ewald
 from .classify import is_monotone
@@ -56,38 +56,55 @@ def _directions(n, bound) -> tuple:
     return tuple(sorted(box, key=lambda t: (max(abs(x) for x in t), t)))
 
 
+def _probe_directions(p: HPolytope, bound: int) -> tuple:
+    """Per facet F, the pairs (λ, (u_j·λ)_j) over the directions λ with
+    u_F·λ = −1, in _directions order; built once per polytope and bound."""
+    key = ("probe_directions", bound)
+    if key not in p._cache:
+        table = [[] for _ in p.normals]
+        for lam in _directions(p.dim, bound):
+            a = tuple(dot(nj, lam) for nj in p.normals)
+            for fi, af in enumerate(a):
+                if af == -1:
+                    table[fi].append((lam, a))
+        p._cache[key] = tuple(map(tuple, table))
+    return p._cache[key]
+
+
+def _scaled(x, scale: int) -> int:
+    # scale * x for a rational x whose denominator divides scale
+    return x.numerator * (scale // x.denominator)
+
+
 def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
     """First probe (facets by index, directions by max-norm then lex)
     displacing the interior point u, or None within the direction bound.
 
     For facet F with normal u_F, an inward direction λ (u_F·λ = −1) meets
-    aff(F) at w = u − t·λ with t = u_F·u − b_F < 0; the probe accepts when
+    aff(F) at w = u + t·λ with t = u_F·u − b_F < 0; the probe accepts when
     w ∈ relint(F) and the reflected point 2u − w stays strictly interior.
+    With u_j·w = u_j·u + t·a_j and u_j·(2u − w) = u_j·u − t·a_j for
+    a_j = u_j·λ, both hold iff u_j·u + |t·a_j| < b_j for every j ≠ F.  The
+    tests run on integers: u, t and b are scaled by their common
+    denominator.
     """
     u = tuple(Fraction(x) for x in u)
-    if not p.contains(u, strict=True):
+    scale = lcm(*(x.denominator for x in u + p.offsets))
+    su = [_scaled(x, scale) for x in u]
+    nu = [dot(nj, su) for nj in p.normals]
+    sc = [_scaled(c, scale) for c in p.offsets]
+    if not all(a < c for a, c in zip(nu, sc)):
         raise ValueError("probe base point must be strictly interior")
-    for fi, (nf, cf) in enumerate(zip(p.normals, p.offsets)):
-        for lam in _directions(p.dim, bound):
-            if dot(nf, lam) != -1:
-                continue
-            t = dot(nf, u) - cf  # negative since u is interior
-            w = tuple(x + t * l for x, l in zip(u, lam))
-            # w on the facet hyperplane by construction; need relint(F)
-            if not all(
-                dot(nj, w) < cj
-                for j, (nj, cj) in enumerate(zip(p.normals, p.offsets))
-                if j != fi
-            ):
-                continue
-            mirror = tuple(2 * a - b for a, b in zip(u, w))
-            if p.contains(mirror, strict=True):
+    rows = tuple(enumerate(zip(nu, sc)))
+    for fi, pairs in enumerate(_probe_directions(p, bound)):
+        st = sc[fi] - nu[fi]  # scale·|t|
+        for lam, a in pairs:
+            if all(j == fi or v + st * abs(aj) < c for (j, (v, c)), aj in zip(rows, a)):
+                w = tuple(Fraction(x - st * l, scale) for x, l in zip(su, lam))
                 exit_t = min(
-                    Fraction(cj - dot(nj, w)) / dot(nj, lam)
-                    for nj, cj in zip(p.normals, p.offsets)
-                    if dot(nj, lam) > 0
+                    Fraction(c - v + st * aj, scale * aj) for (_, (v, c)), aj in zip(rows, a) if aj > 0
                 )
-                end = tuple(a + exit_t * l for a, l in zip(w, lam))
+                end = tuple(x + exit_t * l for x, l in zip(w, lam))
                 return Probe(fi, lam, w, end)
     return None
 

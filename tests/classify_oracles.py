@@ -1,0 +1,114 @@
+"""The classification and basis-search paths ewaldkit ran before it read
+one scaled inverse per vertex and the presorted E(P), kept as
+differential-test references.
+
+Edge directions come from a scan over the other vertices for those sharing
+n − 1 tight rows, smoothness from the determinant of those directions, deep
+smoothness from testing every corner of every vertex with contains, and
+each unimodular-basis search re-sorts its candidate set first.
+"""
+
+from itertools import combinations
+
+from ewaldkit.ewald import ewald_set
+from ewaldkit.intlinalg import _extend_saturated, _identity, det
+from ewaldkit.polytope import _integerize, dot
+
+
+def adjacency_edge_directions(p, vi):
+    """Primitive edge directions at vertex vi, from the adjacent vertices."""
+    verts = p.vertices()
+    dirs = []
+    for wj in p.adjacent_vertex_indices(vi):
+        diff = [a - b for a, b in zip(verts[wj], verts[vi])]
+        dirs.append(_integerize(diff))
+    return tuple(sorted(dirs))
+
+
+def determinant_smooth(p):
+    """is_smooth: (flag, first vertex whose edge directions are no basis)."""
+    if p.dim == 0:
+        return True, None
+    verts = p.vertices()
+    if not p.is_simple():
+        return False, next(v for v, t in zip(verts, p.vertex_tight_sets()) if len(t) != p.dim)
+    for i, v in enumerate(verts):
+        dirs = adjacency_edge_directions(p, i)
+        if len(dirs) != p.dim or abs(det(dirs)) != 1:
+            return False, v
+    return True, None
+
+
+def corner_scan_deeply_smooth(p):
+    """is_deeply_smooth: (flag, first corner point outside P)."""
+    if not determinant_smooth(p)[0] or not p.is_lattice():
+        raise ValueError("deep smoothness is defined for lattice smooth polytopes")
+    for i, v in enumerate(p.vertices()):
+        dirs = adjacency_edge_directions(p, i)
+        for r in range(2, len(dirs) + 1):
+            for subset in combinations(dirs, r):
+                corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))
+                if not p.contains(corner):
+                    return False, corner
+    return True, None
+
+
+def missing_corners_at_first_failure(p):
+    """How many corners the first vertex with a missing corner misses."""
+    for i, v in enumerate(p.vertices()):
+        dirs = adjacency_edge_directions(p, i)
+        missing = sum(
+            1
+            for r in range(2, len(dirs) + 1)
+            for subset in combinations(dirs, r)
+            if not p.contains(tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v)))
+        )
+        if missing:
+            return missing
+    return 0
+
+
+def sorted_basis_search(points, n):
+    """find_unimodular_basis: sort the candidates by max-norm then lex, then
+    search depth-first with the saturation echelon of each prefix."""
+    if n <= 0:
+        raise ValueError("dimension must be positive")
+    cands = sorted(
+        {tuple(int(x) for x in p) for p in points if any(p)},
+        key=lambda p: (max(abs(x) for x in p), p),
+    )
+    cands = [p for p in cands if len(p) == n]
+    chosen = []
+
+    def extend(start, dual):
+        if len(chosen) == n:
+            return True
+        for idx in range(start, len(cands)):
+            rest = _extend_saturated(dual, cands[idx])
+            if rest is not None:
+                chosen.append(cands[idx])
+                if extend(idx + 1, rest):
+                    return True
+                chosen.pop()
+        return False
+
+    if extend(0, _identity(n)):
+        return tuple(chosen)
+    return None
+
+
+def sorted_weak_basis(p):
+    """weak_ewald's basis: the search over the unsorted set E(P)."""
+    return sorted_basis_search(ewald_set(p).points, p.dim)
+
+
+def sorted_strong_bases(p):
+    """strong_ewald's bases: per facet, filter E(P) and search it, up to and
+    including the first facet without a basis."""
+    e = ewald_set(p).ordered()
+    bases = []
+    for u, c in zip(p.normals, p.offsets):
+        bases.append(sorted_basis_search([lam for lam in e if dot(u, lam) == c], p.dim))
+        if bases[-1] is None:
+            break
+    return tuple(bases)
