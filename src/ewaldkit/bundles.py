@@ -71,10 +71,10 @@ def _fiber_offsets_over(spec: BundleSpec, x):
 
 
 def _same_fan_same_rows(q: HPolytope, offsets) -> bool:
-    verts, tights = enumerate_vertices(q.dim, q.normals, offsets)
+    verts, masks = enumerate_vertices(q.dim, q.normals, offsets)
     if not verts:
         return False
-    return frozenset(tuple(sorted(t)) for t in tights) == normal_fan_signature(q).cones
+    return frozenset(masks) == normal_fan_signature(q).cones
 
 
 def build_bundle(spec: BundleSpec) -> HPolytope:
@@ -101,13 +101,9 @@ def build_bundle(spec: BundleSpec) -> HPolytope:
         a + sh for a, sh in zip(fiber.offsets, spec.shifts)
     )
     total = HPolytope(k + n, normals, offsets)
-    expected = set()
     l = base.nfacets
-    for tb in base.vertex_tight_sets():
-        for tq in fiber.vertex_tight_sets():
-            expected.add(tuple(sorted(tb) + sorted(i + l for i in tq)))
-    got = frozenset(tuple(sorted(t)) for t in total.vertex_tight_sets())
-    if got != frozenset(expected):
+    expected = {tb | tq << l for tb in base.vertex_masks() for tq in fiber.vertex_masks()}
+    if normal_fan_signature(total).cones != expected:
         raise ValueError("not a bundle: total space is not combinatorially base x fiber")
     return total
 

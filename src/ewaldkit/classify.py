@@ -21,7 +21,7 @@ from .polytope import (
     face_slice,
     normally_isomorphic,
 )
-from .polytope import _integerize, _point
+from .polytope import _bits, _integerize, _point
 
 __all__ = [
     "ClassReport",
@@ -52,7 +52,7 @@ def _vertex_cone(p: HPolytope, vi: int) -> tuple:
     Otherwise d is None and dirs come from the adjacency scan."""
     cones = p._cache.setdefault("vertex_cones", {})
     if vi not in cones:
-        tight = sorted(p.vertex_tight_sets()[vi])
+        tight = _bits(p.vertex_masks()[vi])
         if len(tight) == p.dim:
             d, e = scaled_inverse([p.normals[i] for i in tight])
             s = -1 if d > 0 else 1
@@ -85,11 +85,7 @@ def is_smooth(p: HPolytope):
             return True, None
         verts = p.vertices()
         if not p.is_simple():
-            bad = next(
-                v
-                for v, t in zip(verts, p.vertex_tight_sets())
-                if len(t) != p.dim
-            )
+            bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
             return False, bad
         for i, v in enumerate(verts):
             if abs(_vertex_cone(p, i)[0]) != 1:
@@ -122,30 +118,20 @@ def _two_faces(p: HPolytope):
     # non-simple polytopes that show up in displacement slices.
     if p.is_simple():
         return tuple(f.tight for f in p.faces(p.dim - 2))
-    tights = [frozenset(t) for t in p.vertex_tight_sets()]
-    closed = set(tights)
-    frontier = set(tights)
+    masks = p.vertex_masks()
+    closed = set(masks)
+    frontier = set(masks)
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in tights:
-                c = a & b
-                if c not in closed:
-                    new.add(c)
-        closed |= new
-        frontier = new
-    out = []
-    for s in closed:
-        vs = [v for v, t in zip(p.vertices(), p.vertex_tight_sets()) if s <= t]
-        if vs and affine_rank(vs) == 2:
-            full = frozenset.intersection(*[t for t in p.vertex_tight_sets() if s <= t])
-            out.append(tuple(sorted(full)))
-    return tuple(sorted(set(out)))
+        frontier = {a & b for a in frontier for b in masks} - closed
+        closed |= frontier
+    # each s is a meet of vertex masks, so it is the full mask of its face
+    verts = p.vertices()
+    two = [s for s in closed if affine_rank([v for v, t in zip(verts, masks) if t & s == s]) == 2]
+    return tuple(sorted(_bits(s) for s in two))
 
 
 def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:
-    need = set(tight)
-    vs = [v for v, t in zip(p.vertices(), p.vertex_tight_sets()) if need <= t]
+    vs = p.face_vertices(FaceRef(tight, p.dim - 2))
     if len(vs) != 3:
         return False
     if not all(all(isinstance(x, int) for x in v) for v in vs):

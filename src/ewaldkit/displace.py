@@ -18,6 +18,7 @@ from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
+    _bits,
     _exact,
     _facet_rows,
     _lattice_search,
@@ -58,12 +59,10 @@ class DisplacedSystem:
         """Validity flags: emptiness, dimension, boundedness (inherited from
         the parent since the recession cone ignores offsets), irredundancy
         over the same rows, and normal isomorphism with the parent."""
-        verts, tights = enumerate_vertices(self.parent.dim, self.normals, self.offsets)
-        full_dim, facets = _facet_rows(self.parent.dim, verts, tights, len(self.normals))
+        verts, masks = enumerate_vertices(self.parent.dim, self.normals, self.offsets)
+        full_dim, facets = _facet_rows(self.parent.dim, verts, masks, len(self.normals))
         irredundant = full_dim and len(facets) == len(self.normals)
-        iso = irredundant and frozenset(
-            tuple(sorted(t)) for t in tights
-        ) == normal_fan_signature(self.parent).cones
+        iso = irredundant and frozenset(masks) == normal_fan_signature(self.parent).cones
         return {
             "nonempty": bool(verts),
             "full_dim": full_dim,
@@ -120,12 +119,12 @@ def _vertex_margin_constraints(p: HPolytope):
         raise ValueError("fast displacement enumeration needs a simple polytope")
     n = p.dim
     constraints = set()
-    for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
-        s = sorted(tight)
+    for v, tight in zip(p.vertices(), p.vertex_masks()):
+        s = _bits(tight)
         # e = d A_S^{-1}; x_S(b) = v + A_S^{-1} b_S
         d, e = scaled_inverse([p.normals[i] for i in s])
         for j in range(p.nfacets):
-            if j in tight:
+            if tight >> j & 1:
                 continue
             u = p.normals[j]
             const = p.offsets[j] - dot(u, v)

@@ -12,7 +12,7 @@ from math import floor
 
 from .classify import is_monotone, is_smooth
 from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec
-from .polytope import FaceRef, HPolytope, _slab_points, dot
+from .polytope import FaceRef, HPolytope, _bits, _slab_points, dot
 
 __all__ = [
     "EwaldSet",
@@ -81,7 +81,7 @@ def cube_normalization(p: HPolytope):
     """Unimodular M sending the lex-smallest vertex cone to the standard
     corner at (−1,…,−1); valid when that vertex is smooth with offsets 1."""
     v = p.vertices()[0]
-    tight = sorted(p.vertex_tight_sets()[0])
+    tight = _bits(p.vertex_masks()[0])
     if len(tight) != p.dim:
         raise ValueError("vertex is not simple")
     if any(p.offsets[i] != 1 for i in tight):
@@ -127,10 +127,8 @@ def strong_ewald(p: HPolytope) -> StrongEwaldResult:
     _require_origin_interior(p)
     on_facet = [[] for _ in range(p.nfacets)]
     for lam, t, _ in _tight_masks(p):
-        while t:
-            low = t & -t
-            on_facet[low.bit_length() - 1].append(lam)
-            t ^= low
+        for i in _bits(t):
+            on_facet[i].append(lam)
     bases = []
     for i in range(p.nfacets):
         basis = _basis_search(on_facet[i], p.dim)
@@ -166,9 +164,20 @@ class StarSets:
         return self.parent.contains(x) and self._tight_count(x) == 1
 
 
-def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
-    if any(i < 0 or i >= p.nfacets for i in f.tight) or not p.face_vertices(f):
+def _checked_face(p: HPolytope, f: FaceRef) -> int:
+    """f.mask, once f names a face of p: distinct facet indices in range,
+    all tight together at some vertex.  Raises ValueError otherwise."""
+    t = f.tight
+    if len(set(t)) != len(t) or not all(0 <= i < p.nfacets for i in t):
         raise ValueError("invalid face")
+    mask = f.mask
+    if not any(v & mask == mask for v in p.vertex_masks()):
+        raise ValueError("invalid face")
+    return mask
+
+
+def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
+    _checked_face(p, f)
     ridges = tuple(
         FaceRef(pair, 2) for pair in _pairs(f.tight)
     )
@@ -180,12 +189,6 @@ def _pairs(idx):
     return [
         (idx[a], idx[b]) for a in range(len(idx)) for b in range(a + 1, len(idx))
     ]
-
-
-def _face_mask(p: HPolytope, f: FaceRef) -> int:
-    if len(set(f.tight)) != len(f.tight) or not all(0 <= i < p.nfacets for i in f.tight):
-        raise ValueError("invalid face")
-    return sum(1 << i for i in f.tight)
 
 
 def _star_witness(table, face: int):
@@ -201,7 +204,7 @@ def star_ewald_face(p: HPolytope, f: FaceRef):
     """(flag, λ): does some λ ∈ E(P) lie in Star*(f) with −λ ∉ Star(f)?
     λ is the first such point in E(P)'s scan order."""
     _require_origin_interior(p)
-    lam = _star_witness(_tight_masks(p), _face_mask(p, f))
+    lam = _star_witness(_tight_masks(p), _checked_face(p, f))
     return lam is not None, lam
 
 
@@ -212,7 +215,7 @@ def star_ewald(p: HPolytope):
     table = _tight_masks(p)
     for codim in range(1, p.dim + 1):
         for f in p.faces(codim):
-            if _star_witness(table, _face_mask(p, f)) is None:
+            if _star_witness(table, f.mask) is None:
                 return False, f
     return True, None
 
@@ -261,8 +264,7 @@ def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:
     """True iff the origin lies in the first displacement of f, i.e. every
     facet through f is at lattice distance one from the origin."""
     _require_origin_interior(p)
-    if any(i < 0 or i >= p.nfacets for i in f.tight) or not p.face_vertices(f):
-        raise ValueError("invalid face")
+    _checked_face(p, f)
     return all(p.offsets[i] == 1 for i in f.tight)
 
 
@@ -275,9 +277,8 @@ def deeply_smooth_origin_vertex_basis(p: HPolytope):
         return None
     _require_origin_interior(p)
     e = ewald_set(p)
-    for i in range(len(p.vertices())):
-        f = FaceRef(tuple(sorted(p.vertex_tight_sets()[i])), p.dim)
-        if not verify_origin_next_to(p, f):
+    for i, t in enumerate(p.vertex_masks()):
+        if not verify_origin_next_to(p, FaceRef(_bits(t), p.dim)):
             continue
         dirs = vertex_edge_directions(p, i)
         if all(d in e.points for d in dirs):

@@ -81,6 +81,16 @@ def _integerize(row):
     return primitive_part(_integer_row(row))
 
 
+def _bits(mask) -> tuple:
+    """The indices of the set bits of an incidence mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FaceRef:
     """A face of a simple polytope, named by the facets containing it."""
@@ -91,9 +101,17 @@ class FaceRef:
     def __post_init__(self):
         object.__setattr__(self, "tight", tuple(sorted(self.tight)))
 
+    @property
+    def mask(self) -> int:
+        """The face's facets as an incidence mask (bit i for facet i).
+        Computed on each read: every reader reads it once per face."""
+        return sum(1 << i for i in set(self.tight))
+
 
 @dataclass(frozen=True)
 class NormalFanSignature:
+    """The vertex cones of the normal fan, each the mask of its rows."""
+
     cones: frozenset
     nrows: int
 
@@ -166,14 +184,19 @@ class HPolytope:
             self._cache["tights"] = tights
         return self._cache["vertices"]
 
-    def vertex_tight_sets(self) -> tuple:
+    def vertex_masks(self) -> tuple:
+        """Per vertex, in vertices() order, the mask of its tight rows."""
         self.vertices()
         return self._cache["tights"]
+
+    def vertex_tight_sets(self) -> tuple:
+        """vertex_masks() as frozensets of row indices."""
+        return tuple(frozenset(_bits(t)) for t in self.vertex_masks())
 
     def is_simple(self) -> bool:
         if self.dim == 0:
             return True
-        return all(len(t) == self.dim for t in self.vertex_tight_sets())
+        return all(t.bit_count() == self.dim for t in self.vertex_masks())
 
     def is_lattice(self) -> bool:
         return all(all(isinstance(x, int) for x in v) for v in self.vertices())
@@ -194,30 +217,21 @@ class HPolytope:
             raise ValueError("codimension out of range")
         key = ("faces", codim)
         if key not in self._cache:
-            seen = set()
-            for t in self.vertex_tight_sets():
-                for s in combinations(sorted(t), codim):
-                    seen.add(s)
+            seen = {s for t in self.vertex_masks() for s in combinations(_bits(t), codim)}
             self._cache[key] = tuple(FaceRef(s, codim) for s in sorted(seen))
         return self._cache[key]
 
     def face_vertices(self, face: FaceRef) -> tuple:
-        need = set(face.tight)
-        return tuple(
-            v
-            for v, t in zip(self.vertices(), self.vertex_tight_sets())
-            if need <= t
-        )
+        need = face.mask
+        return tuple(v for v, t in zip(self.vertices(), self.vertex_masks()) if t & need == need)
 
     def adjacent_vertex_indices(self, i: int) -> tuple:
         """Indices of vertices sharing an edge with vertex i (simple polytopes)."""
-        tights = self.vertex_tight_sets()
-        ti = tights[i]
-        out = []
-        for j, tj in enumerate(tights):
-            if j != i and len(ti & tj) == self.dim - 1:
-                out.append(j)
-        return tuple(out)
+        masks = self.vertex_masks()
+        ti = masks[i]
+        return tuple(
+            j for j, tj in enumerate(masks) if j != i and (ti & tj).bit_count() == self.dim - 1
+        )
 
     # -- lattice points --------------------------------------------------
 
@@ -239,8 +253,8 @@ class HPolytope:
         if len(set(self.normals)) != len(self.normals):
             raise ValueError("duplicate facet normals")
         # vertices() raises on an unbounded system, having met a recession ray
-        verts, tights = self.vertices(), self.vertex_tight_sets()
-        full_dim, facets = _facet_rows(self.dim, verts, tights, self.nfacets)
+        verts, masks = self.vertices(), self.vertex_masks()
+        full_dim, facets = _facet_rows(self.dim, verts, masks, self.nfacets)
         if not full_dim:
             raise ValueError("polytope is not full-dimensional")
         if len(facets) < self.nfacets:
@@ -316,14 +330,16 @@ def enumerate_vertices(dim, normals, offsets):
     The system is homogenized to the cone of rows (u, -c * scale) and
     (0, ..., 0, -1), with scale the common denominator of the offsets; an
     extreme ray (y, t) of it with t > 0 is the vertex y / (t * scale), and
-    one with t = 0 is a recession direction.  Returns (vertices,
-    tight_sets), both sorted by vertex; empty when the system is
-    infeasible.  Raises ValueError on an unbounded system.
+    one with t = 0 is a recession direction.  Returns (vertices, masks),
+    both sorted by vertex, where bit i of a vertex's mask is set iff row i
+    is tight there (the ray's mask without the homogenizing row); empty
+    when the system is infeasible.  Raises ValueError on an unbounded
+    system.
     """
     offsets = tuple(_exact(c) for c in offsets)
     if dim == 0:
         if all(c >= 0 for c in offsets):
-            return ((),), (frozenset(),)
+            return ((),), (0,)
         return (), ()
     scale = lcm(1, *(c.denominator for c in offsets))
     rows = [(0,) * dim + (-1,)]
@@ -338,19 +354,19 @@ def enumerate_vertices(dim, normals, offsets):
         if den == 0:
             raise ValueError("unbounded inequality system")
         x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y[:-1])
-        found[x] = frozenset(i for i in range(len(normals)) if mask >> (i + 1) & 1)
+        found[x] = mask >> 1
     verts = tuple(sorted(found))
     return verts, tuple(found[v] for v in verts)
 
 
-def _facet_rows(dim, verts, tights, nrows):
+def _facet_rows(dim, verts, masks, nrows):
     """(full_dim, facets): whether the vertices affinely span dimension dim,
     and the rows whose tight vertex set no other row's strictly contains.  On
     a full-dimensional polytope these are its facet-defining rows: every facet
     is some row's face, and every other face lies in a facet."""
     on_row = [0] * nrows
-    for k, t in enumerate(tights):
-        for i in t:
+    for k, t in enumerate(masks):
+        for i in _bits(t):
             on_row[i] |= 1 << k
     facets = [i for i, f in enumerate(on_row) if not any(f & g == f != g for g in on_row)]
     return affine_rank(verts) == dim, facets
@@ -363,9 +379,9 @@ def irredundant_rows(dim, normals, offsets):
     dropping any row, and on an empty one.  The polytope keeps the facet rows
     in input order and arrives with its vertex cache filled: the vertices are
     enumerated once, with duplicate normals collapsed to the binding offset,
-    and their tight sets are re-indexed to the kept rows.  Dropping redundant
-    rows leaves a bounded full-dimensional polytope unchanged, so the cache
-    equals a fresh enumeration whenever validate() passes.
+    and their tight-row masks are re-indexed to the kept rows.  Dropping
+    redundant rows leaves a bounded full-dimensional polytope unchanged, so
+    the cache equals a fresh enumeration whenever validate() passes.
     """
     offsets = [_exact(c) for c in offsets]
     if dim == 0:
@@ -378,19 +394,19 @@ def irredundant_rows(dim, normals, offsets):
         if u not in best or c < best[u][1]:
             best[u] = (i, c)
     keep_idx = [i for i, _ in sorted(best.values())]
-    verts, tights = enumerate_vertices(
+    verts, masks = enumerate_vertices(
         dim, [normals[i] for i in keep_idx], [offsets[i] for i in keep_idx]
     )
     if not verts:
         raise ValueError("empty system")
-    _, final = _facet_rows(dim, verts, tights, len(keep_idx))
+    _, final = _facet_rows(dim, verts, masks, len(keep_idx))
     p = HPolytope(
         dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
     new_index = {j: k for k, j in enumerate(final)}
     p._cache["vertices"] = verts
     p._cache["tights"] = tuple(
-        frozenset(new_index[j] for j in t if j in new_index) for t in tights
+        sum(1 << new_index[j] for j in _bits(t) if j in new_index) for t in masks
     )
     final_set = {keep_idx[j] for j in final}
     dropped = tuple(i for i in range(len(normals)) if i not in final_set)
@@ -408,7 +424,7 @@ def _slab_frame(p: HPolytope):
     after p's rows and bounded by its bounding box."""
     n, m = p.dim, p.nfacets
     rows = list(p.normals)
-    tight = sorted(p.vertex_tight_sets()[0])
+    tight = _bits(p.vertex_masks()[0])
     if len(tight) == n and det([rows[i] for i in tight]) in (1, -1):
         return rows, tight
     rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
@@ -595,8 +611,8 @@ def faces(p: HPolytope, codim: int) -> tuple:
 
 
 def normal_fan_signature(p: HPolytope) -> NormalFanSignature:
-    cones = frozenset(tuple(sorted(t)) for t in p.vertex_tight_sets())
-    return NormalFanSignature(cones, p.nfacets)
+    """The vertex cones of p's normal fan: the set of its vertex masks."""
+    return NormalFanSignature(frozenset(p.vertex_masks()), p.nfacets)
 
 
 def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
@@ -615,8 +631,8 @@ def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
     canon_p = {u: i for i, u in enumerate(sorted(p.normals))}
 
     def cones(poly):
-        idx = [canon_p[u] for u in poly.normals]
-        return frozenset(tuple(sorted(idx[i] for i in t)) for t in poly.vertex_tight_sets())
+        bit = [1 << canon_p[u] for u in poly.normals]
+        return frozenset(sum(bit[i] for i in _bits(t)) for t in poly.vertex_masks())
 
     return cones(p) == cones(q)
 

@@ -43,7 +43,7 @@ def oracle_vertices(dim, normals, offsets):
         if any(dot(u, y) > c * d for u, c in rows):
             continue
         x = tuple(_exact(Fraction(v, d * scale)) for v in y)
-        found.setdefault(x, frozenset(i for i, (u, c) in enumerate(rows) if dot(u, y) == c * d))
+        found.setdefault(x, sum(1 << i for i, (u, c) in enumerate(rows) if dot(u, y) == c * d))
     verts = tuple(sorted(found))
     return verts, tuple(found[v] for v in verts)
 
@@ -163,7 +163,7 @@ def test_random_systems_match_subset_scans():
         assert full_dim == (affine_rank(verts) == dim)
         if full_dim:
             seen["full_dim"] += 1
-            on_row = [[v for v, t in zip(verts, tights) if i in t] for i in range(len(normals))]
+            on_row = [[v for v, t in zip(verts, tights) if t >> i & 1] for i in range(len(normals))]
             assert facets == [i for i, vs in enumerate(on_row) if affine_rank(vs) == dim - 1]
     assert min(seen.values()) >= 30, seen
 

@@ -131,6 +131,11 @@ def test_star_sets_examples():
     assert len(se.star_facets) == 2 and len(se.ridges) == 1
     with pytest.raises(ValueError):
         star_sets(c2, FaceRef((0, 1), 2))  # opposite facets meet nowhere
+    # a repeated facet names no face: facet 0 must not count twice
+    for fn in (star_sets, star_ewald_face, verify_origin_next_to):
+        for bad in (FaceRef((0, 0), 2), FaceRef((0, 1), 2)):
+            with pytest.raises(ValueError, match="invalid face"):
+                fn(c2, bad)
 
 
 def test_star_ewald_examples():
@@ -332,6 +337,19 @@ def test_star_ewald_face_rejects_invalid_faces():
         star_ewald_face(cube(2), FaceRef((0, 9), 2))
     with pytest.raises(ValueError):
         star_ewald_face(cube(2), FaceRef((0, 0), 2))
+    # one check for every face-taking function: a repeated facet, opposite
+    # facets (no common vertex), an index out of range on either side
+    bad_faces = (
+        FaceRef((0, 0), 2),
+        FaceRef((0, 1), 2),
+        FaceRef((0, 9), 2),
+        FaceRef((4,), 1),
+        FaceRef((-1,), 1),
+    )
+    for fn in (star_ewald_face, star_sets, verify_origin_next_to):
+        for f in bad_faces:
+            with pytest.raises(ValueError, match="invalid face"):
+                fn(cube(2), f)
 
 
 def test_ordered_is_sorted_once():
