@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .classify import is_monotone, is_smooth
+from .displace import _keeps_fan, _vertex_margin_constraints
 from .polytope import (
     HPolytope,
     VPolytope,
     dot,
-    enumerate_vertices,
     facet_description,
     normal_fan_signature,
 )
@@ -63,32 +63,22 @@ class BundleSpec:
             raise ValueError("twist rows must live in the base space")
 
 
-def _fiber_offsets_over(spec: BundleSpec, x):
-    return tuple(
-        a + sh - dot(s, x)
-        for a, sh, s in zip(spec.fiber.offsets, spec.shifts, spec.twist)
-    )
-
-
-def _same_fan_same_rows(q: HPolytope, offsets) -> bool:
-    verts, masks = enumerate_vertices(q.dim, q.normals, offsets)
-    if not verts:
-        return False
-    return frozenset(masks) == normal_fan_signature(q).cones
-
-
 def build_bundle(spec: BundleSpec) -> HPolytope:
     """Assemble the total space and verify the bundle axioms.
 
-    Slices over every base vertex must be normally isomorphic to the fiber.
-    The offsets that keep the fiber's fan form a convex cone and the slice
-    offsets are affine over the base, so the vertex checks cover all of it.
-    The vertex-facet incidence of the total space must match base × fiber.
+    Slices over every base vertex must be normally isomorphic to the fiber:
+    the slice over x is the fiber displaced by b = shift − twist·x, checked
+    against the fiber's margin constraints, built once.  The offsets that
+    keep the fiber's fan form a convex cone and the slice offsets are affine
+    over the base, so the vertex checks cover all of it.  The vertex-facet
+    incidence of the total space must match base × fiber.
     """
     base, fiber = spec.base, spec.fiber
     k, n = base.dim, fiber.dim
+    constraints = _vertex_margin_constraints(fiber)
     for x in base.vertices():
-        if not _same_fan_same_rows(fiber, _fiber_offsets_over(spec, x)):
+        b = [sh - dot(s, x) for sh, s in zip(spec.shifts, spec.twist)]
+        if not _keeps_fan(constraints, b):
             raise ValueError(
                 "not a bundle: slice over base point %r is not normally "
                 "isomorphic to the fiber" % (x,)

@@ -11,15 +11,17 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import primitive_part, scaled_inverse
+from .intlinalg import kernel_basis, primitive_part, scaled_inverse, solve_rational
 from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
     affine_rank,
+    convex_hull,
     dot,
     face_slice,
     normally_isomorphic,
+    per_polytope,
 )
 from .polytope import _bits, _integerize, _point
 
@@ -37,36 +39,28 @@ __all__ = [
 ]
 
 
-def _cached(p: HPolytope, key, fn):
-    if key not in p._cache:
-        p._cache[key] = fn()
-    return p._cache[key]
-
-
+@per_polytope
 def _vertex_cone(p: HPolytope, vi: int) -> tuple:
-    """(d, dirs) at vertex vi, computed once per vertex: dirs are the sorted
-    primitive edge directions.  When exactly n rows are tight (a simple
-    vertex), d = ± their determinant and dirs come from one scaled inverse:
-    the edge leaving facet k is the primitive part of −(column k of A^-1),
-    since A d_k = −e_k; for d = ±1 that column is already primitive.
-    Otherwise d is None and dirs come from the adjacency scan."""
-    cones = p._cache.setdefault("vertex_cones", {})
-    if vi not in cones:
-        tight = _bits(p.vertex_masks()[vi])
-        if len(tight) == p.dim:
-            d, e = scaled_inverse([p.normals[i] for i in tight])
-            s = -1 if d > 0 else 1
-            dirs = [tuple(s * x for x in col) for col in zip(*e)]
-            if d not in (1, -1):
-                dirs = [primitive_part(col) for col in dirs]
-        else:
-            d, verts = None, p.vertices()
-            dirs = [
-                _integerize([a - b for a, b in zip(verts[wj], verts[vi])])
-                for wj in p.adjacent_vertex_indices(vi)
-            ]
-        cones[vi] = (d, tuple(sorted(dirs)))
-    return cones[vi]
+    """(d, dirs) at vertex vi: dirs are the sorted primitive edge
+    directions.  When exactly n rows are tight (a simple vertex), d = ±
+    their determinant and dirs come from one scaled inverse: the edge
+    leaving facet k is the primitive part of −(column k of A^-1), since
+    A d_k = −e_k; for d = ±1 that column is already primitive.  Otherwise d
+    is None and dirs come from the adjacency scan."""
+    tight = _bits(p.vertex_masks()[vi])
+    if len(tight) == p.dim:
+        d, e = scaled_inverse([p.normals[i] for i in tight])
+        s = -1 if d > 0 else 1
+        dirs = [tuple(s * x for x in col) for col in zip(*e)]
+        if d not in (1, -1):
+            dirs = [primitive_part(col) for col in dirs]
+    else:
+        d, verts = None, p.vertices()
+        dirs = [
+            _integerize([a - b for a, b in zip(verts[wj], verts[vi])])
+            for wj in p.adjacent_vertex_indices(vi)
+        ]
+    return d, tuple(sorted(dirs))
 
 
 def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
@@ -74,39 +68,33 @@ def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
     return _vertex_cone(p, vi)[1]
 
 
+@per_polytope
 def is_smooth(p: HPolytope):
     """(flag, witness): at every vertex the primitive edge directions must
     form a lattice basis; the witness is the first offending vertex.  For
     primitive normals that holds exactly when the n tight rows have
     determinant ±1."""
-
-    def compute():
-        if p.dim == 0:
-            return True, None
-        verts = p.vertices()
-        if not p.is_simple():
-            bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
-            return False, bad
-        for i, v in enumerate(verts):
-            if abs(_vertex_cone(p, i)[0]) != 1:
-                return False, v
+    if p.dim == 0:
         return True, None
+    verts = p.vertices()
+    if not p.is_simple():
+        bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
+        return False, bad
+    for i, v in enumerate(verts):
+        if abs(_vertex_cone(p, i)[0]) != 1:
+            return False, v
+    return True, None
 
-    return _cached(p, "smooth", compute)
 
-
+@per_polytope
 def is_reflexive(p: HPolytope) -> bool:
     """Lattice polytope, origin interior, every facet inequality u·x <= 1."""
-
-    def compute():
-        return (
-            p.dim > 0
-            and p.origin_interior()
-            and all(c == 1 for c in p.offsets)
-            and p.is_lattice()
-        )
-
-    return _cached(p, "reflexive", compute)
+    return (
+        p.dim > 0
+        and p.origin_interior()
+        and all(c == 1 for c in p.offsets)
+        and p.is_lattice()
+    )
 
 
 def is_monotone(p: HPolytope) -> bool:
@@ -141,22 +129,19 @@ def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:
     return gcd(*(e[i] * f[j] - e[j] * f[i] for i, j in combinations(range(len(a)), 2))) == 1
 
 
+@per_polytope
 def is_ut_free(p: HPolytope):
     """(flag, witness 2-face): a 2-face is a unimodular triangle iff it has
     exactly 3 vertices a, b, c, all integer, and the 2x2 minors of
     (b - a, c - a) have gcd 1 (equivalently, exactly 3 lattice points)."""
     if not p.is_simple():
         raise ValueError("UT-freeness requires a simple polytope")
-
-    def compute():
-        if p.dim < 2:
-            return True, None
-        for tight in _two_faces(p):
-            if _is_unimodular_triangle_face(p, tight):
-                return False, FaceRef(tight, p.dim - 2)
+    if p.dim < 2:
         return True, None
-
-    return _cached(p, "ut_free", compute)
+    for tight in _two_faces(p):
+        if _is_unimodular_triangle_face(p, tight):
+            return False, FaceRef(tight, p.dim - 2)
+    return True, None
 
 
 def _ut_free_region(p: HPolytope) -> bool:
@@ -166,6 +151,7 @@ def _ut_free_region(p: HPolytope) -> bool:
     return not any(_is_unimodular_triangle_face(p, t) for t in _two_faces(p))
 
 
+@per_polytope
 def is_deeply_smooth(p: HPolytope):
     """(flag, witness corner): P must contain every vertex's corner
     parallelepiped; the witness is the first missing corner point.
@@ -179,23 +165,19 @@ def is_deeply_smooth(p: HPolytope):
     smooth, w = is_smooth(p)
     if not smooth or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
-
-    def compute():
-        rows = tuple(zip(p.normals, p.offsets))
-        for i, v in enumerate(p.vertices()):
-            dirs = vertex_edge_directions(p, i)
-            if all(dot(u, v) + sum(max(0, dot(u, d)) for d in dirs) <= c for u, c in rows):
-                continue
-            for r in range(2, len(dirs) + 1):
-                for subset in combinations(dirs, r):
-                    corner = tuple(
-                        x + sum(d[j] for d in subset) for j, x in enumerate(v)
-                    )
-                    if not p.contains(corner):
-                        return False, corner
-        return True, None
-
-    return _cached(p, "deeply_smooth", compute)
+    rows = tuple(zip(p.normals, p.offsets))
+    for i, v in enumerate(p.vertices()):
+        dirs = vertex_edge_directions(p, i)
+        if all(dot(u, v) + sum(max(0, dot(u, d)) for d in dirs) <= c for u, c in rows):
+            continue
+        for r in range(2, len(dirs) + 1):
+            for subset in combinations(dirs, r):
+                corner = tuple(
+                    x + sum(d[j] for d in subset) for j, x in enumerate(v)
+                )
+                if not p.contains(corner):
+                    return False, corner
+    return True, None
 
 
 def _slice_ut_free(s: Slice) -> bool:
@@ -203,31 +185,24 @@ def _slice_ut_free(s: Slice) -> bool:
         return True
     if s.polytope is not None:
         return _ut_free_region(s.polytope)
-    # degenerate slice: test inside the affine span of its own vertex set
-    if s.points_affine_rank < 2:
+    # degenerate slice: test inside the affine span of its own vertex set.
+    # A unimodular triangle has lattice vertices, so with no integer vertex
+    # to chart from there is none.
+    rank = s.points_affine_rank
+    p0 = next((v for v in s.chart_vertices if all(isinstance(x, int) for x in v)), None)
+    if rank < 2 or p0 is None:
         return True
-    from .polytope import convex_hull
-
-    # re-chart onto the span; only the 2-dimensional case can carry a triangle
-    if s.points_affine_rank == 2:
-        sub = convex_hull(_project_to_span(s.chart_vertices), 2)
-        return _ut_free_region(sub)
-    return True  # rank >= 3 degenerate slices do not occur for our inputs
+    return _ut_free_region(convex_hull(_project_to_span(s.chart_vertices, p0), rank))
 
 
-def _project_to_span(pts):
-    # exact coordinates of pts within the saturated lattice of their affine span
-    from .intlinalg import kernel_basis, solve_rational
-
-    p0 = pts[0]
-    diffs = [_integerize([a - b for a, b in zip(p, p0)]) for p in pts[1:] if p != p0]
-    ann = kernel_basis(diffs)
-    if ann:
-        basis = kernel_basis(ann)
-    else:
-        basis = tuple(
-            tuple(1 if i == j else 0 for j in range(len(p0))) for i in range(len(p0))
-        )
+def _project_to_span(pts, p0):
+    """Exact coordinates of pts in a lattice basis of the saturated lattice
+    of their affine span, from the integer point p0 of that span: lattice
+    points of the span get integer coordinates and no others do."""
+    diffs = [_integerize([a - b for a, b in zip(p, p0)]) for p in pts if p != p0]
+    # the span is a proper subspace (the slice is degenerate), so its
+    # annihilator is nonzero
+    basis = kernel_basis(kernel_basis(diffs))
     gram = [[dot(a, b) for b in basis] for a in basis]
     out = []
     for p in pts:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .classify import is_smooth
-from .intlinalg import scaled_inverse
+from .intlinalg import _reduce, scaled_inverse
 from .polytope import (
     FaceRef,
     HPolytope,
@@ -108,33 +107,44 @@ def first_displacement(p: HPolytope, face) -> HPolytope:
 
 
 def _vertex_margin_constraints(p: HPolytope):
-    """Per (vertex, nontight row) strict margins, affine in b.
+    """The conditions, affine in b, under which P_b keeps the fan of p.
 
-    For a simple vertex with tight rows S, the displaced vertex candidate is
-    x_S(b) = v + A_S^{-1} b_S; P_b has the parent's fan iff every candidate
-    stays strictly feasible on every other row.  Each constraint is stored as
-    (const, ((idx, coeff), ...)) meaning const + sum coeff*b[idx] > 0.
+    At a vertex v with tight rows T, let S be the first n independent rows
+    of T (all of T at a simple vertex; the pivots of one _reduce otherwise).
+    The displaced vertex candidate is x_S(b) = v + A_S^{-1} b_S.  P_b has
+    the parent's fan, over the same rows, iff at every vertex x_S(b) is
+    tight on each row of T \\ S and strictly inside every row off T: then
+    each x_S(b) is a vertex of P_b with mask T, and those normal cones
+    already cover R^n, so P_b has no other vertex, no implicit equality and
+    no redundant row.  The converse is immediate.
+
+    Each strict margin is stored as (const, ((idx, coeff), ...)) meaning
+    const + sum coeff*b[idx] > 0, each equality on a row of T \\ S as
+    (None, ((idx, coeff), ...)) meaning sum coeff*b[idx] == 0; they are
+    grouped by their largest index.
     """
-    if not p.is_simple():
-        raise ValueError("fast displacement enumeration needs a simple polytope")
     n = p.dim
     constraints = set()
     for v, tight in zip(p.vertices(), p.vertex_masks()):
         s = _bits(tight)
+        if len(s) > n:
+            piv, _, _ = _reduce([[p.normals[i][c] for i in s] for c in range(n)], len(s))
+            s = tuple(s[k] for k in piv)
+        on_s = sum(1 << i for i in s)
         # e = d A_S^{-1}; x_S(b) = v + A_S^{-1} b_S
         d, e = scaled_inverse([p.normals[i] for i in s])
         for j in range(p.nfacets):
-            if tight >> j & 1:
+            if on_s >> j & 1:
                 continue
             u = p.normals[j]
-            const = p.offsets[j] - dot(u, v)
             terms = [(j, 1)]
             for t, row_idx in enumerate(s):
                 # coefficient of b_S[t] in -u · (A_S^{-1} b_S)
                 num = -sum(u[c] * e[c][t] for c in range(n))
                 if num:
                     terms.append((row_idx, num // d if num % d == 0 else Fraction(num, d)))
-            constraints.add((_exact(const), tuple(sorted(terms))))
+            const = None if tight >> j & 1 else _exact(p.offsets[j] - dot(u, v))
+            constraints.add((const, tuple(sorted(terms))))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)
@@ -143,9 +153,9 @@ def _vertex_margin_constraints(p: HPolytope):
 
 
 def _fan_preserving(p: HPolytope, radius: int, paired: bool):
-    """The margin descent: every b with max-norm <= radius whose margins all
-    hold, so that P_b keeps the fan of the simple polytope p, in
-    lexicographic order, smallest entry first.
+    """The margin descent: every b with max-norm <= radius whose constraints
+    all hold, so that P_b keeps the fan of p, in lexicographic order,
+    smallest entry first.
 
     Paired, each margin must hold for -b as well (|sum coeff*b_i| < const),
     and the first nonzero entry of b must be negative (b <= -b): the stream
@@ -168,7 +178,7 @@ def _fan_preserving(p: HPolytope, radius: int, paired: bool):
                 s = 0
                 for i, coeff in terms:
                     s += coeff * b[i]
-                if const + s <= 0 or (paired and const - s <= 0):
+                if s if const is None else const + s <= 0 or (paired and const - s <= 0):
                     ok = False
                     break
             if ok:
@@ -178,18 +188,26 @@ def _fan_preserving(p: HPolytope, radius: int, paired: bool):
     yield from descend(0, True)
 
 
+def _keeps_fan(constraints, b) -> bool:
+    """Whether P_b keeps p's fan, for constraints = _vertex_margin_constraints(p)
+    and any rational b."""
+    for group in constraints.values():
+        for const, terms in group:
+            s = sum(coeff * b[i] for i, coeff in terms)
+            if s if const is None else const + s <= 0:
+                return False
+    return True
+
+
 def normally_isomorphic_displacements(p: HPolytope, radius: int):
     """Yield all b with max-norm <= radius whose displacement is bounded,
     full-dimensional, irredundant over the same rows, and has the parent's
-    normal fan signature.  Lexicographic order, smallest entry first."""
+    normal fan signature, for simple and non-simple p alike: the margin
+    descent over _vertex_margin_constraints.  Lexicographic order, smallest
+    entry first."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if p.is_simple():
-        yield from _fan_preserving(p, radius, paired=False)
-    else:
-        for b in product(range(-radius, radius + 1), repeat=p.nfacets):
-            if displace(p, b).analyze()["normally_isomorphic_to_parent"]:
-                yield b
+    yield from _fan_preserving(p, radius, paired=False)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from functools import cached_property
 from math import floor
 
 from .classify import is_monotone, is_smooth
-from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec
-from .polytope import FaceRef, HPolytope, _bits, _slab_points, dot
+from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec, scan_key
+from .polytope import FaceRef, HPolytope, _bits, _slab_points, dot, per_polytope
 
 __all__ = [
     "EwaldSet",
@@ -45,36 +45,34 @@ class EwaldSet:
         return tuple(x) in self.points
 
     def ordered(self) -> tuple:
-        """Deterministic scan order: max-norm ascending, then lexicographic.
-        Sorted on the first call; every call returns that same tuple."""
+        """Deterministic scan order, intlinalg.scan_key: max-norm ascending,
+        then lexicographic.  Sorted on the first call; every call returns
+        that same tuple."""
         return self._ordered
 
     @cached_property
     def _ordered(self) -> tuple:
-        return tuple(
-            sorted(self.points, key=lambda p: (max((abs(x) for x in p), default=0), p))
-        )
+        return tuple(sorted(self.points, key=scan_key))
 
 
+@per_polytope
 def _tight_masks(p: HPolytope) -> tuple:
     """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
     polytope: t has bit i set when facet i is tight at λ, tn when it is
     tight at −λ.  The strong, star and FS checks read these masks instead of
     dotting every point against every facet again."""
-    if "ewald_masks" not in p._cache:
-        rows = tuple(enumerate(zip(p.normals, p.offsets)))
-        table = []
-        for lam in ewald_set(p).ordered():
-            t = tn = 0
-            for i, (u, c) in rows:
-                s = dot(u, lam)
-                if s == c:
-                    t |= 1 << i
-                if s == -c:
-                    tn |= 1 << i
-            table.append((lam, t, tn))
-        p._cache["ewald_masks"] = tuple(table)
-    return p._cache["ewald_masks"]
+    rows = tuple(enumerate(zip(p.normals, p.offsets)))
+    table = []
+    for lam in ewald_set(p).ordered():
+        t = tn = 0
+        for i, (u, c) in rows:
+            s = dot(u, lam)
+            if s == c:
+                t |= 1 << i
+            if s == -c:
+                tn |= 1 << i
+        table.append((lam, t, tn))
+    return tuple(table)
 
 
 def cube_normalization(p: HPolytope):
@@ -92,14 +90,12 @@ def cube_normalization(p: HPolytope):
     return rows
 
 
+@per_polytope
 def ewald_set(p: HPolytope) -> EwaldSet:
     """Symmetric lattice points of P, computed exactly: the integer x with
     |u_j·x| <= ⌊c_j⌋ on every row, by the lattice-point search of polytope."""
-    if "ewald" not in p._cache:
-        floors = [floor(c) for c in p.offsets]
-        points = _slab_points(p, [-f for f in floors], floors)
-        p._cache["ewald"] = EwaldSet(p.dim, frozenset(points))
-    return p._cache["ewald"]
+    floors = [floor(c) for c in p.offsets]
+    return EwaldSet(p.dim, frozenset(_slab_points(p, [-f for f in floors], floors)))
 
 
 def _require_origin_interior(p: HPolytope):
@@ -251,10 +247,7 @@ def nill2d_basis(p: HPolytope):
     assert g == 1, "shortest nonzero Ewald point must be primitive"
     m = ((a, b), (-q[1], q[0]))  # m @ q == (1, 0), det m == 1
     minv = inverse_unimodular(m)
-    for x in sorted(
-        (mat_vec(m, x) for x in e.points),
-        key=lambda t: (max(abs(v) for v in t), t),
-    ):
+    for x in sorted((mat_vec(m, x) for x in e.points), key=scan_key):
         if x[1] == 1:
             return q, mat_vec(minv, x)
     return None

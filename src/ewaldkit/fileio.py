@@ -121,12 +121,14 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
             warnings.append("row %r normalized to primitive form" % (r,))
         normals.append(tuple(u))
         offsets.append(c)
-    # the reduced polytope carries the vertices found while reducing, so
-    # validate() checks them without enumerating a second time
-    p, dropped = irredundant_rows(dim, tuple(normals), tuple(offsets))
+    # irredundant_rows collapses duplicate normals and drops redundant rows,
+    # so full dimension is the one property of validate() left to check
+    p, dropped, full_dim = irredundant_rows(dim, tuple(normals), tuple(offsets))
+    if not full_dim:
+        raise ValueError("polytope is not full-dimensional")
     if dropped:
         warnings.append("dropped %d redundant row(s): %s" % (len(dropped), list(dropped)))
-    return ParsedPolytope(p.validate(), name, tuple(warnings))
+    return ParsedPolytope(p, name, tuple(warnings))
 
 
 def serialize_polytope(p: HPolytope, name: str | None = None) -> str:

@@ -41,6 +41,7 @@ __all__ = [
     "find_unimodular_basis",
     "mat_vec",
     "mat_mul",
+    "scan_key",
     "transpose",
     "rank",
 ]
@@ -341,6 +342,13 @@ def inverse_unimodular(m) -> Mat:
     return tuple(tuple(d * x for x in row) for row in e)  # 1 / d == d
 
 
+def scan_key(v):
+    """The one scan order of ewaldkit's searches, as a sort key: max-norm
+    ascending, then lexicographic.  It fixes which basis, witness and probe
+    each search reports first."""
+    return max((abs(x) for x in v), default=0), v
+
+
 def find_unimodular_basis(points, n: int):
     """Search a subset of `points` forming a determinant-±1 basis of Z^n.
 
@@ -349,10 +357,7 @@ def find_unimodular_basis(points, n: int):
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
-    cands = sorted(
-        {tuple(int(x) for x in p) for p in points if any(p)},
-        key=lambda p: (max(abs(x) for x in p), p),
-    )
+    cands = sorted({tuple(int(x) for x in p) for p in points if any(p)}, key=scan_key)
     return _basis_search([p for p in cands if len(p) == n], n)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
@@ -45,6 +46,7 @@ __all__ = [
     "cartesian_product",
     "face_slice",
     "dot",
+    "per_polytope",
 ]
 
 
@@ -89,6 +91,21 @@ def _bits(mask) -> tuple:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def per_polytope(fn):
+    """Memoize fn(p, *args) in p._cache under the key (fn, args): data that
+    depends only on the polytope (and hashable arguments) is computed once
+    per polytope and dropped with it.  An exception is not cached."""
+
+    @wraps(fn)
+    def cached(p, *args):
+        key = (fn, args)
+        if key not in p._cache:
+            p._cache[key] = fn(p, *args)
+        return p._cache[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -209,17 +226,15 @@ class HPolytope:
 
     # -- faces -----------------------------------------------------------
 
+    @per_polytope
     def faces(self, codim: int) -> tuple:
         """All faces of the given codimension of a simple polytope."""
         if not self.is_simple():
             raise ValueError("face lattice requires simple polytope")
         if codim < 0 or codim > self.dim:
             raise ValueError("codimension out of range")
-        key = ("faces", codim)
-        if key not in self._cache:
-            seen = {s for t in self.vertex_masks() for s in combinations(_bits(t), codim)}
-            self._cache[key] = tuple(FaceRef(s, codim) for s in sorted(seen))
-        return self._cache[key]
+        seen = {s for t in self.vertex_masks() for s in combinations(_bits(t), codim)}
+        return tuple(FaceRef(s, codim) for s in sorted(seen))
 
     def face_vertices(self, face: FaceRef) -> tuple:
         need = face.mask
@@ -235,12 +250,10 @@ class HPolytope:
 
     # -- lattice points --------------------------------------------------
 
+    @per_polytope
     def lattice_points(self) -> frozenset:
-        if "lattice_points" not in self._cache:
-            upper = [floor(c) for c in self.offsets]
-            points = _slab_points(self, [None] * self.nfacets, upper)
-            self._cache["lattice_points"] = frozenset(points)
-        return self._cache["lattice_points"]
+        upper = [floor(c) for c in self.offsets]
+        return frozenset(_slab_points(self, [None] * self.nfacets, upper))
 
     # -- validation ------------------------------------------------------
 
@@ -375,19 +388,22 @@ def _facet_rows(dim, verts, masks, nrows):
 def irredundant_rows(dim, normals, offsets):
     """Reduce a system to its facet-defining rows.
 
-    Returns (polytope, dropped_indices); raises on an unbounded system before
-    dropping any row, and on an empty one.  The polytope keeps the facet rows
-    in input order and arrives with its vertex cache filled: the vertices are
+    Returns (polytope, dropped_indices, full_dim); raises on an unbounded
+    system before dropping any row, and on an empty one.  full_dim tells
+    whether the vertices span dimension dim; when it is false the rows kept
+    are not a facet description.  The polytope keeps the facet rows in input
+    order and arrives with its vertex cache filled: the vertices are
     enumerated once, with duplicate normals collapsed to the binding offset,
     and their tight-row masks are re-indexed to the kept rows.  Dropping
     redundant rows leaves a bounded full-dimensional polytope unchanged, so
-    the cache equals a fresh enumeration whenever validate() passes.
+    when full_dim holds the cache equals a fresh enumeration and validate()
+    passes.
     """
     offsets = [_exact(c) for c in offsets]
     if dim == 0:
         if any(c < 0 for c in offsets):
             raise ValueError("empty system")
-        return HPolytope(0, (), ()), tuple(range(len(offsets)))
+        return HPolytope(0, (), ()), tuple(range(len(offsets))), True
     # collapse duplicate normals to the binding offset
     best = {}
     for i, (u, c) in enumerate(zip(normals, offsets)):
@@ -399,7 +415,7 @@ def irredundant_rows(dim, normals, offsets):
     )
     if not verts:
         raise ValueError("empty system")
-    _, final = _facet_rows(dim, verts, masks, len(keep_idx))
+    full_dim, final = _facet_rows(dim, verts, masks, len(keep_idx))
     p = HPolytope(
         dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
@@ -410,7 +426,7 @@ def irredundant_rows(dim, normals, offsets):
     )
     final_set = {keep_idx[j] for j in final}
     dropped = tuple(i for i in range(len(normals)) if i not in final_set)
-    return p, dropped
+    return p, dropped, full_dim
 
 
 # -- lattice points of slab systems --------------------------------------
@@ -767,13 +783,11 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     normals = tuple(r for r, _ in chart_rows)
     offs = tuple(c for _, c in chart_rows)
     try:
-        poly, _ = irredundant_rows(chart_dim, normals, offs)
+        poly, _, full_dim = irredundant_rows(chart_dim, normals, offs)
     except ValueError:  # no vertices: the slice is empty
         return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
     verts = poly.vertices()
-    if affine_rank(verts) != chart_dim:
-        poly = None
-    return Slice(p, tight, inset, chart_dim, basis, origin, verts, poly)
+    return Slice(p, tight, inset, chart_dim, basis, origin, verts, poly if full_dim else None)
 
 
 def _rational_particular(rows, targets):

@@ -18,7 +18,8 @@ from math import ceil, lcm
 
 from .ewald import star_ewald
 from .classify import is_monotone
-from .polytope import HPolytope, _slab_points, dot
+from .intlinalg import scan_key
+from .polytope import HPolytope, _slab_points, dot, per_polytope
 
 __all__ = [
     "Probe",
@@ -53,22 +54,20 @@ def is_integrally_transverse(lam, u_f) -> bool:
 def _directions(n, bound) -> tuple:
     """The nonzero directions of max-norm <= bound, by max-norm, then lex."""
     box = (t for t in product(range(-bound, bound + 1), repeat=n) if any(t))
-    return tuple(sorted(box, key=lambda t: (max(abs(x) for x in t), t)))
+    return tuple(sorted(box, key=scan_key))
 
 
+@per_polytope
 def _probe_directions(p: HPolytope, bound: int) -> tuple:
     """Per facet F, the pairs (λ, (u_j·λ)_j) over the directions λ with
     u_F·λ = −1, in _directions order; built once per polytope and bound."""
-    key = ("probe_directions", bound)
-    if key not in p._cache:
-        table = [[] for _ in p.normals]
-        for lam in _directions(p.dim, bound):
-            a = tuple(dot(nj, lam) for nj in p.normals)
-            for fi, af in enumerate(a):
-                if af == -1:
-                    table[fi].append((lam, a))
-        p._cache[key] = tuple(map(tuple, table))
-    return p._cache[key]
+    table = [[] for _ in p.normals]
+    for lam in _directions(p.dim, bound):
+        a = tuple(dot(nj, lam) for nj in p.normals)
+        for fi, af in enumerate(a):
+            if af == -1:
+                table[fi].append((lam, a))
+    return tuple(map(tuple, table))
 
 
 def _scaled(x, scale: int) -> int:

@@ -1,20 +1,38 @@
 """The neatness search as ewaldkit ran it before the slab form, kept as a
-differential-test reference, and the margin constraints as it built them
-with a Fraction per coefficient.
+differential-test reference, the margin constraints as it built them with a
+Fraction per coefficient, and the fan test "P_b keeps P's fan" decided by
+vertex enumeration, as it was before the margin constraints covered
+non-simple polytopes and bundle slices.
 
-It lists every fan-preserving b up to the radius, keeps the pairs (b, −b)
-with b <= −b and −b qualifying as well, and for each pair rebuilds every
-vertex of P_b and of P_{−b} to bound a box, which it scans point by point
-for an x with x ∈ P_b and −x ∈ P_{−b}.
+The neatness search lists every fan-preserving b up to the radius, keeps the
+pairs (b, −b) with b <= −b and −b qualifying as well, and for each pair
+rebuilds every vertex of P_b and of P_{−b} to bound a box, which it scans
+point by point for an x with x ∈ P_b and −x ∈ P_{−b}.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from ewaldkit.displace import normally_isomorphic_displacements
+from ewaldkit.displace import displace, normally_isomorphic_displacements
 from ewaldkit.intlinalg import inverse_unimodular, scaled_inverse
-from ewaldkit.polytope import _exact, dot
+from ewaldkit.polytope import _exact, dot, enumerate_vertices, normal_fan_signature
+
+
+def enumerated_displacements(p, radius):
+    """normally_isomorphic_displacements by brute force: every b of the
+    (2r+1)^m box, in lexicographic order, with one vertex enumeration each."""
+    box = product(range(-radius, radius + 1), repeat=p.nfacets)
+    return [b for b in box if displace(p, b).analyze()["normally_isomorphic_to_parent"]]
+
+
+def same_fan_same_rows(q, offsets):
+    """Whether {x : N x <= offsets}, over q's rows N, has exactly q's vertex
+    masks: the bundle slice check, by vertex enumeration."""
+    verts, masks = enumerate_vertices(q.dim, q.normals, offsets)
+    if not verts:
+        return False
+    return frozenset(masks) == normal_fan_signature(q).cones
 
 
 def qualifying_pairs(p, radius):

@@ -173,11 +173,14 @@ def test_vertex_checks_cover_the_base_midpoints():
     # build_bundle checks the fiber's fan over the base vertices only: the
     # fan-preserving offsets form a convex cone and the offsets are affine
     # over the base, so no spec passes at every vertex and fails at a
-    # midpoint of two vertices
+    # midpoint of two vertices.  Vertex enumeration decides each point, and
+    # the margin test build_bundle runs must agree with it at every one.
     from fractions import Fraction
     from itertools import combinations
 
-    from ewaldkit.bundles import _fiber_offsets_over, _same_fan_same_rows
+    from ewaldkit.displace import _keeps_fan, _vertex_margin_constraints
+    from ewaldkit.polytope import dot
+    from neat_oracles import same_fan_same_rows
 
     rng = random.Random(20261018)
     bases = [segment(), monotone_polygon("triangle"), monotone_polygon("square"), monotone_polygon("hexagon")]
@@ -198,8 +201,14 @@ def test_vertex_checks_cover_the_base_midpoints():
             shifts[j] += rng.randint(-1, 1)
         spec = BundleSpec(base=base, fiber=fiber, twist=tuple(map(tuple, twist)), shifts=tuple(shifts))
 
+        constraints = _vertex_margin_constraints(fiber)
+
         def keeps_fan(x):
-            return _same_fan_same_rows(fiber, _fiber_offsets_over(spec, x))
+            b = [sh - dot(s, x) for sh, s in zip(spec.shifts, spec.twist)]
+            offsets = [a + d for a, d in zip(fiber.offsets, b)]
+            kept = same_fan_same_rows(fiber, offsets)
+            assert _keeps_fan(constraints, b) == kept, (spec, x)
+            return kept
 
         verts = base.vertices()
         if not all(keeps_fan(v) for v in verts):

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -23,8 +25,15 @@ from ewaldkit.classify import (
     is_smooth,
     is_ut_free,
 )
-from ewaldkit.classify import _is_unimodular_triangle_face, _two_faces
-from ewaldkit.polytope import HPolytope, VPolytope, dot, face_slice, facet_description
+from ewaldkit.classify import _is_unimodular_triangle_face, _slice_ut_free, _two_faces
+from ewaldkit.polytope import (
+    HPolytope,
+    VPolytope,
+    cartesian_product,
+    dot,
+    face_slice,
+    facet_description,
+)
 
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
@@ -120,6 +129,25 @@ def test_deeply_smooth_characterizations_random_suite(rng):
     for p in smooth_suite(rng, max_dim=4, count=18):
         c1, c2, c3 = deeply_smooth_characterizations_agree(p)
         assert c1 == c2 == c3, (p.normals, p.offsets, (c1, c2, c3))
+
+
+def test_degenerate_slices_are_charted_on_their_span():
+    # pushing a facet of the unit Δ2 factor in by one collapses that factor
+    # to a point, leaving a unit tetrahedron (rank 3) or triangle (rank 2)
+    # whose 2-faces are unimodular triangles
+    tri, tet = smooth_simplex(2, 1), smooth_simplex(3, 1)
+    ranks = []
+    for p in (cartesian_product(tri, tet), cartesian_product(tet, tri), cartesian_product(tri, tri)):
+        for f in p.faces(1):
+            s = face_slice(p, f, inset=1)
+            if s.polytope is None and not s.is_empty:
+                ranks.append(s.points_affine_rank)
+                assert not _slice_ut_free(s), (p.normals, f)
+    assert ranks.count(3) == 6 and ranks.count(2) == 14
+    # with no integer vertex there is no lattice triangle to find
+    s = face_slice(cartesian_product(tri, tet), (0,), inset=1)
+    half = tuple(tuple(Fraction(2 * x + 1, 2) for x in v) for v in s.chart_vertices)
+    assert _slice_ut_free(replace(s, chart_vertices=half))
 
 
 def test_blown_up_tetrahedron_facet_displacements_deeply_smooth():

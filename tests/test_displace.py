@@ -1,10 +1,13 @@
+import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from conftest import smooth_suite
+from conftest import random_unimodular, smooth_suite
 from ewaldkit.bundles import (
     cube,
+    del_pezzo,
     monotone_polygon,
     monotone_simplex,
     nill_triangle,
@@ -21,7 +24,15 @@ from ewaldkit.displace import (
     neat_transfer_bundle_check,
     normally_isomorphic_displacements,
 )
-from ewaldkit.polytope import FaceRef, HPolytope, face_slice, normally_isomorphic
+from ewaldkit.polytope import (
+    FaceRef,
+    HPolytope,
+    cartesian_product,
+    convex_hull,
+    face_slice,
+    normally_isomorphic,
+)
+from neat_oracles import enumerated_displacements
 
 
 def test_displace_examples():
@@ -134,13 +145,27 @@ def test_enumeration_matches_brute_force():
         (ssb(3, 2), 1),
         (smooth_simplex(2, 3), 1),
     ]:
+        assert list(normally_isomorphic_displacements(p, r)) == enumerated_displacements(p, r)
+
+
+def test_enumeration_matches_brute_force_on_non_simple_inputs():
+    # the equalities on the tight rows beyond a basis at each non-simple
+    # vertex: apexes of pyramids, equators of bipyramids, the vertices of DP3
+    rng = random.Random(20261018)
+    dp3 = del_pezzo(3)
+    pyramid = convex_hull([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)])
+    bipyramid = convex_hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    cases = [(dp3, 1)] + [(dp3.transform(random_unimodular(rng, 3)), 1) for _ in range(2)]
+    for p in (pyramid, bipyramid):
+        for q in (p, p.translate((1, -2, 0)), p.translate((Fraction(1, 2), 0, Fraction(-1, 3)))):
+            cases.append((q, 1))
+    cases += [(pyramid, 2), (pyramid.translate((0, 1, -1)), 2)]
+    cases.append((cartesian_product(pyramid, segment()), 1))
+    for p, r in cases:
+        assert not p.is_simple()
         got = list(normally_isomorphic_displacements(p, r))
-        brute = sorted(
-            b
-            for b in iproduct(*[range(-r, r + 1)] * p.nfacets)
-            if displace(p, b).analyze()["normally_isomorphic_to_parent"]
-        )
-        assert got == brute
+        assert got == enumerated_displacements(p, r), (p.normals, p.offsets, r)
+        assert len(got) > 1
 
 
 def test_enumeration_examples():

@@ -197,6 +197,12 @@ def test_cli_ewald_neat_probe_displace(capsys):
     assert code == 1 and "not found" in out
 
 
+def test_cli_probe_crosscheck_without_point(capsys):
+    code, out, _ = run_cli(["probe", "-", "--samples", "2", "--bound", "2"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0
+    assert out == "star_ewald=True samples=2 bound=2 displaceable=8/8\n"
+
+
 def test_cli_oda_and_errors(tmp_path, capsys):
     f = tmp_path / "c2.poly"
     f.write_text(C2_TEXT)
@@ -217,6 +223,21 @@ def test_cli_batch(tmp_path, capsys):
         )
     code, out, _ = run_cli(["batch", str(tmp_path)], capsys=capsys)
     assert code == 0 and "dim 2 Ewald histogram: {7: 1, 9: 1}" in out
+
+
+def test_cli_batch_jobs_match_serial(tmp_path, capsys):
+    from ewaldkit.bundles import monotone_polygon
+
+    for name in ("triangle", "square", "hexagon"):
+        (tmp_path / (name + ".poly")).write_text(serialize_polytope(monotone_polygon(name), name))
+    (tmp_path / "strip.poly").write_text("dim 2\nfacets 2\n1 0 1\n-1 0 1\n")
+    docs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(["batch", str(tmp_path), "--json", "--jobs", jobs], capsys=capsys)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+    assert len(docs[0]["reports"]) == 3 and len(docs[0]["excluded"]) == 1
 
 
 def test_cli_env_radius(capsys, monkeypatch):

@@ -49,6 +49,11 @@ def test_vertices_examples():
 def test_vertices_errors():
     with pytest.raises(ValueError):
         HPolytope(2, ((1, 0), (0, 1)), (1, 1)).validate()  # unbounded
+    with pytest.raises(ValueError, match="duplicate facet normals"):
+        HPolytope(1, ((1,), (-1,), (1,)), (1, 1, 2)).validate()
+    square = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    with pytest.raises(ValueError, match="row 2 is redundant"):
+        HPolytope(2, square[:2] + ((1, 1),) + square[2:], (1, 1, 3, 1, 1)).validate()
     with pytest.raises(ValueError):
         HPolytope(2, ((1, 0), (-1, 0)), (1, -2)).vertices()  # empty
 
