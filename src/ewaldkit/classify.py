@@ -16,14 +16,13 @@ from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
-    affine_rank,
     convex_hull,
     dot,
     face_slice,
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _bits, _integerize, _point
+from .polytope import _bits, _face_facets, _integerize, _point, _row_vertex_masks
 
 __all__ = [
     "ClassReport",
@@ -102,20 +101,16 @@ def is_monotone(p: HPolytope) -> bool:
 
 
 def _two_faces(p: HPolytope):
-    # 2-faces as FaceRef-like tight tuples; meet-closure fallback covers the
-    # non-simple polytopes that show up in displacement slices.
+    """The 2-faces as tight tuples.  Non-simple polytopes, which show up in
+    displacement slices, take n − 2 facet steps down from the full vertex
+    set; a face's tight tuple is then the rows whose vertex set contains it."""
     if p.is_simple():
         return tuple(f.tight for f in p.faces(p.dim - 2))
-    masks = p.vertex_masks()
-    closed = set(masks)
-    frontier = set(masks)
-    while frontier:
-        frontier = {a & b for a in frontier for b in masks} - closed
-        closed |= frontier
-    # each s is a meet of vertex masks, so it is the full mask of its face
-    verts = p.vertices()
-    two = [s for s in closed if affine_rank([v for v, t in zip(verts, masks) if t & s == s]) == 2]
-    return tuple(sorted(_bits(s) for s in two))
+    on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
+    level = {(1 << len(p.vertices())) - 1}
+    for _ in range(p.dim - 2):
+        level = {g for f in level for g in _face_facets(f, on_row)}
+    return tuple(sorted(tuple(i for i, r in enumerate(on_row) if r & f == f) for f in level))
 
 
 def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:

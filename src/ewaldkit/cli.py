@@ -50,12 +50,10 @@ def _read_polytope(path, allow_large):
     else:
         with open(path) as fh:
             text = fh.read()
-    return parse_polytope(text, allow_large=allow_large)
-
-
-def _print_warnings(parsed):
+    parsed = parse_polytope(text, allow_large=allow_large)
     for w in parsed.warnings:
         print("warning: %s" % w, file=sys.stderr)
+    return parsed
 
 
 def _report_text(report):
@@ -188,7 +186,6 @@ def main(argv=None) -> int:
 def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "check":
         parsed = _read_polytope(args.file, args.allow_large)
-        _print_warnings(parsed)
         radius = args.radius if args.radius is not None else radius_default
         report = analyze_polytope(
             parsed.polytope, parsed.name, radius=radius, run_neat=not args.skip_neat
@@ -202,7 +199,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "ewald":
         parsed = _read_polytope(args.file, args.allow_large)
-        _print_warnings(parsed)
         e = ewald_set(parsed.polytope)
         print("%d Ewald points" % len(e))
         for pt in e.ordered():
@@ -217,7 +213,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "displace":
         parsed = _read_polytope(args.file, args.allow_large)
-        _print_warnings(parsed)
         tight = tuple(int(x) for x in args.facets.split(","))
         face = FaceRef(tight, len(tight))
         disp = first_displacement(parsed.polytope, face)
@@ -227,7 +222,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "neat":
         parsed = _read_polytope(args.file, args.allow_large)
-        _print_warnings(parsed)
         radius = args.radius if args.radius is not None else radius_default
         verdict = is_neat(parsed.polytope, radius)
         print("status: %s" % verdict.status)
@@ -238,7 +232,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "probe":
         parsed = _read_polytope(args.file, args.allow_large)
-        _print_warnings(parsed)
         bound = args.bound if args.bound is not None else bound_default
         if args.point:
             pt = _parse_rational_point(args.point)
@@ -268,7 +261,11 @@ def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "batch":
         radius = args.radius if args.radius is not None else radius_default
         stats = ingest_database(
-            args.directory, radius=radius, run_neat=args.neat, jobs=args.jobs
+            args.directory,
+            radius=radius,
+            run_neat=args.neat,
+            jobs=args.jobs,
+            allow_large=args.allow_large,
         )
         if args.json:
             print(json.dumps(stats.as_dict(), indent=2, sort_keys=True))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 
 from .classify import is_monotone
 from .ewald import ewald_set
-from .polytope import HPolytope, dot, face_slice
+from .intlinalg import det
+from .polytope import HPolytope, _face_facets, _row_vertex_masks, dot
 
 __all__ = [
     "trinomial",
@@ -129,32 +130,39 @@ def _count_simplex(n: int) -> int:
 
 
 def volume(p: HPolytope) -> Fraction:
-    """Exact Euclidean volume via the pyramid fan over the lex-smallest
-    vertex; facet volumes are taken in their own lattice, which matches the
-    lattice-distance pyramid formula coordinate-free."""
-    if p.dim == 0:
-        return Fraction(0)
-    if p.dim == 1:
-        (lo,), (hi,) = p.bounding_box()
-        return Fraction(hi - lo)
-    apex = p.vertices()[0]
-    total = Fraction(0)
-    for i, (u, c) in enumerate(zip(p.normals, p.offsets)):
-        dist = c - dot(u, apex)
-        if dist == 0:
-            continue
-        s = face_slice(p, (i,), inset=0)
-        total += Fraction(dist, p.dim) * volume(s.polytope)
-    return total
+    """Exact Euclidean volume from a pulling triangulation on the incidence
+    masks (Büeler–Enge–Fukuda, "Exact volume computation for polytopes: a
+    practical study", 2000).
+
+    A face is the mask of its vertices.  Pull its lowest-index vertex and
+    recurse into its facets that miss it (polytope._face_facets); at a
+    vertex, the pulled chain v_0, ..., v_n is a simplex of the
+    triangulation, and n!·vol(P) is the sum of |det(v_k − v_0)| over them.
+    Rational vertices are scaled by their common denominator D first and
+    the sum divided by D^n.  A point has volume 1, that of R^0.
+    """
+    verts = p.vertices()
+    scale = lcm(1, *(x.denominator for v in verts for x in v))
+    pts = [[int(x * scale) for x in v] for v in verts]
+    on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
+    total = _pull((1 << len(verts)) - 1, [], pts, on_row)
+    return Fraction(total, scale**p.dim * factorial(p.dim))
+
+
+def _pull(face, chain, pts, on_row):
+    """Sum of |det(v_k − v_0)| over the simplices of the face's pulling
+    triangulation, each joined to the vertices chain pulled before it."""
+    low = face & -face
+    chain = chain + [pts[low.bit_length() - 1]]
+    rest = [g for g in _face_facets(face, on_row) if not g & low]
+    if not rest:  # the face is the vertex low, and chain a simplex
+        return abs(det([[a - b for a, b in zip(v, chain[0])] for v in chain[1:]]))
+    return sum(_pull(g, chain, pts, on_row) for g in rest)
 
 
 def normalized_volume(p: HPolytope) -> int:
     """Lattice-normalized volume n! · vol(P); an integer for lattice P."""
-    v = volume(p)
-    f = 1
-    for i in range(2, p.dim + 1):
-        f *= i
-    out = v * f
+    out = volume(p) * factorial(p.dim)
     return int(out) if out.denominator == 1 else out
 
 

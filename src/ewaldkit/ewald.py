@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import floor
 
 from .classify import is_monotone, is_smooth
@@ -174,17 +175,8 @@ def _checked_face(p: HPolytope, f: FaceRef) -> int:
 
 def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
     _checked_face(p, f)
-    ridges = tuple(
-        FaceRef(pair, 2) for pair in _pairs(f.tight)
-    )
+    ridges = tuple(FaceRef(pair, 2) for pair in combinations(f.tight, 2))
     return StarSets(f, tuple(f.tight), ridges, p)
-
-
-def _pairs(idx):
-    idx = sorted(idx)
-    return [
-        (idx[a], idx[b]) for a in range(len(idx)) for b in range(a + 1, len(idx))
-    ]
 
 
 def _star_witness(table, face: int):

@@ -21,6 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .classify import classify
@@ -230,7 +231,7 @@ class DatabaseStats:
         }
 
 
-def _analyze_file(path, radius, run_neat):
+def _analyze_file(path, radius, run_neat, allow_large):
     fname = os.path.basename(path)
     try:
         with open(path) as fh:
@@ -238,7 +239,7 @@ def _analyze_file(path, radius, run_neat):
     except (OSError, UnicodeDecodeError) as exc:
         return fname, None, "read error: %s" % exc
     try:
-        parsed = parse_polytope(text)
+        parsed = parse_polytope(text, allow_large=allow_large)
     except ValueError as exc:
         return fname, None, "parse error: %s" % exc
     label = parsed.name or fname
@@ -250,13 +251,16 @@ def ingest_database(
     radius: int = DEFAULT_RADIUS,
     run_neat: bool = False,
     jobs: int = 1,
+    allow_large: bool = False,
 ) -> DatabaseStats:
     """Load every polytope file in a directory, validate monotonicity, and
     aggregate Ewald histograms and class counts per dimension.  Non-monotone
     entries are reported but excluded from the monotone statistics.  Files
     are independent; jobs > 1 analyzes them in a process pool, and the
-    aggregation below is order-insensitive (results are keyed by filename)."""
+    aggregation below is order-insensitive (results are keyed by filename).
+    allow_large lifts parse_polytope's dimension cap for every file."""
     stats = DatabaseStats()
+    analyze = partial(_analyze_file, radius=radius, run_neat=run_neat, allow_large=allow_large)
     paths = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -266,10 +270,9 @@ def ingest_database(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_analyze_file, paths, [radius] * len(paths), [run_neat] * len(paths)))
-        outcomes.sort(key=lambda t: t[0])
+            outcomes = sorted(pool.map(analyze, paths), key=lambda t: t[0])
     else:
-        outcomes = [_analyze_file(path, radius, run_neat) for path in paths]
+        outcomes = [analyze(path) for path in paths]
     for fname, report, error in outcomes:
         if error is not None:
             stats.excluded.append((fname, error))

@@ -372,17 +372,33 @@ def enumerate_vertices(dim, normals, offsets):
     return verts, tuple(found[v] for v in verts)
 
 
-def _facet_rows(dim, verts, masks, nrows):
-    """(full_dim, facets): whether the vertices affinely span dimension dim,
-    and the rows whose tight vertex set no other row's strictly contains.  On
-    a full-dimensional polytope these are its facet-defining rows: every facet
-    is some row's face, and every other face lies in a facet."""
+def _row_vertex_masks(masks, nrows):
+    """Per row, the mask of the vertices it is tight on (bit k for the k-th
+    of the given vertex masks): the incidence read from the row side."""
     on_row = [0] * nrows
     for k, t in enumerate(masks):
         for i in _bits(t):
             on_row[i] |= 1 << k
-    facets = [i for i, f in enumerate(on_row) if not any(f & g == f != g for g in on_row)]
-    return affine_rank(verts) == dim, facets
+    return on_row
+
+
+def _face_facets(face, on_row):
+    """The facets of a face given by the mask of its vertices, as vertex
+    masks: the maximal sets among face & r over the rows' vertex masks r,
+    other than the face itself and the empty set.  A facet G of the face is
+    its meet with any row tight on G but not on all of the face, and every
+    other proper face lies in a facet."""
+    meets = {face & r for r in on_row} - {face, 0}
+    return [g for g in meets if not any(g & h == g != h for h in meets)]
+
+
+def _facet_rows(dim, verts, masks, nrows):
+    """(full_dim, facets): whether the vertices affinely span dimension dim,
+    and the rows whose tight vertex set is a facet of the vertex set.  On a
+    full-dimensional polytope these are its facet-defining rows."""
+    on_row = _row_vertex_masks(masks, nrows)
+    facets = set(_face_facets((1 << len(masks)) - 1, on_row))
+    return affine_rank(verts) == dim, [i for i, f in enumerate(on_row) if f in facets]
 
 
 def irredundant_rows(dim, normals, offsets):

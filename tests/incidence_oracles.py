@@ -4,12 +4,15 @@ tight-row bitmask per vertex, kept as differential-test references.
 Each vertex's tight rows are a frozenset of row indices, decoded here from
 the producer's masks one row at a time; faces are sorted tuples of facet
 indices, adjacency and face membership are set operations, and a normal fan
-is the set of its vertex cones as sorted tuples.
+is the set of its vertex cones as sorted tuples.  The non-simple 2-faces
+come from the meet closure of the tight sets, and the volume from a
+recursion through one lattice chart per facet.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from ewaldkit.polytope import HPolytope, affine_rank, dot, enumerate_vertices
+from ewaldkit.polytope import HPolytope, affine_rank, dot, enumerate_vertices, face_slice
 
 
 def decode(masks, nrows):
@@ -68,6 +71,26 @@ def two_faces(p):
             full = frozenset.intersection(*[t for t in tights if s <= t])
             out.append(tuple(sorted(full)))
     return tuple(sorted(set(out)))
+
+
+def chart_volume(p):
+    """Euclidean volume via the pyramid fan over the lex-smallest vertex;
+    facet volumes are taken in their own lattice charts, which matches the
+    lattice-distance pyramid formula coordinate-free."""
+    if p.dim == 0:
+        return Fraction(0)
+    if p.dim == 1:
+        (lo,), (hi,) = p.bounding_box()
+        return Fraction(hi - lo)
+    apex = p.vertices()[0]
+    total = Fraction(0)
+    for i, (u, c) in enumerate(zip(p.normals, p.offsets)):
+        dist = c - dot(u, apex)
+        if dist == 0:
+            continue
+        s = face_slice(p, (i,), inset=0)
+        total += Fraction(dist, p.dim) * chart_volume(s.polytope)
+    return total
 
 
 def fan_cones(tights):

@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import incidence_oracles as oracle
+from conftest import random_unimodular
 from ewaldkit.bundles import (
+    catalog,
     cube,
+    del_pezzo,
     monotone_polygon,
     monotone_simplex,
     segment,
@@ -23,6 +29,7 @@ from ewaldkit.counting import (
     volume,
 )
 from ewaldkit.ewald import ewald_set
+from ewaldkit.polytope import HPolytope, cartesian_product, convex_hull
 
 # the paper's SSB count table, rows n = 2..9
 SSB_TABLE = {
@@ -170,6 +177,33 @@ def test_volume_examples():
         for k in range(1, n):
             expect = Fraction((n + k) ** n - (n - k) ** n, k * math.factorial(n))
             assert volume(ssb(n, k)) == expect
+
+
+def test_volume_matches_chart_recursion():
+    rng = random.Random(11)
+    named = list(catalog().values())
+    inputs = named + [cube(5), del_pezzo(3), del_pezzo(5)]
+    inputs += [cartesian_product(del_pezzo(4), del_pezzo(2))]
+    inputs += [cartesian_product(monotone_simplex(3), monotone_simplex(3))]
+    inputs += [ssb(n, k) for n in range(2, 7) for k in range(n)]
+    for p in named:
+        if p.dim <= 5:
+            image = p.transform(random_unimodular(rng, p.dim))
+            inputs.append(image.translate(tuple(rng.randint(-3, 3) for _ in range(p.dim))))
+    quarter = Fraction(1, 4)
+    inputs += [
+        convex_hull([(0, 0), (Fraction(5, 2), 0), (Fraction(1, 3), Fraction(7, 4)), (-quarter, 1)]),
+        monotone_polygon("pentagon").translate((Fraction(1, 2), Fraction(-2, 3))),
+        HPolytope(1, ((1,), (-1,)), (Fraction(7, 3), quarter)),
+        segment(),
+    ]
+    for p in inputs:
+        want = oracle.chart_volume(p)
+        assert volume(p) == want, p
+        assert normalized_volume(p) == want * factorial(p.dim), p
+    # a point is one 0-simplex, of volume 1 in R^0 (the recursion's base
+    # case called it 0)
+    assert volume(HPolytope(0, (), ())) == normalized_volume(HPolytope(0, (), ())) == 1
 
 
 def test_ssb_patterns():

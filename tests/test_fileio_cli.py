@@ -333,3 +333,38 @@ def test_cli_neat_counterexample(capsys):
         "radius": 1,
         "witness_b": [-1, 0, -1, 0, -1, 0],
     }
+
+
+def test_cli_batch_passes_allow_large(tmp_path, capsys):
+    code, text, _ = run_cli(["gen", "smooth-simplex", "13", "1"], capsys=capsys)
+    assert code == 0
+    (tmp_path / "simplex13.poly").write_text(text)
+    code, out, _ = run_cli(["batch", str(tmp_path), "--json"], capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reports"] == []
+    ((name, reason),) = doc["excluded"]
+    assert name == "simplex13.poly"
+    assert reason.startswith("parse error: dimension 13 exceeds the default cap")
+    assert reason.endswith("pass --allow-large to override")
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            ["--allow-large", "batch", str(tmp_path), "--json", "--jobs", jobs], capsys=capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        (report,) = doc["reports"]
+        assert report["dim"] == 13 and report["ewald_count"] == 1
+        assert doc["excluded"] == [["smooth-simplex_13_1", "not monotone"]]
+
+
+def test_cli_prints_parse_warnings_once_per_file(tmp_path, capsys):
+    f = tmp_path / "c2.poly"
+    f.write_text(C2_TEXT.replace("1 0 1\n", "2 0 2\n", 1))
+    warning = "warning: row [2, 0, 2] normalized to primitive form\n"
+    code, out, err = run_cli(["oda", str(f), "-"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and "holds" in out
+    assert err == warning
+    for argv in (["check", str(f), "--skip-neat"], ["ewald", str(f)], ["neat", str(f)]):
+        code, _, err = run_cli(argv, capsys=capsys)
+        assert code == 0 and err == warning, argv

@@ -6,6 +6,7 @@ must give the same answers as the references in incidence_oracles.py.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -43,7 +44,9 @@ def polytopes_under_test():
     out += [p.translate(tuple(rng.randint(-2, 2) for _ in range(p.dim))) for p in named]
     out += [p.transform(random_unimodular(rng, p.dim)) for p in named if p.dim > 1]
     out += [cartesian_product(hexagon, hexagon), cartesian_product(ssb(3, 2), cube(2))]
-    out += [del_pezzo(3), del_pezzo(5)]  # not simple: the meet-closure 2-faces
+    # not simple: the 2-faces from facet steps down the vertex masks
+    cross4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)
+    out += [del_pezzo(3), del_pezzo(5), cartesian_product(del_pezzo(5), segment()), cross4]
     charts = []
     for p in named:
         if 2 < p.dim <= 4:
