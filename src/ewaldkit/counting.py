@@ -145,19 +145,23 @@ def volume(p: HPolytope) -> Fraction:
     scale = lcm(1, *(x.denominator for v in verts for x in v))
     pts = [[int(x * scale) for x in v] for v in verts]
     on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
-    total = _pull((1 << len(verts)) - 1, [], pts, on_row)
+    total = _pull((1 << len(verts)) - 1, [], pts, on_row, {})
     return Fraction(total, scale**p.dim * factorial(p.dim))
 
 
-def _pull(face, chain, pts, on_row):
+def _pull(face, chain, pts, on_row, steps):
     """Sum of |det(v_k − v_0)| over the simplices of the face's pulling
-    triangulation, each joined to the vertices chain pulled before it."""
+    triangulation, each joined to the vertices chain pulled before it.
+    steps maps each face met so far in this volume call to its facets that
+    miss its pulled vertex: many chains reach the same face."""
     low = face & -face
     chain = chain + [pts[low.bit_length() - 1]]
-    rest = [g for g in _face_facets(face, on_row) if not g & low]
+    if face not in steps:
+        steps[face] = [g for g in _face_facets(face, on_row) if not g & low]
+    rest = steps[face]
     if not rest:  # the face is the vertex low, and chain a simplex
         return abs(det([[a - b for a, b in zip(v, chain[0])] for v in chain[1:]]))
-    return sum(_pull(g, chain, pts, on_row) for g in rest)
+    return sum(_pull(g, chain, pts, on_row, steps) for g in rest)
 
 
 def normalized_volume(p: HPolytope) -> int:

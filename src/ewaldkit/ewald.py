@@ -6,14 +6,22 @@ including 0 whenever 0 ∈ P.  (Some authors drop the origin; we do not.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
-from math import floor
+from math import ceil, floor
 
 from .classify import is_monotone, is_smooth
 from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec, scan_key
-from .polytope import FaceRef, HPolytope, _bits, _slab_points, dot, per_polytope
+from .polytope import (
+    FaceRef,
+    HPolytope,
+    _bits,
+    _lattice_search,
+    _require_simple,
+    _slab_frame,
+    dot,
+    per_polytope,
+)
 
 __all__ = [
     "EwaldSet",
@@ -38,6 +46,11 @@ __all__ = [
 class EwaldSet:
     dim: int
     points: frozenset
+    order: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.order is None:
+            object.__setattr__(self, "order", tuple(sorted(self.points, key=scan_key)))
 
     def __len__(self):
         return len(self.points)
@@ -47,32 +60,59 @@ class EwaldSet:
 
     def ordered(self) -> tuple:
         """Deterministic scan order, intlinalg.scan_key: max-norm ascending,
-        then lexicographic.  Sorted on the first call; every call returns
-        that same tuple."""
-        return self._ordered
-
-    @cached_property
-    def _ordered(self) -> tuple:
-        return tuple(sorted(self.points, key=scan_key))
+        then lexicographic.  ewald_set hands over the order of its one sort;
+        an EwaldSet built from points alone sorts them when it is made."""
+        return self.order
 
 
 @per_polytope
 def _tight_masks(p: HPolytope) -> tuple:
     """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
-    polytope: t has bit i set when facet i is tight at λ, tn when it is
-    tight at −λ.  The strong, star and FS checks read these masks instead of
-    dotting every point against every facet again."""
-    rows = tuple(enumerate(zip(p.normals, p.offsets)))
+    polytope by one lattice search: t has bit i set when facet i is tight at
+    λ, tn when it is tight at −λ.  ewald_set and the strong, star and FS
+    checks all read this table.
+
+    E(P) is the set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the
+    d = 0 slab system on _slab_frame(p); a unit row of that frame is bounded
+    by min(max, −min) of its values at the vertices, as E(P) ⊂ P ∩ −P.  The
+    system is symmetric, so the search visits one point of each pair ±λ and
+    reads the facet masks off the leaf: u_j·λ is y_t on the t-th coordinate
+    row and −e[r] on the r-th other row.  Only an integral c_j can be tight.
+    """
+    rows, coords = _slab_frame(p)
+    half = [floor(c) for c in p.offsets]
+    for u in rows[p.nfacets:]:
+        values = [dot(u, v) for v in p.vertices()]
+        half.append(min(floor(max(values)), -ceil(min(values))))
+    inv, search = _lattice_search(rows, coords, half)
+    at_y, at_e = [], []  # (index, bit, c): u_j·λ = y[index] or −e[index]
+    for j, c in enumerate(p.offsets):
+        if isinstance(c, int):
+            if j in coords:
+                at_y.append((coords.index(j), 1 << j, c))
+            else:
+                at_e.append((j - sum(i < j for i in coords), 1 << j, -c))
     table = []
-    for lam in ewald_set(p).ordered():
+
+    def visit(y, e):
         t = tn = 0
-        for i, (u, c) in rows:
-            s = dot(u, lam)
-            if s == c:
-                t |= 1 << i
-            if s == -c:
-                tn |= 1 << i
+        for k, bit, c in at_y:
+            if y[k] == c:
+                t |= bit
+            if y[k] == -c:
+                tn |= bit
+        for r, bit, c in at_e:  # c = −c_j, e[r] = −u_j·λ
+            if e[r] == c:
+                t |= bit
+            if e[r] == -c:
+                tn |= bit
+        lam = mat_vec(inv, y)
         table.append((lam, t, tn))
+        if any(lam):
+            table.append((tuple(-x for x in lam), tn, t))
+
+    search([0] * len(rows), visit, halfspace=True)
+    table.sort(key=lambda entry: scan_key(entry[0]))
     return tuple(table)
 
 
@@ -94,9 +134,10 @@ def cube_normalization(p: HPolytope):
 @per_polytope
 def ewald_set(p: HPolytope) -> EwaldSet:
     """Symmetric lattice points of P, computed exactly: the integer x with
-    |u_j·x| <= ⌊c_j⌋ on every row, by the lattice-point search of polytope."""
-    floors = [floor(c) for c in p.offsets]
-    return EwaldSet(p.dim, frozenset(_slab_points(p, [-f for f in floors], floors)))
+    |u_j·x| <= ⌊c_j⌋ on every row, read from the table of _tight_masks, which
+    one half-space lattice search builds already in scan order."""
+    order = tuple(lam for lam, _, _ in _tight_masks(p))
+    return EwaldSet(p.dim, frozenset(order), order)
 
 
 def _require_origin_interior(p: HPolytope):
@@ -198,13 +239,20 @@ def star_ewald_face(p: HPolytope, f: FaceRef):
 
 def star_ewald(p: HPolytope):
     """(flag, failing_face): the star condition over every proper face,
-    scanned by increasing codimension, witness-first."""
+    scanned by increasing codimension, witness-first.
+
+    The faces come in the order of p.faces(codim): the sorted combinations
+    of each vertex's facets, here of their bits, so that a face's mask is
+    the sum of its combination.  Only the failing face becomes a FaceRef."""
     _require_origin_interior(p)
+    _require_simple(p)
     table = _tight_masks(p)
+    corners = [tuple(1 << i for i in _bits(t)) for t in p.vertex_masks()]
     for codim in range(1, p.dim + 1):
-        for f in p.faces(codim):
-            if _star_witness(table, f.mask) is None:
-                return False, f
+        for bits in sorted({s for c in corners for s in combinations(c, codim)}):
+            face = sum(bits)
+            if _star_witness(table, face) is None:
+                return False, FaceRef(_bits(face), codim)
     return True, None
 
 

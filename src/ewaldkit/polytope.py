@@ -93,6 +93,11 @@ def _bits(mask) -> tuple:
     return tuple(out)
 
 
+def _require_simple(p):
+    if not p.is_simple():
+        raise ValueError("face lattice requires simple polytope")
+
+
 def per_polytope(fn):
     """Memoize fn(p, *args) in p._cache under the key (fn, args): data that
     depends only on the polytope (and hashable arguments) is computed once
@@ -229,8 +234,7 @@ class HPolytope:
     @per_polytope
     def faces(self, codim: int) -> tuple:
         """All faces of the given codimension of a simple polytope."""
-        if not self.is_simple():
-            raise ValueError("face lattice requires simple polytope")
+        _require_simple(self)
         if codim < 0 or codim > self.dim:
             raise ValueError("codimension out of range")
         seen = {s for t in self.vertex_masks() for s in combinations(_bits(t), codim)}
@@ -471,15 +475,23 @@ def _lattice_search(rows, coords, half):
     rows are integer vectors u_j, coords the indices of n of them that form a
     unimodular matrix A, and half the integer half-widths h_j.  Returns
     (inv, search) with inv = A^-1: search(d, visit), for integer centres d,
-    calls visit(y) on y = A x for every integer x with |u_j·x − d_j| <= h_j
-    on every row, until visit returns true, and returns whether it did.
+    calls visit(y, e) on y = A x for every integer x with |u_j·x − d_j| <= h_j
+    on every row, until visit returns true, and returns whether it did.  e
+    holds the residuals of the other rows: e[r] = d_j − u_j·x for the r-th
+    row j outside coords, so every row's value at x is read off y and e.
+
+    search(d, visit, halfspace=True), valid only for d = 0, visits 0 and the
+    y whose first nonzero coordinate is negative: one of each pair ±x of the
+    symmetric system, whose mirrors are the points not visited.
 
     Row j reads w_j·y with w_j = u_j A^-1.  Write y = d_coords + z: the
     coordinate rows put z in the box |z_t| <= h_coords[t], and every other
     row says |w_j·z − e_j| <= h_j with e_j = d_j − w_j·d_coords.  The search
     fixes z_0, z_1, ... in turn, each over the range every slab allows,
     widened by the row's largest reach over the coordinates still free; the
-    last coordinate's range is exact.  Everything but d is fixed here.
+    last coordinate's range is exact.  In the half space, a level's range
+    stops at 0 while every coordinate fixed so far is 0.  Everything but d
+    is fixed here.
     """
     n = len(coords)
     inv = inverse_unimodular([rows[i] for i in coords])
@@ -501,7 +513,7 @@ def _lattice_search(rows, coords, half):
                 levels[t].append((r, w[t], reach[t + 1]))
         slabs.append((j, [(t, w[t]) for t in range(n) if w[t]], reach[0]))
 
-    def search(d, visit):
+    def search(d, visit, halfspace=False):
         if empty:
             return False
         base = [d[i] for i in coords]
@@ -515,11 +527,12 @@ def _lattice_search(rows, coords, half):
             e.append(ej)
         z = [0] * n
 
-        def descend(k, e):
-            # e[r] = e_r − sum_{t < k} w_t z_t for the r-th slab
+        def descend(k, e, lead):
+            # e[r] = e_r − sum_{t < k} w_t z_t for the r-th slab; lead: the
+            # half space is searched and z_0 = ... = z_{k-1} = 0
             if k == n:
-                return visit([a + b for a, b in zip(base, z)])
-            first, last = -box[k], box[k]
+                return visit([a + b for a, b in zip(base, z)], e)
+            first, last = -box[k], 0 if lead else box[k]
             for r, a, reach in levels[k]:
                 # |e_r − a z_k − rest| <= reach[k+1] covers every free rest
                 below, above = e[r] - reach, e[r] + reach
@@ -534,11 +547,11 @@ def _lattice_search(rows, coords, half):
                 nxt = e[:]
                 for r, a, _ in levels[k]:
                     nxt[r] -= a * v
-                if descend(k + 1, nxt):
+                if descend(k + 1, nxt, lead and not v):
                     return True
             return False
 
-        found = descend(0, e)
+        found = descend(0, e, halfspace)
         del descend  # a closure over itself: free visit's data now, not at the next collection
         return found
 
@@ -567,7 +580,7 @@ def _slab_points(p: HPolytope, lower, upper, scale=1) -> list:
         half.append((hi - lo) // 2)
     inv, search = _lattice_search(rows, coords, half)
     points = []
-    search(centre, lambda y: points.append(mat_vec(inv, y)))  # None: never stops
+    search(centre, lambda y, e: points.append(mat_vec(inv, y)))  # None: never stops
     return points
 
 

@@ -4,7 +4,8 @@ differential-test references.
 Each scan walks a whole box point by point: the 3^n cube of the vertex
 normalization or the bounding box of P ∩ −P for E(P), the bounding box of P
 for lattice_points, and the box of samples·P, widened by one, for the probe
-grid.
+grid.  The facet masks of E(P) are kept as they were built before the
+search read them off its leaves: one dot product per point and row.
 """
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ from itertools import product
 from math import ceil, floor
 
 from ewaldkit.ewald import cube_normalization
-from ewaldkit.intlinalg import inverse_unimodular, mat_vec
+from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key
+from ewaldkit.polytope import dot
 
 
 def _symmetric(p, x):
@@ -66,3 +68,26 @@ def product_grid(p, samples):
         if p.contains(pt, strict=True):
             out.append(pt)
     return tuple(out)
+
+
+def brute_ewald(p):
+    """E(P) as {x ∈ lattice_points : −x ∈ P}."""
+    return frozenset(x for x in p.lattice_points() if p.contains(tuple(-c for c in x)))
+
+
+def dot_tight_masks(p, points):
+    """(λ, t, tn) per λ of points in scan order: bit i of t set when facet i
+    is tight at λ, of tn when it is tight at −λ, by dotting λ with every
+    row."""
+    rows = tuple(enumerate(zip(p.normals, p.offsets)))
+    table = []
+    for lam in sorted(points, key=scan_key):
+        t = tn = 0
+        for i, (u, c) in rows:
+            s = dot(u, lam)
+            if s == c:
+                t |= 1 << i
+            if s == -c:
+                tn |= 1 << i
+        table.append((lam, t, tn))
+    return tuple(table)

@@ -29,7 +29,7 @@ from ewaldkit.counting import (
     volume,
 )
 from ewaldkit.ewald import ewald_set
-from ewaldkit.polytope import HPolytope, cartesian_product, convex_hull
+from ewaldkit.polytope import HPolytope, _face_facets, cartesian_product, convex_hull
 
 # the paper's SSB count table, rows n = 2..9
 SSB_TABLE = {
@@ -204,6 +204,24 @@ def test_volume_matches_chart_recursion():
     # a point is one 0-simplex, of volume 1 in R^0 (the recursion's base
     # case called it 0)
     assert volume(HPolytope(0, (), ())) == normalized_volume(HPolytope(0, (), ())) == 1
+
+
+def test_volume_takes_one_facet_step_per_face(monkeypatch):
+    import ewaldkit.counting as counting
+
+    steps = []
+
+    def counted(face, on_row):
+        steps.append(face)
+        return _face_facets(face, on_row)
+
+    monkeypatch.setattr(counting, "_face_facets", counted)
+    assert volume(cube(7)) == 128
+    # one step per face reached, at most once each: cube(7) has 3^7 faces
+    assert len(steps) == len(set(steps)) <= 3**7
+    steps.clear()
+    assert volume(cube(7)) == 128  # nothing is kept from the call before
+    assert 0 < len(steps) <= 3**7
 
 
 def test_ssb_patterns():

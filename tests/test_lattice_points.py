@@ -5,10 +5,11 @@ kept in lattice_oracles."""
 import random
 from fractions import Fraction
 
-from conftest import smooth_suite
+from conftest import random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
 from ewaldkit.ewald import ewald_set
-from ewaldkit.polytope import HPolytope, _slab_frame, cartesian_product
+from ewaldkit.intlinalg import mat_vec
+from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from ewaldkit.probes import interior_sample_grid
 from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice
 
@@ -66,3 +67,43 @@ def test_both_coordinate_choices_are_exercised():
     for p in catalog().values():
         rows, coords = _slab_frame(p)
         assert len(rows) == p.nfacets
+
+
+def _random_slab_system(rng):
+    """(rows, coords, half): the rows of a random unimodular matrix, at the
+    positions coords among up to three other random integer rows, and random
+    half-widths."""
+    n = rng.randint(1, 4)
+    rows = [tuple(u) for u in random_unimodular(rng, n)]
+    rows += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    coords = [order.index(t) for t in range(n)]
+    return [rows[i] for i in order], coords, [rng.randint(0, 3) for _ in rows]
+
+
+def _visits(search, d, **kwargs):
+    """The y the search visits at centre d, each with its residuals."""
+    leaves = []
+    search(d, lambda y, e: leaves.append((tuple(y), tuple(e))), **kwargs)
+    return leaves
+
+
+def test_half_space_search_and_its_mirrors_are_the_full_search():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        rows, coords, half = _random_slab_system(rng)
+        inv, search = _lattice_search(rows, coords, half)
+        zero = [0] * len(rows)
+        full = {y for y, _ in _visits(search, zero)}
+        halves = [y for y, _ in _visits(search, zero, halfspace=True)]
+        assert len(set(halves)) == len(halves) == (len(full) + 1) // 2
+        assert all(next((v for v in y if v), -1) < 0 for y in halves)
+        assert set(halves) | {tuple(-v for v in y) for y in halves} == full
+        # the residuals at a leaf are d_j − u_j·x on the rows outside coords
+        d = [rng.randint(-2, 2) for _ in rows]
+        others = [(u, dj) for j, (u, dj) in enumerate(zip(rows, d)) if j not in coords]
+        for y, e in _visits(search, d):
+            x = mat_vec(inv, y)
+            assert list(e) == [dj - dot(u, x) for u, dj in others]
+            assert all(abs(dot(u, x) - dj) <= h for u, dj, h in zip(rows, d, half))

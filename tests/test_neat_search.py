@@ -32,7 +32,7 @@ def _slab_search(p):
 
     def first(b):
         found = []
-        search(b, lambda y: found.append(mat_vec(inv, y)) or True)
+        search(b, lambda y, e: found.append(mat_vec(inv, y)) or True)
         return found[0] if found else None
 
     return first
