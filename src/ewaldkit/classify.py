@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import kernel_basis, primitive_part, scaled_inverse, solve_rational
+from .intlinalg import kernel_basis, primitive_part, solve_rational
 from .polytope import (
     FaceRef,
     HPolytope,
@@ -22,7 +22,8 @@ from .polytope import (
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _bits, _face_facets, _integerize, _point, _row_vertex_masks
+from .polytope import _bits, _face_facets, _face_masks, _integerize, _point, _row_vertex_masks
+from .polytope import _vertex_chart
 
 __all__ = [
     "ClassReport",
@@ -39,40 +40,30 @@ __all__ = [
 
 
 @per_polytope
-def _vertex_cone(p: HPolytope, vi: int) -> tuple:
-    """(d, dirs) at vertex vi: dirs are the sorted primitive edge
-    directions.  When exactly n rows are tight (a simple vertex), d = ±
-    their determinant and dirs come from one scaled inverse: the edge
-    leaving facet k is the primitive part of −(column k of A^-1), since
-    A d_k = −e_k; for d = ±1 that column is already primitive.  Otherwise d
-    is None and dirs come from the adjacency scan."""
-    tight = _bits(p.vertex_masks()[vi])
-    if len(tight) == p.dim:
-        d, e = scaled_inverse([p.normals[i] for i in tight])
-        s = -1 if d > 0 else 1
-        dirs = [tuple(s * x for x in col) for col in zip(*e)]
-        if d not in (1, -1):
-            dirs = [primitive_part(col) for col in dirs]
+def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
+    """Primitive edge directions at vertex vi, sorted.  At a simple vertex
+    the edge leaving row s_t is the primitive part of the chart's ray
+    d_t = −A_s^-1 e_t, the column −e_t / d of its scaled inverse; at any
+    other vertex the edges come from the adjacency scan."""
+    if p.vertex_masks()[vi].bit_count() == p.dim:
+        _, d, e, _ = _vertex_chart(p, vi)
+        sign = -1 if d > 0 else 1
+        dirs = [primitive_part([sign * x for x in col]) for col in zip(*e)]
     else:
-        d, verts = None, p.vertices()
+        verts = p.vertices()
         dirs = [
             _integerize([a - b for a, b in zip(verts[wj], verts[vi])])
             for wj in p.adjacent_vertex_indices(vi)
         ]
-    return d, tuple(sorted(dirs))
-
-
-def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
-    """Primitive edge directions at vertex vi of a simple polytope, sorted."""
-    return _vertex_cone(p, vi)[1]
+    return tuple(sorted(dirs))
 
 
 @per_polytope
 def is_smooth(p: HPolytope):
     """(flag, witness): at every vertex the primitive edge directions must
     form a lattice basis; the witness is the first offending vertex.  For
-    primitive normals that holds exactly when the n tight rows have
-    determinant ±1."""
+    primitive normals that holds exactly when the vertex is simple and its
+    chart has d = ±1, the determinant of its n tight rows."""
     if p.dim == 0:
         return True, None
     verts = p.vertices()
@@ -80,7 +71,7 @@ def is_smooth(p: HPolytope):
         bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
         return False, bad
     for i, v in enumerate(verts):
-        if abs(_vertex_cone(p, i)[0]) != 1:
+        if abs(_vertex_chart(p, i)[1]) != 1:
             return False, v
     return True, None
 
@@ -105,7 +96,7 @@ def _two_faces(p: HPolytope):
     displacement slices, take n − 2 facet steps down from the full vertex
     set; a face's tight tuple is then the rows whose vertex set contains it."""
     if p.is_simple():
-        return tuple(f.tight for f in p.faces(p.dim - 2))
+        return tuple(_bits(f) for f in _face_masks(p, p.dim - 2))
     on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
     level = {(1 << len(p.vertices())) - 1}
     for _ in range(p.dim - 2):
@@ -151,25 +142,24 @@ def is_deeply_smooth(p: HPolytope):
     """(flag, witness corner): P must contain every vertex's corner
     parallelepiped; the witness is the first missing corner point.
 
-    The corners of v are v + Σ_{i∈S} d_i over the subsets S of its edge
-    directions, so row j holds at all of them iff
-    u_j·v + Σ_i max(0, u_j·d_i) <= c_j, an O(m·n) test per vertex.  The
-    corners v and v + d_i lie in P, so a vertex failing the test misses a
-    corner of two or more directions; the corners are listed, in the order
-    that fixes the witness, only at the first such vertex."""
+    The corners of v are v + Σ_{t∈S} d_t over the subsets S of its edge
+    rays, so row j holds at all of them iff its chart row has
+    c_j − u_j·v >= Σ_t max(0, u_j·d_t), an O(m·n) test per vertex on the
+    margins and slopes of _vertex_chart (the rows through v hold at every
+    corner).  The corners v and v + d_t lie in P, so a vertex failing the
+    test misses a corner of two or more directions; the corners are listed,
+    in the order that fixes the witness, only at the first such vertex."""
     smooth, w = is_smooth(p)
     if not smooth or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
-    rows = tuple(zip(p.normals, p.offsets))
     for i, v in enumerate(p.vertices()):
-        dirs = vertex_edge_directions(p, i)
-        if all(dot(u, v) + sum(max(0, dot(u, d)) for d in dirs) <= c for u, c in rows):
+        rows = _vertex_chart(p, i)[3]
+        if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
             continue
+        dirs = vertex_edge_directions(p, i)
         for r in range(2, len(dirs) + 1):
             for subset in combinations(dirs, r):
-                corner = tuple(
-                    x + sum(d[j] for d in subset) for j, x in enumerate(v)
-                )
+                corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))
                 if not p.contains(corner):
                     return False, corner
     return True, None

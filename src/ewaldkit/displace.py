@@ -9,20 +9,15 @@ conclusive; "neat_up_to_radius" is evidence, not proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import is_smooth
-from .intlinalg import _reduce, scaled_inverse
 from .polytope import (
-    FaceRef,
     HPolytope,
     Slice,
-    _bits,
-    _exact,
     _facet_rows,
     _lattice_search,
     _slab_frame,
-    dot,
+    _vertex_chart,
     enumerate_vertices,
     face_slice,
     normal_fan_signature,
@@ -109,42 +104,29 @@ def first_displacement(p: HPolytope, face) -> HPolytope:
 def _vertex_margin_constraints(p: HPolytope):
     """The conditions, affine in b, under which P_b keeps the fan of p.
 
-    At a vertex v with tight rows T, let S be the first n independent rows
-    of T (all of T at a simple vertex; the pivots of one _reduce otherwise).
-    The displaced vertex candidate is x_S(b) = v + A_S^{-1} b_S.  P_b has
-    the parent's fan, over the same rows, iff at every vertex x_S(b) is
-    tight on each row of T \\ S and strictly inside every row off T: then
-    each x_S(b) is a vertex of P_b with mask T, and those normal cones
-    already cover R^n, so P_b has no other vertex, no implicit equality and
-    no redundant row.  The converse is immediate.
+    At a vertex v with tight rows T, let S be the rows s of its chart
+    (polytope._vertex_chart): all of T at a simple vertex, otherwise the
+    first n independent rows.  The displaced vertex candidate is
+    x_S(b) = v + A_S^{-1} b_S.  P_b has the parent's fan, over the same
+    rows, iff at every vertex x_S(b) is tight on each row of T \\ S and
+    strictly inside every row off T: then each x_S(b) is a vertex of P_b
+    with mask T, and those normal cones already cover R^n, so P_b has no
+    other vertex, no implicit equality and no redundant row.  The converse
+    is immediate.
 
+    Row j outside S reads c_j + b_j − u_j·x_S(b) = margin_j + b_j +
+    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t.
     Each strict margin is stored as (const, ((idx, coeff), ...)) meaning
     const + sum coeff*b[idx] > 0, each equality on a row of T \\ S as
     (None, ((idx, coeff), ...)) meaning sum coeff*b[idx] == 0; they are
     grouped by their largest index.
     """
-    n = p.dim
     constraints = set()
-    for v, tight in zip(p.vertices(), p.vertex_masks()):
-        s = _bits(tight)
-        if len(s) > n:
-            piv, _, _ = _reduce([[p.normals[i][c] for i in s] for c in range(n)], len(s))
-            s = tuple(s[k] for k in piv)
-        on_s = sum(1 << i for i in s)
-        # e = d A_S^{-1}; x_S(b) = v + A_S^{-1} b_S
-        d, e = scaled_inverse([p.normals[i] for i in s])
-        for j in range(p.nfacets):
-            if on_s >> j & 1:
-                continue
-            u = p.normals[j]
-            terms = [(j, 1)]
-            for t, row_idx in enumerate(s):
-                # coefficient of b_S[t] in -u · (A_S^{-1} b_S)
-                num = -sum(u[c] * e[c][t] for c in range(n))
-                if num:
-                    terms.append((row_idx, num // d if num % d == 0 else Fraction(num, d)))
-            const = None if tight >> j & 1 else _exact(p.offsets[j] - dot(u, v))
-            constraints.add((const, tuple(sorted(terms))))
+    for vi, tight in enumerate(p.vertex_masks()):
+        s, _, _, rows = _vertex_chart(p, vi)
+        for j, margin, slopes in rows:
+            terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
+            constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)

@@ -11,14 +11,16 @@ from itertools import combinations
 from math import ceil, floor
 
 from .classify import is_monotone, is_smooth
-from .intlinalg import _basis_search, _xgcd, det, inverse_unimodular, mat_vec, scan_key
+from .intlinalg import _basis_search, _xgcd, inverse_unimodular, mat_vec, scan_key
 from .polytope import (
     FaceRef,
     HPolytope,
     _bits,
+    _face_masks,
     _lattice_search,
     _require_simple,
     _slab_frame,
+    _vertex_chart,
     dot,
     per_polytope,
 )
@@ -118,17 +120,16 @@ def _tight_masks(p: HPolytope) -> tuple:
 
 def cube_normalization(p: HPolytope):
     """Unimodular M sending the lex-smallest vertex cone to the standard
-    corner at (−1,…,−1); valid when that vertex is smooth with offsets 1."""
-    v = p.vertices()[0]
+    corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
+    Unimodularity reads d of the vertex's chart."""
     tight = _bits(p.vertex_masks()[0])
     if len(tight) != p.dim:
         raise ValueError("vertex is not simple")
     if any(p.offsets[i] != 1 for i in tight):
         raise ValueError("vertex facets are not at offset 1")
-    rows = tuple(tuple(-x for x in p.normals[i]) for i in tight)
-    if abs(det(rows)) != 1:
+    if abs(_vertex_chart(p, 0)[1]) != 1:
         raise ValueError("vertex cone is not unimodular")
-    return rows
+    return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 
 
 @per_polytope
@@ -241,16 +242,13 @@ def star_ewald(p: HPolytope):
     """(flag, failing_face): the star condition over every proper face,
     scanned by increasing codimension, witness-first.
 
-    The faces come in the order of p.faces(codim): the sorted combinations
-    of each vertex's facets, here of their bits, so that a face's mask is
-    the sum of its combination.  Only the failing face becomes a FaceRef."""
+    The faces are the facet masks of polytope._face_masks, in the order of
+    p.faces(codim).  Only the failing face becomes a FaceRef."""
     _require_origin_interior(p)
     _require_simple(p)
     table = _tight_masks(p)
-    corners = [tuple(1 << i for i in _bits(t)) for t in p.vertex_masks()]
     for codim in range(1, p.dim + 1):
-        for bits in sorted({s for c in corners for s in combinations(c, codim)}):
-            face = sum(bits)
+        for face in _face_masks(p, codim):
             if _star_witness(table, face) is None:
                 return False, FaceRef(_bits(face), codim)
     return True, None

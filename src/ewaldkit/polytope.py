@@ -12,11 +12,11 @@ from fractions import Fraction
 from functools import wraps
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from .intlinalg import (
     _integer_row,
     _reduce,
-    det,
     inverse_unimodular,
     kernel_basis,
     mat_vec,
@@ -111,6 +111,50 @@ def per_polytope(fn):
         return p._cache[key]
 
     return cached
+
+
+@per_polytope
+def _vertex_chart(p, vi: int) -> tuple:
+    """(s, d, e, rows): P written in the cone coordinates of vertex v = vi.
+
+    s holds n independent rows tight at v: all of them at a simple vertex,
+    otherwise the pivots of one _reduce.  (d, e) = scaled_inverse(A_s), so
+    A_s^-1 = e / d and |d| = |det A_s|; the edge ray d_t = −A_s^-1 e_t
+    leaves row s_t.  rows has one entry (j, c_j − u_j·v, slopes) per row j
+    outside s, in row order, with slopes[t] = u_j·d_t: an int where d
+    divides it, else a Fraction.  Smoothness reads d, deep smoothness the
+    margins and slopes, the fan test the same margins as affine forms in b,
+    and the slab frame d at vertex 0."""
+    s = _bits(p.vertex_masks()[vi])
+    if len(s) > p.dim:
+        piv, _, _ = _reduce([list(col) for col in zip(*(p.normals[i] for i in s))], len(s))
+        s = tuple(s[k] for k in piv)
+    d, e = scaled_inverse([p.normals[i] for i in s])
+    rays = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
+    v = p.vertices()[vi]
+    rows = []
+    for j, (u, c) in enumerate(zip(p.normals, p.offsets)):
+        if j not in s:
+            nums = [sum(map(mul, u, ray)) for ray in rays]
+            slopes = tuple(x // d if x % d == 0 else Fraction(x, d) for x in nums)
+            rows.append((j, _exact(c - dot(u, v)), slopes))
+    return s, d, e, tuple(rows)
+
+
+@per_polytope
+def _corner_bits(p) -> tuple:
+    """Per vertex, the bits 1 << i of its tight rows, ascending."""
+    return tuple(tuple(1 << i for i in _bits(t)) for t in p.vertex_masks())
+
+
+@per_polytope
+def _face_masks(p, codim: int) -> tuple:
+    """The faces of codimension codim of a simple polytope as facet masks,
+    ordered by their sorted facet-index tuples: the codim-subsets of each
+    vertex's bits, which sort as the index tuples do and sum to the face's
+    mask.  faces(), the star check and the 2-faces read it."""
+    seen = {s for c in _corner_bits(p) for s in combinations(c, codim)}
+    return tuple(map(sum, sorted(seen)))
 
 
 @dataclass(frozen=True)
@@ -237,8 +281,7 @@ class HPolytope:
         _require_simple(self)
         if codim < 0 or codim > self.dim:
             raise ValueError("codimension out of range")
-        seen = {s for t in self.vertex_masks() for s in combinations(_bits(t), codim)}
-        return tuple(FaceRef(s, codim) for s in sorted(seen))
+        return tuple(FaceRef(_bits(f), codim) for f in _face_masks(self, codim))
 
     def face_vertices(self, face: FaceRef) -> tuple:
         need = face.mask
@@ -257,7 +300,7 @@ class HPolytope:
     @per_polytope
     def lattice_points(self) -> frozenset:
         upper = [floor(c) for c in self.offsets]
-        return frozenset(_slab_points(self, [None] * self.nfacets, upper))
+        return frozenset(_slab_points(self, upper))
 
     # -- validation ------------------------------------------------------
 
@@ -455,13 +498,13 @@ def irredundant_rows(dim, normals, offsets):
 def _slab_frame(p: HPolytope):
     """(rows, coords): the rows the lattice-point search reads for p, and the
     indices of n of them that form a unimodular matrix.  These are the rows
-    tight at the first vertex when they are n rows of determinant ±1, as on
-    every smooth polytope; otherwise the unit rows e_1, ..., e_n, appended
-    after p's rows and bounded by its bounding box."""
+    tight at the first vertex when they are n rows whose chart has d = ±1,
+    as on every smooth polytope; otherwise the unit rows e_1, ..., e_n,
+    appended after p's rows and bounded by its bounding box."""
     n, m = p.dim, p.nfacets
     rows = list(p.normals)
     tight = _bits(p.vertex_masks()[0])
-    if len(tight) == n and det([rows[i] for i in tight]) in (1, -1):
+    if len(tight) == n and _vertex_chart(p, 0)[1] in (1, -1):
         return rows, tight
     rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
     return rows, list(range(m, m + n))
@@ -558,24 +601,23 @@ def _lattice_search(rows, coords, half):
     return inv, search
 
 
-def _slab_points(p: HPolytope, lower, upper, scale=1) -> list:
-    """Every integer x with lower_j <= u_j·x <= upper_j on the rows of p,
-    given that each such x lies in scale·P.
+def _slab_points(p: HPolytope, upper, scale=1) -> list:
+    """Every integer x with u_j·x <= upper_j on the rows of p, given that
+    each such x lies in scale·P.
 
-    A lower bound of None, and both bounds of a unit row of _slab_frame, are
-    implied by the vertices of scale·P.  Such a lower bound moves down by one
+    The lower bounds, and both bounds of a unit row of _slab_frame, are
+    implied by the vertices of scale·P.  A lower bound moves down by one
     where that makes lo + hi even, which leaves the point set unchanged and
-    every centre an integer; given bounds must have an even sum.
+    every centre an integer.
     """
     rows, coords = _slab_frame(p)
-    bounds = list(zip(lower, upper)) + [(None, None)] * (len(rows) - p.nfacets)
+    upper = list(upper) + [None] * (len(rows) - p.nfacets)
     centre, half = [], []
-    for u, (lo, hi) in zip(rows, bounds):
-        if lo is None:
-            values = [dot(u, v) * scale for v in p.vertices()]
-            lo = ceil(min(values))
-            hi = floor(max(values)) if hi is None else hi
-            lo -= (lo + hi) % 2
+    for u, hi in zip(rows, upper):
+        values = [dot(u, v) * scale for v in p.vertices()]
+        lo = ceil(min(values))
+        hi = floor(max(values)) if hi is None else hi
+        lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
     inv, search = _lattice_search(rows, coords, half)

@@ -87,6 +87,8 @@ def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
     tests run on integers: u, t and b are scaled by their common
     denominator.
     """
+    if len(u) != p.dim:
+        raise ValueError("probe point of length %d in dimension %d" % (len(u), p.dim))
     u = tuple(Fraction(x) for x in u)
     scale = lcm(*(x.denominator for x in u + p.offsets))
     su = [_scaled(x, scale) for x in u]
@@ -115,7 +117,7 @@ def interior_sample_grid(p: HPolytope, samples: int):
     if samples < 1:
         raise ValueError("samples must be positive")
     upper = [ceil(c * samples) - 1 for c in p.offsets]
-    grid = sorted(q for q in _slab_points(p, [None] * p.nfacets, upper, samples) if any(q))
+    grid = sorted(q for q in _slab_points(p, upper, samples) if any(q))
     return tuple(tuple(Fraction(x, samples) for x in q) for q in grid)
 
 

@@ -197,6 +197,14 @@ def test_cli_ewald_neat_probe_displace(capsys):
     assert code == 1 and "not found" in out
 
 
+def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):
+    for point, length in (("1/2", 1), ("1/2,0,0", 3)):
+        argv = ["probe", "-", "--point", point]
+        code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 2 and out == ""
+        assert "probe point of length %d in dimension 2" % length in err
+
+
 def test_cli_probe_crosscheck_without_point(capsys):
     code, out, _ = run_cli(["probe", "-", "--samples", "2", "--bound", "2"], stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0

@@ -55,6 +55,13 @@ def test_probe_base_point_must_be_interior():
         displaceable_by_probe(cube(2), (1, 0), 2)
 
 
+def test_probe_point_must_have_the_polytope_dimension():
+    for point in ((Fraction(1, 2),), (Fraction(1, 2), 0, 0)):
+        message = "probe point of length %d in dimension 2" % len(point)
+        with pytest.raises(ValueError, match=message):
+            displaceable_by_probe(cube(2), point, 2)
+
+
 def test_probe_bound_monotone():
     hexa = monotone_polygon("hexagon")
     for u in interior_sample_grid(hexa, 3)[:10]:
