@@ -221,7 +221,7 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     # reads p's own rows in the coordinates of its first vertex cone
     _, search = _lattice_search(*_slab_frame(p), p.offsets)
     for b in _fan_preserving(p, radius, paired=True):
-        if not search(b, lambda y, e: True):
+        if not search(b):
             return NeatVerdict("counterexample", radius, witness_b=b)
     return NeatVerdict("neat_up_to_radius", radius)
 

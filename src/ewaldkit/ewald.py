@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil, floor
+from operator import neg
 
 from .classify import is_monotone, is_smooth
 from .intlinalg import _basis_search, _xgcd, inverse_unimodular, mat_vec, scan_key
@@ -78,44 +79,34 @@ def _tight_masks(p: HPolytope) -> tuple:
     d = 0 slab system on _slab_frame(p); a unit row of that frame is bounded
     by min(max, −min) of its values at the vertices, as E(P) ⊂ P ∩ −P.  The
     system is symmetric, so the search visits one point of each pair ±λ and
-    reads the facet masks off the leaf: u_j·λ is y_t on the t-th coordinate
-    row and −e[r] on the r-th other row.  Only an integral c_j can be tight.
+    reads the facet masks off the leaf residuals, e[j] = −u_j·λ.  Only an
+    integral c_j can be tight.  Each entry carries its max-norm from the
+    leaf, so the table sorts as plain tuples into the order of scan_key.
     """
     rows, coords = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
     for u in rows[p.nfacets:]:
         values = [dot(u, v) for v in p.vertices()]
         half.append(min(floor(max(values)), -ceil(min(values))))
-    inv, search = _lattice_search(rows, coords, half)
-    at_y, at_e = [], []  # (index, bit, c): u_j·λ = y[index] or −e[index]
-    for j, c in enumerate(p.offsets):
-        if isinstance(c, int):
-            if j in coords:
-                at_y.append((coords.index(j), 1 << j, c))
-            else:
-                at_e.append((j - sum(i < j for i in coords), 1 << j, -c))
+    _, search = _lattice_search(rows, coords, half)
+    tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
 
-    def visit(y, e):
+    def visit(lam, e):
         t = tn = 0
-        for k, bit, c in at_y:
-            if y[k] == c:
+        for j, bit, c in tight:  # u_j·λ = −e[j]
+            if e[j] == -c:
                 t |= bit
-            if y[k] == -c:
+            if e[j] == c:
                 tn |= bit
-        for r, bit, c in at_e:  # c = −c_j, e[r] = −u_j·λ
-            if e[r] == c:
-                t |= bit
-            if e[r] == -c:
-                tn |= bit
-        lam = mat_vec(inv, y)
-        table.append((lam, t, tn))
-        if any(lam):
-            table.append((tuple(-x for x in lam), tn, t))
+        norm = max(map(abs, lam), default=0)
+        table.append((norm, lam, t, tn))
+        if norm:
+            table.append((norm, tuple(map(neg, lam)), tn, t))
 
     search([0] * len(rows), visit, halfspace=True)
-    table.sort(key=lambda entry: scan_key(entry[0]))
-    return tuple(table)
+    table.sort()  # λ are distinct, so no two entries tie on (norm, λ)
+    return tuple([entry[1:] for entry in table])
 
 
 def cube_normalization(p: HPolytope):

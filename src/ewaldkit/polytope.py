@@ -19,7 +19,6 @@ from .intlinalg import (
     _reduce,
     inverse_unimodular,
     kernel_basis,
-    mat_vec,
     primitive_part,
     rank,
     scaled_inverse,
@@ -393,8 +392,13 @@ def enumerate_vertices(dim, normals, offsets):
     one with t = 0 is a recession direction.  Returns (vertices, masks),
     both sorted by vertex, where bit i of a vertex's mask is set iff row i
     is tight there (the ray's mask without the homogenizing row); empty
-    when the system is infeasible.  Raises ValueError on an unbounded
-    system.
+    when the system is infeasible.  Raises ValueError on a feasible
+    unbounded system.
+
+    The cone is pointed iff the normals span R^n.  When they do not, the
+    system holds a line wherever it is feasible, and it is feasible iff its
+    restriction to the pivot coordinates of the normals is: adding a vector
+    of the lineality space moves any solution onto those coordinates.
     """
     offsets = tuple(_exact(c) for c in offsets)
     if dim == 0:
@@ -407,14 +411,20 @@ def enumerate_vertices(dim, normals, offsets):
     try:
         rays = _extreme_rays(rows, dim + 1)
     except ValueError:
-        raise ValueError("unbounded inequality system") from None
-    found = {}
+        piv, _, _ = _reduce([list(u) for u in normals], dim)
+        if enumerate_vertices(len(piv), [[u[k] for k in piv] for u in normals], offsets)[0]:
+            raise ValueError("unbounded inequality system") from None
+        return (), ()
+    found, recedes = {}, False
     for y, mask in rays:
         den = y[-1] * scale
         if den == 0:
-            raise ValueError("unbounded inequality system")
+            recedes = True
+            continue
         x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y[:-1])
         found[x] = mask >> 1
+    if recedes and found:
+        raise ValueError("unbounded inequality system")
     verts = tuple(sorted(found))
     return verts, tuple(found[v] for v in verts)
 
@@ -518,83 +528,93 @@ def _lattice_search(rows, coords, half):
     rows are integer vectors u_j, coords the indices of n of them that form a
     unimodular matrix A, and half the integer half-widths h_j.  Returns
     (inv, search) with inv = A^-1: search(d, visit), for integer centres d,
-    calls visit(y, e) on y = A x for every integer x with |u_j·x − d_j| <= h_j
-    on every row, until visit returns true, and returns whether it did.  e
-    holds the residuals of the other rows: e[r] = d_j − u_j·x for the r-th
-    row j outside coords, so every row's value at x is read off y and e.
+    calls visit(x, e) on every integer point x with |u_j·x − d_j| <= h_j on
+    every row, until visit returns true, and returns whether it did.  x is a
+    tuple, and e a fresh list of every row's residual in row order,
+    e[j] = d_j − u_j·x, so every row's value at x is read off e.  search(d)
+    with no visit only answers whether there is such a point, and carries
+    none.
 
     search(d, visit, halfspace=True), valid only for d = 0, visits 0 and the
-    y whose first nonzero coordinate is negative: one of each pair ±x of the
-    symmetric system, whose mirrors are the points not visited.
+    x whose first nonzero coordinate in y = A x is negative: one of each pair
+    ±x of the symmetric system, whose mirrors are the points not visited.
 
-    Row j reads w_j·y with w_j = u_j A^-1.  Write y = d_coords + z: the
-    coordinate rows put z in the box |z_t| <= h_coords[t], and every other
-    row says |w_j·z − e_j| <= h_j with e_j = d_j − w_j·d_coords.  The search
-    fixes z_0, z_1, ... in turn, each over the range every slab allows,
-    widened by the row's largest reach over the coordinates still free; the
-    last coordinate's range is exact.  In the half space, a level's range
-    stops at 0 while every coordinate fixed so far is 0.  Everything but d
-    is fixed here.
+    Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
+    coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
+    box |z_t| <= h_coords[t], and every other row says |w_j·z − e_j| <= h_j
+    with e_j = d_j − w_j·d_coords.  The search fixes z_0, z_1, ... in turn,
+    each over the range every slab allows, widened by the row's largest
+    reach over the coordinates still free; the last coordinate's range is
+    exact.  In the half space, a level's range stops at 0 while every
+    coordinate fixed so far is 0.  Level k adds y_k times column k of A^-1
+    to the point and subtracts z_k w_j[k] from the residual of each row
+    that reads z_k, so a point costs O(n + m) and no matrix product.
+    Everything but d is fixed here.
     """
-    n = len(coords)
+    n, m = len(coords), len(rows)
     inv = inverse_unimodular([rows[i] for i in coords])
     cols = tuple(zip(*inv))
     box = [half[i] for i in coords]
     empty = any(h < 0 for h in half)  # some slab is empty, whatever d is
-    slabs, levels = [], [[] for _ in range(n)]
+    slabs, levels = [], [[] for _ in range(n)]  # slabs: (j, reach[0])
+    moves = [[(j, 1)] for j in coords]  # moves[k]: (j, w_j[k]) where nonzero
     for j, u in enumerate(rows):
         if j in coords:
             continue
         w = [dot(u, col) for col in cols]
-        r = len(slabs)
         # reach[k] = h_j + sum_{t >= k} |w_t| box_t: how far w·z may stray
         # from e_j while z_k, ..., z_{n-1} are free
         reach = [half[j]] * (n + 1)
         for t in range(n - 1, -1, -1):
             reach[t] = reach[t + 1] + abs(w[t]) * box[t]
             if w[t]:
-                levels[t].append((r, w[t], reach[t + 1]))
-        slabs.append((j, [(t, w[t]) for t in range(n) if w[t]], reach[0]))
+                levels[t].append((j, w[t], reach[t + 1]))
+                moves[t].append((j, w[t]))
+        slabs.append((j, reach[0]))
 
-    def search(d, visit, halfspace=False):
+    def search(d, visit=None, halfspace=False):
         if empty:
             return False
         base = [d[i] for i in coords]
-        e = []
-        for j, terms, reach in slabs:
-            ej = d[j]
-            for t, wt in terms:
-                ej -= wt * base[t]
-            if abs(ej) > reach:
+        e = list(d)  # e_j = d_j − w_j·base: 0 on the coordinate rows
+        for moved, b in zip(moves, base):
+            for j, a in moved:
+                e[j] -= a * b
+        for j, reach in slabs:
+            if abs(e[j]) > reach:
                 return False  # the only test of a row with w = 0 (dim 0)
-            e.append(ej)
-        z = [0] * n
+        if n == 0:
+            return visit is None or bool(visit((), e))
 
-        def descend(k, e, lead):
-            # e[r] = e_r − sum_{t < k} w_t z_t for the r-th slab; lead: the
-            # half space is searched and z_0 = ... = z_{k-1} = 0
-            if k == n:
-                return visit([a + b for a, b in zip(base, z)], e)
+        def descend(k, x, e, lead):
+            # x = sum_{t < k} y_t col_t, None when there is no visit;
+            # e[j] = e_j − sum_{t < k} w_j[t] z_t; lead: the half space is
+            # searched and z_0 = ... = z_{k-1} = 0
             first, last = -box[k], 0 if lead else box[k]
-            for r, a, reach in levels[k]:
-                # |e_r − a z_k − rest| <= reach[k+1] covers every free rest
-                below, above = e[r] - reach, e[r] + reach
+            for j, a, reach in levels[k]:
+                # |e_j − a z_k − rest| <= reach[k+1] covers every free rest
+                below, above = e[j] - reach, e[j] + reach
                 if a < 0:
                     below, above = above, below
                 first = max(first, -(-below // a))
                 last = min(last, above // a)
                 if first > last:
                     return False
+            leaf = k == n - 1
+            if leaf and visit is None:
+                return True
+            col, bk = cols[k], base[k]
             for v in range(first, last + 1):
-                z[k] = v
                 nxt = e[:]
-                for r, a, _ in levels[k]:
-                    nxt[r] -= a * v
-                if descend(k + 1, nxt, lead and not v):
+                for j, a in moves[k]:
+                    nxt[j] -= a * v
+                y = bk + v
+                at = tuple([a + y * c for a, c in zip(x, col)]) if y and x else x
+                if visit(at, nxt) if leaf else descend(k + 1, at, nxt, lead and not v):
                     return True
             return False
 
-        found = descend(0, e, halfspace)
+        found = descend(0, None if visit is None else (0,) * n, e, halfspace)
         del descend  # a closure over itself: free visit's data now, not at the next collection
         return found
 
@@ -620,9 +640,9 @@ def _slab_points(p: HPolytope, upper, scale=1) -> list:
         lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
-    inv, search = _lattice_search(rows, coords, half)
+    _, search = _lattice_search(rows, coords, half)
     points = []
-    search(centre, lambda y, e: points.append(mat_vec(inv, y)))  # None: never stops
+    search(centre, lambda x, e: points.append(x))  # None: never stops
     return points
 
 

@@ -1,5 +1,5 @@
 """The lattice-point scans ewaldkit ran before its single enumerator, kept as
-differential-test references.
+differential-test references, and a box scan of a bare slab system.
 
 Each scan walks a whole box point by point: the 3^n cube of the vertex
 normalization or the bounding box of P ∩ −P for E(P), the bounding box of P
@@ -68,6 +68,19 @@ def product_grid(p, samples):
         if p.contains(pt, strict=True):
             out.append(pt)
     return tuple(out)
+
+
+def slab_box_scan(rows, coords, half, d):
+    """The integer x with |u_j·x − d_j| <= h_j on every row, from the box
+    that the coordinate rows put around y = A x, A the unimodular matrix of
+    those rows."""
+    inv = inverse_unimodular([rows[i] for i in coords])
+    box = product(*(range(d[i] - half[i], d[i] + half[i] + 1) for i in coords))
+    return frozenset(
+        x
+        for x in (mat_vec(inv, y) for y in box)
+        if all(abs(dot(u, x) - dj) <= h for u, dj, h in zip(rows, d, half))
+    )
 
 
 def brute_ewald(p):

@@ -27,6 +27,7 @@ from ewaldkit.polytope import (
     convex_hull,
     dot,
     enumerate_vertices,
+    irredundant_rows,
 )
 
 
@@ -60,6 +61,16 @@ def oracle_bounded(dim, normals):
         if all(dot(u, d) <= 0 for u in normals) or all(dot(u, d) >= 0 for u in normals):
             return False
     return True
+
+
+def oracle_feasible(dim, normals, offsets):
+    """Whether normals @ x <= offsets has a solution: the subset scan of the
+    system cut by the box |x_i| <= 10^6.  A nonempty system has a point of
+    that size here: a minimal face holds a basic solution, whose Cramer
+    quotients stay below 4! · 54 · 2^3 for normals in [−2, 2]^n, n <= 4,
+    and offsets a/b with |a| <= 9, b <= 3."""
+    box = [tuple(s * (i == k) for k in range(dim)) for i in range(dim) for s in (1, -1)]
+    return bool(oracle_vertices(dim, list(normals) + box, list(offsets) + [10**6] * len(box))[0])
 
 
 def oracle_hull(points, dim):
@@ -115,6 +126,20 @@ def test_vertices_and_hulls_match_subset_scans():
         assert_matches_oracles(p)
 
 
+def test_infeasible_systems_are_empty_whatever_their_normals():
+    # x <= -1 and -x <= -1: infeasible with normals of rank 1, and with a row
+    # on y whose normals span the plane but leave the recession ray (0, -1)
+    strip = [(1, 0), (-1, 0)]
+    for normals in (strip, strip + [(0, 1)], strip + [(1, 1)]):
+        assert enumerate_vertices(2, normals, [-1] * 2 + [1] * (len(normals) - 2)) == ((), ())
+        assert not oracle_feasible(2, normals, [-1] * 2 + [1] * (len(normals) - 2))
+        with pytest.raises(ValueError, match="unbounded"):
+            enumerate_vertices(2, normals, [1] * len(normals))
+    assert enumerate_vertices(3, [(0, 0, 1), (0, 0, -1)], [Fraction(1, 2), Fraction(-2, 3)]) == ((), ())
+    with pytest.raises(ValueError, match="empty"):
+        irredundant_rows(2, tuple(strip), (-1, -1))
+
+
 def random_system(rng, dim):
     """Small normals, Fraction offsets, duplicate and weakly redundant rows."""
     m = rng.randint(1, dim + 5)
@@ -147,13 +172,19 @@ def test_random_systems_match_subset_scans():
     # systems also the facet rows against the affine rank of their vertices
     rng = random.Random(20261018)
     seen = {"bounded": 0, "unbounded": 0, "empty": 0, "full_dim": 0}
+    empty_unbounded = 0
     for _ in range(600):
         dim = rng.randint(1, 4)
         normals, offsets = random_system(rng, dim)
         if not oracle_bounded(dim, normals):
-            seen["unbounded"] += 1
-            with pytest.raises(ValueError, match="unbounded"):
-                enumerate_vertices(dim, normals, offsets)
+            # normals that bound no polytope: unbounded when feasible, else empty
+            if oracle_feasible(dim, normals, offsets):
+                seen["unbounded"] += 1
+                with pytest.raises(ValueError, match="unbounded"):
+                    enumerate_vertices(dim, normals, offsets)
+            else:
+                empty_unbounded += 1
+                assert enumerate_vertices(dim, normals, offsets) == ((), ()), (normals, offsets)
             continue
         want = oracle_vertices(dim, normals, offsets)
         seen["bounded" if want[0] else "empty"] += 1
@@ -165,7 +196,7 @@ def test_random_systems_match_subset_scans():
             seen["full_dim"] += 1
             on_row = [[v for v, t in zip(verts, tights) if t >> i & 1] for i in range(len(normals))]
             assert facets == [i for i, vs in enumerate(on_row) if affine_rank(vs) == dim - 1]
-    assert min(seen.values()) >= 30, seen
+    assert min(seen.values()) >= 30 and empty_unbounded >= 5, (seen, empty_unbounded)
 
 
 def test_random_point_hulls_match_subset_scan():

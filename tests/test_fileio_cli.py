@@ -277,6 +277,29 @@ def test_cli_check_rejects_unbounded_strip(capsys):
     assert err.startswith("error: unbounded inequality system")
 
 
+def test_cli_check_names_empty_unbounded_and_flat_input_apart(tmp_path, capsys):
+    inputs = {
+        # x <= -1 and -x <= -1 meet nowhere; with or without a row on y,
+        # whose normals do or do not span the plane, the system is empty
+        "empty": "dim 2\nfacets 3\n1 0 -1\n-1 0 -1\n0 1 1\n",
+        "empty_strip": "dim 2\nfacets 2\n1 0 -1\n-1 0 -1\n",
+        "unbounded": "dim 2\nfacets 3\n1 0 1\n-1 0 1\n0 1 1\n",
+        "flat": "dim 2\nfacets 4\n1 0 0\n-1 0 0\n0 1 1\n0 -1 1\n",
+        "blank": "",
+    }
+    errors = {}
+    for name, text in inputs.items():
+        f = tmp_path / (name + ".poly")
+        f.write_text(text)
+        code, out, err = run_cli(["check", str(f), "--skip-neat"], capsys=capsys)
+        assert code == 2 and out == "" and "Traceback" not in err, name
+        errors[name] = err.strip()
+    assert errors["empty"] == errors["empty_strip"] == "error: empty system"
+    assert errors["unbounded"] == "error: unbounded inequality system"
+    assert errors["flat"] == "error: polytope is not full-dimensional"
+    assert len({errors[k] for k in ("empty", "unbounded", "flat", "blank")}) == 4
+
+
 @pytest.mark.parametrize("var", ["EWALDKIT_RADIUS", "EWALDKIT_BOUND"])
 def test_cli_rejects_non_integer_env(var, capsys, monkeypatch):
     monkeypatch.setenv(var, "abc")

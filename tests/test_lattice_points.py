@@ -8,10 +8,9 @@ from fractions import Fraction
 from conftest import random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
 from ewaldkit.ewald import ewald_set
-from ewaldkit.intlinalg import mat_vec
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from ewaldkit.probes import interior_sample_grid
-from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice
+from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice, slab_box_scan
 
 # x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
 RATIONAL_POLYGON = HPolytope(
@@ -82,28 +81,66 @@ def _random_slab_system(rng):
     return [rows[i] for i in order], coords, [rng.randint(0, 3) for _ in rows]
 
 
-def _visits(search, d, **kwargs):
-    """The y the search visits at centre d, each with its residuals."""
-    leaves = []
-    search(d, lambda y, e: leaves.append((tuple(y), tuple(e))), **kwargs)
-    return leaves
-
-
-def test_half_space_search_and_its_mirrors_are_the_full_search():
+def _systems():
+    """(rows, coords, half, d): the 60 seeded slab systems, each at a random
+    centre, then systems in dimension 0 and systems with no point."""
     rng = random.Random(20261018)
     for _ in range(60):
         rows, coords, half = _random_slab_system(rng)
-        inv, search = _lattice_search(rows, coords, half)
+        yield rows, coords, half, [rng.randint(-2, 2) for _ in rows]
+    for d in ([0, 0], [1, 0], [2, 0]):
+        yield [(), ()], [], [1, 0], d
+    triangle = [(1, 0), (0, 1), (1, 1)]
+    yield triangle, [0, 1], [1, 1, -1], [0, 0, 0]  # an empty slab
+    yield triangle, [0, 1], [1, 1, 0], [0, 0, 5]  # x + y = 5 beyond the box
+    yield triangle, [2, 0], [0, 3, 0], [1, 0, 0]  # x = 1, x + y = 0, |y| <= 3
+
+
+def _visits(search, d, **kwargs):
+    """The (x, e) the search visits at centre d."""
+    leaves = []
+    search(d, lambda x, e: leaves.append((x, e)), **kwargs)
+    return leaves
+
+
+def test_visited_points_are_the_box_scan_with_every_residual():
+    empty = 0
+    for rows, coords, half, d in _systems():
+        _, search = _lattice_search(rows, coords, half)
+        leaves = _visits(search, d)
+        points = [x for x, _ in leaves]
+        assert len(set(points)) == len(points), (rows, d)
+        assert set(points) == slab_box_scan(rows, coords, half, d), (rows, d)
+        # e[j] = d_j − u_j·x on every row, coordinate rows included
+        for x, e in leaves:
+            assert type(x) is tuple
+            assert e == [dj - dot(u, x) for u, dj in zip(rows, d)]
+        empty += not points
+    assert empty >= 5
+
+
+def test_half_space_search_and_its_mirrors_are_the_full_search():
+    for rows, coords, half, _ in _systems():
+        _, search = _lattice_search(rows, coords, half)
         zero = [0] * len(rows)
-        full = {y for y, _ in _visits(search, zero)}
-        halves = [y for y, _ in _visits(search, zero, halfspace=True)]
+        full = {x for x, _ in _visits(search, zero)}
+        halves = [x for x, _ in _visits(search, zero, halfspace=True)]
         assert len(set(halves)) == len(halves) == (len(full) + 1) // 2
-        assert all(next((v for v in y if v), -1) < 0 for y in halves)
-        assert set(halves) | {tuple(-v for v in y) for y in halves} == full
-        # the residuals at a leaf are d_j − u_j·x on the rows outside coords
-        d = [rng.randint(-2, 2) for _ in rows]
-        others = [(u, dj) for j, (u, dj) in enumerate(zip(rows, d)) if j not in coords]
-        for y, e in _visits(search, d):
-            x = mat_vec(inv, y)
-            assert list(e) == [dj - dot(u, x) for u, dj in others]
-            assert all(abs(dot(u, x) - dj) <= h for u, dj, h in zip(rows, d, half))
+        # the first nonzero coordinate of y = A x is negative
+        ys = [tuple(dot(rows[i], x) for i in coords) for x in halves]
+        assert all(next((v for v in y if v), -1) < 0 for y in ys)
+        assert set(halves) | {tuple(-v for v in x) for x in halves} == full
+
+
+def test_bare_search_answers_whether_a_visiting_search_finds_a_point():
+    rng = random.Random(5)
+    answers = set()
+    for rows, coords, half, d in _systems():
+        _, search = _lattice_search(rows, coords, half)
+        for centre in [d] + [[rng.randint(-4, 4) for _ in rows] for _ in range(5)]:
+            found = bool(_visits(search, centre))
+            assert search(centre) is found, (rows, half, centre)
+            answers.add(found)
+        zero = [0] * len(rows)
+        assert search(zero, halfspace=True) is bool(_visits(search, zero))
+    assert answers == {True, False}

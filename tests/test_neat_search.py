@@ -8,7 +8,6 @@ from conftest import smooth_suite, workload_items
 from ewaldkit.bundles import catalog, monotone_polygon, segment
 from ewaldkit.displace import _fan_preserving, _vertex_margin_constraints, is_neat
 from ewaldkit.fileio import parse_polytope
-from ewaldkit.intlinalg import mat_vec
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
 
@@ -28,11 +27,11 @@ def _slab_search(p):
     enumerator visits with x ∈ P_b and −x ∈ P_{−b}, or None."""
     rows, coords = _slab_frame(p)
     assert len(rows) == p.nfacets  # p is smooth: no unit rows
-    inv, search = _lattice_search(rows, coords, p.offsets)
+    _, search = _lattice_search(rows, coords, p.offsets)
 
     def first(b):
         found = []
-        search(b, lambda y, e: found.append(mat_vec(inv, y)) or True)
+        search(b, lambda x, e: found.append(x) or True)
         return found[0] if found else None
 
     return first
