@@ -7,7 +7,7 @@ point) so callers can explain failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from math import gcd
 
@@ -92,20 +92,24 @@ def is_monotone(p: HPolytope) -> bool:
 
 
 def _two_faces(p: HPolytope):
-    """The 2-faces as tight tuples.  Non-simple polytopes, which show up in
-    displacement slices, take n − 2 facet steps down from the full vertex
-    set; a face's tight tuple is then the rows whose vertex set contains it."""
+    """The 2-faces as facet masks, in the order of their sorted facet-index
+    tuples (that of faces(n − 2) on a simple polytope).  Non-simple
+    polytopes, which show up in displacement slices, take n − 2 facet steps
+    down from the full vertex set; a face's facet mask is then the rows
+    whose vertex set contains it."""
     if p.is_simple():
-        return tuple(_bits(f) for f in _face_masks(p, p.dim - 2))
+        return _face_masks(p, p.dim - 2)
     on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
     level = {(1 << len(p.vertices())) - 1}
     for _ in range(p.dim - 2):
         level = {g for f in level for g in _face_facets(f, on_row)}
-    return tuple(sorted(tuple(i for i, r in enumerate(on_row) if r & f == f) for f in level))
+    faces = (sum(1 << i for i, r in enumerate(on_row) if r & f == f) for f in level)
+    return tuple(sorted(faces, key=_bits))
 
 
-def _is_unimodular_triangle_face(p: HPolytope, tight) -> bool:
-    vs = p.face_vertices(FaceRef(tight, p.dim - 2))
+def _is_unimodular_triangle_face(p: HPolytope, face: int) -> bool:
+    """Whether the 2-face with facet mask face is a unimodular triangle."""
+    vs = [v for v, t in zip(p.vertices(), p.vertex_masks()) if t & face == face]
     if len(vs) != 3:
         return False
     if not all(all(isinstance(x, int) for x in v) for v in vs):
@@ -124,9 +128,9 @@ def is_ut_free(p: HPolytope):
         raise ValueError("UT-freeness requires a simple polytope")
     if p.dim < 2:
         return True, None
-    for tight in _two_faces(p):
-        if _is_unimodular_triangle_face(p, tight):
-            return False, FaceRef(tight, p.dim - 2)
+    for face in _two_faces(p):
+        if _is_unimodular_triangle_face(p, face):
+            return False, FaceRef(_bits(face), p.dim - 2)
     return True, None
 
 
@@ -134,7 +138,7 @@ def _ut_free_region(p: HPolytope) -> bool:
     # UT-freeness for arbitrary (possibly non-simple, non-lattice) regions.
     if p.dim < 2:
         return True
-    return not any(_is_unimodular_triangle_face(p, t) for t in _two_faces(p))
+    return not any(_is_unimodular_triangle_face(p, f) for f in _two_faces(p))
 
 
 @per_polytope
@@ -232,24 +236,18 @@ def deeply_smooth_characterizations_agree(p: HPolytope):
 
 
 def is_quasi_smooth_polygon(p: HPolytope) -> bool:
-    """Each vertex must be at lattice distance one from the line through its
-    neighbouring boundary lattice points."""
+    """Each vertex v must be at lattice distance one from the line through
+    its neighbouring boundary lattice points v + a and v + b, for a and b
+    its primitive edge directions: |det(e, a)| = 1 for e the primitive part
+    of a − b."""
     if p.dim != 2:
         raise ValueError("quasi-smoothness is defined for polygons")
     if not p.is_lattice():
         raise ValueError("quasi-smoothness needs a lattice polygon")
-    verts = p.vertices()
-    for i, v in enumerate(verts):
-        nbrs = []
-        for j in p.adjacent_vertex_indices(i):
-            d = _integerize([a - b for a, b in zip(verts[j], v)])
-            nbrs.append(tuple(a + b for a, b in zip(v, d)))
-        if len(nbrs) != 2:
-            return False
-        direction = [a - b for a, b in zip(nbrs[0], nbrs[1])]
-        e = _integerize(direction)
-        u = (-e[1], e[0])
-        if abs(dot(u, v) - dot(u, nbrs[0])) != 1:
+    for i in range(len(p.vertices())):
+        a, b = vertex_edge_directions(p, i)
+        e = primitive_part([x - y for x, y in zip(a, b)])
+        if abs(e[0] * a[1] - e[1] * a[0]) != 1:
             return False
     return True
 
@@ -270,17 +268,10 @@ class ClassReport:
     witnesses: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "simple": self.simple,
-            "lattice": self.lattice,
-            "smooth": self.smooth,
-            "reflexive": self.reflexive,
-            "monotone": self.monotone,
-            "ut_free": self.ut_free,
-            "deeply_smooth": self.deeply_smooth,
-            "deeply_monotone": self.deeply_monotone,
-            "witnesses": {k: list(v) if isinstance(v, tuple) else v for k, v in self.witnesses.items()},
-        }
+        """The fields in declaration order, witness tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["witnesses"] = {k: list(v) if isinstance(v, tuple) else v for k, v in self.witnesses.items()}
+        return out
 
 
 def classify(p: HPolytope) -> ClassReport:

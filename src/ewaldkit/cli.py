@@ -60,23 +60,9 @@ def _report_text(report):
     r = report["result"]
     lines = ["name: %s" % (r["name"] or "<unnamed>")]
     lines.append("dim %d, %d facets, %d vertices" % (r["dim"], r["facets"], r["vertices"]))
-    cls = r["class"]
-    lines.append(
-        "classes: "
-        + ", ".join(
-            "%s=%s" % (k, cls[k])
-            for k in (
-                "simple",
-                "lattice",
-                "smooth",
-                "reflexive",
-                "monotone",
-                "ut_free",
-                "deeply_smooth",
-                "deeply_monotone",
-            )
-        )
-    )
+    # the class flags in ClassReport's field order, as as_dict lists them
+    flags = [(k, v) for k, v in r["class"].items() if k != "witnesses"]
+    lines.append("classes: " + ", ".join("%s=%s" % kv for kv in flags))
     lines.append("|E(P)| = %d" % r["ewald_count"])
     if "weak_ewald" in r:
         lines.append(
@@ -121,8 +107,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the default dimension cap of %d (scans grow like 3^n)"
-        % MAX_DIM_DEFAULT,
+        help="lift the default dimension cap of %d (scans grow like 3^n) and the "
+        "probe direction box limit of %d" % (MAX_DIM_DEFAULT, MAX_PROBE_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -231,8 +217,17 @@ def _dispatch(args, radius_default, bound_default) -> int:
         return 1 if verdict.is_counterexample else 0
 
     if args.cmd == "probe":
-        parsed = _read_polytope(args.file, args.allow_large)
         bound = args.bound if args.bound is not None else bound_default
+        if bound < 1:
+            raise ValueError("probe bound must be at least 1, got %d" % bound)
+        parsed = _read_polytope(args.file, args.allow_large)
+        box = (2 * bound + 1) ** parsed.polytope.dim
+        if box > MAX_PROBE_BOX and not args.allow_large:
+            raise ValueError(
+                "probe bound %d in dimension %d spans a box of %d directions, above the "
+                "limit of %d; pass --allow-large to override"
+                % (bound, parsed.polytope.dim, box, MAX_PROBE_BOX)
+            )
         if args.point:
             pt = _parse_rational_point(args.point)
             probe = displaceable_by_probe(parsed.polytope, pt, bound)
@@ -302,6 +297,10 @@ _COUNTS = {
     "emin": (1, emin_upper_bound),
     "tables": (0, None),
 }
+# the largest direction box (2·bound + 1)^n that `probe` takes without
+# --allow-large: the probe search lists and sorts the whole box.  It admits
+# dimension 6 at the default bound 3 (7^6 = 117,649), not dimension 7
+MAX_PROBE_BOX = 200_000
 # the largest n `count` accepts; every answer up to it has fewer than n
 # digits, so it also prints within Python's default int-to-str limit
 MAX_COUNT_N = 4300

@@ -54,7 +54,7 @@ class DisplacedSystem:
         the parent since the recession cone ignores offsets), irredundancy
         over the same rows, and normal isomorphism with the parent."""
         verts, masks = enumerate_vertices(self.parent.dim, self.normals, self.offsets)
-        full_dim, facets = _facet_rows(self.parent.dim, verts, masks, len(self.normals))
+        full_dim, facets = _facet_rows(masks, len(self.normals))
         irredundant = full_dim and len(facets) == len(self.normals)
         iso = irredundant and frozenset(masks) == normal_fan_signature(self.parent).cones
         return {
@@ -219,7 +219,7 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
         raise ValueError("neatness is defined for lattice smooth polytopes")
     # both conditions say |u_j·x − b_j| <= c_j; p is smooth, so the search
     # reads p's own rows in the coordinates of its first vertex cone
-    _, search = _lattice_search(*_slab_frame(p), p.offsets)
+    search = _lattice_search(*_slab_frame(p), p.offsets)
     for b in _fan_preserving(p, radius, paired=True):
         if not search(b):
             return NeatVerdict("counterexample", radius, witness_b=b)

@@ -88,7 +88,7 @@ def _tight_masks(p: HPolytope) -> tuple:
     for u in rows[p.nfacets:]:
         values = [dot(u, v) for v in p.vertices()]
         half.append(min(floor(max(values)), -ceil(min(values))))
-    _, search = _lattice_search(rows, coords, half)
+    search = _lattice_search(rows, coords, half)
     tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
 
@@ -282,12 +282,16 @@ def nill2d_basis(p: HPolytope):
     return None
 
 
+def _next_to_origin(p: HPolytope, face: int) -> bool:
+    # every facet of the facet mask face is at lattice distance one from 0
+    return all(p.offsets[i] == 1 for i in _bits(face))
+
+
 def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:
     """True iff the origin lies in the first displacement of f, i.e. every
     facet through f is at lattice distance one from the origin."""
     _require_origin_interior(p)
-    _checked_face(p, f)
-    return all(p.offsets[i] == 1 for i in f.tight)
+    return _next_to_origin(p, _checked_face(p, f))
 
 
 def deeply_smooth_origin_vertex_basis(p: HPolytope):
@@ -300,7 +304,7 @@ def deeply_smooth_origin_vertex_basis(p: HPolytope):
     _require_origin_interior(p)
     e = ewald_set(p)
     for i, t in enumerate(p.vertex_masks()):
-        if not verify_origin_next_to(p, FaceRef(_bits(t), p.dim)):
+        if not _next_to_origin(p, t):
             continue
         dirs = vertex_edge_directions(p, i)
         if all(d in e.points for d in dirs):
@@ -315,10 +319,9 @@ def dim3_origin_edge_basis(p: HPolytope):
     if p.dim != 3 or not is_smooth(p)[0]:
         raise ValueError("requires a smooth 3-polytope")
     _require_origin_interior(p)
-    for f in p.faces(2):
-        if verify_origin_next_to(p, f):
-            basis = _basis_search(ewald_set(p).ordered(), 3)
-            if basis is None:
-                raise AssertionError("origin next to an edge but no basis in E(P)")
-            return basis
-    return None
+    if not any(_next_to_origin(p, f) for f in _face_masks(p, 2)):
+        return None
+    basis = _basis_search(ewald_set(p).ordered(), 3)
+    if basis is None:
+        raise AssertionError("origin next to an edge but no basis in E(P)")
+    return basis

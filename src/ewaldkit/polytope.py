@@ -230,6 +230,8 @@ class HPolytope:
     # -- membership ----------------------------------------------------
 
     def contains(self, point, strict=False) -> bool:
+        if len(point) != self.dim:
+            raise ValueError("point of length %d in dimension %d" % (len(point), self.dim))
         if strict:
             return all(dot(u, point) < c for u, c in zip(self.normals, self.offsets))
         return all(dot(u, point) <= c for u, c in zip(self.normals, self.offsets))
@@ -287,11 +289,15 @@ class HPolytope:
         return tuple(v for v, t in zip(self.vertices(), self.vertex_masks()) if t & need == need)
 
     def adjacent_vertex_indices(self, i: int) -> tuple:
-        """Indices of vertices sharing an edge with vertex i (simple polytopes)."""
+        """Indices of the vertices sharing an edge with vertex i: j is one
+        when no third vertex is tight on every row tight at both, the
+        combinatorial adjacency test of the double description."""
         masks = self.vertex_masks()
         ti = masks[i]
         return tuple(
-            j for j, tj in enumerate(masks) if j != i and (ti & tj).bit_count() == self.dim - 1
+            j
+            for j, tj in enumerate(masks)
+            if j != i and sum(t & ti & tj == ti & tj for t in masks) == 2
         )
 
     # -- lattice points --------------------------------------------------
@@ -312,8 +318,7 @@ class HPolytope:
         if len(set(self.normals)) != len(self.normals):
             raise ValueError("duplicate facet normals")
         # vertices() raises on an unbounded system, having met a recession ray
-        verts, masks = self.vertices(), self.vertex_masks()
-        full_dim, facets = _facet_rows(self.dim, verts, masks, self.nfacets)
+        full_dim, facets = _facet_rows(self.vertex_masks(), self.nfacets)
         if not full_dim:
             raise ValueError("polytope is not full-dimensional")
         if len(facets) < self.nfacets:
@@ -449,13 +454,18 @@ def _face_facets(face, on_row):
     return [g for g in meets if not any(g & h == g != h for h in meets)]
 
 
-def _facet_rows(dim, verts, masks, nrows):
-    """(full_dim, facets): whether the vertices affinely span dimension dim,
-    and the rows whose tight vertex set is a facet of the vertex set.  On a
-    full-dimensional polytope these are its facet-defining rows."""
+def _facet_rows(masks, nrows):
+    """(full_dim, facets) for a system with the given vertex masks: whether
+    it is full-dimensional, and the rows whose tight vertex set is a facet of
+    the vertex set.  On a full-dimensional polytope these are its
+    facet-defining rows.  The affine hull of a polytope is cut out by the
+    rows tight at every vertex (its implicit equalities; Schrijver 1986,
+    §8.2), so it is full-dimensional iff no row is tight at every vertex.
+    With no vertex, every row is, vacuously."""
     on_row = _row_vertex_masks(masks, nrows)
-    facets = set(_face_facets((1 << len(masks)) - 1, on_row))
-    return affine_rank(verts) == dim, [i for i, f in enumerate(on_row) if f in facets]
+    every = (1 << len(masks)) - 1
+    facets = set(_face_facets(every, on_row))
+    return every not in on_row, [i for i, f in enumerate(on_row) if f in facets]
 
 
 def irredundant_rows(dim, normals, offsets):
@@ -488,7 +498,7 @@ def irredundant_rows(dim, normals, offsets):
     )
     if not verts:
         raise ValueError("empty system")
-    full_dim, final = _facet_rows(dim, verts, masks, len(keep_idx))
+    full_dim, final = _facet_rows(masks, len(keep_idx))
     p = HPolytope(
         dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
@@ -527,10 +537,10 @@ def _lattice_search(rows, coords, half):
 
     rows are integer vectors u_j, coords the indices of n of them that form a
     unimodular matrix A, and half the integer half-widths h_j.  Returns
-    (inv, search) with inv = A^-1: search(d, visit), for integer centres d,
-    calls visit(x, e) on every integer point x with |u_j·x − d_j| <= h_j on
-    every row, until visit returns true, and returns whether it did.  x is a
-    tuple, and e a fresh list of every row's residual in row order,
+    search: search(d, visit), for integer centres d, calls visit(x, e) on
+    every integer point x with |u_j·x − d_j| <= h_j on every row, until
+    visit returns true, and returns whether it did.  x is a tuple, and e a
+    fresh list of every row's residual in row order,
     e[j] = d_j − u_j·x, so every row's value at x is read off e.  search(d)
     with no visit only answers whether there is such a point, and carries
     none.
@@ -618,7 +628,7 @@ def _lattice_search(rows, coords, half):
         del descend  # a closure over itself: free visit's data now, not at the next collection
         return found
 
-    return inv, search
+    return search
 
 
 def _slab_points(p: HPolytope, upper, scale=1) -> list:
@@ -640,7 +650,7 @@ def _slab_points(p: HPolytope, upper, scale=1) -> list:
         lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
-    _, search = _lattice_search(rows, coords, half)
+    search = _lattice_search(rows, coords, half)
     points = []
     search(centre, lambda x, e: points.append(x))  # None: never stops
     return points

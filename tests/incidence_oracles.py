@@ -3,8 +3,8 @@ tight-row bitmask per vertex, kept as differential-test references.
 
 Each vertex's tight rows are a frozenset of row indices, decoded here from
 the producer's masks one row at a time; faces are sorted tuples of facet
-indices, adjacency and face membership are set operations, and a normal fan
-is the set of its vertex cones as sorted tuples.  The non-simple 2-faces
+indices, face membership is a set operation, adjacency a rank, and a normal
+fan is the set of its vertex cones as sorted tuples.  The non-simple 2-faces
 come from the meet closure of the tight sets, and the volume from a
 recursion through one lattice chart per facet.
 """
@@ -12,6 +12,7 @@ recursion through one lattice chart per facet.
 from fractions import Fraction
 from itertools import combinations
 
+from ewaldkit.intlinalg import rank
 from ewaldkit.polytope import HPolytope, affine_rank, dot, enumerate_vertices, face_slice
 
 
@@ -41,9 +42,14 @@ def face_vertices(p, tight):
 
 
 def adjacent_vertex_indices(p, i):
+    """j is adjacent to i iff the rows tight at both have rank n − 1: they
+    are the implicit equalities of the smallest face through both vertices,
+    so that face has dimension n minus their rank."""
     tights = tight_sets(p)
     return tuple(
-        j for j, tj in enumerate(tights) if j != i and len(tights[i] & tj) == p.dim - 1
+        j
+        for j, tj in enumerate(tights)
+        if j != i and rank([p.normals[k] for k in sorted(tights[i] & tj)]) == p.dim - 1
     )
 
 

@@ -29,6 +29,7 @@ from ewaldkit.classify import _is_unimodular_triangle_face, _slice_ut_free, _two
 from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
+    _bits,
     cartesian_product,
     dot,
     face_slice,
@@ -97,10 +98,11 @@ def test_unimodular_triangle_faces_match_lattice_point_count():
     seen = set()
     for p in polys:
         pts = p.lattice_points()
-        for tight in _two_faces(p):
+        for face in _two_faces(p):
+            tight = _bits(face)
             nverts = sum(1 for t in p.vertex_tight_sets() if set(tight) <= t)
             npts = sum(1 for x in pts if all(dot(p.normals[i], x) == p.offsets[i] for i in tight))
-            got = _is_unimodular_triangle_face(p, tight)
+            got = _is_unimodular_triangle_face(p, face)
             assert got == (nverts == 3 and npts == 3), (p, tight)
             seen.add(got)
     assert seen == {True, False}

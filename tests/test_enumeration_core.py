@@ -172,7 +172,7 @@ def test_random_systems_match_subset_scans():
     # systems also the facet rows against the affine rank of their vertices
     rng = random.Random(20261018)
     seen = {"bounded": 0, "unbounded": 0, "empty": 0, "full_dim": 0}
-    empty_unbounded = 0
+    empty_unbounded = flat = 0
     for _ in range(600):
         dim = rng.randint(1, 4)
         normals, offsets = random_system(rng, dim)
@@ -190,13 +190,15 @@ def test_random_systems_match_subset_scans():
         seen["bounded" if want[0] else "empty"] += 1
         assert enumerate_vertices(dim, normals, offsets) == want, (normals, offsets)
         verts, tights = want
-        full_dim, facets = _facet_rows(dim, verts, tights, len(normals))
+        full_dim, facets = _facet_rows(tights, len(normals))
         assert full_dim == (affine_rank(verts) == dim)
+        flat += bool(verts) and not full_dim
         if full_dim:
             seen["full_dim"] += 1
             on_row = [[v for v, t in zip(verts, tights) if t >> i & 1] for i in range(len(normals))]
             assert facets == [i for i, vs in enumerate(on_row) if affine_rank(vs) == dim - 1]
     assert min(seen.values()) >= 30 and empty_unbounded >= 5, (seen, empty_unbounded)
+    assert flat >= 5, flat  # nonempty and lower-dimensional
 
 
 def test_random_point_hulls_match_subset_scan():

@@ -56,7 +56,7 @@ def _build(p, monkeypatch):
     counts = {"leaves": 0, "mat_vec": 0}
 
     def counted_search(*args):
-        inv, search = _lattice_search(*args)
+        search = _lattice_search(*args)
 
         def counted(d, visit, **kwargs):
             def leaf(x, e):
@@ -65,7 +65,7 @@ def _build(p, monkeypatch):
 
             return search(d, leaf, **kwargs)
 
-        return inv, counted
+        return counted
 
     def counted_mat_vec(m, v):
         counts["mat_vec"] += 1

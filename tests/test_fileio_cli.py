@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
+from conftest import random_unimodular
 from ewaldkit import polytope
 from ewaldkit.bundles import catalog, cube, monotone_simplex, paffenholz_p6, ssb
 from ewaldkit.cli import main
@@ -120,6 +122,37 @@ def test_parse_enumerates_vertices_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_parse_and_analysis_read_the_vertex_masks(monkeypatch):
+    # parsing decides full dimension with no affine rank, and the analysis
+    # builds a FaceRef only for a witness it reports
+    rng = random.Random(31)
+    polys = list(catalog().values())
+    polys += [p.transform(random_unimodular(rng, p.dim)) for p in polys if p.dim > 1]
+    ranks, built = [], []
+    affine_rank, post_init = polytope.affine_rank, polytope.FaceRef.__post_init__
+
+    def counted_rank(points):
+        ranks.append(points)
+        return affine_rank(points)
+
+    def counted_face(face):
+        built.append(face)
+        post_init(face)
+
+    monkeypatch.setattr(polytope, "affine_rank", counted_rank)
+    monkeypatch.setattr(polytope.FaceRef, "__post_init__", counted_face)
+    witnesses = set()
+    for p in polys:
+        q = parse_polytope(serialize_polytope(p)).polytope
+        assert ranks == []
+        built.clear()
+        r = analyze_polytope(q, run_neat=False)["result"]
+        reported = [r["class"]["witnesses"].get("ut_free"), r.get("star_ewald_failing_face")]
+        assert [list(f.tight) for f in built] == [w for w in reported if w is not None], p
+        witnesses.update(k for k, w in zip(("ut", "star"), reported) if w is not None)
+    assert witnesses == {"ut", "star"}
+
+
 def test_vertex_block_adapter():
     text = "dim 2\nvertices 3\n1 0\n0 1\n-1 -1\n"
     parsed = parse_polytope(text)
@@ -203,6 +236,33 @@ def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):
         code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
         assert code == 2 and out == ""
         assert "probe point of length %d in dimension 2" % length in err
+
+
+def test_cli_probe_refuses_a_bound_below_one(capsys):
+    for extra in (["--point", "1/2,0"], ["--samples", "2"]):
+        for bound in ("0", "-1"):
+            argv = ["probe", "-", "--bound", bound] + extra
+            code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+            assert code == 2 and out == ""
+            assert "probe bound must be at least 1, got %s" % bound in err
+
+
+def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):
+    from ewaldkit import cli
+
+    # (2·2 + 1)^2 = 25 directions: refused at a limit of 24, listed at 25
+    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 24)
+    for extra in (["--point", "1/2,0"], ["--samples", "2"]):
+        argv = ["probe", "-", "--bound", "2"] + extra
+        code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 2 and out == ""
+        assert "box of 25 directions, above the limit of 24" in err
+        code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 0 and "displaceable" in out
+    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 25)
+    argv = ["probe", "-", "--bound", "2", "--point", "1/2,0"]
+    code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and "displaceable" in out
 
 
 def test_cli_probe_crosscheck_without_point(capsys):

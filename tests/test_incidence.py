@@ -25,10 +25,11 @@ from ewaldkit.bundles import (
     ssb,
     ssb_as_bundle,
 )
-from ewaldkit.classify import _two_faces
+from ewaldkit.classify import _two_faces, vertex_edge_directions
 from ewaldkit.displace import displace
 from ewaldkit.polytope import (
     HPolytope,
+    _bits,
     cartesian_product,
     face_slice,
     normal_fan_signature,
@@ -81,7 +82,27 @@ def test_faces_adjacency_and_two_faces_match_frozensets():
         for i in range(len(p.vertices())):
             assert p.adjacent_vertex_indices(i) == oracle.adjacent_vertex_indices(p, i)
         if p.dim >= 2:
-            assert _two_faces(p) == oracle.two_faces(p), p
+            assert tuple(map(_bits, _two_faces(p))) == oracle.two_faces(p), p
+
+
+def test_non_simple_vertices_keep_every_edge():
+    # the 16-cell, with vertices ±e_k: every vertex is adjacent to all but
+    # itself and its antipode, along the differences, which are primitive
+    cross4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)
+    verts = cross4.vertices()
+    for i, v in enumerate(verts):
+        antipode = verts.index(tuple(-x for x in v))
+        nbrs = [j for j in range(len(verts)) if j not in (i, antipode)]
+        assert cross4.adjacent_vertex_indices(i) == tuple(nbrs)
+        edges = sorted(tuple(a - b for a, b in zip(verts[j], v)) for j in nbrs)
+        assert vertex_edge_directions(cross4, i) == tuple(edges)
+    # DP5 × segment: every vertex has its edge along the segment
+    p = cartesian_product(del_pezzo(5), segment())
+    assert not p.is_simple()
+    up = (0,) * 5 + (1,)
+    for i, v in enumerate(p.vertices()):
+        along = up if v[-1] < 0 else tuple(-x for x in up)
+        assert along in vertex_edge_directions(p, i), v
 
 
 def test_fans_and_normal_isomorphism_match_frozensets():

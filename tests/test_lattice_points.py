@@ -106,7 +106,7 @@ def _visits(search, d, **kwargs):
 def test_visited_points_are_the_box_scan_with_every_residual():
     empty = 0
     for rows, coords, half, d in _systems():
-        _, search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, half)
         leaves = _visits(search, d)
         points = [x for x, _ in leaves]
         assert len(set(points)) == len(points), (rows, d)
@@ -121,7 +121,7 @@ def test_visited_points_are_the_box_scan_with_every_residual():
 
 def test_half_space_search_and_its_mirrors_are_the_full_search():
     for rows, coords, half, _ in _systems():
-        _, search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, half)
         zero = [0] * len(rows)
         full = {x for x, _ in _visits(search, zero)}
         halves = [x for x, _ in _visits(search, zero, halfspace=True)]
@@ -136,7 +136,7 @@ def test_bare_search_answers_whether_a_visiting_search_finds_a_point():
     rng = random.Random(5)
     answers = set()
     for rows, coords, half, d in _systems():
-        _, search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, half)
         for centre in [d] + [[rng.randint(-4, 4) for _ in rows] for _ in range(5)]:
             found = bool(_visits(search, centre))
             assert search(centre) is found, (rows, half, centre)

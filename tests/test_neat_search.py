@@ -27,7 +27,7 @@ def _slab_search(p):
     enumerator visits with x ∈ P_b and −x ∈ P_{−b}, or None."""
     rows, coords = _slab_frame(p)
     assert len(rows) == p.nfacets  # p is smooth: no unit rows
-    _, search = _lattice_search(rows, coords, p.offsets)
+    search = _lattice_search(rows, coords, p.offsets)
 
     def first(b):
         found = []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from ewaldkit.bundles import (
     segment,
     ssb,
 )
+from ewaldkit.ewald import star_sets
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
@@ -44,6 +46,17 @@ def test_vertices_examples():
         (1, 0, -1),
         (1, -1, 0),
     }
+
+
+def test_contains_refuses_a_point_of_the_wrong_length():
+    c2 = cube(2)
+    assert c2.contains((1, 0)) and not c2.contains((2, 0))
+    star = star_sets(c2, FaceRef((0,), 1))
+    for point in ((0, 0, 9), (0,), (1,)):
+        message = "point of length %d in dimension 2" % len(point)
+        for check in (c2.contains, partial(c2.contains, strict=True), star.in_star):
+            with pytest.raises(ValueError, match=message):
+                check(point)
 
 
 def test_vertices_errors():
