@@ -29,7 +29,7 @@ from .fileio import (
     serialize_polytope,
 )
 from .polytope import FaceRef, oda_instance_check
-from .probes import DEFAULT_BOUND, displaceable_by_probe, star_probe_crosscheck
+from .probes import DEFAULT_BOUND, check_bound, displaceable_by_probe, star_probe_crosscheck
 
 __all__ = ["main"]
 
@@ -218,8 +218,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "probe":
         bound = args.bound if args.bound is not None else bound_default
-        if bound < 1:
-            raise ValueError("probe bound must be at least 1, got %d" % bound)
+        check_bound(bound)  # before the file is read
         parsed = _read_polytope(args.file, args.allow_large)
         box = (2 * bound + 1) ** parsed.polytope.dim
         if box > MAX_PROBE_BOX and not args.allow_large:

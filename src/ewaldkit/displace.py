@@ -73,7 +73,11 @@ class DisplacedSystem:
 
 
 def displace(p: HPolytope, b) -> DisplacedSystem:
-    b = tuple(int(x) for x in b)
+    b = tuple(b)
+    for i, x in enumerate(b):
+        if int(x) != x:
+            raise ValueError("displacement entry %d is not an integer: %s" % (i, x))
+    b = tuple(map(int, b))
     if len(b) != p.nfacets:
         raise ValueError("displacement length must match facet count")
     return DisplacedSystem(p, b, tuple(c + d for c, d in zip(p.offsets, b)))
@@ -134,7 +138,45 @@ def _vertex_margin_constraints(p: HPolytope):
     return grouped
 
 
-def _fan_preserving(p: HPolytope, radius: int, paired: bool):
+class _Certificates:
+    """Lattice witnesses of neatness, as bitsets over the witnesses found.
+
+    A witness x with row values v_j = u_j·x certifies every b in its box
+    |v_j − b_j| <= c_j, row by row.  For the descent over b in [−r, r]^m:
+    - fits[j][t + r] holds the witnesses with |v_j − t| <= c_j;
+    - wide[k] those with |v_j| + r <= c_j on every row j >= k, which
+      certify any b_k, ..., b_{m−1} in the box (wide[m]: every witness);
+    - alive[k] those that fit b_0, ..., b_{k−1} on the descent's path.
+    A witness in alive[k] & wide[k] certifies the whole subtree below
+    b_0, ..., b_{k−1}; at k = m that is the leaf test.
+    """
+
+    def __init__(self, offsets, radius: int):
+        m = len(offsets)
+        self.offsets, self.radius, self.count = offsets, radius, 0
+        self.fits = [[0] * (2 * radius + 1) for _ in range(m)]
+        self.wide = [0] * (m + 1)
+        self.alive = [0] * (m + 1)
+
+    def add(self, values) -> None:
+        """Take the witness with row values `values`.  It must fit every
+        entry of b on the descent's path, as a point found for the current
+        leaf does: it joins alive at every depth."""
+        bit, r, m = 1 << self.count, self.radius, len(self.offsets)
+        self.count += 1
+        for row, v, c in zip(self.fits, values, self.offsets):
+            for t in range(max(-r, v - c), min(r, v + c) + 1):
+                row[t + r] |= bit
+        self.wide[m] |= bit
+        for k in range(m, 0, -1):
+            if abs(values[k - 1]) + r > self.offsets[k - 1]:
+                break
+            self.wide[k - 1] |= bit
+        for k in range(m + 1):
+            self.alive[k] |= bit
+
+
+def _fan_preserving(p: HPolytope, radius: int, paired: bool, certified: _Certificates | None = None):
     """The margin descent: every b with max-norm <= radius whose constraints
     all hold, so that P_b keeps the fan of p, in lexicographic order,
     smallest entry first.
@@ -143,7 +185,15 @@ def _fan_preserving(p: HPolytope, radius: int, paired: bool):
     and the first nonzero entry of b must be negative (b <= -b): the stream
     is then the pairs (b, -b) with both displacements fan-preserving, each
     pair once.
+
+    With certified, a _Certificates over p's offsets and the radius, the
+    descent skips every subtree whose b some witness certifies, and every
+    leaf one certifies; a caller may add witnesses while a leaf is out.
     """
+    if certified is not None:
+        alive, wide = certified.alive, certified.wide
+        if alive[0] & wide[0]:
+            return  # one witness certifies the whole box
     grouped = _vertex_margin_constraints(p)
     m = p.nfacets
     b = [0] * m
@@ -154,6 +204,11 @@ def _fan_preserving(p: HPolytope, radius: int, paired: bool):
             return
         top = 0 if paired and leading_zeros else radius
         for val in range(-radius, top + 1):
+            if certified is not None:
+                fit = alive[depth] & certified.fits[depth][val + radius]
+                if fit & wide[depth + 1]:
+                    continue
+                alive[depth + 1] = fit
             b[depth] = val
             ok = True
             for const, terms in grouped.get(depth, ()):
@@ -210,7 +265,10 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     integer x must satisfy x ∈ P_b and −x ∈ P_{-b}.  The pairs (b, −b) with
     b <= −b and both displacements qualifying are tested in lexicographic
     order of b; the verdict reports the first failing b, or
-    neat_up_to_radius.
+    neat_up_to_radius.  A point x found for one b answers every b in its
+    box (_Certificates), so only the b that no point found so far answers,
+    x = 0 included, run a lattice search; the stream keeps its order, so
+    the first of them without a point is the first failing b.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -218,10 +276,18 @@ def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
     if not ok or not p.is_lattice():
         raise ValueError("neatness is defined for lattice smooth polytopes")
     # both conditions say |u_j·x − b_j| <= c_j; p is smooth, so the search
-    # reads p's own rows in the coordinates of its first vertex cone
+    # reads p's own rows in the coordinates of its first vertex cone, and
+    # a point's row values are b_j − e_j off its residuals e
     search = _lattice_search(*_slab_frame(p), p.offsets)
-    for b in _fan_preserving(p, radius, paired=True):
-        if not search(b):
+    certified = _Certificates(p.offsets, radius)
+    certified.add((0,) * p.nfacets)  # x = 0: every b with |b_j| <= c_j
+
+    def take(x, e):
+        certified.add([bj - ej for bj, ej in zip(b, e)])
+        return True
+
+    for b in _fan_preserving(p, radius, paired=True, certified=certified):
+        if not search(b, take):
             return NeatVerdict("counterexample", radius, witness_b=b)
     return NeatVerdict("neat_up_to_radius", radius)
 

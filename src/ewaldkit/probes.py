@@ -50,9 +50,16 @@ def is_integrally_transverse(lam, u_f) -> bool:
     return dot(u_f, lam) in (1, -1)
 
 
+def check_bound(bound: int) -> None:
+    """Refuse a direction bound below 1, whose search would find nothing."""
+    if bound < 1:
+        raise ValueError("probe bound must be at least 1, got %d" % bound)
+
+
 @cache
 def _directions(n, bound) -> tuple:
     """The nonzero directions of max-norm <= bound, by max-norm, then lex."""
+    check_bound(bound)
     box = (t for t in product(range(-bound, bound + 1), repeat=n) if any(t))
     return tuple(sorted(box, key=scan_key))
 
@@ -142,6 +149,7 @@ def star_probe_crosscheck(p: HPolytope, samples: int, bound: int) -> ProbeReport
     displaceable by a probe; when it is not, undisplaceable samples are
     corroborating evidence only (the grid cannot certify the converse).
     """
+    check_bound(bound)
     if not is_monotone(p):
         raise ValueError("cross-check is defined for monotone polytopes")
     star, _ = star_ewald(p)

@@ -50,6 +50,14 @@ def test_displace_examples():
         displace(c2, (1, 0))
 
 
+def test_displace_refuses_a_non_integer_entry():
+    c2 = cube(2)
+    for b, index in (((Fraction(3, 2), 0, 0, 0), 0), ((0, 0, 0.5, 0), 2)):
+        with pytest.raises(ValueError, match="entry %d" % index):
+            displace(c2, b)
+    assert displace(c2, (Fraction(2), 1.0, 0, -1)).b == (2, 1, 0, -1)
+
+
 def test_displace_roundtrip():
     c2 = cube(2)
     b = (1, 2, 0, 1)

@@ -3,10 +3,11 @@ search, now the lattice-point enumerator of polytope) against the search it
 replaced, kept in neat_oracles."""
 
 import random
+import sys
 
 from conftest import smooth_suite, workload_items
-from ewaldkit.bundles import catalog, monotone_polygon, segment
-from ewaldkit.displace import _fan_preserving, _vertex_margin_constraints, is_neat
+from ewaldkit.bundles import catalog, cube, monotone_polygon, segment
+from ewaldkit.displace import _Certificates, _fan_preserving, _vertex_margin_constraints, is_neat
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
@@ -121,3 +122,62 @@ def test_margin_constraints_match_the_fraction_build():
 
 def _coefficient_types(grouped):
     return [type(c) for level in grouped.values() for _, terms in level for _, c in terms]
+
+
+def _certifies(p, values, b):
+    """The witness with row values v_j = u_j·x certifies b: |v_j − b_j| <= c_j."""
+    return all(abs(v - bj) <= c for v, bj, c in zip(values, b, p.offsets))
+
+
+def test_certified_stream_is_the_uncertified_pairs():
+    # witnesses given up front skip exactly the pairs they certify; one added
+    # at a leaf, as is_neat adds its search's point, skips the later pairs it
+    # certifies; the order of the rest is the stream's
+    rng = random.Random(19)
+    cases = [catalog()["hexagon"].translate((1, 0)), catalog()["cube3"], catalog()["ssb32"]]
+    cases += smooth_suite(rng, max_dim=3, count=8)
+    for p in cases:
+        for radius in (1, 2):
+            pairs = qualifying_pairs(p, radius)
+            witnesses = [tuple(rng.randint(-2, 2) for _ in p.offsets) for _ in range(3)]
+            certified = _Certificates(p.offsets, radius)
+            for values in witnesses:
+                certified.add(values)
+            got, extra = [], None
+            for b in _fan_preserving(p, radius, paired=True, certified=certified):
+                got.append(b)
+                if extra is None and len(got) == 2 and min(p.offsets) >= 0:
+                    extra = tuple(bj - rng.randint(0, c) for bj, c in zip(b, p.offsets))
+                    witnesses.append(extra)
+                    certified.add(extra)
+            want = [b for b in pairs if not any(_certifies(p, v, b) for v in witnesses[:3])]
+            if extra is not None:
+                cut = want.index(got[1]) + 1
+                want = want[:cut] + [b for b in want[cut:] if not _certifies(p, extra, b)]
+            assert got == want, (p, radius)
+
+
+def test_certificates_leave_few_leaves_to_search(monkeypatch):
+    # ewaldkit rebinds the name ewaldkit.displace to the function displace,
+    # so the module is reached through sys.modules
+    module = sys.modules["ewaldkit.displace"]
+    searches = []
+
+    def counting(*frame):
+        search = _lattice_search(*frame)
+
+        def counted(b, *rest):
+            searches.append(b)
+            return search(b, *rest)
+
+        return counted
+
+    monkeypatch.setattr(module, "_lattice_search", counting)
+    # one search per pair would be 14,281, 185,647 and 58,825 searches
+    for n, radius, most in ((4, 2, 50), (5, 2, 100), (6, 1, 0)):
+        searches.clear()
+        assert is_neat(cube(n), radius).status == "neat_up_to_radius"
+        assert len(searches) <= most, (n, radius, len(searches))
+    # x = 0 alone certifies every pair when every c_j >= r: no stream at all
+    searches.clear()
+    assert not is_neat(cube(7), 1).is_counterexample and not searches

@@ -93,3 +93,11 @@ def test_crosscheck_requires_monotone():
 
     with pytest.raises(ValueError):
         star_probe_crosscheck(nill_triangle(1), 3, 2)
+
+
+def test_probe_library_refuses_a_bound_below_one():
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="probe bound must be at least 1, got %d" % bound):
+            displaceable_by_probe(cube(2), (Fraction(1, 2), 0), bound)
+        with pytest.raises(ValueError, match="probe bound must be at least 1"):
+            star_probe_crosscheck(monotone_polygon("square"), 3, bound)
