@@ -95,7 +95,10 @@ def _report_text(report):
 
 
 def _parse_rational_point(text):
-    return tuple(Fraction(part) for part in text.split(","))
+    try:
+        return tuple(Fraction(part) for part in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError("probe point %r has a zero denominator" % text) from None
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .classify import is_monotone
-from .ewald import ewald_set
+from .ewald import _facet_columns, ewald_set
 from .intlinalg import det
-from .polytope import HPolytope, _face_facets, _row_vertex_masks, dot
+from .polytope import HPolytope, _face_facets, _row_vertex_masks
 
 __all__ = [
     "trinomial",
@@ -86,24 +86,15 @@ class FacetEwaldSplit:
 
 
 def facet_ewald_split(p: HPolytope, facet: int) -> FacetEwaldSplit:
+    """E₊ and E₋ are the sizes of the facet's two columns of E(P); on
+    monotone P every λ ∈ E(P) has |u_F·λ| <= 1, so E₀ is the rest."""
     if not is_monotone(p):
         raise ValueError("facet splits are defined for monotone polytopes")
     if not 0 <= facet < p.nfacets:
         raise ValueError("invalid facet index")
-    u = p.normals[facet]
-    e = ewald_set(p)
-    plus = zero = minus = 0
-    for x in e.points:
-        v = dot(u, x)
-        if v == 1:
-            plus += 1
-        elif v == 0:
-            zero += 1
-        elif v == -1:
-            minus += 1
-        else:
-            raise AssertionError("Ewald point outside the unit slab of a facet")
-    return FacetEwaldSplit(plus, zero, minus)
+    on, opp = _facet_columns(p)
+    plus, minus = on[facet].bit_count(), opp[facet].bit_count()
+    return FacetEwaldSplit(plus, len(ewald_set(p)) - plus - minus, minus)
 
 
 def small_bundle_split_recursion_check(base: HPolytope, facet: int, n: int) -> bool:

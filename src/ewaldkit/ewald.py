@@ -72,8 +72,8 @@ class EwaldSet:
 def _tight_masks(p: HPolytope) -> tuple:
     """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
     polytope by one lattice search: t has bit i set when facet i is tight at
-    λ, tn when it is tight at −λ.  ewald_set and the strong, star and FS
-    checks all read this table.
+    λ, tn when it is tight at −λ.  ewald_set reads this table, and
+    _facet_columns transposes it for the Ewald conditions.
 
     E(P) is the set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the
     d = 0 slab system on _slab_frame(p); a unit row of that frame is bounded
@@ -107,6 +107,23 @@ def _tight_masks(p: HPolytope) -> tuple:
     search([0] * len(rows), visit, halfspace=True)
     table.sort()  # λ are distinct, so no two entries tie on (norm, λ)
     return tuple([entry[1:] for entry in table])
+
+
+@per_polytope
+def _facet_columns(p: HPolytope) -> tuple:
+    """(on, opp): the table of _tight_masks transposed, once per polytope.
+    Bit k of on[i] is set when facet i is tight at the k-th λ of E(P)'s scan
+    order, and bit k of opp[i] when facet i is tight at −λ.  The strong,
+    star and FS checks and counting.facet_ewald_split read these columns, so
+    none of them walks the table per face."""
+    on, opp = [0] * p.nfacets, [0] * p.nfacets
+    for k, (_, t, tn) in enumerate(_tight_masks(p)):
+        bit = 1 << k
+        for i in _bits(t):
+            on[i] |= bit
+        for i in _bits(tn):
+            opp[i] |= bit
+    return tuple(on), tuple(opp)
 
 
 def cube_normalization(p: HPolytope):
@@ -152,16 +169,13 @@ class StrongEwaldResult:
 
 
 def strong_ewald(p: HPolytope) -> StrongEwaldResult:
-    """Search a unimodular basis inside E(P) ∩ F for every facet F.  One
-    pass over the tight masks lists each facet's λ in E(P)'s scan order."""
+    """Search a unimodular basis inside E(P) ∩ F for every facet F, over the
+    λ of the facet's column in E(P)'s scan order."""
     _require_origin_interior(p)
-    on_facet = [[] for _ in range(p.nfacets)]
-    for lam, t, _ in _tight_masks(p):
-        for i in _bits(t):
-            on_facet[i].append(lam)
+    order = ewald_set(p).ordered()
     bases = []
-    for i in range(p.nfacets):
-        basis = _basis_search(on_facet[i], p.dim)
+    for i, col in enumerate(_facet_columns(p)[0]):
+        basis = _basis_search([order[k] for k in _bits(col)], p.dim)
         bases.append(basis)
         if basis is None:
             return StrongEwaldResult(False, tuple(bases), i)
@@ -212,20 +226,26 @@ def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
     return StarSets(f, tuple(f.tight), ridges, p)
 
 
-def _star_witness(table, face: int):
-    # first λ with exactly one facet of the face tight at λ and none at −λ
-    for lam, t, tn in table:
-        hit = t & face
-        if hit and not hit & (hit - 1) and not tn & face:
-            return lam
-    return None
+def _star_witnesses(p: HPolytope, face: int) -> int:
+    """The scan positions of the λ ∈ E(P) at which exactly one facet of the
+    facet mask face is tight and none is tight at −λ, as a bitset: ones
+    gathers the positions where some facet is tight, twos those where a
+    second one is."""
+    on, opp = _facet_columns(p)
+    ones = twos = neg = 0
+    for i in _bits(face):
+        twos |= ones & on[i]
+        ones |= on[i]
+        neg |= opp[i]
+    return ones & ~twos & ~neg
 
 
 def star_ewald_face(p: HPolytope, f: FaceRef):
     """(flag, λ): does some λ ∈ E(P) lie in Star*(f) with −λ ∉ Star(f)?
     λ is the first such point in E(P)'s scan order."""
     _require_origin_interior(p)
-    lam = _star_witness(_tight_masks(p), _checked_face(p, f))
+    found = _star_witnesses(p, _checked_face(p, f))
+    lam = ewald_set(p).ordered()[(found & -found).bit_length() - 1] if found else None
     return lam is not None, lam
 
 
@@ -237,10 +257,9 @@ def star_ewald(p: HPolytope):
     p.faces(codim).  Only the failing face becomes a FaceRef."""
     _require_origin_interior(p)
     _require_simple(p)
-    table = _tight_masks(p)
     for codim in range(1, p.dim + 1):
         for face in _face_masks(p, codim):
-            if _star_witness(table, face) is None:
+            if not _star_witnesses(p, face):
                 return False, FaceRef(_bits(face), codim)
     return True, None
 
@@ -249,10 +268,7 @@ def fs_property(p: HPolytope) -> bool:
     """Every facet meets E(P).  Defined for monotone polytopes."""
     if not is_monotone(p):
         raise ValueError("FS property is defined for monotone polytopes")
-    met = 0
-    for _, t, _ in _tight_masks(p):
-        met |= t
-    return met == (1 << p.nfacets) - 1
+    return all(_facet_columns(p)[0])
 
 
 def nill2d_basis(p: HPolytope):

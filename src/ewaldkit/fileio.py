@@ -256,9 +256,12 @@ def ingest_database(
     """Load every polytope file in a directory, validate monotonicity, and
     aggregate Ewald histograms and class counts per dimension.  Non-monotone
     entries are reported but excluded from the monotone statistics.  Files
-    are independent; jobs > 1 analyzes them in a process pool, and the
-    aggregation below is order-insensitive (results are keyed by filename).
-    allow_large lifts parse_polytope's dimension cap for every file."""
+    are independent; jobs > 1 analyzes them in a process pool of at most one
+    worker per file, and the aggregation below is order-insensitive (results
+    are keyed by filename).  allow_large lifts parse_polytope's dimension cap
+    for every file."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
     stats = DatabaseStats()
     analyze = partial(_analyze_file, radius=radius, run_neat=run_neat, allow_large=allow_large)
     paths = sorted(
@@ -266,10 +269,11 @@ def ingest_database(
         for f in os.listdir(directory)
         if not f.startswith(".") and os.path.isfile(os.path.join(directory, f))
     )
-    if jobs > 1:
+    workers = min(jobs, len(paths))  # a fork-started pool starts every worker at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = sorted(pool.map(analyze, paths), key=lambda t: t[0])
     else:
         outcomes = [analyze(path) for path in paths]

@@ -541,9 +541,7 @@ def _lattice_search(rows, coords, half):
     every integer point x with |u_j·x − d_j| <= h_j on every row, until
     visit returns true, and returns whether it did.  x is a tuple, and e a
     fresh list of every row's residual in row order,
-    e[j] = d_j − u_j·x, so every row's value at x is read off e.  search(d)
-    with no visit only answers whether there is such a point, and carries
-    none.
+    e[j] = d_j − u_j·x, so every row's value at x is read off e.
 
     search(d, visit, halfspace=True), valid only for d = 0, visits 0 and the
     x whose first nonzero coordinate in y = A x is negative: one of each pair
@@ -582,7 +580,7 @@ def _lattice_search(rows, coords, half):
                 moves[t].append((j, w[t]))
         slabs.append((j, reach[0]))
 
-    def search(d, visit=None, halfspace=False):
+    def search(d, visit, halfspace=False):
         if empty:
             return False
         base = [d[i] for i in coords]
@@ -594,12 +592,11 @@ def _lattice_search(rows, coords, half):
             if abs(e[j]) > reach:
                 return False  # the only test of a row with w = 0 (dim 0)
         if n == 0:
-            return visit is None or bool(visit((), e))
+            return bool(visit((), e))
 
         def descend(k, x, e, lead):
-            # x = sum_{t < k} y_t col_t, None when there is no visit;
-            # e[j] = e_j − sum_{t < k} w_j[t] z_t; lead: the half space is
-            # searched and z_0 = ... = z_{k-1} = 0
+            # x = sum_{t < k} y_t col_t; e[j] = e_j − sum_{t < k} w_j[t] z_t;
+            # lead: the half space is searched and z_0 = ... = z_{k-1} = 0
             first, last = -box[k], 0 if lead else box[k]
             for j, a, reach in levels[k]:
                 # |e_j − a z_k − rest| <= reach[k+1] covers every free rest
@@ -611,20 +608,18 @@ def _lattice_search(rows, coords, half):
                 if first > last:
                     return False
             leaf = k == n - 1
-            if leaf and visit is None:
-                return True
             col, bk = cols[k], base[k]
             for v in range(first, last + 1):
                 nxt = e[:]
                 for j, a in moves[k]:
                     nxt[j] -= a * v
                 y = bk + v
-                at = tuple([a + y * c for a, c in zip(x, col)]) if y and x else x
+                at = tuple([a + y * c for a, c in zip(x, col)]) if y else x
                 if visit(at, nxt) if leaf else descend(k + 1, at, nxt, lead and not v):
                     return True
             return False
 
-        found = descend(0, None if visit is None else (0,) * n, e, halfspace)
+        found = descend(0, (0,) * n, e, halfspace)
         del descend  # a closure over itself: free visit's data now, not at the next collection
         return found
 

@@ -17,6 +17,7 @@ from ewaldkit.bundles import (
     ssb,
 )
 from ewaldkit.classify import is_deeply_smooth, is_monotone, vertex_edge_directions
+from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
 from ewaldkit.ewald import (
     cube_normalization,
     deeply_smooth_origin_vertex_basis,
@@ -329,6 +330,10 @@ def test_star_masks_match_per_face_oracle(rng):
             e = ewald_set(p).points
             expect = all(any(dot(u, x) == c for x in e) for u, c in zip(p.normals, p.offsets))
             assert fs_property(p) == expect
+            for i, u in enumerate(p.normals):
+                values = [dot(u, x) for x in e]
+                want = FacetEwaldSplit(values.count(1), values.count(0), values.count(-1))
+                assert facet_ewald_split(p, i) == want and want.total == len(e)
     assert faces > 2000
 
 

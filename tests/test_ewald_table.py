@@ -1,14 +1,23 @@
 """The table of E(P) and its facet masks (ewald._tight_masks), built by one
 half-space lattice search, against the dot-product build it replaced and the
-brute-force E(P), both kept in lattice_oracles."""
+brute-force E(P), both kept in lattice_oracles; and its per-facet columns
+(ewald._facet_columns), the one view of it the Ewald conditions read."""
 
 import random
 from fractions import Fraction
 
 from conftest import random_unimodular
 from ewaldkit import ewald, intlinalg
-from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, monotone_simplex, segment
-from ewaldkit.ewald import _tight_masks, ewald_set
+from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, monotone_simplex, segment
+from ewaldkit.counting import facet_ewald_split
+from ewaldkit.ewald import (
+    _facet_columns,
+    _tight_masks,
+    ewald_set,
+    fs_property,
+    star_ewald,
+    strong_ewald,
+)
 from ewaldkit.intlinalg import mat_vec
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product
 from lattice_oracles import brute_ewald, dot_tight_masks
@@ -88,6 +97,13 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         assert table == dot_tight_masks(q, want), label
         e = ewald_set(q)
         assert e.points == want and e.ordered() == tuple(lam for lam, _, _ in table), label
+        # the columns are the table's masks transposed
+        on, opp = _facet_columns(q)
+        for k, (_, t, tn) in enumerate(table):
+            assert t == sum(1 << i for i, col in enumerate(on) if col >> k & 1), label
+            assert tn == sum(1 << i for i, col in enumerate(opp) if col >> k & 1), label
+        assert len(on) == len(opp) == q.nfacets, label
+        assert max(on + opp, default=0) >> len(table) == 0, label
         # one leaf per pair ±λ and one for 0; the leaves carry λ, so no
         # matrix product maps them
         assert counts["leaves"] == (len(want) + 1) // 2, label
@@ -97,3 +113,22 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         integral = {isinstance(c, int) for c in q.offsets}
         mixed += len(integral) == 2
     assert empty == 16 and unit_frames >= 6 and mixed >= 15
+
+
+def test_the_conditions_walk_the_table_a_bounded_number_of_times(monkeypatch):
+    walks = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    table = ewald._tight_masks
+    monkeypatch.setattr(ewald, "_tight_masks", lambda p: Counted(table(p)))
+    p = cube(4)
+    q = HPolytope(p.dim, p.normals, p.offsets)  # a fresh copy: nothing cached
+    assert strong_ewald(q).ok and star_ewald(q) == (True, None) and fs_property(q)
+    splits = [facet_ewald_split(q, i) for i in range(q.nfacets)]
+    assert splits == [splits[0]] * q.nfacets
+    # ewald_set and _facet_columns walk it once each; star alone checks 80 faces
+    assert len(walks) <= 2 < sum(len(q.faces(c)) for c in range(1, q.dim + 1))

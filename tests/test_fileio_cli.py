@@ -238,6 +238,14 @@ def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):
         assert "probe point of length %d in dimension 2" % length in err
 
 
+def test_cli_probe_rejects_a_zero_denominator(capsys):
+    for point in ("1/0,0", "0,1/0"):
+        argv = ["probe", "-", "--point", point]
+        code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: probe point %r has a zero denominator\n" % point
+
+
 def test_cli_probe_refuses_a_bound_below_one(capsys):
     for extra in (["--point", "1/2,0"], ["--samples", "2"]):
         for bound in ("0", "-1"):
@@ -306,6 +314,44 @@ def test_cli_batch_jobs_match_serial(tmp_path, capsys):
         docs.append(json.loads(out))
     assert docs[0] == docs[1]
     assert len(docs[0]["reports"]) == 3 and len(docs[0]["excluded"]) == 1
+
+
+def test_cli_batch_pool_has_at_most_one_worker_per_file(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    from ewaldkit.bundles import monotone_polygon
+
+    pools = []
+
+    class Recorder:
+        """A serial stand-in for the process pool that records its size."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    for name in ("triangle", "square", "hexagon"):
+        (tmp_path / (name + ".poly")).write_text(serialize_polytope(monotone_polygon(name), name))
+    code, out, _ = run_cli(["batch", str(tmp_path), "--json", "--jobs", "8"], capsys=capsys)
+    assert code == 0 and len(json.loads(out)["reports"]) == 3
+    assert pools == [3]
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(["batch", str(tmp_path), "--jobs", jobs], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: jobs must be at least 1, got %s\n" % jobs
+    for name in ("square", "hexagon"):
+        (tmp_path / (name + ".poly")).unlink()
+    code, out, _ = run_cli(["batch", str(tmp_path), "--jobs", "8"], capsys=capsys)
+    assert code == 0 and out.startswith("1 files analyzed")
+    assert pools == [3]  # one file runs serially
 
 
 def test_cli_env_radius(capsys, monkeypatch):

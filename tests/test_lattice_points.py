@@ -131,16 +131,3 @@ def test_half_space_search_and_its_mirrors_are_the_full_search():
         assert all(next((v for v in y if v), -1) < 0 for y in ys)
         assert set(halves) | {tuple(-v for v in x) for x in halves} == full
 
-
-def test_bare_search_answers_whether_a_visiting_search_finds_a_point():
-    rng = random.Random(5)
-    answers = set()
-    for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, half)
-        for centre in [d] + [[rng.randint(-4, 4) for _ in rows] for _ in range(5)]:
-            found = bool(_visits(search, centre))
-            assert search(centre) is found, (rows, half, centre)
-            answers.add(found)
-        zero = [0] * len(rows)
-        assert search(zero, halfspace=True) is bool(_visits(search, zero))
-    assert answers == {True, False}
