@@ -19,7 +19,7 @@ from .counting import (
     ewald_count_simplex,
     ewald_count_ssb,
 )
-from .displace import DEFAULT_RADIUS, first_displacement, is_neat
+from .displace import DEFAULT_RADIUS, first_displacement, is_neat, neat_class_box
 from .ewald import ewald_set
 from .fileio import (
     MAX_DIM_DEFAULT,
@@ -110,8 +110,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--allow-large",
         action="store_true",
-        help="lift the default dimension cap of %d (scans grow like 3^n) and the "
-        "probe direction box limit of %d" % (MAX_DIM_DEFAULT, MAX_PROBE_BOX),
+        help="lift the default dimension cap of %d (scans grow like 3^n), the "
+        "probe direction box limit of %d and the exact neatness class box limit of %d"
+        % (MAX_DIM_DEFAULT, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -132,9 +133,13 @@ def main(argv=None) -> int:
     p_disp.add_argument("file")
     p_disp.add_argument("--facets", required=True, help="comma-separated 0-based facet indices")
 
-    p_neat = sub.add_parser("neat", help="bounded neatness check")
+    p_neat = sub.add_parser("neat", help="neatness check, up to a radius or exact")
     p_neat.add_argument("file")
-    p_neat.add_argument("--radius", type=int, default=None)
+    neat_mode = p_neat.add_mutually_exclusive_group()
+    neat_mode.add_argument("--radius", type=int, default=None)
+    neat_mode.add_argument(
+        "--exact", action="store_true", help="decide neatness over every translation class of b"
+    )
 
     p_probe = sub.add_parser("probe", help="probe displaceability")
     p_probe.add_argument("file")
@@ -211,10 +216,20 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "neat":
         parsed = _read_polytope(args.file, args.allow_large)
-        radius = args.radius if args.radius is not None else radius_default
+        if args.exact:
+            radius = None
+            box = neat_class_box(parsed.polytope)
+            if box > MAX_NEAT_CLASS_BOX and not args.allow_large:
+                raise ValueError(
+                    "exact neatness would decide a class box of %d displacements, above the "
+                    "limit of %d; pass --allow-large to override" % (box, MAX_NEAT_CLASS_BOX)
+                )
+        else:
+            radius = args.radius if args.radius is not None else radius_default
         verdict = is_neat(parsed.polytope, radius)
         print("status: %s" % verdict.status)
-        print("radius: %d" % verdict.radius)
+        if radius is not None:
+            print("radius: %d" % verdict.radius)
         if verdict.witness_b is not None:
             print("witness b: %s" % (verdict.witness_b,))
         return 1 if verdict.is_counterexample else 0
@@ -303,6 +318,10 @@ _COUNTS = {
 # --allow-large: the probe search lists and sorts the whole box.  It admits
 # dimension 6 at the default bound 3 (7^6 = 117,649), not dimension 7
 MAX_PROBE_BOX = 200_000
+# the largest class box (displace.neat_class_box) that `neat --exact` takes
+# without --allow-large: the exact test spends a few microseconds on each of
+# its points, so the limit keeps a run to seconds
+MAX_NEAT_CLASS_BOX = 1_000_000
 # the largest n `count` accepts; every answer up to it has fewer than n
 # digits, so it also prints within Python's default int-to-str limit
 MAX_COUNT_N = 4300

@@ -1,14 +1,17 @@
-"""Facet-offset displacements P_b, face first-displacements, and the bounded
-neatness check.
+"""Facet-offset displacements P_b, face first-displacements, and neatness.
 
-Neatness quantifies over all integer b; the artifact decides it only up to a
-max-norm radius (CLI flag --radius, default 2).  Only a counterexample is
-conclusive; "neat_up_to_radius" is evidence, not proof.
+Neatness quantifies over all integer b, but the answer for b is the answer
+for every b + N·t (t ∈ Zⁿ), and finitely many of these translation classes
+keep the fan.  is_neat decides each class once: exactly (radius=None,
+verdict "neat" or "counterexample"), or for the b of max-norm at most a
+radius (CLI flag --radius, default 2), where only a counterexample is
+conclusive and "neat_up_to_radius" is evidence, not proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .classify import is_smooth
 from .polytope import (
@@ -21,6 +24,7 @@ from .polytope import (
     enumerate_vertices,
     face_slice,
     normal_fan_signature,
+    per_polytope,
 )
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "normally_isomorphic_displacements",
     "NeatVerdict",
     "is_neat",
+    "neat_class_box",
     "neat_transfer_bundle_check",
 ]
 
@@ -138,62 +143,16 @@ def _vertex_margin_constraints(p: HPolytope):
     return grouped
 
 
-class _Certificates:
-    """Lattice witnesses of neatness, as bitsets over the witnesses found.
-
-    A witness x with row values v_j = u_j·x certifies every b in its box
-    |v_j − b_j| <= c_j, row by row.  For the descent over b in [−r, r]^m:
-    - fits[j][t + r] holds the witnesses with |v_j − t| <= c_j;
-    - wide[k] those with |v_j| + r <= c_j on every row j >= k, which
-      certify any b_k, ..., b_{m−1} in the box (wide[m]: every witness);
-    - alive[k] those that fit b_0, ..., b_{k−1} on the descent's path.
-    A witness in alive[k] & wide[k] certifies the whole subtree below
-    b_0, ..., b_{k−1}; at k = m that is the leaf test.
-    """
-
-    def __init__(self, offsets, radius: int):
-        m = len(offsets)
-        self.offsets, self.radius, self.count = offsets, radius, 0
-        self.fits = [[0] * (2 * radius + 1) for _ in range(m)]
-        self.wide = [0] * (m + 1)
-        self.alive = [0] * (m + 1)
-
-    def add(self, values) -> None:
-        """Take the witness with row values `values`.  It must fit every
-        entry of b on the descent's path, as a point found for the current
-        leaf does: it joins alive at every depth."""
-        bit, r, m = 1 << self.count, self.radius, len(self.offsets)
-        self.count += 1
-        for row, v, c in zip(self.fits, values, self.offsets):
-            for t in range(max(-r, v - c), min(r, v + c) + 1):
-                row[t + r] |= bit
-        self.wide[m] |= bit
-        for k in range(m, 0, -1):
-            if abs(values[k - 1]) + r > self.offsets[k - 1]:
-                break
-            self.wide[k - 1] |= bit
-        for k in range(m + 1):
-            self.alive[k] |= bit
-
-
-def _fan_preserving(p: HPolytope, radius: int, paired: bool, certified: _Certificates | None = None):
-    """The margin descent: every b with max-norm <= radius whose constraints
-    all hold, so that P_b keeps the fan of p, in lexicographic order,
-    smallest entry first.
+def _fan_preserving(p: HPolytope, bounds, paired: bool):
+    """The margin descent: every b with |b_j| <= bounds[j] on each row whose
+    constraints all hold, so that P_b keeps the fan of p, in lexicographic
+    order, smallest entry first.
 
     Paired, each margin must hold for -b as well (|sum coeff*b_i| < const),
     and the first nonzero entry of b must be negative (b <= -b): the stream
     is then the pairs (b, -b) with both displacements fan-preserving, each
     pair once.
-
-    With certified, a _Certificates over p's offsets and the radius, the
-    descent skips every subtree whose b some witness certifies, and every
-    leaf one certifies; a caller may add witnesses while a leaf is out.
     """
-    if certified is not None:
-        alive, wide = certified.alive, certified.wide
-        if alive[0] & wide[0]:
-            return  # one witness certifies the whole box
     grouped = _vertex_margin_constraints(p)
     m = p.nfacets
     b = [0] * m
@@ -202,13 +161,9 @@ def _fan_preserving(p: HPolytope, radius: int, paired: bool, certified: _Certifi
         if depth == m:
             yield tuple(b)
             return
-        top = 0 if paired and leading_zeros else radius
-        for val in range(-radius, top + 1):
-            if certified is not None:
-                fit = alive[depth] & certified.fits[depth][val + radius]
-                if fit & wide[depth + 1]:
-                    continue
-                alive[depth + 1] = fit
+        bound = bounds[depth]
+        top = 0 if paired and leading_zeros else bound
+        for val in range(-bound, top + 1):
             b[depth] = val
             ok = True
             for const, terms in grouped.get(depth, ()):
@@ -244,13 +199,107 @@ def normally_isomorphic_displacements(p: HPolytope, radius: int):
     entry first."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    yield from _fan_preserving(p, radius, paired=False)
+    yield from _fan_preserving(p, (radius,) * p.nfacets, paired=False)
+
+
+# -- neatness per translation class -----------------------------------------
+
+
+def _require_lattice_smooth(p: HPolytope) -> None:
+    ok, _ = is_smooth(p)
+    if not ok or not p.is_lattice():
+        raise ValueError("neatness is defined for lattice smooth polytopes")
+
+
+@per_polytope
+def _class_chart(p: HPolytope) -> tuple:
+    """(size, bounds, reduction): the translation classes of the b that
+    neatness tests, for a lattice smooth p.
+
+    An integer x answers b when |u_j·x − b_j| <= c_j on every row, that is
+    x ∈ P_b and −x ∈ P_{−b}.  Then x + t answers b + N·t for every integer
+    t, and P_{b+Nt} = P_b + t keeps the fan exactly when P_b does, so
+    whether b is answered depends only on its class modulo N·Zⁿ.
+
+    At a vertex v with chart rows S, which form a unimodular A_S, each class
+    holds exactly one b with b_S = 0: b + N·t for t = −A_S⁻¹·b_S, whose
+    entry on a row j off S is b_j + Σ_t slope_t·b_{s_t}, off v's chart.
+    With b_S = 0, v's paired margins read margin_j ± b_j > 0, and a row of
+    T \\ S (dimension 0 only) keeps b_j = 0.  So every class of a pair
+    (b, −b) that keeps the fan has its representative in the box
+    |b_j| <= bounds[j]: 0 on the rows tight at v, margin_j − 1 elsewhere.
+    v is the vertex whose box has the fewest points,
+    size = Π(2·bounds[j] + 1), or the first vertex whose box x = 0 answers
+    whole (bounds[j] <= c_j on every row), with size = 0: no class is left
+    to decide.  reduction lists (j, ((s_t, slope_t), ...)) per row j off S,
+    over the nonzero slopes.
+    """
+    best = None
+    for vi in range(len(p.vertices())):
+        s, _, _, rows = _vertex_chart(p, vi)
+        bounds = [0] * p.nfacets
+        for j, margin, _ in rows:
+            bounds[j] = max(margin - 1, 0)
+        covered = all(h <= c for h, c in zip(bounds, p.offsets))
+        size = 0 if covered else prod(2 * h + 1 for h in bounds)
+        if best is None or size < best[0]:
+            reduction = tuple((j, tuple((i, a) for i, a in zip(s, slopes) if a)) for j, _, slopes in rows)
+            best = (size, tuple(bounds), reduction)
+        if covered:
+            break
+    return best
+
+
+def _class_representative(reduction, b) -> tuple:
+    """The member of b's translation class with b_S = 0, for the reduction
+    of _class_chart."""
+    rep = [0] * len(b)
+    for j, terms in reduction:
+        v = b[j]
+        for i, a in terms:
+            v += a * b[i]
+        rep[j] = v
+    return tuple(rep)
+
+
+def _class_verdicts(p: HPolytope, reduction):
+    """answered(b): whether some integer x answers b, for integer b,
+    decided once per class of the pair (b, −b): by x = 0 when the class
+    representative has |b_j| <= c_j on every row, else by one lattice
+    search.  x answers b exactly when −x answers −b, so the pair's key is
+    the lesser of its two representatives."""
+    # p is smooth, so the search reads p's own rows in the coordinates of
+    # its first vertex cone
+    search = _lattice_search(*_slab_frame(p), p.offsets)
+    offsets, known = p.offsets, {}
+
+    def answered(b):
+        key = _class_representative(reduction, b)
+        neg = tuple(-v for v in key)
+        if neg < key:
+            key = neg
+        verdict = known.get(key)
+        if verdict is None:
+            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or search(
+                key, lambda x, e: True
+            )
+        return verdict
+
+    return answered
+
+
+def neat_class_box(p: HPolytope) -> int:
+    """The number of b in the class box (_class_chart) that the exact
+    neatness test may decide: Π(2·bounds_j + 1), or 0 when x = 0 answers
+    every class.  Raises ValueError unless p is lattice smooth."""
+    _require_lattice_smooth(p)
+    return _class_chart(p)[0]
 
 
 @dataclass(frozen=True)
 class NeatVerdict:
-    status: str  # "neat_up_to_radius" | "counterexample"
-    radius: int
+    status: str  # "neat" | "neat_up_to_radius" | "counterexample"
+    radius: int | None  # None: the exact test
     witness_b: tuple | None = None
 
     @property
@@ -258,38 +307,50 @@ class NeatVerdict:
         return self.status == "counterexample"
 
 
-def is_neat(p: HPolytope, radius: int = DEFAULT_RADIUS) -> NeatVerdict:
-    """Bounded search for a neatness counterexample.
+def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
+    """Neatness of a lattice smooth polytope, exactly or up to a radius.
 
-    For every b with P_b and P_{-b} both normally isomorphic to P, some
-    integer x must satisfy x ∈ P_b and −x ∈ P_{-b}.  The pairs (b, −b) with
-    b <= −b and both displacements qualifying are tested in lexicographic
-    order of b; the verdict reports the first failing b, or
-    neat_up_to_radius.  A point x found for one b answers every b in its
-    box (_Certificates), so only the b that no point found so far answers,
-    x = 0 included, run a lattice search; the stream keeps its order, so
-    the first of them without a point is the first failing b.
+    P is neat when every integer b with P_b and P_{−b} both normally
+    isomorphic to P is answered: some integer x has x ∈ P_b and
+    −x ∈ P_{−b}, that is |u_j·x − b_j| <= c_j on every row.  Whether b is
+    answered depends only on its translation class (_class_chart), and
+    finitely many classes keep the fan; each pair (b, −b) of them is
+    decided at most once, by x = 0 or by one lattice search.
+
+    radius=None is the exact test: "neat", or "counterexample" with the
+    first failing class representative (b_S = 0, b <= −b) in the
+    lexicographic order of the class box.
+
+    With a radius, the pairs (b, −b) with max-norm <= radius, b <= −b and
+    both displacements fan-preserving are read in lexicographic order of b,
+    and the verdict reports the first whose class fails, or
+    neat_up_to_radius, which is evidence, not proof.  The stream runs only
+    when needed: x = 0 answers every b at once when every c_j >= radius or
+    when it answers the whole class box; and when the class box holds no
+    more points than [−r, r]^m, every class is decided first, so the stream
+    runs only if one fails.  Otherwise the stream decides each class when
+    it first meets one of its members.
     """
-    if radius < 0:
+    if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
-    ok, _ = is_smooth(p)
-    if not ok or not p.is_lattice():
-        raise ValueError("neatness is defined for lattice smooth polytopes")
-    # both conditions say |u_j·x − b_j| <= c_j; p is smooth, so the search
-    # reads p's own rows in the coordinates of its first vertex cone, and
-    # a point's row values are b_j − e_j off its residuals e
-    search = _lattice_search(*_slab_frame(p), p.offsets)
-    certified = _Certificates(p.offsets, radius)
-    certified.add((0,) * p.nfacets)  # x = 0: every b with |b_j| <= c_j
-
-    def take(x, e):
-        certified.add([bj - ej for bj, ej in zip(b, e)])
-        return True
-
-    for b in _fan_preserving(p, radius, paired=True, certified=certified):
-        if not search(b, take):
+    _require_lattice_smooth(p)
+    if radius is not None and all(c >= radius for c in p.offsets):
+        return NeatVerdict("neat_up_to_radius", radius)  # x = 0 answers [−r, r]^m
+    neat = NeatVerdict("neat" if radius is None else "neat_up_to_radius", radius)
+    size, bounds, reduction = _class_chart(p)
+    if not size:
+        return neat  # x = 0 answers every class
+    answered = _class_verdicts(p, reduction)
+    if radius is None or size <= (2 * radius + 1) ** p.nfacets:
+        failing = next((b for b in _fan_preserving(p, bounds, paired=True) if not answered(b)), None)
+        if failing is None:
+            return neat
+        if radius is None:
+            return NeatVerdict("counterexample", None, witness_b=failing)
+    for b in _fan_preserving(p, (radius,) * p.nfacets, paired=True):
+        if not answered(b):
             return NeatVerdict("counterexample", radius, witness_b=b)
-    return NeatVerdict("neat_up_to_radius", radius)
+    return neat
 
 
 def neat_transfer_bundle_check(base, fiber, twist, radius: int) -> bool:

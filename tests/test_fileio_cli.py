@@ -230,6 +230,36 @@ def test_cli_ewald_neat_probe_displace(capsys):
     assert code == 1 and "not found" in out
 
 
+def test_cli_neat_exact(capsys):
+    code, out, _ = run_cli(["neat", "-", "--exact"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and out == "status: neat\n"
+    moved = serialize_polytope(cube(2).translate((2, 0)), "moved")
+    code, out, _ = run_cli(["neat", "-", "--exact"], stdin_text=moved, capsys=capsys)
+    assert code == 1 and out == "status: counterexample\nwitness b: (-1, 0, -1, 0)\n"
+    code, out, err = run_cli(["neat", "-", "--exact", "--radius", "1"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 2 and out == "" and "not allowed with" in err
+
+
+def test_cli_neat_exact_refuses_a_large_class_box(monkeypatch, capsys):
+    from ewaldkit import cli
+
+    # [−2, 18]^6: x = 0 misses some classes, whose box holds 39^6 points
+    wide = serialize_polytope(polytope.HPolytope(6, cube(6).normals, (18, 2) * 6), "wide")
+    code, out, err = run_cli(["neat", "-", "--exact"], stdin_text=wide, capsys=capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "class box of 3518743761 displacements, above the limit of 1000000" in err
+    # C_2 + 2·e_1 has a class box of 9 points: refused at a limit of 8
+    monkeypatch.setattr(cli, "MAX_NEAT_CLASS_BOX", 8)
+    moved = serialize_polytope(cube(2).translate((2, 0)), "moved")
+    code, out, err = run_cli(["neat", "-", "--exact"], stdin_text=moved, capsys=capsys)
+    assert code == 2 and out == "" and "class box of 9 displacements" in err
+    code, out, _ = run_cli(["--allow-large", "neat", "-", "--exact"], stdin_text=moved, capsys=capsys)
+    assert code == 1 and out.startswith("status: counterexample")
+    # x = 0 answers every class of C_2: nothing to decide, nothing refused
+    code, out, _ = run_cli(["neat", "-", "--exact"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and out == "status: neat\n"
+
+
 def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):
     for point, length in (("1/2", 1), ("1/2,0,0", 3)):
         argv = ["probe", "-", "--point", point]

@@ -1,14 +1,21 @@
-"""The neatness search (joint (b, −b) enumeration and the slab-form lattice
-search, now the lattice-point enumerator of polytope) against the search it
-replaced, kept in neat_oracles."""
+"""The neatness search (joint (b, −b) enumeration, translation classes and
+the slab-form lattice search, now the lattice-point enumerator of polytope)
+against the search it replaced, kept in neat_oracles."""
 
 import random
 import sys
 
 from conftest import smooth_suite, workload_items
 from ewaldkit.bundles import catalog, cube, monotone_polygon, segment
-from ewaldkit.displace import _Certificates, _fan_preserving, _vertex_margin_constraints, is_neat
+from ewaldkit.displace import (
+    _class_chart,
+    _class_representative,
+    _fan_preserving,
+    _vertex_margin_constraints,
+    is_neat,
+)
 from ewaldkit.fileio import parse_polytope
+from ewaldkit.intlinalg import inverse_unimodular, mat_vec
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
 
@@ -17,7 +24,7 @@ def _check(p, radius):
     """is_neat, its pair stream and its lattice search all agree with the
     oracle on p; returns the verdict."""
     pairs = qualifying_pairs(p, radius)
-    assert list(_fan_preserving(p, radius, paired=True)) == pairs
+    assert list(_fan_preserving(p, (radius,) * p.nfacets, paired=True)) == pairs
     verdict = is_neat(p, radius)
     assert (verdict.status, verdict.witness_b) == oracle_verdict(p, pairs)
     return verdict
@@ -98,7 +105,7 @@ def test_slab_search_agrees_with_box_scan_pair_by_pair():
     cases += smooth_suite(rng, max_dim=3, count=12)
     for p in cases:
         search, scan = _slab_search(p), box_scan(p)
-        for b in _fan_preserving(p, 2, paired=True):
+        for b in _fan_preserving(p, (2,) * p.nfacets, paired=True):
             x = search(b)
             assert (x is None) == (scan(b) is None), (p, b)
             if x is not None:
@@ -124,40 +131,8 @@ def _coefficient_types(grouped):
     return [type(c) for level in grouped.values() for _, terms in level for _, c in terms]
 
 
-def _certifies(p, values, b):
-    """The witness with row values v_j = u_j·x certifies b: |v_j − b_j| <= c_j."""
-    return all(abs(v - bj) <= c for v, bj, c in zip(values, b, p.offsets))
-
-
-def test_certified_stream_is_the_uncertified_pairs():
-    # witnesses given up front skip exactly the pairs they certify; one added
-    # at a leaf, as is_neat adds its search's point, skips the later pairs it
-    # certifies; the order of the rest is the stream's
-    rng = random.Random(19)
-    cases = [catalog()["hexagon"].translate((1, 0)), catalog()["cube3"], catalog()["ssb32"]]
-    cases += smooth_suite(rng, max_dim=3, count=8)
-    for p in cases:
-        for radius in (1, 2):
-            pairs = qualifying_pairs(p, radius)
-            witnesses = [tuple(rng.randint(-2, 2) for _ in p.offsets) for _ in range(3)]
-            certified = _Certificates(p.offsets, radius)
-            for values in witnesses:
-                certified.add(values)
-            got, extra = [], None
-            for b in _fan_preserving(p, radius, paired=True, certified=certified):
-                got.append(b)
-                if extra is None and len(got) == 2 and min(p.offsets) >= 0:
-                    extra = tuple(bj - rng.randint(0, c) for bj, c in zip(b, p.offsets))
-                    witnesses.append(extra)
-                    certified.add(extra)
-            want = [b for b in pairs if not any(_certifies(p, v, b) for v in witnesses[:3])]
-            if extra is not None:
-                cut = want.index(got[1]) + 1
-                want = want[:cut] + [b for b in want[cut:] if not _certifies(p, extra, b)]
-            assert got == want, (p, radius)
-
-
-def test_certificates_leave_few_leaves_to_search(monkeypatch):
+def _counted_searches(monkeypatch):
+    """The centres of every lattice search is_neat runs from now on."""
     # ewaldkit rebinds the name ewaldkit.displace to the function displace,
     # so the module is reached through sys.modules
     module = sys.modules["ewaldkit.displace"]
@@ -173,11 +148,93 @@ def test_certificates_leave_few_leaves_to_search(monkeypatch):
         return counted
 
     monkeypatch.setattr(module, "_lattice_search", counting)
-    # one search per pair would be 14,281, 185,647 and 58,825 searches
-    for n, radius, most in ((4, 2, 50), (5, 2, 100), (6, 1, 0)):
+    return searches
+
+
+def _dilate(p, k):
+    return HPolytope(p.dim, p.normals, tuple(k * c for c in p.offsets))
+
+
+def test_at_most_one_search_per_class(monkeypatch):
+    searches = _counted_searches(monkeypatch)
+    # x = 0 answers every class of a cube and of 4·C_5 moved to [0, 8]^5,
+    # whose offsets 0 stop the every-c_j >= r shortcut: no search at all;
+    # one search per pair would be 14,281, 185,647 and 58,825 searches on
+    # the first three
+    corner = _dilate(cube(5), 4).translate((4,) * 5)
+    for p, radius in ((cube(4), 2), (cube(5), 2), (cube(6), 1), (cube(7), 1), (cube(7), 2), (corner, 1)):
         searches.clear()
-        assert is_neat(cube(n), radius).status == "neat_up_to_radius"
-        assert len(searches) <= most, (n, radius, len(searches))
-    # x = 0 alone certifies every pair when every c_j >= r: no stream at all
-    searches.clear()
-    assert not is_neat(cube(7), 1).is_counterexample and not searches
+        assert is_neat(p, radius).status == "neat_up_to_radius"
+        assert not searches, (p, radius, len(searches))
+    # elsewhere each class of a pair (b, −b) is searched at most once, at its
+    # representative in the class box, whichever b of the stream met it
+    cases = [
+        (catalog()["hexagon"].translate((1, 0)), 2),
+        (catalog()["cube3"].translate((2, 0, 0)), 2),
+        (cube(4).translate((1, 0, 0, 0)), 2),
+        (_dilate(cube(3), 3).translate((2, 0, 0)), 1),
+        (_dilate(catalog()["hexagon"], 4).translate((3, 1)), 1),
+        (_dilate(cube(4), 3).translate((2, 0, 0, 0)), 2),
+    ]
+    for p, radius in cases:
+        _, bounds, _ = _class_chart(p)
+        classes = set(_fan_preserving(p, bounds, paired=True))
+        for r in (radius, None):
+            searches.clear()
+            is_neat(p, r)
+            assert len(set(searches)) == len(searches) and set(searches) <= classes, (p, r)
+
+
+def _exact_cases():
+    rng = random.Random(2021)
+    for name, p in catalog().items():
+        for shift in (0, 1, 2):
+            yield "%s+%de1" % (name, shift), p.translate((shift,) + (0,) * (p.dim - 1))
+    for k, p in enumerate(smooth_suite(rng, max_dim=3, count=16)):
+        yield "gl%d" % k, p
+
+
+def test_exact_verdict_matches_the_oracle():
+    # the class box lies in [−R, R]^m for R = max margin − 1, so the oracle
+    # at R meets every class: it is neat up to R exactly when p is neat
+    checked = set()
+    for label, p in _exact_cases():
+        _, bounds, _ = _class_chart(p)
+        radius = max(bounds, default=0)
+        if (2 * radius + 1) ** p.nfacets > 10_000:
+            continue
+        checked.add(label)
+        verdict = is_neat(p, None)
+        assert verdict.radius is None
+        pairs = qualifying_pairs(p, radius)
+        status, _ = oracle_verdict(p, pairs)
+        assert (verdict.status == "neat") == (status == "neat_up_to_radius"), label
+        if verdict.is_counterexample:
+            assert verdict.witness_b in pairs and box_scan(p)(verdict.witness_b) is None, label
+    assert {"cube3+2e1", "hexagon+1e1", "simplex3+0e1", "cube4+2e1"} <= checked
+
+
+def test_translation_classes_share_a_verdict():
+    # b and b + N·t keep the fan together and are answered together, and the
+    # representative has b_S = 0 and lies in the class box
+    rng = random.Random(5)
+    cases = [catalog()["hexagon"].translate((1, 0)), catalog()["cube3"].translate((2, 0, 0))]
+    cases += smooth_suite(rng, max_dim=3, count=10)
+    for p in cases:
+        _, bounds, reduction = _class_chart(p)
+        off_s = {j for j, _ in reduction}
+        s = [j for j in range(p.nfacets) if j not in off_s]
+        a_s_inverse = inverse_unimodular([p.normals[j] for j in s])
+        scan = box_scan(p)
+        pairs = qualifying_pairs(p, 1)
+        for b in rng.sample(pairs, min(len(pairs), 6)):
+            t = tuple(rng.randint(-3, 3) for _ in range(p.dim))
+            moved = tuple(bj + dot(u, t) for bj, u in zip(b, p.normals))
+            assert (scan(b) is None) == (scan(moved) is None), (p, b, t)
+            rep = _class_representative(reduction, moved)
+            assert all(rep[j] == 0 for j in s)
+            assert all(abs(v) <= h for v, h in zip(rep, bounds)), (p, b, rep)
+            # rep − b = N·t′ for the integer t′ = A_S⁻¹ (rep − b)_S
+            shift = mat_vec(a_s_inverse, [rep[j] - b[j] for j in s])
+            assert tuple(bj + dot(u, shift) for bj, u in zip(b, p.normals)) == rep
+            assert (scan(rep) is None) == (scan(b) is None), (p, b)

@@ -99,7 +99,9 @@ def test_vertex_chart_matches_the_fraction_oracle():
 @pytest.mark.parametrize("p", [cube(4), ssb(4, 3), del_pezzo(4)], ids=["cube4", "ssb43", "dp4"])
 def test_one_scaled_inverse_per_vertex(p, monkeypatch):
     # the vertex charts and the lattice search's frame are the only inverses
-    # is_neat takes after a parse; classify then reads the same charts
+    # is_neat takes after a parse; classify then reads the same charts.
+    # x = 0 answers every b of a monotone polytope, which then needs no
+    # frame; moved by 2·e_1 it misses the origin, and the search runs
     calls = []
     real = intlinalg.scaled_inverse
 
@@ -108,12 +110,18 @@ def test_one_scaled_inverse_per_vertex(p, monkeypatch):
         return real(m)
 
     q = parse_polytope(serialize_polytope(p)).polytope
+    moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
     monkeypatch.setattr(intlinalg, "scaled_inverse", spy)
     monkeypatch.setattr(polytope, "scaled_inverse", spy)
     is_neat(q, 1)
-    assert len(calls) == len(q.vertices()) + 1
+    assert len(calls) == len(q.vertices())
     classify(q)
-    assert len(calls) == len(q.vertices()) + 1
+    assert len(calls) == len(q.vertices())
+    calls.clear()
+    assert is_neat(moved, 1).is_counterexample
+    assert len(calls) == len(moved.vertices()) + 1
+    classify(moved)
+    assert len(calls) == len(moved.vertices()) + 1
     for name in ("classify", "displace", "ewald"):
         module = importlib.import_module("ewaldkit." + name)
         assert not any(hasattr(module, f) for f in ("scaled_inverse", "_reduce", "det"))
