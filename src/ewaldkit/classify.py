@@ -23,7 +23,7 @@ from .polytope import (
     per_polytope,
 )
 from .polytope import _bits, _face_facets, _face_masks, _integerize, _point, _row_vertex_masks
-from .polytope import _vertex_chart
+from .polytope import _cone_dets, _vertex_chart
 
 __all__ = [
     "ClassReport",
@@ -41,39 +41,30 @@ __all__ = [
 
 @per_polytope
 def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
-    """Primitive edge directions at vertex vi, sorted.  At a simple vertex
-    the edge leaving row s_t is the primitive part of the chart's ray
-    d_t = −A_s^-1 e_t, the column −e_t / d of its scaled inverse; at any
-    other vertex the edges come from the adjacency scan."""
-    if p.vertex_masks()[vi].bit_count() == p.dim:
-        _, d, e, _ = _vertex_chart(p, vi)
-        sign = -1 if d > 0 else 1
-        dirs = [primitive_part([sign * x for x in col]) for col in zip(*e)]
-    else:
-        verts = p.vertices()
-        dirs = [
-            _integerize([a - b for a, b in zip(verts[wj], verts[vi])])
-            for wj in p.adjacent_vertex_indices(vi)
-        ]
-    return tuple(sorted(dirs))
+    """Primitive edge directions at vertex vi, sorted: the primitive part of
+    w − v for each neighbour w of v (adjacent_vertex_indices)."""
+    verts = p.vertices()
+    v = verts[vi]
+    return tuple(
+        sorted(_integerize([a - b for a, b in zip(verts[w], v)]) for w in p.adjacent_vertex_indices(vi))
+    )
 
 
 @per_polytope
 def is_smooth(p: HPolytope):
     """(flag, witness): at every vertex the primitive edge directions must
     form a lattice basis; the witness is the first offending vertex.  For
-    primitive normals that holds exactly when the vertex is simple and its
-    chart has d = ±1, the determinant of its n tight rows."""
+    primitive normals that holds exactly when the vertex is simple and the
+    determinant of its n tight rows is ±1, read for every vertex from one
+    elimination at vertex 0 carried along the edge graph (_cone_dets)."""
     if p.dim == 0:
         return True, None
     verts = p.vertices()
     if not p.is_simple():
         bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
         return False, bad
-    for i, v in enumerate(verts):
-        if abs(_vertex_chart(p, i)[1]) != 1:
-            return False, v
-    return True, None
+    bad = next((v for v, d in zip(verts, _cone_dets(p)) if d != 1), None)
+    return bad is None, bad
 
 
 @per_polytope
@@ -157,7 +148,7 @@ def is_deeply_smooth(p: HPolytope):
     if not smooth or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
     for i, v in enumerate(p.vertices()):
-        rows = _vertex_chart(p, i)[3]
+        rows = _vertex_chart(p, i)[1]
         if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
             continue
         dirs = vertex_edge_directions(p, i)

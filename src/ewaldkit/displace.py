@@ -19,6 +19,7 @@ from .polytope import (
     Slice,
     _facet_rows,
     _lattice_search,
+    _margins,
     _slab_frame,
     _vertex_chart,
     enumerate_vertices,
@@ -110,6 +111,7 @@ def first_displacement(p: HPolytope, face) -> HPolytope:
 # -- enumeration of fan-preserving displacements --------------------------
 
 
+@per_polytope
 def _vertex_margin_constraints(p: HPolytope):
     """The conditions, affine in b, under which P_b keeps the fan of p.
 
@@ -124,7 +126,9 @@ def _vertex_margin_constraints(p: HPolytope):
     is immediate.
 
     Row j outside S reads c_j + b_j − u_j·x_S(b) = margin_j + b_j +
-    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t.
+    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t;
+    on a simple polytope the charts are read off the margin table and the
+    edge graph, so building the constraints takes no elimination.
     Each strict margin is stored as (const, ((idx, coeff), ...)) meaning
     const + sum coeff*b[idx] > 0, each equality on a row of T \\ S as
     (None, ((idx, coeff), ...)) meaning sum coeff*b[idx] == 0; they are
@@ -132,7 +136,7 @@ def _vertex_margin_constraints(p: HPolytope):
     """
     constraints = set()
     for vi, tight in enumerate(p.vertex_masks()):
-        s, _, _, rows = _vertex_chart(p, vi)
+        s, rows = _vertex_chart(p, vi)
         for j, margin, slopes in rows:
             terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
             constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
@@ -231,23 +235,23 @@ def _class_chart(p: HPolytope) -> tuple:
     v is the vertex whose box has the fewest points,
     size = Π(2·bounds[j] + 1), or the first vertex whose box x = 0 answers
     whole (bounds[j] <= c_j on every row), with size = 0: no class is left
-    to decide.  reduction lists (j, ((s_t, slope_t), ...)) per row j off S,
-    over the nonzero slopes.
+    to decide.  The boxes read every vertex's row of the margin table
+    (polytope._margins), and only v's chart is built, for the reduction:
+    (j, ((s_t, slope_t), ...)) per row j off S, over the nonzero slopes.
     """
     best = None
-    for vi in range(len(p.vertices())):
-        s, _, _, rows = _vertex_chart(p, vi)
-        bounds = [0] * p.nfacets
-        for j, margin, _ in rows:
-            bounds[j] = max(margin - 1, 0)
+    for vi, margins in enumerate(_margins(p)):
+        bounds = tuple(max(x - 1, 0) for x in margins)
         covered = all(h <= c for h, c in zip(bounds, p.offsets))
         size = 0 if covered else prod(2 * h + 1 for h in bounds)
         if best is None or size < best[0]:
-            reduction = tuple((j, tuple((i, a) for i, a in zip(s, slopes) if a)) for j, _, slopes in rows)
-            best = (size, tuple(bounds), reduction)
+            best = (size, bounds, vi)
         if covered:
             break
-    return best
+    size, bounds, vi = best
+    s, rows = _vertex_chart(p, vi)
+    reduction = tuple((j, tuple((i, a) for i, a in zip(s, slopes) if a)) for j, _, slopes in rows)
+    return size, bounds, reduction
 
 
 def _class_representative(reduction, b) -> tuple:
@@ -262,15 +266,20 @@ def _class_representative(reduction, b) -> tuple:
     return tuple(rep)
 
 
+@per_polytope
+def _class_search(p: HPolytope):
+    """The lattice search that decides a class x = 0 does not answer, built
+    at the first such class.  p is smooth, so it reads p's own rows in the
+    coordinates of its first vertex cone."""
+    return _lattice_search(*_slab_frame(p), p.offsets)
+
+
 def _class_verdicts(p: HPolytope, reduction):
     """answered(b): whether some integer x answers b, for integer b,
     decided once per class of the pair (b, −b): by x = 0 when the class
     representative has |b_j| <= c_j on every row, else by one lattice
-    search.  x answers b exactly when −x answers −b, so the pair's key is
-    the lesser of its two representatives."""
-    # p is smooth, so the search reads p's own rows in the coordinates of
-    # its first vertex cone
-    search = _lattice_search(*_slab_frame(p), p.offsets)
+    search (_class_search).  x answers b exactly when −x answers −b, so the
+    pair's key is the lesser of its two representatives."""
     offsets, known = p.offsets, {}
 
     def answered(b):
@@ -280,7 +289,7 @@ def _class_verdicts(p: HPolytope, reduction):
             key = neg
         verdict = known.get(key)
         if verdict is None:
-            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or search(
+            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or _class_search(p)(
                 key, lambda x, e: True
             )
         return verdict

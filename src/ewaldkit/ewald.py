@@ -18,10 +18,10 @@ from .polytope import (
     HPolytope,
     _bits,
     _face_masks,
+    _first_cone_det,
     _lattice_search,
     _require_simple,
     _slab_frame,
-    _vertex_chart,
     dot,
     per_polytope,
 )
@@ -129,13 +129,13 @@ def _facet_columns(p: HPolytope) -> tuple:
 def cube_normalization(p: HPolytope):
     """Unimodular M sending the lex-smallest vertex cone to the standard
     corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
-    Unimodularity reads d of the vertex's chart."""
+    Unimodularity reads the vertex's determinant (_first_cone_det)."""
     tight = _bits(p.vertex_masks()[0])
     if len(tight) != p.dim:
         raise ValueError("vertex is not simple")
     if any(p.offsets[i] != 1 for i in tight):
         raise ValueError("vertex facets are not at offset 1")
-    if abs(_vertex_chart(p, 0)[1]) != 1:
+    if _first_cone_det(p) != 1:
         raise ValueError("vertex cone is not unimodular")
     return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 

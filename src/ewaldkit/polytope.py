@@ -112,32 +112,117 @@ def per_polytope(fn):
     return cached
 
 
+def _ratio(x, y):
+    """x / y for ints or Fractions: an int where y divides x, else a Fraction."""
+    return x // y if x % y == 0 else Fraction(x, y)
+
+
+@per_polytope
+def _margins(p) -> tuple:
+    """The margin table: per vertex v, in vertices() order, the margin
+    c_j − u_j·v of every row j in row order, 0 exactly on v's tight rows."""
+    rows = tuple(zip(p.normals, p.offsets))
+    return tuple(tuple(_exact(c - sum(map(mul, u, v))) for u, c in rows) for v in p.vertices())
+
+
+@per_polytope
+def _edges(p) -> tuple:
+    """The edge graph of a simple polytope: per vertex v, one (s, w, j) per
+    row s tight at v, ascending in s.  The edge that leaves row s ends at w,
+    the one other vertex whose mask contains mask_v − {s}, and j is the row
+    that becomes tight there: one dict join over the vertex masks."""
+    masks = p.vertex_masks()
+    ends, edges = {}, [[] for _ in masks]
+    for v, t in enumerate(masks):
+        rest = t
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            other = ends.pop(t ^ bit, None)
+            if other is None:
+                ends[t ^ bit] = v, bit  # the edge's first end; the other pops it
+            else:
+                w, jbit = other
+                s, j = bit.bit_length() - 1, jbit.bit_length() - 1
+                edges[v].append((s, w, j))
+                edges[w].append((j, v, s))
+    return tuple(tuple(sorted(e)) for e in edges)
+
+
+@per_polytope
+def _first_cone_det(p) -> int:
+    """|det A_S| for the rows S tight at vertex 0 when there are n of them,
+    else 0: the one scaled_inverse that the vertex cones take."""
+    s = _bits(p.vertex_masks()[0])
+    if len(s) != p.dim:
+        return 0
+    return abs(scaled_inverse([p.normals[i] for i in s])[0])
+
+
+@per_polytope
+def _cone_dets(p) -> tuple:
+    """|det A_S| per vertex of a simple polytope, for its n tight rows S.
+
+    Along the edge from v to w, A_{S_w} is A_{S_v} with row s swapped for
+    row j, which scales |det| by |u_j·A_{S_v}^-1 e_s| = M[v][j] / M[w][s]
+    on the margin table M: u_j·d_s = (M[v][j] − M[w][j]) / M[w][s] for the
+    edge ray d_s, and M[w][j] = 0.  So vertex 0's determinant
+    (_first_cone_det), carried along the edge graph, gives every one."""
+    margins, edges = _margins(p), _edges(p)
+    dets = [0] * len(margins)  # 0 until reached: no |det| of n independent rows is 0
+    dets[0] = _first_cone_det(p)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for s, w, j in edges[v]:
+            if not dets[w]:
+                dets[w] = _ratio(dets[v] * margins[v][j], margins[w][s])
+                stack.append(w)
+    return tuple(dets)
+
+
 @per_polytope
 def _vertex_chart(p, vi: int) -> tuple:
-    """(s, d, e, rows): P written in the cone coordinates of vertex v = vi.
+    """(s, rows): P written in the cone coordinates of vertex v = vi.
 
-    s holds n independent rows tight at v: all of them at a simple vertex,
-    otherwise the pivots of one _reduce.  (d, e) = scaled_inverse(A_s), so
-    A_s^-1 = e / d and |d| = |det A_s|; the edge ray d_t = −A_s^-1 e_t
-    leaves row s_t.  rows has one entry (j, c_j − u_j·v, slopes) per row j
-    outside s, in row order, with slopes[t] = u_j·d_t: an int where d
-    divides it, else a Fraction.  Smoothness reads d, deep smoothness the
-    margins and slopes, the fan test the same margins as affine forms in b,
-    and the slab frame d at vertex 0."""
-    s = _bits(p.vertex_masks()[vi])
+    s holds n independent rows tight at v, and rows has one entry
+    (j, M[v][j], slopes) per row j outside s, in row order, with
+    slopes[t] = u_j·d_t for the edge ray d_t of A_s d_t = −e_t, which
+    leaves row s_t: an int where it is one, else a Fraction.  Deep
+    smoothness reads the margins and slopes, the fan test the same margins
+    as affine forms in b, and the translation classes one vertex's slopes.
+
+    On a simple polytope every vertex is read off the margin table M
+    (_margins) and the edge graph (_edges), with no elimination: s is every
+    tight row, the edge leaving s_t ends at w_t, d_t = (w_t − v) / λ_t with
+    λ_t = M[w_t][s_t], so u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t.  At the
+    vertices of a non-simple polytope s is every tight row, or the pivots
+    of one _reduce of them where there are more than n, and the slopes come
+    from the scaled inverse (d, e) of A_s, d_t = −e_t / d."""
+    margins, tight = _margins(p), p.vertex_masks()[vi]
+    mv = margins[vi]
+    if p.is_simple():
+        edges = _edges(p)[vi]
+        s = tuple(st for st, _, _ in edges)
+        ends = [(margins[w], margins[w][st]) for st, w, _ in edges]
+        rows = tuple(
+            (j, x, tuple(_ratio(x - mw[j], lam) for mw, lam in ends))
+            for j, x in enumerate(mv)
+            if not tight >> j & 1
+        )
+        return s, rows
+    s = _bits(tight)
     if len(s) > p.dim:
         piv, _, _ = _reduce([list(col) for col in zip(*(p.normals[i] for i in s))], len(s))
         s = tuple(s[k] for k in piv)
     d, e = scaled_inverse([p.normals[i] for i in s])
     rays = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
-    v = p.vertices()[vi]
-    rows = []
-    for j, (u, c) in enumerate(zip(p.normals, p.offsets)):
-        if j not in s:
-            nums = [sum(map(mul, u, ray)) for ray in rays]
-            slopes = tuple(x // d if x % d == 0 else Fraction(x, d) for x in nums)
-            rows.append((j, _exact(c - dot(u, v)), slopes))
-    return s, d, e, tuple(rows)
+    rows = tuple(
+        (j, mv[j], tuple(_ratio(sum(map(mul, u, ray)), d) for ray in rays))
+        for j, u in enumerate(p.normals)
+        if j not in s
+    )
+    return s, rows
 
 
 @per_polytope
@@ -260,6 +345,7 @@ class HPolytope:
         """vertex_masks() as frozensets of row indices."""
         return tuple(frozenset(_bits(t)) for t in self.vertex_masks())
 
+    @per_polytope
     def is_simple(self) -> bool:
         if self.dim == 0:
             return True
@@ -289,9 +375,12 @@ class HPolytope:
         return tuple(v for v, t in zip(self.vertices(), self.vertex_masks()) if t & need == need)
 
     def adjacent_vertex_indices(self, i: int) -> tuple:
-        """Indices of the vertices sharing an edge with vertex i: j is one
-        when no third vertex is tight on every row tight at both, the
-        combinatorial adjacency test of the double description."""
+        """Indices of the vertices sharing an edge with vertex i, ascending.
+        On a simple polytope they are read off the edge graph (_edges);
+        otherwise j is one when no third vertex is tight on every row tight
+        at both, the combinatorial adjacency test of the double description."""
+        if self.is_simple():
+            return tuple(sorted(w for _, w, _ in _edges(self)[i]))
         masks = self.vertex_masks()
         ti = masks[i]
         return tuple(
@@ -518,14 +607,13 @@ def irredundant_rows(dim, normals, offsets):
 def _slab_frame(p: HPolytope):
     """(rows, coords): the rows the lattice-point search reads for p, and the
     indices of n of them that form a unimodular matrix.  These are the rows
-    tight at the first vertex when they are n rows whose chart has d = ±1,
-    as on every smooth polytope; otherwise the unit rows e_1, ..., e_n,
-    appended after p's rows and bounded by its bounding box."""
+    tight at the first vertex when they are n rows of determinant ±1
+    (_first_cone_det), as on every smooth polytope; otherwise the unit rows
+    e_1, ..., e_n, appended after p's rows and bounded by its bounding box."""
     n, m = p.dim, p.nfacets
     rows = list(p.normals)
-    tight = _bits(p.vertex_masks()[0])
-    if len(tight) == n and _vertex_chart(p, 0)[1] in (1, -1):
-        return rows, tight
+    if _first_cone_det(p) == 1:
+        return rows, _bits(p.vertex_masks()[0])
     rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
     return rows, list(range(m, m + n))
 

@@ -63,9 +63,20 @@ def polytopes_under_test():
 POLYS = polytopes_under_test()
 
 
+def _large_images():
+    # adjacency on a simple polytope reads the edge graph; these images have
+    # 32 and 36 vertices
+    rng = random.Random(41)
+    hexagon = monotone_polygon("hexagon")
+    out = [cube(5), cartesian_product(hexagon, hexagon)]
+    out = [p.transform(random_unimodular(rng, p.dim)) for p in out]
+    assert all(p.is_simple() and len(p.vertices()) >= 32 for p in out)
+    return out
+
+
 def test_faces_adjacency_and_two_faces_match_frozensets():
     assert any(not p.is_simple() for p in POLYS)
-    for p in POLYS:
+    for p in POLYS + _large_images():
         assert p.vertex_tight_sets() == oracle.tight_sets(p)
         for codim in range(p.dim + 1):
             try:

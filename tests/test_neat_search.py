@@ -2,8 +2,10 @@
 the slab-form lattice search, now the lattice-point enumerator of polytope)
 against the search it replaced, kept in neat_oracles."""
 
+import inspect
 import random
 import sys
+from fractions import Fraction
 
 from conftest import smooth_suite, workload_items
 from ewaldkit.bundles import catalog, cube, monotone_polygon, segment
@@ -120,11 +122,38 @@ def test_margin_constraints_match_the_fraction_build():
         for seed in (1, 5)
         for item in workload_items("neat", seed)
     ]
-    inputs.append(HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3)))  # d = 2
+    triangle = HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3))  # |det| = 2
+    # rational offsets give Fraction margins
+    half = HPolytope(3, cube(3).normals, (Fraction(1, 2), 1, Fraction(3, 2), 2, 1, Fraction(1, 3)))
+    inputs += [triangle, HPolytope(2, triangle.normals, (Fraction(1, 2), 0, Fraction(7, 3)))]
+    inputs += [half, half.translate((1, 0, -1))]
+    inputs += [HPolytope(0, (), ()), HPolytope(0, ((), ()), (0, 2))]  # dimension 0
     for p in inputs:
         got, want = _vertex_margin_constraints(p), fraction_margin_constraints(p)
         assert got == want
         assert _coefficient_types(got) == _coefficient_types(want)
+
+
+def test_margin_constraints_are_built_once_per_polytope():
+    # the class box (27 points) runs before the radius stream ([−1, 1]^6),
+    # a class fails, so both descents read the constraints, built once
+    p = catalog()["cube3"].translate((2, 0, 0))
+    size, _, _ = _class_chart(p)
+    assert 0 < size <= 3**p.nfacets
+    build = inspect.unwrap(_vertex_margin_constraints).__code__
+    builds = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            builds.append(event)
+
+    sys.setprofile(profile)
+    try:
+        verdict = is_neat(p, 1)
+    finally:
+        sys.setprofile(None)
+    assert verdict.witness_b == (-1, 0, -1, 0, -1, 0)
+    assert len(builds) == 1
 
 
 def _coefficient_types(grouped):
