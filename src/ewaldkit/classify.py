@@ -57,14 +57,19 @@ def is_smooth(p: HPolytope):
     primitive normals that holds exactly when the vertex is simple and the
     determinant of its n tight rows is ±1, read for every vertex from one
     elimination at vertex 0 carried along the edge graph (_cone_dets)."""
-    if p.dim == 0:
-        return True, None
     verts = p.vertices()
     if not p.is_simple():
         bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
         return False, bad
     bad = next((v for v, d in zip(verts, _cone_dets(p)) if d != 1), None)
     return bad is None, bad
+
+
+def _require_lattice_smooth(p: HPolytope, message: str) -> None:
+    """Raise ValueError(message) unless p is a lattice smooth polytope, the
+    domain of deep smoothness, first displacements and neatness."""
+    if not is_smooth(p)[0] or not p.is_lattice():
+        raise ValueError(message)
 
 
 @per_polytope
@@ -144,9 +149,7 @@ def is_deeply_smooth(p: HPolytope):
     corner).  The corners v and v + d_t lie in P, so a vertex failing the
     test misses a corner of two or more directions; the corners are listed,
     in the order that fixes the witness, only at the first such vertex."""
-    smooth, w = is_smooth(p)
-    if not smooth or not p.is_lattice():
-        raise ValueError("deep smoothness is defined for lattice smooth polytopes")
+    _require_lattice_smooth(p, "deep smoothness is defined for lattice smooth polytopes")
     for i, v in enumerate(p.vertices()):
         rows = _vertex_chart(p, i)[1]
         if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
@@ -195,9 +198,7 @@ def deeply_smooth_characterizations_agree(p: HPolytope):
     """Evaluate the three equivalent descriptions of deep smoothness
     independently: corner parallelepipeds; face displacements keeping the
     face's normal fan; UT-freeness of P and of all face displacements."""
-    smooth, _ = is_smooth(p)
-    if not smooth or not p.is_lattice():
-        raise ValueError("requires a lattice smooth polytope")
+    _require_lattice_smooth(p, "requires a lattice smooth polytope")
     c1 = is_deeply_smooth(p)[0]
 
     c2 = True

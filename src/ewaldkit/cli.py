@@ -338,28 +338,27 @@ def _count(args) -> int:
         )
     if formula is not None:
         print(formula(*args.args))
-    elif args.json:  # tables, machine-readable
+        return 0
+    # tables, built once and printed as JSON or as aligned text
+    simplex = {n: ewald_count_simplex(n) for n in range(1, 10)}
+    ssb = {n: [ewald_count_ssb(n, k) for k in range(n)] for n in range(2, 10)}
+    emin = {n: emin_upper_bound(n) for n in range(3, 33)}
+    if args.json:
         doc = {
-            "simplex": {str(n): ewald_count_simplex(n) for n in range(1, 10)},
-            "ssb": {
-                str(n): [ewald_count_ssb(n, k) for k in range(n)]
-                for n in range(2, 10)
-            },
-            "emin_upper_bound": {str(n): emin_upper_bound(n) for n in range(3, 33)},
+            "simplex": {str(n): c for n, c in simplex.items()},
+            "ssb": {str(n): row for n, row in ssb.items()},
+            "emin_upper_bound": {str(n): c for n, c in emin.items()},
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:  # tables, aligned text
-        print("|E(simplex_n)| for n = 1..9:")
-        print("  " + " ".join(str(ewald_count_simplex(n)) for n in range(1, 10)))
-        print("|E(SSB(n,k))| for n = 2..9, k = 0..n-1:")
-        for n in range(2, 10):
-            print(
-                "  n=%d: " % n
-                + " ".join("%5d" % ewald_count_ssb(n, k) for k in range(n))
-            )
-        print("upper bounds for the minimum Ewald count, n = 3..32:")
-        for n in range(3, 33):
-            print("  %2d %d" % (n, emin_upper_bound(n)))
+        return 0
+    print("|E(simplex_n)| for n = 1..9:")
+    print("  " + " ".join(map(str, simplex.values())))
+    print("|E(SSB(n,k))| for n = 2..9, k = 0..n-1:")
+    for n, row in ssb.items():
+        print("  n=%d: " % n + " ".join("%5d" % c for c in row))
+    print("upper bounds for the minimum Ewald count, n = 3..32:")
+    for n, c in emin.items():
+        print("  %2d %d" % (n, c))
     return 0
 
 

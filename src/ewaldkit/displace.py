@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .classify import is_smooth
+from .classify import _require_lattice_smooth
 from .polytope import (
     HPolytope,
     Slice,
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 2
+_NEAT_DOMAIN = "neatness is defined for lattice smooth polytopes"
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,7 @@ def displacement_slice(p: HPolytope, face) -> Slice:
 def first_displacement(p: HPolytope, face) -> HPolytope:
     """The face's defining facets pushed in by one lattice unit, re-expressed
     in the lattice of the intersected affine subspace."""
-    ok, _ = is_smooth(p)
-    if not ok or not p.is_lattice():
-        raise ValueError("first displacement requires a lattice smooth polytope")
+    _require_lattice_smooth(p, "first displacement requires a lattice smooth polytope")
     s = face_slice(p, face, inset=1)
     if s.is_empty:
         raise ValueError("displacement vanishes")
@@ -209,12 +208,6 @@ def normally_isomorphic_displacements(p: HPolytope, radius: int):
 # -- neatness per translation class -----------------------------------------
 
 
-def _require_lattice_smooth(p: HPolytope) -> None:
-    ok, _ = is_smooth(p)
-    if not ok or not p.is_lattice():
-        raise ValueError("neatness is defined for lattice smooth polytopes")
-
-
 @per_polytope
 def _class_chart(p: HPolytope) -> tuple:
     """(size, bounds, reduction): the translation classes of the b that
@@ -301,7 +294,7 @@ def neat_class_box(p: HPolytope) -> int:
     """The number of b in the class box (_class_chart) that the exact
     neatness test may decide: Π(2·bounds_j + 1), or 0 when x = 0 answers
     every class.  Raises ValueError unless p is lattice smooth."""
-    _require_lattice_smooth(p)
+    _require_lattice_smooth(p, _NEAT_DOMAIN)
     return _class_chart(p)[0]
 
 
@@ -342,7 +335,7 @@ def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
     """
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
-    _require_lattice_smooth(p)
+    _require_lattice_smooth(p, _NEAT_DOMAIN)
     if radius is not None and all(c >= radius for c in p.offsets):
         return NeatVerdict("neat_up_to_radius", radius)  # x = 0 answers [−r, r]^m
     neat = NeatVerdict("neat" if radius is None else "neat_up_to_radius", radius)

@@ -21,6 +21,7 @@ from .polytope import (
     _first_cone_det,
     _lattice_search,
     _require_simple,
+    _row_vertex_masks,
     _slab_frame,
     dot,
     per_polytope,
@@ -115,15 +116,11 @@ def _facet_columns(p: HPolytope) -> tuple:
     Bit k of on[i] is set when facet i is tight at the k-th λ of E(P)'s scan
     order, and bit k of opp[i] when facet i is tight at −λ.  The strong,
     star and FS checks and counting.facet_ewald_split read these columns, so
-    none of them walks the table per face."""
-    on, opp = [0] * p.nfacets, [0] * p.nfacets
-    for k, (_, t, tn) in enumerate(_tight_masks(p)):
-        bit = 1 << k
-        for i in _bits(t):
-            on[i] |= bit
-        for i in _bits(tn):
-            opp[i] |= bit
-    return tuple(on), tuple(opp)
+    none of them walks the table per face.  One polytope._row_vertex_masks
+    over the combined masks t | tn << m (2m rows) transposes both halves."""
+    m = p.nfacets
+    cols = _row_vertex_masks([t | tn << m for _, t, tn in _tight_masks(p)], 2 * m)
+    return tuple(cols[:m]), tuple(cols[m:])
 
 
 def cube_normalization(p: HPolytope):
@@ -170,12 +167,16 @@ class StrongEwaldResult:
 
 def strong_ewald(p: HPolytope) -> StrongEwaldResult:
     """Search a unimodular basis inside E(P) ∩ F for every facet F, over the
-    λ of the facet's column in E(P)'s scan order."""
+    λ of the facet's column in E(P)'s scan order.  Only a facet at height 1
+    is searched."""
     _require_origin_interior(p)
     order = ewald_set(p).ordered()
     bases = []
     for i, col in enumerate(_facet_columns(p)[0]):
-        basis = _basis_search([order[k] for k in _bits(col)], p.dim)
+        # u_F is primitive, so a unimodular G has u_F as its first column; n
+        # points of F stacked as rows Λ give Λ·G the first column c_F·(1, …, 1),
+        # so c_F divides det Λ and only a facet with c_F = 1 holds a basis
+        basis = _basis_search([order[k] for k in _bits(col)], p.dim) if p.offsets[i] == 1 else None
         bases.append(basis)
         if basis is None:
             return StrongEwaldResult(False, tuple(bases), i)

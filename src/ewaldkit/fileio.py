@@ -109,9 +109,7 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
         u, c = r[:-1], r[-1]
         if not any(u):
             raise ValueError("zero normal row")
-        g = 0
-        for x in u:
-            g = gcd(g, x)
+        g = gcd(*u)
         if g > 1:
             if c % g != 0:
                 raise ValueError(

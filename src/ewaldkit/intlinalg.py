@@ -71,9 +71,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def primitive_part(v) -> Vec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     v = _as_vec(v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero has no primitive part")
     return tuple(x // g for x in v)

@@ -347,8 +347,6 @@ class HPolytope:
 
     @per_polytope
     def is_simple(self) -> bool:
-        if self.dim == 0:
-            return True
         return all(t.bit_count() == self.dim for t in self.vertex_masks())
 
     def is_lattice(self) -> bool:
@@ -525,7 +523,9 @@ def enumerate_vertices(dim, normals, offsets):
 
 def _row_vertex_masks(masks, nrows):
     """Per row, the mask of the vertices it is tight on (bit k for the k-th
-    of the given vertex masks): the incidence read from the row side."""
+    of the given vertex masks): the incidence read from the row side.  Any
+    list of row masks transposes the same way, as E(P)'s table does in
+    ewald._facet_columns."""
     on_row = [0] * nrows
     for k, t in enumerate(masks):
         for i in _bits(t):
@@ -954,16 +954,8 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
             if off < 0:
                 return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
             continue
-        g = 0
-        for x in w:
-            g = gcd(g, x)
+        g = gcd(*w)
         chart_rows.append((tuple(x // g for x in w), _exact(Fraction(off) / g)))
-    if chart_dim == 0:
-        if any(c < 0 for _, c in chart_rows):
-            return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
-        return Slice(
-            p, tight, inset, 0, basis, origin, ((),), HPolytope(0, (), ())
-        )
     normals = tuple(r for r, _ in chart_rows)
     offs = tuple(c for _, c in chart_rows)
     try:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,6 +20,7 @@ from ewaldkit.bundles import (
 from ewaldkit.classify import is_deeply_smooth, is_monotone, vertex_edge_directions
 from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
 from ewaldkit.ewald import (
+    StrongEwaldResult,
     cube_normalization,
     deeply_smooth_origin_vertex_basis,
     dim3_origin_edge_basis,
@@ -32,7 +34,7 @@ from ewaldkit.ewald import (
     verify_origin_next_to,
     weak_ewald,
 )
-from ewaldkit.intlinalg import det, find_unimodular_basis, mat_vec
+from ewaldkit.intlinalg import _basis_search, det, find_unimodular_basis, mat_vec
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
@@ -110,6 +112,40 @@ def test_strong_ewald_examples():
             u, c = p.normals[i], p.offsets[i]
             assert abs(det(basis)) == 1
             assert all(dot(u, b) == c for b in basis)
+
+
+def _unguarded_strong(p):
+    # every facet searched exhaustively over its λ in scan order, height or not
+    order = ewald_set(p).ordered()
+    bases = []
+    for i, (u, c) in enumerate(zip(p.normals, p.offsets)):
+        basis = _basis_search([lam for lam in order if dot(u, lam) == c], p.dim)
+        bases.append(basis)
+        if basis is None:
+            return StrongEwaldResult(False, tuple(bases), i)
+    return StrongEwaldResult(True, tuple(bases), None)
+
+
+def _with_offsets(p, offsets):
+    return HPolytope(p.dim, p.normals, offsets)
+
+
+def test_strong_ewald_searches_only_facets_at_height_one():
+    # c_F divides the determinant of any n lattice points of F, so a facet
+    # off height 1 fails with no search; an exhaustive search backtracks
+    # through every partial basis of its λ and does not finish on [−2, 2]^5
+    for n in (4, 5):
+        res = strong_ewald(_with_offsets(cube(n), (2,) * 2 * n))
+        assert res == StrongEwaldResult(False, (None,), 0)
+    cases = [_with_offsets(cube(n), (k,) * 2 * n) for n, k in ((2, 2), (3, 2), (2, 3))]
+    cases += [
+        _with_offsets(cube(2), (1, 1, 1, 2)),  # the last facet alone is high
+        _with_offsets(cube(3), (1, 1, 1, Fraction(3, 2), 1, 2)),  # no λ on facet 3
+        _with_offsets(monotone_simplex(2), (1, 2, 1)),
+    ]
+    cases += list(catalog().values())
+    for p in cases:
+        assert strong_ewald(p) == _unguarded_strong(p), p
 
 
 def test_star_sets_examples():

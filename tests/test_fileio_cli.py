@@ -50,6 +50,21 @@ def test_parse_examples():
     assert any("normalized" in w for w in parsed.warnings)
 
 
+def test_parse_skips_comments_and_blank_lines():
+    text = (
+        "# a square\n\n   # an indented comment\ndim 2   # the dimension\n"
+        "facets 4\nname square # trailing\n\n1 0 1 # first row\n-1 0 1\n#\n0 1 1\n0 -1 1\n"
+    )
+    parsed = parse_polytope(text)
+    assert parsed.polytope == cube(2) and parsed.name == "square" and parsed.warnings == ()
+
+
+def test_vertex_block_warns_about_non_extreme_points():
+    parsed = parse_polytope("dim 2\nvertices 4\n1 0\n0 0\n0 1\n-1 -1\n")
+    assert parsed.polytope == parse_polytope("dim 2\nvertices 3\n1 0\n0 1\n-1 -1\n").polytope
+    assert parsed.warnings == ("vertex list contained non-extreme points; hull taken",)
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_polytope("dim 2\nfacets 1\n1 0 1\n")  # unbounded after reduction
@@ -195,6 +210,39 @@ def test_cli_count(capsys):
     assert out.strip() == "1639"
     code, out, _ = run_cli(["count", "tables"], capsys=capsys)
     assert "8953" in out and "10460353203" in out
+
+
+def test_cli_count_tables_json_matches_the_text_tables(capsys):
+    code, out, _ = run_cli(["count", "tables", "--json"], capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    simplex = [doc["simplex"].pop(str(n)) for n in range(1, 10)]
+    ssb_rows = [doc["ssb"].pop(str(n)) for n in range(2, 10)]
+    emin = [doc["emin_upper_bound"].pop(str(n)) for n in range(3, 33)]
+    assert doc == {"simplex": {}, "ssb": {}, "emin_upper_bound": {}}
+    assert simplex[-1] == 8953 and ssb_rows[6][4] == 1639 and emin[4] == 243
+    assert [len(row) for row in ssb_rows] == list(range(2, 10))
+    # the text tables print the same numbers in the same order
+    code, out, _ = run_cli(["count", "tables"], capsys=capsys)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 42
+    assert [int(x) for x in lines[1].split()] == simplex
+    for n, line, row in zip(range(2, 10), lines[3:11], ssb_rows):
+        head, numbers = line.split(":")
+        assert head.strip() == "n=%d" % n and [int(x) for x in numbers.split()] == row
+    assert [tuple(map(int, line.split())) for line in lines[12:]] == list(zip(range(3, 33), emin))
+
+
+def test_cli_check_decides_strong_ewald_on_a_dilated_cube(tmp_path, capsys):
+    # [−2, 2]^5 has no facet at height 1, so strong Ewald fails at facet 0
+    # with no basis search, where an exhaustive one does not finish
+    f = tmp_path / "cube5x2.poly"
+    f.write_text(serialize_polytope(polytope.HPolytope(5, cube(5).normals, (2,) * 10), "cube5x2"))
+    code, out, _ = run_cli(["check", str(f)], capsys=capsys)
+    assert code == 0 and "strong=False" in out
+    code, out, _ = run_cli(["check", str(f), "--json"], capsys=capsys)
+    doc = json.loads(out)["result"]
+    assert code == 0 and doc["strong_ewald"] is False and doc["strong_ewald_failing_facet"] == 0
 
 
 def test_cli_gen_check_pipe(capsys):

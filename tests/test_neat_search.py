@@ -214,6 +214,29 @@ def test_at_most_one_search_per_class(monkeypatch):
             assert len(set(searches)) == len(searches) and set(searches) <= classes, (p, r)
 
 
+def test_the_stream_decides_classes_past_an_oversized_class_box(monkeypatch):
+    # dilated ×3 and moved by 3·e_1, the class boxes (121, 275 and 1,331
+    # points) hold more than [−1, 1]^m, so no class is decided first: the
+    # radius stream runs to its end, meets some classes through the negated
+    # representative, and answers neat_up_to_radius; x = 0 answers every
+    # class the square and the cube meet, the pentagon searches some
+    searches = _counted_searches(monkeypatch)
+    searched = {}
+    for name in ("square", "pentagon", "cube3"):
+        p = catalog()[name]
+        q = _dilate(p, 3).translate((3,) + (0,) * (p.dim - 1))
+        size, bounds, reduction = _class_chart(q)
+        assert size > 3**q.nfacets, name
+        keys = [_class_representative(reduction, b) for b in qualifying_pairs(q, 1)]
+        assert any(tuple(-v for v in key) < key for key in keys), name
+        searches.clear()
+        assert _check(q, 1).status == "neat_up_to_radius"
+        classes = set(_fan_preserving(q, bounds, paired=True))
+        assert len(set(searches)) == len(searches) and set(searches) <= classes, name
+        searched[name] = len(searches)
+    assert searched["square"] == searched["cube3"] == 0 < searched["pentagon"]
+
+
 def _exact_cases():
     rng = random.Random(2021)
     for name, p in catalog().items():
