@@ -21,11 +21,11 @@ for n in range(5):
     print(f"  n={n}: {[trinomial(n, k) for k in range(2 * n + 1)]}")
 
 print()
-print("=== |E(simplex_n)| = T(n+1, n+1), checked against enumeration ===")
+print("=== |E(simplex_n)| = T(n+1, n+1), checked against the exact count ===")
 formula = [ewald_count_simplex(n) for n in range(1, 10)]
 print("  formula n=1..9:", formula)
-direct = [len(ewald_set(monotone_simplex(n))) for n in range(1, 7)]
-print("  enumeration n=1..6:", direct)
+counted = [len(ewald_set(monotone_simplex(n))) for n in range(1, 10)]
+print("  exact count n=1..9:", counted)
 
 print()
 print("=== |E(SSB(n,k))| = T(n,n) + 2 T(n,n-k) ===")

@@ -193,9 +193,9 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "ewald":
         parsed = _read_polytope(args.file, args.allow_large)
-        e = ewald_set(parsed.polytope)
-        print("%d Ewald points" % len(e))
-        for pt in e.ordered():
+        order = ewald_set(parsed.polytope).ordered()
+        print("%d Ewald points" % len(order))
+        for pt in order:
             print(" ".join(str(x) for x in pt))
         return 0
 

@@ -6,7 +6,7 @@ including 0 whenever 0 ∈ P.  (Some authors drop the origin; we do not.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, floor
 from operator import neg
@@ -46,50 +46,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EwaldSet:
-    dim: int
-    points: frozenset
-    order: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", tuple(sorted(self.points, key=scan_key)))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __contains__(self, x):
-        return tuple(x) in self.points
-
-    def ordered(self) -> tuple:
-        """Deterministic scan order, intlinalg.scan_key: max-norm ascending,
-        then lexicographic.  ewald_set hands over the order of its one sort;
-        an EwaldSet built from points alone sorts them when it is made."""
-        return self.order
+def _ewald_search(p: HPolytope):
+    """(search, 0): the lattice search of E(P) and its centre.  E(P) is the
+    set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab
+    system on _slab_frame(p); a unit row of that frame is bounded by
+    min(max, −min) of its values at the vertices, as E(P) ⊂ P ∩ −P."""
+    rows, coords = _slab_frame(p)
+    half = [floor(c) for c in p.offsets]
+    for u in rows[p.nfacets:]:
+        values = [dot(u, v) for v in p.vertices()]
+        half.append(min(floor(max(values)), -ceil(min(values))))
+    return _lattice_search(rows, coords, half), [0] * len(rows)
 
 
 @per_polytope
 def _tight_masks(p: HPolytope) -> tuple:
     """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
     polytope by one lattice search: t has bit i set when facet i is tight at
-    λ, tn when it is tight at −λ.  ewald_set reads this table, and
+    λ, tn when it is tight at −λ.  EwaldSet lists E(P) from this table, and
     _facet_columns transposes it for the Ewald conditions.
 
-    E(P) is the set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the
-    d = 0 slab system on _slab_frame(p); a unit row of that frame is bounded
-    by min(max, −min) of its values at the vertices, as E(P) ⊂ P ∩ −P.  The
-    system is symmetric, so the search visits one point of each pair ±λ and
-    reads the facet masks off the leaf residuals, e[j] = −u_j·λ.  Only an
-    integral c_j can be tight.  Each entry carries its max-norm from the
-    leaf, so the table sorts as plain tuples into the order of scan_key.
+    The system of _ewald_search is symmetric, so the search visits one point
+    of each pair ±λ and reads the facet masks off the leaf residuals,
+    e[j] = −u_j·λ.  Only an integral c_j can be tight.  Each entry carries
+    its max-norm from the leaf, so the table sorts as plain tuples into the
+    order of scan_key.
     """
-    rows, coords = _slab_frame(p)
-    half = [floor(c) for c in p.offsets]
-    for u in rows[p.nfacets:]:
-        values = [dot(u, v) for v in p.vertices()]
-        half.append(min(floor(max(values)), -ceil(min(values))))
-    search = _lattice_search(rows, coords, half)
+    search, centre = _ewald_search(p)
     tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
 
@@ -105,9 +88,68 @@ def _tight_masks(p: HPolytope) -> tuple:
         if norm:
             table.append((norm, tuple(map(neg, lam)), tn, t))
 
-    search([0] * len(rows), visit, halfspace=True)
+    search(centre, visit, halfspace=True)
     table.sort()  # λ are distinct, so no two entries tie on (norm, λ)
     return tuple([entry[1:] for entry in table])
+
+
+_LISTED = (_tight_masks.__wrapped__, ())  # where a polytope caches its table
+
+
+@per_polytope
+def _ewald_count(p: HPolytope) -> int:
+    """|E(P)|, exactly, from the count of E(P)'s lattice search: no point of
+    E(P) is listed."""
+    search, centre = _ewald_search(p)
+    return search(centre)
+
+
+@per_polytope
+def _scan_order(p: HPolytope) -> tuple:
+    return tuple([lam for lam, _, _ in _tight_masks(p)])
+
+
+@per_polytope
+def _point_set(p: HPolytope) -> frozenset:
+    return frozenset(_scan_order(p))
+
+
+class EwaldSet:
+    """E(P) of one polytope, as a view.  Its size is the length of the table
+    of _tight_masks once that is built, and the count of _ewald_count
+    otherwise, so reading |E(P)| lists nothing; the points, their scan order
+    and membership list E(P) the first time one of them is read.  The view
+    is not cached: held in the polytope's cache, it would make a reference
+    cycle that keeps every polytope alive until the next collection."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: HPolytope):
+        self._p = p
+
+    @property
+    def dim(self) -> int:
+        return self._p.dim
+
+    def __len__(self):
+        table = self._p._cache.get(_LISTED)
+        return len(table) if table is not None else _ewald_count(self._p)
+
+    def __contains__(self, x):
+        return tuple(x) in self.points
+
+    def __repr__(self):
+        return "EwaldSet(dim=%d, size=%d)" % (self.dim, len(self))
+
+    @property
+    def points(self) -> frozenset:
+        return _point_set(self._p)
+
+    def ordered(self) -> tuple:
+        """Deterministic scan order, intlinalg.scan_key: max-norm ascending,
+        then lexicographic, as one half-space lattice search and one sort
+        build it in _tight_masks."""
+        return _scan_order(self._p)
 
 
 @per_polytope
@@ -137,13 +179,11 @@ def cube_normalization(p: HPolytope):
     return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 
 
-@per_polytope
 def ewald_set(p: HPolytope) -> EwaldSet:
     """Symmetric lattice points of P, computed exactly: the integer x with
-    |u_j·x| <= ⌊c_j⌋ on every row, read from the table of _tight_masks, which
-    one half-space lattice search builds already in scan order."""
-    order = tuple(lam for lam, _, _ in _tight_masks(p))
-    return EwaldSet(p.dim, frozenset(order), order)
+    |u_j·x| <= ⌊c_j⌋ on every row, as a view (EwaldSet) that counts them
+    or lists them as it is read."""
+    return EwaldSet(p)
 
 
 def _require_origin_interior(p: HPolytope):

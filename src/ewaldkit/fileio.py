@@ -171,8 +171,6 @@ def analyze_polytope(
         "vertices": len(p.vertices()),
         "class": rep.as_dict(),
     }
-    e = ewald_set(p)
-    result["ewald_count"] = len(e)
     if p.origin_interior():
         okw, basis = weak_ewald(p)
         res = strong_ewald(p)
@@ -192,6 +190,9 @@ def analyze_polytope(
             result["fs_property"] = fs_property(p)
     else:
         result["ewald_conditions"] = "skipped: origin not interior"
+    # after the conditions, which list E(P): its size is then read off that
+    # listing, and counted without one only where nothing lists it
+    result["ewald_count"] = len(ewald_set(p))
     if run_neat and rep.smooth and rep.lattice:
         verdict = is_neat(p, radius)
         result["neat"] = {

@@ -635,6 +635,11 @@ def _lattice_search(rows, coords, half):
     x whose first nonzero coordinate in y = A x is negative: one of each pair
     ±x of the symmetric system, whose mirrors are the points not visited.
 
+    search(d) without visit returns the number of those points, exactly and
+    without listing them: the same levels, with the completions below a level
+    memoized on its live residuals (the key below) and the last level's range
+    counted as last − first + 1.
+
     Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
     coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
     box |z_t| <= h_coords[t], and every other row says |w_j·z − e_j| <= h_j
@@ -646,6 +651,12 @@ def _lattice_search(rows, coords, half):
     to the point and subtracts z_k w_j[k] from the residual of each row
     that reads z_k, so a point costs O(n + m) and no matrix product.
     Everything but d is fixed here.
+
+    The completions of z_0, ..., z_{k-1} depend only on k and the residuals
+    of the rows live at level k, those with w_j[t] != 0 for some t >= k: a
+    row leaves the key after its last nonzero slope, whose level range
+    already held it to |e_j| <= h_j, and a coordinate row never enters it,
+    as the box bounds it.  The memo lives for one count.
     """
     n, m = len(coords), len(rows)
     inv = inverse_unimodular([rows[i] for i in coords])
@@ -668,9 +679,57 @@ def _lattice_search(rows, coords, half):
                 moves[t].append((j, w[t]))
         slabs.append((j, reach[0]))
 
-    def search(d, visit, halfspace=False):
+    def span(k, bounds, e):
+        """z_k's range: the box, narrowed by every (i, w_j[k], reach[k+1])
+        of bounds, whose row has residual e[i]; empty when first > last."""
+        first, last = -box[k], box[k]
+        for i, a, reach in bounds:
+            # |e_j − a z_k − rest| <= reach[k+1] covers every free rest
+            below, above = e[i] - reach, e[i] + reach
+            if a < 0:
+                below, above = above, below
+            first = max(first, -(-below // a))
+            last = min(last, above // a)
+            if first > last:
+                break
+        return first, last
+
+    def count(e):
+        # live[k]: the rows still read at level k, whose residuals, in this
+        # order, are the memo key there; keyed[k]: levels[k] on the
+        # positions of live[k]; carry[k]: per row of live[k + 1], its
+        # position in live[k] and its slope w_j[k]
+        live = [()] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            live[k] = tuple(sorted({j for j, _, _ in levels[k]}.union(live[k + 1])))
+        pos = [{j: i for i, j in enumerate(rows_k)} for rows_k in live]
+        keyed = [[(pos[k][j], a, reach) for j, a, reach in levels[k]] for k in range(n)]
+        slopes = [dict(moved) for moved in moves]
+        carry = [[(pos[k][j], slopes[k].get(j, 0)) for j in live[k + 1]] for k in range(n)]
+        memo = [{} for _ in range(n)]
+
+        def completions(k, res):
+            first, last = span(k, keyed[k], res)
+            if first > last:
+                return 0
+            if k == n - 1:
+                return last - first + 1
+            total, seen, step = 0, memo[k + 1], carry[k]
+            for v in range(first, last + 1):
+                key = tuple([res[i] - a * v for i, a in step])
+                got = seen.get(key)
+                if got is None:
+                    got = seen[key] = completions(k + 1, key)
+                total += got
+            return total
+
+        found = completions(0, tuple([e[j] for j in live[0]]))
+        del completions  # a closure over itself: free the memo now
+        return found
+
+    def search(d, visit=None, halfspace=False):
         if empty:
-            return False
+            return 0 if visit is None else False
         base = [d[i] for i in coords]
         e = list(d)  # e_j = d_j − w_j·base: 0 on the coordinate rows
         for moved, b in zip(moves, base):
@@ -678,23 +737,20 @@ def _lattice_search(rows, coords, half):
                 e[j] -= a * b
         for j, reach in slabs:
             if abs(e[j]) > reach:
-                return False  # the only test of a row with w = 0 (dim 0)
+                return 0 if visit is None else False  # the only test of a row with w = 0 (dim 0)
+        if visit is None:
+            return count(e) if n else 1
         if n == 0:
             return bool(visit((), e))
 
         def descend(k, x, e, lead):
             # x = sum_{t < k} y_t col_t; e[j] = e_j − sum_{t < k} w_j[t] z_t;
             # lead: the half space is searched and z_0 = ... = z_{k-1} = 0
-            first, last = -box[k], 0 if lead else box[k]
-            for j, a, reach in levels[k]:
-                # |e_j − a z_k − rest| <= reach[k+1] covers every free rest
-                below, above = e[j] - reach, e[j] + reach
-                if a < 0:
-                    below, above = above, below
-                first = max(first, -(-below // a))
-                last = min(last, above // a)
-                if first > last:
-                    return False
+            first, last = span(k, levels[k], e)
+            if lead:
+                last = min(last, 0)
+            if first > last:
+                return False
             leaf = k == n - 1
             col, bk = cols[k], base[k]
             for v in range(first, last + 1):

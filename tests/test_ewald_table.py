@@ -1,16 +1,34 @@
 """The table of E(P) and its facet masks (ewald._tight_masks), built by one
 half-space lattice search, against the dot-product build it replaced and the
-brute-force E(P), both kept in lattice_oracles; and its per-facet columns
-(ewald._facet_columns), the one view of it the Ewald conditions read."""
+brute-force E(P), both kept in lattice_oracles; its per-facet columns
+(ewald._facet_columns), the one view of it the Ewald conditions read; and the
+count of E(P) that len(ewald_set(p)) reads where nothing lists E(P)."""
 
+import gc
+import io
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 from conftest import random_unimodular
 from ewaldkit import ewald, intlinalg
-from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, monotone_simplex, segment
-from ewaldkit.counting import facet_ewald_split
+from ewaldkit.bundles import (
+    catalog,
+    cube,
+    del_pezzo,
+    monotone_polygon,
+    monotone_simplex,
+    nill_triangle,
+    segment,
+    ssb,
+)
+from ewaldkit.classify import is_monotone
+from ewaldkit.cli import main
+from ewaldkit.counting import ewald_count_simplex, ewald_count_ssb, facet_ewald_split
 from ewaldkit.ewald import (
+    _LISTED,
     _facet_columns,
     _tight_masks,
     ewald_set,
@@ -18,12 +36,18 @@ from ewaldkit.ewald import (
     star_ewald,
     strong_ewald,
 )
+from ewaldkit.fileio import analyze_polytope, serialize_polytope
 from ewaldkit.intlinalg import mat_vec
-from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product
+from ewaldkit.polytope import HPolytope, _first_cone_det, _lattice_search, _slab_frame, cartesian_product
 from lattice_oracles import brute_ewald, dot_tight_masks
 
 
 def _cases():
+    """The catalog, its GL(n, Z) images, translates (some with an empty
+    E(P)), rational offsets and dilates; products; DP3, DP5 and the 16-cell;
+    polygons whose first vertex has |det| = 2 (|x| + |y| <= 1 and its
+    triple) or 5 (T_2), so that their frames append the unit rows; and
+    dimensions 0 and 1."""
     rng = random.Random(20261018)
     for name, p in catalog().items():
         yield name, p
@@ -34,6 +58,9 @@ def _cases():
         yield name + "@thirds", _thirds(p)
         low = min(v[0] for v in p.vertices())
         yield name + "@outside", p.translate((1 - low,) + (0,) * (p.dim - 1))
+        double = HPolytope(p.dim, p.normals, [2 * c for c in p.offsets])
+        yield name + "*2", double
+        yield name + "*2+e1", double.translate((1,) + (0,) * (p.dim - 1))
     hexagon, triangle = monotone_polygon("hexagon"), monotone_polygon("triangle")
     yield "triangle_x_segment", cartesian_product(triangle, segment())
     yield "hexagon_x_triangle", cartesian_product(hexagon, triangle)
@@ -43,6 +70,15 @@ def _cases():
         yield "dp%d" % k, p
         yield "dp%d@gl" % k, p.transform(random_unimodular(rng, p.dim))
         yield "dp%d@thirds" % k, _thirds(p)
+    cross4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)
+    yield "16-cell", cross4
+    yield "16-cell@gl", cross4.transform(random_unimodular(rng, 4))
+    yield "16-cell+e1/2", cross4.translate((Fraction(1, 2), 0, 0, 0))
+    diamond = HPolytope(2, list(product((-1, 1), repeat=2)), [1] * 4)
+    for k, p in enumerate((diamond, HPolytope(2, diamond.normals, [3] * 4), nill_triangle(2))):
+        yield "frame%d" % k, p
+        yield "frame%d@gl" % k, p.transform(random_unimodular(rng, 2))
+        yield "frame%d+e1/3" % k, p.translate((Fraction(1, 3), 0))
     yield "dim0", HPolytope(0, (), ())
     yield "dim0_row", HPolytope(0, ((),), (1,))
     yield "dim1", HPolytope(1, ((-1,), (1,)), (Fraction(3, 2), 4))
@@ -57,6 +93,13 @@ def _thirds(p):
     q = HPolytope(p.dim, p.normals, [2 * c for c in p.offsets])
     q = q.translate(tuple(-x for x in p.vertices()[0]))
     return HPolytope(p.dim, p.normals, [Fraction(2 * c + 1, 3) for c in q.offsets])
+
+
+def _fresh(p):
+    return HPolytope(p.dim, p.normals, p.offsets)  # a copy with nothing cached
+
+
+_COUNTED = (ewald._ewald_count.__wrapped__, ())  # where a polytope caches its count
 
 
 def _build(p, monkeypatch):
@@ -83,17 +126,22 @@ def _build(p, monkeypatch):
     monkeypatch.setattr(ewald, "_lattice_search", counted_search)
     for module in (ewald, intlinalg):
         monkeypatch.setattr(module, "mat_vec", counted_mat_vec)
-    q = HPolytope(p.dim, p.normals, p.offsets)
+    q = _fresh(p)
     table = _tight_masks(q)
     monkeypatch.undo()
     return q, table, counts
 
 
 def test_table_matches_dot_products_and_brute_force(monkeypatch):
-    empty = unit_frames = mixed = 0
+    empty = unit_frames = mixed = det_two = 0
     for label, p in _cases():
+        # |E(P)| before any listing is counted, and lists nothing
+        fresh = _fresh(p)
+        size = len(ewald_set(fresh))
+        assert _LISTED not in fresh._cache, label
         q, table, counts = _build(p, monkeypatch)
         want = brute_ewald(q)
+        assert size == len(want) == len(ewald_set(q)) and _COUNTED not in q._cache, label
         assert table == dot_tight_masks(q, want), label
         e = ewald_set(q)
         assert e.points == want and e.ordered() == tuple(lam for lam, _, _ in table), label
@@ -112,7 +160,8 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         unit_frames += len(_slab_frame(q)[0]) > q.nfacets
         integral = {isinstance(c, int) for c in q.offsets}
         mixed += len(integral) == 2
-    assert empty == 16 and unit_frames >= 6 and mixed >= 15
+        det_two += _first_cone_det(q) == 2
+    assert empty == 16 and unit_frames >= 18 and mixed >= 15 and det_two == 6
 
 
 def test_the_conditions_walk_the_table_a_bounded_number_of_times(monkeypatch):
@@ -132,3 +181,90 @@ def test_the_conditions_walk_the_table_a_bounded_number_of_times(monkeypatch):
     assert splits == [splits[0]] * q.nfacets
     # ewald_set and _facet_columns walk it once each; star alone checks 80 faces
     assert len(walks) <= 2 < sum(len(q.faces(c)) for c in range(1, q.dim + 1))
+
+
+def test_a_count_keys_its_memo_on_the_live_rows_and_frees_it():
+    # [-1, 1]^12 on its own coordinates: the row -x_t <= 1 is live up to
+    # level t, so every level sees one key; keyed on a finished row or on a
+    # coordinate, level k would hold 3^k keys
+    n = 12
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    rows = units + [tuple(-x for x in u) for u in units]
+    search = _lattice_search(rows, list(range(n)), [1] * 2 * n)
+    search([0] * 2 * n)  # warm up, so that the interpreter's own caches are made
+    gc.disable()  # a memo kept alive by a reference cycle would show below
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        size = search([0] * 2 * n)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert size == 3**n
+    assert peak - before < 32_000 and after - before < 1_000
+
+
+def test_reading_e_p_leaves_no_reference_to_the_polytope():
+    # a cache entry that referred back to its polytope would make a cycle
+    # that only the cyclic collector frees
+    for read in (len, lambda e: e.ordered(), lambda e: e.points, lambda e: (0, 0, 0) in e):
+        p = _fresh(cube(3))
+        before = sys.getrefcount(p)
+        read(ewald_set(p))
+        assert sys.getrefcount(p) == before and p._cache
+
+
+def test_exact_counts_that_no_listing_reaches(monkeypatch):
+    def unlisted(p):
+        raise AssertionError("E(P) was listed")
+
+    monkeypatch.setattr(ewald, "_tight_masks", unlisted)
+    sizes = [len(ewald_set(monotone_simplex(n))) for n in range(1, 25)]
+    assert sizes == [ewald_count_simplex(n) for n in range(1, 25)]
+    assert sizes[-1] == 82_176_836_301
+    for n in range(2, 17):
+        assert [len(ewald_set(ssb(n, k))) for k in range(n)] == [ewald_count_ssb(n, k) for k in range(n)]
+    assert [len(ewald_set(cube(n))) for n in range(1, 13)] == [3**n for n in range(1, 13)]
+
+
+def _runs(monkeypatch):
+    """'list' or 'count' for every run of E(P)'s lattice search from now on."""
+    runs = []
+
+    def recorded(*frame):
+        search = _lattice_search(*frame)
+
+        def run(d, visit=None, **kwargs):
+            runs.append("count" if visit is None else "list")
+            return search(d, visit, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(ewald, "_lattice_search", recorded)
+    return runs
+
+
+def test_no_input_both_lists_and_counts(capsys, monkeypatch):
+    runs = _runs(monkeypatch)
+    for name, p in catalog().items():
+        # the Ewald conditions list E(P), and ewald_count reads that listing
+        assert p.origin_interior()
+        r = analyze_polytope(_fresh(p), run_neat=False)["result"]
+        assert runs == ["list"] and r["ewald_count"] == len(brute_ewald(p)), name
+        runs.clear()
+        low = min(v[0] for v in p.vertices())
+        outside = p.translate((1 - low,) + (0,) * (p.dim - 1))
+        r = analyze_polytope(outside)["result"]
+        assert runs == ["count"] and r["ewald_count"] == len(brute_ewald(outside)), name
+        runs.clear()
+        # the ewald command prints the size of the order it lists
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_polytope(p, name)))
+        assert main(["ewald", "-"]) == 0 and runs == ["list"], name
+        head, *points = capsys.readouterr().out.splitlines()
+        assert head == "%d Ewald points" % len(points) and len(points) == len(brute_ewald(p)), name
+        runs.clear()
+        if is_monotone(p):
+            facet_ewald_split(_fresh(p), 0)
+            assert runs == ["list"], name
+            runs.clear()

@@ -119,6 +119,13 @@ def test_visited_points_are_the_box_scan_with_every_residual():
     assert empty >= 5
 
 
+def test_the_count_is_the_number_of_visits():
+    # at every centre, dimension 0 and the empty systems included
+    for rows, coords, half, d in _systems():
+        search = _lattice_search(rows, coords, half)
+        assert search(d) == len(_visits(search, d)), (rows, d)
+
+
 def test_half_space_search_and_its_mirrors_are_the_full_search():
     for rows, coords, half, _ in _systems():
         search = _lattice_search(rows, coords, half)
