@@ -22,7 +22,7 @@ from .polytope import (
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _bits, _face_facets, _face_masks, _integerize, _point, _row_vertex_masks
+from .polytope import _bits, _face_facets, _face_masks, _face_vertex_mask, _integerize, _point, _row_masks
 from .polytope import _cone_dets, _vertex_chart
 
 __all__ = [
@@ -88,53 +88,54 @@ def is_monotone(p: HPolytope) -> bool:
 
 
 def _two_faces(p: HPolytope):
-    """The 2-faces as facet masks, in the order of their sorted facet-index
-    tuples (that of faces(n − 2) on a simple polytope).  Non-simple
-    polytopes, which show up in displacement slices, take n − 2 facet steps
-    down from the full vertex set; a face's facet mask is then the rows
-    whose vertex set contains it."""
+    """The 2-faces as vertex masks, lazily.  On a simple polytope they come
+    in the order of faces(n − 2), each read by _face_vertex_mask as it is
+    reached; on a non-simple one, as met in displacement slices, from n − 2
+    facet steps (_face_facets) down from the full vertex set, in no order."""
     if p.is_simple():
-        return _face_masks(p, p.dim - 2)
-    on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
+        return (_face_vertex_mask(p, face) for face in _face_masks(p, p.dim - 2))
     level = {(1 << len(p.vertices())) - 1}
     for _ in range(p.dim - 2):
-        level = {g for f in level for g in _face_facets(f, on_row)}
-    faces = (sum(1 << i for i, r in enumerate(on_row) if r & f == f) for f in level)
-    return tuple(sorted(faces, key=_bits))
+        level = {g for f in level for g in _face_facets(f, _row_masks(p))}
+    return level
 
 
 def _is_unimodular_triangle_face(p: HPolytope, face: int) -> bool:
-    """Whether the 2-face with facet mask face is a unimodular triangle."""
-    vs = [v for v, t in zip(p.vertices(), p.vertex_masks()) if t & face == face]
-    if len(vs) != 3:
+    """Whether the face with vertex mask face is a unimodular triangle:
+    exactly 3 vertices a, b, c, all integer, and the 2x2 minors of
+    (b − a, c − a) have gcd 1 (equivalently, exactly 3 lattice points)."""
+    if face.bit_count() != 3:
         return False
-    if not all(all(isinstance(x, int) for x in v) for v in vs):
+    a, b, c = (p.vertices()[k] for k in _bits(face))
+    if not all(isinstance(x, int) for x in a + b + c):
         return False
-    a, b, c = vs
     e, f = [x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]
     return gcd(*(e[i] * f[j] - e[j] * f[i] for i, j in combinations(range(len(a)), 2))) == 1
 
 
+def _unimodular_triangle(p: HPolytope) -> int:
+    """The vertex mask of the first 2-face of _two_faces(p) that is a
+    unimodular triangle, or 0: the one loop of both UT-freeness tests."""
+    faces = _two_faces(p) if p.dim >= 2 else ()
+    return next((v for v in faces if _is_unimodular_triangle_face(p, v)), 0)
+
+
 @per_polytope
 def is_ut_free(p: HPolytope):
-    """(flag, witness 2-face): a 2-face is a unimodular triangle iff it has
-    exactly 3 vertices a, b, c, all integer, and the 2x2 minors of
-    (b - a, c - a) have gcd 1 (equivalently, exactly 3 lattice points)."""
+    """(flag, witness 2-face): the witness is the first 2-face, in the order
+    of faces(n − 2), that is a unimodular triangle, named by the rows tight
+    on all its vertices, which on a simple polytope are its n − 2 facets."""
     if not p.is_simple():
         raise ValueError("UT-freeness requires a simple polytope")
-    if p.dim < 2:
+    verts = _unimodular_triangle(p)
+    if not verts:
         return True, None
-    for face in _two_faces(p):
-        if _is_unimodular_triangle_face(p, face):
-            return False, FaceRef(_bits(face), p.dim - 2)
-    return True, None
+    return False, FaceRef(tuple(i for i, r in enumerate(_row_masks(p)) if r & verts == verts), p.dim - 2)
 
 
 def _ut_free_region(p: HPolytope) -> bool:
     # UT-freeness for arbitrary (possibly non-simple, non-lattice) regions.
-    if p.dim < 2:
-        return True
-    return not any(_is_unimodular_triangle_face(p, f) for f in _two_faces(p))
+    return not _unimodular_triangle(p)
 
 
 @per_polytope

@@ -23,6 +23,8 @@ from .displace import DEFAULT_RADIUS, first_displacement, is_neat, neat_class_bo
 from .ewald import ewald_set
 from .fileio import (
     MAX_DIM_DEFAULT,
+    MAX_EWALD_POINTS,
+    _refuse_large_ewald,
     analyze_polytope,
     ingest_database,
     parse_polytope,
@@ -111,8 +113,9 @@ def main(argv=None) -> int:
         "--allow-large",
         action="store_true",
         help="lift the default dimension cap of %d (scans grow like 3^n), the "
-        "probe direction box limit of %d and the exact neatness class box limit of %d"
-        % (MAX_DIM_DEFAULT, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
+        "E(P) listing limit of %d points, the probe direction box limit of %d and the "
+        "exact neatness class box limit of %d"
+        % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -180,6 +183,8 @@ def main(argv=None) -> int:
 def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "check":
         parsed = _read_polytope(args.file, args.allow_large)
+        if parsed.polytope.origin_interior():  # the Ewald conditions list E(P)
+            _refuse_large_ewald(parsed.polytope, args.allow_large)
         radius = args.radius if args.radius is not None else radius_default
         report = analyze_polytope(
             parsed.polytope, parsed.name, radius=radius, run_neat=not args.skip_neat
@@ -193,6 +198,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "ewald":
         parsed = _read_polytope(args.file, args.allow_large)
+        _refuse_large_ewald(parsed.polytope, args.allow_large)
         order = ewald_set(parsed.polytope).ordered()
         print("%d Ewald points" % len(order))
         for pt in order:
@@ -256,6 +262,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
                 % (probe.facet, probe.direction, tuple(map(str, probe.start)))
             )
             return 0
+        _refuse_large_ewald(parsed.polytope, args.allow_large)  # star_ewald lists E(P)
         report = star_probe_crosscheck(parsed.polytope, args.samples, bound)
         print(
             "star_ewald=%s samples=%d bound=%d displaceable=%d/%d"

@@ -15,7 +15,7 @@ from math import comb, factorial, lcm
 from .classify import is_monotone
 from .ewald import _facet_columns, ewald_set
 from .intlinalg import det
-from .polytope import HPolytope, _face_facets, _row_vertex_masks
+from .polytope import HPolytope, _face_facets, _row_masks
 
 __all__ = [
     "trinomial",
@@ -135,8 +135,7 @@ def volume(p: HPolytope) -> Fraction:
     verts = p.vertices()
     scale = lcm(1, *(x.denominator for v in verts for x in v))
     pts = [[int(x * scale) for x in v] for v in verts]
-    on_row = _row_vertex_masks(p.vertex_masks(), p.nfacets)
-    total = _pull((1 << len(verts)) - 1, [], pts, on_row, {})
+    total = _pull((1 << len(verts)) - 1, [], pts, _row_masks(p), {})
     return Fraction(total, scale**p.dim * factorial(p.dim))
 
 

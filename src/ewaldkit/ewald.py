@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, prod
 from operator import neg
 
 from .classify import is_monotone, is_smooth
@@ -18,6 +18,7 @@ from .polytope import (
     HPolytope,
     _bits,
     _face_masks,
+    _face_vertex_mask,
     _first_cone_det,
     _lattice_search,
     _require_simple,
@@ -46,17 +47,21 @@ __all__ = [
 ]
 
 
+@per_polytope
 def _ewald_search(p: HPolytope):
-    """(search, 0): the lattice search of E(P) and its centre.  E(P) is the
-    set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab
-    system on _slab_frame(p); a unit row of that frame is bounded by
-    min(max, −min) of its values at the vertices, as E(P) ⊂ P ∩ −P."""
+    """(search, 0, box): the lattice search of E(P), its centre, and the
+    number of integer points in the box its coordinate rows bound, which is
+    at least |E(P)| when E(P) is not empty.  E(P) is the set of integer x
+    with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab system on
+    _slab_frame(p); a unit row of that frame is bounded by min(max, −min) of
+    its values at the vertices, as E(P) ⊂ P ∩ −P.  Built once per polytope,
+    for the listing and the count alike."""
     rows, coords = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
     for u in rows[p.nfacets:]:
         values = [dot(u, v) for v in p.vertices()]
         half.append(min(floor(max(values)), -ceil(min(values))))
-    return _lattice_search(rows, coords, half), [0] * len(rows)
+    return _lattice_search(rows, coords, half), [0] * len(rows), prod(2 * half[i] + 1 for i in coords)
 
 
 @per_polytope
@@ -72,7 +77,7 @@ def _tight_masks(p: HPolytope) -> tuple:
     its max-norm from the leaf, so the table sorts as plain tuples into the
     order of scan_key.
     """
-    search, centre = _ewald_search(p)
+    search, centre, _ = _ewald_search(p)
     tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
 
@@ -100,7 +105,7 @@ _LISTED = (_tight_masks.__wrapped__, ())  # where a polytope caches its table
 def _ewald_count(p: HPolytope) -> int:
     """|E(P)|, exactly, from the count of E(P)'s lattice search: no point of
     E(P) is listed."""
-    search, centre = _ewald_search(p)
+    search, centre, _ = _ewald_search(p)
     return search(centre)
 
 
@@ -256,7 +261,7 @@ def _checked_face(p: HPolytope, f: FaceRef) -> int:
     if len(set(t)) != len(t) or not all(0 <= i < p.nfacets for i in t):
         raise ValueError("invalid face")
     mask = f.mask
-    if not any(v & mask == mask for v in p.vertex_masks()):
+    if not _face_vertex_mask(p, mask):
         raise ValueError("invalid face")
     return mask
 

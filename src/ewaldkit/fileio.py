@@ -26,7 +26,7 @@ from math import gcd
 
 from .classify import classify
 from .displace import DEFAULT_RADIUS, is_neat
-from .ewald import ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
+from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
 from .polytope import HPolytope, convex_hull, irredundant_rows
 
 __all__ = [
@@ -37,9 +37,16 @@ __all__ = [
     "ingest_database",
     "DatabaseStats",
     "MAX_DIM_DEFAULT",
+    "MAX_EWALD_POINTS",
 ]
 
 MAX_DIM_DEFAULT = 12
+# the largest |E(P)| that check, ewald, probe and batch list without
+# --allow-large: above dimension 9 the Ewald conditions grow quadratically
+# in |E(P)| (`check --skip-neat` on cube(11), 177,147 points, takes 16-20 s
+# on a shared 2-core machine), while the count that decides the refusal
+# lists nothing
+MAX_EWALD_POINTS = 200_000
 
 
 @dataclass
@@ -206,6 +213,18 @@ def analyze_polytope(
     }
 
 
+def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
+    """Raise ValueError, unless allow_large, when E(P) has more than
+    MAX_EWALD_POINTS points: the check before a caller lists E(P).  Only a
+    search box above the limit is counted, and the count lists nothing."""
+    count = len(ewald_set(p)) if not allow_large and _ewald_search(p)[2] > MAX_EWALD_POINTS else 0
+    if count > MAX_EWALD_POINTS:
+        raise ValueError(
+            "E(P) has %d points, above the listing limit of %d; pass --allow-large to override"
+            % (count, MAX_EWALD_POINTS)
+        )
+
+
 @dataclass
 class DatabaseStats:
     """Aggregates for a directory of polytope files."""
@@ -241,6 +260,11 @@ def _analyze_file(path, radius, run_neat, allow_large):
         parsed = parse_polytope(text, allow_large=allow_large)
     except ValueError as exc:
         return fname, None, "parse error: %s" % exc
+    if parsed.polytope.origin_interior():  # analyze_polytope lists E(P)
+        try:
+            _refuse_large_ewald(parsed.polytope, allow_large)
+        except ValueError as exc:
+            return fname, None, "refused: %s" % exc
     label = parsed.name or fname
     return fname, analyze_polytope(parsed.polytope, label, radius=radius, run_neat=run_neat), None
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple  # tuple of ints
 Mat = tuple  # tuple of Vec rows
@@ -155,12 +156,13 @@ def _extend_saturated(dual, v):
     the integer functionals vanishing on some saturated rows R.  R + [v] is
     saturated iff the values f·v share the gcd 1; Euclid's algorithm on them
     then leaves, beside the one row with value ±1, a basis of the functionals
-    vanishing on R + [v], which is returned.  Otherwise None.
+    vanishing on R + [v], which is returned.  Otherwise None, at once
+    when every value is 0: v lies in the span of R.
     """
-    rows = list(dual)
-    vals = [sum(a * b for a, b in zip(f, v)) for f in rows]
-    if not vals:
+    vals = [sum(map(mul, f, v)) for f in dual]
+    if not any(vals):
         return None
+    rows = list(dual)
     for i in range(1, len(rows)):
         while vals[i]:
             q = vals[0] // vals[i]

@@ -226,19 +226,34 @@ def _vertex_chart(p, vi: int) -> tuple:
 
 
 @per_polytope
-def _corner_bits(p) -> tuple:
-    """Per vertex, the bits 1 << i of its tight rows, ascending."""
-    return tuple(tuple(1 << i for i in _bits(t)) for t in p.vertex_masks())
+def _face_masks(p, codim: int) -> tuple:
+    """The faces of codimension codim of a simple polytope as facet masks,
+    ordered by their sorted facet-index tuples: the codim-subsets of the
+    bits 1 << i of each vertex's tight rows, which sort as the index tuples
+    do and sum to the face's mask.  faces(), the star check and the 2-faces
+    read it."""
+    corners = ([1 << i for i in _bits(t)] for t in p.vertex_masks())
+    seen = {s for c in corners for s in combinations(c, codim)}
+    return tuple(map(sum, sorted(seen)))
 
 
 @per_polytope
-def _face_masks(p, codim: int) -> tuple:
-    """The faces of codimension codim of a simple polytope as facet masks,
-    ordered by their sorted facet-index tuples: the codim-subsets of each
-    vertex's bits, which sort as the index tuples do and sum to the face's
-    mask.  faces(), the star check and the 2-faces read it."""
-    seen = {s for c in _corner_bits(p) for s in combinations(c, codim)}
-    return tuple(map(sum, sorted(seen)))
+def _row_masks(p) -> tuple:
+    """Per row, the mask of the vertices it is tight on (bit k for the k-th
+    vertex): the incidence read from the row side, once per polytope."""
+    return tuple(_row_vertex_masks(p.vertex_masks(), p.nfacets))
+
+
+def _face_vertex_mask(p, face: int) -> int:
+    """The vertices on every row of the facet mask face, as a vertex mask:
+    the AND of those rows' _row_masks, starting from all vertices.  0 when
+    face names a row past the last."""
+    if face >> p.nfacets:
+        return 0
+    rows, out = _row_masks(p), (1 << len(p.vertices())) - 1
+    for i in _bits(face):
+        out &= rows[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -369,23 +384,19 @@ class HPolytope:
         return tuple(FaceRef(_bits(f), codim) for f in _face_masks(self, codim))
 
     def face_vertices(self, face: FaceRef) -> tuple:
-        need = face.mask
-        return tuple(v for v, t in zip(self.vertices(), self.vertex_masks()) if t & need == need)
+        verts = self.vertices()
+        return tuple(verts[k] for k in _bits(_face_vertex_mask(self, face.mask)))
 
     def adjacent_vertex_indices(self, i: int) -> tuple:
         """Indices of the vertices sharing an edge with vertex i, ascending.
         On a simple polytope they are read off the edge graph (_edges);
-        otherwise j is one when no third vertex is tight on every row tight
-        at both, the combinatorial adjacency test of the double description."""
+        otherwise j is one when the rows tight at both hold no third vertex
+        (_face_vertex_mask), the combinatorial adjacency test of the double
+        description.  Vertex i alone is tight on all its rows."""
         if self.is_simple():
             return tuple(sorted(w for _, w, _ in _edges(self)[i]))
         masks = self.vertex_masks()
-        ti = masks[i]
-        return tuple(
-            j
-            for j, tj in enumerate(masks)
-            if j != i and sum(t & ti & tj == ti & tj for t in masks) == 2
-        )
+        return tuple(j for j, t in enumerate(masks) if _face_vertex_mask(self, masks[i] & t).bit_count() == 2)
 
     # -- lattice points --------------------------------------------------
 

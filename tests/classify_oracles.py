@@ -1,18 +1,21 @@
 """The classification and basis-search paths ewaldkit ran before it read
-one scaled inverse per vertex and the presorted E(P), kept as
-differential-test references.
+one scaled inverse per vertex, the presorted E(P) and the row-side vertex
+masks, kept as differential-test references.
 
 Edge directions come from a scan over the other vertices for those sharing
 n − 1 tight rows, smoothness from the determinant of those directions, deep
-smoothness from testing every corner of every vertex with contains, and
-each unimodular-basis search re-sorts its candidate set first.
+smoothness from testing every corner of every vertex with contains, each
+unimodular-basis search re-sorts its candidate set first, and a 2-face's
+vertices come from a scan of every vertex's tight rows.
 """
 
 from itertools import combinations
+from math import gcd
 
 from ewaldkit.ewald import ewald_set
 from ewaldkit.intlinalg import _extend_saturated, _identity, det
 from ewaldkit.polytope import _integerize, dot
+from incidence_oracles import two_faces
 
 
 def adjacency_edge_directions(p, vi):
@@ -112,3 +115,29 @@ def sorted_strong_bases(p):
         if bases[-1] is None:
             break
     return tuple(bases)
+
+
+def scanned_unimodular_triangle(p, face):
+    """Whether the 2-face with facet mask face is a unimodular triangle,
+    its vertices found by a scan of every vertex's tight rows."""
+    vs = [v for v, t in zip(p.vertices(), p.vertex_masks()) if t & face == face]
+    if len(vs) != 3:
+        return False
+    if not all(all(isinstance(x, int) for x in v) for v in vs):
+        return False
+    a, b, c = vs
+    e, f = [x - y for x, y in zip(b, a)], [x - y for x, y in zip(c, a)]
+    return gcd(*(e[i] * f[j] - e[j] * f[i] for i, j in combinations(range(len(a)), 2))) == 1
+
+
+def scanned_ut_free(p):
+    """(flag, facets of the first unimodular-triangle 2-face) over the
+    2-faces of incidence_oracles.two_faces, each scanned as above: the
+    verdict of is_ut_free and _ut_free_region, and on a simple polytope the
+    witness of is_ut_free."""
+    if p.dim < 2:
+        return True, None
+    for tight in two_faces(p):
+        if scanned_unimodular_triangle(p, sum(1 << i for i in tight)):
+            return False, tight
+    return True, None

@@ -41,6 +41,12 @@ def face_vertices(p, tight):
     return tuple(v for v, t in zip(p.vertices(), tight_sets(p)) if need <= t)
 
 
+def vertex_mask(p, tight):
+    """The vertices on every facet of tight as a mask, bit k for vertex k."""
+    need = set(tight)
+    return sum(1 << k for k, t in enumerate(tight_sets(p)) if need <= t)
+
+
 def adjacent_vertex_indices(p, i):
     """j is adjacent to i iff the rows tight at both have rank n − 1: they
     are the implicit equalities of the smallest face through both vertices,

@@ -1,10 +1,13 @@
+import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import random_unimodular, smooth_suite
+from classify_oracles import scanned_ut_free
+from conftest import random_unimodular, smooth_suite, workload_items
 from ewaldkit.bundles import (
     catalog,
     cube,
@@ -25,16 +28,24 @@ from ewaldkit.classify import (
     is_smooth,
     is_ut_free,
 )
-from ewaldkit.classify import _is_unimodular_triangle_face, _slice_ut_free, _two_faces
+from ewaldkit.classify import (
+    _is_unimodular_triangle_face,
+    _slice_ut_free,
+    _two_faces,
+    _ut_free_region,
+)
+from ewaldkit.fileio import parse_polytope
 from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
-    _bits,
     cartesian_product,
     dot,
     face_slice,
     facet_description,
 )
+
+# the package re-exports the function classify under the submodule's name
+classify_module = importlib.import_module("ewaldkit.classify")
 
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
@@ -98,14 +109,84 @@ def test_unimodular_triangle_faces_match_lattice_point_count():
     seen = set()
     for p in polys:
         pts = p.lattice_points()
-        for face in _two_faces(p):
-            tight = _bits(face)
+        for f, verts in zip(p.faces(p.dim - 2), _two_faces(p)):
+            tight = f.tight
             nverts = sum(1 for t in p.vertex_tight_sets() if set(tight) <= t)
             npts = sum(1 for x in pts if all(dot(p.normals[i], x) == p.offsets[i] for i in tight))
-            got = _is_unimodular_triangle_face(p, face)
+            got = _is_unimodular_triangle_face(p, verts)
             assert got == (nverts == 3 and npts == 3), (p, tight)
             seen.add(got)
     assert seen == {True, False}
+
+
+def _ut_inputs():
+    """The catalog and two GL(n, Z) images of each member, the products
+    among the check workload's inputs, and cube(9)."""
+    rng = random.Random(26)
+    out = []
+    for p in catalog().values():
+        out += [p] + [p.transform(random_unimodular(rng, p.dim)) for _ in range(2)]
+    out += [parse_polytope(item.texts[0]).polytope for item in workload_items("check", 1) if "_x_" in item.label]
+    return out + [cube(9)]
+
+
+def test_ut_free_matches_the_per_face_vertex_scan():
+    verdicts = set()
+    for p in _ut_inputs():
+        want = scanned_ut_free(p)
+        verdicts.add(want[0])
+        assert _ut_free_region(p) == want[0], p
+        if p.is_simple():
+            ok, face = is_ut_free(p)
+            assert (ok, face and face.tight) == want, p
+            assert face is None or face.codim == p.dim - 2
+    assert verdicts == {True, False}
+    # not simple: only the region test is defined
+    cross4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)
+    for p in (del_pezzo(3), del_pezzo(5), cross4):
+        assert not p.is_simple()
+        assert _ut_free_region(p) == scanned_ut_free(p)[0], p
+        with pytest.raises(ValueError, match="simple"):
+            is_ut_free(p)
+
+
+def test_ut_free_slices_match_the_per_face_vertex_scan(monkeypatch):
+    # every region _slice_ut_free tests, over the inset-1 slices of every
+    # face of the catalog's lattice smooth members
+    seen = []
+
+    def recorded(q):
+        seen.append(q)
+        return _ut_free_region(q)
+
+    monkeypatch.setattr(classify_module, "_ut_free_region", recorded)
+    for p in catalog().values():
+        if is_smooth(p)[0] and p.is_lattice():
+            for codim in range(1, p.dim + 1):
+                for f in p.faces(codim):
+                    _slice_ut_free(face_slice(p, f, inset=1))
+    assert any(not q.is_simple() for q in seen)
+    verdicts = [_ut_free_region(q) for q in seen]
+    assert verdicts == [scanned_ut_free(q)[0] for q in seen]
+    assert set(verdicts) == {True, False}
+
+
+def test_the_2_face_loop_reads_the_vertex_masks_a_bounded_number_of_times(monkeypatch):
+    reads = []
+    vertex_masks = HPolytope.vertex_masks
+
+    def counted(self):
+        reads.append(self)
+        return vertex_masks(self)
+
+    monkeypatch.setattr(HPolytope, "vertex_masks", counted)
+    for p, ut_free in ((cube(6), is_ut_free), (del_pezzo(5), _ut_free_region)):
+        p = HPolytope(p.dim, p.normals, p.offsets)
+        p.vertices()
+        reads.clear()
+        ut_free(p)
+        assert len(reads) <= 4, (p, len(reads))
+        assert sum(1 for _ in _two_faces(p)) > 100  # far more 2-faces than reads
 
 
 def test_is_deeply_smooth_examples():

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from conftest import random_unimodular, workload_items
 from ewaldkit import polytope
-from ewaldkit.bundles import monotone_polygon
-from ewaldkit.ewald import ewald_set
+from ewaldkit.bundles import catalog, monotone_polygon
+from ewaldkit.ewald import ewald_set, strong_ewald, weak_ewald
 from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import (
     _reduce,
@@ -69,19 +69,27 @@ def _check_workload_inputs(seed):
 
 def test_find_unimodular_basis_matches_per_step_search_on_check_inputs():
     # every point set the weak and strong Ewald checks search: E(P) and
-    # E(P) on each facet
+    # E(P) on each facet, on the check inputs of two seeds and on the
+    # catalog with a GL(n, Z) image of each member; the bases weak_ewald
+    # and strong_ewald return are those of the per-step search too
+    rng = random.Random(26)
+    inputs = _check_workload_inputs(1) + _check_workload_inputs(5)
+    inputs += [q for p in catalog().values() for q in (p, p.transform(random_unimodular(rng, p.dim)))]
     searched = 0
-    for seed in (1, 5):
-        for p in _check_workload_inputs(seed):
-            if not p.origin_interior():
-                continue
-            points = ewald_set(p).points
-            sets = [points] + [
-                [x for x in points if polytope.dot(u, x) == c] for u, c in zip(p.normals, p.offsets)
-            ]
-            for pts in sets:
-                assert find_unimodular_basis(pts, p.dim) == per_step_basis_search(pts, p.dim)
-                searched += 1
+    for p in inputs:
+        if not p.origin_interior():
+            continue
+        points = ewald_set(p).points
+        sets = [points] + [
+            [x for x in points if polytope.dot(u, x) == c] for u, c in zip(p.normals, p.offsets)
+        ]
+        bases = [per_step_basis_search(pts, p.dim) for pts in sets]
+        assert [find_unimodular_basis(pts, p.dim) for pts in sets] == bases
+        searched += len(sets)
+        assert weak_ewald(p)[1] == bases[0]
+        facets = bases[1:]
+        stop = facets.index(None) + 1 if None in facets else len(facets)
+        assert strong_ewald(p).bases == tuple(facets[:stop]), p
     assert searched > 1000
 
 

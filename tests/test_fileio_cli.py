@@ -3,6 +3,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -349,6 +350,43 @@ def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):
     argv = ["probe", "-", "--bound", "2", "--point", "1/2,0"]
     code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and "displaceable" in out
+
+
+def test_cli_refuses_an_oversized_ewald_listing_before_any_work(tmp_path, monkeypatch, capsys):
+    from ewaldkit import fileio
+
+    # gen cube 12: 3^12 = 531,441 points, counted without a listing
+    _, cube12, _ = run_cli(["gen", "cube", "12"], capsys=capsys)
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", "-", "--skip-neat"], stdin_text=cube12, capsys=capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "E(P) has 531441 points, above the listing limit of 200000" in err
+    # C_2 has 9 points: refused at a limit of 8, unless --allow-large
+    monkeypatch.setattr(fileio, "MAX_EWALD_POINTS", 8)
+    for argv in (["check", "-", "--skip-neat"], ["ewald", "-"], ["probe", "-", "--samples", "2"]):
+        code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 2 and out == "", argv
+        assert err == "error: E(P) has 9 points, above the listing limit of 8; pass --allow-large to override\n"
+        code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 0 and out, argv
+    # nothing lists E(P) for a probe at a point, nor for check without the
+    # origin inside
+    code, _, _ = run_cli(["probe", "-", "--point", "1/2,0"], stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0
+    moved = serialize_polytope(cube(2).translate((2, 0)), "moved")
+    code, out, _ = run_cli(["check", "-", "--skip-neat"], stdin_text=moved, capsys=capsys)
+    assert code == 0 and "|E(P)| = 0" in out
+    # batch excludes the file with the reason, and analyzes the rest
+    (tmp_path / "c2.poly").write_text(C2_TEXT)
+    (tmp_path / "moved.poly").write_text(moved)
+    code, out, _ = run_cli(["batch", str(tmp_path), "--json"], capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and [r["name"] for r in doc["reports"]] == ["moved"]
+    assert doc["excluded"][0] == [
+        "c2.poly",
+        "refused: E(P) has 9 points, above the listing limit of 8; pass --allow-large to override",
+    ]
 
 
 def test_cli_probe_crosscheck_without_point(capsys):

@@ -28,8 +28,8 @@ from ewaldkit.bundles import (
 from ewaldkit.classify import _two_faces, vertex_edge_directions
 from ewaldkit.displace import displace
 from ewaldkit.polytope import (
+    FaceRef,
     HPolytope,
-    _bits,
     cartesian_product,
     face_slice,
     normal_fan_signature,
@@ -93,7 +93,24 @@ def test_faces_adjacency_and_two_faces_match_frozensets():
         for i in range(len(p.vertices())):
             assert p.adjacent_vertex_indices(i) == oracle.adjacent_vertex_indices(p, i)
         if p.dim >= 2:
-            assert tuple(map(_bits, _two_faces(p))) == oracle.two_faces(p), p
+            # the vertex sets always, and their order where the polytope is
+            # simple (a non-simple one lists them in no order)
+            got = list(_two_faces(p))
+            want = [oracle.vertex_mask(p, t) for t in oracle.two_faces(p)]
+            assert sorted(got) == sorted(want), p
+            if p.is_simple():
+                assert got == want, p
+
+
+def test_face_vertices_of_names_that_are_no_face():
+    # the rows of C_2 are x <= 1, -x <= 1, y <= 1, -y <= 1: a repeated facet
+    # counts once, and opposite facets or a row past the last meet no vertex
+    c2 = cube(2)
+    assert c2.face_vertices(FaceRef((0, 0), 2)) == c2.face_vertices(FaceRef((0,), 1)) == ((1, -1), (1, 1))
+    for tight in ((0, 1), (0, 9), (4,)):
+        assert c2.face_vertices(FaceRef(tight, len(tight))) == ()
+    with pytest.raises(ValueError):
+        c2.face_vertices(FaceRef((-1,), 1))
 
 
 def test_non_simple_vertices_keep_every_edge():
