@@ -22,8 +22,8 @@ from .polytope import (
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _bits, _face_facets, _face_masks, _face_vertex_mask, _integerize, _point, _row_masks
-from .polytope import _cone_dets, _vertex_chart
+from .polytope import _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
+from .polytope import _cone_dets, _edges, _margins
 
 __all__ = [
     "ClassReport",
@@ -88,13 +88,17 @@ def is_monotone(p: HPolytope) -> bool:
 
 
 def _two_faces(p: HPolytope):
-    """The 2-faces as vertex masks, lazily.  On a simple polytope they come
-    in the order of faces(n − 2), each read by _face_vertex_mask as it is
-    reached; on a non-simple one, as met in displacement slices, from n − 2
-    facet steps (_face_facets) down from the full vertex set, in no order."""
+    """The 2-faces as vertex masks, lazily.  A polygon is its own 2-face.
+    On a simple polytope they come in the order of faces(n − 2), straight
+    off the face walk at depth n − 2; on a non-simple one, as met in
+    displacement slices, from n − 2 facet steps (_face_facets) down from the
+    full vertex set, in no order."""
+    every = (1 << len(p.vertices())) - 1
+    if p.dim == 2:
+        return (every,)
     if p.is_simple():
-        return (_face_vertex_mask(p, face) for face in _face_masks(p, p.dim - 2))
-    level = {(1 << len(p.vertices())) - 1}
+        return (verts for codim, _, verts, _ in _walk_faces(p, [p.dim - 2]) if codim == p.dim - 2)
+    level = {every}
     for _ in range(p.dim - 2):
         level = {g for f in level for g in _face_facets(f, _row_masks(p))}
     return level
@@ -144,16 +148,19 @@ def is_deeply_smooth(p: HPolytope):
     parallelepiped; the witness is the first missing corner point.
 
     The corners of v are v + Σ_{t∈S} d_t over the subsets S of its edge
-    rays, so row j holds at all of them iff its chart row has
-    c_j − u_j·v >= Σ_t max(0, u_j·d_t), an O(m·n) test per vertex on the
-    margins and slopes of _vertex_chart (the rows through v hold at every
-    corner).  The corners v and v + d_t lie in P, so a vertex failing the
-    test misses a corner of two or more directions; the corners are listed,
-    in the order that fixes the witness, only at the first such vertex."""
+    rays, so row j holds at all of them iff c_j − u_j·v >= Σ_t max(0, u_j·d_t),
+    an O(m·n) test per vertex (the rows through v, of margin 0, hold at
+    every corner).  On the margin table M and the edge graph, the edge
+    leaving row s_t ends at w_t = v + λ_t d_t with λ_t = M[w_t][s_t], so
+    u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t, an integer on a lattice smooth P.
+    The corners v and v + d_t lie in P, so a vertex failing the test misses
+    a corner of two or more directions; the corners are listed, in the
+    order that fixes the witness, only at the first such vertex."""
     _require_lattice_smooth(p, "deep smoothness is defined for lattice smooth polytopes")
-    for i, v in enumerate(p.vertices()):
-        rows = _vertex_chart(p, i)[1]
-        if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
+    margins = _margins(p)
+    for i, (v, edges) in enumerate(zip(p.vertices(), _edges(p))):
+        ends = [(margins[w], margins[w][s]) for s, w, _ in edges]
+        if all(x >= sum([(x - mw[j]) // lam for mw, lam in ends if mw[j] < x]) for j, x in enumerate(margins[i]) if x):
             continue
         dirs = vertex_edge_directions(p, i)
         for r in range(2, len(dirs) + 1):

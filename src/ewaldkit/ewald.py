@@ -24,6 +24,7 @@ from .polytope import (
     _require_simple,
     _row_vertex_masks,
     _slab_frame,
+    _walk_faces,
     dot,
     per_polytope,
 )
@@ -272,18 +273,24 @@ def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
     return StarSets(f, tuple(f.tight), ridges, p)
 
 
+def _star_step(state, on, opp):
+    """One facet's step of the star test.  state is (ones, barred): the scan
+    positions of the λ at which some facet is tight, and those barred from
+    witnessing, where a second facet is tight at λ or one is tight at −λ.
+    The witnesses are ones & ~barred."""
+    ones, barred = state
+    return ones | on, barred | ones & on | opp
+
+
 def _star_witnesses(p: HPolytope, face: int) -> int:
     """The scan positions of the λ ∈ E(P) at which exactly one facet of the
-    facet mask face is tight and none is tight at −λ, as a bitset: ones
-    gathers the positions where some facet is tight, twos those where a
-    second one is."""
+    facet mask face is tight and none is tight at −λ, as a bitset."""
     on, opp = _facet_columns(p)
-    ones = twos = neg = 0
+    state = (0, 0)
     for i in _bits(face):
-        twos |= ones & on[i]
-        ones |= on[i]
-        neg |= opp[i]
-    return ones & ~twos & ~neg
+        state = _star_step(state, on[i], opp[i])
+    ones, barred = state
+    return ones & ~barred
 
 
 def star_ewald_face(p: HPolytope, f: FaceRef):
@@ -296,18 +303,25 @@ def star_ewald_face(p: HPolytope, f: FaceRef):
 
 
 def star_ewald(p: HPolytope):
-    """(flag, failing_face): the star condition over every proper face,
-    scanned by increasing codimension, witness-first.
+    """(flag, failing_face): the star condition over every proper face; the
+    failing face is the first in the order of increasing codimension, then
+    of p.faces(codim).
 
-    The faces are the facet masks of polytope._face_masks, in the order of
-    p.faces(codim).  Only the failing face becomes a FaceRef."""
+    One walk of the face lattice (polytope._walk_faces) carries the star
+    state per depth, so each face takes one _star_step from its parent's.
+    A failing face at codim c lowers the walk's limit to c − 1: a later
+    face fails first in that order only at a smaller codimension.  Only the
+    failing face becomes a FaceRef."""
     _require_origin_interior(p)
     _require_simple(p)
-    for codim in range(1, p.dim + 1):
-        for face in _face_masks(p, codim):
-            if not _star_witnesses(p, face):
-                return False, FaceRef(_bits(face), codim)
-    return True, None
+    on, opp = _facet_columns(p)
+    limit, failed = [p.dim], None
+    states = [(0, 0)] * (p.dim + 1)
+    for codim, face, _, j in _walk_faces(p, limit):
+        ones, barred = states[codim] = _star_step(states[codim - 1], on[j], opp[j])
+        if (ones | barred) == barred:  # no witness: ones & ~barred is empty
+            failed, limit[0] = FaceRef(_bits(face), codim), codim - 1
+    return failed is None, failed
 
 
 def fs_property(p: HPolytope) -> bool:

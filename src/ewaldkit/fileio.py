@@ -42,10 +42,11 @@ __all__ = [
 
 MAX_DIM_DEFAULT = 12
 # the largest |E(P)| that check, ewald, probe and batch list without
-# --allow-large: above dimension 9 the Ewald conditions grow quadratically
-# in |E(P)| (`check --skip-neat` on cube(11), 177,147 points, takes 16-20 s
-# on a shared 2-core machine), while the count that decides the refusal
-# lists nothing
+# --allow-large: above dimension 9 the star condition does work on
+# |E(P)|-bit integers for each face (`check --skip-neat` takes 1.8 s on
+# cube(11), 177,147 points, and 9.2 s on cube(12), 531,441 points, single
+# runs on a shared 2-core machine), while the count that decides the
+# refusal lists nothing
 MAX_EWALD_POINTS = 200_000
 
 

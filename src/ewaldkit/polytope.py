@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
@@ -82,8 +81,20 @@ def _integerize(row):
     return primitive_part(_integer_row(row))
 
 
+_WIDE = 512  # bits: from here on a digit scan beats clearing low bits
+
+
 def _bits(mask) -> tuple:
-    """The indices of the set bits of an incidence mask, ascending."""
+    """The indices of the set bits of an incidence mask, ascending.  Wider
+    than _WIDE bits, where clearing each low bit copies the whole int, they
+    are found by str.find over the binary digits, lowest first."""
+    if mask.bit_length() > _WIDE:
+        digits = format(mask, "b")[::-1]
+        out, k = [], digits.find("1")
+        while k >= 0:
+            out.append(k)
+            k = digits.find("1", k + 1)
+        return tuple(out)
     out = []
     while mask:
         low = mask & -mask
@@ -225,16 +236,36 @@ def _vertex_chart(p, vi: int) -> tuple:
     return s, rows
 
 
-@per_polytope
+def _walk_faces(p, limit):
+    """Every proper face of a simple polytope once, depth first, as
+    (codim, facet mask, vertex mask, last row).  A face extends by each
+    later row j whose _row_masks entry still meets its vertex mask, so its
+    path is its sorted facet tuple: each codimension arrives in the order of
+    faces(codim), and a face's parent is the last face yielded one
+    codimension up.  limit is a one-item list, the deepest codimension
+    walked, which the reader may lower between faces.  The faces are read
+    off the incidences (Kaibel–Pfetsch, Comput. Geom. 23, 2002)."""
+    rows = _row_masks(p)
+    stack = [(0, 0, (1 << len(p.vertices())) - 1, -1)]
+    while stack:
+        face = codim, facets, verts, last = stack.pop()
+        if codim > limit[0]:
+            continue
+        if codim:
+            yield face
+        if codim < limit[0]:
+            for j in range(len(rows) - 1, last, -1):  # pushed last first, so popped in order
+                if meet := verts & rows[j]:
+                    stack.append((codim + 1, facets | 1 << j, meet, j))
+
+
 def _face_masks(p, codim: int) -> tuple:
     """The faces of codimension codim of a simple polytope as facet masks,
-    ordered by their sorted facet-index tuples: the codim-subsets of the
-    bits 1 << i of each vertex's tight rows, which sort as the index tuples
-    do and sum to the face's mask.  faces(), the star check and the 2-faces
-    read it."""
-    corners = ([1 << i for i in _bits(t)] for t in p.vertex_masks())
-    seen = {s for c in corners for s in combinations(c, codim)}
-    return tuple(map(sum, sorted(seen)))
+    ordered by their sorted facet-index tuples: the walk's faces at codim,
+    and P itself at codim 0."""
+    if not codim:
+        return (0,)
+    return tuple(facets for c, facets, _, _ in _walk_faces(p, [codim]) if c == codim)
 
 
 @per_polytope
@@ -536,12 +567,16 @@ def _row_vertex_masks(masks, nrows):
     """Per row, the mask of the vertices it is tight on (bit k for the k-th
     of the given vertex masks): the incidence read from the row side.  Any
     list of row masks transposes the same way, as E(P)'s table does in
-    ewald._facet_columns."""
-    on_row = [0] * nrows
-    for k, t in enumerate(masks):
-        for i in _bits(t):
-            on_row[i] |= 1 << k
-    return on_row
+    ewald._facet_columns.  Mask k fills bits [k·w, (k+1)·w) of one int, with
+    w = 8·⌈nrows/8⌉, so in its binary digits, read from the top, row i is
+    every w-th digit from w − 1 − i: linear in the size of the table."""
+    if not masks:
+        return [0] * nrows
+    size = (nrows + 7) // 8
+    w = 8 * size
+    packed = int.from_bytes(b"".join(t.to_bytes(size, "little") for t in masks), "little")
+    digits = format(packed, "0%db" % (w * len(masks)))
+    return [int(digits[w - 1 - i :: w], 2) for i in range(nrows)]
 
 
 def _face_facets(face, on_row):

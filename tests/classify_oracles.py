@@ -4,17 +4,19 @@ masks, kept as differential-test references.
 
 Edge directions come from a scan over the other vertices for those sharing
 n − 1 tight rows, smoothness from the determinant of those directions, deep
-smoothness from testing every corner of every vertex with contains, each
-unimodular-basis search re-sorts its candidate set first, and a 2-face's
-vertices come from a scan of every vertex's tight rows.
+smoothness from testing every corner of every vertex with contains or from
+the margins and slopes of every vertex's chart (polytope._vertex_chart),
+each unimodular-basis search re-sorts its candidate set first, and a
+2-face's vertices come from a scan of every vertex's tight rows.
 """
 
 from itertools import combinations
 from math import gcd
 
+from ewaldkit.classify import vertex_edge_directions
 from ewaldkit.ewald import ewald_set
 from ewaldkit.intlinalg import _extend_saturated, _identity, det
-from ewaldkit.polytope import _integerize, dot
+from ewaldkit.polytope import _integerize, _vertex_chart, dot
 from incidence_oracles import two_faces
 
 
@@ -48,6 +50,25 @@ def corner_scan_deeply_smooth(p):
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
     for i, v in enumerate(p.vertices()):
         dirs = adjacency_edge_directions(p, i)
+        for r in range(2, len(dirs) + 1):
+            for subset in combinations(dirs, r):
+                corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))
+                if not p.contains(corner):
+                    return False, corner
+    return True, None
+
+
+def chart_deeply_smooth(p):
+    """is_deeply_smooth by the margin test on every vertex's chart: row j
+    holds at every corner of v iff its margin is at least the sum of its
+    positive slopes; the corners are listed at the first vertex that fails."""
+    if not determinant_smooth(p)[0] or not p.is_lattice():
+        raise ValueError("deep smoothness is defined for lattice smooth polytopes")
+    for i, v in enumerate(p.vertices()):
+        rows = _vertex_chart(p, i)[1]
+        if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
+            continue
+        dirs = vertex_edge_directions(p, i)
         for r in range(2, len(dirs) + 1):
             for subset in combinations(dirs, r):
                 corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))

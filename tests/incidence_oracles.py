@@ -6,7 +6,8 @@ the producer's masks one row at a time; faces are sorted tuples of facet
 indices, face membership is a set operation, adjacency a rank, and a normal
 fan is the set of its vertex cones as sorted tuples.  The non-simple 2-faces
 come from the meet closure of the tight sets, and the volume from a
-recursion through one lattice chart per facet.
+recursion through one lattice chart per facet.  A table of masks is
+transposed one set bit at a time, each bit found by clearing the low bit.
 """
 
 from fractions import Fraction
@@ -19,6 +20,25 @@ from ewaldkit.polytope import HPolytope, affine_rank, dot, enumerate_vertices, f
 def decode(masks, nrows):
     """Per mask, the frozenset of the rows whose bit is set."""
     return tuple(frozenset(i for i in range(nrows) if t >> i & 1) for t in masks)
+
+
+def low_bits(mask):
+    """The set bits of mask, ascending, one cleared low bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def row_vertex_masks(masks, nrows):
+    """Per row, the mask of the masks that set its bit: one OR per set bit."""
+    on_row = [0] * nrows
+    for k, t in enumerate(masks):
+        for i in low_bits(t):
+            on_row[i] |= 1 << k
+    return on_row
 
 
 def tight_sets(p):

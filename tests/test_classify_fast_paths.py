@@ -11,6 +11,7 @@ import pytest
 
 from classify_oracles import (
     adjacency_edge_directions,
+    chart_deeply_smooth,
     corner_scan_deeply_smooth,
     determinant_smooth,
     missing_corners_at_first_failure,
@@ -18,10 +19,11 @@ from classify_oracles import (
     sorted_strong_bases,
     sorted_weak_basis,
 )
-from conftest import random_unimodular
+from conftest import random_unimodular, workload_items
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, segment, smooth_simplex, ssb
 from ewaldkit.classify import classify, is_deeply_smooth, is_smooth, vertex_edge_directions
 from ewaldkit.ewald import strong_ewald, weak_ewald
+from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import find_unimodular_basis
 from ewaldkit.polytope import HPolytope, cartesian_product
 
@@ -92,3 +94,23 @@ def test_find_unimodular_basis_matches_the_sorted_search():
         assert find_unimodular_basis(pts + [(0,) * n], n) == want
     with pytest.raises(ValueError):
         find_unimodular_basis([(1,)], 0)
+
+
+def test_deep_smoothness_matches_the_chart_margin_test():
+    # the margin test read off the edge graph against the one on every
+    # vertex's chart: the catalog, its GL(n, Z) images, products, the
+    # smooth simplices k·Δ_n with k < n (not deeply smooth) and the lattice
+    # smooth check inputs of the benchmark at seed 1
+    rng = random.Random(27)
+    members = list(catalog().values())
+    inputs = members + [p.transform(random_unimodular(rng, p.dim)) for p in members]
+    inputs += [cartesian_product(segment(), ssb(3, 2)), cartesian_product(smooth_simplex(2, 1), smooth_simplex(2, 3))]
+    inputs += [smooth_simplex(n, k) for n in (2, 3, 4) for k in range(1, n)]
+    inputs += [parse_polytope(item.texts[0]).polytope for item in workload_items("check", 1)]
+    verdicts = []
+    for p in inputs:
+        if is_smooth(p)[0] and p.is_lattice():
+            got = is_deeply_smooth(_fresh(p))
+            assert got == chart_deeply_smooth(p), p
+            verdicts.append(got[0])
+    assert len(verdicts) > 120 and verdicts.count(False) > 40
