@@ -11,18 +11,17 @@ from dataclasses import dataclass, field, fields
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import kernel_basis, primitive_part, solve_rational
+from .intlinalg import kernel_basis, primitive_part
 from .polytope import (
     FaceRef,
     HPolytope,
     Slice,
     convex_hull,
-    dot,
     face_slice,
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
+from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
 from .polytope import _cone_dets, _edges, _margins
 
 __all__ = [
@@ -194,44 +193,29 @@ def _project_to_span(pts, p0):
     # the span is a proper subspace (the slice is degenerate), so its
     # annihilator is nonzero
     basis = kernel_basis(kernel_basis(diffs))
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    out = []
-    for p in pts:
-        rhs = [dot(b, [x - y for x, y in zip(p, p0)]) for b in basis]
-        out.append(_point(solve_rational(gram, rhs)))
-    return out
+    return [_point(_basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
+
+
+def _displacement_keeps_fan(p: HPolytope, f: FaceRef) -> bool:
+    """Whether the first displacement of the face f is a full-dimensional
+    polytope in its chart with the normal fan of f (a vertex keeps it
+    whenever the displacement is a point)."""
+    sd = face_slice(p, f, inset=1)
+    if sd.polytope is None:
+        return False
+    return f.codim == p.dim or normally_isomorphic(face_slice(p, f).polytope, sd.polytope)
 
 
 def deeply_smooth_characterizations_agree(p: HPolytope):
     """Evaluate the three equivalent descriptions of deep smoothness
-    independently: corner parallelepipeds; face displacements keeping the
-    face's normal fan; UT-freeness of P and of all face displacements."""
+    independently, each up to its first failure: corner parallelepipeds;
+    face displacements keeping the face's normal fan; UT-freeness of P and
+    of all face displacements."""
     _require_lattice_smooth(p, "requires a lattice smooth polytope")
+    faces = [f for codim in range(1, p.dim + 1) for f in p.faces(codim)]
     c1 = is_deeply_smooth(p)[0]
-
-    c2 = True
-    for codim in range(1, p.dim + 1):
-        for f in p.faces(codim):
-            sf = face_slice(p, f, inset=0)
-            sd = face_slice(p, f, inset=1)
-            if sd.is_empty or sd.polytope is None:
-                c2 = False
-                break
-            if sf.chart_dim > 0 and not normally_isomorphic(sf.polytope, sd.polytope):
-                c2 = False
-                break
-        if not c2:
-            break
-
-    c3 = is_ut_free(p)[0]
-    if c3:
-        for codim in range(1, p.dim + 1):
-            for f in p.faces(codim):
-                if not _slice_ut_free(face_slice(p, f, inset=1)):
-                    c3 = False
-                    break
-            if not c3:
-                break
+    c2 = all(_displacement_keeps_fan(p, f) for f in faces)
+    c3 = is_ut_free(p)[0] and all(_slice_ut_free(face_slice(p, f, inset=1)) for f in faces)
     return c1, c2, c3
 
 

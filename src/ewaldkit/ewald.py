@@ -17,7 +17,6 @@ from .polytope import (
     FaceRef,
     HPolytope,
     _bits,
-    _face_masks,
     _face_vertex_mask,
     _first_cone_det,
     _lattice_search,
@@ -395,7 +394,7 @@ def dim3_origin_edge_basis(p: HPolytope):
     if p.dim != 3 or not is_smooth(p)[0]:
         raise ValueError("requires a smooth 3-polytope")
     _require_origin_interior(p)
-    if not any(_next_to_origin(p, f) for f in _face_masks(p, 2)):
+    if not any(_next_to_origin(p, f.mask) for f in p.faces(2)):
         return None
     basis = _basis_search(ewald_set(p).ordered(), 3)
     if basis is None:

@@ -11,8 +11,10 @@ Format (one polytope per file or stream):
     0 1 1
     0 -1 1
 
-Rows are normalized to primitive normals (offset rescaled when divisible),
-and redundant rows are dropped; both adjustments are reported as warnings.
+The dim line and one facets or vertices line come once each, before the
+rows.  Rows are normalized to primitive normals (offset rescaled when
+divisible), and redundant rows are dropped; both adjustments are reported
+as warnings.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
                 (value,) = map(int, parts[1:])  # exactly one integer
             except ValueError:
                 raise ValueError("line %d: expected '%s <integer>'" % (lineno, parts[0])) from None
+            # each row is checked against the headers above it, so a header
+            # comes once and before every row
+            if rows or (dim if parts[0] == "dim" else mode) is not None:
+                raise ValueError("line %d: '%s' header repeated or after the rows" % (lineno, parts[0]))
             if parts[0] == "dim":
                 dim = value
             else:

@@ -259,15 +259,6 @@ def _walk_faces(p, limit):
                     stack.append((codim + 1, facets | 1 << j, meet, j))
 
 
-def _face_masks(p, codim: int) -> tuple:
-    """The faces of codimension codim of a simple polytope as facet masks,
-    ordered by their sorted facet-index tuples: the walk's faces at codim,
-    and P itself at codim 0."""
-    if not codim:
-        return (0,)
-    return tuple(facets for c, facets, _, _ in _walk_faces(p, [codim]) if c == codim)
-
-
 @per_polytope
 def _row_masks(p) -> tuple:
     """Per row, the mask of the vertices it is tight on (bit k for the k-th
@@ -408,24 +399,26 @@ class HPolytope:
 
     @per_polytope
     def faces(self, codim: int) -> tuple:
-        """All faces of the given codimension of a simple polytope."""
+        """All faces of the given codimension of a simple polytope, ordered
+        by their sorted facet tuples: the face walk's faces at codim, and P
+        itself at codim 0."""
         _require_simple(self)
         if codim < 0 or codim > self.dim:
             raise ValueError("codimension out of range")
-        return tuple(FaceRef(_bits(f), codim) for f in _face_masks(self, codim))
+        if not codim:
+            return (FaceRef((), 0),)
+        return tuple(FaceRef(_bits(f), codim) for c, f, _, _ in _walk_faces(self, [codim]) if c == codim)
 
     def face_vertices(self, face: FaceRef) -> tuple:
         verts = self.vertices()
         return tuple(verts[k] for k in _bits(_face_vertex_mask(self, face.mask)))
 
     def adjacent_vertex_indices(self, i: int) -> tuple:
-        """Indices of the vertices sharing an edge with vertex i, ascending.
-        On a simple polytope they are read off the edge graph (_edges);
-        otherwise j is one when the rows tight at both hold no third vertex
+        """Indices of the vertices sharing an edge with vertex i, ascending:
+        j is one when the rows tight at both hold no third vertex
         (_face_vertex_mask), the combinatorial adjacency test of the double
-        description.  Vertex i alone is tight on all its rows."""
-        if self.is_simple():
-            return tuple(sorted(w for _, w, _ in _edges(self)[i]))
+        description, for simple and non-simple polytopes alike.  Vertex i
+        alone is tight on all its rows."""
         masks = self.vertex_masks()
         return tuple(j for j, t in enumerate(masks) if _face_vertex_mask(self, masks[i] & t).bit_count() == 2)
 
@@ -930,13 +923,9 @@ def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
         return True
     if sorted(p.normals) != sorted(q.normals):
         return False
-    canon_p = {u: i for i, u in enumerate(sorted(p.normals))}
-
-    def cones(poly):
-        bit = [1 << canon_p[u] for u in poly.normals]
-        return frozenset(sum(bit[i] for i in _bits(t)) for t in poly.vertex_masks())
-
-    return cones(p) == cones(q)
+    row = {u: 1 << i for i, u in enumerate(p.normals)}
+    bit = [row[u] for u in q.normals]  # q's rows on p's row bits
+    return frozenset(sum(bit[i] for i in _bits(t)) for t in q.vertex_masks()) == normal_fan_signature(p).cones
 
 
 def minkowski_sum(v: VPolytope, w: VPolytope) -> VPolytope:
@@ -1005,13 +994,19 @@ class Slice:
         return _point(x)
 
     def to_chart(self, x) -> tuple:
-        diff = [a - b for a, b in zip(x, self.origin)]
-        gram = [[dot(bi, bj) for bj in self.basis] for bi in self.basis]
-        rhs = [dot(bi, diff) for bi in self.basis]
-        y = solve_rational(gram, rhs)
+        y = _basis_coordinates(self.basis, [a - b for a, b in zip(x, self.origin)])
         if y is None or self.to_parent(y) != _point(x):
             raise ValueError("point does not lie on the slice")
         return _point(y)
+
+
+def _basis_coordinates(basis, v):
+    """The exact coordinates y of v in the independent rows basis, for v in
+    their span (Σ_k y_k basis_k = v), from one solve of the Gram system
+    basis · basis^T y = basis · v; off the span they are those of v's
+    orthogonal projection.  None only for a dependent basis."""
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    return solve_rational(gram, [dot(b, v) for b in basis])
 
 
 def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:

@@ -17,6 +17,7 @@ from ewaldkit.fileio import (
     parse_polytope,
     serialize_polytope,
 )
+from test_fuzz_cli import HEADER_ORDER
 
 C2_TEXT = """dim 2
 facets 4
@@ -520,6 +521,17 @@ def test_cli_check_names_empty_unbounded_and_flat_input_apart(tmp_path, capsys):
     assert errors["unbounded"] == "error: unbounded inequality system"
     assert errors["flat"] == "error: polytope is not full-dimensional"
     assert len({errors[k] for k in ("empty", "unbounded", "flat", "blank")}) == 4
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    zip(HEADER_ORDER, (7, 7, 2, 3, 5)),
+    ids=["late-dim", "late-facets", "second-dim", "second-vertices", "facets-between-rows"],
+)
+def test_cli_refuses_a_repeated_or_late_header(text, line, capsys):
+    code, out, err = run_cli(["check", "-", "--skip-neat"], stdin_text=text, capsys=capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: line %d: " % line), err
 
 
 @pytest.mark.parametrize("var", ["EWALDKIT_RADIUS", "EWALDKIT_BOUND"])

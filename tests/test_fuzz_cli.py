@@ -14,6 +14,16 @@ from ewaldkit.fileio import parse_polytope, serialize_polytope
 
 BAD_TOKENS = ("x", "1.5", "1/2", "--1", "+", "0x1", "nan", "١")
 
+# each header comes once, before the rows, as every row is checked against
+# the headers above it
+HEADER_ORDER = (
+    "dim 2\nfacets 4\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\ndim 3\n",
+    "dim 2\nvertices 4\n1 1\n-1 1\n1 -1\n-1 -1\nfacets 4\n",
+    "dim 3\ndim 2\nfacets 4\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n",
+    "dim 2\nfacets 4\nvertices 3\n0 0\n1 0\n0 1\n",
+    "dim 2\nfacets 4\n1 0 1\n-1 0 1\nfacets 4\n0 1 1\n0 -1 1\n",
+)
+
 SPECIAL = (
     "",
     "dim\nfacets 2\n1 1\n-1 1\n",
@@ -39,6 +49,8 @@ SPECIAL = (
     "dim 2\nvertices 2\n0 0\n1 0\n",
     "dim 2\nvertices 3\n0 0\n1 1\n2 2\n",
     "dim 2\nvertices 3\n0 0\n1 0 0\n0 1\n",
+    # headers repeated, or after the rows
+    *HEADER_ORDER,
 )
 
 

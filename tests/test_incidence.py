@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 import incidence_oracles as oracle
-from conftest import random_unimodular
+from conftest import random_unimodular, workload_items
 from ewaldkit.bundles import (
     BundleSpec,
     build_bundle,
@@ -27,9 +27,11 @@ from ewaldkit.bundles import (
 )
 from ewaldkit.classify import _two_faces, vertex_edge_directions
 from ewaldkit.displace import displace
+from ewaldkit.fileio import parse_polytope
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
+    _edges,
     cartesian_product,
     face_slice,
     normal_fan_signature,
@@ -64,8 +66,7 @@ POLYS = polytopes_under_test()
 
 
 def _large_images():
-    # adjacency on a simple polytope reads the edge graph; these images have
-    # 32 and 36 vertices
+    # adjacency and faces on simple polytopes of 32 and 36 vertices
     rng = random.Random(41)
     hexagon = monotone_polygon("hexagon")
     out = [cube(5), cartesian_product(hexagon, hexagon)]
@@ -100,6 +101,30 @@ def test_faces_adjacency_and_two_faces_match_frozensets():
             assert sorted(got) == sorted(want), p
             if p.is_simple():
                 assert got == want, p
+
+
+def test_the_edge_graph_matches_the_double_description_adjacency():
+    # the vertex cones, the charts and deep smoothness read _edges, and
+    # adjacency reads the rows tight at both ends: each checks the other
+    rng = random.Random(28)
+    named = list(catalog().values())
+    polys = named + [p.transform(random_unimodular(rng, p.dim)) for p in named] + [cube(6)]
+    polys += [
+        parse_polytope(text).polytope
+        for name in ("check", "neat")
+        for seed in (1, 5)
+        for item in workload_items(name, seed)
+        for text in item.texts
+    ]
+    simple = [p for p in polys if p.is_simple()]
+    assert len(simple) > 300
+    for p in simple:
+        masks = p.vertex_masks()
+        for v, edges in enumerate(_edges(p)):
+            assert tuple(sorted(w for _, w, _ in edges)) == p.adjacent_vertex_indices(v), (p, v)
+            for s, w, j in edges:
+                assert masks[v] >> s & 1 and not masks[w] >> s & 1, (p, v, s, w)
+                assert masks[w] >> j & 1 and not masks[v] >> j & 1, (p, v, w, j)
 
 
 def test_face_vertices_of_names_that_are_no_face():
