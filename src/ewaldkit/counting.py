@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+from .bundles import small_fiber_bundle, ssb
 from .classify import is_monotone
 from .ewald import _facet_columns, ewald_set
 from .intlinalg import det
@@ -104,8 +105,6 @@ def small_bundle_split_recursion_check(base: HPolytope, facet: int, n: int) -> b
         |E+(P,F')| = n·|E+(B,F)| + |E+(Δ_n)|·|E0(B,F)|
         |E0(P,F')| = 2·|E+(B,F)| + |E0(Δ_n)|·|E0(B,F)|
     """
-    from .bundles import small_fiber_bundle
-
     bundle = small_fiber_bundle(base, facet, n)
     split_b = facet_ewald_split(base, facet)
     e_plus_simplex = (ewald_count_simplex(n) - _count_simplex(n - 1)) // 2
@@ -165,8 +164,6 @@ def ssb_patterns_check(n: int, k: int) -> bool:
     the three closed-form identities at k ∈ {0, 1, n−1}, monotone decrease
     of the count in k, volume increase in k, and the count ratio bounds
     1 < |E(SSB(n,k))| / |E(Δ_{n-1})| <= 3."""
-    from .bundles import ssb
-
     if n < 2 or not 0 <= k <= n - 1:
         raise ValueError("needs n >= 2 and 0 <= k <= n-1")
     count = ewald_count_ssb(n, k)

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import ceil, floor, prod
 from operator import neg
 
-from .classify import is_monotone, is_smooth
+from .classify import is_deeply_smooth, is_monotone, is_smooth, vertex_edge_directions
 from .intlinalg import _basis_search, _xgcd, inverse_unimodular, mat_vec, scan_key
 from .polytope import (
     FaceRef,
@@ -372,8 +372,6 @@ def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:
 def deeply_smooth_origin_vertex_basis(p: HPolytope):
     """For deeply smooth P with the origin next to some vertex v, the
     primitive edge vectors at v form a lattice basis inside E(P)."""
-    from .classify import is_deeply_smooth, vertex_edge_directions
-
     if not is_deeply_smooth(p)[0]:
         return None
     _require_origin_interior(p)

@@ -15,8 +15,9 @@ Two elimination routines do all the work over Q and over Z:
   the functionals vanishing on the set; is_saturated and the unimodular-basis
   search of the Ewald checks are chains of it.
 
-hermite_normal_form keeps its unimodular transform: kernel_basis and
-solve_integer read it, and it fixes the basis of every face chart.
+hermite_normal_form keeps its unimodular transform: _integer_solutions reads
+one Hermite form for a kernel basis and an integer solution together, and
+kernel_basis, solve_integer and every face chart read _integer_solutions.
 """
 
 from __future__ import annotations
@@ -196,25 +197,14 @@ def is_saturated(rows) -> bool:
     return True
 
 
-def kernel_basis(m) -> Mat:
-    """Lattice basis of {y integer : m @ y = 0}; the kernel is saturated."""
-    m = _as_mat(m)
-    if not m:
-        raise ValueError("kernel_basis needs at least one row")
-    n = len(m[0])
-    h, u = hermite_normal_form(transpose(m))  # h = u @ m^T, rows of u index y
-    basis = tuple(u[i] for i in range(n) if not any(h[i]))
-    return basis
-
-
-def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None if none exists."""
-    a = _as_mat(a)
-    b = _as_vec(b)
-    if not a:
-        raise ValueError("empty system")
+def _integer_solutions(a, b):
+    """(x, basis) from one hermite_normal_form of a^T: one integer solution
+    x of a @ x = b, or None if none exists, and a lattice basis of the
+    kernel {y integer : a @ y = 0}, which is saturated.  a is a nonempty
+    integer matrix."""
     n = len(a[0])
-    h, u = hermite_normal_form(transpose(a))  # h = u @ a^T  (n x k)
+    h, u = hermite_normal_form(transpose(a))  # h = u @ a^T (n x k), rows of u index x
+    basis = tuple(u[i] for i in range(n) if not any(h[i]))
     k = len(b)
     # want y with y @ h = b, then x = y @ u
     y = [0] * n
@@ -224,14 +214,31 @@ def solve_integer(a, b):
         if lead is None:
             continue
         if rem[lead] % h[i][lead] != 0:
-            return None
+            return None, basis
         q = rem[lead] // h[i][lead]
         y[i] = q
         for j in range(k):
             rem[j] -= q * h[i][j]
     if any(rem):
-        return None
-    return tuple(sum(y[i] * u[i][c] for i in range(n)) for c in range(n))
+        return None, basis
+    return tuple(sum(y[i] * u[i][c] for i in range(n)) for c in range(n)), basis
+
+
+def kernel_basis(m) -> Mat:
+    """Lattice basis of {y integer : m @ y = 0}; the kernel is saturated."""
+    m = _as_mat(m)
+    if not m:
+        raise ValueError("kernel_basis needs at least one row")
+    return _integer_solutions(m, (0,) * len(m))[1]
+
+
+def solve_integer(a, b):
+    """One integer solution x of a @ x = b, or None if none exists."""
+    a = _as_mat(a)
+    b = _as_vec(b)
+    if not a:
+        raise ValueError("empty system")
+    return _integer_solutions(a, b)[0]
 
 
 def _reduce(rows, width):

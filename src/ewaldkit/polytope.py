@@ -15,13 +15,12 @@ from operator import mul
 
 from .intlinalg import (
     _integer_row,
+    _integer_solutions,
     _reduce,
     inverse_unimodular,
-    kernel_basis,
     primitive_part,
     rank,
     scaled_inverse,
-    solve_integer,
     solve_rational,
 )
 
@@ -160,14 +159,23 @@ def _edges(p) -> tuple:
     return tuple(tuple(sorted(e)) for e in edges)
 
 
+def _cone_rows(p, vi: int) -> tuple:
+    """The n independent rows of vertex vi's cone, ascending: every row
+    tight at the vertex, or the pivots of one _reduce of them where there
+    are more than n.  The vertex charts and the lattice-search frame read
+    this one rule."""
+    s = _bits(p.vertex_masks()[vi])
+    if len(s) > p.dim:
+        piv, _, _ = _reduce([list(col) for col in zip(*(p.normals[i] for i in s))], len(s))
+        s = tuple(s[k] for k in piv)
+    return s
+
+
 @per_polytope
 def _first_cone_det(p) -> int:
-    """|det A_S| for the rows S tight at vertex 0 when there are n of them,
-    else 0: the one scaled_inverse that the vertex cones take."""
-    s = _bits(p.vertex_masks()[0])
-    if len(s) != p.dim:
-        return 0
-    return abs(scaled_inverse([p.normals[i] for i in s])[0])
+    """|det A_S| for the rows S = _cone_rows(p, 0) of vertex 0: the one
+    scaled_inverse that the vertex cones take."""
+    return abs(scaled_inverse([p.normals[i] for i in _cone_rows(p, 0)])[0])
 
 
 @per_polytope
@@ -207,9 +215,8 @@ def _vertex_chart(p, vi: int) -> tuple:
     (_margins) and the edge graph (_edges), with no elimination: s is every
     tight row, the edge leaving s_t ends at w_t, d_t = (w_t − v) / λ_t with
     λ_t = M[w_t][s_t], so u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t.  At the
-    vertices of a non-simple polytope s is every tight row, or the pivots
-    of one _reduce of them where there are more than n, and the slopes come
-    from the scaled inverse (d, e) of A_s, d_t = −e_t / d."""
+    vertices of a non-simple polytope s is _cone_rows(p, vi), and the
+    slopes come from the scaled inverse (d, e) of A_s, d_t = −e_t / d."""
     margins, tight = _margins(p), p.vertex_masks()[vi]
     mv = margins[vi]
     if p.is_simple():
@@ -222,10 +229,7 @@ def _vertex_chart(p, vi: int) -> tuple:
             if not tight >> j & 1
         )
         return s, rows
-    s = _bits(tight)
-    if len(s) > p.dim:
-        piv, _, _ = _reduce([list(col) for col in zip(*(p.normals[i] for i in s))], len(s))
-        s = tuple(s[k] for k in piv)
+    s = _cone_rows(p, vi)
     d, e = scaled_inverse([p.normals[i] for i in s])
     rays = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
     rows = tuple(
@@ -645,14 +649,15 @@ def irredundant_rows(dim, normals, offsets):
 
 def _slab_frame(p: HPolytope):
     """(rows, coords): the rows the lattice-point search reads for p, and the
-    indices of n of them that form a unimodular matrix.  These are the rows
-    tight at the first vertex when they are n rows of determinant ±1
-    (_first_cone_det), as on every smooth polytope; otherwise the unit rows
-    e_1, ..., e_n, appended after p's rows and bounded by its bounding box."""
+    indices of n of them that form a unimodular matrix.  These are the
+    first vertex's cone rows (_cone_rows) when their determinant is ±1
+    (_first_cone_det), as on every smooth polytope and at DP3's and DP5's
+    non-simple vertices; otherwise the unit rows e_1, ..., e_n, appended
+    after p's rows and bounded by its bounding box."""
     n, m = p.dim, p.nfacets
     rows = list(p.normals)
     if _first_cone_det(p) == 1:
-        return rows, _bits(p.vertex_masks()[0])
+        return rows, _cone_rows(p, 0)
     rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
     return rows, list(range(m, m + n))
 
@@ -675,9 +680,10 @@ def _lattice_search(rows, coords, half):
     ±x of the symmetric system, whose mirrors are the points not visited.
 
     search(d) without visit returns the number of those points, exactly and
-    without listing them: the same levels, with the completions below a level
-    memoized on its live residuals (the key below) and the last level's range
-    counted as last − first + 1.
+    without listing them: the listing's level tables walked on a copy of the
+    residuals, with the completions below a level memoized on its live
+    residuals (the key below) and the last level's range counted as
+    last − first + 1.
 
     Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
     coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
@@ -717,6 +723,9 @@ def _lattice_search(rows, coords, half):
                 levels[t].append((j, w[t], reach[t + 1]))
                 moves[t].append((j, w[t]))
         slabs.append((j, reach[0]))
+    live = [()] * (n + 1)  # live[k]: the rows read at level k or below, the count's memo key there
+    for k in range(n - 1, -1, -1):
+        live[k] = tuple(sorted({j for j, _, _ in levels[k]}.union(live[k + 1])))
 
     def span(k, bounds, e):
         """z_k's range: the box, narrowed by every (i, w_j[k], reach[k+1])
@@ -734,35 +743,27 @@ def _lattice_search(rows, coords, half):
         return first, last
 
     def count(e):
-        # live[k]: the rows still read at level k, whose residuals, in this
-        # order, are the memo key there; keyed[k]: levels[k] on the
-        # positions of live[k]; carry[k]: per row of live[k + 1], its
-        # position in live[k] and its slope w_j[k]
-        live = [()] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            live[k] = tuple(sorted({j for j, _, _ in levels[k]}.union(live[k + 1])))
-        pos = [{j: i for i, j in enumerate(rows_k)} for rows_k in live]
-        keyed = [[(pos[k][j], a, reach) for j, a, reach in levels[k]] for k in range(n)]
-        slopes = [dict(moved) for moved in moves]
-        carry = [[(pos[k][j], slopes[k].get(j, 0)) for j in live[k + 1]] for k in range(n)]
         memo = [{} for _ in range(n)]
 
-        def completions(k, res):
-            first, last = span(k, keyed[k], res)
+        def completions(k, e):
+            first, last = span(k, levels[k], e)
             if first > last:
                 return 0
             if k == n - 1:
                 return last - first + 1
-            total, seen, step = 0, memo[k + 1], carry[k]
+            total, seen, keyed = 0, memo[k + 1], live[k + 1]
             for v in range(first, last + 1):
-                key = tuple([res[i] - a * v for i, a in step])
+                nxt = e[:]
+                for j, a in moves[k]:
+                    nxt[j] -= a * v
+                key = tuple([nxt[j] for j in keyed])
                 got = seen.get(key)
                 if got is None:
-                    got = seen[key] = completions(k + 1, key)
+                    got = seen[key] = completions(k + 1, nxt)
                 total += got
             return total
 
-        found = completions(0, tuple([e[j] for j in live[0]]))
+        found = completions(0, e)
         del completions  # a closure over itself: free the memo now
         return found
 
@@ -1015,7 +1016,9 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     The chart basis is an HNF-derived lattice basis of the direction lattice;
     the chart origin is the parent origin whenever it lies on the slice
     (always the case for monotone P at inset 1), else a deterministic
-    integer point when one exists, else a rational one.
+    integer point when one exists, else a rational one.  One Hermite form
+    (_integer_solutions) gives the basis, the independence of the facets
+    (n − k basis rows) and the integer origin.
     """
     tight = tuple(sorted(face.tight if isinstance(face, FaceRef) else face))
     if any(i < 0 or i >= p.nfacets for i in tight):
@@ -1028,17 +1031,12 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
         basis = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         origin = (0,) * n
     else:
-        if rank(rows) != k:
+        integral = all(isinstance(t, int) for t in targets)
+        origin, basis = _integer_solutions(rows, targets if integral else [0] * k)
+        if len(basis) != n - k:
             raise ValueError("face facets are not independent")
-        basis = kernel_basis(rows)
-        if all(t == 0 for t in targets):
-            origin = (0,) * n
-        else:
-            origin = None
-            if all(isinstance(t, int) for t in targets):
-                origin = solve_integer(rows, targets)
-            if origin is None:
-                origin = _rational_particular(rows, targets)
+        if not integral or origin is None:
+            origin = _rational_particular(rows, targets)
     chart_dim = n - k
     chart_rows = []
     for j in range(p.nfacets):

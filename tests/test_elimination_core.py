@@ -12,8 +12,9 @@ import random
 from fractions import Fraction
 
 from conftest import random_unimodular, workload_items
-from ewaldkit import polytope
+from ewaldkit import intlinalg, polytope
 from ewaldkit.bundles import catalog, monotone_polygon
+from ewaldkit.classify import is_smooth
 from ewaldkit.ewald import ewald_set, strong_ewald, weak_ewald
 from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import (
@@ -201,3 +202,33 @@ def test_parse_makes_at_most_two_rank_calls(monkeypatch):
     monkeypatch.setattr(polytope, "rank", counted)
     parse_polytope(text)
     assert len(calls) <= 2, calls
+
+
+def test_a_face_chart_takes_one_hermite_form(monkeypatch):
+    # face_slice reads its direction lattice, the independence of its facets
+    # and its integer origin off one hermite_normal_form, and runs no rank
+    calls = []
+    hnf, rank = intlinalg.hermite_normal_form, polytope.rank
+
+    def counted_hnf(m):
+        calls.append("hermite_normal_form")
+        return hnf(m)
+
+    def counted_rank(m):
+        calls.append("rank")
+        return rank(m)
+
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", counted_hnf)
+    monkeypatch.setattr(polytope, "rank", counted_rank)
+    charts = 0
+    for name, p in catalog().items():
+        if not (is_smooth(p)[0] and p.is_lattice()):
+            continue
+        for codim in range(1, p.dim + 1):
+            for face in p.faces(codim):
+                for inset in (0, 1):
+                    calls.clear()
+                    polytope.face_slice(p, face, inset)
+                    assert calls == ["hermite_normal_form"], (name, face, inset, calls)
+                    charts += 1
+    assert charts == 1792

@@ -44,10 +44,11 @@ from lattice_oracles import brute_ewald, dot_tight_masks
 
 def _cases():
     """The catalog, its GL(n, Z) images, translates (some with an empty
-    E(P)), rational offsets and dilates; products; DP3, DP5 and the 16-cell;
-    polygons whose first vertex has |det| = 2 (|x| + |y| <= 1 and its
-    triple) or 5 (T_2), so that their frames append the unit rows; and
-    dimensions 0 and 1."""
+    E(P)), rational offsets and dilates; products; DP3 and DP5, whose
+    frames take the unimodular pivot rows of their non-simple first vertex;
+    the 16-cell (|det| 8 there) and polygons whose first vertex has
+    |det| = 2 (|x| + |y| <= 1 and its triple) or 5 (T_2), so that their
+    frames append the unit rows; and dimensions 0 and 1."""
     rng = random.Random(20261018)
     for name, p in catalog().items():
         yield name, p
@@ -133,7 +134,7 @@ def _build(p, monkeypatch):
 
 
 def test_table_matches_dot_products_and_brute_force(monkeypatch):
-    empty = unit_frames = mixed = det_two = 0
+    empty = unit_frames = pivot_frames = mixed = det_two = 0
     for label, p in _cases():
         # |E(P)| before any listing is counted, and lists nothing
         fresh = _fresh(p)
@@ -157,11 +158,13 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         assert counts["leaves"] == (len(want) + 1) // 2, label
         assert counts["mat_vec"] == 0, label
         empty += not want
-        unit_frames += len(_slab_frame(q)[0]) > q.nfacets
+        unit = len(_slab_frame(q)[0]) > q.nfacets
+        unit_frames += unit
+        pivot_frames += not unit and not q.is_simple()
         integral = {isinstance(c, int) for c in q.offsets}
         mixed += len(integral) == 2
         det_two += _first_cone_det(q) == 2
-    assert empty == 16 and unit_frames >= 18 and mixed >= 15 and det_two == 6
+    assert empty == 16 and unit_frames >= 12 and pivot_frames >= 6 and mixed >= 15 and det_two == 6
 
 
 def test_the_conditions_walk_the_table_a_bounded_number_of_times(monkeypatch):

@@ -97,3 +97,44 @@ def test_every_private_helper_is_read():
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             trees[module[:-3]] = ast.parse(fh.read(), module)
     assert _unread_helpers(trees) == []
+
+
+def _function_imports(trees):
+    """(module, line, sibling, cycle) for each relative import made inside a
+    function of the modules (module name -> tree): cycle tells whether the
+    sibling imports the module back at module level, directly or through
+    other modules' module-level imports."""
+    graph = {
+        module: {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
+        for module, tree in trees.items()
+    }
+
+    def reaches(start, goal):
+        seen, stack = set(), [start]
+        while stack:
+            module = stack.pop()
+            if module == goal:
+                return True
+            if module not in seen:
+                seen.add(module)
+                stack.extend(graph.get(module, ()))
+        return False
+
+    found = []
+    for module, tree in trees.items():
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node not in top:
+                found.append((module, node.lineno, node.module, reaches(node.module, module)))
+    return sorted(found)
+
+
+def test_a_function_imports_a_sibling_only_to_break_a_cycle():
+    trees = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            trees[module[:-3]] = ast.parse(fh.read(), module)
+    found = _function_imports(trees)
+    # bundles imports displace, so displace reads bundles inside a function
+    assert any(m == "displace" and s == "bundles" for m, _, s, _ in found)
+    assert [(m, line, s) for m, line, s, cycle in found if not cycle] == []

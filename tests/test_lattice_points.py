@@ -2,13 +2,18 @@
 lattice_points and interior_sample_grid) against the box scans it replaced,
 kept in lattice_oracles."""
 
+import io
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 from conftest import random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
+from ewaldkit.cli import main
 from ewaldkit.ewald import ewald_set
-from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
+from ewaldkit.fileio import serialize_polytope
+from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _slab_frame, cartesian_product, dot
 from ewaldkit.probes import interior_sample_grid
 from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice, slab_box_scan
 
@@ -16,6 +21,8 @@ from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_latti
 RATIONAL_POLYGON = HPolytope(
     2, ((-1, -1), (0, 1), (1, -1), (1, 0)), (Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), Fraction(3, 2))
 )
+
+CROSS4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)  # the 16-cell
 
 
 def _cases():
@@ -57,15 +64,51 @@ def test_lattice_points_match_the_box_scans():
 
 
 def test_both_coordinate_choices_are_exercised():
-    # DP3 is not simple and T_2 is simple but not smooth at its first vertex,
-    # so both search in the unit coordinates; smooth inputs use their own rows
-    for p in (del_pezzo(3), nill_triangle(2)):
+    # DP3 and DP5 have more than n rows at their first vertex, whose pivot
+    # rows (_cone_rows) are unimodular, so both search in their own rows;
+    # T_2 (simple, |det| 5 there) and the 16-cell (not simple, |det| 8)
+    # search in the unit coordinates; smooth inputs use their own rows
+    for p in (del_pezzo(3), del_pezzo(5)):
+        rows, coords = _slab_frame(p)
+        assert p.vertex_masks()[0].bit_count() > p.dim
+        assert len(rows) == p.nfacets and tuple(coords) == _cone_rows(p, 0)
+        assert ewald_set(p).points == ewald_box_scan(p)
+    for p in (nill_triangle(2), CROSS4):
         rows, coords = _slab_frame(p)
         assert len(rows) == p.nfacets + p.dim and coords == list(range(p.nfacets, len(rows)))
         assert ewald_set(p).points == ewald_box_scan(p)
     for p in catalog().values():
         rows, coords = _slab_frame(p)
         assert len(rows) == p.nfacets
+
+
+# a GL(5, Z) image of DP5: its bounding box is large, its Ewald set is not
+DP5_IMAGE_ROWS = (
+    (5, 1, 2, -5, -16),
+    (-5, -1, -2, 5, 16),
+    (-4, 2, -2, 3, 10),
+    (4, -2, 2, -3, -10),
+    (2, -1, 1, -1, -6),
+    (-2, 1, -1, 1, 6),
+    (0, 3, 0, -2, -4),
+    (0, -3, 0, 2, 4),
+    (2, 4, 0, -4, -7),
+    (-2, -4, 0, 4, 7),
+    (5, 9, 1, -9, -23),
+    (-5, -9, -1, 9, 23),
+)
+
+
+def test_a_skewed_non_simple_input_searches_in_its_own_rows(monkeypatch, capsys):
+    # in the unit coordinates its bounding box made the count run out of
+    # memory and the listing take tens of seconds
+    q = HPolytope(5, DP5_IMAGE_ROWS, (1,) * 12)
+    assert len(_slab_frame(q)[0]) == 12
+    fresh = HPolytope(5, DP5_IMAGE_ROWS, (1,) * 12)
+    assert len(ewald_set(q)) == len(ewald_set(fresh).points) == len(ewald_set(del_pezzo(5))) == 141
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_polytope(q, "dp5_image")))
+    assert main(["check", "-", "--skip-neat"]) == 0
+    assert "|E(P)| = 141" in capsys.readouterr().out.splitlines()
 
 
 def _random_slab_system(rng):
