@@ -14,7 +14,7 @@ from math import comb, factorial, lcm
 
 from .bundles import small_fiber_bundle, ssb
 from .classify import is_monotone
-from .ewald import _facet_columns, ewald_set
+from .ewald import _ewald_listing
 from .intlinalg import det
 from .polytope import HPolytope, _face_facets, _row_masks
 
@@ -93,9 +93,9 @@ def facet_ewald_split(p: HPolytope, facet: int) -> FacetEwaldSplit:
         raise ValueError("facet splits are defined for monotone polytopes")
     if not 0 <= facet < p.nfacets:
         raise ValueError("invalid facet index")
-    on, opp = _facet_columns(p)
+    order, on, opp = _ewald_listing(p)
     plus, minus = on[facet].bit_count(), opp[facet].bit_count()
-    return FacetEwaldSplit(plus, len(ewald_set(p)) - plus - minus, minus)
+    return FacetEwaldSplit(plus, len(order) - plus - minus, minus)
 
 
 def small_bundle_split_recursion_check(base: HPolytope, facet: int, n: int) -> bool:

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from math import prod
 
 from .classify import _require_lattice_smooth
+from .ewald import _ewald_search
 from .polytope import (
     HPolytope,
     Slice,
     _facet_rows,
-    _lattice_search,
     _margins,
-    _slab_frame,
     _vertex_chart,
     enumerate_vertices,
     face_slice,
@@ -259,20 +258,15 @@ def _class_representative(reduction, b) -> tuple:
     return tuple(rep)
 
 
-@per_polytope
-def _class_search(p: HPolytope):
-    """The lattice search that decides a class x = 0 does not answer, built
-    at the first such class.  p is smooth, so it reads p's own rows in the
-    coordinates of its first vertex cone."""
-    return _lattice_search(*_slab_frame(p), p.offsets)
-
-
 def _class_verdicts(p: HPolytope, reduction):
     """answered(b): whether some integer x answers b, for integer b,
     decided once per class of the pair (b, −b): by x = 0 when the class
-    representative has |b_j| <= c_j on every row, else by one lattice
-    search (_class_search).  x answers b exactly when −x answers −b, so the
-    pair's key is the lesser of its two representatives."""
+    representative has |b_j| <= c_j on every row, else by one run of
+    E(P)'s lattice search (ewald._ewald_search) centred at it: p is lattice
+    smooth, so E(P) is {x : |u_j·x| <= c_j} on p's own rows, and its search
+    is the system |u_j·x − b_j| <= c_j at d = b.  x answers b exactly when
+    −x answers −b, so the pair's key is the lesser of its two
+    representatives."""
     offsets, known = p.offsets, {}
 
     def answered(b):
@@ -282,7 +276,7 @@ def _class_verdicts(p: HPolytope, reduction):
             key = neg
         verdict = known.get(key)
         if verdict is None:
-            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or _class_search(p)(
+            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or _ewald_search(p)[0](
                 key, lambda x, e: True
             )
         return verdict

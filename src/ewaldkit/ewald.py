@@ -55,7 +55,7 @@ def _ewald_search(p: HPolytope):
     with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab system on
     _slab_frame(p); a unit row of that frame is bounded by min(max, −min) of
     its values at the vertices, as E(P) ⊂ P ∩ −P.  Built once per polytope,
-    for the listing and the count alike."""
+    for the listing, the count and the neat classes of displace alike."""
     rows, coords = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
     for u in rows[p.nfacets:]:
@@ -65,19 +65,25 @@ def _ewald_search(p: HPolytope):
 
 
 @per_polytope
-def _tight_masks(p: HPolytope) -> tuple:
-    """One entry (λ, t, tn) per λ ∈ E(P) in scan order, built once per
-    polytope by one lattice search: t has bit i set when facet i is tight at
-    λ, tn when it is tight at −λ.  EwaldSet lists E(P) from this table, and
-    _facet_columns transposes it for the Ewald conditions.
+def _ewald_listing(p: HPolytope) -> tuple:
+    """(order, on, opp): E(P) in scan order and its facet columns, built
+    once per polytope by one lattice search and one transpose.  Bit k of
+    on[i] is set when facet i is tight at order[k], and bit k of opp[i] when
+    it is tight at −order[k].  EwaldSet lists E(P) from order, and the
+    strong, star and FS checks and counting.facet_ewald_split read the
+    columns, so none of them walks E(P) per face.
 
     The system of _ewald_search is symmetric, so the search visits one point
-    of each pair ±λ and reads the facet masks off the leaf residuals,
-    e[j] = −u_j·λ.  Only an integral c_j can be tight.  Each entry carries
-    its max-norm from the leaf, so the table sorts as plain tuples into the
-    order of scan_key.
+    of each pair ±λ and reads λ's mask t | tn << m off the leaf residuals,
+    e[j] = −u_j·λ: t has bit j set when facet j is tight at λ, tn when it is
+    tight at −λ, and −λ takes tn | t << m.  Only an
+    integral c_j can be tight.  Each entry carries its max-norm from the
+    leaf, so the entries sort as plain tuples into the order of scan_key,
+    and one polytope._row_vertex_masks over their masks (2m rows) gives
+    both sets of columns.
     """
     search, centre, _ = _ewald_search(p)
+    m = p.nfacets
     tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
 
@@ -89,16 +95,19 @@ def _tight_masks(p: HPolytope) -> tuple:
             if e[j] == c:
                 tn |= bit
         norm = max(map(abs, lam), default=0)
-        table.append((norm, lam, t, tn))
+        table.append((norm, lam, t | tn << m))
         if norm:
-            table.append((norm, tuple(map(neg, lam)), tn, t))
+            table.append((norm, tuple(map(neg, lam)), tn | t << m))
 
     search(centre, visit, halfspace=True)
     table.sort()  # λ are distinct, so no two entries tie on (norm, λ)
-    return tuple([entry[1:] for entry in table])
+    order, masks = tuple([lam for _, lam, _ in table]), [mask for _, _, mask in table]
+    table.clear()  # before the transpose, where the listing's memory peaks
+    cols = _row_vertex_masks(masks, 2 * m)
+    return order, tuple(cols[:m]), tuple(cols[m:])
 
 
-_LISTED = (_tight_masks.__wrapped__, ())  # where a polytope caches its table
+_LISTED = (_ewald_listing.__wrapped__, ())  # where a polytope caches its listing
 
 
 @per_polytope
@@ -110,22 +119,18 @@ def _ewald_count(p: HPolytope) -> int:
 
 
 @per_polytope
-def _scan_order(p: HPolytope) -> tuple:
-    return tuple([lam for lam, _, _ in _tight_masks(p)])
-
-
-@per_polytope
 def _point_set(p: HPolytope) -> frozenset:
-    return frozenset(_scan_order(p))
+    return frozenset(_ewald_listing(p)[0])
 
 
 class EwaldSet:
-    """E(P) of one polytope, as a view.  Its size is the length of the table
-    of _tight_masks once that is built, and the count of _ewald_count
-    otherwise, so reading |E(P)| lists nothing; the points, their scan order
-    and membership list E(P) the first time one of them is read.  The view
-    is not cached: held in the polytope's cache, it would make a reference
-    cycle that keeps every polytope alive until the next collection."""
+    """E(P) of one polytope, as a view.  Its size is the length of the
+    listing of _ewald_listing once that is built, and the count of
+    _ewald_count otherwise, so reading |E(P)| lists nothing; the points,
+    their scan order and membership list E(P) the first time one of them is
+    read.  The view is not cached: held in the polytope's cache, it would
+    make a reference cycle that keeps every polytope alive until the next
+    collection."""
 
     __slots__ = ("_p",)
 
@@ -136,15 +141,21 @@ class EwaldSet:
     def dim(self) -> int:
         return self._p.dim
 
+    @property
+    def size(self) -> int:
+        """|E(P)|, an int of any size; len() raises OverflowError above
+        sys.maxsize."""
+        listed = self._p._cache.get(_LISTED)
+        return len(listed[0]) if listed is not None else _ewald_count(self._p)
+
     def __len__(self):
-        table = self._p._cache.get(_LISTED)
-        return len(table) if table is not None else _ewald_count(self._p)
+        return self.size
 
     def __contains__(self, x):
         return tuple(x) in self.points
 
     def __repr__(self):
-        return "EwaldSet(dim=%d, size=%d)" % (self.dim, len(self))
+        return "EwaldSet(dim=%d, size=%d)" % (self.dim, self.size)
 
     @property
     def points(self) -> frozenset:
@@ -153,21 +164,8 @@ class EwaldSet:
     def ordered(self) -> tuple:
         """Deterministic scan order, intlinalg.scan_key: max-norm ascending,
         then lexicographic, as one half-space lattice search and one sort
-        build it in _tight_masks."""
-        return _scan_order(self._p)
-
-
-@per_polytope
-def _facet_columns(p: HPolytope) -> tuple:
-    """(on, opp): the table of _tight_masks transposed, once per polytope.
-    Bit k of on[i] is set when facet i is tight at the k-th λ of E(P)'s scan
-    order, and bit k of opp[i] when facet i is tight at −λ.  The strong,
-    star and FS checks and counting.facet_ewald_split read these columns, so
-    none of them walks the table per face.  One polytope._row_vertex_masks
-    over the combined masks t | tn << m (2m rows) transposes both halves."""
-    m = p.nfacets
-    cols = _row_vertex_masks([t | tn << m for _, t, tn in _tight_masks(p)], 2 * m)
-    return tuple(cols[:m]), tuple(cols[m:])
+        build it in _ewald_listing."""
+        return _ewald_listing(self._p)[0]
 
 
 def cube_normalization(p: HPolytope):
@@ -215,9 +213,9 @@ def strong_ewald(p: HPolytope) -> StrongEwaldResult:
     λ of the facet's column in E(P)'s scan order.  Only a facet at height 1
     is searched."""
     _require_origin_interior(p)
-    order = ewald_set(p).ordered()
+    order, on, _ = _ewald_listing(p)
     bases = []
-    for i, col in enumerate(_facet_columns(p)[0]):
+    for i, col in enumerate(on):
         # u_F is primitive, so a unimodular G has u_F as its first column; n
         # points of F stacked as rows Λ give Λ·G the first column c_F·(1, …, 1),
         # so c_F divides det Λ and only a facet with c_F = 1 holds a basis
@@ -284,7 +282,7 @@ def _star_step(state, on, opp):
 def _star_witnesses(p: HPolytope, face: int) -> int:
     """The scan positions of the λ ∈ E(P) at which exactly one facet of the
     facet mask face is tight and none is tight at −λ, as a bitset."""
-    on, opp = _facet_columns(p)
+    _, on, opp = _ewald_listing(p)
     state = (0, 0)
     for i in _bits(face):
         state = _star_step(state, on[i], opp[i])
@@ -313,7 +311,7 @@ def star_ewald(p: HPolytope):
     failing face becomes a FaceRef."""
     _require_origin_interior(p)
     _require_simple(p)
-    on, opp = _facet_columns(p)
+    _, on, opp = _ewald_listing(p)
     limit, failed = [p.dim], None
     states = [(0, 0)] * (p.dim + 1)
     for codim, face, _, j in _walk_faces(p, limit):
@@ -327,7 +325,7 @@ def fs_property(p: HPolytope) -> bool:
     """Every facet meets E(P).  Defined for monotone polytopes."""
     if not is_monotone(p):
         raise ValueError("FS property is defined for monotone polytopes")
-    return all(_facet_columns(p)[0])
+    return all(_ewald_listing(p)[1])
 
 
 def nill2d_basis(p: HPolytope):

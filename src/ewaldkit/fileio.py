@@ -206,7 +206,7 @@ def analyze_polytope(
         result["ewald_conditions"] = "skipped: origin not interior"
     # after the conditions, which list E(P): its size is then read off that
     # listing, and counted without one only where nothing lists it
-    result["ewald_count"] = len(ewald_set(p))
+    result["ewald_count"] = ewald_set(p).size
     if run_neat and rep.smooth and rep.lattice:
         verdict = is_neat(p, radius)
         result["neat"] = {
@@ -224,7 +224,7 @@ def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when E(P) has more than
     MAX_EWALD_POINTS points: the check before a caller lists E(P).  Only a
     search box above the limit is counted, and the count lists nothing."""
-    count = len(ewald_set(p)) if not allow_large and _ewald_search(p)[2] > MAX_EWALD_POINTS else 0
+    count = ewald_set(p).size if not allow_large and _ewald_search(p)[2] > MAX_EWALD_POINTS else 0
     if count > MAX_EWALD_POINTS:
         raise ValueError(
             "E(P) has %d points, above the listing limit of %d; pass --allow-large to override"

@@ -563,8 +563,8 @@ def enumerate_vertices(dim, normals, offsets):
 def _row_vertex_masks(masks, nrows):
     """Per row, the mask of the vertices it is tight on (bit k for the k-th
     of the given vertex masks): the incidence read from the row side.  Any
-    list of row masks transposes the same way, as E(P)'s table does in
-    ewald._facet_columns.  Mask k fills bits [k·w, (k+1)·w) of one int, with
+    list of row masks transposes the same way, as E(P)'s masks do in
+    ewald._ewald_listing.  Mask k fills bits [k·w, (k+1)·w) of one int, with
     w = 8·⌈nrows/8⌉, so in its binary digits, read from the top, row i is
     every w-th digit from w − 1 − i: linear in the size of the table."""
     if not masks:
@@ -681,9 +681,11 @@ def _lattice_search(rows, coords, half):
 
     search(d) without visit returns the number of those points, exactly and
     without listing them: the listing's level tables walked on a copy of the
-    residuals, with the completions below a level memoized on its live
-    residuals (the key below) and the last level's range counted as
-    last − first + 1.
+    residuals.  A level is flat when z_k moves no row read deeper, as the
+    last level always is: each value of z_k then has the same completions,
+    so the level counts last − first + 1 times them, walking no range.  The
+    completions at every other level are memoized on its live residuals
+    (the key below).
 
     Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
     coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
@@ -726,6 +728,8 @@ def _lattice_search(rows, coords, half):
     live = [()] * (n + 1)  # live[k]: the rows read at level k or below, the count's memo key there
     for k in range(n - 1, -1, -1):
         live[k] = tuple(sorted({j for j, _, _ in levels[k]}.union(live[k + 1])))
+    # level k is flat when z_k moves no row read deeper, as the last level
+    flat = [not {j for j, _ in moves[k]}.intersection(live[k + 1]) for k in range(n)]
 
     def span(k, bounds, e):
         """z_k's range: the box, narrowed by every (i, w_j[k], reach[k+1])
@@ -746,21 +750,22 @@ def _lattice_search(rows, coords, half):
         memo = [{} for _ in range(n)]
 
         def completions(k, e):
-            first, last = span(k, levels[k], e)
-            if first > last:
-                return 0
-            if k == n - 1:
-                return last - first + 1
-            total, seen, keyed = 0, memo[k + 1], live[k + 1]
-            for v in range(first, last + 1):
-                nxt = e[:]
-                for j, a in moves[k]:
-                    nxt[j] -= a * v
-                key = tuple([nxt[j] for j in keyed])
-                got = seen.get(key)
-                if got is None:
-                    got = seen[key] = completions(k + 1, nxt)
-                total += got
+            if k == n:
+                return 1
+            if flat[k]:  # every value of z_k has the completions of e
+                first, last = span(k, levels[k], e)
+                return (last - first + 1) * completions(k + 1, e) if first <= last else 0
+            key = tuple([e[j] for j in live[k]])
+            total = memo[k].get(key)
+            if total is None:
+                first, last = span(k, levels[k], e)
+                total = 0
+                for v in range(first, last + 1):
+                    nxt = e[:]
+                    for j, a in moves[k]:
+                        nxt[j] -= a * v
+                    total += completions(k + 1, nxt)
+                memo[k][key] = total
             return total
 
         found = completions(0, e)
@@ -779,7 +784,7 @@ def _lattice_search(rows, coords, half):
             if abs(e[j]) > reach:
                 return 0 if visit is None else False  # the only test of a row with w = 0 (dim 0)
         if visit is None:
-            return count(e) if n else 1
+            return count(e)
         if n == 0:
             return bool(visit((), e))
 

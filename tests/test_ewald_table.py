@@ -1,12 +1,13 @@
-"""The table of E(P) and its facet masks (ewald._tight_masks), built by one
-half-space lattice search, against the dot-product build it replaced and the
-brute-force E(P), both kept in lattice_oracles; its per-facet columns
-(ewald._facet_columns), the one view of it the Ewald conditions read; and the
+"""The listing of E(P) with its facet columns (ewald._ewald_listing), built
+by one half-space lattice search and one transpose, against the dot-product
+facet masks and the brute-force E(P), both kept in lattice_oracles; and the
 count of E(P) that len(ewald_set(p)) reads where nothing lists E(P)."""
 
 import gc
 import io
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -29,8 +30,7 @@ from ewaldkit.cli import main
 from ewaldkit.counting import ewald_count_simplex, ewald_count_ssb, facet_ewald_split
 from ewaldkit.ewald import (
     _LISTED,
-    _facet_columns,
-    _tight_masks,
+    _ewald_listing,
     ewald_set,
     fs_property,
     star_ewald,
@@ -40,6 +40,8 @@ from ewaldkit.fileio import analyze_polytope, serialize_polytope
 from ewaldkit.intlinalg import mat_vec
 from ewaldkit.polytope import HPolytope, _first_cone_det, _lattice_search, _slab_frame, cartesian_product
 from lattice_oracles import brute_ewald, dot_tight_masks
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _cases():
@@ -104,8 +106,8 @@ _COUNTED = (ewald._ewald_count.__wrapped__, ())  # where a polytope caches its c
 
 
 def _build(p, monkeypatch):
-    """The table of a fresh copy of p, with the number of leaves its search
-    visited and of mat_vec calls it made."""
+    """The listing of a fresh copy of p, with the number of leaves its
+    search visited and of mat_vec calls it made."""
     counts = {"leaves": 0, "mat_vec": 0}
 
     def counted_search(*args):
@@ -128,9 +130,9 @@ def _build(p, monkeypatch):
     for module in (ewald, intlinalg):
         monkeypatch.setattr(module, "mat_vec", counted_mat_vec)
     q = _fresh(p)
-    table = _tight_masks(q)
+    listing = _ewald_listing(q)
     monkeypatch.undo()
-    return q, table, counts
+    return q, listing, counts
 
 
 def test_table_matches_dot_products_and_brute_force(monkeypatch):
@@ -140,14 +142,14 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         fresh = _fresh(p)
         size = len(ewald_set(fresh))
         assert _LISTED not in fresh._cache, label
-        q, table, counts = _build(p, monkeypatch)
+        q, (order, on, opp), counts = _build(p, monkeypatch)
         want = brute_ewald(q)
         assert size == len(want) == len(ewald_set(q)) and _COUNTED not in q._cache, label
-        assert table == dot_tight_masks(q, want), label
+        table = dot_tight_masks(q, want)
+        assert order == tuple(lam for lam, _, _ in table), label
         e = ewald_set(q)
-        assert e.points == want and e.ordered() == tuple(lam for lam, _, _ in table), label
-        # the columns are the table's masks transposed
-        on, opp = _facet_columns(q)
+        assert e.points == want and e.ordered() == order, label
+        # the columns are the dot-product masks transposed
         for k, (_, t, tn) in enumerate(table):
             assert t == sum(1 << i for i, col in enumerate(on) if col >> k & 1), label
             assert tn == sum(1 << i for i, col in enumerate(opp) if col >> k & 1), label
@@ -168,22 +170,22 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
 
 
 def test_the_conditions_walk_the_table_a_bounded_number_of_times(monkeypatch):
-    walks = []
+    runs, transposes = _runs(monkeypatch), []
+    transpose = ewald._row_vertex_masks
 
-    class Counted(tuple):
-        def __iter__(self):
-            walks.append(1)
-            return super().__iter__()
+    def counted(masks, nrows):
+        transposes.append(nrows)
+        return transpose(masks, nrows)
 
-    table = ewald._tight_masks
-    monkeypatch.setattr(ewald, "_tight_masks", lambda p: Counted(table(p)))
+    monkeypatch.setattr(ewald, "_row_vertex_masks", counted)
     p = cube(4)
     q = HPolytope(p.dim, p.normals, p.offsets)  # a fresh copy: nothing cached
     assert strong_ewald(q).ok and star_ewald(q) == (True, None) and fs_property(q)
     splits = [facet_ewald_split(q, i) for i in range(q.nfacets)]
     assert splits == [splits[0]] * q.nfacets
-    # ewald_set and _facet_columns walk it once each; star alone checks 80 faces
-    assert len(walks) <= 2 < sum(len(q.faces(c)) for c in range(1, q.dim + 1))
+    # one listing of E(P) and one transpose of it; star alone checks 80 faces
+    assert runs == ["list"] and transposes == [2 * q.nfacets]
+    assert len(runs) + len(transposes) < sum(len(q.faces(c)) for c in range(1, q.dim + 1))
 
 
 def test_a_count_keys_its_memo_on_the_live_rows_and_frees_it():
@@ -208,6 +210,56 @@ def test_a_count_keys_its_memo_on_the_live_rows_and_frees_it():
     assert peak - before < 32_000 and after - before < 1_000
 
 
+def test_a_count_memoizes_only_levels_that_are_not_flat():
+    # the triangle x, y >= -c, x + y <= c, searched in the rows of its
+    # vertex (-c, -c): z_0 moves the row x + y, which level 1 reads, so
+    # level 0 walks its 2c + 1 values; level 1 is flat, and each of them
+    # costs one span and no memo key, where a key per value would hold
+    # some 30 MB
+    c = 10**5
+    p = HPolytope(2, [(-1, 0), (0, -1), (1, 1)], [c, c, c])
+    ewald._ewald_search(p)  # the search's own tables, built before the count
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        size = ewald_set(p).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert size == 3 * c * c + 3 * c + 1  # the hexagon |x|, |y|, |x + y| <= c
+    assert peak - before < 100_000
+
+
+def test_a_box_counts_without_walking_its_ranges():
+    # every level of a box is flat, in its own rows and in a GL(3, Z) image:
+    # the count reads no value of any coordinate, and a walk of 2c + 1
+    # values would not end before the timeout
+    c = 10**15
+    script = (
+        "from ewaldkit.bundles import cube\n"
+        "from ewaldkit.ewald import ewald_set\n"
+        "from ewaldkit.polytope import HPolytope\n"
+        "box = HPolytope(3, cube(3).normals, [%d] * 6)\n"
+        "image = box.transform(((1, 2, 0), (0, 1, 1), (1, 2, 1)))\n"
+        "print(ewald_set(box).size, ewald_set(image).size)\n" % c
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert run.stdout.split() == [str((2 * c + 1) ** 3)] * 2, run.stderr
+    square = "dim 2\nfacets 4\n1 0 {0}\n-1 0 {0}\n0 1 {0}\n0 -1 {0}\n".format(c)
+    cli = "import sys\nfrom ewaldkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    run = subprocess.run(
+        [sys.executable, "-c", cli, "check", "-", "--skip-neat"],
+        input=square, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "error: E(P) has %d points, above the listing limit of 200000; pass --allow-large to override\n" % (
+        2 * c + 1
+    ) ** 2
+
+
 def test_reading_e_p_leaves_no_reference_to_the_polytope():
     # a cache entry that referred back to its polytope would make a cycle
     # that only the cyclic collector frees
@@ -222,7 +274,7 @@ def test_exact_counts_that_no_listing_reaches(monkeypatch):
     def unlisted(p):
         raise AssertionError("E(P) was listed")
 
-    monkeypatch.setattr(ewald, "_tight_masks", unlisted)
+    monkeypatch.setattr(ewald, "_ewald_listing", unlisted)
     sizes = [len(ewald_set(monotone_simplex(n))) for n in range(1, 25)]
     assert sizes == [ewald_count_simplex(n) for n in range(1, 25)]
     assert sizes[-1] == 82_176_836_301
@@ -232,15 +284,18 @@ def test_exact_counts_that_no_listing_reaches(monkeypatch):
 
 
 def _runs(monkeypatch):
-    """'list' or 'count' for every run of E(P)'s lattice search from now on."""
+    """'list' or 'count' for every run of E(P)'s lattice search from now on
+    that lists or counts E(P): the search also answers neat classes, and
+    those runs are not recorded."""
     runs = []
 
     def recorded(*frame):
         search = _lattice_search(*frame)
 
-        def run(d, visit=None, **kwargs):
-            runs.append("count" if visit is None else "list")
-            return search(d, visit, **kwargs)
+        def run(d, visit=None, halfspace=False):
+            if visit is None or halfspace:
+                runs.append("count" if visit is None else "list")
+            return search(d, visit, halfspace)
 
         return run
 

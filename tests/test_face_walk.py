@@ -10,8 +10,9 @@ import incidence_oracles as oracle
 from conftest import random_unimodular
 from ewaldkit import ewald
 from ewaldkit.bundles import catalog, cube, monotone_polygon
-from ewaldkit.ewald import _tight_masks, star_ewald
+from ewaldkit.ewald import ewald_set, star_ewald
 from ewaldkit.polytope import _WIDE, FaceRef, _bits, _row_vertex_masks, _walk_faces, cartesian_product
+from lattice_oracles import dot_tight_masks
 
 
 def test_the_walk_yields_every_face_once_in_face_order():
@@ -51,7 +52,7 @@ def test_star_reports_the_first_failure_by_codimension_then_order(monkeypatch):
     # meets (0, 2) before (4,), and the per-codimension scan reports (4,).
     p = cube(3)
     on = (1, 1 << 2, 1, 1 << 4, 0, 1 << 6)
-    monkeypatch.setattr(ewald, "_facet_columns", lambda q: (on, (0,) * 6))
+    monkeypatch.setattr(ewald, "_ewald_listing", lambda q: ((), on, (0,) * 6))
     assert not ewald._star_witnesses(p, 0b101)
     assert ewald._star_witnesses(p, 0b1) and ewald._star_witnesses(p, 0b100)
     walked = [facets for _, facets, _, _ in _walk_faces(p, [3])]
@@ -72,7 +73,7 @@ def _tables():
         yield [rng.getrandbits(nrows) for _ in range(rng.randint(1, 300))], nrows
     p = cube(9)
     m = p.nfacets
-    yield [t | tn << m for _, t, tn in _tight_masks(p)], 2 * m
+    yield [t | tn << m for _, t, tn in dot_tight_masks(p, ewald_set(p).points)], 2 * m
 
 
 def test_the_transpose_matches_the_per_bit_loop():

@@ -11,6 +11,7 @@ from conftest import random_unimodular
 from ewaldkit import polytope
 from ewaldkit.bundles import catalog, cube, monotone_simplex, paffenholz_p6, ssb
 from ewaldkit.cli import main
+from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import (
     analyze_polytope,
     ingest_database,
@@ -388,6 +389,33 @@ def test_cli_refuses_an_oversized_ewald_listing_before_any_work(tmp_path, monkey
         "c2.poly",
         "refused: E(P) has 9 points, above the listing limit of 8; pass --allow-large to override",
     ]
+
+
+def test_a_size_above_sys_maxsize_is_reported_exactly(tmp_path, capsys):
+    # len() cannot return a size above sys.maxsize; EwaldSet.size can, and
+    # the limit and the report read it
+    big = 10**19
+    strip = "dim 2\nfacets 4\n1 0 3\n-1 0 3\n0 1 {0}\n0 -1 {0}\n".format(big)
+    e = ewald_set(parse_polytope(strip).polytope)
+    assert e.size == 7 * (2 * big + 1) > sys.maxsize
+    assert repr(e) == "EwaldSet(dim=2, size=140000000000000000007)"
+    with pytest.raises(OverflowError):
+        len(e)
+    refused = "E(P) has 140000000000000000007 points, above the listing limit of 200000; pass --allow-large to override"
+    for argv in (["check", "-"], ["ewald", "-"]):
+        code, out, err = run_cli(argv, stdin_text=strip, capsys=capsys)
+        assert code == 2 and out == "" and err == "error: %s\n" % refused, argv
+    # the origin on a facet: nothing lists E(P), so no limit applies
+    edge = "dim 2\nfacets 4\n1 0 {0}\n-1 0 0\n0 1 {0}\n0 -1 {0}\n".format(big)
+    code, out, _ = run_cli(["check", "-", "--skip-neat"], stdin_text=edge, capsys=capsys)
+    assert code == 0 and "|E(P)| = 20000000000000000001\n" in out
+    # batch refuses the strip with the reason, and analyzes the other file
+    (tmp_path / "edge.poly").write_text(edge)
+    (tmp_path / "strip.poly").write_text(strip)
+    code, out, _ = run_cli(["batch", str(tmp_path), "--json"], capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and [r["ewald_count"] for r in doc["reports"]] == [2 * big + 1]
+    assert doc["excluded"] == [["edge.poly", "not monotone"], ["strip.poly", "refused: " + refused]]
 
 
 def test_cli_probe_crosscheck_without_point(capsys):

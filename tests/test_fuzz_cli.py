@@ -51,6 +51,9 @@ SPECIAL = (
     "dim 2\nvertices 3\n0 0\n1 0 0\n0 1\n",
     # headers repeated, or after the rows
     *HEADER_ORDER,
+    # |E(P)| above sys.maxsize: a strip, refused, and a box with the origin on a facet
+    "dim 2\nfacets 4\n1 0 3\n-1 0 3\n0 1 {0}\n0 -1 {0}\n".format(10**19),
+    "dim 2\nfacets 4\n1 0 {0}\n-1 0 0\n0 1 {0}\n0 -1 {0}\n".format(10**19),
 )
 
 

@@ -2,7 +2,9 @@
 re-exported through its __all__: an import nothing reads is dead code."""
 
 import ast
+import importlib
 import os
+import sys
 
 import pytest
 
@@ -138,3 +140,21 @@ def test_a_function_imports_a_sibling_only_to_break_a_cycle():
     # bundles imports displace, so displace reads bundles inside a function
     assert any(m == "displace" and s == "bundles" for m, _, s, _ in found)
     assert [(m, line, s) for m, line, s, cycle in found if not cycle] == []
+
+
+def test_fileio_binds_every_call_the_benchmark_traces():
+    # perfbench's traced run wraps fileio's binding of each name in its
+    # FILEIO_CALLS, read here with ast so that perfbench is not imported
+    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "FILEIO_CALLS" for t in node.targets)
+    ]
+    fileio = importlib.import_module("ewaldkit.fileio")
+    assert names and all(hasattr(fileio, name) for name in names)
+    for name in names:
+        fn = getattr(fileio, name)
+        assert fn.__name__ == name and getattr(sys.modules[fn.__module__], name) is fn, name

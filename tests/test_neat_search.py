@@ -162,9 +162,8 @@ def _coefficient_types(grouped):
 
 def _counted_searches(monkeypatch):
     """The centres of every lattice search is_neat runs from now on."""
-    # ewaldkit rebinds the name ewaldkit.displace to the function displace,
-    # so the module is reached through sys.modules
-    module = sys.modules["ewaldkit.displace"]
+    # is_neat's classes run E(P)'s lattice search, built in ewald
+    module = sys.modules["ewaldkit.ewald"]
     searches = []
 
     def counting(*frame):

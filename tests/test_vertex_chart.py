@@ -146,9 +146,9 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
     # origin, and the search runs
     calls, searches = [], []
     real = intlinalg.scaled_inverse
-    # ewaldkit rebinds the name ewaldkit.displace to the function displace
-    displace = sys.modules["ewaldkit.displace"]
-    real_search = displace._lattice_search
+    # is_neat's classes run E(P)'s lattice search, built in ewald
+    ewald = sys.modules["ewaldkit.ewald"]
+    real_search = ewald._lattice_search
 
     def spy(m):
         calls.append(m)
@@ -162,7 +162,7 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
     moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
     monkeypatch.setattr(intlinalg, "scaled_inverse", spy)
     monkeypatch.setattr(polytope, "scaled_inverse", spy)
-    monkeypatch.setattr(displace, "_lattice_search", counting)
+    monkeypatch.setattr(ewald, "_lattice_search", counting)
     for r in (1, None):
         assert not is_neat(q, r).is_counterexample
     classify(q)
