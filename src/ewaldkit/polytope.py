@@ -17,6 +17,7 @@ from .intlinalg import (
     _integer_row,
     _integer_solutions,
     _reduce,
+    det,
     inverse_unimodular,
     primitive_part,
     rank,
@@ -174,8 +175,8 @@ def _cone_rows(p, vi: int) -> tuple:
 @per_polytope
 def _first_cone_det(p) -> int:
     """|det A_S| for the rows S = _cone_rows(p, 0) of vertex 0: the one
-    scaled_inverse that the vertex cones take."""
-    return abs(scaled_inverse([p.normals[i] for i in _cone_rows(p, 0)])[0])
+    determinant that the vertex cones take."""
+    return abs(det([p.normals[i] for i in _cone_rows(p, 0)]))
 
 
 @per_polytope
@@ -326,7 +327,7 @@ class HPolytope:
             if dim > 0:
                 if not any(row):
                     raise ValueError("zero normal row")
-                if primitive_part(row) != row:
+                if gcd(*row) != 1:
                     raise ValueError("normal row %r is not primitive" % (row,))
         self.dim = dim
         self.normals = normals
@@ -472,30 +473,33 @@ def _extreme_rays(rows, d):
     """Extreme rays of the pointed cone {y : r·y <= 0 for every integer row r}.
 
     Double description (Motzkin; Fukuda-Prodon 1996): start from the simplicial
-    cone of the first d independent rows (the pivot columns of one _reduce of
-    the transposed rows) and cut it by the others in input order, joining two
-    rays on opposite sides when they are adjacent: they share at least d - 2
-    tight rows and no third ray is tight on all of them.
+    cone of the first d independent rows R_B and cut it by the others in input
+    order, joining two rays on opposite sides when they are adjacent: they
+    share at least d - 2 tight rows and no third ray is tight on all of them.
+    One _reduce of [R^T | I_d] gives the first cone: its pivot columns are B,
+    and its row operations turn the identity block into q·R_B^-T, whose row
+    i, times -sign(q), is the ray tight on every basis row but the i-th.
     Returns (primitive ray, mask) pairs, bit i of mask set iff row i is tight
     on the ray; raises ValueError when the rows have rank below d.
     """
-    basis, _, _ = _reduce([list(col) for col in zip(*rows)], len(rows))
+    m = len(rows)
+    aug = [[row[k] for row in rows] + [int(k == j) for j in range(d)] for k in range(d)]
+    basis, q, _ = _reduce(aug, m)
     if len(basis) < d:
         raise ValueError("cone is not pointed")
     every = sum(1 << i for i in basis)
-    # the ray tight on every basis row but bj is -A^-1 e_j, with A^-1 = e / q
-    q, e = scaled_inverse([rows[i] for i in basis])
-    s = -1 if q > 0 else 1
     rays = []
-    for j, bj in enumerate(basis):
-        rays.append((primitive_part([s * row[j] for row in e]), every ^ (1 << bj)))
+    for bi, row in zip(basis, aug):
+        y = row[m:]
+        g = -gcd(*y) if q > 0 else gcd(*y)  # the primitive part, times -sign(q)
+        rays.append((tuple(x // g for x in y), every ^ (1 << bi)))
     for i, a in enumerate(rows):
-        if i in basis:
+        if every >> i & 1:
             continue
         bit = 1 << i
         pos, neg, kept = [], [], []
         for y, z in rays:
-            s = dot(a, y)
+            s = sum(map(mul, a, y))
             if s > 0:
                 pos.append((s, y, z))
             else:
@@ -509,7 +513,8 @@ def _extreme_rays(rows, d):
                 if common.bit_count() < d - 2 or sum(z & common == common for z in masks) > 2:
                     continue
                 y = [sp * b - sn * c for b, c in zip(yn, yp)]  # a·y = 0
-                kept.append((primitive_part(y), common | bit))
+                g = gcd(*y)
+                kept.append((tuple(x // g for x in y), common | bit))
         rays = kept
     return rays
 
@@ -552,7 +557,10 @@ def enumerate_vertices(dim, normals, offsets):
         if den == 0:
             recedes = True
             continue
-        x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y[:-1])
+        if den == 1:
+            x = y[:-1]
+        else:
+            x = tuple(v // den if v % den == 0 else Fraction(v, den) for v in y[:-1])
         found[x] = mask >> 1
     if recedes and found:
         raise ValueError("unbounded inequality system")
@@ -609,7 +617,8 @@ def irredundant_rows(dim, normals, offsets):
     are not a facet description.  The polytope keeps the facet rows in input
     order and arrives with its vertex cache filled: the vertices are
     enumerated once, with duplicate normals collapsed to the binding offset,
-    and their tight-row masks are re-indexed to the kept rows.  Dropping
+    and their tight-row masks are kept as they are, or re-indexed to the kept
+    rows when one of the collapsed rows is not a facet.  Dropping
     redundant rows leaves a bounded full-dimensional polytope unchanged, so
     when full_dim holds the cache equals a fresh enumeration and validate()
     passes.
@@ -634,11 +643,11 @@ def irredundant_rows(dim, normals, offsets):
     p = HPolytope(
         dim, [normals[keep_idx[j]] for j in final], [offsets[keep_idx[j]] for j in final]
     )
-    new_index = {j: k for k, j in enumerate(final)}
     p._cache["vertices"] = verts
-    p._cache["tights"] = tuple(
-        sum(1 << new_index[j] for j in _bits(t) if j in new_index) for t in masks
-    )
+    if len(final) < len(keep_idx):
+        new_index = {j: k for k, j in enumerate(final)}
+        masks = tuple(sum(1 << new_index[j] for j in _bits(t) if j in new_index) for t in masks)
+    p._cache["tights"] = masks
     final_set = {keep_idx[j] for j in final}
     dropped = tuple(i for i in range(len(normals)) if i not in final_set)
     return p, dropped, full_dim

@@ -8,6 +8,7 @@ particular solution, the row-by-row rank loop, and the unimodular-basis
 search that re-ran a transpose echelon on every partial basis.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -185,6 +186,60 @@ def test_extreme_rays_basis_matches_rank_loop(monkeypatch):
             assert len(first_independent_rows(rows, d)) < d
             continue
         assert picked[0] == first_independent_rows(rows, d)
+
+
+def test_first_cone_takes_one_reduce_and_no_inverse(monkeypatch):
+    # _extreme_rays reads its basis and its first cone off one _reduce of
+    # [R^T | I]; the first cone equals the former construction, the columns
+    # of -R_B^-1 from scaled_inverse, and every ray is primitive, in the
+    # cone and tight on exactly its mask's rows.  _first_cone_det reads det.
+    rng = random.Random(47)
+    want = []
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        rows = planted_rows(rng, rng.randint(1, 9), d)
+        basis = first_independent_rows(rows, d)
+        first = None
+        if len(basis) == d:
+            q, e = scaled_inverse([rows[i] for i in basis])
+            first = [intlinalg.primitive_part([-q * x for x in col]) for col in zip(*e)]
+        want.append((d, rows, basis, first))
+    catalog_cones = []
+    for p in catalog().values():
+        s = polytope._cone_rows(p, 0)
+        catalog_cones.append((p, abs(scaled_inverse([p.normals[i] for i in s])[0])))
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(polytope, "_reduce", spy(polytope, "_reduce"))
+    monkeypatch.setattr(polytope, "scaled_inverse", spy(polytope, "scaled_inverse"))
+    monkeypatch.setattr(intlinalg, "scaled_inverse", spy(intlinalg, "scaled_inverse"))
+    pointed = 0
+    for d, rows, basis, first in want:
+        calls.clear()
+        try:
+            rays = polytope._extreme_rays(rows, d)
+        except ValueError:
+            assert first is None and calls == ["_reduce"]
+            continue
+        assert calls == ["_reduce"]
+        pointed += 1
+        for y, mask in rays:
+            assert math.gcd(*y) == 1
+            dots = [polytope.dot(r, y) for r in rows]
+            assert max(dots) <= 0 and mask == sum(1 << i for i, x in enumerate(dots) if x == 0)
+        calls.clear()
+        assert [y for y, _ in polytope._extreme_rays([rows[i] for i in basis], d)] == first
+        assert calls == ["_reduce"]
+    assert pointed > 100
+    calls.clear()
+    for p, want_det in catalog_cones:
+        p = polytope.HPolytope(p.dim, p.normals, p.offsets)
+        assert polytope._first_cone_det(p) == want_det
+    assert "scaled_inverse" not in calls
 
 
 def test_parse_makes_at_most_two_rank_calls(monkeypatch):

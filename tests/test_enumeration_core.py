@@ -201,6 +201,28 @@ def test_random_systems_match_subset_scans():
     assert flat >= 5, flat  # nonempty and lower-dimensional
 
 
+def test_irredundant_rows_cache_a_fresh_enumeration_of_the_kept_rows():
+    # the parse keeps the vertices and masks of its one enumeration: as they
+    # are when every distinct normal stays, re-indexed to the kept rows when
+    # one drops (a duplicate normal is collapsed before the enumeration)
+    rng = random.Random(20261019)
+    seen = {"reindexed": 0, "as_is": 0}
+    for _ in range(3000):
+        dim = rng.randint(1, 4)
+        normals, offsets = random_system(rng, dim)
+        try:
+            p, dropped, full_dim = irredundant_rows(dim, normals, offsets)
+        except ValueError:  # unbounded or empty
+            continue
+        if not full_dim:
+            continue
+        seen["reindexed" if p.nfacets < len(set(normals)) else "as_is"] += 1
+        fresh = enumerate_vertices(p.dim, p.normals, p.offsets)
+        assert (p._cache["vertices"], p._cache["tights"]) == fresh, (normals, offsets)
+        p.validate()
+    assert min(seen.values()) >= 30, seen
+
+
 def test_random_point_hulls_match_subset_scan():
     rng = random.Random(7)
     seen_flat = 0

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -69,6 +70,17 @@ def test_vertices_errors():
         HPolytope(2, square[:2] + ((1, 1),) + square[2:], (1, 1, 3, 1, 1)).validate()
     with pytest.raises(ValueError):
         HPolytope(2, ((1, 0), (-1, 0)), (1, -2)).vertices()  # empty
+
+
+def test_non_primitive_normals_are_refused_by_their_gcd():
+    # a normal row is primitive iff the gcd of its entries is 1, whatever
+    # their signs and zeros
+    for row in ((0, -2, 4), (3, 0, 0), (-6, 9), (-2,), (4, -6, 0, 2)):
+        message = r"normal row %s is not primitive" % re.escape(repr(row))
+        with pytest.raises(ValueError, match=message):
+            HPolytope(len(row), (row,), (1,))
+    for row in ((0, -1, 0), (2, 3), (-1,), (6, -10, 15)):
+        assert HPolytope(len(row), (row,), (1,)).normals == (row,)
 
 
 def test_facet_description_examples():

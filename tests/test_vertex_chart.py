@@ -138,21 +138,20 @@ def test_propagated_determinants_match_the_fraction_oracle():
     ids=["cube4", "ssb43", "dp4", "paffenholz"],
 )
 def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
-    # after a parse, classify and is_neat together take one inverse for all
-    # the vertex cones (vertex 0's, carried along the edge graph), and one
-    # more, the lattice search's frame, only when a class runs a search.
-    # x = 0 answers every b of a monotone polytope (on P6 it leaves a class
-    # box of 15 open, and answers each class); moved by 2·e_1 it misses the
-    # origin, and the search runs
+    # after a parse, classify and is_neat together take one determinant for
+    # all the vertex cones (vertex 0's, carried along the edge graph) and no
+    # inverse; the one scaled_inverse is the lattice search's frame, taken
+    # only when a class runs a search.  x = 0 answers every b of a monotone
+    # polytope (on P6 it leaves a class box of 15 open, and answers each
+    # class); moved by 2·e_1 it misses the origin, and the search runs
     calls, searches = [], []
-    real = intlinalg.scaled_inverse
     # is_neat's classes run E(P)'s lattice search, built in ewald
     ewald = sys.modules["ewaldkit.ewald"]
     real_search = ewald._lattice_search
 
-    def spy(m):
-        calls.append(m)
-        return real(m)
+    def spy(name):
+        real = getattr(intlinalg, name)
+        return lambda m: calls.append(name) or real(m)
 
     def counting(*frame):
         search = real_search(*frame)
@@ -160,18 +159,20 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
 
     q = parse_polytope(serialize_polytope(p)).polytope
     moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
-    monkeypatch.setattr(intlinalg, "scaled_inverse", spy)
-    monkeypatch.setattr(polytope, "scaled_inverse", spy)
+    for name in ("scaled_inverse", "det"):
+        wrapped = spy(name)
+        monkeypatch.setattr(intlinalg, name, wrapped)
+        monkeypatch.setattr(polytope, name, wrapped)
     monkeypatch.setattr(ewald, "_lattice_search", counting)
     for r in (1, None):
         assert not is_neat(q, r).is_counterexample
     classify(q)
-    assert not searches and len(calls) == 1
+    assert not searches and calls == ["det"]
     calls.clear()
     for r in (1, None):
         assert is_neat(moved, r).is_counterexample
     classify(moved)
-    assert searches and len(calls) == 2
+    assert searches and calls == ["det", "scaled_inverse"]
     for name in ("classify", "displace", "ewald"):
         module = importlib.import_module("ewaldkit." + name)
         assert not any(hasattr(module, f) for f in ("scaled_inverse", "_reduce", "det"))
