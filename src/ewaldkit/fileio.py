@@ -223,12 +223,18 @@ def analyze_polytope(
 def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when E(P) has more than
     MAX_EWALD_POINTS points: the check before a caller lists E(P).  Only a
-    search box above the limit is counted, and the count lists nothing."""
-    count = ewald_set(p).size if not allow_large and _ewald_search(p)[2] > MAX_EWALD_POINTS else 0
+    search box above the limit is counted, and the count lists nothing.  It
+    stops at its first running total above the limit, a lower bound of
+    |E(P)|, so the refusal is exact and the message says "at least" where
+    the count stopped."""
+    if allow_large:
+        return
+    search, centre, box = _ewald_search(p)
+    count, ended = search(centre, cap=MAX_EWALD_POINTS) if box > MAX_EWALD_POINTS else (0, True)
     if count > MAX_EWALD_POINTS:
         raise ValueError(
-            "E(P) has %d points, above the listing limit of %d; pass --allow-large to override"
-            % (count, MAX_EWALD_POINTS)
+            "E(P) has %s%d points, above the listing limit of %d; pass --allow-large to override"
+            % ("" if ended else "at least ", count, MAX_EWALD_POINTS)
         )
 
 

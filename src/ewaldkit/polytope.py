@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import ceil, floor, gcd, lcm
-from operator import mul
+from itertools import chain, repeat
+from math import ceil, floor, gcd, inf, lcm
+from operator import mul, sub
 
 from .intlinalg import (
     _integer_row,
@@ -131,9 +132,24 @@ def _ratio(x, y):
 @per_polytope
 def _margins(p) -> tuple:
     """The margin table: per vertex v, in vertices() order, the margin
-    c_j − u_j·v of every row j in row order, 0 exactly on v's tight rows."""
-    rows = tuple(zip(p.normals, p.offsets))
-    return tuple(tuple(_exact(c - sum(map(mul, u, v))) for u, c in rows) for v in p.vertices())
+    c_j − u_j·v of every row j in row order, 0 exactly on v's tight rows:
+    an int where it is integral, else a Fraction.  Each row's margins at
+    every vertex take C-level passes over the vertices' coordinate columns,
+    one per nonzero entry of the row; where every offset and coordinate is
+    an int, so is every margin, and no entry is normalized."""
+    verts = p.vertices()
+    cols = tuple(zip(*verts))
+    rows = []
+    for u, c in zip(p.normals, p.offsets):
+        margins = repeat(c, len(verts))
+        for a, col in zip(u, cols):
+            if a:
+                margins = map(sub, margins, map(mul, col, repeat(a)))
+        rows.append(margins)
+    table = zip(*rows) if rows else repeat((), len(verts))
+    if set(map(type, chain(p.offsets, *cols))) <= {int}:
+        return tuple(table)
+    return tuple(tuple(map(_exact, margins)) for margins in table)
 
 
 @per_polytope
@@ -671,6 +687,10 @@ def _slab_frame(p: HPolytope):
     return rows, list(range(m, m + n))
 
 
+class _Passed(Exception):
+    """A capped count of _lattice_search passed its cap."""
+
+
 def _lattice_search(rows, coords, half):
     """The one lattice-point enumerator: depth-first search over a slab
     system with per-level bounds (Fincke–Pohst, Math. Comp. 44, 1985;
@@ -694,7 +714,13 @@ def _lattice_search(rows, coords, half):
     last level always is: each value of z_k then has the same completions,
     so the level counts last − first + 1 times them, walking no range.  The
     completions at every other level are memoized on its live residuals
-    (the key below).
+    (the key below).  search(d, cap=c) counts the same way, and stops a
+    walk at the first running total above c: every point is tallied once,
+    by a leaf, a memo hit or the copies of a flat level, so each running
+    total is a lower bound of the count.  It returns (count, True) where
+    the count ends, and (that running total, False) where it stops.  A
+    count that walks no level ends, as nothing there takes more than one
+    step.
 
     Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
     coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
@@ -755,45 +781,59 @@ def _lattice_search(rows, coords, half):
                 break
         return first, last
 
-    def count(e):
+    def count(e, cap):
         memo = [{} for _ in range(n)]
+        seen = 0  # the running total: every point is tallied once
 
         def completions(k, e):
+            nonlocal seen
             if k == n:
+                seen += 1
                 return 1
             if flat[k]:  # every value of z_k has the completions of e
                 first, last = span(k, levels[k], e)
-                return (last - first + 1) * completions(k + 1, e) if first <= last else 0
+                if first > last:
+                    return 0
+                found = completions(k + 1, e)
+                seen += (last - first) * found  # the copies beyond the one tallied below
+                return (last - first + 1) * found
             key = tuple([e[j] for j in live[k]])
             total = memo[k].get(key)
-            if total is None:
-                first, last = span(k, levels[k], e)
-                total = 0
-                for v in range(first, last + 1):
-                    nxt = e[:]
-                    for j, a in moves[k]:
-                        nxt[j] -= a * v
-                    total += completions(k + 1, nxt)
-                memo[k][key] = total
+            if total is not None:
+                seen += total
+                return total
+            first, last = span(k, levels[k], e)
+            total = 0
+            for v in range(first, last + 1):
+                nxt = e[:]
+                for j, a in moves[k]:
+                    nxt[j] -= a * v
+                total += completions(k + 1, nxt)
+                if seen > cap:  # only a walk takes more than one step
+                    raise _Passed
+            memo[k][key] = total
             return total
 
-        found = completions(0, e)
+        try:
+            found = completions(0, e), True
+        except _Passed:
+            found = seen, False
         del completions  # a closure over itself: free the memo now
         return found
 
-    def search(d, visit=None, halfspace=False):
-        if empty:
-            return 0 if visit is None else False
+    def search(d, visit=None, halfspace=False, cap=None):
         base = [d[i] for i in coords]
         e = list(d)  # e_j = d_j − w_j·base: 0 on the coordinate rows
         for moved, b in zip(moves, base):
             for j, a in moved:
                 e[j] -= a * b
-        for j, reach in slabs:
-            if abs(e[j]) > reach:
-                return 0 if visit is None else False  # the only test of a row with w = 0 (dim 0)
+        # the only test of a row with w = 0 (dim 0)
+        feasible = not empty and all(abs(e[j]) <= reach for j, reach in slabs)
         if visit is None:
-            return count(e)
+            found, ended = count(e, inf if cap is None else cap) if feasible else (0, True)
+            return found if cap is None else (found, ended)
+        if not feasible:
+            return False
         if n == 0:
             return bool(visit((), e))
 
@@ -824,9 +864,11 @@ def _lattice_search(rows, coords, half):
     return search
 
 
-def _slab_points(p: HPolytope, upper, scale=1) -> list:
-    """Every integer x with u_j·x <= upper_j on the rows of p, given that
-    each such x lies in scale·P.
+def _slab_search(p: HPolytope, upper, scale=1):
+    """(search, centre): the lattice search over every integer x with
+    u_j·x <= upper_j on the rows of p, given that each such x lies in
+    scale·P, and the centre to search it at.  search(centre, visit) lists
+    those x (_slab_points), and search(centre) counts them.
 
     The lower bounds, and both bounds of a unit row of _slab_frame, are
     implied by the vertices of scale·P.  A lower bound moves down by one
@@ -843,7 +885,13 @@ def _slab_points(p: HPolytope, upper, scale=1) -> list:
         lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
-    search = _lattice_search(rows, coords, half)
+    return _lattice_search(rows, coords, half), centre
+
+
+def _slab_points(p: HPolytope, upper, scale=1) -> list:
+    """Every integer x with u_j·x <= upper_j on the rows of p, given that
+    each such x lies in scale·P, in the order of its lattice search."""
+    search, centre = _slab_search(p, upper, scale)
     points = []
     search(centre, lambda x, e: points.append(x))  # None: never stops
     return points
@@ -956,18 +1004,34 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
     """Instance test of the lattice-point decomposition identity.
 
     True iff every lattice point of p + q splits as a lattice point of p
-    plus a lattice point of q (brute force over both point sets).
+    plus a lattice point of q.  Every such sum lies in p + q, so the sums
+    cover (p + q) ∩ Z^n exactly when they are as many as its lattice
+    points, which the count of its lattice search gives with no listing.
+    The sums are ints: a point x of p packs in mixed radix as the digits
+    x_i − lo_i over p's bounding box, and likewise for q, where digit i has
+    room for both spans, so the packed sum of x and y packs x + y with no
+    carry.
     """
     if not (p.is_lattice() and q.is_lattice()):
         raise ValueError("both polytopes must have integer vertices")
-    lp = p.lattice_points()
-    lq = q.lattice_points()
-    sums = {tuple(a + b for a, b in zip(x, y)) for x in lp for y in lq}
+    (plo, phi), (qlo, qhi) = p.bounding_box(), q.bounding_box()
+    radix, place = [], 1
+    for a, b, c, d in zip(plo, phi, qlo, qhi):
+        radix.append(place)
+        place *= b - a + d - c + 1
+
+    def packed(points, lo):
+        return [sum(map(mul, map(sub, x, lo), radix)) for x in points]
+
+    keys, sums = packed(q.lattice_points(), qlo), set()
+    for k in packed(p.lattice_points(), plo):
+        sums.update(map(k.__add__, keys))
     hull = convex_hull(
         {tuple(a + b for a, b in zip(x, y)) for x in p.vertices() for y in q.vertices()},
         p.dim,
     )
-    return all(pt in sums for pt in hull.lattice_points())
+    search, centre = _slab_search(hull, hull.offsets)
+    return len(sums) == search(centre)
 
 
 def cartesian_product(p: HPolytope, q: HPolytope) -> HPolytope:

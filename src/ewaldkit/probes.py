@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product, repeat
 from math import ceil, lcm
+from operator import add, eq, mul
 
 from .ewald import star_ewald
 from .classify import is_monotone
@@ -64,17 +65,80 @@ def _directions(n, bound) -> tuple:
     return tuple(sorted(box, key=scan_key))
 
 
+@cache
+def _direction_columns(n, bound) -> tuple:
+    """The coordinate columns of _directions(n, bound): column t holds
+    coordinate t of every direction, in _directions order."""
+    return tuple(zip(*_directions(n, bound)))
+
+
+def _row_values(u, cols, size) -> list:
+    """u·λ for every direction λ of the columns cols (size of them): one
+    C-level pass per nonzero coordinate of u, no dot per direction."""
+    values = repeat(0, size)
+    for c, col in zip(u, cols):
+        if c:
+            values = map(add, values, map(mul, col, repeat(c)))
+    return list(values)
+
+
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _positions_mask(flags) -> int:
+    """The mask with bit k set iff the k-th flag is true (flags nonempty)."""
+    return int(bytes(flags).translate(_DIGIT)[::-1], 2)
+
+
 @per_polytope
 def _probe_directions(p: HPolytope, bound: int) -> tuple:
-    """Per facet F, the pairs (λ, (u_j·λ)_j) over the directions λ with
-    u_F·λ = −1, in _directions order; built once per polytope and bound."""
-    table = [[] for _ in p.normals]
-    for lam in _directions(p.dim, bound):
-        a = tuple(dot(nj, lam) for nj in p.normals)
-        for fi, af in enumerate(a):
-            if af == -1:
-                table[fi].append((lam, a))
-    return tuple(map(tuple, table))
+    """Per facet F, (lams, every, rows): the directions λ with u_F·λ = −1 in
+    _directions order, the mask of all their positions, and per other row j
+    whose u_j·λ is not 0 on all of them, (j, masks) with masks[k] the
+    positions whose |u_j·λ| <= k, for k below the largest.  Built once per
+    polytope and bound from the cached direction columns."""
+    dirs = _directions(p.dim, bound)
+    cols, size = _direction_columns(p.dim, bound), len(dirs)
+    values = [_row_values(u, cols, size) for u in p.normals]
+    table = []
+    for f, vf in enumerate(values):
+        at = list(compress(range(size), map(eq, vf, repeat(-1))))
+        if not at:
+            table.append(((), 0, ()))
+            continue
+        rows = []
+        for j, vj in enumerate(values):
+            if j == f:
+                continue
+            sizes = list(map(abs, map(vj.__getitem__, at)))
+            taken, masks, mask = set(sizes), [], 0
+            for k in range(max(sizes)):
+                if k in taken:  # else the mask of k − 1 holds
+                    mask = _positions_mask(map(k.__ge__, sizes))
+                masks.append(mask)
+            if masks:
+                rows.append((j, tuple(masks)))
+        table.append((tuple(map(dirs.__getitem__, at)), (1 << len(at)) - 1, tuple(rows)))
+    return tuple(table)
+
+
+def _first_probe(table, slack):
+    """(F, λ) of the first probe (facets by index, then _directions order)
+    from a point whose scaled slacks c_j − u_j·u are the positive ints
+    slack, or None.  With t = −slack_F, the probe through F along λ accepts
+    iff slack_F·|u_j·λ| < slack_j, that is |u_j·λ| <= (slack_j − 1) //
+    slack_F, on every row j ≠ F: the AND of one threshold mask per row."""
+    for f, (lams, hits, rows) in enumerate(table):
+        st = slack[f]
+        for j, masks in rows:
+            k = (slack[j] - 1) // st
+            if k < len(masks):
+                hits &= masks[k]
+                if not hits:
+                    break
+        if hits:
+            return f, lams[(hits & -hits).bit_length() - 1]
+    return None
 
 
 def _scaled(x, scale: int) -> int:
@@ -92,40 +156,41 @@ def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
     With u_j·w = u_j·u + t·a_j and u_j·(2u − w) = u_j·u − t·a_j for
     a_j = u_j·λ, both hold iff u_j·u + |t·a_j| < b_j for every j ≠ F.  The
     tests run on integers: u, t and b are scaled by their common
-    denominator.
+    denominator, and _first_probe reads them as threshold masks.
     """
     if len(u) != p.dim:
         raise ValueError("probe point of length %d in dimension %d" % (len(u), p.dim))
     u = tuple(Fraction(x) for x in u)
     scale = lcm(*(x.denominator for x in u + p.offsets))
     su = [_scaled(x, scale) for x in u]
-    nu = [dot(nj, su) for nj in p.normals]
-    sc = [_scaled(c, scale) for c in p.offsets]
-    if not all(a < c for a, c in zip(nu, sc)):
+    slack = [_scaled(c, scale) - dot(nj, su) for nj, c in zip(p.normals, p.offsets)]
+    if not all(s > 0 for s in slack):
         raise ValueError("probe base point must be strictly interior")
-    rows = tuple(enumerate(zip(nu, sc)))
-    for fi, pairs in enumerate(_probe_directions(p, bound)):
-        st = sc[fi] - nu[fi]  # scale·|t|
-        for lam, a in pairs:
-            if all(j == fi or v + st * abs(aj) < c for (j, (v, c)), aj in zip(rows, a)):
-                w = tuple(Fraction(x - st * l, scale) for x, l in zip(su, lam))
-                exit_t = min(
-                    Fraction(c - v + st * aj, scale * aj) for (_, (v, c)), aj in zip(rows, a) if aj > 0
-                )
-                end = tuple(x + exit_t * l for x, l in zip(w, lam))
-                return Probe(fi, lam, w, end)
-    return None
+    found = _first_probe(_probe_directions(p, bound), slack)
+    if found is None:
+        return None
+    fi, lam = found
+    st = slack[fi]  # scale·|t|
+    w = tuple(Fraction(x - st * l, scale) for x, l in zip(su, lam))
+    a = [dot(nj, lam) for nj in p.normals]
+    exit_t = min(Fraction(s + st * aj, scale * aj) for s, aj in zip(slack, a) if aj > 0)
+    end = tuple(x + exit_t * l for x, l in zip(w, lam))
+    return Probe(fi, lam, w, end)
+
+
+def _sample_points(p: HPolytope, samples: int) -> list:
+    """The integer q of interior_sample_grid, in lexicographic order."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    upper = [ceil(c * samples) - 1 for c in p.offsets]
+    return sorted(q for q in _slab_points(p, upper, samples) if any(q))
 
 
 def interior_sample_grid(p: HPolytope, samples: int):
     """Deterministic rational grid: points q/samples strictly inside P,
     the origin excluded, in lexicographic order.  Strictly inside reads
     u_j·q <= ⌈c_j·samples⌉ − 1 on every row, for integer q."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    upper = [ceil(c * samples) - 1 for c in p.offsets]
-    grid = sorted(q for q in _slab_points(p, upper, samples) if any(q))
-    return tuple(tuple(Fraction(x, samples) for x in q) for q in grid)
+    return tuple(tuple(Fraction(x, samples) for x in q) for q in _sample_points(p, samples))
 
 
 @dataclass(frozen=True)
@@ -153,19 +218,23 @@ def star_probe_crosscheck(p: HPolytope, samples: int, bound: int) -> ProbeReport
     if not is_monotone(p):
         raise ValueError("cross-check is defined for monotone polytopes")
     star, _ = star_ewald(p)
-    grid = interior_sample_grid(p, samples)
-    bad = []
-    good = 0
-    for pt in grid:
-        if displaceable_by_probe(p, pt, bound) is not None:
-            good += 1
-        else:
-            bad.append(pt)
+    grid = _sample_points(p, samples)
+    table = _probe_directions(p, bound)
+    # the point q / samples on integers scaled by scale = lcm(samples, offset
+    # denominators): slack_j = scale·c_j − (scale / samples)·u_j·q
+    scale = lcm(samples, *(c.denominator for c in p.offsets))
+    step = scale // samples
+    offsets = [_scaled(c, scale) for c in p.offsets]
+    bad = [
+        q
+        for q in grid
+        if _first_probe(table, [c - step * sum(map(mul, u, q)) for u, c in zip(p.normals, offsets)]) is None
+    ]
     return ProbeReport(
         star_ewald=star,
         samples=samples,
         bound=bound,
         total=len(grid),
-        displaceable=good,
-        undisplaceable_points=tuple(bad),
+        displaceable=len(grid) - len(bad),
+        undisplaceable_points=tuple(tuple(Fraction(x, samples) for x in q) for q in bad),
     )

@@ -5,7 +5,9 @@ Each scan walks a whole box point by point: the 3^n cube of the vertex
 normalization or the bounding box of P ∩ −P for E(P), the bounding box of P
 for lattice_points, and the box of samples·P, widened by one, for the probe
 grid.  The facet masks of E(P) are kept as they were built before the
-search read them off its leaves: one dot product per point and row.
+search read them off its leaves: one dot product per point and row.  The
+Oda check is kept as it was before it compared counts: every pairwise sum
+as a tuple, against the listed lattice points of the hull of P + Q.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from math import ceil, floor
 
 from ewaldkit.ewald import cube_normalization
 from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key
-from ewaldkit.polytope import dot
+from ewaldkit.polytope import convex_hull, dot
 
 
 def _symmetric(p, x):
@@ -104,3 +106,11 @@ def dot_tight_masks(p, points):
                 tn |= 1 << i
         table.append((lam, t, tn))
     return tuple(table)
+
+
+def oda_pairwise_sums(p, q):
+    """oda_instance_check by brute force: every lattice point of the hull of
+    the vertex sums is a sum of a lattice point of p and one of q."""
+    sums = {tuple(a + b for a, b in zip(x, y)) for x in p.lattice_points() for y in q.lattice_points()}
+    hull = convex_hull({tuple(a + b for a, b in zip(x, y)) for x in p.vertices() for y in q.vertices()}, p.dim)
+    return all(pt in sums for pt in hull.lattice_points())

@@ -260,6 +260,59 @@ def test_a_box_counts_without_walking_its_ranges():
     ) ** 2
 
 
+def _simplex(n, c):
+    """x_i >= −c, x_1 + ... + x_n <= c: the triangle at n = 2."""
+    rows = [tuple(-int(i == k) for k in range(n)) for i in range(n)] + [(1,) * n]
+    return HPolytope(n, rows, [c] * (n + 1))
+
+
+def test_the_limit_stops_the_count_at_its_first_total_above_it():
+    # the triangle searched in the rows of its vertex (−c, −c): level 0
+    # walks 2c + 1 values, and the first one's c + 1 completions pass the
+    # limit, so the count stops there; EwaldSet.size still walks them all
+    c = 10**9
+    triangle = "dim 2\nfacets 3\n-1 0 {0}\n0 -1 {0}\n1 1 {0}\n".format(c)
+    cli = "import sys\nfrom ewaldkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", cli, "check", "-", "--skip-neat"],
+        input=triangle, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (
+        "error: E(P) has at least %d points, above the listing limit of 200000; pass --allow-large to override\n"
+        % (c + 1)
+    )
+    for c in (10**3, 10**6):
+        assert ewald_set(_simplex(2, c)).size == 3 * c * c + 3 * c + 1
+
+
+def test_values_without_completions_do_not_dominate_a_capped_count(monkeypatch):
+    # a walk also takes the values of z_k that have no completion, which add
+    # nothing to the running total; on simplices and their GL(n, Z) images
+    # they stay few, so a capped count walks under a thousand values at any c
+    polytope = sys.modules["ewaldkit.polytope"]
+    steps = [0]
+
+    def counted(*args):
+        for v in range(*args):
+            steps[0] += 1
+            yield v
+
+    rng = random.Random(20261019)
+    for c in (10**3, 10**6, 10**9):
+        for n in (2, 3, 4):
+            p = _simplex(n, c)
+            for q in (p, p.transform(random_unimodular(rng, n))):
+                search, centre, _ = ewald._ewald_search(q)
+                monkeypatch.setattr(polytope, "range", counted, raising=False)
+                steps[0] = 0
+                found, ended = search(centre, cap=200_000)
+                monkeypatch.undo()
+                assert found > 200_000 and not ended
+                assert steps[0] < 1000, (n, c, steps[0])
+
+
 def test_reading_e_p_leaves_no_reference_to_the_polytope():
     # a cache entry that referred back to its polytope would make a cycle
     # that only the cyclic collector frees

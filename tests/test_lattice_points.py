@@ -169,6 +169,17 @@ def test_the_count_is_the_number_of_visits():
         assert search(d) == len(_visits(search, d)), (rows, d)
 
 
+def test_a_capped_count_is_exact_up_to_its_cap():
+    # above the cap it is a running total: a lower bound, itself above the cap
+    for rows, coords, half, d in _systems():
+        search = _lattice_search(rows, coords, half)
+        total = search(d)
+        assert search(d, cap=total) == (total, True)
+        if total:
+            found, ended = search(d, cap=total - 1)
+            assert found == total if ended else total - 1 < found <= total
+
+
 def test_half_space_search_and_its_mirrors_are_the_full_search():
     for rows, coords, half, _ in _systems():
         search = _lattice_search(rows, coords, half)

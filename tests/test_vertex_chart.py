@@ -17,7 +17,7 @@ from ewaldkit.classify import classify, is_smooth
 from ewaldkit.displace import is_neat
 from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import solve_rational
-from ewaldkit.polytope import HPolytope, _bits, _cone_dets, _vertex_chart, cartesian_product
+from ewaldkit.polytope import HPolytope, _bits, _cone_dets, _margins, _vertex_chart, cartesian_product
 
 intlinalg = importlib.import_module("ewaldkit.intlinalg")
 polytope = importlib.import_module("ewaldkit.polytope")
@@ -99,6 +99,26 @@ def test_vertex_chart_matches_the_fraction_oracle():
             kinds.add(("Fraction margin", any(not isinstance(m, int) for _, m, _ in rows)))
     # every branch of the chart is exercised
     assert all((k, True) in kinds for k, _ in kinds)
+
+
+def _oracle_margin(c, u, v):
+    """c − u·v over Fraction: an int exactly where it is integral."""
+    m = Fraction(c) - sum(Fraction(a) * x for a, x in zip(u, v))
+    return int(m) if m.denominator == 1 else m
+
+
+def test_the_margin_table_keeps_every_entry_and_its_type():
+    cases = _inputs() + [HPolytope(0, (), ())]  # a vertex and no row
+    for p in catalog().values():
+        cases += [p] + [HPolytope(p.dim, p.normals, [k * c for c in p.offsets]) for k in (Fraction(3, 2), Fraction(1, 3))]
+    kinds = set()
+    for p in cases:
+        got = _margins(p)
+        want = tuple(tuple(_oracle_margin(c, u, v) for u, c in zip(p.normals, p.offsets)) for v in p.vertices())
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+        kinds.add(all(type(m) is int for row in got for m in row))
+    assert kinds == {True, False}
 
 
 def _oracle_smooth(p):
