@@ -18,8 +18,10 @@ from .ewald import _ewald_search
 from .polytope import (
     HPolytope,
     Slice,
+    _edges,
     _facet_rows,
     _margins,
+    _ratio,
     _vertex_chart,
     enumerate_vertices,
     face_slice,
@@ -124,20 +126,48 @@ def _vertex_margin_constraints(p: HPolytope):
     is immediate.
 
     Row j outside S reads c_j + b_j − u_j·x_S(b) = margin_j + b_j +
-    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t;
-    on a simple polytope the charts are read off the margin table and the
-    edge graph, so building the constraints takes no elimination.
-    Each strict margin is stored as (const, ((idx, coeff), ...)) meaning
-    const + sum coeff*b[idx] > 0, each equality on a row of T \\ S as
-    (None, ((idx, coeff), ...)) meaning sum coeff*b[idx] == 0; they are
-    grouped by their largest index.
+    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t:
+    the relation u_j + Σ_t slope_t·u_{s_t} = 0, whose margin is
+    c_j + Σ_t slope_t·c_{s_t}.  Each strict margin is stored as
+    (const, ((idx, coeff), ...)) meaning const + sum coeff*b[idx] > 0, each
+    equality on a row of T \\ S as (None, ((idx, coeff), ...)) meaning
+    sum coeff*b[idx] == 0; they are grouped by their largest index.
+
+    The normal fan of a simple polytope of dimension >= 1 is complete and
+    simplicial, and P_b keeps it exactly when one wall-crossing inequality
+    per wall holds (Chapoton–Fomin–Zelevinsky, Canad. Math. Bull. 45, 2002,
+    Lemma 2.1; Padrol–Pilaud–Poullot, "Deformed graphical zonotopes",
+    2023).  The walls are the edges of p: the edge from v to w, which
+    leaves row s and meets row j, gives v's margin on row j, the other
+    margins being implied.  So each edge is read once, from its lower end,
+    and only row j's slopes are taken there, (M[v][j] − M[w_t][j]) / λ_t
+    on the margin table M and the edge graph as in _vertex_chart, with no
+    elimination.  The n rows at a vertex are independent, so a relation of
+    u_j over rows tight at v is v's own: an edge whose row j has a relation
+    read before with its support among v's tight rows gives that same
+    constraint and is skipped.  Non-simple polytopes and dimension 0 take
+    every vertex's chart rows.
     """
     constraints = set()
-    for vi, tight in enumerate(p.vertex_masks()):
-        s, rows = _vertex_chart(p, vi)
-        for j, margin, slopes in rows:
-            terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
-            constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
+    if p.dim and p.is_simple():
+        margins, edges = _margins(p), _edges(p)
+        supports = [[] for _ in p.normals]  # per row j, the supports of its relations read so far
+        for v, (mv, tight) in enumerate(zip(margins, p.vertex_masks())):
+            ends = None
+            for _, w, j in edges[v]:
+                if w < v or any(r & tight == r for r in supports[j]):
+                    continue
+                if ends is None:
+                    ends = [(s, margins[x], margins[x][s]) for s, x, _ in edges[v]]
+                terms = [(s, a) for s, mw, lam in ends if (a := _ratio(mv[j] - mw[j], lam))]
+                supports[j].append(sum(1 << s for s, _ in terms))
+                constraints.add((mv[j], tuple(sorted(terms + [(j, 1)]))))
+    else:
+        for vi, tight in enumerate(p.vertex_masks()):
+            s, rows = _vertex_chart(p, vi)
+            for j, margin, slopes in rows:
+                terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
+                constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)

@@ -18,7 +18,7 @@ from .polytope import (
     HPolytope,
     _bits,
     _face_vertex_mask,
-    _first_cone_det,
+    _first_cone_columns,
     _lattice_search,
     _require_simple,
     _row_vertex_masks,
@@ -56,12 +56,12 @@ def _ewald_search(p: HPolytope):
     _slab_frame(p); a unit row of that frame is bounded by min(max, −min) of
     its values at the vertices, as E(P) ⊂ P ∩ −P.  Built once per polytope,
     for the listing, the count and the neat classes of displace alike."""
-    rows, coords = _slab_frame(p)
+    rows, coords, cols = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
     for u in rows[p.nfacets:]:
         values = [dot(u, v) for v in p.vertices()]
         half.append(min(floor(max(values)), -ceil(min(values))))
-    return _lattice_search(rows, coords, half), [0] * len(rows), prod(2 * half[i] + 1 for i in coords)
+    return _lattice_search(rows, coords, cols, half), [0] * len(rows), prod(2 * half[i] + 1 for i in coords)
 
 
 @per_polytope
@@ -171,13 +171,14 @@ class EwaldSet:
 def cube_normalization(p: HPolytope):
     """Unimodular M sending the lex-smallest vertex cone to the standard
     corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
-    Unimodularity reads the vertex's determinant (_first_cone_det)."""
+    Unimodularity reads the vertex's edge rays, the columns of its cone's
+    inverse (_first_cone_columns), with no elimination."""
     tight = _bits(p.vertex_masks()[0])
     if len(tight) != p.dim:
         raise ValueError("vertex is not simple")
     if any(p.offsets[i] != 1 for i in tight):
         raise ValueError("vertex facets are not at offset 1")
-    if _first_cone_det(p) != 1:
+    if _first_cone_columns(p) is None:
         raise ValueError("vertex cone is not unimodular")
     return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 

@@ -189,9 +189,46 @@ def _cone_rows(p, vi: int) -> tuple:
 
 
 @per_polytope
+def _cone_inverse(p, vi: int) -> tuple:
+    """(s, d, e) at a vertex vi of a non-simple polytope: its cone rows
+    s = _cone_rows(p, vi) and the scaled inverse (d, e) of A_s, e = d·A_s^-1.
+    The one elimination that the vertex's chart and, at vertex 0, the
+    lattice-search frame read."""
+    s = _cone_rows(p, vi)
+    return (s, *scaled_inverse([p.normals[i] for i in s]))
+
+
+@per_polytope
+def _first_cone_columns(p):
+    """The columns of A_S^-1 for the rows S = _cone_rows(p, 0) of vertex 0,
+    as integer tuples, or None when |det A_S| != 1.
+
+    On a simple polytope column t is −d_t = (v − w_t) / M[w_t][s_t], for the
+    edge ray d_t of A_S d_t = −e_t, which leaves row s_t and ends at w_t:
+    read off the margin table M (_margins) and the edge graph (_edges), in
+    _cone_rows order, with no elimination.  A_S^-1 is integral exactly when
+    |det A_S| = 1, so the cone is unimodular exactly when every column is.
+    At a non-simple vertex 0 the columns are e / d from _cone_inverse."""
+    if p.is_simple():
+        verts, margins = p.vertices(), _margins(p)
+        v, cols = verts[0], []
+        for s, w, _ in _edges(p)[0]:
+            lam, col = margins[w][s], [a - b for a, b in zip(v, verts[w])]
+            if any(x % lam for x in col):
+                return None
+            cols.append(tuple(x // lam for x in col))
+        return tuple(cols)
+    _, d, e = _cone_inverse(p, 0)
+    return tuple(zip(*((d * x for x in row) for row in e))) if d in (1, -1) else None  # 1 / d == d
+
+
+@per_polytope
 def _first_cone_det(p) -> int:
-    """|det A_S| for the rows S = _cone_rows(p, 0) of vertex 0: the one
-    determinant that the vertex cones take."""
+    """|det A_S| for the rows S = _cone_rows(p, 0) of vertex 0: 1 where
+    _first_cone_columns reads the inverse, else one det, the one
+    elimination that the vertex cones of a simple polytope take."""
+    if _first_cone_columns(p) is not None:
+        return 1
     return abs(det([p.normals[i] for i in _cone_rows(p, 0)]))
 
 
@@ -203,7 +240,9 @@ def _cone_dets(p) -> tuple:
     row j, which scales |det| by |u_j·A_{S_v}^-1 e_s| = M[v][j] / M[w][s]
     on the margin table M: u_j·d_s = (M[v][j] − M[w][j]) / M[w][s] for the
     edge ray d_s, and M[w][j] = 0.  So vertex 0's determinant
-    (_first_cone_det), carried along the edge graph, gives every one."""
+    (_first_cone_det), carried along the edge graph, gives every one: 1
+    with no elimination where vertex 0's edge rays are integral, else one
+    det."""
     margins, edges = _margins(p), _edges(p)
     dets = [0] * len(margins)  # 0 until reached: no |det| of n independent rows is 0
     dets[0] = _first_cone_det(p)
@@ -233,7 +272,8 @@ def _vertex_chart(p, vi: int) -> tuple:
     tight row, the edge leaving s_t ends at w_t, d_t = (w_t − v) / λ_t with
     λ_t = M[w_t][s_t], so u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t.  At the
     vertices of a non-simple polytope s is _cone_rows(p, vi), and the
-    slopes come from the scaled inverse (d, e) of A_s, d_t = −e_t / d."""
+    slopes come from the scaled inverse (d, e) of A_s (_cone_inverse),
+    d_t = −e_t / d."""
     margins, tight = _margins(p), p.vertex_masks()[vi]
     mv = margins[vi]
     if p.is_simple():
@@ -246,8 +286,7 @@ def _vertex_chart(p, vi: int) -> tuple:
             if not tight >> j & 1
         )
         return s, rows
-    s = _cone_rows(p, vi)
-    d, e = scaled_inverse([p.normals[i] for i in s])
+    s, d, e = _cone_inverse(p, vi)
     rays = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
     rows = tuple(
         (j, mv[j], tuple(_ratio(sum(map(mul, u, ray)), d) for ray in rays))
@@ -673,31 +712,35 @@ def irredundant_rows(dim, normals, offsets):
 
 
 def _slab_frame(p: HPolytope):
-    """(rows, coords): the rows the lattice-point search reads for p, and the
-    indices of n of them that form a unimodular matrix.  These are the
-    first vertex's cone rows (_cone_rows) when their determinant is ±1
-    (_first_cone_det), as on every smooth polytope and at DP3's and DP5's
+    """(rows, coords, cols): the rows the lattice-point search reads for p,
+    the indices of n of them that form a unimodular matrix A, and the
+    columns of A^-1.  These are the first vertex's cone rows (_cone_rows)
+    with the columns of _first_cone_columns where that vertex's cone is
+    unimodular, as on every smooth polytope and at DP3's and DP5's
     non-simple vertices; otherwise the unit rows e_1, ..., e_n, appended
-    after p's rows and bounded by its bounding box."""
+    after p's rows and bounded by its bounding box, whose A^-1 is the
+    identity."""
     n, m = p.dim, p.nfacets
     rows = list(p.normals)
-    if _first_cone_det(p) == 1:
-        return rows, _cone_rows(p, 0)
-    rows += [tuple(int(i == k) for k in range(n)) for i in range(n)]
-    return rows, list(range(m, m + n))
+    cols = _first_cone_columns(p)
+    if cols is not None:
+        return rows, _cone_rows(p, 0), cols
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return rows + units, list(range(m, m + n)), units
 
 
 class _Passed(Exception):
     """A capped count of _lattice_search passed its cap."""
 
 
-def _lattice_search(rows, coords, half):
+def _lattice_search(rows, coords, cols, half):
     """The one lattice-point enumerator: depth-first search over a slab
     system with per-level bounds (Fincke–Pohst, Math. Comp. 44, 1985;
     Schnorr–Euchner, Math. Programming 66, 1994).
 
     rows are integer vectors u_j, coords the indices of n of them that form a
-    unimodular matrix A, and half the integer half-widths h_j.  Returns
+    unimodular matrix A, cols the n columns of A^-1 (_slab_frame), and half
+    the integer half-widths h_j.  Returns
     search: search(d, visit), for integer centres d, calls visit(x, e) on
     every integer point x with |u_j·x − d_j| <= h_j on every row, until
     visit returns true, and returns whether it did.  x is a tuple, and e a
@@ -740,9 +783,7 @@ def _lattice_search(rows, coords, half):
     already held it to |e_j| <= h_j, and a coordinate row never enters it,
     as the box bounds it.  The memo lives for one count.
     """
-    n, m = len(coords), len(rows)
-    inv = inverse_unimodular([rows[i] for i in coords])
-    cols = tuple(zip(*inv))
+    n = len(coords)
     box = [half[i] for i in coords]
     empty = any(h < 0 for h in half)  # some slab is empty, whatever d is
     slabs, levels = [], [[] for _ in range(n)]  # slabs: (j, reach[0])
@@ -875,7 +916,7 @@ def _slab_search(p: HPolytope, upper, scale=1):
     where that makes lo + hi even, which leaves the point set unchanged and
     every centre an integer.
     """
-    rows, coords = _slab_frame(p)
+    rows, coords, cols = _slab_frame(p)
     upper = list(upper) + [None] * (len(rows) - p.nfacets)
     centre, half = [], []
     for u, hi in zip(rows, upper):
@@ -885,7 +926,7 @@ def _slab_search(p: HPolytope, upper, scale=1):
         lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
-    return _lattice_search(rows, coords, half), centre
+    return _lattice_search(rows, coords, cols, half), centre
 
 
 def _slab_points(p: HPolytope, upper, scale=1) -> list:

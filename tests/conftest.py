@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,9 @@ from ewaldkit.bundles import (
 )
 from ewaldkit.intlinalg import det, mat_mul
 from ewaldkit.polytope import HPolytope
+
+
+CROSS4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)  # the 16-cell: not simple, |det| 8 at vertex 0
 
 
 def random_unimodular(rng, n, steps=6, shear_max=2):

@@ -72,6 +72,13 @@ def product_grid(p, samples):
     return tuple(out)
 
 
+def frame_columns(rows, coords):
+    """The columns of A^-1 for the unimodular matrix A of the rows at coords,
+    as _lattice_search reads them, from one inverse_unimodular: the frame
+    of a slab system built by hand."""
+    return tuple(zip(*inverse_unimodular([rows[i] for i in coords])))
+
+
 def slab_box_scan(rows, coords, half, d):
     """The integer x with |u_j·x − d_j| <= h_j on every row, from the box
     that the coordinate rows put around y = A x, A the unimodular matrix of

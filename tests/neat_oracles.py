@@ -1,6 +1,6 @@
 """The neatness search as ewaldkit ran it before the slab form, kept as a
 differential-test reference, the margin constraints as it built them with a
-Fraction per coefficient, and the fan test "P_b keeps P's fan" decided by
+Fraction per coefficient at every vertex and row, and the fan test "P_b keeps P's fan" decided by
 vertex enumeration, as it was before the margin constraints covered
 non-simple polytopes and bundle slices.
 
@@ -15,7 +15,7 @@ from itertools import product
 from math import ceil, floor
 
 from ewaldkit.displace import displace, normally_isomorphic_displacements
-from ewaldkit.intlinalg import inverse_unimodular, scaled_inverse
+from ewaldkit.intlinalg import inverse_unimodular, rank, scaled_inverse
 from ewaldkit.polytope import _exact, dot, enumerate_vertices, normal_fan_signature
 
 
@@ -100,25 +100,34 @@ def oracle_verdict(p, pairs):
 
 
 def fraction_margin_constraints(p):
-    """_vertex_margin_constraints with every coefficient built as a Fraction
-    and normalized by _exact: {level: [(const, terms), ...]}."""
+    """The fan conditions of every vertex, built with a Fraction per
+    coefficient and normalized by _exact: {level: [(const, terms), ...]}.
+    At a vertex with tight rows T, S is the first n independent rows of T,
+    and every row j outside S gives one condition: an equality
+    (const None) on a row of T, a strict margin elsewhere.  This is
+    _vertex_margin_constraints on non-simple polytopes and in dimension 0;
+    on a simple polytope that keeps one condition per edge, a subset of
+    these with the same solutions."""
     n = p.dim
     constraints = set()
     for v, tight in zip(p.vertices(), p.vertex_tight_sets()):
-        s = sorted(tight)
+        s = []
+        for i in sorted(tight):
+            if rank([p.normals[k] for k in s + [i]]) > len(s):
+                s.append(i)
         d, e = scaled_inverse([p.normals[i] for i in s])
         for j in range(p.nfacets):
-            if j in tight:
+            if j in s:
                 continue
             u = p.normals[j]
-            const = p.offsets[j] - dot(u, v)
+            const = None if j in tight else _exact(p.offsets[j] - dot(u, v))
             terms = {j: 1}
             for t, row_idx in enumerate(s):
                 coeff = Fraction(-sum(u[c] * e[c][t] for c in range(n)), d)
                 if coeff:
                     terms[row_idx] = terms.get(row_idx, 0) + coeff
             norm_terms = tuple(sorted((i, _exact(c)) for i, c in terms.items() if c))
-            constraints.add((_exact(const), norm_terms))
+            constraints.add((const, norm_terms))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)

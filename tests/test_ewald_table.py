@@ -195,7 +195,7 @@ def test_a_count_keys_its_memo_on_the_live_rows_and_frees_it():
     n = 12
     units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
     rows = units + [tuple(-x for x in u) for u in units]
-    search = _lattice_search(rows, list(range(n)), [1] * 2 * n)
+    search = _lattice_search(rows, list(range(n)), units, [1] * 2 * n)
     search([0] * 2 * n)  # warm up, so that the interpreter's own caches are made
     gc.disable()  # a memo kept alive by a reference cycle would show below
     tracemalloc.start()

@@ -6,23 +6,20 @@ import io
 import random
 import sys
 from fractions import Fraction
-from itertools import product
 
-from conftest import random_unimodular, smooth_suite
+from conftest import CROSS4, random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
 from ewaldkit.cli import main
 from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import serialize_polytope
 from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _slab_frame, cartesian_product, dot
 from ewaldkit.probes import interior_sample_grid
-from lattice_oracles import ewald_box_scan, ewald_scan, product_grid, scan_lattice, slab_box_scan
+from lattice_oracles import ewald_box_scan, ewald_scan, frame_columns, product_grid, scan_lattice, slab_box_scan
 
 # x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
 RATIONAL_POLYGON = HPolytope(
     2, ((-1, -1), (0, 1), (1, -1), (1, 0)), (Fraction(1, 2), Fraction(5, 3), Fraction(7, 4), Fraction(3, 2))
 )
-
-CROSS4 = HPolytope(4, list(product((-1, 1), repeat=4)), [1] * 16)  # the 16-cell
 
 
 def _cases():
@@ -69,16 +66,16 @@ def test_both_coordinate_choices_are_exercised():
     # T_2 (simple, |det| 5 there) and the 16-cell (not simple, |det| 8)
     # search in the unit coordinates; smooth inputs use their own rows
     for p in (del_pezzo(3), del_pezzo(5)):
-        rows, coords = _slab_frame(p)
+        rows, coords, _ = _slab_frame(p)
         assert p.vertex_masks()[0].bit_count() > p.dim
         assert len(rows) == p.nfacets and tuple(coords) == _cone_rows(p, 0)
         assert ewald_set(p).points == ewald_box_scan(p)
     for p in (nill_triangle(2), CROSS4):
-        rows, coords = _slab_frame(p)
+        rows, coords, _ = _slab_frame(p)
         assert len(rows) == p.nfacets + p.dim and coords == list(range(p.nfacets, len(rows)))
         assert ewald_set(p).points == ewald_box_scan(p)
     for p in catalog().values():
-        rows, coords = _slab_frame(p)
+        rows, coords, _ = _slab_frame(p)
         assert len(rows) == p.nfacets
 
 
@@ -149,7 +146,7 @@ def _visits(search, d, **kwargs):
 def test_visited_points_are_the_box_scan_with_every_residual():
     empty = 0
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
         leaves = _visits(search, d)
         points = [x for x, _ in leaves]
         assert len(set(points)) == len(points), (rows, d)
@@ -165,14 +162,14 @@ def test_visited_points_are_the_box_scan_with_every_residual():
 def test_the_count_is_the_number_of_visits():
     # at every centre, dimension 0 and the empty systems included
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
         assert search(d) == len(_visits(search, d)), (rows, d)
 
 
 def test_a_capped_count_is_exact_up_to_its_cap():
     # above the cap it is a running total: a lower bound, itself above the cap
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
         total = search(d)
         assert search(d, cap=total) == (total, True)
         if total:
@@ -182,7 +179,7 @@ def test_a_capped_count_is_exact_up_to_its_cap():
 
 def test_half_space_search_and_its_mirrors_are_the_full_search():
     for rows, coords, half, _ in _systems():
-        search = _lattice_search(rows, coords, half)
+        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
         zero = [0] * len(rows)
         full = {x for x, _ in _visits(search, zero)}
         halves = [x for x, _ in _visits(search, zero, halfspace=True)]

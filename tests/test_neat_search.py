@@ -2,17 +2,19 @@
 the slab-form lattice search, now the lattice-point enumerator of polytope)
 against the search it replaced, kept in neat_oracles."""
 
+import importlib
 import inspect
 import random
 import sys
 from fractions import Fraction
 
-from conftest import smooth_suite, workload_items
-from ewaldkit.bundles import catalog, cube, monotone_polygon, segment
+from conftest import CROSS4, random_unimodular, smooth_suite, workload_items
+from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, segment
 from ewaldkit.displace import (
     _class_chart,
     _class_representative,
     _fan_preserving,
+    _keeps_fan,
     _vertex_margin_constraints,
     is_neat,
 )
@@ -20,6 +22,8 @@ from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import inverse_unimodular, mat_vec
 from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
 from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
+
+displace = importlib.import_module("ewaldkit.displace")
 
 
 def _check(p, radius):
@@ -35,9 +39,9 @@ def _check(p, radius):
 def _slab_search(p):
     """The lattice test of is_neat as a function of b: the first x the
     enumerator visits with x ∈ P_b and −x ∈ P_{−b}, or None."""
-    rows, coords = _slab_frame(p)
+    rows, coords, cols = _slab_frame(p)
     assert len(rows) == p.nfacets  # p is smooth: no unit rows
-    search = _lattice_search(rows, coords, p.offsets)
+    search = _lattice_search(rows, coords, cols, p.offsets)
 
     def first(b):
         found = []
@@ -114,9 +118,43 @@ def test_slab_search_agrees_with_box_scan_pair_by_pair():
                 assert _in_both(p, b, x), (p, b)
 
 
-def test_margin_constraints_match_the_fraction_build():
+def _kept(constraints, m, radius):
+    """Every integer b in [−radius, radius]^m with _keeps_fan(constraints, b),
+    in lexicographic order: each level's constraints are read by _keeps_fan
+    once their last entry is set, so a leaf has read them all."""
+    b, levels = [0] * m, [{k: constraints.get(k, ())} for k in range(m)]
+
+    def descend(k):
+        if k == m:
+            yield tuple(b)
+            return
+        for v in range(-radius, radius + 1):
+            b[k] = v
+            if _keeps_fan(levels[k], b):
+                yield from descend(k + 1)
+        b[k] = 0
+
+    return list(descend(0))
+
+
+def _typed(grouped):
+    """The constraints as a set, each coefficient with its type."""
+    return {
+        (const, type(const), tuple((i, c, type(c)) for i, c in terms))
+        for level in grouped.values()
+        for const, terms in level
+    }
+
+
+def test_margin_constraints_match_the_fraction_build(monkeypatch):
     # integer coefficients where the scaled inverse's d divides them, as on
-    # every lattice smooth input (d = ±1); a Fraction only otherwise
+    # every lattice smooth input (d = ±1); a Fraction only otherwise.  A
+    # non-simple polytope and dimension 0 keep every vertex's conditions,
+    # exactly the oracle's; a simple one keeps one wall per edge, a subset of
+    # them that every b, integer or rational, satisfies exactly when it
+    # satisfies them all, so the descents stream the same b.  GL(n, Z)
+    # images with the same rows and offsets share their conditions, which
+    # are decided once
     inputs = list(catalog().values()) + [
         parse_polytope(item.texts[0]).polytope
         for seed in (1, 5)
@@ -128,10 +166,39 @@ def test_margin_constraints_match_the_fraction_build():
     inputs += [triangle, HPolytope(2, triangle.normals, (Fraction(1, 2), 0, Fraction(7, 3)))]
     inputs += [half, half.translate((1, 0, -1))]
     inputs += [HPolytope(0, (), ()), HPolytope(0, ((), ()), (0, 2))]  # dimension 0
-    for p in inputs:
+    rng = random.Random(34)
+    non_simple = [del_pezzo(3), del_pezzo(5), CROSS4]
+    non_simple += [q.transform(random_unimodular(rng, q.dim)) for q in non_simple[:2]]
+    decided, fewer, rational = set(), 0, 0
+    for p in inputs + non_simple:
         got, want = _vertex_margin_constraints(p), fraction_margin_constraints(p)
-        assert got == want
-        assert _coefficient_types(got) == _coefficient_types(want)
+        if p.dim == 0 or not p.is_simple():
+            assert got == want
+            assert _coefficient_types(got) == _coefficient_types(want)
+            continue
+        assert _typed(got) <= _typed(want), p
+        key = frozenset(_typed(got)), frozenset(_typed(want))
+        if key in decided:
+            continue
+        decided.add(key)
+        fewer += len(key[0]) < len(key[1])
+        m = p.nfacets
+        for _ in range(200):
+            b = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(m)]
+            kept = _keeps_fan(got, b)
+            assert kept == _keeps_fan(want, b), (p, b)
+            rational += kept
+        radii = (1, 2) if m <= 8 else (1,)
+        streams = {}
+        for build in (_vertex_margin_constraints, fraction_margin_constraints):
+            monkeypatch.setattr(displace, "_vertex_margin_constraints", build)
+            streams[build] = [list(_fan_preserving(p, (r,) * m, paired)) for r in radii for paired in (True, False)]
+            monkeypatch.undo()
+        assert streams[_vertex_margin_constraints] == streams[fraction_margin_constraints], p
+        if m <= 8:  # the unpaired stream at r = 2 is every b of the box that keeps the fan
+            assert _kept(got, m, 2) == _kept(want, m, 2) == streams[fraction_margin_constraints][3], p
+    assert len(decided) > 30 and fewer and rational
+    assert not any(q.is_simple() for q in non_simple)
 
 
 def test_margin_constraints_are_built_once_per_polytope():

@@ -1,26 +1,42 @@
 """polytope._vertex_chart and the vertex cones read off the edge graph,
 against a Fraction oracle: the chart's rows s, each margin c_j − u_j·v and
-slope u_j·d_t with the edge ray d_t solved from A_s d_t = −e_t, and the
+slope u_j·d_t with the edge ray d_t solved from A_s d_t = −e_t, the
 determinant |det A_s| of every vertex cone, carried along the edges from
-the one elimination at vertex 0."""
+vertex 0, and the lattice search's frame, whose inverse columns are vertex
+0's edge rays: no elimination where that cone is unimodular, one det where
+it is not."""
 
 import importlib
 import random
-import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from conftest import random_unimodular
+from conftest import CROSS4, random_unimodular
 from ewaldkit.bundles import catalog, cube, del_pezzo, nill_triangle, paffenholz_p6, segment, ssb
 from ewaldkit.classify import classify, is_smooth
 from ewaldkit.displace import is_neat
+from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import solve_rational
-from ewaldkit.polytope import HPolytope, _bits, _cone_dets, _margins, _vertex_chart, cartesian_product
+from ewaldkit.polytope import (
+    HPolytope,
+    VPolytope,
+    _bits,
+    _cone_dets,
+    _cone_rows,
+    _first_cone_det,
+    _margins,
+    _slab_frame,
+    _vertex_chart,
+    cartesian_product,
+    facet_description,
+)
 
 intlinalg = importlib.import_module("ewaldkit.intlinalg")
 polytope = importlib.import_module("ewaldkit.polytope")
+ewald = importlib.import_module("ewaldkit.ewald")
 
 
 def _fraction_det(m):
@@ -152,26 +168,37 @@ def test_propagated_determinants_match_the_fraction_oracle():
     assert witnesses == {None, False, True}
 
 
+def _spy_eliminations(monkeypatch):
+    """The names of the det, scaled_inverse and inverse_unimodular calls
+    made from now on, from any ewaldkit module."""
+    calls = []
+
+    def spy(name, real):
+        return lambda m: calls.append(name) or real(m)
+
+    for name in ("scaled_inverse", "det", "inverse_unimodular"):
+        wrapped = spy(name, getattr(intlinalg, name))
+        for module in (intlinalg, polytope, ewald):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
 @pytest.mark.parametrize(
     "p",
     [cube(4), ssb(4, 3), del_pezzo(4), paffenholz_p6()],
     ids=["cube4", "ssb43", "dp4", "paffenholz"],
 )
 def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
-    # after a parse, classify and is_neat together take one determinant for
-    # all the vertex cones (vertex 0's, carried along the edge graph) and no
-    # inverse; the one scaled_inverse is the lattice search's frame, taken
-    # only when a class runs a search.  x = 0 answers every b of a monotone
-    # polytope (on P6 it leaves a class box of 15 open, and answers each
-    # class); moved by 2·e_1 it misses the origin, and the search runs
-    calls, searches = [], []
-    # is_neat's classes run E(P)'s lattice search, built in ewald
-    ewald = sys.modules["ewaldkit.ewald"]
+    # after a parse, classify and is_neat together take no elimination for
+    # the vertex cones: vertex 0's edge rays are integral, so its
+    # determinant is 1, carried along the edge graph to every vertex, and
+    # they are the columns of the inverse that E(P)'s lattice search reads.
+    # x = 0 answers every b of a monotone polytope (on P6 it leaves a class
+    # box of 15 open, and answers each class); moved by 2·e_1 it misses the
+    # origin, and the search runs
+    searches = []
     real_search = ewald._lattice_search
-
-    def spy(name):
-        real = getattr(intlinalg, name)
-        return lambda m: calls.append(name) or real(m)
 
     def counting(*frame):
         search = real_search(*frame)
@@ -179,20 +206,57 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
 
     q = parse_polytope(serialize_polytope(p)).polytope
     moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
-    for name in ("scaled_inverse", "det"):
-        wrapped = spy(name)
-        monkeypatch.setattr(intlinalg, name, wrapped)
-        monkeypatch.setattr(polytope, name, wrapped)
+    calls = _spy_eliminations(monkeypatch)
     monkeypatch.setattr(ewald, "_lattice_search", counting)
     for r in (1, None):
         assert not is_neat(q, r).is_counterexample
     classify(q)
-    assert not searches and calls == ["det"]
-    calls.clear()
+    assert not searches and not calls
     for r in (1, None):
         assert is_neat(moved, r).is_counterexample
     classify(moved)
-    assert searches and calls == ["det", "scaled_inverse"]
+    assert searches and not calls
     for name in ("classify", "displace", "ewald"):
         module = importlib.import_module("ewaldkit." + name)
         assert not any(hasattr(module, f) for f in ("scaled_inverse", "_reduce", "det"))
+
+
+def test_a_first_cone_that_is_not_unimodular_takes_one_det(monkeypatch):
+    # T_2 (|det| 5 at vertex 0) and a tetrahedron (|det| 4 there): a parse,
+    # classify, the count and the listing of E(P) take one det, and the
+    # search runs in the unit coordinates, whose inverse is the identity
+    tetrahedron = facet_description(VPolytope.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]))
+    for p, want in ((nill_triangle(2), 5), (tetrahedron, 4)):
+        q = parse_polytope(serialize_polytope(p)).polytope
+        calls = _spy_eliminations(monkeypatch)
+        classify(q)
+        assert len(ewald_set(q)) == len(ewald_set(q).ordered())
+        assert calls == ["det"] and _first_cone_det(q) == want
+        monkeypatch.undo()
+
+
+def test_the_search_frame_inverts_its_coordinate_rows():
+    # vertex 0's edge rays are the columns of A_S^-1 where its cone is
+    # unimodular, simple or not; elsewhere the frame is the unit rows and
+    # the identity.  _first_cone_det is |det A_S| either way
+    inputs = [del_pezzo(3), del_pezzo(5), nill_triangle(2), CROSS4]
+    inputs.append(HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3)))  # |det| = 2 at vertex 1
+    for seed in (1, 5):
+        rng = random.Random(seed)
+        for p in catalog().values():
+            inputs += [p, p.transform(random_unimodular(rng, p.dim))]
+    kinds = set()
+    for p in inputs:
+        rows, coords, cols = _slab_frame(p)
+        n, a = p.dim, [rows[i] for i in coords]
+        assert [[sum(map(mul, u, col)) for col in cols] for u in a] == [[int(i == k) for k in range(n)] for i in range(n)]
+        want = abs(_fraction_det([p.normals[i] for i in _cone_rows(p, 0)]))
+        assert _first_cone_det(p) == want, p
+        unit = len(rows) > p.nfacets
+        assert unit == (want != 1)
+        if unit:
+            assert coords == list(range(p.nfacets, len(rows))) and list(cols) == a
+        else:
+            assert tuple(coords) == _cone_rows(p, 0)
+        kinds.add((p.is_simple(), unit))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
