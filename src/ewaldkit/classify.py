@@ -22,7 +22,7 @@ from .polytope import (
     per_polytope,
 )
 from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
-from .polytope import _cone_dets, _edges, _margins
+from .polytope import _cone_dets, _edges, _margins, _unimodular, _vertex_chart
 
 __all__ = [
     "ClassReport",
@@ -54,12 +54,15 @@ def is_smooth(p: HPolytope):
     """(flag, witness): at every vertex the primitive edge directions must
     form a lattice basis; the witness is the first offending vertex.  For
     primitive normals that holds exactly when the vertex is simple and the
-    determinant of its n tight rows is ±1, read for every vertex from one
-    elimination at vertex 0 carried along the edge graph (_cone_dets)."""
+    determinant of its n tight rows is ±1: at vertex 0 when its chart's
+    rays are integral (_unimodular), and elsewhere as carried from there
+    along the edge graph (_cone_dets), with no elimination."""
     verts = p.vertices()
     if not p.is_simple():
         bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
         return False, bad
+    if not _unimodular(_vertex_chart(p, 0)[1]):
+        return False, verts[0]
     bad = next((v for v, d in zip(verts, _cone_dets(p)) if d != 1), None)
     return bad is None, bad
 

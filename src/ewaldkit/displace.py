@@ -164,7 +164,7 @@ def _vertex_margin_constraints(p: HPolytope):
                 constraints.add((mv[j], tuple(sorted(terms + [(j, 1)]))))
     else:
         for vi, tight in enumerate(p.vertex_masks()):
-            s, rows = _vertex_chart(p, vi)
+            s, _, rows = _vertex_chart(p, vi)
             for j, margin, slopes in rows:
                 terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
                 constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
@@ -271,7 +271,7 @@ def _class_chart(p: HPolytope) -> tuple:
         if covered:
             break
     size, bounds, vi = best
-    s, rows = _vertex_chart(p, vi)
+    s, _, rows = _vertex_chart(p, vi)
     reduction = tuple((j, tuple((i, a) for i, a in zip(s, slopes) if a)) for j, _, slopes in rows)
     return size, bounds, reduction
 
@@ -291,12 +291,12 @@ def _class_representative(reduction, b) -> tuple:
 def _class_verdicts(p: HPolytope, reduction):
     """answered(b): whether some integer x answers b, for integer b,
     decided once per class of the pair (b, −b): by x = 0 when the class
-    representative has |b_j| <= c_j on every row, else by one run of
-    E(P)'s lattice search (ewald._ewald_search) centred at it: p is lattice
-    smooth, so E(P) is {x : |u_j·x| <= c_j} on p's own rows, and its search
-    is the system |u_j·x − b_j| <= c_j at d = b.  x answers b exactly when
-    −x answers −b, so the pair's key is the lesser of its two
-    representatives."""
+    representative has |b_j| <= c_j on every row, else by one count of
+    E(P)'s lattice search (ewald._ewald_search) centred at it and capped at
+    0, which stops at its first point: p is lattice smooth, so E(P) is
+    {x : |u_j·x| <= c_j} on p's own rows, and its search is the system
+    |u_j·x − b_j| <= c_j at d = b.  x answers b exactly when −x answers −b,
+    so the pair's key is the lesser of its two representatives."""
     offsets, known = p.offsets, {}
 
     def answered(b):
@@ -306,9 +306,8 @@ def _class_verdicts(p: HPolytope, reduction):
             key = neg
         verdict = known.get(key)
         if verdict is None:
-            verdict = known[key] = all(abs(v) <= c for v, c in zip(key, offsets)) or _ewald_search(p)[0](
-                key, lambda x, e: True
-            )
+            verdict = all(abs(v) <= c for v, c in zip(key, offsets)) or _ewald_search(p)[0](key, cap=0)[0] > 0
+            known[key] = verdict
         return verdict
 
     return answered

@@ -17,12 +17,13 @@ from .polytope import (
     FaceRef,
     HPolytope,
     _bits,
-    _face_vertex_mask,
-    _first_cone_columns,
+    _checked_face,
     _lattice_search,
     _require_simple,
     _row_vertex_masks,
     _slab_frame,
+    _unimodular,
+    _vertex_chart,
     _walk_faces,
     dot,
     per_polytope,
@@ -115,7 +116,7 @@ def _ewald_count(p: HPolytope) -> int:
     """|E(P)|, exactly, from the count of E(P)'s lattice search: no point of
     E(P) is listed."""
     search, centre, _ = _ewald_search(p)
-    return search(centre)
+    return search(centre)[0]
 
 
 @per_polytope
@@ -171,14 +172,13 @@ class EwaldSet:
 def cube_normalization(p: HPolytope):
     """Unimodular M sending the lex-smallest vertex cone to the standard
     corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
-    Unimodularity reads the vertex's edge rays, the columns of its cone's
-    inverse (_first_cone_columns), with no elimination."""
+    Its chart's edge rays tell a unimodular cone (_unimodular)."""
     tight = _bits(p.vertex_masks()[0])
     if len(tight) != p.dim:
         raise ValueError("vertex is not simple")
     if any(p.offsets[i] != 1 for i in tight):
         raise ValueError("vertex facets are not at offset 1")
-    if _first_cone_columns(p) is None:
+    if not _unimodular(_vertex_chart(p, 0)[1]):
         raise ValueError("vertex cone is not unimodular")
     return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 
@@ -251,18 +251,6 @@ class StarSets:
 
     def in_star_star(self, x) -> bool:
         return self.parent.contains(x) and self._tight_count(x) == 1
-
-
-def _checked_face(p: HPolytope, f: FaceRef) -> int:
-    """f.mask, once f names a face of p: distinct facet indices in range,
-    all tight together at some vertex.  Raises ValueError otherwise."""
-    t = f.tight
-    if len(set(t)) != len(t) or not all(0 <= i < p.nfacets for i in t):
-        raise ValueError("invalid face")
-    mask = f.mask
-    if not _face_vertex_mask(p, mask):
-        raise ValueError("invalid face")
-    return mask
 
 
 def star_sets(p: HPolytope, f: FaceRef) -> StarSets:

@@ -12,13 +12,12 @@ from fractions import Fraction
 from functools import wraps
 from itertools import chain, repeat
 from math import ceil, floor, gcd, inf, lcm
-from operator import mul, sub
+from operator import mul, neg, sub
 
 from .intlinalg import (
     _integer_row,
     _integer_solutions,
     _reduce,
-    det,
     inverse_unimodular,
     primitive_part,
     rank,
@@ -179,8 +178,8 @@ def _edges(p) -> tuple:
 def _cone_rows(p, vi: int) -> tuple:
     """The n independent rows of vertex vi's cone, ascending: every row
     tight at the vertex, or the pivots of one _reduce of them where there
-    are more than n.  The vertex charts and the lattice-search frame read
-    this one rule."""
+    are more than n.  The vertex charts, and so the lattice-search frame,
+    read this one rule."""
     s = _bits(p.vertex_masks()[vi])
     if len(s) > p.dim:
         piv, _, _ = _reduce([list(col) for col in zip(*(p.normals[i] for i in s))], len(s))
@@ -188,64 +187,24 @@ def _cone_rows(p, vi: int) -> tuple:
     return s
 
 
-@per_polytope
-def _cone_inverse(p, vi: int) -> tuple:
-    """(s, d, e) at a vertex vi of a non-simple polytope: its cone rows
-    s = _cone_rows(p, vi) and the scaled inverse (d, e) of A_s, e = d·A_s^-1.
-    The one elimination that the vertex's chart and, at vertex 0, the
-    lattice-search frame read."""
-    s = _cone_rows(p, vi)
-    return (s, *scaled_inverse([p.normals[i] for i in s]))
-
-
-@per_polytope
-def _first_cone_columns(p):
-    """The columns of A_S^-1 for the rows S = _cone_rows(p, 0) of vertex 0,
-    as integer tuples, or None when |det A_S| != 1.
-
-    On a simple polytope column t is −d_t = (v − w_t) / M[w_t][s_t], for the
-    edge ray d_t of A_S d_t = −e_t, which leaves row s_t and ends at w_t:
-    read off the margin table M (_margins) and the edge graph (_edges), in
-    _cone_rows order, with no elimination.  A_S^-1 is integral exactly when
-    |det A_S| = 1, so the cone is unimodular exactly when every column is.
-    At a non-simple vertex 0 the columns are e / d from _cone_inverse."""
-    if p.is_simple():
-        verts, margins = p.vertices(), _margins(p)
-        v, cols = verts[0], []
-        for s, w, _ in _edges(p)[0]:
-            lam, col = margins[w][s], [a - b for a, b in zip(v, verts[w])]
-            if any(x % lam for x in col):
-                return None
-            cols.append(tuple(x // lam for x in col))
-        return tuple(cols)
-    _, d, e = _cone_inverse(p, 0)
-    return tuple(zip(*((d * x for x in row) for row in e))) if d in (1, -1) else None  # 1 / d == d
-
-
-@per_polytope
-def _first_cone_det(p) -> int:
-    """|det A_S| for the rows S = _cone_rows(p, 0) of vertex 0: 1 where
-    _first_cone_columns reads the inverse, else one det, the one
-    elimination that the vertex cones of a simple polytope take."""
-    if _first_cone_columns(p) is not None:
-        return 1
-    return abs(det([p.normals[i] for i in _cone_rows(p, 0)]))
+def _unimodular(rays) -> bool:
+    """Whether a vertex chart's cone is unimodular: A_s^-1 = −rays is
+    integral exactly when |det A_s| = 1."""
+    return set(map(type, chain(*rays))) <= {int}
 
 
 @per_polytope
 def _cone_dets(p) -> tuple:
-    """|det A_S| per vertex of a simple polytope, for its n tight rows S.
-
-    Along the edge from v to w, A_{S_w} is A_{S_v} with row s swapped for
-    row j, which scales |det| by |u_j·A_{S_v}^-1 e_s| = M[v][j] / M[w][s]
-    on the margin table M: u_j·d_s = (M[v][j] − M[w][j]) / M[w][s] for the
-    edge ray d_s, and M[w][j] = 0.  So vertex 0's determinant
-    (_first_cone_det), carried along the edge graph, gives every one: 1
-    with no elimination where vertex 0's edge rays are integral, else one
-    det."""
+    """|det A_S| / |det A_{S_0}| per vertex of a simple polytope, for its n
+    tight rows S and vertex 0's rows S_0.  Along the edge from v to w,
+    A_{S_w} is A_{S_v} with row s swapped for row j, which scales |det| by
+    |u_j·A_{S_v}^-1 e_s| = M[v][j] / M[w][s] on the margin table M:
+    u_j·d_s = (M[v][j] − M[w][j]) / M[w][s] for the edge ray d_s, and
+    M[w][j] = 0.  Carried along the edge graph from 1 at vertex 0, with no
+    elimination."""
     margins, edges = _margins(p), _edges(p)
     dets = [0] * len(margins)  # 0 until reached: no |det| of n independent rows is 0
-    dets[0] = _first_cone_det(p)
+    dets[0] = 1
     stack = [0]
     while stack:
         v = stack.pop()
@@ -258,42 +217,42 @@ def _cone_dets(p) -> tuple:
 
 @per_polytope
 def _vertex_chart(p, vi: int) -> tuple:
-    """(s, rows): P written in the cone coordinates of vertex v = vi.
-
-    s holds n independent rows tight at v, and rows has one entry
-    (j, M[v][j], slopes) per row j outside s, in row order, with
-    slopes[t] = u_j·d_t for the edge ray d_t of A_s d_t = −e_t, which
-    leaves row s_t: an int where it is one, else a Fraction.  Deep
-    smoothness reads the margins and slopes, the fan test the same margins
-    as affine forms in b, and the translation classes one vertex's slopes.
+    """(s, rays, rows): P in the cone coordinates of vertex v = vi, the one
+    place where a vertex cone is derived.  s holds n independent rows tight
+    at v, rays[t] is the edge ray d_t of A_s d_t = −e_t, which leaves row
+    s_t, and rows has one entry (j, M[v][j], slopes) per row j outside s,
+    in row order, with slopes[t] = u_j·d_t; each entry is an int where it
+    is one, else a Fraction.
 
     On a simple polytope every vertex is read off the margin table M
     (_margins) and the edge graph (_edges), with no elimination: s is every
     tight row, the edge leaving s_t ends at w_t, d_t = (w_t − v) / λ_t with
     λ_t = M[w_t][s_t], so u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t.  At the
-    vertices of a non-simple polytope s is _cone_rows(p, vi), and the
-    slopes come from the scaled inverse (d, e) of A_s (_cone_inverse),
-    d_t = −e_t / d."""
+    vertices of a non-simple polytope s is _cone_rows(p, vi), and the rays
+    come from the one scaled inverse (d, e) of A_s, d_t = −e_t / d."""
     margins, tight = _margins(p), p.vertex_masks()[vi]
     mv = margins[vi]
     if p.is_simple():
-        edges = _edges(p)[vi]
+        edges, verts = _edges(p)[vi], p.vertices()
         s = tuple(st for st, _, _ in edges)
-        ends = [(margins[w], margins[w][st]) for st, w, _ in edges]
+        ends = [(margins[w], margins[w][st], verts[w]) for st, w, _ in edges]
+        rays = tuple(tuple(map(_ratio, map(sub, vw, verts[vi]), repeat(lam))) for _, lam, vw in ends)
         rows = tuple(
-            (j, x, tuple(_ratio(x - mw[j], lam) for mw, lam in ends))
+            (j, x, tuple(_ratio(x - mw[j], lam) for mw, lam, _ in ends))
             for j, x in enumerate(mv)
             if not tight >> j & 1
         )
-        return s, rows
-    s, d, e = _cone_inverse(p, vi)
-    rays = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
+        return s, rays, rows
+    s = _cone_rows(p, vi)
+    d, e = scaled_inverse([p.normals[i] for i in s])
+    scaled = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
+    rays = tuple(tuple(_ratio(x, d) for x in ray) for ray in scaled)
     rows = tuple(
-        (j, mv[j], tuple(_ratio(sum(map(mul, u, ray)), d) for ray in rays))
+        (j, mv[j], tuple(_ratio(sum(map(mul, u, ray)), d) for ray in scaled))
         for j, u in enumerate(p.normals)
         if j not in s
     )
-    return s, rows
+    return s, rays, rows
 
 
 def _walk_faces(p, limit):
@@ -353,6 +312,19 @@ class FaceRef:
         """The face's facets as an incidence mask (bit i for facet i).
         Computed on each read: every reader reads it once per face."""
         return sum(1 << i for i in set(self.tight))
+
+
+def _checked_face(p, face) -> int:
+    """The facet mask of face, a FaceRef or facet indices, once it names a
+    face of p: distinct facets in range, tight together at some vertex.
+    Raises ValueError otherwise: the one check of every face taken."""
+    t = tuple(face.tight if isinstance(face, FaceRef) else face)
+    if len(set(t)) != len(t) or not all(0 <= i < p.nfacets for i in t):
+        raise ValueError("invalid face")
+    mask = sum(1 << i for i in t)
+    if not _face_vertex_mask(p, mask):
+        raise ValueError("invalid face")
+    return mask
 
 
 @dataclass(frozen=True)
@@ -517,6 +489,8 @@ class HPolytope:
         return HPolytope(self.dim, new_normals, self.offsets)
 
     def translate(self, t) -> "HPolytope":
+        if len(t) != self.dim:
+            raise ValueError("translation of length %d in dimension %d" % (len(t), self.dim))
         return HPolytope(
             self.dim,
             self.normals,
@@ -711,22 +685,24 @@ def irredundant_rows(dim, normals, offsets):
 # -- lattice points of slab systems --------------------------------------
 
 
+@per_polytope
 def _slab_frame(p: HPolytope):
-    """(rows, coords, cols): the rows the lattice-point search reads for p,
-    the indices of n of them that form a unimodular matrix A, and the
-    columns of A^-1.  These are the first vertex's cone rows (_cone_rows)
-    with the columns of _first_cone_columns where that vertex's cone is
-    unimodular, as on every smooth polytope and at DP3's and DP5's
-    non-simple vertices; otherwise the unit rows e_1, ..., e_n, appended
-    after p's rows and bounded by its bounding box, whose A^-1 is the
-    identity."""
+    """(rows, coords, cols) for _lattice_search: p's rows in the coordinates
+    y = A x of a unimodular A, the indices of A's n rows, and A^-1's columns.
+    Where vertex 0's cone is unimodular (_unimodular), as on every smooth
+    polytope and at DP3's and DP5's non-simple vertices, the frame is vertex
+    0's chart (_vertex_chart): A is its rows s, A^-1 = −rays, and row j
+    reads w_j = u_j A^-1, e_t on row s_t and −slopes_j off s.  Otherwise A
+    is the unit rows, appended after p's rows and bounded by its bounding
+    box, and w_j = u_j."""
     n, m = p.dim, p.nfacets
-    rows = list(p.normals)
-    cols = _first_cone_columns(p)
-    if cols is not None:
-        return rows, _cone_rows(p, 0), cols
-    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
-    return rows + units, list(range(m, m + n)), units
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    s, rays, chart = _vertex_chart(p, 0)
+    if not _unimodular(rays):
+        return list(p.normals) + units, list(range(m, m + n)), units
+    w = dict(zip(s, units))
+    w.update((j, tuple(map(neg, slopes))) for j, _, slopes in chart)
+    return [w[j] for j in range(m)], s, tuple(tuple(map(neg, ray)) for ray in rays)
 
 
 class _Passed(Exception):
@@ -736,38 +712,32 @@ class _Passed(Exception):
 def _lattice_search(rows, coords, cols, half):
     """The one lattice-point enumerator: depth-first search over a slab
     system with per-level bounds (Fincke–Pohst, Math. Comp. 44, 1985;
-    Schnorr–Euchner, Math. Programming 66, 1994).
+    Schnorr–Euchner, Math. Programming 66, 1994).  It lists or counts.
 
-    rows are integer vectors u_j, coords the indices of n of them that form a
-    unimodular matrix A, cols the n columns of A^-1 (_slab_frame), and half
-    the integer half-widths h_j.  Returns
-    search: search(d, visit), for integer centres d, calls visit(x, e) on
-    every integer point x with |u_j·x − d_j| <= h_j on every row, until
-    visit returns true, and returns whether it did.  x is a tuple, and e a
-    fresh list of every row's residual in row order,
-    e[j] = d_j − u_j·x, so every row's value at x is read off e.
+    The system is |u_j·x − d_j| <= h_j on every row j, over integer x, in
+    the coordinates y = A x of a unimodular A (_slab_frame): rows holds each
+    w_j = u_j A^-1, the unit vector e_t on the rows coords that form A, cols
+    the n columns of A^-1, and half the integer half-widths h_j.  Returns
+    search.  search(d, visit), for integer centres d, calls visit(x, e) on
+    every point x, a tuple, with e a fresh list of every row's residual
+    e[j] = d_j − u_j·x in row order.  With halfspace=True, valid only for
+    d = 0, it visits 0 and the x whose first nonzero coordinate in y = A x
+    is negative: one of each pair ±x of the symmetric system.
 
-    search(d, visit, halfspace=True), valid only for d = 0, visits 0 and the
-    x whose first nonzero coordinate in y = A x is negative: one of each pair
-    ±x of the symmetric system, whose mirrors are the points not visited.
+    search(d, cap=c), cap inf by default, returns (count, True), the number
+    of points, listing none, or stops a walk at the first running total
+    above c and returns (that total, False).  It walks the listing's level
+    tables on a copy of the residuals.  A level is flat when z_k moves no
+    row read deeper, as the last level always is: each value of z_k then
+    has the same completions, so the level counts last − first + 1 times
+    them, walking no range; every other level memoizes its completions on
+    its live residuals (the key below).  Every point is tallied once, by a
+    leaf, a memo hit or the copies of a flat level, so each running total
+    is a lower bound of the count, and a count that walks no level ends.
+    So search(d, cap=0)[0] > 0 exactly when the system has a point.
 
-    search(d) without visit returns the number of those points, exactly and
-    without listing them: the listing's level tables walked on a copy of the
-    residuals.  A level is flat when z_k moves no row read deeper, as the
-    last level always is: each value of z_k then has the same completions,
-    so the level counts last − first + 1 times them, walking no range.  The
-    completions at every other level are memoized on its live residuals
-    (the key below).  search(d, cap=c) counts the same way, and stops a
-    walk at the first running total above c: every point is tallied once,
-    by a leaf, a memo hit or the copies of a flat level, so each running
-    total is a lower bound of the count.  It returns (count, True) where
-    the count ends, and (that running total, False) where it stops.  A
-    count that walks no level ends, as nothing there takes more than one
-    step.
-
-    Row j reads w_j·y with w_j = u_j A^-1, the unit vector e_t on the t-th
-    coordinate row.  Write y = d_coords + z: the coordinate rows put z in the
-    box |z_t| <= h_coords[t], and every other row says |w_j·z − e_j| <= h_j
+    Write y = d_coords + z: the coordinate rows put z in the box
+    |z_t| <= h_coords[t], and every other row says |w_j·z − e_j| <= h_j
     with e_j = d_j − w_j·d_coords.  The search fixes z_0, z_1, ... in turn,
     each over the range every slab allows, widened by the row's largest
     reach over the coordinates still free; the last coordinate's range is
@@ -775,11 +745,10 @@ def _lattice_search(rows, coords, cols, half):
     coordinate fixed so far is 0.  Level k adds y_k times column k of A^-1
     to the point and subtracts z_k w_j[k] from the residual of each row
     that reads z_k, so a point costs O(n + m) and no matrix product.
-    Everything but d is fixed here.
 
     The completions of z_0, ..., z_{k-1} depend only on k and the residuals
     of the rows live at level k, those with w_j[t] != 0 for some t >= k: a
-    row leaves the key after its last nonzero slope, whose level range
+    row leaves the key after its last nonzero entry, whose level range
     already held it to |e_j| <= h_j, and a coordinate row never enters it,
     as the box bounds it.  The memo lives for one count.
     """
@@ -788,10 +757,9 @@ def _lattice_search(rows, coords, cols, half):
     empty = any(h < 0 for h in half)  # some slab is empty, whatever d is
     slabs, levels = [], [[] for _ in range(n)]  # slabs: (j, reach[0])
     moves = [[(j, 1)] for j in coords]  # moves[k]: (j, w_j[k]) where nonzero
-    for j, u in enumerate(rows):
+    for j, w in enumerate(rows):
         if j in coords:
             continue
-        w = [dot(u, col) for col in cols]
         # reach[k] = h_j + sum_{t >= k} |w_t| box_t: how far w·z may stray
         # from e_j while z_k, ..., z_{n-1} are free
         reach = [half[j]] * (n + 1)
@@ -862,7 +830,7 @@ def _lattice_search(rows, coords, cols, half):
         del completions  # a closure over itself: free the memo now
         return found
 
-    def search(d, visit=None, halfspace=False, cap=None):
+    def search(d, visit=None, halfspace=False, cap=inf):
         base = [d[i] for i in coords]
         e = list(d)  # e_j = d_j − w_j·base: 0 on the coordinate rows
         for moved, b in zip(moves, base):
@@ -871,12 +839,12 @@ def _lattice_search(rows, coords, cols, half):
         # the only test of a row with w = 0 (dim 0)
         feasible = not empty and all(abs(e[j]) <= reach for j, reach in slabs)
         if visit is None:
-            found, ended = count(e, inf if cap is None else cap) if feasible else (0, True)
-            return found if cap is None else (found, ended)
+            return count(e, cap) if feasible else (0, True)
         if not feasible:
-            return False
+            return
         if n == 0:
-            return bool(visit((), e))
+            visit((), e)
+            return
 
         def descend(k, x, e, lead):
             # x = sum_{t < k} y_t col_t; e[j] = e_j − sum_{t < k} w_j[t] z_t;
@@ -884,8 +852,6 @@ def _lattice_search(rows, coords, cols, half):
             first, last = span(k, levels[k], e)
             if lead:
                 last = min(last, 0)
-            if first > last:
-                return False
             leaf = k == n - 1
             col, bk = cols[k], base[k]
             for v in range(first, last + 1):
@@ -894,13 +860,13 @@ def _lattice_search(rows, coords, cols, half):
                     nxt[j] -= a * v
                 y = bk + v
                 at = tuple([a + y * c for a, c in zip(x, col)]) if y else x
-                if visit(at, nxt) if leaf else descend(k + 1, at, nxt, lead and not v):
-                    return True
-            return False
+                if leaf:
+                    visit(at, nxt)
+                else:
+                    descend(k + 1, at, nxt, lead and not v)
 
-        found = descend(0, (0,) * n, e, halfspace)
+        descend(0, (0,) * n, e, halfspace)
         del descend  # a closure over itself: free visit's data now, not at the next collection
-        return found
 
     return search
 
@@ -909,7 +875,7 @@ def _slab_search(p: HPolytope, upper, scale=1):
     """(search, centre): the lattice search over every integer x with
     u_j·x <= upper_j on the rows of p, given that each such x lies in
     scale·P, and the centre to search it at.  search(centre, visit) lists
-    those x (_slab_points), and search(centre) counts them.
+    those x (_slab_points), and search(centre)[0] counts them.
 
     The lower bounds, and both bounds of a unit row of _slab_frame, are
     implied by the vertices of scale·P.  A lower bound moves down by one
@@ -919,7 +885,7 @@ def _slab_search(p: HPolytope, upper, scale=1):
     rows, coords, cols = _slab_frame(p)
     upper = list(upper) + [None] * (len(rows) - p.nfacets)
     centre, half = [], []
-    for u, hi in zip(rows, upper):
+    for u, hi in zip(chain(p.normals, rows[p.nfacets :]), upper):  # a unit row reads itself
         values = [dot(u, v) * scale for v in p.vertices()]
         lo = ceil(min(values))
         hi = floor(max(values)) if hi is None else hi
@@ -934,7 +900,7 @@ def _slab_points(p: HPolytope, upper, scale=1) -> list:
     each such x lies in scale·P, in the order of its lattice search."""
     search, centre = _slab_search(p, upper, scale)
     points = []
-    search(centre, lambda x, e: points.append(x))  # None: never stops
+    search(centre, lambda x, e: points.append(x))
     return points
 
 
@@ -1053,6 +1019,8 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
     room for both spans, so the packed sum of x and y packs x + y with no
     carry.
     """
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
     if not (p.is_lattice() and q.is_lattice()):
         raise ValueError("both polytopes must have integer vertices")
     (plo, phi), (qlo, qhi) = p.bounding_box(), q.bounding_box()
@@ -1072,7 +1040,7 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
         p.dim,
     )
     search, centre = _slab_search(hull, hull.offsets)
-    return len(sums) == search(centre)
+    return len(sums) == search(centre)[0]
 
 
 def cartesian_product(p: HPolytope, q: HPolytope) -> HPolytope:
@@ -1137,11 +1105,11 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     (always the case for monotone P at inset 1), else a deterministic
     integer point when one exists, else a rational one.  One Hermite form
     (_integer_solutions) gives the basis, the independence of the facets
-    (n − k basis rows) and the integer origin.
+    (n − k basis rows) and the integer origin.  Raises ValueError unless
+    the facets name a face of p (_checked_face).
     """
     tight = tuple(sorted(face.tight if isinstance(face, FaceRef) else face))
-    if any(i < 0 or i >= p.nfacets for i in tight):
-        raise ValueError("invalid facet index in face")
+    _checked_face(p, tight)
     k = len(tight)
     n = p.dim
     rows = [p.normals[i] for i in tight]

@@ -65,7 +65,7 @@ def chart_deeply_smooth(p):
     if not determinant_smooth(p)[0] or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
     for i, v in enumerate(p.vertices()):
-        rows = _vertex_chart(p, i)[1]
+        rows = _vertex_chart(p, i)[2]
         if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
             continue
         dirs = vertex_edge_directions(p, i)

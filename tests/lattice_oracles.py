@@ -72,11 +72,13 @@ def product_grid(p, samples):
     return tuple(out)
 
 
-def frame_columns(rows, coords):
-    """The columns of A^-1 for the unimodular matrix A of the rows at coords,
-    as _lattice_search reads them, from one inverse_unimodular: the frame
-    of a slab system built by hand."""
-    return tuple(zip(*inverse_unimodular([rows[i] for i in coords])))
+def frame(rows, coords):
+    """(rows, coords, cols): the frame of a slab system built by hand, as
+    _lattice_search reads it, from one inverse_unimodular of the unimodular
+    matrix A of the rows at coords: each row u_j as w_j = u_j·A^-1, and the
+    columns of A^-1."""
+    cols = tuple(zip(*inverse_unimodular([rows[i] for i in coords])))
+    return [tuple(dot(u, col) for col in cols) for u in rows], coords, cols
 
 
 def slab_box_scan(rows, coords, half, d):

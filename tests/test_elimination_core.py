@@ -192,7 +192,8 @@ def test_first_cone_takes_one_reduce_and_no_inverse(monkeypatch):
     # _extreme_rays reads its basis and its first cone off one _reduce of
     # [R^T | I]; the first cone equals the former construction, the columns
     # of -R_B^-1 from scaled_inverse, and every ray is primitive, in the
-    # cone and tight on exactly its mask's rows.  _first_cone_det reads det.
+    # cone and tight on exactly its mask's rows.  Vertex 0's chart tells a
+    # unimodular cone by its edge rays, with no elimination.
     rng = random.Random(47)
     want = []
     for _ in range(400):
@@ -235,11 +236,12 @@ def test_first_cone_takes_one_reduce_and_no_inverse(monkeypatch):
         assert [y for y, _ in polytope._extreme_rays([rows[i] for i in basis], d)] == first
         assert calls == ["_reduce"]
     assert pointed > 100
-    calls.clear()
     for p, want_det in catalog_cones:
         p = polytope.HPolytope(p.dim, p.normals, p.offsets)
-        assert polytope._first_cone_det(p) == want_det
-    assert "scaled_inverse" not in calls
+        p.vertices()
+        calls.clear()
+        assert polytope._unimodular(polytope._vertex_chart(p, 0)[1]) == (want_det == 1)
+        assert p.is_simple() and not calls
 
 
 def test_parse_makes_at_most_two_rank_calls(monkeypatch):

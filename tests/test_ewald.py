@@ -19,6 +19,7 @@ from ewaldkit.bundles import (
 )
 from ewaldkit.classify import is_deeply_smooth, is_monotone, vertex_edge_directions
 from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
+from ewaldkit.displace import displacement_slice, first_displacement
 from ewaldkit.ewald import (
     StrongEwaldResult,
     cube_normalization,
@@ -379,18 +380,23 @@ def test_star_ewald_face_rejects_invalid_faces():
     with pytest.raises(ValueError):
         star_ewald_face(cube(2), FaceRef((0, 0), 2))
     # one check for every face-taking function: a repeated facet, opposite
-    # facets (no common vertex), an index out of range on either side
-    bad_faces = (
-        FaceRef((0, 0), 2),
-        FaceRef((0, 1), 2),
-        FaceRef((0, 9), 2),
-        FaceRef((4,), 1),
-        FaceRef((-1,), 1),
-    )
-    for fn in (star_ewald_face, star_sets, verify_origin_next_to):
-        for f in bad_faces:
+    # facets (no common vertex), an index out of range on either side, and
+    # two facets of the hexagon whose independent rows x <= 1 and y <= 1
+    # meet at (1, 1), outside it
+    hexagon = monotone_polygon("hexagon")
+    assert hexagon.normals[0:3:2] == ((1, 0), (0, 1)) and not hexagon.contains((1, 1))
+    bad_faces = [
+        (cube(2), FaceRef((0, 0), 2)),
+        (cube(2), FaceRef((0, 1), 2)),
+        (cube(2), FaceRef((0, 9), 2)),
+        (cube(2), FaceRef((4,), 1)),
+        (cube(2), FaceRef((-1,), 1)),
+        (hexagon, FaceRef((0, 2), 2)),
+    ]
+    for fn in (star_ewald_face, star_sets, verify_origin_next_to, first_displacement, displacement_slice):
+        for p, f in bad_faces:
             with pytest.raises(ValueError, match="invalid face"):
-                fn(cube(2), f)
+                fn(p, f)
 
 
 def test_ordered_is_sorted_once():

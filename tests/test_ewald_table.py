@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import inf
 
 from conftest import random_unimodular
 from ewaldkit import ewald, intlinalg
@@ -37,8 +38,8 @@ from ewaldkit.ewald import (
     strong_ewald,
 )
 from ewaldkit.fileio import analyze_polytope, serialize_polytope
-from ewaldkit.intlinalg import mat_vec
-from ewaldkit.polytope import HPolytope, _first_cone_det, _lattice_search, _slab_frame, cartesian_product
+from ewaldkit.intlinalg import det, mat_vec
+from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _slab_frame, cartesian_product
 from lattice_oracles import brute_ewald, dot_tight_masks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -165,7 +166,7 @@ def test_table_matches_dot_products_and_brute_force(monkeypatch):
         pivot_frames += not unit and not q.is_simple()
         integral = {isinstance(c, int) for c in q.offsets}
         mixed += len(integral) == 2
-        det_two += _first_cone_det(q) == 2
+        det_two += abs(det([q.normals[i] for i in _cone_rows(q, 0)])) == 2
     assert empty == 16 and unit_frames >= 12 and pivot_frames >= 6 and mixed >= 15 and det_two == 6
 
 
@@ -201,7 +202,7 @@ def test_a_count_keys_its_memo_on_the_live_rows_and_frees_it():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        size = search([0] * 2 * n)
+        size, _ = search([0] * 2 * n)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -338,17 +339,17 @@ def test_exact_counts_that_no_listing_reaches(monkeypatch):
 
 def _runs(monkeypatch):
     """'list' or 'count' for every run of E(P)'s lattice search from now on
-    that lists or counts E(P): the search also answers neat classes, and
-    those runs are not recorded."""
+    that lists or counts E(P): the search also answers neat classes, by
+    counts capped at 0, and those runs are not recorded."""
     runs = []
 
     def recorded(*frame):
         search = _lattice_search(*frame)
 
-        def run(d, visit=None, halfspace=False):
-            if visit is None or halfspace:
-                runs.append("count" if visit is None else "list")
-            return search(d, visit, halfspace)
+        def run(d, visit=None, halfspace=False, cap=inf):
+            if halfspace or visit is None and cap:
+                runs.append("list" if halfspace else "count")
+            return search(d, visit, halfspace, cap)
 
         return run
 

@@ -274,6 +274,11 @@ def test_cli_ewald_neat_probe_displace(capsys):
     assert code == 0 and "displaceable" in out
     code, out, _ = run_cli(["displace", "-", "--facets", "0"], stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and out.startswith("dim 1")
+    # the hexagon's rows x <= 1 and y <= 1 meet at (1, 1), outside it
+    hexagon = serialize_polytope(catalog()["hexagon"])
+    assert hexagon.splitlines()[2:5:2] == ["1 0 1", "0 1 1"]
+    code, out, err = run_cli(["displace", "-", "--facets", "0,2"], stdin_text=hexagon, capsys=capsys)
+    assert code == 2 and out == "" and err == "error: invalid face\n"
     # probing the centre fails with exit code 1
     code, out, _ = run_cli(
         ["probe", "-", "--point", "0,0", "--bound", "2"], stdin_text=C2_TEXT, capsys=capsys
@@ -429,6 +434,11 @@ def test_cli_oda_and_errors(tmp_path, capsys):
     f.write_text(C2_TEXT)
     code, out, _ = run_cli(["oda", str(f), str(f)], capsys=capsys)
     assert code == 0 and "holds" in out
+    g = tmp_path / "c3.poly"
+    g.write_text(serialize_polytope(cube(3)))
+    for pair in ((f, g), (g, f)):
+        code, out, err = run_cli(["oda", *map(str, pair)], capsys=capsys)
+        assert code == 2 and out == "" and err == "error: dimension mismatch\n"
     code, _, err = run_cli(["check", str(tmp_path / "missing.poly")], capsys=capsys)
     assert code == 2
     code, _, err = run_cli(["gen", "nonsense"], capsys=capsys)

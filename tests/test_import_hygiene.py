@@ -1,9 +1,11 @@
 """Every name a module of ewaldkit imports is read in that module or
-re-exported through its __all__: an import nothing reads is dead code."""
+re-exported through its __all__: an import nothing reads is dead code.  And
+every helper the README names exists."""
 
 import ast
 import importlib
 import os
+import re
 import sys
 
 import pytest
@@ -158,3 +160,34 @@ def test_fileio_binds_every_call_the_benchmark_traces():
     for name in names:
         fn = getattr(fileio, name)
         assert fn.__name__ == name and getattr(sys.modules[fn.__module__], name) is fn, name
+
+
+def _stale_mentions(text, modules):
+    """The code spans of text that name a helper no module defines: each
+    `module.name` whose module is one of ewaldkit's, looked up in that
+    module itself, and each bare private `_name`, looked up in every
+    module.  File names such as `intlinalg.py` are skipped."""
+    stale = []
+    for span in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", text))):
+        head, _, name = span.rpartition(".")
+        if name == "py":
+            continue
+        if head:
+            if head in modules and not hasattr(modules[head], name):
+                stale.append(span)
+        elif _is_private(name) and not any(hasattr(m, name) for m in modules.values()):
+            stale.append(span)
+    return stale
+
+
+def test_the_readme_names_only_helpers_that_exist():
+    # the package rebinds ewaldkit.displace and ewaldkit.classify to
+    # functions, so each module is read from sys.modules
+    modules = {}
+    for module in MODULES:
+        importlib.import_module("ewaldkit." + module[:-3])
+        modules[module[:-3]] = sys.modules["ewaldkit." + module[:-3]]
+    assert _stale_mentions("`displace._class_chart` `_bits` `intlinalg.py` `p.size`", modules) == []
+    assert _stale_mentions("`displace._gone` `_gone` `classify.is_smooth`", modules) == ["_gone", "displace._gone"]
+    with open(os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md"), encoding="utf-8") as fh:
+        assert _stale_mentions(fh.read(), modules) == []

@@ -14,7 +14,7 @@ from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import serialize_polytope
 from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _slab_frame, cartesian_product, dot
 from ewaldkit.probes import interior_sample_grid
-from lattice_oracles import ewald_box_scan, ewald_scan, frame_columns, product_grid, scan_lattice, slab_box_scan
+from lattice_oracles import ewald_box_scan, ewald_scan, frame, product_grid, scan_lattice, slab_box_scan
 
 # x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
 RATIONAL_POLYGON = HPolytope(
@@ -146,7 +146,7 @@ def _visits(search, d, **kwargs):
 def test_visited_points_are_the_box_scan_with_every_residual():
     empty = 0
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
+        search = _lattice_search(*frame(rows, coords), half)
         leaves = _visits(search, d)
         points = [x for x, _ in leaves]
         assert len(set(points)) == len(points), (rows, d)
@@ -162,24 +162,42 @@ def test_visited_points_are_the_box_scan_with_every_residual():
 def test_the_count_is_the_number_of_visits():
     # at every centre, dimension 0 and the empty systems included
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
-        assert search(d) == len(_visits(search, d)), (rows, d)
+        search = _lattice_search(*frame(rows, coords), half)
+        assert search(d) == (len(_visits(search, d)), True), (rows, d)
 
 
 def test_a_capped_count_is_exact_up_to_its_cap():
     # above the cap it is a running total: a lower bound, itself above the cap
     for rows, coords, half, d in _systems():
-        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
-        total = search(d)
+        search = _lattice_search(*frame(rows, coords), half)
+        total, _ = search(d)
         assert search(d, cap=total) == (total, True)
         if total:
             found, ended = search(d, cap=total - 1)
             assert found == total if ended else total - 1 < found <= total
 
 
+def test_a_count_capped_at_0_tells_whether_a_system_has_a_point():
+    # the existence test of the neat classes, at the seeded systems and at
+    # 200 more random ones, each at three random centres
+    rng = random.Random(35)
+    systems = [(rows, coords, half, [d]) for rows, coords, half, d in _systems()]
+    for _ in range(200):
+        rows, coords, half = _random_slab_system(rng)
+        systems.append((rows, coords, half, [[rng.randint(-4, 4) for _ in rows] for _ in range(3)]))
+    kinds = set()
+    for rows, coords, half, centres in systems:
+        search = _lattice_search(*frame(rows, coords), half)
+        for d in centres:
+            has = bool(slab_box_scan(rows, coords, half, d))
+            assert (search(d, cap=0)[0] > 0) == has, (rows, half, d)
+            kinds.add(has)
+    assert kinds == {True, False}
+
+
 def test_half_space_search_and_its_mirrors_are_the_full_search():
     for rows, coords, half, _ in _systems():
-        search = _lattice_search(rows, coords, frame_columns(rows, coords), half)
+        search = _lattice_search(*frame(rows, coords), half)
         zero = [0] * len(rows)
         full = {x for x, _ in _visits(search, zero)}
         halves = [x for x, _ in _visits(search, zero, halfspace=True)]

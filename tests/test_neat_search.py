@@ -38,14 +38,16 @@ def _check(p, radius):
 
 def _slab_search(p):
     """The lattice test of is_neat as a function of b: the first x the
-    enumerator visits with x ∈ P_b and −x ∈ P_{−b}, or None."""
+    enumerator lists with x ∈ P_b and −x ∈ P_{−b}, or None, once the count
+    capped at 0 that is_neat reads agrees that there is one."""
     rows, coords, cols = _slab_frame(p)
     assert len(rows) == p.nfacets  # p is smooth: no unit rows
     search = _lattice_search(rows, coords, cols, p.offsets)
 
     def first(b):
         found = []
-        search(b, lambda x, e: found.append(x) or True)
+        search(b, lambda x, e: found.append(x))
+        assert (search(b, cap=0)[0] > 0) == bool(found), (p, b)
         return found[0] if found else None
 
     return first
@@ -236,9 +238,9 @@ def _counted_searches(monkeypatch):
     def counting(*frame):
         search = _lattice_search(*frame)
 
-        def counted(b, *rest):
+        def counted(b, *rest, **kwargs):
             searches.append(b)
-            return search(b, *rest)
+            return search(b, *rest, **kwargs)
 
         return counted
 

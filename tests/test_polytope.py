@@ -217,6 +217,18 @@ def test_oda_examples():
         oda_instance_check(d2, halfsq)  # non-lattice input rejected
 
 
+def test_dimension_mismatches_are_refused():
+    # zip would truncate the radix and the sums, or the translation
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        oda_instance_check(cube(2), cube(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        oda_instance_check(cube(3), cube(2))
+    for t in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="translation of length %d in dimension 2" % len(t)):
+            cube(2).translate(t)
+    assert cube(2).translate((1, 0)).offsets == (2, 0, 1, 1)
+
+
 def test_cartesian_product_faces():
     p = cartesian_product(cube(2), segment())
     assert p.dim == 3 and p.nfacets == 6

@@ -1,15 +1,14 @@
 """polytope._vertex_chart and the vertex cones read off the edge graph,
-against a Fraction oracle: the chart's rows s, each margin c_j − u_j·v and
-slope u_j·d_t with the edge ray d_t solved from A_s d_t = −e_t, the
-determinant |det A_s| of every vertex cone, carried along the edges from
-vertex 0, and the lattice search's frame, whose inverse columns are vertex
-0's edge rays: no elimination where that cone is unimodular, one det where
-it is not."""
+against a Fraction oracle: the chart's rows s, its edge rays d_t solved
+from A_s d_t = −e_t, each margin c_j − u_j·v and slope u_j·d_t, the ratios
+|det A_s| / |det A_{s_0}| of every vertex cone to vertex 0's, carried along
+the edges, and the lattice search's frame, vertex 0's chart where its rays
+are integral: no elimination for any of them on a simple polytope."""
 
 import importlib
 import random
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 import pytest
 
@@ -19,16 +18,16 @@ from ewaldkit.classify import classify, is_smooth
 from ewaldkit.displace import is_neat
 from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import parse_polytope, serialize_polytope
-from ewaldkit.intlinalg import solve_rational
+from ewaldkit.intlinalg import inverse_unimodular, solve_rational
 from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
     _bits,
     _cone_dets,
     _cone_rows,
-    _first_cone_det,
     _margins,
     _slab_frame,
+    _unimodular,
     _vertex_chart,
     cartesian_product,
     facet_description,
@@ -61,11 +60,14 @@ def _check_chart(p, vi):
     n = p.dim
     v = p.vertices()[vi]
     tight = set(_bits(p.vertex_masks()[vi]))
-    s, rows = _vertex_chart(p, vi)
+    s, got_rays, rows = _vertex_chart(p, vi)
     a = [p.normals[i] for i in s]
     assert set(s) <= tight and len(s) == n == len(set(s))
     assert _fraction_det(a) != 0  # rank n
     rays = [solve_rational(a, [-(k == t) for k in range(n)]) for t in range(n)]
+    assert list(got_rays) == [tuple(ray) for ray in rays]
+    ints = [[isinstance(x, int) for x in ray] for ray in got_rays]
+    assert ints == [[x.denominator == 1 for x in ray] for ray in rays]
     assert [j for j, _, _ in rows] == [j for j in range(p.nfacets) if j not in s]
     for j, margin, slopes in rows:
         u = p.normals[j]
@@ -106,8 +108,9 @@ def test_vertex_chart_matches_the_fraction_oracle():
     for p in _inputs():
         for vi in range(len(p.vertices())):
             _check_chart(p, vi)
-            s, rows = _vertex_chart(p, vi)
+            s, rays, rows = _vertex_chart(p, vi)
             kinds.add(("non-simple", not p.is_simple()))
+            kinds.add(("Fraction ray", not _unimodular(rays)))
             kinds.add(("dimension 0", p.dim == 0))
             kinds.add(("|det A_s| > 1", abs(_fraction_det([p.normals[i] for i in s])) > 1))
             slopes = [x for _, _, row in rows for x in row]
@@ -159,8 +162,8 @@ def test_propagated_determinants_match_the_fraction_oracle():
     for p in inputs:
         assert p.is_simple()
         want = [abs(_fraction_det([p.normals[i] for i in _bits(t)])) for t in p.vertex_masks()]
-        assert list(_cone_dets(p)) == want, p
-        assert all(isinstance(d, int) for d in _cone_dets(p))
+        assert list(_cone_dets(p)) == [d / want[0] for d in want], p
+        assert [isinstance(d, int) for d in _cone_dets(p)] == [(d / want[0]).denominator == 1 for d in want]
         assert is_smooth(p) == _oracle_smooth(p), p
         witness = is_smooth(p)[1]
         witnesses.add(None if witness is None else p.vertices().index(witness) > 0)
@@ -168,15 +171,16 @@ def test_propagated_determinants_match_the_fraction_oracle():
     assert witnesses == {None, False, True}
 
 
-def _spy_eliminations(monkeypatch):
-    """The names of the det, scaled_inverse and inverse_unimodular calls
-    made from now on, from any ewaldkit module."""
+def _spy_eliminations(monkeypatch, *more):
+    """The names of the det, scaled_inverse and inverse_unimodular calls,
+    and of the functions named in more, made from now on from any ewaldkit
+    module."""
     calls = []
 
     def spy(name, real):
-        return lambda m: calls.append(name) or real(m)
+        return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("scaled_inverse", "det", "inverse_unimodular"):
+    for name in ("scaled_inverse", "det", "inverse_unimodular") + more:
         wrapped = spy(name, getattr(intlinalg, name))
         for module in (intlinalg, polytope, ewald):
             if hasattr(module, name):
@@ -202,7 +206,7 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
 
     def counting(*frame):
         search = real_search(*frame)
-        return lambda b, *rest: searches.append(b) or search(b, *rest)
+        return lambda b, *rest, **kwargs: searches.append(b) or search(b, *rest, **kwargs)
 
     q = parse_polytope(serialize_polytope(p)).polytope
     moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
@@ -221,24 +225,31 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
         assert not any(hasattr(module, f) for f in ("scaled_inverse", "_reduce", "det"))
 
 
-def test_a_first_cone_that_is_not_unimodular_takes_one_det(monkeypatch):
-    # T_2 (|det| 5 at vertex 0) and a tetrahedron (|det| 4 there): a parse,
-    # classify, the count and the listing of E(P) take one det, and the
-    # search runs in the unit coordinates, whose inverse is the identity
+def test_a_first_cone_that_is_not_unimodular_takes_no_elimination(monkeypatch):
+    # T_2 (|det| 5 at vertex 0), a tetrahedron (|det| 4 there) and the
+    # triangle conv{(0, 0), (2, 1), (1, 2)} (|det| 3 at every vertex): after
+    # a parse, is_smooth names vertex 0 from its chart's rays, and classify,
+    # the count and the listing of E(P), whose search runs in the unit
+    # coordinates, take no det, scaled_inverse, inverse_unimodular or _reduce
     tetrahedron = facet_description(VPolytope.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]))
-    for p, want in ((nill_triangle(2), 5), (tetrahedron, 4)):
+    triangle = facet_description(VPolytope.from_points([(0, 0), (2, 1), (1, 2)]))
+    for p in (nill_triangle(2), tetrahedron, triangle):
         q = parse_polytope(serialize_polytope(p)).polytope
-        calls = _spy_eliminations(monkeypatch)
+        calls = _spy_eliminations(monkeypatch, "_reduce")
+        assert is_smooth(q) == (False, q.vertices()[0])
         classify(q)
         assert len(ewald_set(q)) == len(ewald_set(q).ordered())
-        assert calls == ["det"] and _first_cone_det(q) == want
+        assert not calls and len(_slab_frame(q)[0]) > q.nfacets
         monkeypatch.undo()
+        assert abs(_fraction_det([q.normals[i] for i in _cone_rows(q, 0)])) > 1
 
 
 def test_the_search_frame_inverts_its_coordinate_rows():
-    # vertex 0's edge rays are the columns of A_S^-1 where its cone is
-    # unimodular, simple or not; elsewhere the frame is the unit rows and
-    # the identity.  _first_cone_det is |det A_S| either way
+    # u_{s_i}·d_t = −δ_it for the rays of every vertex chart, simple or not,
+    # and where vertex 0's rays are integral, exactly where its cone is
+    # unimodular, the frame's rows are u_j·A^-1 from inverse_unimodular and
+    # its columns A^-1 = −rays; elsewhere the frame is the unit rows and the
+    # identity, with w_j = u_j
     inputs = [del_pezzo(3), del_pezzo(5), nill_triangle(2), CROSS4]
     inputs.append(HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3)))  # |det| = 2 at vertex 1
     for seed in (1, 5):
@@ -247,16 +258,23 @@ def test_the_search_frame_inverts_its_coordinate_rows():
             inputs += [p, p.transform(random_unimodular(rng, p.dim))]
     kinds = set()
     for p in inputs:
+        n = p.dim
+        for vi in range(len(p.vertices())):
+            s, rays, _ = _vertex_chart(p, vi)
+            got = [[sum(map(mul, p.normals[i], ray)) for ray in rays] for i in s]
+            assert got == [[-int(k == t) for t in range(n)] for k in range(n)], (p, vi)
         rows, coords, cols = _slab_frame(p)
-        n, a = p.dim, [rows[i] for i in coords]
-        assert [[sum(map(mul, u, col)) for col in cols] for u in a] == [[int(i == k) for k in range(n)] for i in range(n)]
-        want = abs(_fraction_det([p.normals[i] for i in _cone_rows(p, 0)]))
-        assert _first_cone_det(p) == want, p
+        s, rays, _ = _vertex_chart(p, 0)
+        want = abs(_fraction_det([p.normals[i] for i in s]))
         unit = len(rows) > p.nfacets
-        assert unit == (want != 1)
+        assert unit == (want != 1) == (not _unimodular(rays)), p
         if unit:
-            assert coords == list(range(p.nfacets, len(rows))) and list(cols) == a
+            assert coords == list(range(p.nfacets, len(rows))) and list(cols) == rows[p.nfacets :]
+            assert rows[: p.nfacets] == list(p.normals)
         else:
-            assert tuple(coords) == _cone_rows(p, 0)
+            inverse = inverse_unimodular([p.normals[i] for i in s])
+            assert tuple(coords) == s == _cone_rows(p, 0)
+            assert list(cols) == [tuple(map(neg, ray)) for ray in rays] == list(zip(*inverse))
+            assert rows == [tuple(sum(map(mul, u, col)) for col in zip(*inverse)) for u in p.normals]
         kinds.add((p.is_simple(), unit))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
