@@ -3,7 +3,6 @@
 vertex sets, and Ewald counts."""
 
 from ewaldkit import (
-    classify,
     cube,
     del_pezzo,
     ewald_set,
@@ -14,6 +13,7 @@ from ewaldkit import (
     smooth_simplex,
     ssb,
 )
+from ewaldkit.classify import classify
 
 
 def show(name, p):

@@ -6,7 +6,6 @@ from ewaldkit import (
     BundleSpec,
     build_bundle,
     bundle_classification,
-    displace,
     ewald_set,
     is_neat,
     monotone_polygon,
@@ -18,6 +17,7 @@ from ewaldkit import (
     small_fiber_bundle,
     ssb_as_bundle,
 )
+from ewaldkit.displace import displace
 
 print("=== a bundle: hexagon base, segment fiber, twisted by (1,1) ===")
 spec = BundleSpec(

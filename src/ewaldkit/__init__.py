@@ -1,7 +1,11 @@
 """Exact-arithmetic lattice polytope analysis: Ewald sets and the weak,
 strong, and star Ewald conditions; face displacements and neatness; polytope
 bundles and the named families; closed-form Ewald counting; and probe
-displaceability."""
+displaceability.
+
+The functions classify and displace live in the submodules of the same
+names (ewaldkit.classify.classify, ewaldkit.displace.displace), which the
+package does not shadow."""
 
 from .polytope import (
     HPolytope,
@@ -29,7 +33,6 @@ from .intlinalg import (
 )
 from .classify import (
     ClassReport,
-    classify,
     is_smooth,
     is_reflexive,
     is_monotone,
@@ -51,7 +54,6 @@ from .ewald import (
     verify_origin_next_to,
 )
 from .displace import (
-    displace,
     first_displacement,
     displacement_slice,
     normally_isomorphic_displacements,

@@ -157,14 +157,16 @@ def is_deeply_smooth(p: HPolytope):
     u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t, an integer on a lattice smooth P.
     The corners v and v + d_t lie in P, so a vertex failing the test misses
     a corner of two or more directions; the corners are listed, in the
-    order that fixes the witness, only at the first such vertex."""
+    order that fixes the witness, only at the first such vertex, over the
+    sorted edge rays of its chart (polytope._vertex_chart), which are its
+    primitive edge directions."""
     _require_lattice_smooth(p, "deep smoothness is defined for lattice smooth polytopes")
     margins = _margins(p)
     for i, (v, edges) in enumerate(zip(p.vertices(), _edges(p))):
         ends = [(margins[w], margins[w][s]) for s, w, _ in edges]
         if all(x >= sum([(x - mw[j]) // lam for mw, lam in ends if mw[j] < x]) for j, x in enumerate(margins[i]) if x):
             continue
-        dirs = vertex_edge_directions(p, i)
+        dirs = sorted(_vertex_chart(p, i)[1])
         for r in range(2, len(dirs) + 1):
             for subset in combinations(dirs, r):
                 corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))
@@ -225,14 +227,14 @@ def deeply_smooth_characterizations_agree(p: HPolytope):
 def is_quasi_smooth_polygon(p: HPolytope) -> bool:
     """Each vertex v must be at lattice distance one from the line through
     its neighbouring boundary lattice points v + a and v + b, for a and b
-    its primitive edge directions: |det(e, a)| = 1 for e the primitive part
-    of a − b."""
+    its primitive edge directions, the primitive parts of its chart's edge
+    rays: |det(e, a)| = 1 for e the primitive part of a − b."""
     if p.dim != 2:
         raise ValueError("quasi-smoothness is defined for polygons")
     if not p.is_lattice():
         raise ValueError("quasi-smoothness needs a lattice polygon")
     for i in range(len(p.vertices())):
-        a, b = vertex_edge_directions(p, i)
+        a, b = map(_integerize, _vertex_chart(p, i)[1])
         e = primitive_part([x - y for x, y in zip(a, b)])
         if abs(e[0] * a[1] - e[1] * a[0]) != 1:
             return False

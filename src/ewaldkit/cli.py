@@ -24,14 +24,16 @@ from .ewald import ewald_set
 from .fileio import (
     MAX_DIM_DEFAULT,
     MAX_EWALD_POINTS,
+    _refuse_count,
     _refuse_large_ewald,
     analyze_polytope,
     ingest_database,
     parse_polytope,
     serialize_polytope,
 )
-from .polytope import FaceRef, oda_instance_check
-from .probes import DEFAULT_BOUND, check_bound, displaceable_by_probe, star_probe_crosscheck
+from .polytope import FaceRef, _slab_search, oda_instance_check
+from .probes import DEFAULT_BOUND, _sample_upper, check_bound, check_samples
+from .probes import displaceable_by_probe, star_probe_crosscheck
 
 __all__ = ["main"]
 
@@ -113,8 +115,9 @@ def main(argv=None) -> int:
         "--allow-large",
         action="store_true",
         help="lift the default dimension cap of %d (scans grow like 3^n), the "
-        "E(P) listing limit of %d points, the probe direction box limit of %d and the "
-        "exact neatness class box limit of %d"
+        "E(P) listing limit of %d points, the probe limit of %d points on the "
+        "direction box and on the sample grid, and the exact neatness class box "
+        "limit of %d"
         % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -243,6 +246,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "probe":
         bound = args.bound if args.bound is not None else bound_default
         check_bound(bound)  # before the file is read
+        check_samples(args.samples)
         parsed = _read_polytope(args.file, args.allow_large)
         box = (2 * bound + 1) ** parsed.polytope.dim
         if box > MAX_PROBE_BOX and not args.allow_large:
@@ -262,6 +266,10 @@ def _dispatch(args, radius_default, bound_default) -> int:
                 % (probe.facet, probe.direction, tuple(map(str, probe.start)))
             )
             return 0
+        if not args.allow_large:
+            p = parsed.polytope
+            search, centre = _slab_search(p, _sample_upper(p, args.samples), args.samples)
+            _refuse_count("probe grid at %d samples" % args.samples, "limit", search, centre, MAX_PROBE_BOX)
         _refuse_large_ewald(parsed.polytope, args.allow_large)  # star_ewald lists E(P)
         report = star_probe_crosscheck(parsed.polytope, args.samples, bound)
         print(
@@ -321,9 +329,12 @@ _COUNTS = {
     "emin": (1, emin_upper_bound),
     "tables": (0, None),
 }
-# the largest direction box (2·bound + 1)^n that `probe` takes without
-# --allow-large: the probe search lists and sorts the whole box.  It admits
-# dimension 6 at the default bound 3 (7^6 = 117,649), not dimension 7
+# the largest direction box (2·bound + 1)^n, and the largest sample grid
+# (its points counted with the origin), that `probe` takes without
+# --allow-large: the probe search lists and sorts the whole box, and the
+# cross-check probes every point of a grid that grows like samples^n.  It
+# admits dimension 6 at the default bound 3 (7^6 = 117,649), not dimension
+# 7, and on gen cube 3 up to 29 samples (57^3 = 185,193 points), not 30
 MAX_PROBE_BOX = 200_000
 # the largest class box (displace.neat_class_box) that `neat --exact` takes
 # without --allow-large: the exact test spends a few microseconds on each of

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .classify import _require_lattice_smooth
 from .ewald import _ewald_search
@@ -19,6 +20,7 @@ from .polytope import (
     HPolytope,
     Slice,
     _edges,
+    _exact,
     _facet_rows,
     _margins,
     _ratio,
@@ -126,7 +128,8 @@ def _vertex_margin_constraints(p: HPolytope):
     is immediate.
 
     Row j outside S reads c_j + b_j − u_j·x_S(b) = margin_j + b_j +
-    Σ_t slope_t·b_{s_t} off its chart row, as u_j·A_S^{-1} e_t = −slope_t:
+    Σ_t slope_t·b_{s_t}, with slope_t = u_j·d_t on the chart's edge rays,
+    as u_j·A_S^{-1} e_t = −slope_t:
     the relation u_j + Σ_t slope_t·u_{s_t} = 0, whose margin is
     c_j + Σ_t slope_t·c_{s_t}.  Each strict margin is stored as
     (const, ((idx, coeff), ...)) meaning const + sum coeff*b[idx] > 0, each
@@ -141,12 +144,13 @@ def _vertex_margin_constraints(p: HPolytope):
     leaves row s and meets row j, gives v's margin on row j, the other
     margins being implied.  So each edge is read once, from its lower end,
     and only row j's slopes are taken there, (M[v][j] − M[w_t][j]) / λ_t
-    on the margin table M and the edge graph as in _vertex_chart, with no
-    elimination.  The n rows at a vertex are independent, so a relation of
-    u_j over rows tight at v is v's own: an edge whose row j has a relation
-    read before with its support among v's tight rows gives that same
-    constraint and is skipped.  Non-simple polytopes and dimension 0 take
-    every vertex's chart rows.
+    on the margin table M (_margins) and the edge graph (_edges), as
+    w_t = v + λ_t d_t with λ_t = M[w_t][s_t]: no elimination.  The n rows
+    at a vertex are independent, so a relation of u_j over rows tight at v
+    is v's own: an edge whose row j has a relation read before with its
+    support among v's tight rows gives that same constraint and is
+    skipped.  Non-simple polytopes and dimension 0 read every vertex's
+    chart: each row j off S, with its margin M[v][j] and slopes u_j·d_t.
     """
     constraints = set()
     if p.dim and p.is_simple():
@@ -163,11 +167,12 @@ def _vertex_margin_constraints(p: HPolytope):
                 supports[j].append(sum(1 << s for s, _ in terms))
                 constraints.add((mv[j], tuple(sorted(terms + [(j, 1)]))))
     else:
-        for vi, tight in enumerate(p.vertex_masks()):
-            s, _, rows = _vertex_chart(p, vi)
-            for j, margin, slopes in rows:
-                terms = [(j, 1)] + [(i, a) for i, a in zip(s, slopes) if a]
-                constraints.add((None if tight >> j & 1 else margin, tuple(sorted(terms))))
+        for vi, (mv, tight) in enumerate(zip(_margins(p), p.vertex_masks())):
+            s, rays = _vertex_chart(p, vi)
+            for j, u in enumerate(p.normals):
+                if j not in s:
+                    terms = [(j, 1)] + [(i, a) for i, ray in zip(s, rays) if (a := _exact(sum(map(mul, u, ray))))]
+                    constraints.add((None if tight >> j & 1 else mv[j], tuple(sorted(terms))))
     grouped = {}
     for const, terms in constraints:
         level = max(i for i, _ in terms)
@@ -239,74 +244,60 @@ def normally_isomorphic_displacements(p: HPolytope, radius: int):
 
 @per_polytope
 def _class_chart(p: HPolytope) -> tuple:
-    """(size, bounds, reduction): the translation classes of the b that
-    neatness tests, for a lattice smooth p.
+    """(size, bounds): the class box, which holds a representative of every
+    translation class of the b that neatness tests, for a lattice smooth p.
 
     An integer x answers b when |u_j·x − b_j| <= c_j on every row, that is
     x ∈ P_b and −x ∈ P_{−b}.  Then x + t answers b + N·t for every integer
     t, and P_{b+Nt} = P_b + t keeps the fan exactly when P_b does, so
     whether b is answered depends only on its class modulo N·Zⁿ.
 
-    At a vertex v with chart rows S, which form a unimodular A_S, each class
-    holds exactly one b with b_S = 0: b + N·t for t = −A_S⁻¹·b_S, whose
-    entry on a row j off S is b_j + Σ_t slope_t·b_{s_t}, off v's chart.
-    With b_S = 0, v's paired margins read margin_j ± b_j > 0, and a row of
-    T \\ S (dimension 0 only) keeps b_j = 0.  So every class of a pair
-    (b, −b) that keeps the fan has its representative in the box
+    At a vertex v with tight rows S, which form a unimodular A_S, each class
+    holds exactly one b with b_S = 0: b + N·t for t = −A_S⁻¹·b_S.  With
+    b_S = 0, v's paired margins read margin_j ± b_j > 0, so every class of
+    a pair (b, −b) that keeps the fan has its representative in the box
     |b_j| <= bounds[j]: 0 on the rows tight at v, margin_j − 1 elsewhere.
     v is the vertex whose box has the fewest points,
     size = Π(2·bounds[j] + 1), or the first vertex whose box x = 0 answers
     whole (bounds[j] <= c_j on every row), with size = 0: no class is left
     to decide.  The boxes read every vertex's row of the margin table
-    (polytope._margins), and only v's chart is built, for the reduction:
-    (j, ((s_t, slope_t), ...)) per row j off S, over the nonzero slopes.
+    (polytope._margins), and no chart: the classes are keyed at vertex 0
+    (_class_verdicts).
     """
     best = None
-    for vi, margins in enumerate(_margins(p)):
+    for margins in _margins(p):
         bounds = tuple(max(x - 1, 0) for x in margins)
         covered = all(h <= c for h, c in zip(bounds, p.offsets))
         size = 0 if covered else prod(2 * h + 1 for h in bounds)
         if best is None or size < best[0]:
-            best = (size, bounds, vi)
+            best = (size, bounds)
         if covered:
             break
-    size, bounds, vi = best
-    s, _, rows = _vertex_chart(p, vi)
-    reduction = tuple((j, tuple((i, a) for i, a in zip(s, slopes) if a)) for j, _, slopes in rows)
-    return size, bounds, reduction
+    return best
 
 
-def _class_representative(reduction, b) -> tuple:
-    """The member of b's translation class with b_S = 0, for the reduction
-    of _class_chart."""
-    rep = [0] * len(b)
-    for j, terms in reduction:
-        v = b[j]
-        for i, a in terms:
-            v += a * b[i]
-        rep[j] = v
-    return tuple(rep)
-
-
-def _class_verdicts(p: HPolytope, reduction):
+def _class_verdicts(p: HPolytope):
     """answered(b): whether some integer x answers b, for integer b,
-    decided once per class of the pair (b, −b): by x = 0 when the class
-    representative has |b_j| <= c_j on every row, else by one count of
-    E(P)'s lattice search (ewald._ewald_search) centred at it and capped at
-    0, which stops at its first point: p is lattice smooth, so E(P) is
-    {x : |u_j·x| <= c_j} on p's own rows, and its search is the system
-    |u_j·x − b_j| <= c_j at d = b.  x answers b exactly when −x answers −b,
-    so the pair's key is the lesser of its two representatives."""
-    offsets, known = p.offsets, {}
+    decided once per class of the pair (b, −b).
+
+    E(P)'s lattice search (ewald._ewald_search) is the system
+    |u_j·x − b_j| <= c_j at the centre d = b, as p is lattice smooth, so
+    E(P) is {x : |u_j·x| <= c_j} on p's own rows.  The residuals from which
+    it starts at b (search.residuals, b_j − w_j·b_S on vertex 0's frame
+    rows w_j) are the member of b's class with b_S = 0 on vertex 0's rows
+    S, the class's representative.  A class is decided by x = 0 when its
+    representative has |b_j| <= c_j on every row, else by one count of the
+    search centred at it and capped at 0, which stops at its first point.
+    x answers b exactly when −x answers −b, so the pair's key is the lesser
+    of its two representatives."""
+    search, offsets, known = _ewald_search(p)[0], p.offsets, {}
 
     def answered(b):
-        key = _class_representative(reduction, b)
-        neg = tuple(-v for v in key)
-        if neg < key:
-            key = neg
+        key = tuple(search.residuals(b))
+        key = min(key, tuple(-v for v in key))
         verdict = known.get(key)
         if verdict is None:
-            verdict = all(abs(v) <= c for v, c in zip(key, offsets)) or _ewald_search(p)[0](key, cap=0)[0] > 0
+            verdict = all(abs(v) <= c for v, c in zip(key, offsets)) or search(key, cap=0)[0] > 0
             known[key] = verdict
         return verdict
 
@@ -362,10 +353,10 @@ def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
     if radius is not None and all(c >= radius for c in p.offsets):
         return NeatVerdict("neat_up_to_radius", radius)  # x = 0 answers [−r, r]^m
     neat = NeatVerdict("neat" if radius is None else "neat_up_to_radius", radius)
-    size, bounds, reduction = _class_chart(p)
+    size, bounds = _class_chart(p)
     if not size:
         return neat  # x = 0 answers every class
-    answered = _class_verdicts(p, reduction)
+    answered = _class_verdicts(p)
     if radius is None or size <= (2 * radius + 1) ** p.nfacets:
         failing = next((b for b in _fan_preserving(p, bounds, paired=True) if not answered(b)), None)
         if failing is None:

@@ -11,7 +11,7 @@ from itertools import combinations
 from math import ceil, floor, prod
 from operator import neg
 
-from .classify import is_deeply_smooth, is_monotone, is_smooth, vertex_edge_directions
+from .classify import is_deeply_smooth, is_monotone, is_smooth
 from .intlinalg import _basis_search, _xgcd, inverse_unimodular, mat_vec, scan_key
 from .polytope import (
     FaceRef,
@@ -358,7 +358,8 @@ def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:
 
 def deeply_smooth_origin_vertex_basis(p: HPolytope):
     """For deeply smooth P with the origin next to some vertex v, the
-    primitive edge vectors at v form a lattice basis inside E(P)."""
+    primitive edge vectors at v, the edge rays of v's chart, sorted, form a
+    lattice basis inside E(P)."""
     if not is_deeply_smooth(p)[0]:
         return None
     _require_origin_interior(p)
@@ -366,7 +367,7 @@ def deeply_smooth_origin_vertex_basis(p: HPolytope):
     for i, t in enumerate(p.vertex_masks()):
         if not _next_to_origin(p, t):
             continue
-        dirs = vertex_edge_directions(p, i)
+        dirs = tuple(sorted(_vertex_chart(p, i)[1]))
         if all(d in e.points for d in dirs):
             return dirs
         raise AssertionError("edge vectors escaped E(P) with origin next to vertex")

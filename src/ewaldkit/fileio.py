@@ -45,10 +45,10 @@ __all__ = [
 MAX_DIM_DEFAULT = 12
 # the largest |E(P)| that check, ewald, probe and batch list without
 # --allow-large: above dimension 9 the star condition does work on
-# |E(P)|-bit integers for each face (`check --skip-neat` takes 1.8 s on
-# cube(11), 177,147 points, and 9.2 s on cube(12), 531,441 points, single
-# runs on a shared 2-core machine), while the count that decides the
-# refusal lists nothing
+# |E(P)|-bit integers for each face (`--allow-large check --skip-neat`
+# takes 1.7 s on cube(11), 177,147 points, and 9.2 s on cube(12), 531,441
+# points, one run each on a shared 2-core x86-64 machine), while the count
+# that decides the refusal lists nothing
 MAX_EWALD_POINTS = 200_000
 
 
@@ -220,22 +220,29 @@ def analyze_polytope(
     }
 
 
+def _refuse_count(what: str, limit_name: str, search, centre, limit: int) -> None:
+    """Raise ValueError when the lattice search counts more than limit
+    points at centre.  The count lists nothing and stops at its first
+    running total above the limit, a lower bound of the count, so the
+    refusal is exact and the message says "at least" where it stopped."""
+    count, ended = search(centre, cap=limit)
+    if count > limit:
+        raise ValueError(
+            "%s has %s%d points, above the %s of %d; pass --allow-large to override"
+            % (what, "" if ended else "at least ", count, limit_name, limit)
+        )
+
+
 def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when E(P) has more than
-    MAX_EWALD_POINTS points: the check before a caller lists E(P).  Only a
-    search box above the limit is counted, and the count lists nothing.  It
-    stops at its first running total above the limit, a lower bound of
-    |E(P)|, so the refusal is exact and the message says "at least" where
-    the count stopped."""
+    MAX_EWALD_POINTS points (_refuse_count): the check before a caller
+    lists E(P).  Only a search box above the limit is counted, and the
+    count reads vertex 0's chart and no table of every vertex."""
     if allow_large:
         return
     search, centre, box = _ewald_search(p)
-    count, ended = search(centre, cap=MAX_EWALD_POINTS) if box > MAX_EWALD_POINTS else (0, True)
-    if count > MAX_EWALD_POINTS:
-        raise ValueError(
-            "E(P) has %s%d points, above the listing limit of %d; pass --allow-large to override"
-            % ("" if ended else "at least ", count, MAX_EWALD_POINTS)
-        )
+    if box > MAX_EWALD_POINTS:
+        _refuse_count("E(P)", "listing limit", search, centre, MAX_EWALD_POINTS)
 
 
 @dataclass

@@ -11,10 +11,10 @@ Two elimination routines do all the work over Q and over Z:
   inverses (scaled_inverse, inverse_unimodular), and in polytope.py the
   starting rows and rays of the double-description core and the particular
   solution of a face chart.  The vertex cones of a simple polytope take
-  none of it: polytope's vertex charts read their edge rays, their
-  determinants relative to vertex 0, the smoothness test and the lattice
-  search's frame off the edge graph; a non-simple vertex cone takes one
-  scaled_inverse.
+  none of it: a vertex chart reads its edge rays off its neighbours in the
+  vertex masks, and the lattice search's frame off vertex 0's chart;
+  smoothness and the determinants relative to vertex 0 are carried along
+  the edge graph; a non-simple vertex cone takes one scaled_inverse.
 - _extend_saturated adds one row to a saturated set by Euclid's algorithm on
   the functionals vanishing on the set; is_saturated and the unimodular-basis
   search of the Ewald checks are chains of it.

@@ -217,42 +217,39 @@ def _cone_dets(p) -> tuple:
 
 @per_polytope
 def _vertex_chart(p, vi: int) -> tuple:
-    """(s, rays, rows): P in the cone coordinates of vertex v = vi, the one
-    place where a vertex cone is derived.  s holds n independent rows tight
-    at v, rays[t] is the edge ray d_t of A_s d_t = −e_t, which leaves row
-    s_t, and rows has one entry (j, M[v][j], slopes) per row j outside s,
-    in row order, with slopes[t] = u_j·d_t; each entry is an int where it
-    is one, else a Fraction.
+    """(s, rays): the cone of vertex v = vi, the one place where a vertex
+    cone is derived.  s holds n independent rows tight at v, ascending, and
+    rays[t] is the edge ray d_t of A_s d_t = −e_t, which leaves row s_t: an
+    int where it is one, else a Fraction.  A reader takes row j's slope
+    along d_t as the dot product u_j·d_t.
 
-    On a simple polytope every vertex is read off the margin table M
-    (_margins) and the edge graph (_edges), with no elimination: s is every
-    tight row, the edge leaving s_t ends at w_t, d_t = (w_t − v) / λ_t with
-    λ_t = M[w_t][s_t], so u_j·d_t = (M[v][j] − M[w_t][j]) / λ_t.  At the
-    vertices of a non-simple polytope s is _cone_rows(p, vi), and the rays
-    come from the one scaled inverse (d, e) of A_s, d_t = −e_t / d."""
-    margins, tight = _margins(p), p.vertex_masks()[vi]
-    mv = margins[vi]
+    One chart reads vertex vi alone, in one O(V) pass over the vertex
+    masks, and builds neither the margin table nor the edge graph: it is
+    read at vertex 0 (the lattice frame and smoothness), at one witness or
+    origin vertex, and at each vertex of a polygon.  A reader that needs
+    every vertex reads _margins and _edges instead.
+
+    On a simple polytope s is every tight row, and two vertices span an
+    edge exactly when they share n − 1 tight rows (Ziegler, Lectures on
+    Polytopes, 1995): the edge that leaves s_t, the one row of v missing at
+    its other end w_t, gives d_t = (w_t − v) / λ_t with λ_t = c_{s_t} −
+    u_{s_t}·w_t, with no elimination.  At the vertices of a non-simple
+    polytope s is _cone_rows(p, vi), and the rays come from the one scaled
+    inverse (d, e) of A_s, d_t = −e_t / d."""
     if p.is_simple():
-        edges, verts = _edges(p)[vi], p.vertices()
-        s = tuple(st for st, _, _ in edges)
-        ends = [(margins[w], margins[w][st], verts[w]) for st, w, _ in edges]
-        rays = tuple(tuple(map(_ratio, map(sub, vw, verts[vi]), repeat(lam))) for _, lam, vw in ends)
-        rows = tuple(
-            (j, x, tuple(_ratio(x - mw[j], lam) for mw, lam, _ in ends))
-            for j, x in enumerate(mv)
-            if not tight >> j & 1
-        )
-        return s, rays, rows
+        verts, masks = p.vertices(), p.vertex_masks()
+        v, tight = verts[vi], masks[vi]
+        s = _bits(tight)
+        ends = {tight & ~t: w for w, t in zip(verts, masks) if (tight & t).bit_count() == p.dim - 1}
+        rays = []
+        for st in s:
+            w = ends[1 << st]  # the other end of the edge that leaves s_t
+            lam = p.offsets[st] - dot(p.normals[st], w)
+            rays.append(tuple(map(_ratio, map(sub, w, v), repeat(lam))))
+        return s, tuple(rays)
     s = _cone_rows(p, vi)
     d, e = scaled_inverse([p.normals[i] for i in s])
-    scaled = [tuple(-x for x in col) for col in zip(*e)]  # d · d_t
-    rays = tuple(tuple(_ratio(x, d) for x in ray) for ray in scaled)
-    rows = tuple(
-        (j, mv[j], tuple(_ratio(sum(map(mul, u, ray)), d) for ray in scaled))
-        for j, u in enumerate(p.normals)
-        if j not in s
-    )
-    return s, rays, rows
+    return s, tuple(tuple(_ratio(-x, d) for x in col) for col in zip(*e))
 
 
 def _walk_faces(p, limit):
@@ -692,17 +689,16 @@ def _slab_frame(p: HPolytope):
     Where vertex 0's cone is unimodular (_unimodular), as on every smooth
     polytope and at DP3's and DP5's non-simple vertices, the frame is vertex
     0's chart (_vertex_chart): A is its rows s, A^-1 = −rays, and row j
-    reads w_j = u_j A^-1, e_t on row s_t and −slopes_j off s.  Otherwise A
-    is the unit rows, appended after p's rows and bounded by its bounding
-    box, and w_j = u_j."""
+    reads w_j = u_j A^-1, one dot product u_j·col_t per column, which is
+    e_t on row s_t.  Otherwise A is the unit rows, appended after p's rows
+    and bounded by its bounding box, and w_j = u_j."""
     n, m = p.dim, p.nfacets
-    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    s, rays, chart = _vertex_chart(p, 0)
+    s, rays = _vertex_chart(p, 0)
     if not _unimodular(rays):
+        units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
         return list(p.normals) + units, list(range(m, m + n)), units
-    w = dict(zip(s, units))
-    w.update((j, tuple(map(neg, slopes))) for j, _, slopes in chart)
-    return [w[j] for j in range(m)], s, tuple(tuple(map(neg, ray)) for ray in rays)
+    cols = tuple(tuple(map(neg, ray)) for ray in rays)
+    return [tuple(sum(map(mul, u, col)) for col in cols) for u in p.normals], s, cols
 
 
 class _Passed(Exception):
@@ -738,10 +734,12 @@ def _lattice_search(rows, coords, cols, half):
 
     Write y = d_coords + z: the coordinate rows put z in the box
     |z_t| <= h_coords[t], and every other row says |w_j·z − e_j| <= h_j
-    with e_j = d_j − w_j·d_coords.  The search fixes z_0, z_1, ... in turn,
-    each over the range every slab allows, widened by the row's largest
-    reach over the coordinates still free; the last coordinate's range is
-    exact.  In the half space, a level's range stops at 0 while every
+    with e_j = d_j − w_j·d_coords.  search.residuals(d) is that list e, 0
+    on the coordinate rows: centres with the same residuals have the same
+    z, so their point sets are integer translates of one another.  The
+    search fixes z_0, z_1, ... in turn, each over the range every slab
+    allows, widened by the row's largest reach over the coordinates still
+    free; the last coordinate's range is exact.  In the half space, a level's range stops at 0 while every
     coordinate fixed so far is 0.  Level k adds y_k times column k of A^-1
     to the point and subtracts z_k w_j[k] from the residual of each row
     that reads z_k, so a point costs O(n + m) and no matrix product.
@@ -830,12 +828,17 @@ def _lattice_search(rows, coords, cols, half):
         del completions  # a closure over itself: free the memo now
         return found
 
+    def residuals(d):
+        e = list(d)  # e_j = d_j − w_j·d_coords: 0 on the coordinate rows
+        for moved, i in zip(moves, coords):
+            if b := d[i]:
+                for j, a in moved:
+                    e[j] -= a * b
+        return e
+
     def search(d, visit=None, halfspace=False, cap=inf):
         base = [d[i] for i in coords]
-        e = list(d)  # e_j = d_j − w_j·base: 0 on the coordinate rows
-        for moved, b in zip(moves, base):
-            for j, a in moved:
-                e[j] -= a * b
+        e = residuals(d)
         # the only test of a row with w = 0 (dim 0)
         feasible = not empty and all(abs(e[j]) <= reach for j, reach in slabs)
         if visit is None:
@@ -868,6 +871,7 @@ def _lattice_search(rows, coords, cols, half):
         descend(0, (0,) * n, e, halfspace)
         del descend  # a closure over itself: free visit's data now, not at the next collection
 
+    search.residuals = residuals
     return search
 
 

@@ -178,12 +178,23 @@ def displaceable_by_probe(p: HPolytope, u, bound: int = DEFAULT_BOUND):
     return Probe(fi, lam, w, end)
 
 
-def _sample_points(p: HPolytope, samples: int) -> list:
-    """The integer q of interior_sample_grid, in lexicographic order."""
+def check_samples(samples: int) -> None:
+    """Refuse a sample count below 1, whose grid would be empty."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    upper = [ceil(c * samples) - 1 for c in p.offsets]
-    return sorted(q for q in _slab_points(p, upper, samples) if any(q))
+
+
+def _sample_upper(p: HPolytope, samples: int) -> list:
+    """The rows of the integer q of interior_sample_grid, the origin
+    included: u_j·q <= ⌈c_j·samples⌉ − 1, for polytope._slab_search and
+    polytope._slab_points at scale samples."""
+    check_samples(samples)
+    return [ceil(c * samples) - 1 for c in p.offsets]
+
+
+def _sample_points(p: HPolytope, samples: int) -> list:
+    """The integer q of interior_sample_grid, in lexicographic order."""
+    return sorted(q for q in _slab_points(p, _sample_upper(p, samples), samples) if any(q))
 
 
 def interior_sample_grid(p: HPolytope, samples: int):

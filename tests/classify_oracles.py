@@ -6,8 +6,9 @@ Edge directions come from a scan over the other vertices for those sharing
 n − 1 tight rows, smoothness from the determinant of those directions, deep
 smoothness from testing every corner of every vertex with contains or from
 the margins and slopes of every vertex's chart (polytope._vertex_chart),
-each unimodular-basis search re-sorts its candidate set first, and a
-2-face's vertices come from a scan of every vertex's tight rows.
+each a dot product with the chart's edge rays, each unimodular-basis search
+re-sorts its candidate set first, and a 2-face's vertices come from a scan
+of every vertex's tight rows.
 """
 
 from itertools import combinations
@@ -60,13 +61,16 @@ def corner_scan_deeply_smooth(p):
 
 def chart_deeply_smooth(p):
     """is_deeply_smooth by the margin test on every vertex's chart: row j
-    holds at every corner of v iff its margin is at least the sum of its
-    positive slopes; the corners are listed at the first vertex that fails."""
+    holds at every corner of v iff its margin c_j − u_j·v is at least the
+    sum of its positive slopes u_j·d_t over the chart's edge rays d_t, each
+    its own dot product; the corners are listed at the first vertex that
+    fails."""
     if not determinant_smooth(p)[0] or not p.is_lattice():
         raise ValueError("deep smoothness is defined for lattice smooth polytopes")
     for i, v in enumerate(p.vertices()):
-        rows = _vertex_chart(p, i)[2]
-        if all(margin >= sum(a for a in slopes if a > 0) for _, margin, slopes in rows):
+        rays = _vertex_chart(p, i)[1]
+        rows = [(c - dot(u, v), [dot(u, d) for d in rays]) for u, c in zip(p.normals, p.offsets)]
+        if all(margin >= sum(a for a in slopes if a > 0) for margin, slopes in rows):
             continue
         dirs = vertex_edge_directions(p, i)
         for r in range(2, len(dirs) + 1):

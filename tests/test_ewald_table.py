@@ -351,6 +351,7 @@ def _runs(monkeypatch):
                 runs.append("list" if halfspace else "count")
             return search(d, visit, halfspace, cap)
 
+        run.residuals = search.residuals  # the neat class keys
         return run
 
     monkeypatch.setattr(ewald, "_lattice_search", recorded)

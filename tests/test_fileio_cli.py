@@ -359,6 +359,41 @@ def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):
     assert code == 0 and "displaceable" in out
 
 
+def test_cli_probe_refuses_a_large_sample_grid_before_any_ewald_work(tmp_path, monkeypatch, capsys):
+    from ewaldkit import cli
+
+    # a sample count below 1 is refused before the file is read
+    for samples in ("0", "-1"):
+        argv = ["probe", str(tmp_path / "missing.poly"), "--samples", samples]
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 2 and out == "" and err == "error: samples must be positive\n"
+    # gen cube 3 at 48 samples: 95^3 grid points, counted without a listing
+    _, cube3, _ = run_cli(["gen", "cube", "3"], capsys=capsys)
+    code, out, err = run_cli(["probe", "-", "--samples", "48"], stdin_text=cube3, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: probe grid at 48 samples has 857375 points, above the limit of 200000; "
+        "pass --allow-large to override\n"
+    )
+    # C_2 at 3 samples: 25 grid points with the origin and 9 directions at
+    # bound 1, refused at a limit of 24 before E(P) is counted, and run with
+    # --allow-large or at a limit of 25
+    ewald_counts = []
+    real = cli._refuse_large_ewald
+    monkeypatch.setattr(cli, "_refuse_large_ewald", lambda *args: ewald_counts.append(args) or real(*args))
+    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 24)
+    argv = ["probe", "-", "--samples", "3", "--bound", "1"]
+    code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 2 and out == "" and not ewald_counts
+    assert err == "error: probe grid at 3 samples has 25 points, above the limit of 24; pass --allow-large to override\n"
+    code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and out == "star_ewald=True samples=3 bound=1 displaceable=24/24\n"
+    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 25)
+    code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+    assert code == 0 and out == "star_ewald=True samples=3 bound=1 displaceable=24/24\n"
+    assert len(ewald_counts) == 2
+
+
 def test_cli_refuses_an_oversized_ewald_listing_before_any_work(tmp_path, monkeypatch, capsys):
     from ewaldkit import fileio
 

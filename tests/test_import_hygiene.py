@@ -180,9 +180,17 @@ def _stale_mentions(text, modules):
     return stale
 
 
+def test_no_package_attribute_shadows_a_submodule():
+    # from ewaldkit import displace gives the module ewaldkit.displace: the
+    # package re-exports no function under a submodule's name
+    package = importlib.import_module("ewaldkit")
+    for module in MODULES:
+        name = module[:-3]
+        submodule = importlib.import_module("ewaldkit." + name)
+        assert getattr(package, name) is submodule, name
+
+
 def test_the_readme_names_only_helpers_that_exist():
-    # the package rebinds ewaldkit.displace and ewaldkit.classify to
-    # functions, so each module is read from sys.modules
     modules = {}
     for module in MODULES:
         importlib.import_module("ewaldkit." + module[:-3])

@@ -12,15 +12,15 @@ from conftest import CROSS4, random_unimodular, smooth_suite, workload_items
 from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, segment
 from ewaldkit.displace import (
     _class_chart,
-    _class_representative,
     _fan_preserving,
     _keeps_fan,
     _vertex_margin_constraints,
     is_neat,
 )
+from ewaldkit.ewald import _ewald_search
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import inverse_unimodular, mat_vec
-from ewaldkit.polytope import HPolytope, _lattice_search, _slab_frame, cartesian_product, dot
+from ewaldkit.polytope import HPolytope, _lattice_search, _margins, _slab_frame, cartesian_product, dot
 from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
 
 displace = importlib.import_module("ewaldkit.displace")
@@ -207,7 +207,7 @@ def test_margin_constraints_are_built_once_per_polytope():
     # the class box (27 points) runs before the radius stream ([−1, 1]^6),
     # a class fails, so both descents read the constraints, built once
     p = catalog()["cube3"].translate((2, 0, 0))
-    size, _, _ = _class_chart(p)
+    size, _ = _class_chart(p)
     assert 0 < size <= 3**p.nfacets
     build = inspect.unwrap(_vertex_margin_constraints).__code__
     builds = []
@@ -242,6 +242,7 @@ def _counted_searches(monkeypatch):
             searches.append(b)
             return search(b, *rest, **kwargs)
 
+        counted.residuals = search.residuals  # the class keys, not a search
         return counted
 
     monkeypatch.setattr(module, "_lattice_search", counting)
@@ -250,6 +251,22 @@ def _counted_searches(monkeypatch):
 
 def _dilate(p, k):
     return HPolytope(p.dim, p.normals, tuple(k * c for c in p.offsets))
+
+
+def _representative(p, b):
+    """The class representative that is_neat keys b by: the residuals from
+    which E(P)'s lattice search starts at the centre b."""
+    return tuple(_ewald_search(p)[0].residuals(b))
+
+
+def _pair_keys(p, bs):
+    """The key of the pair (b, −b) of each b: the lesser of the class
+    representatives of b and −b, keyed at vertex 0."""
+    keys = set()
+    for b in bs:
+        key = _representative(p, b)
+        keys.add(min(key, tuple(-v for v in key)))
+    return keys
 
 
 def test_at_most_one_search_per_class(monkeypatch):
@@ -264,7 +281,8 @@ def test_at_most_one_search_per_class(monkeypatch):
         assert is_neat(p, radius).status == "neat_up_to_radius"
         assert not searches, (p, radius, len(searches))
     # elsewhere each class of a pair (b, −b) is searched at most once, at its
-    # representative in the class box, whichever b of the stream met it
+    # key in vertex 0's frame, whichever b of the stream met it, and only
+    # classes met in the class box are searched
     cases = [
         (catalog()["hexagon"].translate((1, 0)), 2),
         (catalog()["cube3"].translate((2, 0, 0)), 2),
@@ -274,8 +292,8 @@ def test_at_most_one_search_per_class(monkeypatch):
         (_dilate(cube(4), 3).translate((2, 0, 0, 0)), 2),
     ]
     for p, radius in cases:
-        _, bounds, _ = _class_chart(p)
-        classes = set(_fan_preserving(p, bounds, paired=True))
+        _, bounds = _class_chart(p)
+        classes = _pair_keys(p, _fan_preserving(p, bounds, paired=True))
         for r in (radius, None):
             searches.clear()
             is_neat(p, r)
@@ -283,26 +301,30 @@ def test_at_most_one_search_per_class(monkeypatch):
 
 
 def test_the_stream_decides_classes_past_an_oversized_class_box(monkeypatch):
-    # dilated ×3 and moved by 3·e_1, the class boxes (121, 275 and 1,331
-    # points) hold more than [−1, 1]^m, so no class is decided first: the
-    # radius stream runs to its end, meets some classes through the negated
-    # representative, and answers neat_up_to_radius; x = 0 answers every
-    # class the square and the cube meet, the pentagon searches some
+    # dilated ×3 and moved by 3·e_1, or the hexagon ×4 moved by (2, 2), the
+    # class boxes hold more than [−1, 1]^m, so no class is decided first:
+    # the radius stream runs to its end, meets some classes through the
+    # negated representative, and answers neat_up_to_radius; keyed at
+    # vertex 0, x = 0 answers every class the square, the pentagon and the
+    # cube meet, the hexagon searches some
     searches = _counted_searches(monkeypatch)
     searched = {}
+    cases = {}
     for name in ("square", "pentagon", "cube3"):
         p = catalog()[name]
-        q = _dilate(p, 3).translate((3,) + (0,) * (p.dim - 1))
-        size, bounds, reduction = _class_chart(q)
+        cases[name] = _dilate(p, 3).translate((3,) + (0,) * (p.dim - 1))
+    cases["hexagon"] = _dilate(catalog()["hexagon"], 4).translate((2, 2))
+    for name, q in cases.items():
+        size, bounds = _class_chart(q)
         assert size > 3**q.nfacets, name
-        keys = [_class_representative(reduction, b) for b in qualifying_pairs(q, 1)]
+        keys = [_representative(q, b) for b in qualifying_pairs(q, 1)]
         assert any(tuple(-v for v in key) < key for key in keys), name
         searches.clear()
         assert _check(q, 1).status == "neat_up_to_radius"
-        classes = set(_fan_preserving(q, bounds, paired=True))
+        classes = _pair_keys(q, _fan_preserving(q, bounds, paired=True))
         assert len(set(searches)) == len(searches) and set(searches) <= classes, name
         searched[name] = len(searches)
-    assert searched["square"] == searched["cube3"] == 0 < searched["pentagon"]
+    assert searched["square"] == searched["pentagon"] == searched["cube3"] == 0 < searched["hexagon"]
 
 
 def _exact_cases():
@@ -319,7 +341,7 @@ def test_exact_verdict_matches_the_oracle():
     # at R meets every class: it is neat up to R exactly when p is neat
     checked = set()
     for label, p in _exact_cases():
-        _, bounds, _ = _class_chart(p)
+        _, bounds = _class_chart(p)
         radius = max(bounds, default=0)
         if (2 * radius + 1) ** p.nfacets > 10_000:
             continue
@@ -336,14 +358,15 @@ def test_exact_verdict_matches_the_oracle():
 
 def test_translation_classes_share_a_verdict():
     # b and b + N·t keep the fan together and are answered together, and the
-    # representative has b_S = 0 and lies in the class box
+    # representative has b_S = 0 on vertex 0's rows S and lies in vertex
+    # 0's box, |b_j| <= max(M[0][j] − 1, 0)
     rng = random.Random(5)
     cases = [catalog()["hexagon"].translate((1, 0)), catalog()["cube3"].translate((2, 0, 0))]
     cases += smooth_suite(rng, max_dim=3, count=10)
     for p in cases:
-        _, bounds, reduction = _class_chart(p)
-        off_s = {j for j, _ in reduction}
-        s = [j for j in range(p.nfacets) if j not in off_s]
+        s = _slab_frame(p)[1]
+        bounds = [max(x - 1, 0) for x in _margins(p)[0]]
+        assert all(bounds[j] == 0 for j in s)
         a_s_inverse = inverse_unimodular([p.normals[j] for j in s])
         scan = box_scan(p)
         pairs = qualifying_pairs(p, 1)
@@ -351,7 +374,7 @@ def test_translation_classes_share_a_verdict():
             t = tuple(rng.randint(-3, 3) for _ in range(p.dim))
             moved = tuple(bj + dot(u, t) for bj, u in zip(b, p.normals))
             assert (scan(b) is None) == (scan(moved) is None), (p, b, t)
-            rep = _class_representative(reduction, moved)
+            rep = _representative(p, moved)
             assert all(rep[j] == 0 for j in s)
             assert all(abs(v) <= h for v, h in zip(rep, bounds)), (p, b, rep)
             # rep − b = N·t′ for the integer t′ = A_S⁻¹ (rep − b)_S

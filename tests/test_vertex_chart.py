@@ -1,35 +1,43 @@
-"""polytope._vertex_chart and the vertex cones read off the edge graph,
-against a Fraction oracle: the chart's rows s, its edge rays d_t solved
-from A_s d_t = −e_t, each margin c_j − u_j·v and slope u_j·d_t, the ratios
-|det A_s| / |det A_{s_0}| of every vertex cone to vertex 0's, carried along
-the edges, and the lattice search's frame, vertex 0's chart where its rays
-are integral: no elimination for any of them on a simple polytope."""
+"""polytope._vertex_chart and the vertex cones read off the vertex masks
+and the edge graph, against a Fraction oracle: the chart's rows s and its
+edge rays d_t solved from A_s d_t = −e_t, each margin c_j − u_j·v, the
+ratios |det A_s| / |det A_{s_0}| of every vertex cone to vertex 0's,
+carried along the edges, and the lattice search's frame, vertex 0's chart
+where its rays are integral: no elimination for any of them on a simple
+polytope.  A chart reads its own vertex only, so the E(P) limit's refusal
+builds no table of every vertex."""
 
 import importlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 from operator import mul, neg
 
 import pytest
 
-from conftest import CROSS4, random_unimodular
-from ewaldkit.bundles import catalog, cube, del_pezzo, nill_triangle, paffenholz_p6, segment, ssb
-from ewaldkit.classify import classify, is_smooth
+from classify_oracles import corner_scan_deeply_smooth
+from conftest import CROSS4, random_unimodular, smooth_suite
+from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, nill_triangle, paffenholz_p6, segment, ssb
+from ewaldkit.classify import classify, is_deeply_smooth, is_quasi_smooth_polygon, is_smooth, vertex_edge_directions
 from ewaldkit.displace import is_neat
-from ewaldkit.ewald import ewald_set
-from ewaldkit.fileio import parse_polytope, serialize_polytope
-from ewaldkit.intlinalg import inverse_unimodular, solve_rational
+from ewaldkit.ewald import deeply_smooth_origin_vertex_basis, ewald_set
+from ewaldkit.fileio import MAX_EWALD_POINTS, _refuse_large_ewald, parse_polytope, serialize_polytope
+from ewaldkit.intlinalg import inverse_unimodular, primitive_part, solve_rational
 from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
     _bits,
     _cone_dets,
     _cone_rows,
+    _edges,
+    _integerize,
     _margins,
     _slab_frame,
     _unimodular,
     _vertex_chart,
     cartesian_product,
+    convex_hull,
     facet_description,
 )
 
@@ -58,24 +66,16 @@ def _fraction_det(m):
 
 def _check_chart(p, vi):
     n = p.dim
-    v = p.vertices()[vi]
-    tight = set(_bits(p.vertex_masks()[vi]))
-    s, got_rays, rows = _vertex_chart(p, vi)
+    tight = _bits(p.vertex_masks()[vi])
+    s, got_rays = _vertex_chart(p, vi)
     a = [p.normals[i] for i in s]
-    assert set(s) <= tight and len(s) == n == len(set(s))
+    assert s == (tight if p.is_simple() else _cone_rows(p, vi))
+    assert set(s) <= set(tight) and list(s) == sorted(set(s)) and len(s) == n
     assert _fraction_det(a) != 0  # rank n
     rays = [solve_rational(a, [-(k == t) for k in range(n)]) for t in range(n)]
     assert list(got_rays) == [tuple(ray) for ray in rays]
-    ints = [[isinstance(x, int) for x in ray] for ray in got_rays]
-    assert ints == [[x.denominator == 1 for x in ray] for ray in rays]
-    assert [j for j, _, _ in rows] == [j for j in range(p.nfacets) if j not in s]
-    for j, margin, slopes in rows:
-        u = p.normals[j]
-        assert margin == p.offsets[j] - sum(Fraction(x) * y for x, y in zip(u, v))
-        assert isinstance(margin, int) == (Fraction(margin).denominator == 1)
-        want = [sum(x * y for x, y in zip(u, ray)) for ray in rays]
-        assert list(slopes) == want
-        assert [isinstance(x, int) for x in slopes] == [w.denominator == 1 for w in want]
+    types = [[type(x) for x in ray] for ray in got_rays]
+    assert types == [[int if x.denominator == 1 else Fraction for x in ray] for ray in rays]
 
 
 def _rational_cubes(rng):
@@ -108,14 +108,12 @@ def test_vertex_chart_matches_the_fraction_oracle():
     for p in _inputs():
         for vi in range(len(p.vertices())):
             _check_chart(p, vi)
-            s, rays, rows = _vertex_chart(p, vi)
+            s, rays = _vertex_chart(p, vi)
             kinds.add(("non-simple", not p.is_simple()))
             kinds.add(("Fraction ray", not _unimodular(rays)))
             kinds.add(("dimension 0", p.dim == 0))
             kinds.add(("|det A_s| > 1", abs(_fraction_det([p.normals[i] for i in s])) > 1))
-            slopes = [x for _, _, row in rows for x in row]
-            kinds.add(("Fraction slope", any(not isinstance(x, int) for x in slopes)))
-            kinds.add(("Fraction margin", any(not isinstance(m, int) for _, m, _ in rows)))
+            kinds.add(("rational vertex", not p.is_lattice()))
     # every branch of the chart is exercised
     assert all((k, True) in kinds for k, _ in kinds)
 
@@ -206,7 +204,13 @@ def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
 
     def counting(*frame):
         search = real_search(*frame)
-        return lambda b, *rest, **kwargs: searches.append(b) or search(b, *rest, **kwargs)
+
+        def counted(b, *rest, **kwargs):
+            searches.append(b)
+            return search(b, *rest, **kwargs)
+
+        counted.residuals = search.residuals  # the class keys, not a search
+        return counted
 
     q = parse_polytope(serialize_polytope(p)).polytope
     moved = parse_polytope(serialize_polytope(p.translate((2,) + (0,) * (p.dim - 1)))).polytope
@@ -260,11 +264,11 @@ def test_the_search_frame_inverts_its_coordinate_rows():
     for p in inputs:
         n = p.dim
         for vi in range(len(p.vertices())):
-            s, rays, _ = _vertex_chart(p, vi)
+            s, rays = _vertex_chart(p, vi)
             got = [[sum(map(mul, p.normals[i], ray)) for ray in rays] for i in s]
             assert got == [[-int(k == t) for t in range(n)] for k in range(n)], (p, vi)
         rows, coords, cols = _slab_frame(p)
-        s, rays, _ = _vertex_chart(p, 0)
+        s, rays = _vertex_chart(p, 0)
         want = abs(_fraction_det([p.normals[i] for i in s]))
         unit = len(rows) > p.nfacets
         assert unit == (want != 1) == (not _unimodular(rays)), p
@@ -278,3 +282,90 @@ def test_the_search_frame_inverts_its_coordinate_rows():
             assert rows == [tuple(sum(map(mul, u, col)) for col in zip(*inverse)) for u in p.normals]
         kinds.add((p.is_simple(), unit))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_the_ewald_limit_refuses_from_vertex_0_alone():
+    # after a parse of cube(12), |E(P)| = 3^12 passes the limit: the count
+    # reads vertex 0's chart, one pass over the vertex masks, and builds
+    # neither the margin table nor the edge graph of the 4,096 vertices
+    q = parse_polytope(serialize_polytope(cube(12))).polytope
+    tables = {inspect.unwrap(f).__code__ for f in (_margins, _edges)}
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in tables:
+            built.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        with pytest.raises(ValueError) as refused:
+            _refuse_large_ewald(q, allow_large=False)
+    finally:
+        sys.setprofile(None)
+    assert not built
+    assert str(refused.value) == (
+        "E(P) has 531441 points, above the listing limit of %d; pass --allow-large to override" % MAX_EWALD_POINTS
+    )
+
+
+def _quasi_smooth_oracle(p):
+    """is_quasi_smooth_polygon off vertex_edge_directions."""
+    for i in range(len(p.vertices())):
+        a, b = vertex_edge_directions(p, i)
+        e = primitive_part([x - y for x, y in zip(a, b)])
+        if abs(e[0] * a[1] - e[1] * a[0]) != 1:
+            return False
+    return True
+
+
+def _origin_vertex_oracle(p):
+    """deeply_smooth_origin_vertex_basis off vertex_edge_directions."""
+    if not is_deeply_smooth(p)[0]:
+        return None
+    for i, t in enumerate(p.vertex_masks()):
+        if all(p.offsets[j] == 1 for j in _bits(t)):
+            return vertex_edge_directions(p, i)
+    return None
+
+
+def _fresh(p):
+    return HPolytope(p.dim, p.normals, p.offsets)
+
+
+def test_edge_direction_readers_match_vertex_edge_directions():
+    # the chart's rays are the primitive edge directions at every vertex of
+    # a lattice smooth polytope, and point along them at every vertex of a
+    # lattice polygon, so deep smoothness's witness, the origin vertex basis
+    # and quasi-smoothness read the chart, not the pairwise adjacency scan
+    rng = random.Random(36)
+    smooth = [p for p in catalog().values() if is_smooth(p)[0] and p.is_lattice()]
+    smooth += [p.translate(tuple(rng.randint(-2, 2) for _ in range(p.dim))) for p in smooth]
+    smooth += smooth_suite(rng, max_dim=4, count=30)
+    kinds = set()
+    for p in smooth:
+        for vi in range(len(p.vertices())):
+            assert tuple(sorted(_vertex_chart(p, vi)[1])) == vertex_edge_directions(p, vi), (p, vi)
+        flag, witness = is_deeply_smooth(_fresh(p))
+        assert (flag, witness) == corner_scan_deeply_smooth(p), p
+        kinds.add(("not deeply smooth", not flag))
+        if p.origin_interior():
+            basis = deeply_smooth_origin_vertex_basis(_fresh(p))
+            assert basis == _origin_vertex_oracle(p), p
+            kinds.add(("origin vertex basis", basis is not None))
+    polygons = [monotone_polygon(name) for name in ("triangle", "square", "pentagon", "hexagon")]
+    polygons += [nill_triangle(a) for a in (1, 2, 3)]
+    while len(polygons) < 40:
+        pts = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 8))}
+        try:
+            polygons.append(convex_hull(pts))
+        except ValueError:  # collinear
+            continue
+    for p in polygons:
+        for vi in range(len(p.vertices())):
+            rays = _vertex_chart(p, vi)[1]
+            assert tuple(sorted(map(_integerize, rays))) == vertex_edge_directions(p, vi), (p, vi)
+        flag = is_quasi_smooth_polygon(_fresh(p))
+        assert flag == _quasi_smooth_oracle(p), p
+        kinds.add(("not quasi-smooth", not flag))
+        kinds.add(("Fraction ray", not _unimodular(_vertex_chart(p, 0)[1])))
+    assert all((k, True) in kinds for k, _ in kinds), kinds
