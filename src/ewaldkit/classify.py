@@ -22,7 +22,7 @@ from .polytope import (
     per_polytope,
 )
 from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
-from .polytope import _cone_dets, _edges, _margins, _unimodular, _vertex_chart
+from .polytope import _edges, _margins, _unimodular, _vertex_chart
 
 __all__ = [
     "ClassReport",
@@ -55,15 +55,22 @@ def is_smooth(p: HPolytope):
     form a lattice basis; the witness is the first offending vertex.  For
     primitive normals that holds exactly when the vertex is simple and the
     determinant of its n tight rows is ±1: at vertex 0 when its chart's
-    rays are integral (_unimodular), and elsewhere as carried from there
-    along the edge graph (_cone_dets), with no elimination."""
+    rays are integral (_unimodular), and elsewhere on the edges to earlier
+    vertices, with no elimination.  Along the edge (s, u, j) of _edges(p)[v]
+    to a vertex u, |det A_v| = |det A_u|·M[u][s] / M[v][j] on the margin
+    table M.  Vertices come in lexicographic order, the order of a generic
+    linear functional, so every vertex but vertex 0 has an earlier
+    neighbour (the simplex method's optimality rule): the first vertex with
+    an earlier edge where M[u][s] != M[v][j] is the first whose |det| is
+    not 1."""
     verts = p.vertices()
     if not p.is_simple():
         bad = next(v for v, t in zip(verts, p.vertex_masks()) if t.bit_count() != p.dim)
         return False, bad
     if not _unimodular(_vertex_chart(p, 0)[1]):
         return False, verts[0]
-    bad = next((v for v, d in zip(verts, _cone_dets(p)) if d != 1), None)
+    m = _margins(p)
+    bad = next((verts[v] for v, e in enumerate(_edges(p)) for s, u, j in e if u < v and m[u][s] != m[v][j]), None)
     return bad is None, bad
 
 

@@ -19,13 +19,15 @@ from .counting import (
     ewald_count_simplex,
     ewald_count_ssb,
 )
-from .displace import DEFAULT_RADIUS, first_displacement, is_neat, neat_class_box
+from .displace import DEFAULT_RADIUS, first_displacement, is_neat
 from .ewald import ewald_set
 from .fileio import (
     MAX_DIM_DEFAULT,
     MAX_EWALD_POINTS,
+    MAX_NEAT_CLASS_BOX,
     _refuse_count,
     _refuse_large_ewald,
+    _refuse_large_neat,
     analyze_polytope,
     ingest_database,
     parse_polytope,
@@ -116,8 +118,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="lift the default dimension cap of %d (scans grow like 3^n), the "
         "E(P) listing limit of %d points, the probe limit of %d points on the "
-        "direction box and on the sample grid, and the exact neatness class box "
-        "limit of %d"
+        "direction box and on the sample grid, and the neatness class box limit "
+        "of %d displacements (exact, or up to a radius where the box is decided whole)"
         % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -189,6 +191,8 @@ def _dispatch(args, radius_default, bound_default) -> int:
         if parsed.polytope.origin_interior():  # the Ewald conditions list E(P)
             _refuse_large_ewald(parsed.polytope, args.allow_large)
         radius = args.radius if args.radius is not None else radius_default
+        if not args.skip_neat:
+            _refuse_large_neat(parsed.polytope, radius, args.allow_large)
         report = analyze_polytope(
             parsed.polytope, parsed.name, radius=radius, run_neat=not args.skip_neat
         )
@@ -225,16 +229,8 @@ def _dispatch(args, radius_default, bound_default) -> int:
 
     if args.cmd == "neat":
         parsed = _read_polytope(args.file, args.allow_large)
-        if args.exact:
-            radius = None
-            box = neat_class_box(parsed.polytope)
-            if box > MAX_NEAT_CLASS_BOX and not args.allow_large:
-                raise ValueError(
-                    "exact neatness would decide a class box of %d displacements, above the "
-                    "limit of %d; pass --allow-large to override" % (box, MAX_NEAT_CLASS_BOX)
-                )
-        else:
-            radius = args.radius if args.radius is not None else radius_default
+        radius = None if args.exact else (args.radius if args.radius is not None else radius_default)
+        _refuse_large_neat(parsed.polytope, radius, args.allow_large)
         verdict = is_neat(parsed.polytope, radius)
         print("status: %s" % verdict.status)
         if radius is not None:
@@ -336,10 +332,6 @@ _COUNTS = {
 # admits dimension 6 at the default bound 3 (7^6 = 117,649), not dimension
 # 7, and on gen cube 3 up to 29 samples (57^3 = 185,193 points), not 30
 MAX_PROBE_BOX = 200_000
-# the largest class box (displace.neat_class_box) that `neat --exact` takes
-# without --allow-large: the exact test spends a few microseconds on each of
-# its points, so the limit keeps a run to seconds
-MAX_NEAT_CLASS_BOX = 1_000_000
 # the largest n `count` accepts; every answer up to it has fewer than n
 # digits, so it also prints within Python's default int-to-str limit
 MAX_COUNT_N = 4300

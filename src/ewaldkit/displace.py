@@ -304,12 +304,23 @@ def _class_verdicts(p: HPolytope):
     return answered
 
 
-def neat_class_box(p: HPolytope) -> int:
-    """The number of b in the class box (_class_chart) that the exact
-    neatness test may decide: Π(2·bounds_j + 1), or 0 when x = 0 answers
-    every class.  Raises ValueError unless p is lattice smooth."""
+def neat_class_box(p: HPolytope, radius: int | None = None) -> int:
+    """The number of b in the class box (_class_chart) that is_neat(p,
+    radius) decides whole: the rule by which it chooses its path, which
+    the CLI's class box limit reads.  Π(2·bounds_j + 1), or 0 where no box
+    is decided: where x = 0 answers every b tested (every c_j >= radius,
+    or x = 0 answers every class), or where, up to a radius, the class box
+    holds more points than [−r, r]^m and the stream decides each class
+    when it first meets one instead.  The exact test (radius=None) decides
+    the whole box.  Raises ValueError for a negative radius or unless p is
+    lattice smooth."""
+    if radius is not None and radius < 0:
+        raise ValueError("radius must be nonnegative")
     _require_lattice_smooth(p, _NEAT_DOMAIN)
-    return _class_chart(p)[0]
+    if radius is not None and all(c >= radius for c in p.offsets):
+        return 0  # x = 0 answers [−r, r]^m
+    size = _class_chart(p)[0]
+    return size if radius is None or size <= (2 * radius + 1) ** p.nfacets else 0
 
 
 @dataclass(frozen=True)
@@ -344,21 +355,16 @@ def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
     when needed: x = 0 answers every b at once when every c_j >= radius or
     when it answers the whole class box; and when the class box holds no
     more points than [−r, r]^m, every class is decided first, so the stream
-    runs only if one fails.  Otherwise the stream decides each class when
-    it first meets one of its members.
+    runs only if one fails (neat_class_box).  Otherwise the stream decides
+    each class when it first meets one of its members.
     """
-    if radius is not None and radius < 0:
-        raise ValueError("radius must be nonnegative")
-    _require_lattice_smooth(p, _NEAT_DOMAIN)
-    if radius is not None and all(c >= radius for c in p.offsets):
-        return NeatVerdict("neat_up_to_radius", radius)  # x = 0 answers [−r, r]^m
+    box = neat_class_box(p, radius)
     neat = NeatVerdict("neat" if radius is None else "neat_up_to_radius", radius)
-    size, bounds = _class_chart(p)
-    if not size:
-        return neat  # x = 0 answers every class
+    if not box and (radius is None or all(c >= radius for c in p.offsets) or not _class_chart(p)[0]):
+        return neat  # x = 0 answers every b tested
     answered = _class_verdicts(p)
-    if radius is None or size <= (2 * radius + 1) ** p.nfacets:
-        failing = next((b for b in _fan_preserving(p, bounds, paired=True) if not answered(b)), None)
+    if box:
+        failing = next((b for b in _fan_preserving(p, _class_chart(p)[1], paired=True) if not answered(b)), None)
         if failing is None:
             return neat
         if radius is None:

@@ -12,7 +12,7 @@ from math import ceil, floor, prod
 from operator import neg
 
 from .classify import is_deeply_smooth, is_monotone, is_smooth
-from .intlinalg import _basis_search, _xgcd, inverse_unimodular, mat_vec, scan_key
+from .intlinalg import _basis_search, _xgcd, mat_vec, scan_key
 from .polytope import (
     FaceRef,
     HPolytope,
@@ -320,28 +320,25 @@ def fs_property(p: HPolytope) -> bool:
 def nill2d_basis(p: HPolytope):
     """Lattice basis inside E(P) for a lattice polygon with interior origin.
 
-    Normalizes a shortest nonzero Ewald point to (1,0) by a unimodular map,
-    then looks for a point (a,1); returns the basis in original coordinates,
-    or None when E(P) = {0} (or no such point exists).
+    A shortest nonzero Ewald point q goes to (1, 0) under the unimodular
+    map m; the basis is (q, x) for the x ∈ E(P) with (m x)[1] = det(q, x)
+    = 1 whose image m x comes first in scan order, or None when E(P) = {0}
+    (or no such point exists).
     """
     if p.dim != 2:
         raise ValueError("nill2d_basis expects a polygon")
     if not p.is_lattice():
         raise ValueError("nill2d_basis expects a lattice polygon")
     _require_origin_interior(p)
-    e = ewald_set(p)
-    nonzero = [x for x in e.ordered() if any(x)]
-    if not nonzero:
+    points = ewald_set(p).ordered()
+    q = next((x for x in points if any(x)), None)
+    if q is None:
         return None
-    q = nonzero[0]
     g, a, b = _xgcd(q[0], q[1])
     assert g == 1, "shortest nonzero Ewald point must be primitive"
     m = ((a, b), (-q[1], q[0]))  # m @ q == (1, 0), det m == 1
-    minv = inverse_unimodular(m)
-    for x in sorted((mat_vec(m, x) for x in e.points), key=scan_key):
-        if x[1] == 1:
-            return q, mat_vec(minv, x)
-    return None
+    unit = [x for x in points if q[0] * x[1] - q[1] * x[0] == 1]  # (m x)[1] = det(q, x) = 1
+    return (q, min(unit, key=lambda x: scan_key(mat_vec(m, x)))) if unit else None
 
 
 def _next_to_origin(p: HPolytope, face: int) -> bool:

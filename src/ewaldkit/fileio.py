@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .classify import classify
-from .displace import DEFAULT_RADIUS, is_neat
+from .classify import classify, is_smooth
+from .displace import DEFAULT_RADIUS, is_neat, neat_class_box
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
 from .polytope import HPolytope, convex_hull, irredundant_rows
 
@@ -40,6 +40,7 @@ __all__ = [
     "DatabaseStats",
     "MAX_DIM_DEFAULT",
     "MAX_EWALD_POINTS",
+    "MAX_NEAT_CLASS_BOX",
 ]
 
 MAX_DIM_DEFAULT = 12
@@ -50,6 +51,12 @@ MAX_DIM_DEFAULT = 12
 # points, one run each on a shared 2-core x86-64 machine), while the count
 # that decides the refusal lists nothing
 MAX_EWALD_POINTS = 200_000
+# the largest class box (displace.neat_class_box) that neatness decides
+# without --allow-large, in neat (exact or up to a radius), check and
+# batch --neat: the test spends a few microseconds on each of its points,
+# so the limit keeps a run to seconds.  Up to a radius, a box is decided
+# whole only where it holds no more points than [-r, r]^m
+MAX_NEAT_CLASS_BOX = 1_000_000
 
 
 @dataclass
@@ -245,6 +252,22 @@ def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
         _refuse_count("E(P)", "listing limit", search, centre, MAX_EWALD_POINTS)
 
 
+def _refuse_large_neat(p: HPolytope, radius, allow_large: bool) -> None:
+    """Raise ValueError, unless allow_large, when is_neat(p, radius) would
+    decide a class box of more than MAX_NEAT_CLASS_BOX displacements
+    (displace.neat_class_box): the check before a caller runs neatness,
+    which runs only on a lattice smooth p (radius None: the exact test)."""
+    if allow_large or not (p.is_lattice() and is_smooth(p)[0]):
+        return
+    box = neat_class_box(p, radius)
+    if box > MAX_NEAT_CLASS_BOX:
+        mode = "exact neatness" if radius is None else "neatness up to radius %d" % radius
+        raise ValueError(
+            "%s would decide a class box of %d displacements, above the limit of %d; "
+            "pass --allow-large to override" % (mode, box, MAX_NEAT_CLASS_BOX)
+        )
+
+
 @dataclass
 class DatabaseStats:
     """Aggregates for a directory of polytope files."""
@@ -280,11 +303,13 @@ def _analyze_file(path, radius, run_neat, allow_large):
         parsed = parse_polytope(text, allow_large=allow_large)
     except ValueError as exc:
         return fname, None, "parse error: %s" % exc
-    if parsed.polytope.origin_interior():  # analyze_polytope lists E(P)
-        try:
+    try:
+        if parsed.polytope.origin_interior():  # analyze_polytope lists E(P)
             _refuse_large_ewald(parsed.polytope, allow_large)
-        except ValueError as exc:
-            return fname, None, "refused: %s" % exc
+        if run_neat:
+            _refuse_large_neat(parsed.polytope, radius, allow_large)
+    except ValueError as exc:
+        return fname, None, "refused: %s" % exc
     label = parsed.name or fname
     return fname, analyze_polytope(parsed.polytope, label, radius=radius, run_neat=run_neat), None
 
@@ -305,6 +330,8 @@ def ingest_database(
     for every file."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
+    if run_neat and radius is not None and radius < 0:
+        raise ValueError("radius must be nonnegative")  # an input error, not a file's refusal
     stats = DatabaseStats()
     analyze = partial(_analyze_file, radius=radius, run_neat=run_neat, allow_large=allow_large)
     paths = sorted(

@@ -13,8 +13,8 @@ Two elimination routines do all the work over Q and over Z:
   solution of a face chart.  The vertex cones of a simple polytope take
   none of it: a vertex chart reads its edge rays off its neighbours in the
   vertex masks, and the lattice search's frame off vertex 0's chart;
-  smoothness and the determinants relative to vertex 0 are carried along
-  the edge graph; a non-simple vertex cone takes one scaled_inverse.
+  smoothness is read off vertex 0's rays and the margins on each edge to
+  an earlier vertex; a non-simple vertex cone takes one scaled_inverse.
 - _extend_saturated adds one row to a saturated set by Euclid's algorithm on
   the functionals vanishing on the set; is_saturated and the unimodular-basis
   search of the Ewald checks are chains of it.
@@ -193,6 +193,8 @@ def is_saturated(rows) -> bool:
     unused.
     """
     m = _as_mat(rows)
+    if len({len(v) for v in m}) > 1:
+        raise ValueError("rows of different lengths")
     dual = _identity(len(m[0]) if m else 0)
     for v in m:
         dual = _extend_saturated(dual, v)

@@ -156,7 +156,10 @@ def _edges(p) -> tuple:
     """The edge graph of a simple polytope: per vertex v, one (s, w, j) per
     row s tight at v, ascending in s.  The edge that leaves row s ends at w,
     the one other vertex whose mask contains mask_v − {s}, and j is the row
-    that becomes tight there: one dict join over the vertex masks."""
+    that becomes tight there: one dict join over the vertex masks.  Its
+    readers, with the margin table: is_smooth (each vertex's edges to
+    earlier vertices), is_deeply_smooth's margin test and the fan walls of
+    displace._vertex_margin_constraints."""
     masks = p.vertex_masks()
     ends, edges = {}, [[] for _ in masks]
     for v, t in enumerate(masks):
@@ -191,28 +194,6 @@ def _unimodular(rays) -> bool:
     """Whether a vertex chart's cone is unimodular: A_s^-1 = −rays is
     integral exactly when |det A_s| = 1."""
     return set(map(type, chain(*rays))) <= {int}
-
-
-@per_polytope
-def _cone_dets(p) -> tuple:
-    """|det A_S| / |det A_{S_0}| per vertex of a simple polytope, for its n
-    tight rows S and vertex 0's rows S_0.  Along the edge from v to w,
-    A_{S_w} is A_{S_v} with row s swapped for row j, which scales |det| by
-    |u_j·A_{S_v}^-1 e_s| = M[v][j] / M[w][s] on the margin table M:
-    u_j·d_s = (M[v][j] − M[w][j]) / M[w][s] for the edge ray d_s, and
-    M[w][j] = 0.  Carried along the edge graph from 1 at vertex 0, with no
-    elimination."""
-    margins, edges = _margins(p), _edges(p)
-    dets = [0] * len(margins)  # 0 until reached: no |det| of n independent rows is 0
-    dets[0] = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for s, w, j in edges[v]:
-            if not dets[w]:
-                dets[w] = _ratio(dets[v] * margins[v][j], margins[w][s])
-                stack.append(w)
-    return tuple(dets)
 
 
 @per_polytope

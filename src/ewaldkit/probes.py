@@ -46,6 +46,8 @@ def is_integrally_transverse(lam, u_f) -> bool:
     """λ extends to a unimodular basis by vectors parallel to the facet iff
     u_F·λ = ±1 for the primitive facet normal u_F."""
     lam = tuple(int(x) for x in lam)
+    if len(lam) != len(u_f):
+        raise ValueError("direction of length %d against a normal of length %d" % (len(lam), len(u_f)))
     if not any(lam):
         raise ValueError("zero direction")
     return dot(u_f, lam) in (1, -1)

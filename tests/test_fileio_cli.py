@@ -296,16 +296,18 @@ def test_cli_neat_exact(capsys):
     assert code == 2 and out == "" and "not allowed with" in err
 
 
-def test_cli_neat_exact_refuses_a_large_class_box(monkeypatch, capsys):
-    from ewaldkit import cli
+# [−2, 18]^6: x = 0 misses some classes, whose box holds 39^6 points
+WIDE_TEXT = serialize_polytope(polytope.HPolytope(6, cube(6).normals, (18, 2) * 6), "wide")
 
-    # [−2, 18]^6: x = 0 misses some classes, whose box holds 39^6 points
-    wide = serialize_polytope(polytope.HPolytope(6, cube(6).normals, (18, 2) * 6), "wide")
-    code, out, err = run_cli(["neat", "-", "--exact"], stdin_text=wide, capsys=capsys)
+
+def test_cli_neat_exact_refuses_a_large_class_box(monkeypatch, capsys):
+    from ewaldkit import fileio
+
+    code, out, err = run_cli(["neat", "-", "--exact"], stdin_text=WIDE_TEXT, capsys=capsys)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "class box of 3518743761 displacements, above the limit of 1000000" in err
     # C_2 + 2·e_1 has a class box of 9 points: refused at a limit of 8
-    monkeypatch.setattr(cli, "MAX_NEAT_CLASS_BOX", 8)
+    monkeypatch.setattr(fileio, "MAX_NEAT_CLASS_BOX", 8)
     moved = serialize_polytope(cube(2).translate((2, 0)), "moved")
     code, out, err = run_cli(["neat", "-", "--exact"], stdin_text=moved, capsys=capsys)
     assert code == 2 and out == "" and "class box of 9 displacements" in err
@@ -314,6 +316,52 @@ def test_cli_neat_exact_refuses_a_large_class_box(monkeypatch, capsys):
     # x = 0 answers every class of C_2: nothing to decide, nothing refused
     code, out, _ = run_cli(["neat", "-", "--exact"], stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and out == "status: neat\n"
+
+
+def test_bounded_neatness_refuses_a_class_box_it_would_decide_whole(monkeypatch, tmp_path, capsys):
+    from ewaldkit import fileio
+
+    # up to radius 20 the whole class box of [−2, 18]^6 is decided, as it
+    # holds fewer points than [−20, 20]^12: refused before any class is
+    refused = (
+        "neatness up to radius 20 would decide a class box of 3518743761 displacements, above the limit of 1000000"
+    )
+    for argv in (["neat", "-", "--radius", "20"], ["check", "-", "--radius", "20"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, stdin_text=WIDE_TEXT, capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == "" and refused in err, argv
+    (tmp_path / "wide.poly").write_text(WIDE_TEXT)
+    code, out, _ = run_cli(["batch", str(tmp_path), "--neat", "--radius", "20", "--json"], capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["reports"] == []
+    assert doc["excluded"] == [["wide.poly", "refused: %s; pass --allow-large to override" % refused]]
+    # C_2 + 2·e_1 has a class box of 9 points, decided whole up to radius
+    # 2: refused at a limit of 8, unless --allow-large; C_2's box is empty
+    monkeypatch.setattr(fileio, "MAX_NEAT_CLASS_BOX", 8)
+    moved = serialize_polytope(cube(2).translate((2, 0)), "moved")
+    refused = "neatness up to radius 2 would decide a class box of 9 displacements, above the limit of 8"
+    for argv, ok in ((["neat", "-", "--radius", "2"], 1), (["check", "-", "--radius", "2"], 0)):
+        code, out, err = run_cli(argv, stdin_text=moved, capsys=capsys)
+        assert code == 2 and out == "" and refused in err, argv
+        code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=moved, capsys=capsys)
+        assert code == ok and out, argv
+        code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
+        assert code == 0 and out, argv
+    # nothing is refused where neatness does not run
+    code, _, _ = run_cli(["check", "-", "--radius", "2", "--skip-neat"], stdin_text=moved, capsys=capsys)
+    assert code == 0
+    small = tmp_path / "small"
+    small.mkdir()
+    (small / "moved.poly").write_text(moved)
+    for flags, reports in (([], 0), (["--allow-large"], 1)):
+        code, out, _ = run_cli(flags + ["batch", str(small), "--neat", "--json"], capsys=capsys)
+        assert code == 0 and len(json.loads(out)["reports"]) == reports, flags
+    code, out, _ = run_cli(["batch", str(small), "--json"], capsys=capsys)
+    assert code == 0 and len(json.loads(out)["reports"]) == 1
+    # a negative radius is an input error, not a file's refusal
+    code, out, err = run_cli(["batch", str(small), "--neat", "--radius", "-1"], capsys=capsys)
+    assert code == 2 and out == "" and err == "error: radius must be nonnegative\n"
 
 
 def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):

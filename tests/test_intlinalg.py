@@ -110,6 +110,13 @@ def test_smith_and_saturation():
     assert is_saturated(())
 
 
+def test_is_saturated_refuses_rows_of_different_lengths():
+    # zip would truncate (0, 1, 5) to (0, 1) and answer True
+    for rows in (((1, 0), (0, 1, 5)), ((1, 0, 0), (0, 1))):
+        with pytest.raises(ValueError, match="lengths"):
+            is_saturated(rows)
+
+
 def test_kernel_and_solve():
     rng = random.Random(4)
     for _ in range(200):

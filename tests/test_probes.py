@@ -22,6 +22,13 @@ def test_integrally_transverse_examples():
         is_integrally_transverse((0, 0), (1, 0))
 
 
+def test_integrally_transverse_refuses_a_length_mismatch():
+    # zip would read (1, 0, 0)·(1, 0) as 1 and answer True
+    for lam, u in (((1, 0, 0), (1, 0)), ((1,), (1, 0))):
+        with pytest.raises(ValueError, match="length"):
+            is_integrally_transverse(lam, u)
+
+
 def verify_probe(p, u, probe):
     # independent re-check of the three membership conditions
     nf, cf = p.normals[probe.facet], p.offsets[probe.facet]

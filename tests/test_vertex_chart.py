@@ -1,10 +1,9 @@
 """polytope._vertex_chart and the vertex cones read off the vertex masks
 and the edge graph, against a Fraction oracle: the chart's rows s and its
-edge rays d_t solved from A_s d_t = −e_t, each margin c_j − u_j·v, the
-ratios |det A_s| / |det A_{s_0}| of every vertex cone to vertex 0's,
-carried along the edges, and the lattice search's frame, vertex 0's chart
-where its rays are integral: no elimination for any of them on a simple
-polytope.  A chart reads its own vertex only, so the E(P) limit's refusal
+edge rays d_t solved from A_s d_t = −e_t, each margin c_j − u_j·v,
+smoothness read on each vertex's edges to earlier vertices, and the
+lattice search's frame, vertex 0's chart where its rays are integral: no
+elimination for any of them on a simple polytope.  A chart reads its own vertex only, so the E(P) limit's refusal
 builds no table of every vertex."""
 
 import importlib
@@ -28,7 +27,6 @@ from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
     _bits,
-    _cone_dets,
     _cone_rows,
     _edges,
     _integerize,
@@ -39,6 +37,7 @@ from ewaldkit.polytope import (
     cartesian_product,
     convex_hull,
     facet_description,
+    irredundant_rows,
 )
 
 intlinalg = importlib.import_module("ewaldkit.intlinalg")
@@ -146,7 +145,10 @@ def _oracle_smooth(p):
     return True, None
 
 
-def test_propagated_determinants_match_the_fraction_oracle():
+def _simple_inputs():
+    """Simple polytopes whose cones have |det| 1, 2 and 5, at vertex 0 and
+    later, with lattice and rational vertices, in GL(n, Z) images and
+    translates."""
     rng = random.Random(31)
     d2 = HPolytope(2, ((-1, 0), (0, -1), (1, 2)), (0, 0, 3))  # |det| 1, 2, 1
     bases = [nill_triangle(2), d2, HPolytope(2, d2.normals, (Fraction(1, 2), 0, Fraction(7, 3)))]
@@ -156,17 +158,42 @@ def test_propagated_determinants_match_the_fraction_oracle():
     for p in bases:
         inputs += [p, p.transform(random_unimodular(rng, p.dim))]
         inputs.append(p.translate(tuple(rng.randint(-3, 3) for _ in range(p.dim))))
+    return inputs
+
+
+def _random_simple(rng, count):
+    """count simple polytopes: catalog normals with offsets drawn from
+    {1, 2, 3, 1/2, 5/3}, reduced to their facets, in a GL(n, Z) image."""
+    normals = [p.normals for p in catalog().values() if p.dim >= 2]
+    out = []
+    while len(out) < count:
+        rows = rng.choice(normals)
+        offsets = [rng.choice((1, 2, 3, Fraction(1, 2), Fraction(5, 3))) for _ in rows]
+        p, _, full_dim = irredundant_rows(len(rows[0]), rows, offsets)
+        if full_dim and p.is_simple():
+            out.append(p.transform(random_unimodular(rng, p.dim)))
+    return out
+
+
+def test_smoothness_on_earlier_edges_matches_the_fraction_oracle():
     witnesses = set()
-    for p in inputs:
+    for p in _simple_inputs() + _random_simple(random.Random(41), 60):
         assert p.is_simple()
-        want = [abs(_fraction_det([p.normals[i] for i in _bits(t)])) for t in p.vertex_masks()]
-        assert list(_cone_dets(p)) == [d / want[0] for d in want], p
-        assert [isinstance(d, int) for d in _cone_dets(p)] == [(d / want[0]).denominator == 1 for d in want]
         assert is_smooth(p) == _oracle_smooth(p), p
         witness = is_smooth(p)[1]
         witnesses.add(None if witness is None else p.vertices().index(witness) > 0)
     # smooth inputs, and non-unimodular cones first met at vertex 0 and later
     assert witnesses == {None, False, True}
+
+
+def test_every_vertex_but_the_first_has_an_earlier_neighbour():
+    # vertices() is in lexicographic order, the order of a generic linear
+    # functional, so only its minimum, vertex 0, has no earlier neighbour:
+    # is_smooth reads each later vertex's determinant off such an edge
+    for p in _simple_inputs() + _random_simple(random.Random(37), 150):
+        verts = p.vertices()
+        assert list(verts) == sorted(verts)
+        assert [v for v, edges in enumerate(_edges(p)) if all(u > v for _, u, _ in edges)] == [0], p
 
 
 def _spy_eliminations(monkeypatch, *more):
@@ -194,8 +221,9 @@ def _spy_eliminations(monkeypatch, *more):
 def test_one_scaled_inverse_for_every_vertex_cone(p, monkeypatch):
     # after a parse, classify and is_neat together take no elimination for
     # the vertex cones: vertex 0's edge rays are integral, so its
-    # determinant is 1, carried along the edge graph to every vertex, and
-    # they are the columns of the inverse that E(P)'s lattice search reads.
+    # determinant is 1, every later vertex's is read off the margins on an
+    # edge to an earlier vertex, and the rays are the columns of the
+    # inverse that E(P)'s lattice search reads.
     # x = 0 answers every b of a monotone polytope (on P6 it leaves a class
     # box of 15 open, and answers each class); moved by 2·e_1 it misses the
     # origin, and the search runs
