@@ -21,7 +21,7 @@ from .polytope import (
     normally_isomorphic,
     per_polytope,
 )
-from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks, _walk_faces
+from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks
 from .polytope import _edges, _margins, _unimodular, _vertex_chart
 
 __all__ = [
@@ -96,21 +96,31 @@ def is_monotone(p: HPolytope) -> bool:
     return is_smooth(p)[0] and is_reflexive(p)
 
 
-def _two_faces(p: HPolytope):
-    """The 2-faces as vertex masks, lazily.  A polygon is its own 2-face.
-    On a simple polytope they come in the order of faces(n − 2), straight
-    off the face walk at depth n − 2; on a non-simple one, as met in
-    displacement slices, from n − 2 facet steps (_face_facets) down from the
-    full vertex set, in no order."""
-    every = (1 << len(p.vertices())) - 1
-    if p.dim == 2:
-        return (every,)
-    if p.is_simple():
-        return (verts for codim, _, verts, _ in _walk_faces(p, [p.dim - 2]) if codim == p.dim - 2)
-    level = {every}
+def _two_faces(p: HPolytope) -> set:
+    """The 2-faces of any polytope as vertex masks, in no order: n − 2
+    facet steps (_face_facets) down from the full vertex set, so a polygon
+    is its own 2-face.  It serves regions of any kind, as met in
+    displacement slices; a simple polytope's triangles are read off its
+    edge graph instead (_triangles)."""
+    level = {(1 << len(p.vertices())) - 1}
     for _ in range(p.dim - 2):
         level = {g for f in level for g in _face_facets(f, _row_masks(p))}
     return level
+
+
+def _triangles(p: HPolytope):
+    """The triangular 2-faces of a simple polytope as (facets, vertex
+    mask), lazily, in no order.  At vertex a the edges (s, b, j) and
+    (t, c, k) of _edges(p)[a] span the 2-face on the rows T(a) − {s, t},
+    and b and c share n − 1 tight rows, so span its third edge, exactly
+    when j == k (Ziegler, Lectures on Polytopes, Lecture 3).  Each triangle
+    is read once, at its least vertex, off the pairs of edges to later
+    vertices that meet the same row."""
+    masks = p.vertex_masks()
+    for a, edges in enumerate(_edges(p)):
+        for (s, b, j), (t, c, k) in combinations([e for e in edges if e[1] > a], 2):
+            if j == k:
+                yield _bits(masks[a] & ~(1 << s | 1 << t)), 1 << a | 1 << b | 1 << c
 
 
 def _is_unimodular_triangle_face(p: HPolytope, face: int) -> bool:
@@ -126,29 +136,21 @@ def _is_unimodular_triangle_face(p: HPolytope, face: int) -> bool:
     return gcd(*(e[i] * f[j] - e[j] * f[i] for i, j in combinations(range(len(a)), 2))) == 1
 
 
-def _unimodular_triangle(p: HPolytope) -> int:
-    """The vertex mask of the first 2-face of _two_faces(p) that is a
-    unimodular triangle, or 0: the one loop of both UT-freeness tests."""
-    faces = _two_faces(p) if p.dim >= 2 else ()
-    return next((v for v in faces if _is_unimodular_triangle_face(p, v)), 0)
-
-
 @per_polytope
 def is_ut_free(p: HPolytope):
-    """(flag, witness 2-face): the witness is the first 2-face, in the order
-    of faces(n − 2), that is a unimodular triangle, named by the rows tight
-    on all its vertices, which on a simple polytope are its n − 2 facets."""
+    """(flag, witness 2-face): the witness is the unimodular triangle with
+    the least facet tuple (_triangles), the first in the order of
+    faces(n − 2), named by its n − 2 facets, the rows tight on all its
+    vertices."""
     if not p.is_simple():
         raise ValueError("UT-freeness requires a simple polytope")
-    verts = _unimodular_triangle(p)
-    if not verts:
-        return True, None
-    return False, FaceRef(tuple(i for i, r in enumerate(_row_masks(p)) if r & verts == verts), p.dim - 2)
+    tight = next((t for t, verts in sorted(_triangles(p)) if _is_unimodular_triangle_face(p, verts)), None)
+    return (True, None) if tight is None else (False, FaceRef(tight, p.dim - 2))
 
 
 def _ut_free_region(p: HPolytope) -> bool:
     # UT-freeness for arbitrary (possibly non-simple, non-lattice) regions.
-    return not _unimodular_triangle(p)
+    return not any(_is_unimodular_triangle_face(p, f) for f in _two_faces(p))
 
 
 @per_polytope

@@ -118,8 +118,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="lift the default dimension cap of %d (scans grow like 3^n), the "
         "E(P) listing limit of %d points, the probe limit of %d points on the "
-        "direction box and on the sample grid, and the neatness class box limit "
-        "of %d displacements (exact, or up to a radius where the box is decided whole)"
+        "direction box and on the sample grid, and the neatness limit of %d "
+        "displacements (a class box decided whole, or the radius stream's window [-r, r]^m)"
         % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -39,7 +39,7 @@ __all__ = [
     "normally_isomorphic_displacements",
     "NeatVerdict",
     "is_neat",
-    "neat_class_box",
+    "neat_work",
     "neat_transfer_bundle_check",
 ]
 
@@ -304,23 +304,25 @@ def _class_verdicts(p: HPolytope):
     return answered
 
 
-def neat_class_box(p: HPolytope, radius: int | None = None) -> int:
-    """The number of b in the class box (_class_chart) that is_neat(p,
-    radius) decides whole: the rule by which it chooses its path, which
-    the CLI's class box limit reads.  Π(2·bounds_j + 1), or 0 where no box
-    is decided: where x = 0 answers every b tested (every c_j >= radius,
-    or x = 0 answers every class), or where, up to a radius, the class box
-    holds more points than [−r, r]^m and the stream decides each class
-    when it first meets one instead.  The exact test (radius=None) decides
-    the whole box.  Raises ValueError for a negative radius or unless p is
+def neat_work(p: HPolytope, radius: int | None = None) -> tuple:
+    """(count, whole): the number of b that is_neat(p, radius) walks, the
+    rule by which it chooses its path, which the CLI's neatness limit
+    reads.  whole is True where it decides the class box (_class_chart)
+    whole, count = Π(2·bounds_j + 1): always for the exact test
+    (radius=None), and up to a radius where the box holds no more points
+    than the window [−r, r]^m.  Past that, the radius stream walks the
+    window, count = (2r + 1)^m, and whole is False.  count is 0 where x = 0
+    answers every b tested (every c_j >= radius, or x = 0 answers every
+    class).  Raises ValueError for a negative radius or unless p is
     lattice smooth."""
     if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
     _require_lattice_smooth(p, _NEAT_DOMAIN)
     if radius is not None and all(c >= radius for c in p.offsets):
-        return 0  # x = 0 answers [−r, r]^m
+        return 0, True  # x = 0 answers [−r, r]^m
     size = _class_chart(p)[0]
-    return size if radius is None or size <= (2 * radius + 1) ** p.nfacets else 0
+    window = size if radius is None else (2 * radius + 1) ** p.nfacets
+    return min(size, window), size <= window
 
 
 @dataclass(frozen=True)
@@ -355,15 +357,16 @@ def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
     when needed: x = 0 answers every b at once when every c_j >= radius or
     when it answers the whole class box; and when the class box holds no
     more points than [−r, r]^m, every class is decided first, so the stream
-    runs only if one fails (neat_class_box).  Otherwise the stream decides
-    each class when it first meets one of its members.
+    runs only if one fails.  Otherwise the stream decides each class when
+    it first meets one of its members (neat_work gives the path and its
+    count).
     """
-    box = neat_class_box(p, radius)
+    count, whole = neat_work(p, radius)
     neat = NeatVerdict("neat" if radius is None else "neat_up_to_radius", radius)
-    if not box and (radius is None or all(c >= radius for c in p.offsets) or not _class_chart(p)[0]):
+    if not count:
         return neat  # x = 0 answers every b tested
     answered = _class_verdicts(p)
-    if box:
+    if whole:
         failing = next((b for b in _fan_preserving(p, _class_chart(p)[1], paired=True) if not answered(b)), None)
         if failing is None:
             return neat

@@ -27,7 +27,7 @@ from functools import partial
 from math import gcd
 
 from .classify import classify, is_smooth
-from .displace import DEFAULT_RADIUS, is_neat, neat_class_box
+from .displace import DEFAULT_RADIUS, is_neat, neat_work
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
 from .polytope import HPolytope, convex_hull, irredundant_rows
 
@@ -51,11 +51,11 @@ MAX_DIM_DEFAULT = 12
 # points, one run each on a shared 2-core x86-64 machine), while the count
 # that decides the refusal lists nothing
 MAX_EWALD_POINTS = 200_000
-# the largest class box (displace.neat_class_box) that neatness decides
-# without --allow-large, in neat (exact or up to a radius), check and
-# batch --neat: the test spends a few microseconds on each of its points,
-# so the limit keeps a run to seconds.  Up to a radius, a box is decided
-# whole only where it holds no more points than [-r, r]^m
+# the most displacements that neatness walks without --allow-large
+# (displace.neat_work), in neat (exact or up to a radius), check and
+# batch --neat: a class box it decides whole, or up to a radius r past
+# that, the window [-r, r]^m of the radius stream.  The test spends a few
+# microseconds on each point, so the limit keeps a run to seconds
 MAX_NEAT_CLASS_BOX = 1_000_000
 
 
@@ -254,17 +254,19 @@ def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
 
 def _refuse_large_neat(p: HPolytope, radius, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when is_neat(p, radius) would
-    decide a class box of more than MAX_NEAT_CLASS_BOX displacements
-    (displace.neat_class_box): the check before a caller runs neatness,
-    which runs only on a lattice smooth p (radius None: the exact test)."""
+    walk more than MAX_NEAT_CLASS_BOX displacements (displace.neat_work):
+    a class box it decides whole, or the window [−r, r]^m of the radius
+    stream.  The check before a caller runs neatness, which runs only on a
+    lattice smooth p (radius None: the exact test)."""
     if allow_large or not (p.is_lattice() and is_smooth(p)[0]):
         return
-    box = neat_class_box(p, radius)
-    if box > MAX_NEAT_CLASS_BOX:
+    count, whole = neat_work(p, radius)
+    if count > MAX_NEAT_CLASS_BOX:
         mode = "exact neatness" if radius is None else "neatness up to radius %d" % radius
+        walk = "decide a class box" if whole else "walk the window [-%d, %d]^%d" % (radius, radius, p.nfacets)
         raise ValueError(
-            "%s would decide a class box of %d displacements, above the limit of %d; "
-            "pass --allow-large to override" % (mode, box, MAX_NEAT_CLASS_BOX)
+            "%s would %s of %d displacements, above the limit of %d; "
+            "pass --allow-large to override" % (mode, walk, count, MAX_NEAT_CLASS_BOX)
         )
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import wraps
 from itertools import chain, repeat
 from math import ceil, floor, gcd, inf, lcm
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 
 from .intlinalg import (
     _integer_row,
@@ -157,9 +157,10 @@ def _edges(p) -> tuple:
     row s tight at v, ascending in s.  The edge that leaves row s ends at w,
     the one other vertex whose mask contains mask_v − {s}, and j is the row
     that becomes tight there: one dict join over the vertex masks.  Its
-    readers, with the margin table: is_smooth (each vertex's edges to
+    readers: with the margin table, is_smooth (each vertex's edges to
     earlier vertices), is_deeply_smooth's margin test and the fan walls of
-    displace._vertex_margin_constraints."""
+    displace._vertex_margin_constraints; alone, is_ut_free's triangles
+    (classify._triangles)."""
     masks = p.vertex_masks()
     ends, edges = {}, [[] for _ in masks]
     for v, t in enumerate(masks):
@@ -987,9 +988,14 @@ def minkowski_sum(v: VPolytope, w: VPolytope) -> VPolytope:
     """Vertices of v + w, from the exact hull of all pairwise vertex sums."""
     if v.dim != w.dim:
         raise ValueError("dimension mismatch")
-    sums = {tuple(a + b for a, b in zip(p, q)) for p in v.points for q in w.points}
-    h = convex_hull(sums, v.dim)
-    return VPolytope(v.dim, h.vertices())
+    return VPolytope(v.dim, _sum_hull(v.points, w.points, v.dim).vertices())
+
+
+def _sum_hull(xs, ys, dim: int) -> HPolytope:
+    """The exact hull of every pairwise sum x + y, the Minkowski sum of the
+    hulls of xs and ys: the one construction of minkowski_sum and
+    oda_instance_check."""
+    return convex_hull({tuple(map(add, x, y)) for x in xs for y in ys}, dim)
 
 
 def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
@@ -1020,10 +1026,7 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
     keys, sums = packed(q.lattice_points(), qlo), set()
     for k in packed(p.lattice_points(), plo):
         sums.update(map(k.__add__, keys))
-    hull = convex_hull(
-        {tuple(a + b for a, b in zip(x, y)) for x in p.vertices() for y in q.vertices()},
-        p.dim,
-    )
+    hull = _sum_hull(p.vertices(), q.vertices(), p.dim)
     search, centre = _slab_search(hull, hull.offsets)
     return len(sums) == search(centre)[0]
 

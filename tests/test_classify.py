@@ -1,5 +1,7 @@
 import importlib
+import inspect
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -31,11 +33,13 @@ from ewaldkit.classify import (
 from ewaldkit.classify import (
     _is_unimodular_triangle_face,
     _slice_ut_free,
+    _triangles,
     _two_faces,
     _ut_free_region,
 )
-from ewaldkit.fileio import parse_polytope
+from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.polytope import (
+    FaceRef,
     HPolytope,
     VPolytope,
     cartesian_product,
@@ -46,6 +50,7 @@ from ewaldkit.polytope import (
 
 # the package re-exports the function classify under the submodule's name
 classify_module = importlib.import_module("ewaldkit.classify")
+polytope_module = importlib.import_module("ewaldkit.polytope")
 
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
@@ -102,21 +107,79 @@ def test_is_ut_free_examples():
 
 def test_unimodular_triangle_faces_match_lattice_point_count():
     # oracle: a 2-face is a unimodular triangle iff it has 3 vertices and
-    # exactly 3 of P's lattice points lie on it
+    # exactly 3 of P's lattice points lie on it; the triangles read off the
+    # edge graph are the 2-faces with 3 vertices, with their vertex masks
     polys = [p for p in catalog().values() if 2 <= p.dim <= 4]
     polys += [smooth_simplex(3, 1), smooth_simplex(4, 1)]
     polys += smooth_suite(random.Random(5), max_dim=4, count=20)
     seen = set()
     for p in polys:
         pts = p.lattice_points()
-        for f, verts in zip(p.faces(p.dim - 2), _two_faces(p)):
+        triangles = dict(_triangles(p))
+        three = []
+        for f in p.faces(p.dim - 2):
             tight = f.tight
-            nverts = sum(1 for t in p.vertex_tight_sets() if set(tight) <= t)
+            verts = [k for k, t in enumerate(p.vertex_tight_sets()) if set(tight) <= t]
             npts = sum(1 for x in pts if all(dot(p.normals[i], x) == p.offsets[i] for i in tight))
-            got = _is_unimodular_triangle_face(p, verts)
-            assert got == (nverts == 3 and npts == 3), (p, tight)
+            if len(verts) == 3:
+                three.append(tight)
+                assert triangles[tight] == sum(1 << k for k in verts), (p, tight)
+            got = tight in triangles and _is_unimodular_triangle_face(p, triangles[tight])
+            assert got == (len(verts) == 3 and npts == 3), (p, tight)
             seen.add(got)
+        assert sorted(triangles) == three, p
     assert seen == {True, False}
+
+
+def test_the_ut_witness_is_the_least_unimodular_triangle():
+    # the witness names the least facet tuple, the first of faces(n − 2),
+    # in dimension 2 (the polygon itself) and in dimensions 3 and 4
+    cases = [
+        (smooth_simplex(2, 1), ()),
+        (smooth_simplex(2, 1).transform(((1, 1), (0, 1))), ()),
+        (smooth_simplex(3, 1), (0,)),
+        (blown_up_tetrahedron(), (3,)),
+        (ssb(3, 2), (3,)),
+        (smooth_simplex(4, 1), (0, 1)),
+        (ssb(4, 3), (1, 4)),
+        (del_pezzo(4), (0, 2)),
+    ]
+    for p, tight in cases:
+        want = FaceRef(tight, p.dim - 2)
+        assert is_ut_free(p) == (False, want), p
+        assert scanned_ut_free(p) == (False, tight), p
+    # the unimodular triangles of the blown-up tetrahedron meet vertex 0 on
+    # a later facet: the witness is not the first triangle read
+    p = blown_up_tetrahedron()
+    at_zero = [t for t, verts in _triangles(p) if verts & 1 and _is_unimodular_triangle_face(p, verts)]
+    assert at_zero and min(at_zero) > (3,)
+    for p in (smooth_simplex(3, 2), monotone_simplex(4), cube(4), nill_triangle(1)):
+        assert is_ut_free(p) == (True, None), p
+
+
+def test_ut_freeness_walks_no_faces():
+    # is_ut_free reads the edge graph: on a fresh cube(6) (728 faces) and a
+    # GL image of hexagon^3 (216 vertices) the face walk never runs
+    hexagon = monotone_polygon("hexagon")
+    cubed = cartesian_product(cartesian_product(hexagon, hexagon), hexagon)
+    polys = [cube(6), cubed.transform(random_unimodular(random.Random(38), 6))]
+    walk = inspect.unwrap(polytope_module._walk_faces).__code__
+    for p in polys:
+        q = parse_polytope(serialize_polytope(p)).polytope
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is walk:
+                calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            ok, face = is_ut_free(q)
+        finally:
+            sys.setprofile(None)
+        assert not calls, p
+        assert (ok, face and face.tight) == scanned_ut_free(q), p
+    assert not hasattr(classify_module, "_walk_faces")
 
 
 def _ut_inputs():

@@ -364,6 +364,51 @@ def test_bounded_neatness_refuses_a_class_box_it_would_decide_whole(monkeypatch,
     assert code == 2 and out == "" and err == "error: radius must be nonnegative\n"
 
 
+def _three_cube_shifted(n):
+    """3·C_n + 3·e_1: x_1 ∈ [0, 6] and the other coordinates in [−3, 3]."""
+    c = cube(n)
+    return polytope.HPolytope(n, c.normals, tuple(3 * x for x in c.offsets)).translate((3,) + (0,) * (n - 1))
+
+
+def test_bounded_neatness_refuses_a_large_radius_stream(monkeypatch, tmp_path, capsys):
+    from ewaldkit import fileio
+    from ewaldkit.displace import neat_work
+
+    # 3·C_7 + 3·e_1 has a class box of 11^7 points, more than [−1, 1]^14:
+    # up to radius 1 the stream walks the window, refused before it starts
+    big = _three_cube_shifted(7)
+    assert neat_work(big, 1) == (3**14, False) and neat_work(big) == (11**7, True)
+    refused = "neatness up to radius 1 would walk the window [-1, 1]^14 of 4782969 displacements, above the limit of 1000000"
+    text = serialize_polytope(big, "big")
+    for argv in (["neat", "-", "--radius", "1"], ["check", "-", "--radius", "1"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == "" and refused in err, argv
+    (tmp_path / "big.poly").write_text(text)
+    code, out, _ = run_cli(["batch", str(tmp_path), "--neat", "--radius", "1", "--json"], capsys=capsys)
+    assert code == 0 and json.loads(out)["excluded"] == [["big.poly", "refused: %s; pass --allow-large to override" % refused]]
+    # 3·C_2 + 3·e_1: a class box of 121 points, so up to radius 1 the stream
+    # walks [−1, 1]^4, refused at a limit of 80 unless --allow-large
+    small = _three_cube_shifted(2)
+    assert neat_work(small, 1) == (81, False) and neat_work(small, 2) == (121, True)
+    monkeypatch.setattr(fileio, "MAX_NEAT_CLASS_BOX", 80)
+    text = serialize_polytope(small, "small")
+    refused = "neatness up to radius 1 would walk the window [-1, 1]^4 of 81 displacements, above the limit of 80"
+    for argv in (["neat", "-", "--radius", "1"], ["check", "-", "--radius", "1"]):
+        code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
+        assert code == 2 and out == "" and refused in err, argv
+        code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=text, capsys=capsys)
+        assert code == 0 and out, argv
+    (tmp_path / "big.poly").unlink()
+    (tmp_path / "small.poly").write_text(text)
+    for flags, reports in (([], 0), (["--allow-large"], 1)):
+        code, out, _ = run_cli(flags + ["batch", str(tmp_path), "--neat", "--radius", "1", "--json"], capsys=capsys)
+        doc = json.loads(out)
+        assert code == 0 and len(doc["reports"]) == reports, flags
+        assert (["small.poly", "refused: %s; pass --allow-large to override" % refused] in doc["excluded"]) == (not reports)
+
+
 def test_cli_probe_rejects_a_point_of_the_wrong_dimension(capsys):
     for point, length in (("1/2", 1), ("1/2,0,0", 3)):
         argv = ["probe", "-", "--point", point]
