@@ -59,12 +59,12 @@ from .displace import (
     normally_isomorphic_displacements,
     NeatVerdict,
     is_neat,
-    neat_transfer_bundle_check,
 )
 from .bundles import (
     BundleSpec,
     build_bundle,
     bundle_classification,
+    neat_transfer_bundle_check,
     ssb,
     ssb_as_bundle,
     small_fiber_bundle,

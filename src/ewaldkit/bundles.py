@@ -10,19 +10,14 @@ from dataclasses import dataclass
 from functools import partial
 
 from .classify import is_monotone, is_smooth
-from .displace import _keeps_fan, _vertex_margin_constraints
-from .polytope import (
-    HPolytope,
-    VPolytope,
-    dot,
-    facet_description,
-    normal_fan_signature,
-)
+from .displace import _keeps_fan, _vertex_margin_constraints, is_neat
+from .polytope import HPolytope, VPolytope, dot, facet_description
 
 __all__ = [
     "BundleSpec",
     "build_bundle",
     "bundle_classification",
+    "neat_transfer_bundle_check",
     "ssb",
     "ssb_as_bundle",
     "small_fiber_bundle",
@@ -70,11 +65,17 @@ def build_bundle(spec: BundleSpec) -> HPolytope:
     the slice over x is the fiber displaced by b = shift − twist·x, checked
     against the fiber's margin constraints, built once.  The offsets that
     keep the fiber's fan form a convex cone and the slice offsets are affine
-    over the base, so the vertex checks cover all of it.  The vertex-facet
-    incidence of the total space must match base × fiber.
+    over the base, so the vertex checks cover all of it.
+
+    The slices also fix the vertex-facet incidence of the total space as
+    base × fiber, so it is not checked again and no vertex is enumerated
+    here.  Over a base vertex x with mask t_x, the total's face on the rows
+    t_x is {x} × slice(x), and slice(x) has the fiber's vertex masks t_q,
+    so its vertices carry t_x | t_q << l (l base rows).  Over an interior
+    point of a larger base face, each slice vertex moves affinely with the
+    point, so it is no vertex of the total.
     """
     base, fiber = spec.base, spec.fiber
-    k, n = base.dim, fiber.dim
     constraints = _vertex_margin_constraints(fiber)
     for x in base.vertices():
         b = [sh - dot(s, x) for sh, s in zip(spec.shifts, spec.twist)]
@@ -83,19 +84,12 @@ def build_bundle(spec: BundleSpec) -> HPolytope:
                 "not a bundle: slice over base point %r is not normally "
                 "isomorphic to the fiber" % (x,)
             )
-    zeros_n = (0,) * n
+    zeros_n = (0,) * fiber.dim
     normals = tuple(u + zeros_n for u in base.normals) + tuple(
         s + t for s, t in zip(spec.twist, fiber.normals)
     )
-    offsets = base.offsets + tuple(
-        a + sh for a, sh in zip(fiber.offsets, spec.shifts)
-    )
-    total = HPolytope(k + n, normals, offsets)
-    l = base.nfacets
-    expected = {tb | tq << l for tb in base.vertex_masks() for tq in fiber.vertex_masks()}
-    if normal_fan_signature(total).cones != expected:
-        raise ValueError("not a bundle: total space is not combinatorially base x fiber")
-    return total
+    offsets = base.offsets + tuple(a + sh for a, sh in zip(fiber.offsets, spec.shifts))
+    return HPolytope(base.dim + fiber.dim, normals, offsets)
 
 
 def bundle_classification(spec: BundleSpec):
@@ -118,6 +112,15 @@ def bundle_classification(spec: BundleSpec):
             % (flags, conj)
         )
     return flags
+
+
+def neat_transfer_bundle_check(base, fiber, twist, radius: int) -> bool:
+    """Instance test of neatness transfer through bundles: when base and
+    fiber are neat up to the radius, the bundle must be too."""
+    total = build_bundle(BundleSpec(base=base, fiber=fiber, twist=tuple(twist), shifts=(0,) * fiber.nfacets))
+    if is_neat(base, radius).is_counterexample or is_neat(fiber, radius).is_counterexample:
+        return True
+    return not is_neat(total, radius).is_counterexample
 
 
 # -- named families -------------------------------------------------------

@@ -25,9 +25,12 @@ from .fileio import (
     MAX_DIM_DEFAULT,
     MAX_EWALD_POINTS,
     MAX_NEAT_CLASS_BOX,
+    MAX_ODA_SUMS,
     _refuse_count,
+    _refuse_large_analysis,
     _refuse_large_ewald,
     _refuse_large_neat,
+    _refuse_large_oda,
     analyze_polytope,
     ingest_database,
     parse_polytope,
@@ -118,9 +121,10 @@ def main(argv=None) -> int:
         action="store_true",
         help="lift the default dimension cap of %d (scans grow like 3^n), the "
         "E(P) listing limit of %d points, the probe limit of %d points on the "
-        "direction box and on the sample grid, and the neatness limit of %d "
-        "displacements (a class box decided whole, or the radius stream's window [-r, r]^m)"
-        % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX),
+        "direction box and on the sample grid, the neatness limit of %d "
+        "displacements (a class box decided whole, or the radius stream's window [-r, r]^m), "
+        "and oda's limit of %d sums of lattice points"
+        % (MAX_DIM_DEFAULT, MAX_EWALD_POINTS, MAX_PROBE_BOX, MAX_NEAT_CLASS_BOX, MAX_ODA_SUMS),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -188,11 +192,8 @@ def main(argv=None) -> int:
 def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "check":
         parsed = _read_polytope(args.file, args.allow_large)
-        if parsed.polytope.origin_interior():  # the Ewald conditions list E(P)
-            _refuse_large_ewald(parsed.polytope, args.allow_large)
         radius = args.radius if args.radius is not None else radius_default
-        if not args.skip_neat:
-            _refuse_large_neat(parsed.polytope, radius, args.allow_large)
+        _refuse_large_analysis(parsed.polytope, radius, not args.skip_neat, args.allow_large)
         report = analyze_polytope(
             parsed.polytope, parsed.name, radius=radius, run_neat=not args.skip_neat
         )
@@ -311,6 +312,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
     if args.cmd == "oda":
         p1 = _read_polytope(args.file1, args.allow_large)
         p2 = _read_polytope(args.file2, args.allow_large)
+        _refuse_large_oda(p1.polytope, p2.polytope, args.allow_large)
         ok = oda_instance_check(p1.polytope, p2.polytope)
         print("decomposition identity: %s" % ("holds" if ok else "FAILS"))
         return 0 if ok else 1

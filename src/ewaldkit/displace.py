@@ -40,7 +40,6 @@ __all__ = [
     "NeatVerdict",
     "is_neat",
     "neat_work",
-    "neat_transfer_bundle_check",
 ]
 
 DEFAULT_RADIUS = 2
@@ -376,15 +375,3 @@ def is_neat(p: HPolytope, radius: int | None = DEFAULT_RADIUS) -> NeatVerdict:
         if not answered(b):
             return NeatVerdict("counterexample", radius, witness_b=b)
     return neat
-
-
-def neat_transfer_bundle_check(base, fiber, twist, radius: int) -> bool:
-    """Instance test of neatness transfer through bundles: when base and
-    fiber are neat up to the radius, the bundle must be too."""
-    from .bundles import BundleSpec, build_bundle
-
-    spec = BundleSpec(base=base, fiber=fiber, twist=tuple(twist), shifts=(0,) * fiber.nfacets)
-    total = build_bundle(spec)
-    if is_neat(base, radius).is_counterexample or is_neat(fiber, radius).is_counterexample:
-        return True
-    return not is_neat(total, radius).is_counterexample

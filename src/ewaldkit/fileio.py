@@ -29,7 +29,7 @@ from math import gcd
 from .classify import classify, is_smooth
 from .displace import DEFAULT_RADIUS, is_neat, neat_work
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
-from .polytope import HPolytope, convex_hull, irredundant_rows
+from .polytope import HPolytope, _slab_search, convex_hull, irredundant_rows
 
 __all__ = [
     "ParsedPolytope",
@@ -41,6 +41,7 @@ __all__ = [
     "MAX_DIM_DEFAULT",
     "MAX_EWALD_POINTS",
     "MAX_NEAT_CLASS_BOX",
+    "MAX_ODA_SUMS",
 ]
 
 MAX_DIM_DEFAULT = 12
@@ -57,6 +58,12 @@ MAX_EWALD_POINTS = 200_000
 # that, the window [-r, r]^m of the radius stream.  The test spends a few
 # microseconds on each point, so the limit keeps a run to seconds
 MAX_NEAT_CLASS_BOX = 1_000_000
+# the most sums |P ∩ Z^n|·|Q ∩ Z^n| that oda forms without --allow-large:
+# it adds every pair of lattice points and keeps the distinct sums in a
+# set.  Where every sum is distinct (a segment along e_1 plus one along
+# e_2) 5·10^6 sums take 1.0 s and 300 MB, where most coincide (two cubes)
+# 0.2 s, one run each on a shared 2-core x86-64 machine
+MAX_ODA_SUMS = 5_000_000
 
 
 @dataclass
@@ -270,6 +277,34 @@ def _refuse_large_neat(p: HPolytope, radius, allow_large: bool) -> None:
         )
 
 
+def _refuse_large_analysis(p: HPolytope, radius, run_neat: bool, allow_large: bool) -> None:
+    """The refusals before analyze_polytope(p, radius=radius,
+    run_neat=run_neat), in check and batch: the E(P) limit where the origin
+    is interior, as the Ewald conditions list E(P), and the neatness limit
+    where neatness runs."""
+    if p.origin_interior():
+        _refuse_large_ewald(p, allow_large)
+    if run_neat:
+        _refuse_large_neat(p, radius, allow_large)
+
+
+def _refuse_large_oda(p: HPolytope, q: HPolytope, allow_large: bool) -> None:
+    """Raise ValueError, unless allow_large, when oda_instance_check(p, q)
+    would form more than MAX_ODA_SUMS sums of a lattice point of p and one
+    of q, for p and q as parsed (integer offsets).  Each set is counted by
+    its lattice search, which lists nothing and stops past the limit, where
+    the message says "at least"."""
+    if allow_large:
+        return
+    counts = [search(centre, cap=MAX_ODA_SUMS) for search, centre in (_slab_search(r, r.offsets) for r in (p, q))]
+    if counts[0][0] * counts[1][0] > MAX_ODA_SUMS:
+        a, b = ("%s%d" % ("" if ended else "at least ", count) for count, ended in counts)
+        raise ValueError(
+            "oda would add %s lattice points of the first polytope to %s of the second, "
+            "above the limit of %d sums; pass --allow-large to override" % (a, b, MAX_ODA_SUMS)
+        )
+
+
 @dataclass
 class DatabaseStats:
     """Aggregates for a directory of polytope files."""
@@ -306,10 +341,7 @@ def _analyze_file(path, radius, run_neat, allow_large):
     except ValueError as exc:
         return fname, None, "parse error: %s" % exc
     try:
-        if parsed.polytope.origin_interior():  # analyze_polytope lists E(P)
-            _refuse_large_ewald(parsed.polytope, allow_large)
-        if run_neat:
-            _refuse_large_neat(parsed.polytope, radius, allow_large)
+        _refuse_large_analysis(parsed.polytope, radius, run_neat, allow_large)
     except ValueError as exc:
         return fname, None, "refused: %s" % exc
     label = parsed.name or fname

@@ -10,6 +10,7 @@ from ewaldkit.bundles import (
     del_pezzo,
     monotone_polygon,
     monotone_simplex,
+    neat_transfer_bundle_check,
     nill_triangle,
     segment,
     smooth_simplex,
@@ -21,7 +22,6 @@ from ewaldkit.displace import (
     displacement_slice,
     first_displacement,
     is_neat,
-    neat_transfer_bundle_check,
     normally_isomorphic_displacements,
 )
 from ewaldkit.polytope import (

@@ -524,6 +524,37 @@ def test_cli_refuses_an_oversized_ewald_listing_before_any_work(tmp_path, monkey
     ]
 
 
+def test_cli_refuses_an_oversized_oda_before_any_sum(tmp_path, monkeypatch, capsys):
+    from ewaldkit import fileio
+
+    # two copies of [-12, 12]^3: 15,625^2 sums, counted without a listing
+    box = tmp_path / "box.poly"
+    box.write_text(serialize_polytope(polytope.HPolytope(3, cube(3).normals, (12,) * 6)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["oda", str(box), str(box)], capsys=capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: oda would add 15625 lattice points of the first polytope to 15625 of the second, "
+        "above the limit of 5000000 sums; pass --allow-large to override\n"
+    )
+    # C_2 + C_2 forms 81 sums: refused at a limit of 80, unless --allow-large
+    monkeypatch.setattr(fileio, "MAX_ODA_SUMS", 80)
+    c2 = tmp_path / "c2.poly"
+    c2.write_text(C2_TEXT)
+    code, out, err = run_cli(["oda", str(c2), str(c2)], capsys=capsys)
+    assert code == 2 and out == "" and "add 9 lattice points of the first polytope to 9 of the second" in err
+    code, out, _ = run_cli(["--allow-large", "oda", str(c2), str(c2)], capsys=capsys)
+    assert code == 0 and out == "decomposition identity: holds\n"
+    # a count that stops past the limit is reported as a lower bound
+    big = tmp_path / "big.poly"
+    big.write_text("dim 2\nfacets 3\n-1 0 0\n0 -1 0\n1 1 1000\n")
+    code, out, err = run_cli(["oda", str(big), str(c2)], capsys=capsys)
+    assert code == 2 and "add at least 91 lattice points of the first polytope to 9 of the second" in err
+    code, out, _ = run_cli(["--help"], capsys=capsys)
+    assert code == 0 and "and oda's limit of 5000000 sums of lattice points" in " ".join(out.split())
+
+
 def test_a_size_above_sys_maxsize_is_reported_exactly(tmp_path, capsys):
     # len() cannot return a size above sys.maxsize; EwaldSet.size can, and
     # the limit and the report read it

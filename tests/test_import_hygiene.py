@@ -1,6 +1,7 @@
 """Every name a module of ewaldkit imports is read in that module or
-re-exported through its __all__: an import nothing reads is dead code.  And
-every helper the README names exists."""
+re-exported through its __all__: an import nothing reads is dead code.  No
+module imports a sibling inside a function, and the module-level imports
+form no cycle.  And every helper the README names exists."""
 
 import ast
 import importlib
@@ -103,45 +104,61 @@ def test_every_private_helper_is_read():
     assert _unread_helpers(trees) == []
 
 
-def _function_imports(trees):
-    """(module, line, sibling, cycle) for each relative import made inside a
-    function of the modules (module name -> tree): cycle tells whether the
-    sibling imports the module back at module level, directly or through
-    other modules' module-level imports."""
-    graph = {
-        module: {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
-        for module, tree in trees.items()
-    }
-
-    def reaches(start, goal):
-        seen, stack = set(), [start]
-        while stack:
-            module = stack.pop()
-            if module == goal:
-                return True
-            if module not in seen:
-                seen.add(module)
-                stack.extend(graph.get(module, ()))
-        return False
-
-    found = []
+def _sibling_imports(trees):
+    """(graph, inner) for the modules (module name -> tree): graph maps each
+    module to the siblings it imports at module level, and inner lists
+    (module, line, sibling) for each relative import made inside a
+    function."""
+    graph, inner = {}, []
     for module, tree in trees.items():
         top = set(tree.body)
+        graph[module] = {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node not in top:
-                found.append((module, node.lineno, node.module, reaches(node.module, module)))
-    return sorted(found)
+                inner.append((module, node.lineno, node.module))
+    return graph, sorted(inner)
 
 
-def test_a_function_imports_a_sibling_only_to_break_a_cycle():
+def _import_cycle(graph):
+    """The modules around one cycle of graph (module -> the siblings it
+    imports), the first repeated last, or None when graph has no cycle."""
+    seen = set()
+
+    def visit(module, path):
+        if module in path:
+            return path[path.index(module) :] + [module]
+        if module in seen:
+            return None  # explored before, and no cycle runs through it
+        seen.add(module)
+        for sibling in sorted(graph.get(module, ())):
+            found = visit(sibling, path + [module])
+            if found:
+                return found
+        return None
+
+    for module in sorted(graph):
+        found = visit(module, [])
+        if found:
+            return found
+    return None
+
+
+def test_no_function_imports_a_sibling_and_no_module_import_cycles():
+    graph, inner = _sibling_imports({
+        "a": ast.parse("from .b import f\ndef g():\n    from .c import h\n"),
+        "b": ast.parse("from .c import h\n"),
+        "c": ast.parse("from .a import g\n"),
+    })
+    assert inner == [("a", 3, "c")]
+    assert _import_cycle(graph) == ["a", "b", "c", "a"]
+    assert _import_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
     trees = {}
     for module in MODULES:
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             trees[module[:-3]] = ast.parse(fh.read(), module)
-    found = _function_imports(trees)
-    # bundles imports displace, so displace reads bundles inside a function
-    assert any(m == "displace" and s == "bundles" for m, _, s, _ in found)
-    assert [(m, line, s) for m, line, s, cycle in found if not cycle] == []
+    graph, inner = _sibling_imports(trees)
+    assert inner == []
+    assert _import_cycle(graph) is None
 
 
 def test_fileio_binds_every_call_the_benchmark_traces():

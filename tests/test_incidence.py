@@ -1,11 +1,13 @@
 """The bitmask incidence readers against the frozenset ones they replaced.
 
 Faces and their order, face vertices, adjacency, 2-faces, normal fans,
-normal isomorphism, displacement analysis and the bundle incidence check
-must give the same answers as the references in incidence_oracles.py.
+normal isomorphism and displacement analysis must give the same answers as
+the references in incidence_oracles.py, and build_bundle's slice check the
+same verdict as the reference's slice and total-space incidence checks.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -191,6 +193,29 @@ def test_displacement_analysis_matches_frozensets():
     assert seen == {True, False}
 
 
+def _bundle_specs(rng, bases, fibers, count):
+    """count specs over the bases and fibers: half twist with entries in
+    [−2, 2], half make each slice over x the fiber translated by −M x for an
+    integer M, with up to two twist rows perturbed; each shift is 0, ±1,
+    1/2 or −1/3, and half the specs take zero shifts."""
+    specs = []
+    for i in range(count):
+        base, fiber = rng.choice(bases), rng.choice(fibers)
+        k, n = base.dim, fiber.dim
+        if i % 2:
+            twist = [[rng.randint(-2, 2) for _ in range(k)] for _ in fiber.normals]
+        else:
+            m = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+            twist = [[sum(t[a] * m[a][c] for a in range(n)) for c in range(k)] for t in fiber.normals]
+            for j in rng.sample(range(fiber.nfacets), rng.randint(0, 2)):
+                twist[j] = [x + rng.randint(-1, 1) for x in twist[j]]
+        shifts = (0,) * fiber.nfacets
+        if i % 4 >= 2:
+            shifts = tuple(rng.choice((0, 1, -1, Fraction(1, 2), Fraction(-1, 3))) for _ in fiber.normals)
+        specs.append(BundleSpec(base=base, fiber=fiber, twist=tuple(map(tuple, twist)), shifts=shifts))
+    return specs
+
+
 def test_bundle_incidence_check_matches_frozensets():
     rng = random.Random(29)
     specs = [ssb_as_bundle(3, 1), ssb_as_bundle(3, 2), ssb_as_bundle(4, 3)]
@@ -202,11 +227,22 @@ def test_bundle_incidence_check_matches_frozensets():
             tuple(rng.randint(-1, 1) for _ in range(base.dim)) for _ in range(fiber.nfacets)
         )
         specs.append(BundleSpec(base=base, fiber=fiber, twist=twist, shifts=(0,) * fiber.nfacets))
+    # the slice check alone decides; the oracle checks the incidence of the
+    # total space apart, over DP3 (not simple) and 3-dimensional fibers too
+    specs += _bundle_specs(
+        random.Random(31),
+        [segment(), monotone_simplex(2), smooth_simplex(1, 2), cube(2), monotone_polygon("hexagon"),
+         del_pezzo(3), monotone_simplex(3), ssb(3, 1)],
+        [segment(), monotone_simplex(2), smooth_simplex(2, 2), cube(2), del_pezzo(3),
+         monotone_polygon("pentagon"), monotone_simplex(3), cube(3), ssb(3, 2)],
+        520,
+    )
     verdicts = set()
     for spec in specs:
         want = oracle.build_bundle_verdict(spec)
         if want is None:
-            build_bundle(spec)
+            # the total's vertices are left to their first reader
+            assert "vertices" not in build_bundle(spec)._cache
         else:
             with pytest.raises(ValueError, match=want):
                 build_bundle(spec)
