@@ -8,6 +8,7 @@ point) so callers can explain failures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import combinations
 from math import gcd
 
@@ -210,11 +211,10 @@ def _project_to_span(pts, p0):
     return [_point(_basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
 
 
-def _displacement_keeps_fan(p: HPolytope, f: FaceRef) -> bool:
-    """Whether the first displacement of the face f is a full-dimensional
-    polytope in its chart with the normal fan of f (a vertex keeps it
-    whenever the displacement is a point)."""
-    sd = face_slice(p, f, inset=1)
+def _displacement_keeps_fan(p: HPolytope, f: FaceRef, sd: Slice) -> bool:
+    """Whether sd, the first displacement of the face f, is a
+    full-dimensional polytope in its chart with the normal fan of f (a
+    vertex keeps it whenever the displacement is a point)."""
     if sd.polytope is None:
         return False
     return f.codim == p.dim or normally_isomorphic(face_slice(p, f).polytope, sd.polytope)
@@ -224,12 +224,14 @@ def deeply_smooth_characterizations_agree(p: HPolytope):
     """Evaluate the three equivalent descriptions of deep smoothness
     independently, each up to its first failure: corner parallelepipeds;
     face displacements keeping the face's normal fan; UT-freeness of P and
-    of all face displacements."""
+    of all face displacements.  The second and third read one chart of
+    each face's first displacement, made when either first reads it."""
     _require_lattice_smooth(p, "requires a lattice smooth polytope")
     faces = [f for codim in range(1, p.dim + 1) for f in p.faces(codim)]
+    displaced = cache(lambda f: face_slice(p, f, inset=1))
     c1 = is_deeply_smooth(p)[0]
-    c2 = all(_displacement_keeps_fan(p, f) for f in faces)
-    c3 = is_ut_free(p)[0] and all(_slice_ut_free(face_slice(p, f, inset=1)) for f in faces)
+    c2 = all(_displacement_keeps_fan(p, f, displaced(f)) for f in faces)
+    c3 = is_ut_free(p)[0] and all(_slice_ut_free(displaced(f)) for f in faces)
     return c1, c2, c3
 
 

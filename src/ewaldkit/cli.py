@@ -26,18 +26,19 @@ from .fileio import (
     MAX_EWALD_POINTS,
     MAX_NEAT_CLASS_BOX,
     MAX_ODA_SUMS,
-    _refuse_count,
+    MAX_PROBE_BOX,
     _refuse_large_analysis,
     _refuse_large_ewald,
     _refuse_large_neat,
     _refuse_large_oda,
+    _refuse_large_probe,
     analyze_polytope,
     ingest_database,
     parse_polytope,
     serialize_polytope,
 )
-from .polytope import FaceRef, _slab_search, oda_instance_check
-from .probes import DEFAULT_BOUND, _sample_upper, check_bound, check_samples
+from .polytope import FaceRef, oda_instance_check
+from .probes import DEFAULT_BOUND, check_bound, check_samples
 from .probes import displaceable_by_probe, star_probe_crosscheck
 
 __all__ = ["main"]
@@ -245,13 +246,7 @@ def _dispatch(args, radius_default, bound_default) -> int:
         check_bound(bound)  # before the file is read
         check_samples(args.samples)
         parsed = _read_polytope(args.file, args.allow_large)
-        box = (2 * bound + 1) ** parsed.polytope.dim
-        if box > MAX_PROBE_BOX and not args.allow_large:
-            raise ValueError(
-                "probe bound %d in dimension %d spans a box of %d directions, above the "
-                "limit of %d; pass --allow-large to override"
-                % (bound, parsed.polytope.dim, box, MAX_PROBE_BOX)
-            )
+        _refuse_large_probe(parsed.polytope, bound, None if args.point else args.samples, args.allow_large)
         if args.point:
             pt = _parse_rational_point(args.point)
             probe = displaceable_by_probe(parsed.polytope, pt, bound)
@@ -263,11 +258,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
                 % (probe.facet, probe.direction, tuple(map(str, probe.start)))
             )
             return 0
-        if not args.allow_large:
-            p = parsed.polytope
-            search, centre = _slab_search(p, _sample_upper(p, args.samples), args.samples)
-            _refuse_count("probe grid at %d samples" % args.samples, "limit", search, centre, MAX_PROBE_BOX)
-        _refuse_large_ewald(parsed.polytope, args.allow_large)  # star_ewald lists E(P)
         report = star_probe_crosscheck(parsed.polytope, args.samples, bound)
         print(
             "star_ewald=%s samples=%d bound=%d displaceable=%d/%d"
@@ -327,13 +317,6 @@ _COUNTS = {
     "emin": (1, emin_upper_bound),
     "tables": (0, None),
 }
-# the largest direction box (2·bound + 1)^n, and the largest sample grid
-# (its points counted with the origin), that `probe` takes without
-# --allow-large: the probe search lists and sorts the whole box, and the
-# cross-check probes every point of a grid that grows like samples^n.  It
-# admits dimension 6 at the default bound 3 (7^6 = 117,649), not dimension
-# 7, and on gen cube 3 up to 29 samples (57^3 = 185,193 points), not 30
-MAX_PROBE_BOX = 200_000
 # the largest n `count` accepts; every answer up to it has fewer than n
 # digits, so it also prints within Python's default int-to-str limit
 MAX_COUNT_N = 4300

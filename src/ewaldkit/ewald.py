@@ -54,14 +54,13 @@ def _ewald_search(p: HPolytope):
     number of integer points in the box its coordinate rows bound, which is
     at least |E(P)| when E(P) is not empty.  E(P) is the set of integer x
     with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab system on
-    _slab_frame(p); a unit row of that frame is bounded by min(max, −min) of
-    its values at the vertices, as E(P) ⊂ P ∩ −P.  Built once per polytope,
+    _slab_frame(p); a unit row x_i of that frame is bounded by min(hi_i, −lo_i)
+    of P's bounding box, as E(P) ⊂ P ∩ −P.  Built once per polytope,
     for the listing, the count and the neat classes of displace alike."""
     rows, coords, cols = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
-    for u in rows[p.nfacets:]:
-        values = [dot(u, v) for v in p.vertices()]
-        half.append(min(floor(max(values)), -ceil(min(values))))
+    if len(rows) > p.nfacets:  # the unit frame
+        half += [min(floor(hi), -ceil(lo)) for lo, hi in zip(*p.bounding_box())]
     return _lattice_search(rows, coords, cols, half), [0] * len(rows), prod(2 * half[i] + 1 for i in coords)
 
 

@@ -30,6 +30,7 @@ from .classify import classify, is_smooth
 from .displace import DEFAULT_RADIUS, is_neat, neat_work
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
 from .polytope import HPolytope, _slab_search, convex_hull, irredundant_rows
+from .probes import _sample_upper
 
 __all__ = [
     "ParsedPolytope",
@@ -42,6 +43,7 @@ __all__ = [
     "MAX_EWALD_POINTS",
     "MAX_NEAT_CLASS_BOX",
     "MAX_ODA_SUMS",
+    "MAX_PROBE_BOX",
 ]
 
 MAX_DIM_DEFAULT = 12
@@ -64,6 +66,13 @@ MAX_NEAT_CLASS_BOX = 1_000_000
 # e_2) 5·10^6 sums take 1.0 s and 300 MB, where most coincide (two cubes)
 # 0.2 s, one run each on a shared 2-core x86-64 machine
 MAX_ODA_SUMS = 5_000_000
+# the largest direction box (2·bound + 1)^n, and the largest sample grid
+# (its points counted with the origin), that probe takes without
+# --allow-large: the probe search lists and sorts the whole box, and the
+# cross-check probes every point of a grid that grows like samples^n.  It
+# admits dimension 6 at the default bound 3 (7^6 = 117,649), not dimension
+# 7, and on gen cube 3 up to 29 samples (57^3 = 185,193 points), not 30
+MAX_PROBE_BOX = 200_000
 
 
 @dataclass
@@ -303,6 +312,25 @@ def _refuse_large_oda(p: HPolytope, q: HPolytope, allow_large: bool) -> None:
             "oda would add %s lattice points of the first polytope to %s of the second, "
             "above the limit of %d sums; pass --allow-large to override" % (a, b, MAX_ODA_SUMS)
         )
+
+
+def _refuse_large_probe(p: HPolytope, bound: int, samples, allow_large: bool) -> None:
+    """Raise ValueError, unless allow_large, when probe's direction box
+    (2·bound + 1)^n passes MAX_PROBE_BOX, and in cross-check mode (samples
+    not None) when its sample grid, the origin counted, has more than
+    MAX_PROBE_BOX points (_refuse_count) or E(P), which star_ewald lists,
+    passes the listing limit (_refuse_large_ewald), in that order."""
+    if allow_large:
+        return
+    if (box := (2 * bound + 1) ** p.dim) > MAX_PROBE_BOX:
+        raise ValueError(
+            "probe bound %d in dimension %d spans a box of %d directions, above the "
+            "limit of %d; pass --allow-large to override" % (bound, p.dim, box, MAX_PROBE_BOX)
+        )
+    if samples is not None:
+        search, centre = _slab_search(p, _sample_upper(p, samples), samples)
+        _refuse_count("probe grid at %d samples" % samples, "limit", search, centre, MAX_PROBE_BOX)
+        _refuse_large_ewald(p, allow_large)
 
 
 @dataclass

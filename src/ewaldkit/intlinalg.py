@@ -71,7 +71,7 @@ def transpose(m: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def primitive_part(v) -> Vec:

@@ -19,6 +19,7 @@ from .intlinalg import (
     _integer_solutions,
     _reduce,
     inverse_unimodular,
+    mat_mul,
     primitive_part,
     rank,
     scaled_inverse,
@@ -128,6 +129,19 @@ def _ratio(x, y):
     return x // y if x % y == 0 else Fraction(x, y)
 
 
+def _row_values(u, cols, size, start=0):
+    """start + u·x, lazily, for every point x of the coordinate columns cols
+    (size of them): one C-level pass per nonzero entry of u, no dot per
+    point.  The one evaluator of a row at many points: the margin table,
+    _slab_search's vertex bounds, oda_instance_check's packing, and the
+    probes' directions and sample slacks."""
+    values = repeat(start, size)
+    for a, col in zip(u, cols):
+        if a:
+            values = map(add, values, map(mul, col, repeat(a)))
+    return values
+
+
 @per_polytope
 def _margins(p) -> tuple:
     """The margin table: per vertex v, in vertices() order, the margin
@@ -138,13 +152,7 @@ def _margins(p) -> tuple:
     an int, so is every margin, and no entry is normalized."""
     verts = p.vertices()
     cols = tuple(zip(*verts))
-    rows = []
-    for u, c in zip(p.normals, p.offsets):
-        margins = repeat(c, len(verts))
-        for a, col in zip(u, cols):
-            if a:
-                margins = map(sub, margins, map(mul, col, repeat(a)))
-        rows.append(margins)
+    rows = [_row_values(map(neg, u), cols, len(verts), c) for u, c in zip(p.normals, p.offsets)]
     table = zip(*rows) if rows else repeat((), len(verts))
     if set(map(type, chain(p.offsets, *cols))) <= {int}:
         return tuple(table)
@@ -462,10 +470,7 @@ class HPolytope:
 
     def transform(self, m) -> "HPolytope":
         """Image under x -> m @ x for unimodular integer m."""
-        minv = inverse_unimodular(m)
-        cols = tuple(zip(*minv))
-        new_normals = tuple(tuple(dot(u, col) for col in cols) for u in self.normals)
-        return HPolytope(self.dim, new_normals, self.offsets)
+        return HPolytope(self.dim, mat_mul(self.normals, inverse_unimodular(m)), self.offsets)
 
     def translate(self, t) -> "HPolytope":
         if len(t) != self.dim:
@@ -870,11 +875,12 @@ def _slab_search(p: HPolytope, upper, scale=1):
     """
     rows, coords, cols = _slab_frame(p)
     upper = list(upper) + [None] * (len(rows) - p.nfacets)
-    centre, half = [], []
+    verts = p.vertices()
+    vcols, centre, half = tuple(zip(*verts)), [], []
     for u, hi in zip(chain(p.normals, rows[p.nfacets :]), upper):  # a unit row reads itself
-        values = [dot(u, v) * scale for v in p.vertices()]
-        lo = ceil(min(values))
-        hi = floor(max(values)) if hi is None else hi
+        values = list(_row_values(u, vcols, len(verts)))
+        lo = ceil(min(values) * scale)
+        hi = floor(max(values) * scale) if hi is None else hi
         lo -= (lo + hi) % 2
         centre.append((lo + hi) // 2)
         half.append((hi - lo) // 2)
@@ -1020,11 +1026,12 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
         radix.append(place)
         place *= b - a + d - c + 1
 
-    def packed(points, lo):
-        return [sum(map(mul, map(sub, x, lo), radix)) for x in points]
+    def packed(r, lo):
+        points = r.lattice_points()
+        return _row_values(radix, tuple(zip(*points)), len(points), -sum(map(mul, lo, radix)))
 
-    keys, sums = packed(q.lattice_points(), qlo), set()
-    for k in packed(p.lattice_points(), plo):
+    keys, sums = list(packed(q, qlo)), set()
+    for k in packed(p, plo):
         sums.update(map(k.__add__, keys))
     hull = _sum_hull(p.vertices(), q.vertices(), p.dim)
     search, centre = _slab_search(hull, hull.offsets)

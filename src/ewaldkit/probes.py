@@ -15,12 +15,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, product, repeat
 from math import ceil, lcm
-from operator import add, eq, mul
+from operator import eq
 
 from .ewald import star_ewald
 from .classify import is_monotone
 from .intlinalg import scan_key
-from .polytope import HPolytope, _slab_points, dot, per_polytope
+from .polytope import HPolytope, _row_values, _slab_points, dot, per_polytope
 
 __all__ = [
     "Probe",
@@ -74,16 +74,6 @@ def _direction_columns(n, bound) -> tuple:
     return tuple(zip(*_directions(n, bound)))
 
 
-def _row_values(u, cols, size) -> list:
-    """u·λ for every direction λ of the columns cols (size of them): one
-    C-level pass per nonzero coordinate of u, no dot per direction."""
-    values = repeat(0, size)
-    for c, col in zip(u, cols):
-        if c:
-            values = map(add, values, map(mul, col, repeat(c)))
-    return list(values)
-
-
 _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -101,7 +91,7 @@ def _probe_directions(p: HPolytope, bound: int) -> tuple:
     polytope and bound from the cached direction columns."""
     dirs = _directions(p.dim, bound)
     cols, size = _direction_columns(p.dim, bound), len(dirs)
-    values = [_row_values(u, cols, size) for u in p.normals]
+    values = [list(_row_values(u, cols, size)) for u in p.normals]
     table = []
     for f, vf in enumerate(values):
         at = list(compress(range(size), map(eq, vf, repeat(-1))))
@@ -237,12 +227,9 @@ def star_probe_crosscheck(p: HPolytope, samples: int, bound: int) -> ProbeReport
     # denominators): slack_j = scale·c_j − (scale / samples)·u_j·q
     scale = lcm(samples, *(c.denominator for c in p.offsets))
     step = scale // samples
-    offsets = [_scaled(c, scale) for c in p.offsets]
-    bad = [
-        q
-        for q in grid
-        if _first_probe(table, [c - step * sum(map(mul, u, q)) for u, c in zip(p.normals, offsets)]) is None
-    ]
+    cols, rows = tuple(zip(*grid)), zip(p.normals, p.offsets)
+    slacks = zip(*(_row_values([-step * a for a in u], cols, len(grid), _scaled(c, scale)) for u, c in rows))
+    bad = [q for q, slack in zip(grid, slacks) if _first_probe(table, slack) is None]
     return ProbeReport(
         star_ewald=star,
         samples=samples,

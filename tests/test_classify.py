@@ -271,6 +271,24 @@ def test_deeply_smooth_characterizations_examples():
     assert deeply_smooth_characterizations_agree(smooth_simplex(3, 2)) == (False,) * 3
 
 
+def test_each_first_displacement_is_charted_once(monkeypatch):
+    # the fan and UT-free characterizations read one chart per face; where
+    # both hold on every face, each face is charted exactly once
+    from ewaldkit import classify as cl
+
+    charted = []
+    real = cl.face_slice
+    monkeypatch.setattr(cl, "face_slice", lambda p, f, inset=0: charted.append((f, inset)) or real(p, f, inset))
+    for p, holds in ((monotone_simplex(3), True), (cube(3), True), (ssb(3, 1), True), (smooth_simplex(3, 2), False)):
+        charted.clear()
+        assert deeply_smooth_characterizations_agree(p) == (holds,) * 3
+        firsts = [f for f, inset in charted if inset == 1]
+        faces = [f for codim in range(1, p.dim + 1) for f in p.faces(codim)]
+        assert len(firsts) == len(set(firsts)) and set(firsts) <= set(faces)
+        if holds:
+            assert len(firsts) == len(faces)
+
+
 def test_deeply_smooth_characterizations_random_suite(rng):
     for p in smooth_suite(rng, max_dim=4, count=18):
         c1, c2, c3 = deeply_smooth_characterizations_agree(p)

@@ -435,10 +435,10 @@ def test_cli_probe_refuses_a_bound_below_one(capsys):
 
 
 def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):
-    from ewaldkit import cli
+    from ewaldkit import fileio
 
     # (2·2 + 1)^2 = 25 directions: refused at a limit of 24, listed at 25
-    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 24)
+    monkeypatch.setattr(fileio, "MAX_PROBE_BOX", 24)
     for extra in (["--point", "1/2,0"], ["--samples", "2"]):
         argv = ["probe", "-", "--bound", "2"] + extra
         code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
@@ -446,14 +446,14 @@ def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):
         assert "box of 25 directions, above the limit of 24" in err
         code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=C2_TEXT, capsys=capsys)
         assert code == 0 and "displaceable" in out
-    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 25)
+    monkeypatch.setattr(fileio, "MAX_PROBE_BOX", 25)
     argv = ["probe", "-", "--bound", "2", "--point", "1/2,0"]
     code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and "displaceable" in out
 
 
 def test_cli_probe_refuses_a_large_sample_grid_before_any_ewald_work(tmp_path, monkeypatch, capsys):
-    from ewaldkit import cli
+    from ewaldkit import fileio
 
     # a sample count below 1 is refused before the file is read
     for samples in ("0", "-1"):
@@ -470,21 +470,23 @@ def test_cli_probe_refuses_a_large_sample_grid_before_any_ewald_work(tmp_path, m
     )
     # C_2 at 3 samples: 25 grid points with the origin and 9 directions at
     # bound 1, refused at a limit of 24 before E(P) is counted, and run with
-    # --allow-large or at a limit of 25
+    # --allow-large or at a limit of 25; --allow-large lifts every probe
+    # limit before any is checked, so only the run at 25 reaches the E(P) gate
     ewald_counts = []
-    real = cli._refuse_large_ewald
-    monkeypatch.setattr(cli, "_refuse_large_ewald", lambda *args: ewald_counts.append(args) or real(*args))
-    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 24)
+    real = fileio._refuse_large_ewald
+    monkeypatch.setattr(fileio, "_refuse_large_ewald", lambda *args: ewald_counts.append(args) or real(*args))
+    monkeypatch.setattr(fileio, "MAX_PROBE_BOX", 24)
     argv = ["probe", "-", "--samples", "3", "--bound", "1"]
     code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
     assert code == 2 and out == "" and not ewald_counts
     assert err == "error: probe grid at 3 samples has 25 points, above the limit of 24; pass --allow-large to override\n"
     code, out, _ = run_cli(["--allow-large"] + argv, stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and out == "star_ewald=True samples=3 bound=1 displaceable=24/24\n"
-    monkeypatch.setattr(cli, "MAX_PROBE_BOX", 25)
+    assert not ewald_counts
+    monkeypatch.setattr(fileio, "MAX_PROBE_BOX", 25)
     code, out, _ = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
     assert code == 0 and out == "star_ewald=True samples=3 bound=1 displaceable=24/24\n"
-    assert len(ewald_counts) == 2
+    assert len(ewald_counts) == 1
 
 
 def test_cli_refuses_an_oversized_ewald_listing_before_any_work(tmp_path, monkeypatch, capsys):

@@ -216,3 +216,26 @@ def test_the_readme_names_only_helpers_that_exist():
     assert _stale_mentions("`displace._gone` `_gone` `classify.is_smooth`", modules) == ["_gone", "displace._gone"]
     with open(os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md"), encoding="utf-8") as fh:
         assert _stale_mentions(fh.read(), modules) == []
+
+
+def test_cli_reads_its_limits_and_refusals_from_fileio():
+    # cli imports no private helper of any module but fileio, and every
+    # limit the --allow-large help names is one it imports from fileio
+    with open(os.path.join(SRC, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "cli.py")
+    imported = {
+        alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert [name for name, module in imported.items() if _is_private(name) and module != "fileio"] == []
+    (help_text,) = [
+        kw.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and getattr(node.args[0], "value", None) == "--allow-large"
+        for kw in node.keywords
+        if kw.arg == "help"
+    ]
+    limits = {n.id for n in ast.walk(help_text) if isinstance(n, ast.Name) and n.id.startswith("MAX_")}
+    assert len(limits) == 5 and all(imported.get(name) == "fileio" for name in limits)

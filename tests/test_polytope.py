@@ -16,12 +16,14 @@ from ewaldkit.bundles import (
     ssb,
 )
 from ewaldkit.ewald import star_sets
+from ewaldkit.polytope import _row_values
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
     VPolytope,
     cartesian_product,
     convex_hull,
+    dot,
     dual,
     face_slice,
     facet_description,
@@ -256,3 +258,26 @@ def test_face_slice_empty_when_pushed_too_far():
     idx = tiny.normals.index((1, 1))
     s = face_slice(tiny, (idx,), inset=2)
     assert s.is_empty
+
+
+def test_row_values_matches_a_dot_per_point():
+    # start + u·x over the coordinate columns of the points, with int and
+    # Fraction entries (zeros among them) in the row, the points and start,
+    # and with no point at all: the values and their types of a dot per
+    # point over u's nonzero entries (a zero entry is read by no pass, so it
+    # adds no Fraction 0 where it meets a Fraction coordinate)
+    rng = random.Random(40)
+    entries = [0, 0, 1, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 1)]
+    for n in range(5):
+        for size in (0, 1, 2, 9):
+            for _ in range(12):
+                u = [rng.choice(entries) for _ in range(n)]
+                points = [tuple(rng.choice(entries) for _ in range(n)) for _ in range(size)]
+                start = rng.choice(entries)
+                got = _row_values(u, tuple(zip(*points)), size, start)
+                assert iter(got) is got  # lazy
+                got = list(got)
+                nz = [k for k, a in enumerate(u) if a]
+                want = [start + dot([u[k] for k in nz], [x[k] for k in nz]) for x in points]
+                assert got == want and list(map(type, got)) == list(map(type, want)), (u, points, start)
+    assert list(_row_values((2, -1), ((1, 3), (0, 5)), 2)) == [2, 1]
