@@ -12,17 +12,9 @@ from functools import cache
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import kernel_basis, primitive_part
-from .polytope import (
-    FaceRef,
-    HPolytope,
-    Slice,
-    convex_hull,
-    face_slice,
-    normally_isomorphic,
-    per_polytope,
-)
-from .polytope import _basis_coordinates, _bits, _face_facets, _integerize, _point, _row_masks
+from .intlinalg import primitive_part
+from .polytope import FaceRef, HPolytope, Slice, affine_rank, face_slice, normally_isomorphic, per_polytope
+from .polytope import _bits, _face_facets, _integerize, _row_masks
 from .polytope import _edges, _margins, _unimodular, _vertex_chart
 
 __all__ = [
@@ -98,13 +90,15 @@ def is_monotone(p: HPolytope) -> bool:
 
 
 def _two_faces(p: HPolytope) -> set:
-    """The 2-faces of any polytope as vertex masks, in no order: n − 2
-    facet steps (_face_facets) down from the full vertex set, so a polygon
-    is its own 2-face.  It serves regions of any kind, as met in
-    displacement slices; a simple polytope's triangles are read off its
-    edge graph instead (_triangles)."""
+    """The 2-faces of any region as vertex masks, in no order: d − 2 facet
+    steps (_face_facets) down from the full vertex set, for d the affine
+    dimension of its vertices, so a polygon is its own 2-face.  Only the
+    vertices and their masks are read, so it serves regions of any kind,
+    lower-dimensional ones included, as met in displacement slices
+    (polytope.Slice.region); a simple polytope's triangles are read off
+    its edge graph instead (_triangles)."""
     level = {(1 << len(p.vertices())) - 1}
-    for _ in range(p.dim - 2):
+    for _ in range(affine_rank(p.vertices()) - 2):
         level = {g for f in level for g in _face_facets(f, _row_masks(p))}
     return level
 
@@ -186,29 +180,13 @@ def is_deeply_smooth(p: HPolytope):
 
 
 def _slice_ut_free(s: Slice) -> bool:
-    if s.is_empty or len(s.chart_vertices) < 3:
-        return True
-    if s.polytope is not None:
-        return _ut_free_region(s.polytope)
-    # degenerate slice: test inside the affine span of its own vertex set.
-    # A unimodular triangle has lattice vertices, so with no integer vertex
-    # to chart from there is none.
-    rank = s.points_affine_rank
-    p0 = next((v for v in s.chart_vertices if all(isinstance(x, int) for x in v)), None)
-    if rank < 2 or p0 is None:
-        return True
-    return _ut_free_region(convex_hull(_project_to_span(s.chart_vertices, p0), rank))
-
-
-def _project_to_span(pts, p0):
-    """Exact coordinates of pts in a lattice basis of the saturated lattice
-    of their affine span, from the integer point p0 of that span: lattice
-    points of the span get integer coordinates and no others do."""
-    diffs = [_integerize([a - b for a, b in zip(p, p0)]) for p in pts if p != p0]
-    # the span is a proper subspace (the slice is degenerate), so its
-    # annihilator is nonzero
-    basis = kernel_basis(kernel_basis(diffs))
-    return [_point(_basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
+    """UT-freeness of a slice: the 2-faces of its region, full-dimensional
+    or not, in the chart's lattice.  A lower-dimensional region needs no
+    chart of its own span: a basis of the span's saturated lattice extends
+    to one of the chart's, which keeps the gcd of the 2×2 minors of two
+    integer vectors, and the span's lattice points are the chart's integer
+    points in it."""
+    return s.region is None or _ut_free_region(s.region)
 
 
 def _displacement_keeps_fan(p: HPolytope, f: FaceRef, sd: Slice) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, floor, prod
+from math import ceil, floor
 from operator import neg
 
 from .classify import is_deeply_smooth, is_monotone, is_smooth
@@ -50,18 +50,17 @@ __all__ = [
 
 @per_polytope
 def _ewald_search(p: HPolytope):
-    """(search, 0, box): the lattice search of E(P), its centre, and the
-    number of integer points in the box its coordinate rows bound, which is
-    at least |E(P)| when E(P) is not empty.  E(P) is the set of integer x
-    with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0 slab system on
-    _slab_frame(p); a unit row x_i of that frame is bounded by min(hi_i, −lo_i)
-    of P's bounding box, as E(P) ⊂ P ∩ −P.  Built once per polytope,
-    for the listing, the count and the neat classes of displace alike."""
+    """(search, centre): the lattice search of E(P) and its centre 0.  E(P)
+    is the set of integer x with |u_j·x| <= ⌊c_j⌋ on every row, the d = 0
+    slab system on _slab_frame(p); a unit row x_i of that frame is bounded
+    by min(hi_i, −lo_i) of P's bounding box, as E(P) ⊂ P ∩ −P.  Built once
+    per polytope, for the listing, the count, the neat classes of displace
+    and the E(P) limit of fileio alike."""
     rows, coords, cols = _slab_frame(p)
     half = [floor(c) for c in p.offsets]
     if len(rows) > p.nfacets:  # the unit frame
         half += [min(floor(hi), -ceil(lo)) for lo, hi in zip(*p.bounding_box())]
-    return _lattice_search(rows, coords, cols, half), [0] * len(rows), prod(2 * half[i] + 1 for i in coords)
+    return _lattice_search(rows, coords, cols, half), [0] * len(rows)
 
 
 @per_polytope
@@ -82,7 +81,7 @@ def _ewald_listing(p: HPolytope) -> tuple:
     and one polytope._row_vertex_masks over their masks (2m rows) gives
     both sets of columns.
     """
-    search, centre, _ = _ewald_search(p)
+    search, centre = _ewald_search(p)
     m = p.nfacets
     tight = [(j, 1 << j, c) for j, c in enumerate(p.offsets) if isinstance(c, int)]
     table = []
@@ -114,7 +113,7 @@ _LISTED = (_ewald_listing.__wrapped__, ())  # where a polytope caches its listin
 def _ewald_count(p: HPolytope) -> int:
     """|E(P)|, exactly, from the count of E(P)'s lattice search: no point of
     E(P) is listed."""
-    search, centre, _ = _ewald_search(p)
+    search, centre = _ewald_search(p)
     return search(centre)[0]
 
 

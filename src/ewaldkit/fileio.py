@@ -29,8 +29,8 @@ from math import gcd
 from .classify import classify, is_smooth
 from .displace import DEFAULT_RADIUS, is_neat, neat_work
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
-from .polytope import HPolytope, _slab_search, convex_hull, irredundant_rows
-from .probes import _sample_upper
+from .polytope import HPolytope, _point_search, convex_hull, irredundant_rows
+from .probes import _sample_search
 
 __all__ = [
     "ParsedPolytope",
@@ -214,13 +214,11 @@ def analyze_polytope(
         # the star condition is stated for simple (Delzant) polytopes
         oks, failing = star_ewald(p) if rep.simple else (None, None)
         result["weak_ewald"] = okw
-        result["weak_ewald_basis"] = _jsonable(basis) if basis else None
+        result["weak_ewald_basis"] = basis or None
         result["strong_ewald"] = res.ok
         result["strong_ewald_failing_facet"] = res.failing_facet
         result["star_ewald"] = oks
-        result["star_ewald_failing_face"] = (
-            list(failing.tight) if failing is not None else None
-        )
+        result["star_ewald_failing_face"] = failing.tight if failing is not None else None
         if not rep.simple:
             result["star_ewald_skipped"] = "skipped: polytope not simple"
         if rep.monotone:
@@ -235,7 +233,7 @@ def analyze_polytope(
         result["neat"] = {
             "status": verdict.status,
             "radius": verdict.radius,
-            "witness_b": _jsonable(verdict.witness_b),
+            "witness_b": verdict.witness_b,
         }
     return {
         "result": _jsonable(result),
@@ -244,10 +242,14 @@ def analyze_polytope(
 
 
 def _refuse_count(what: str, limit_name: str, search, centre, limit: int) -> None:
-    """Raise ValueError when the lattice search counts more than limit
-    points at centre.  The count lists nothing and stops at its first
+    """Raise ValueError when the lattice search, a command's own search of
+    what it would list, counts more than limit points at centre.  Where
+    search.box, which bounds the count from above, is within the limit,
+    nothing is counted.  The count lists nothing and stops at its first
     running total above the limit, a lower bound of the count, so the
     refusal is exact and the message says "at least" where it stopped."""
+    if search.box <= limit:
+        return
     count, ended = search(centre, cap=limit)
     if count > limit:
         raise ValueError(
@@ -258,14 +260,11 @@ def _refuse_count(what: str, limit_name: str, search, centre, limit: int) -> Non
 
 def _refuse_large_ewald(p: HPolytope, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when E(P) has more than
-    MAX_EWALD_POINTS points (_refuse_count): the check before a caller
-    lists E(P).  Only a search box above the limit is counted, and the
-    count reads vertex 0's chart and no table of every vertex."""
-    if allow_large:
-        return
-    search, centre, box = _ewald_search(p)
-    if box > MAX_EWALD_POINTS:
-        _refuse_count("E(P)", "listing limit", search, centre, MAX_EWALD_POINTS)
+    MAX_EWALD_POINTS points (_refuse_count on E(P)'s own search): the
+    check before a caller lists E(P).  The search reads vertex 0's chart
+    and no table of every vertex."""
+    if not allow_large:
+        _refuse_count("E(P)", "listing limit", *_ewald_search(p), MAX_EWALD_POINTS)
 
 
 def _refuse_large_neat(p: HPolytope, radius, allow_large: bool) -> None:
@@ -300,12 +299,13 @@ def _refuse_large_analysis(p: HPolytope, radius, run_neat: bool, allow_large: bo
 def _refuse_large_oda(p: HPolytope, q: HPolytope, allow_large: bool) -> None:
     """Raise ValueError, unless allow_large, when oda_instance_check(p, q)
     would form more than MAX_ODA_SUMS sums of a lattice point of p and one
-    of q, for p and q as parsed (integer offsets).  Each set is counted by
-    its lattice search, which lists nothing and stops past the limit, where
-    the message says "at least"."""
+    of q.  Each set is counted by its own point search
+    (polytope._point_search), which oda_instance_check then lists: the
+    count lists nothing and stops past the limit, where the message says
+    "at least"."""
     if allow_large:
         return
-    counts = [search(centre, cap=MAX_ODA_SUMS) for search, centre in (_slab_search(r, r.offsets) for r in (p, q))]
+    counts = [search(centre, cap=MAX_ODA_SUMS) for search, centre in map(_point_search, (p, q))]
     if counts[0][0] * counts[1][0] > MAX_ODA_SUMS:
         a, b = ("%s%d" % ("" if ended else "at least ", count) for count, ended in counts)
         raise ValueError(
@@ -328,8 +328,7 @@ def _refuse_large_probe(p: HPolytope, bound: int, samples, allow_large: bool) ->
             "limit of %d; pass --allow-large to override" % (bound, p.dim, box, MAX_PROBE_BOX)
         )
     if samples is not None:
-        search, centre = _slab_search(p, _sample_upper(p, samples), samples)
-        _refuse_count("probe grid at %d samples" % samples, "limit", search, centre, MAX_PROBE_BOX)
+        _refuse_count("probe grid at %d samples" % samples, "limit", *_sample_search(p, samples), MAX_PROBE_BOX)
         _refuse_large_ewald(p, allow_large)
 
 

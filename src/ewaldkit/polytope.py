@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import chain, repeat
-from math import ceil, floor, gcd, inf, lcm
+from math import ceil, floor, gcd, inf, lcm, prod
 from operator import add, mul, neg, sub
 
 from .intlinalg import (
@@ -429,6 +429,9 @@ class HPolytope:
         return tuple(FaceRef(_bits(f), codim) for c, f, _, _ in _walk_faces(self, [codim]) if c == codim)
 
     def face_vertices(self, face: FaceRef) -> tuple:
+        """The vertices of the face, () where it names no face of p."""
+        if min(face.tight, default=0) < 0:
+            return ()
         verts = self.vertices()
         return tuple(verts[k] for k in _bits(_face_vertex_mask(self, face.mask)))
 
@@ -445,8 +448,10 @@ class HPolytope:
 
     @per_polytope
     def lattice_points(self) -> frozenset:
-        upper = [floor(c) for c in self.offsets]
-        return frozenset(_slab_points(self, upper))
+        search, centre = _point_search(self)
+        points = []
+        search(centre, lambda x, e: points.append(x))
+        return frozenset(points)
 
     # -- validation ------------------------------------------------------
 
@@ -705,7 +710,9 @@ def _lattice_search(rows, coords, cols, half):
     every point x, a tuple, with e a fresh list of every row's residual
     e[j] = d_j − u_j·x in row order.  With halfspace=True, valid only for
     d = 0, it visits 0 and the x whose first nonzero coordinate in y = A x
-    is negative: one of each pair ±x of the symmetric system.
+    is negative: one of each pair ±x of the symmetric system.  search.box,
+    the product of 2·h_t + 1 over the coordinate rows t (0 when some slab
+    is empty), bounds the number of points at every centre from above.
 
     search(d, cap=c), cap inf by default, returns (count, True), the number
     of points, listing none, or stops a walk at the first running total
@@ -859,6 +866,7 @@ def _lattice_search(rows, coords, cols, half):
         del descend  # a closure over itself: free visit's data now, not at the next collection
 
     search.residuals = residuals
+    search.box = 0 if empty else prod(2 * h + 1 for h in box)
     return search
 
 
@@ -866,7 +874,7 @@ def _slab_search(p: HPolytope, upper, scale=1):
     """(search, centre): the lattice search over every integer x with
     u_j·x <= upper_j on the rows of p, given that each such x lies in
     scale·P, and the centre to search it at.  search(centre, visit) lists
-    those x (_slab_points), and search(centre)[0] counts them.
+    those x, and search(centre)[0] counts them.
 
     The lower bounds, and both bounds of a unit row of _slab_frame, are
     implied by the vertices of scale·P.  A lower bound moves down by one
@@ -887,13 +895,12 @@ def _slab_search(p: HPolytope, upper, scale=1):
     return _lattice_search(rows, coords, cols, half), centre
 
 
-def _slab_points(p: HPolytope, upper, scale=1) -> list:
-    """Every integer x with u_j·x <= upper_j on the rows of p, given that
-    each such x lies in scale·P, in the order of its lattice search."""
-    search, centre = _slab_search(p, upper, scale)
-    points = []
-    search(centre, lambda x, e: points.append(x))
-    return points
+@per_polytope
+def _point_search(p: HPolytope):
+    """(search, centre) of P ∩ Z^n, u_j·x <= ⌊c_j⌋ on every row: built
+    once per polytope for lattice_points, oda_instance_check's count of
+    P + Q and the Oda limit of fileio."""
+    return _slab_search(p, [floor(c) for c in p.offsets])
 
 
 @dataclass(frozen=True)
@@ -1033,8 +1040,7 @@ def oda_instance_check(p: HPolytope, q: HPolytope) -> bool:
     keys, sums = list(packed(q, qlo)), set()
     for k in packed(p, plo):
         sums.update(map(k.__add__, keys))
-    hull = _sum_hull(p.vertices(), q.vertices(), p.dim)
-    search, centre = _slab_search(hull, hull.offsets)
+    search, centre = _point_search(_sum_hull(p.vertices(), q.vertices(), p.dim))
     return len(sums) == search(centre)[0]
 
 
@@ -1050,7 +1056,14 @@ def cartesian_product(p: HPolytope, q: HPolytope) -> HPolytope:
 
 @dataclass(frozen=True)
 class Slice:
-    """A polytope slice P ∩ {u_i·x = c_i − inset}, charted onto its own lattice."""
+    """A polytope slice P ∩ {u_i·x = c_i − inset}, charted onto its own lattice.
+
+    region is the slice in its chart as irredundant_rows built it, with the
+    vertices and masks of its one enumeration, full-dimensional or not;
+    None when the slice is empty.  Its face lattice is read off those masks
+    at its own dimension (Kaibel–Pfetsch, Comput. Geom. 23, 2002); where it
+    is lower-dimensional, its rows alone do not describe it.  polytope is
+    the region where it is full-dimensional in the chart, else None."""
 
     parent: HPolytope
     tight: tuple
@@ -1058,12 +1071,16 @@ class Slice:
     chart_dim: int
     basis: tuple  # rows: lattice basis of the direction lattice, in parent coords
     origin: tuple  # chart origin, in parent coords
-    chart_vertices: tuple
-    polytope: HPolytope | None  # set when the slice is full-dimensional in its chart
+    region: HPolytope | None
+    polytope: HPolytope | None
+
+    @property
+    def chart_vertices(self) -> tuple:
+        return () if self.region is None else self.region.vertices()
 
     @property
     def is_empty(self):
-        return not self.chart_vertices
+        return self.region is None
 
     @property
     def points_affine_rank(self):
@@ -1129,7 +1146,7 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
         off = p.offsets[j] - dot(u, origin)
         if not any(w):
             if off < 0:
-                return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
+                return Slice(p, tight, inset, chart_dim, basis, origin, None, None)
             continue
         g = gcd(*w)
         chart_rows.append((tuple(x // g for x in w), _exact(Fraction(off) / g)))
@@ -1138,9 +1155,8 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     try:
         poly, _, full_dim = irredundant_rows(chart_dim, normals, offs)
     except ValueError:  # no vertices: the slice is empty
-        return Slice(p, tight, inset, chart_dim, basis, origin, (), None)
-    verts = poly.vertices()
-    return Slice(p, tight, inset, chart_dim, basis, origin, verts, poly if full_dim else None)
+        return Slice(p, tight, inset, chart_dim, basis, origin, None, None)
+    return Slice(p, tight, inset, chart_dim, basis, origin, poly, poly if full_dim else None)
 
 
 def _rational_particular(rows, targets):

@@ -20,7 +20,7 @@ from operator import eq
 from .ewald import star_ewald
 from .classify import is_monotone
 from .intlinalg import scan_key
-from .polytope import HPolytope, _row_values, _slab_points, dot, per_polytope
+from .polytope import HPolytope, _row_values, _slab_search, dot, per_polytope
 
 __all__ = [
     "Probe",
@@ -176,17 +176,22 @@ def check_samples(samples: int) -> None:
         raise ValueError("samples must be positive")
 
 
-def _sample_upper(p: HPolytope, samples: int) -> list:
-    """The rows of the integer q of interior_sample_grid, the origin
-    included: u_j·q <= ⌈c_j·samples⌉ − 1, for polytope._slab_search and
-    polytope._slab_points at scale samples."""
+@per_polytope
+def _sample_search(p: HPolytope, samples: int):
+    """(search, centre) of the integer q of interior_sample_grid, the origin
+    included: u_j·q <= ⌈c_j·samples⌉ − 1 on every row, on the lattice
+    scaled by samples (polytope._slab_search).  Built once per polytope and
+    sample count for _sample_points and the probe-grid limit of fileio."""
     check_samples(samples)
-    return [ceil(c * samples) - 1 for c in p.offsets]
+    return _slab_search(p, [ceil(c * samples) - 1 for c in p.offsets], samples)
 
 
 def _sample_points(p: HPolytope, samples: int) -> list:
     """The integer q of interior_sample_grid, in lexicographic order."""
-    return sorted(q for q in _slab_points(p, _sample_upper(p, samples), samples) if any(q))
+    search, centre = _sample_search(p, samples)
+    points = []
+    search(centre, lambda q, e: points.append(q))
+    return sorted(q for q in points if any(q))
 
 
 def interior_sample_grid(p: HPolytope, samples: int):

@@ -8,16 +8,17 @@ smoothness from testing every corner of every vertex with contains or from
 the margins and slopes of every vertex's chart (polytope._vertex_chart),
 each a dot product with the chart's edge rays, each unimodular-basis search
 re-sorts its candidate set first, and a 2-face's vertices come from a scan
-of every vertex's tight rows.
+of every vertex's tight rows.  A lower-dimensional slice region is tested
+for UT-freeness on a chart of its own span, hulled there.
 """
 
 from itertools import combinations
 from math import gcd
 
-from ewaldkit.classify import vertex_edge_directions
+from ewaldkit.classify import _ut_free_region, vertex_edge_directions
 from ewaldkit.ewald import ewald_set
-from ewaldkit.intlinalg import _extend_saturated, _identity, det
-from ewaldkit.polytope import _integerize, _vertex_chart, dot
+from ewaldkit.intlinalg import _extend_saturated, _identity, det, kernel_basis
+from ewaldkit.polytope import _basis_coordinates, _integerize, _point, _vertex_chart, convex_hull, dot
 from incidence_oracles import two_faces
 
 
@@ -166,3 +167,27 @@ def scanned_ut_free(p):
         if scanned_unimodular_triangle(p, sum(1 << i for i in tight)):
             return False, tight
     return True, None
+
+
+def _project_to_span(pts, p0):
+    """Exact coordinates of pts in a lattice basis of the saturated lattice
+    of their affine span, from the integer point p0 of that span: lattice
+    points of the span get integer coordinates and no others do."""
+    diffs = [_integerize([a - b for a, b in zip(p, p0)]) for p in pts if p != p0]
+    # the span is a proper subspace (the region is lower-dimensional), so
+    # its annihilator is nonzero
+    basis = kernel_basis(kernel_basis(diffs))
+    return [_point(_basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
+
+
+def recharted_slice_ut_free(s):
+    """UT-freeness of a lower-dimensional slice region, re-charted: its
+    vertices in a lattice basis of their span's saturated lattice, from an
+    integer vertex, and the hull of those coordinates tested as a
+    full-dimensional polytope.  A unimodular triangle has lattice vertices,
+    so a region of rank below 2 or with no integer vertex has none."""
+    verts = s.chart_vertices
+    p0 = next((v for v in verts if all(isinstance(x, int) for x in v)), None)
+    if s.points_affine_rank < 2 or p0 is None:
+        return True
+    return _ut_free_region(convex_hull(_project_to_span(verts, p0), s.points_affine_rank))

@@ -2,13 +2,12 @@ import importlib
 import inspect
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from classify_oracles import scanned_ut_free
+from classify_oracles import recharted_slice_ut_free, scanned_ut_free
 from conftest import random_unimodular, smooth_suite, workload_items
 from ewaldkit.bundles import (
     catalog,
@@ -308,10 +307,46 @@ def test_degenerate_slices_are_charted_on_their_span():
                 ranks.append(s.points_affine_rank)
                 assert not _slice_ut_free(s), (p.normals, f)
     assert ranks.count(3) == 6 and ranks.count(2) == 14
-    # with no integer vertex there is no lattice triangle to find
-    s = face_slice(cartesian_product(tri, tet), (0,), inset=1)
-    half = tuple(tuple(Fraction(2 * x + 1, 2) for x in v) for v in s.chart_vertices)
-    assert _slice_ut_free(replace(s, chart_vertices=half))
+    # moved by half a unit along every axis, the region of facet 0 has no
+    # integer vertex, so there is no lattice triangle to find
+    moved = cartesian_product(tri, tet).translate((Fraction(1, 2),) * 5)
+    s = face_slice(moved, (0,), inset=1)
+    assert s.polytope is None and not any(all(isinstance(x, int) for x in v) for v in s.region.vertices())
+    assert _slice_ut_free(s) and not _slice_ut_free(face_slice(cartesian_product(tri, tet), (0,), inset=1))
+
+
+def _degenerate_slices():
+    """The nonempty lower-dimensional slices at insets 1 and 2 of every face
+    of the products of smooth simplices up to dimension 5, of seeded
+    GL(n, Z) images of a third of them, and of a third of them moved by
+    half a unit along e_1, whose regions may have no integer vertex."""
+    rng = random.Random(41)
+    simplices = [smooth_simplex(n, k) for n in (1, 2, 3) for k in (1, 2)]
+    products = [cartesian_product(a, b) for a in simplices for b in simplices if a.dim + b.dim <= 5]
+    inputs = products + [p.transform(random_unimodular(rng, p.dim)) for p in products[::3]]
+    inputs += [p.translate((Fraction(1, 2),) + (0,) * (p.dim - 1)) for p in products[1::3]]
+    slices = (face_slice(p, f, inset) for p in inputs for inset in (1, 2) for c in range(1, p.dim + 1) for f in p.faces(c))
+    return [s for s in slices if s.polytope is None and not s.is_empty]
+
+
+def test_degenerate_regions_match_their_recharted_span_and_build_no_hull(monkeypatch):
+    # a lower-dimensional region is read at its own dimension off the
+    # incidence its enumeration found: no hull, kernel or vertex enumeration
+    slices = _degenerate_slices()
+
+    def built(*args):
+        raise AssertionError("a degenerate slice was re-charted")
+
+    for module in (polytope_module, classify_module, importlib.import_module("ewaldkit.intlinalg")):
+        for name in ("convex_hull", "kernel_basis", "enumerate_vertices"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, built)
+    verdicts = [_slice_ut_free(s) for s in slices]
+    monkeypatch.undo()
+    assert verdicts == [recharted_slice_ut_free(s) for s in slices]
+    assert set(verdicts) == {True, False} and len(slices) > 800
+    integral = [any(all(isinstance(x, int) for x in v) for v in s.chart_vertices) for s in slices]
+    assert not all(integral) and {s.points_affine_rank for s in slices} >= {1, 2, 3}
 
 
 def test_blown_up_tetrahedron_facet_displacements_deeply_smooth():

@@ -305,7 +305,7 @@ def test_values_without_completions_do_not_dominate_a_capped_count(monkeypatch):
         for n in (2, 3, 4):
             p = _simplex(n, c)
             for q in (p, p.transform(random_unimodular(rng, n))):
-                search, centre, _ = ewald._ewald_search(q)
+                search, centre = ewald._ewald_search(q)
                 monkeypatch.setattr(polytope, "range", counted, raising=False)
                 steps[0] = 0
                 found, ended = search(centre, cap=200_000)
@@ -352,6 +352,7 @@ def _runs(monkeypatch):
             return search(d, visit, halfspace, cap)
 
         run.residuals = search.residuals  # the neat class keys
+        run.box = search.box  # the E(P) limit's bound
         return run
 
     monkeypatch.setattr(ewald, "_lattice_search", recorded)

@@ -557,6 +557,26 @@ def test_cli_refuses_an_oversized_oda_before_any_sum(tmp_path, monkeypatch, caps
     assert code == 0 and "and oda's limit of 5000000 sums of lattice points" in " ".join(out.split())
 
 
+def test_a_refusal_and_its_command_read_one_lattice_search(tmp_path, monkeypatch, capsys):
+    # ewald builds E(P)'s search under its own name, so this counts the
+    # slab systems: probe's sample grid is built once for its limit and its
+    # samples, and oda builds three point searches, its two inputs' for the
+    # limit and the listing, and their sum's for the count
+    built = []
+    real = polytope._lattice_search
+    monkeypatch.setattr(polytope, "_lattice_search", lambda *args: built.append(args) or real(*args))
+    _, cube3, _ = run_cli(["gen", "cube", "3"], capsys=capsys)
+    path = tmp_path / "cube3.poly"
+    path.write_text(cube3)
+    code, out, _ = run_cli(["probe", str(path), "--samples", "3"], capsys=capsys)
+    assert code == 0 and out.startswith("star_ewald=True samples=3 ")
+    assert len(built) == 1
+    built.clear()
+    code, out, _ = run_cli(["oda", str(path), str(path)], capsys=capsys)
+    assert code == 0 and out == "decomposition identity: holds\n"
+    assert len(built) == 3
+
+
 def test_a_size_above_sys_maxsize_is_reported_exactly(tmp_path, capsys):
     # len() cannot return a size above sys.maxsize; EwaldSet.size can, and
     # the limit and the report read it

@@ -10,10 +10,10 @@ from fractions import Fraction
 from conftest import CROSS4, random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, nill_triangle, segment
 from ewaldkit.cli import main
-from ewaldkit.ewald import ewald_set
+from ewaldkit.ewald import _ewald_search, ewald_set
 from ewaldkit.fileio import serialize_polytope
-from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _slab_frame, cartesian_product, dot
-from ewaldkit.probes import interior_sample_grid
+from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _point_search, _slab_frame, cartesian_product, dot
+from ewaldkit.probes import _sample_search, interior_sample_grid
 from lattice_oracles import ewald_box_scan, ewald_scan, frame, product_grid, scan_lattice, slab_box_scan
 
 # x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
@@ -193,6 +193,30 @@ def test_a_count_capped_at_0_tells_whether_a_system_has_a_point():
             assert (search(d, cap=0)[0] > 0) == has, (rows, half, d)
             kinds.add(has)
     assert kinds == {True, False}
+
+
+def test_the_search_box_bounds_every_count():
+    # search.box, which a limit reads before it counts, is at least the
+    # count at every centre, and 0 exactly where some slab is empty: on the
+    # seeded systems, 200 random ones at three centres each, and the point
+    # sets, E(P) and scaled sample grids of the cases, in both frames
+    rng = random.Random(41)
+    systems = [(rows, coords, half, [d]) for rows, coords, half, d in _systems()]
+    for _ in range(200):
+        rows, coords, half = _random_slab_system(rng)
+        systems.append((rows, coords, half, [[rng.randint(-4, 4) for _ in rows] for _ in range(3)]))
+    empty = 0
+    for rows, coords, half, centres in systems:
+        search = _lattice_search(*frame(rows, coords), half)
+        assert (search.box == 0) == any(h < 0 for h in half), (rows, half)
+        assert all(search.box >= search(d)[0] for d in centres), (rows, half)
+        empty += not search.box
+    frames = set()
+    for label, p in _cases():
+        frames.add(len(_slab_frame(p)[0]) > p.nfacets)
+        for search, centre in [_point_search(p), _ewald_search(p), _sample_search(p, 1), _sample_search(p, 3)]:
+            assert search.box >= search(centre)[0], label
+    assert empty and frames == {True, False}
 
 
 def test_half_space_search_and_its_mirrors_are_the_full_search():

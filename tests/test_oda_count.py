@@ -57,25 +57,21 @@ def test_the_reeve_tetrahedra_fail_the_identity_on_both_sides():
 
 
 def test_the_sum_is_counted_not_listed(monkeypatch):
-    # the lattice points of P and Q are listed, those of P + Q only counted
+    # the lattice points of P and Q are listed, those of P + Q only counted,
+    # each by its own point search
     listed, counted = [], []
-    slab_points, slab_search = polytope._slab_points, polytope._slab_search
+    point_search = polytope._point_search
 
-    def listing(p, *args):
-        listed.append(p)
-        return slab_points(p, *args)
-
-    def search(p, *args):
-        found, centre = slab_search(p, *args)
+    def search(p):
+        found, centre = point_search(p)
 
         def spy(d, visit=None, **kwargs):
-            (counted if visit is None else []).append(p)
+            (counted if visit is None else listed).append(p)
             return found(d, visit, **kwargs)
 
         return spy, centre
 
-    monkeypatch.setattr(polytope, "_slab_points", listing)
-    monkeypatch.setattr(polytope, "_slab_search", search)
+    monkeypatch.setattr(polytope, "_point_search", search)
     p = catalog()["hexagon"]
     q = _dilate(p, 2)
     assert oda_instance_check(p, q)
