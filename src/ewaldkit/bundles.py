@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from inspect import signature
 
 from .classify import is_monotone, is_smooth
 from .displace import _keeps_fan, _vertex_margin_constraints, is_neat
@@ -31,6 +32,7 @@ __all__ = [
     "monotone_polygon",
     "catalog",
     "generate",
+    "member_dim",
 ]
 
 
@@ -272,31 +274,45 @@ def catalog() -> dict:
     return entries
 
 
-# family name -> (number of integer arguments, builder)
+# family name -> (the member's dimension, builder), both of the family's
+# integer arguments
 _FAMILIES = {
-    "simplex": (1, monotone_simplex),
-    "smooth-simplex": (2, smooth_simplex),
-    "cube": (1, cube),
-    "delpezzo": (1, del_pezzo),
-    "ssb": (2, ssb),
-    "smallfiber": (3, lambda dim, facet, n: small_fiber_bundle(cube(dim), facet, n)),
-    "paffenholz": (0, paffenholz_p6),
-    "t": (1, nill_triangle),
-    "segment": (0, segment),
+    "simplex": (lambda n: n, monotone_simplex),
+    "smooth-simplex": (lambda n, k: n, smooth_simplex),
+    "cube": (lambda n: n, cube),
+    "delpezzo": (lambda n: n, del_pezzo),
+    "ssb": (lambda n, k: n, ssb),
+    "smallfiber": (lambda dim, facet, n: dim + n, lambda dim, facet, n: small_fiber_bundle(cube(dim), facet, n)),
+    "paffenholz": (lambda: 6, paffenholz_p6),
+    "t": (lambda a: 2, nill_triangle),
+    "segment": (lambda: 1, segment),
     **{
-        name: (0, partial(monotone_polygon, name))
+        name: (lambda: 2, partial(monotone_polygon, name))
         for name in ("triangle", "trapezoid", "square", "pentagon", "hexagon")
     },
 }
+
+
+def _family(family: str, args: tuple):
+    """(dimension, builder) of a family member, once the family is known
+    and takes as many arguments as given."""
+    if family not in _FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    dim, build = _FAMILIES[family]
+    if len(args) != (arity := len(signature(dim).parameters)):
+        raise ValueError("%s takes %d argument(s), got %d" % (family, arity, len(args)))
+    return dim, build
+
+
+def member_dim(family: str, args: tuple = ()) -> int:
+    """The dimension of generate(family, args), read off the arguments
+    without building the member."""
+    args = tuple(int(a) for a in args)
+    return _family(family, args)[0](*args)
 
 
 def generate(family: str, args: tuple = ()) -> HPolytope:
     """Catalog access by family name and integer arguments (the CLI `gen`
     surface)."""
     args = tuple(int(a) for a in args)
-    if family not in _FAMILIES:
-        raise ValueError("unknown family %r" % family)
-    arity, build = _FAMILIES[family]
-    if len(args) != arity:
-        raise ValueError("%s takes %d argument(s), got %d" % (family, arity, len(args)))
-    return build(*args)
+    return _family(family, args)[1](*args)

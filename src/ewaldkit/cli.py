@@ -3,6 +3,10 @@
 Subcommands: check, ewald, gen, displace, neat, probe, count, batch, oda.
 Exit codes: 0 success, 1 property-check failure (Oda identity false, neat
 counterexample, undisplaceable probe sample), 2 input error.
+
+Every command runs one input stage (_check_options) before any file is
+read: it resolves the radius and the bound and checks every option the
+command reads, so a malformed option exits 2 with no file opened.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ import os
 import sys
 from fractions import Fraction
 
-from .bundles import generate
+from .bundles import generate, member_dim
 from .counting import (
     emin_upper_bound,
     ewald_count_simplex,
     ewald_count_ssb,
 )
-from .displace import DEFAULT_RADIUS, first_displacement, is_neat
+from .displace import DEFAULT_RADIUS, check_radius, first_displacement, is_neat
 from .ewald import ewald_set
 from .fileio import (
     MAX_DIM_DEFAULT,
@@ -28,6 +32,7 @@ from .fileio import (
     MAX_ODA_SUMS,
     MAX_PROBE_BOX,
     _refuse_large_analysis,
+    _refuse_large_dim,
     _refuse_large_ewald,
     _refuse_large_neat,
     _refuse_large_oda,
@@ -37,7 +42,7 @@ from .fileio import (
     parse_polytope,
     serialize_polytope,
 )
-from .polytope import FaceRef, oda_instance_check
+from .polytope import oda_instance_check
 from .probes import DEFAULT_BOUND, check_bound, check_samples
 from .probes import displaceable_by_probe, star_probe_crosscheck
 
@@ -75,15 +80,9 @@ def _report_text(report):
     lines.append("classes: " + ", ".join("%s=%s" % kv for kv in flags))
     lines.append("|E(P)| = %d" % r["ewald_count"])
     if "weak_ewald" in r:
-        lines.append(
-            "ewald conditions: weak=%s strong=%s star=%s%s"
-            % (
-                r["weak_ewald"],
-                r["strong_ewald"],
-                r["star_ewald"],
-                " fs=%s" % r["fs_property"] if "fs_property" in r else "",
-            )
-        )
+        fs = " fs=%s" % r["fs_property"] if "fs_property" in r else ""
+        conditions = (r["weak_ewald"], r["strong_ewald"], r["star_ewald"], fs)
+        lines.append("ewald conditions: weak=%s strong=%s star=%s%s" % conditions)
         if r["star_ewald_failing_face"] is not None:
             lines.append("star fails at face with facets %s" % r["star_ewald_failing_face"])
         if "star_ewald_skipped" in r:
@@ -91,24 +90,10 @@ def _report_text(report):
     else:
         lines.append(r["ewald_conditions"])
     if "neat" in r:
-        lines.append(
-            "neat: %s (radius %d)%s"
-            % (
-                r["neat"]["status"],
-                r["neat"]["radius"],
-                " witness b=%s" % r["neat"]["witness_b"]
-                if r["neat"]["witness_b"]
-                else "",
-            )
-        )
+        neat = r["neat"]
+        witness = " witness b=%s" % neat["witness_b"] if neat["witness_b"] else ""
+        lines.append("neat: %s (radius %d)%s" % (neat["status"], neat["radius"], witness))
     return "\n".join(lines)
-
-
-def _parse_rational_point(text):
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except ZeroDivisionError:
-        raise ValueError("probe point %r has a zero denominator" % text) from None
 
 
 def main(argv=None) -> int:
@@ -129,10 +114,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
+    # check, neat and batch share `radius` and `neat` (neatness requested),
+    # which _check_options reads
     p_check = sub.add_parser("check", help="full analysis report for a polytope file")
     p_check.add_argument("file")
     p_check.add_argument("--radius", type=int, default=None, help="neatness search radius")
-    p_check.add_argument("--skip-neat", action="store_true")
+    p_check.add_argument("--skip-neat", dest="neat", action="store_false")
     p_check.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_ewald = sub.add_parser("ewald", help="list the Ewald set E(P)")
@@ -153,6 +140,7 @@ def main(argv=None) -> int:
     neat_mode.add_argument(
         "--exact", action="store_true", help="decide neatness over every translation class of b"
     )
+    p_neat.set_defaults(neat=True)
 
     p_probe = sub.add_parser("probe", help="probe displaceability")
     p_probe.add_argument("file")
@@ -173,7 +161,7 @@ def main(argv=None) -> int:
     p_batch.add_argument("--json", action="store_true")
 
     p_oda = sub.add_parser("oda", help="Minkowski-sum lattice decomposition instance check")
-    p_oda.add_argument("file1")
+    p_oda.add_argument("file", metavar="file1")
     p_oda.add_argument("file2")
 
     try:
@@ -182,23 +170,49 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        radius_default = _env_int("EWALDKIT_RADIUS", DEFAULT_RADIUS)
-        bound_default = _env_int("EWALDKIT_BOUND", DEFAULT_BOUND)
-        return _dispatch(args, radius_default, bound_default)
+        _check_options(args)
+        return _dispatch(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
-def _dispatch(args, radius_default, bound_default) -> int:
+def _check_options(args) -> None:
+    """The input stage of every command, before any file is read.  It
+    resolves the radius (the flag, else EWALDKIT_RADIUS; None for the exact
+    test) and the bound (the flag, else EWALDKIT_BOUND) into args, and checks
+    every option the command reads: the radius where neatness is requested,
+    the probe bound, samples and point, and the --facets list, which it
+    parses into args.point and args.face (facet indices).  Raises
+    ValueError on the first bad one."""
+    radius = _env_int("EWALDKIT_RADIUS", DEFAULT_RADIUS)
+    bound = _env_int("EWALDKIT_BOUND", DEFAULT_BOUND)
+    if "radius" in args:  # check, neat and batch; neat --exact keeps None
+        if args.radius is None and not getattr(args, "exact", False):
+            args.radius = radius
+        if args.neat and args.radius is not None:
+            check_radius(args.radius)
+    if args.cmd == "probe":
+        args.bound = bound if args.bound is None else args.bound
+        check_bound(args.bound)
+        check_samples(args.samples)
+        try:
+            args.point = None if args.point is None else tuple(map(Fraction, args.point.split(",")))
+        except ZeroDivisionError:
+            raise ValueError("probe point %r has a zero denominator" % args.point) from None
+    if args.cmd == "displace":
+        args.face = tuple(int(x) for x in args.facets.split(","))
+
+
+def _dispatch(args) -> int:
+    parsed = _read_polytope(args.file, args.allow_large) if "file" in args else None
     if args.cmd == "check":
-        parsed = _read_polytope(args.file, args.allow_large)
-        radius = args.radius if args.radius is not None else radius_default
-        _refuse_large_analysis(parsed.polytope, radius, not args.skip_neat, args.allow_large)
-        report = analyze_polytope(
-            parsed.polytope, parsed.name, radius=radius, run_neat=not args.skip_neat
-        )
-        report["meta"]["radius"] = radius
+        _refuse_large_analysis(parsed.polytope, args.radius, args.neat, args.allow_large)
+        report = analyze_polytope(parsed.polytope, parsed.name, radius=args.radius, run_neat=args.neat)
+        report["meta"]["radius"] = args.radius
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
@@ -206,7 +220,6 @@ def _dispatch(args, radius_default, bound_default) -> int:
         return 0
 
     if args.cmd == "ewald":
-        parsed = _read_polytope(args.file, args.allow_large)
         _refuse_large_ewald(parsed.polytope, args.allow_large)
         order = ewald_set(parsed.polytope).ordered()
         print("%d Ewald points" % len(order))
@@ -215,50 +228,42 @@ def _dispatch(args, radius_default, bound_default) -> int:
         return 0
 
     if args.cmd == "gen":
+        _refuse_large_dim(member_dim(args.family, args.args), args.allow_large)
         p = generate(args.family, tuple(args.args))
         name = args.family + ("" if not args.args else "_" + "_".join(map(str, args.args)))
         sys.stdout.write(serialize_polytope(p, name))
         return 0
 
     if args.cmd == "displace":
-        parsed = _read_polytope(args.file, args.allow_large)
-        tight = tuple(int(x) for x in args.facets.split(","))
-        face = FaceRef(tight, len(tight))
-        disp = first_displacement(parsed.polytope, face)
+        disp = first_displacement(parsed.polytope, args.face)
         name = (parsed.name or "polytope") + "_displaced_" + args.facets
         sys.stdout.write(serialize_polytope(disp, name))
         return 0
 
     if args.cmd == "neat":
-        parsed = _read_polytope(args.file, args.allow_large)
-        radius = None if args.exact else (args.radius if args.radius is not None else radius_default)
-        _refuse_large_neat(parsed.polytope, radius, args.allow_large)
-        verdict = is_neat(parsed.polytope, radius)
+        _refuse_large_neat(parsed.polytope, args.radius, args.allow_large)
+        verdict = is_neat(parsed.polytope, args.radius)
         print("status: %s" % verdict.status)
-        if radius is not None:
+        if args.radius is not None:
             print("radius: %d" % verdict.radius)
         if verdict.witness_b is not None:
             print("witness b: %s" % (verdict.witness_b,))
         return 1 if verdict.is_counterexample else 0
 
     if args.cmd == "probe":
-        bound = args.bound if args.bound is not None else bound_default
-        check_bound(bound)  # before the file is read
-        check_samples(args.samples)
-        parsed = _read_polytope(args.file, args.allow_large)
-        _refuse_large_probe(parsed.polytope, bound, None if args.point else args.samples, args.allow_large)
-        if args.point:
-            pt = _parse_rational_point(args.point)
-            probe = displaceable_by_probe(parsed.polytope, pt, bound)
+        crosscheck = args.point is None
+        _refuse_large_probe(parsed.polytope, args.bound, args.samples if crosscheck else None, args.allow_large)
+        if not crosscheck:
+            probe = displaceable_by_probe(parsed.polytope, args.point, args.bound)
             if probe is None:
-                print("not found (bound %d)" % bound)
+                print("not found (bound %d)" % args.bound)
                 return 1
             print(
                 "displaceable: facet %d, direction %s, start %s"
                 % (probe.facet, probe.direction, tuple(map(str, probe.start)))
             )
             return 0
-        report = star_probe_crosscheck(parsed.polytope, args.samples, bound)
+        report = star_probe_crosscheck(parsed.polytope, args.samples, args.bound)
         print(
             "star_ewald=%s samples=%d bound=%d displaceable=%d/%d"
             % (report.star_ewald, report.samples, report.bound, report.displaceable, report.total)
@@ -273,10 +278,9 @@ def _dispatch(args, radius_default, bound_default) -> int:
         return _count(args)
 
     if args.cmd == "batch":
-        radius = args.radius if args.radius is not None else radius_default
         stats = ingest_database(
             args.directory,
-            radius=radius,
+            radius=args.radius,
             run_neat=args.neat,
             jobs=args.jobs,
             allow_large=args.allow_large,
@@ -300,10 +304,9 @@ def _dispatch(args, radius_default, bound_default) -> int:
         return 0
 
     if args.cmd == "oda":
-        p1 = _read_polytope(args.file1, args.allow_large)
-        p2 = _read_polytope(args.file2, args.allow_large)
-        _refuse_large_oda(p1.polytope, p2.polytope, args.allow_large)
-        ok = oda_instance_check(p1.polytope, p2.polytope)
+        q = _read_polytope(args.file2, args.allow_large).polytope
+        _refuse_large_oda(parsed.polytope, q, args.allow_large)
+        ok = oda_instance_check(parsed.polytope, q)
         print("decomposition identity: %s" % ("holds" if ok else "FAILS"))
         return 0 if ok else 1
 

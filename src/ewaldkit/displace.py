@@ -40,10 +40,17 @@ __all__ = [
     "NeatVerdict",
     "is_neat",
     "neat_work",
+    "check_radius",
 ]
 
 DEFAULT_RADIUS = 2
 _NEAT_DOMAIN = "neatness is defined for lattice smooth polytopes"
+
+
+def check_radius(radius: int) -> None:
+    """Refuse a negative search radius, whose box would be empty."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -233,8 +240,7 @@ def normally_isomorphic_displacements(p: HPolytope, radius: int):
     normal fan signature, for simple and non-simple p alike: the margin
     descent over _vertex_margin_constraints.  Lexicographic order, smallest
     entry first."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    check_radius(radius)
     yield from _fan_preserving(p, (radius,) * p.nfacets, paired=False)
 
 
@@ -314,8 +320,8 @@ def neat_work(p: HPolytope, radius: int | None = None) -> tuple:
     answers every b tested (every c_j >= radius, or x = 0 answers every
     class).  Raises ValueError for a negative radius or unless p is
     lattice smooth."""
-    if radius is not None and radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if radius is not None:
+        check_radius(radius)
     _require_lattice_smooth(p, _NEAT_DOMAIN)
     if radius is not None and all(c >= radius for c in p.offsets):
         return 0, True  # x = 0 answers [−r, r]^m

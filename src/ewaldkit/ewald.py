@@ -251,10 +251,11 @@ class StarSets:
         return self.parent.contains(x) and self._tight_count(x) == 1
 
 
-def star_sets(p: HPolytope, f: FaceRef) -> StarSets:
-    _checked_face(p, f)
-    ridges = tuple(FaceRef(pair, 2) for pair in combinations(f.tight, 2))
-    return StarSets(f, tuple(f.tight), ridges, p)
+def star_sets(p: HPolytope, f) -> StarSets:
+    """The star sets of the face f, a FaceRef or facet indices."""
+    tight = _bits(_checked_face(p, f))
+    ridges = tuple(FaceRef(pair, 2) for pair in combinations(tight, 2))
+    return StarSets(f, tight, ridges, p)
 
 
 def _star_step(state, on, opp):

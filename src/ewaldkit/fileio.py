@@ -27,7 +27,7 @@ from functools import partial
 from math import gcd
 
 from .classify import classify, is_smooth
-from .displace import DEFAULT_RADIUS, is_neat, neat_work
+from .displace import DEFAULT_RADIUS, check_radius, is_neat, neat_work
 from .ewald import _ewald_search, ewald_set, fs_property, star_ewald, strong_ewald, weak_ewald
 from .polytope import HPolytope, _point_search, convex_hull, irredundant_rows
 from .probes import _sample_search
@@ -68,8 +68,9 @@ MAX_NEAT_CLASS_BOX = 1_000_000
 MAX_ODA_SUMS = 5_000_000
 # the largest direction box (2·bound + 1)^n, and the largest sample grid
 # (its points counted with the origin), that probe takes without
-# --allow-large: the probe search lists and sorts the whole box, and the
-# cross-check probes every point of a grid that grows like samples^n.  It
+# --allow-large: the probe search lists the whole box and a table of every
+# row's values over it, and the cross-check probes every point of a grid
+# that grows like samples^n.  It
 # admits dimension 6 at the default bound 3 (7^6 = 117,649), not dimension
 # 7, and on gen cube 3 up to 29 samples (57^3 = 185,193 points), not 30
 MAX_PROBE_BOX = 200_000
@@ -128,11 +129,7 @@ def parse_polytope(text: str, allow_large: bool = False) -> ParsedPolytope:
         raise ValueError("missing dim/facets header")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if dim > MAX_DIM_DEFAULT and not allow_large:
-        raise ValueError(
-            "dimension %d exceeds the default cap %d (lattice scans grow like 3^n); "
-            "pass --allow-large to override" % (dim, MAX_DIM_DEFAULT)
-        )
+    _refuse_large_dim(dim, allow_large)
     if len(rows) != count:
         raise ValueError("expected %d rows, found %d" % (count, len(rows)))
     if mode == "vertices":
@@ -239,6 +236,17 @@ def analyze_polytope(
         "result": _jsonable(result),
         "meta": {"elapsed_s": round(time.monotonic() - start, 6)},
     }
+
+
+def _refuse_large_dim(dim: int, allow_large: bool) -> None:
+    """Raise ValueError, unless allow_large, for a dimension above
+    MAX_DIM_DEFAULT: the check of every file read and of every gen member,
+    before it is built."""
+    if dim > MAX_DIM_DEFAULT and not allow_large:
+        raise ValueError(
+            "dimension %d exceeds the default cap %d (lattice scans grow like 3^n); "
+            "pass --allow-large to override" % (dim, MAX_DIM_DEFAULT)
+        )
 
 
 def _refuse_count(what: str, limit_name: str, search, centre, limit: int) -> None:
@@ -391,8 +399,8 @@ def ingest_database(
     for every file."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
-    if run_neat and radius is not None and radius < 0:
-        raise ValueError("radius must be nonnegative")  # an input error, not a file's refusal
+    if run_neat and radius is not None:
+        check_radius(radius)  # an input error, not a file's refusal
     stats = DatabaseStats()
     analyze = partial(_analyze_file, radius=radius, run_neat=run_neat, allow_large=allow_large)
     paths = sorted(

@@ -19,7 +19,6 @@ from operator import eq
 
 from .ewald import star_ewald
 from .classify import is_monotone
-from .intlinalg import scan_key
 from .polytope import HPolytope, _row_values, _slab_search, dot, per_polytope
 
 __all__ = [
@@ -61,17 +60,14 @@ def check_bound(bound: int) -> None:
 
 @cache
 def _directions(n, bound) -> tuple:
-    """The nonzero directions of max-norm <= bound, by max-norm, then lex."""
+    """(dirs, cols): the nonzero directions of max-norm <= bound in scan order
+    (max-norm, then lexicographic), and their coordinate columns, column t
+    holding coordinate t of every direction.  Each shell of max-norm k is
+    the box [−k, k]^n, which product yields in lexicographic order, less the
+    points with no coordinate ±k, so nothing is sorted."""
     check_bound(bound)
-    box = (t for t in product(range(-bound, bound + 1), repeat=n) if any(t))
-    return tuple(sorted(box, key=scan_key))
-
-
-@cache
-def _direction_columns(n, bound) -> tuple:
-    """The coordinate columns of _directions(n, bound): column t holds
-    coordinate t of every direction, in _directions order."""
-    return tuple(zip(*_directions(n, bound)))
+    dirs = tuple(t for k in range(1, bound + 1) for t in product(range(-k, k + 1), repeat=n) if k in t or -k in t)
+    return dirs, tuple(zip(*dirs))
 
 
 _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -89,8 +85,8 @@ def _probe_directions(p: HPolytope, bound: int) -> tuple:
     whose u_j·λ is not 0 on all of them, (j, masks) with masks[k] the
     positions whose |u_j·λ| <= k, for k below the largest.  Built once per
     polytope and bound from the cached direction columns."""
-    dirs = _directions(p.dim, bound)
-    cols, size = _direction_columns(p.dim, bound), len(dirs)
+    dirs, cols = _directions(p.dim, bound)
+    size = len(dirs)
     values = [list(_row_values(u, cols, size)) for u in p.normals]
     table = []
     for f, vf in enumerate(values):

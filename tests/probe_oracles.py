@@ -14,7 +14,7 @@ def fraction_probe(p, u, bound):
     if not p.contains(u, strict=True):
         raise ValueError("probe base point must be strictly interior")
     for fi, (nf, cf) in enumerate(zip(p.normals, p.offsets)):
-        for lam in _directions(p.dim, bound):
+        for lam in _directions(p.dim, bound)[0]:
             if dot(nf, lam) != -1:
                 continue
             t = dot(nf, u) - cf

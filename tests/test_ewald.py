@@ -169,11 +169,17 @@ def test_star_sets_examples():
     assert len(se.star_facets) == 2 and len(se.ridges) == 1
     with pytest.raises(ValueError):
         star_sets(c2, FaceRef((0, 1), 2))  # opposite facets meet nowhere
-    # a repeated facet names no face: facet 0 must not count twice
+    # a repeated facet names no face: facet 0 must not count twice; the face
+    # may be given as a FaceRef or as facet indices
     for fn in (star_sets, star_ewald_face, verify_origin_next_to):
-        for bad in (FaceRef((0, 0), 2), FaceRef((0, 1), 2)):
+        for bad in (FaceRef((0, 0), 2), FaceRef((0, 1), 2), (0, 0), (0, 1), (0, 9)):
             with pytest.raises(ValueError, match="invalid face"):
                 fn(c2, bad)
+    for face in ((0, 2), (2, 0)):
+        by_indices = star_sets(c3, face)
+        assert (by_indices.star_facets, by_indices.ridges) == ((0, 2), se.ridges)
+        assert by_indices.in_star_star((1, 0, 0)) and by_indices.in_star_lower((1, 1, 0))
+    assert star_ewald_face(c3, (0,)) == star_ewald_face(c3, FaceRef((0,), 1))
 
 
 def test_star_ewald_examples():

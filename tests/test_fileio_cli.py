@@ -425,6 +425,32 @@ def test_cli_probe_rejects_a_zero_denominator(capsys):
         assert err == "error: probe point %r has a zero denominator\n" % point
 
 
+def test_cli_checks_every_option_before_it_reads_a_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.poly")
+    refusals = {
+        ("probe", "--point", ""): "Invalid literal for Fraction: ''",
+        ("probe", "--point", "abc"): "Invalid literal for Fraction: 'abc'",
+        ("probe", "--point", "1/0,0"): "probe point '1/0,0' has a zero denominator",
+        ("probe", "--bound", "0"): "probe bound must be at least 1, got 0",
+        ("probe", "--samples", "0"): "samples must be positive",
+        ("displace", "--facets", "x"): "invalid literal for int() with base 10: 'x'",
+        ("check", "--radius", "-1"): "radius must be nonnegative",
+        ("neat", "--radius", "-1"): "radius must be nonnegative",
+    }
+    for (cmd, *flags), message in refusals.items():
+        code, out, err = run_cli([cmd, missing] + flags, capsys=capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message), (cmd, flags)
+    # gen t 2 is not smooth, so its neatness never runs: the radius is
+    # refused all the same, and read nowhere under --skip-neat
+    _, t2, _ = run_cli(["gen", "t", "2"], capsys=capsys)
+    code, out, err = run_cli(["check", "-", "--radius", "-1"], stdin_text=t2, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: radius must be nonnegative\n")
+    code, out, _ = run_cli(["check", "-", "--radius", "-1", "--skip-neat", "--json"], stdin_text=t2, capsys=capsys)
+    assert code == 0 and json.loads(out)["meta"]["radius"] == -1
+    code, out, err = run_cli(["probe", "-", "--point", ""], stdin_text=C2_TEXT, capsys=capsys)
+    assert (code, out) == (2, "") and err == "error: Invalid literal for Fraction: ''\n"
+
+
 def test_cli_probe_refuses_a_bound_below_one(capsys):
     for extra in (["--point", "1/2,0"], ["--samples", "2"]):
         for bound in ("0", "-1"):
@@ -820,7 +846,7 @@ def test_cli_neat_counterexample(capsys):
 
 
 def test_cli_batch_passes_allow_large(tmp_path, capsys):
-    code, text, _ = run_cli(["gen", "smooth-simplex", "13", "1"], capsys=capsys)
+    code, text, _ = run_cli(["--allow-large", "gen", "smooth-simplex", "13", "1"], capsys=capsys)
     assert code == 0
     (tmp_path / "simplex13.poly").write_text(text)
     code, out, _ = run_cli(["batch", str(tmp_path), "--json"], capsys=capsys)
@@ -842,6 +868,37 @@ def test_cli_batch_passes_allow_large(tmp_path, capsys):
         assert doc["excluded"] == [["smooth-simplex_13_1", "not monotone"]]
 
 
+def test_cli_gen_refuses_a_member_above_the_dimension_cap(monkeypatch, capsys):
+    from ewaldkit import bundles, fileio
+
+    # the cap of every file read, checked off the arguments before building
+    built = []
+    real = bundles.cube
+    monkeypatch.setitem(bundles._FAMILIES, "cube", (lambda n: n, lambda n: built.append(n) or real(n)))
+    monkeypatch.setattr(fileio, "MAX_DIM_DEFAULT", 2)
+    for argv in (["gen", "cube", "3"], ["gen", "smallfiber", "2", "0", "1"], ["gen", "paffenholz"]):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: dimension %d exceeds the default cap 2" % (3 if argv[1] != "paffenholz" else 6))
+        assert err.endswith("pass --allow-large to override\n")
+    assert built == []
+    code, out, _ = run_cli(["--allow-large", "gen", "cube", "3"], capsys=capsys)
+    assert code == 0 and out.startswith("dim 3\n") and built == [3]
+    code, out, _ = run_cli(["gen", "square"], capsys=capsys)
+    assert code == 0 and out.startswith("dim 2\n")
+
+
+def test_cli_reports_running_out_of_memory(monkeypatch, capsys):
+    from ewaldkit import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ewald_set", exhausted)
+    code, out, err = run_cli(["ewald", "-"], stdin_text=C2_TEXT, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_cli_prints_parse_warnings_once_per_file(tmp_path, capsys):
     f = tmp_path / "c2.poly"
     f.write_text(C2_TEXT.replace("1 0 1\n", "2 0 2\n", 1))
@@ -852,3 +909,18 @@ def test_cli_prints_parse_warnings_once_per_file(tmp_path, capsys):
     for argv in (["check", str(f), "--skip-neat"], ["ewald", str(f)], ["neat", str(f)]):
         code, _, err = run_cli(argv, capsys=capsys)
         assert code == 0 and err == warning, argv
+
+
+def test_cli_outputs_prints_one_stable_fingerprint_per_command_line():
+    import hashlib
+
+    import cli_outputs
+
+    lines = ["check {square} --json", "check {missing}"]
+    first, again = cli_outputs.fingerprints(lines), cli_outputs.fingerprints(lines)
+    assert first == again  # elapsed_s and the input directory are masked
+    (check, code, out, _), (missing, *rest) = (row.split("\t") for row in first)
+    assert (check, code) == (lines[0], "exit=0") and out.startswith("out=")
+    err = "error: [Errno 2] No such file or directory: '$DIR/missing.poly'\n"
+    sha = [hashlib.sha256(text.encode()).hexdigest() for text in ("", err)]
+    assert [missing] + rest == [lines[1], "exit=2", "out=" + sha[0], "err=" + sha[1]]

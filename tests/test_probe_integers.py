@@ -5,6 +5,7 @@ the probe grids of the benchmark's crosscheck workload and on polytopes with
 rational offsets."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import workload_items
 from ewaldkit import probes
 from ewaldkit.bundles import cube, monotone_polygon
 from ewaldkit.fileio import parse_polytope
+from ewaldkit.intlinalg import scan_key
 from ewaldkit.polytope import HPolytope
 from ewaldkit.probes import displaceable_by_probe, interior_sample_grid, star_probe_crosscheck
 from probe_oracles import fraction_probe
@@ -114,20 +116,26 @@ def test_undisplaceable_samples_match_the_oracle_in_a_half_box(monkeypatch):
     full = probes._directions
 
     def half(n, bound):
-        return tuple(lam for lam in full(n, bound) if lam[0] >= 0)
+        dirs = tuple(lam for lam in full(n, bound)[0] if lam[0] >= 0)
+        return dirs, tuple(zip(*dirs))
 
     monkeypatch.setattr(probes, "_directions", half)
     monkeypatch.setattr(probe_oracles, "_directions", half)
-    probes._direction_columns.cache_clear()
-    try:
-        fractions, undisplaceable = _spy(monkeypatch, "Fraction"), 0
-        for label, p, samples in _probe_items(1):
-            before = len(fractions)
-            rep = star_probe_crosscheck(p, samples, 2)
-            # one Fraction per coordinate of each undisplaceable sample
-            assert len(fractions) - before == p.dim * len(rep.undisplaceable_points), label
-            assert (rep.total, rep.displaceable, rep.undisplaceable_points) == _oracle_report(p, samples, 2), label
-            undisplaceable += len(rep.undisplaceable_points)
-        assert undisplaceable > 0
-    finally:
-        probes._direction_columns.cache_clear()
+    fractions, undisplaceable = _spy(monkeypatch, "Fraction"), 0
+    for label, p, samples in _probe_items(1):
+        before = len(fractions)
+        rep = star_probe_crosscheck(p, samples, 2)
+        # one Fraction per coordinate of each undisplaceable sample
+        assert len(fractions) - before == p.dim * len(rep.undisplaceable_points), label
+        assert (rep.total, rep.displaceable, rep.undisplaceable_points) == _oracle_report(p, samples, 2), label
+        undisplaceable += len(rep.undisplaceable_points)
+    assert undisplaceable > 0
+
+
+def test_directions_are_the_nonzero_box_in_scan_order():
+    # the sort by scan_key, which the shells make unnecessary, as the oracle
+    for n in range(1, 5):
+        for bound in range(1, 4):
+            box = sorted((t for t in product(range(-bound, bound + 1), repeat=n) if any(t)), key=scan_key)
+            dirs, cols = probes._directions(n, bound)
+            assert dirs == tuple(box) and cols == tuple(zip(*box)), (n, bound)
