@@ -27,19 +27,7 @@ __all__ = [
     "is_deeply_smooth",
     "deeply_smooth_characterizations_agree",
     "is_quasi_smooth_polygon",
-    "vertex_edge_directions",
 ]
-
-
-@per_polytope
-def vertex_edge_directions(p: HPolytope, vi: int) -> tuple:
-    """Primitive edge directions at vertex vi, sorted: the primitive part of
-    w − v for each neighbour w of v (adjacent_vertex_indices)."""
-    verts = p.vertices()
-    v = verts[vi]
-    return tuple(
-        sorted(_integerize([a - b for a, b in zip(verts[w], v)]) for w in p.adjacent_vertex_indices(vi))
-    )
 
 
 @per_polytope

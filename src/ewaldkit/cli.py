@@ -185,9 +185,9 @@ def _check_options(args) -> None:
     resolves the radius (the flag, else EWALDKIT_RADIUS; None for the exact
     test) and the bound (the flag, else EWALDKIT_BOUND) into args, and checks
     every option the command reads: the radius where neatness is requested,
-    the probe bound, samples and point, and the --facets list, which it
-    parses into args.point and args.face (facet indices).  Raises
-    ValueError on the first bad one."""
+    the probe bound and point, the samples where no point is given, and the
+    --facets list, which it parses into args.point and args.face (facet
+    indices).  Raises ValueError on the first bad one."""
     radius = _env_int("EWALDKIT_RADIUS", DEFAULT_RADIUS)
     bound = _env_int("EWALDKIT_BOUND", DEFAULT_BOUND)
     if "radius" in args:  # check, neat and batch; neat --exact keeps None
@@ -198,7 +198,8 @@ def _check_options(args) -> None:
     if args.cmd == "probe":
         args.bound = bound if args.bound is None else args.bound
         check_bound(args.bound)
-        check_samples(args.samples)
+        if args.point is None:  # the cross-check; a point reads no samples
+            check_samples(args.samples)
         try:
             args.point = None if args.point is None else tuple(map(Fraction, args.point.split(",")))
         except ZeroDivisionError:

@@ -151,26 +151,22 @@ def _vertex_margin_constraints(p: HPolytope):
     margins being implied.  So each edge is read once, from its lower end,
     and only row j's slopes are taken there, (M[v][j] − M[w_t][j]) / λ_t
     on the margin table M (_margins) and the edge graph (_edges), as
-    w_t = v + λ_t d_t with λ_t = M[w_t][s_t]: no elimination.  The n rows
-    at a vertex are independent, so a relation of u_j over rows tight at v
-    is v's own: an edge whose row j has a relation read before with its
-    support among v's tight rows gives that same constraint and is
-    skipped.  Non-simple polytopes and dimension 0 read every vertex's
-    chart: each row j off S, with its margin M[v][j] and slopes u_j·d_t.
+    w_t = v + λ_t d_t with λ_t = M[w_t][s_t]: no elimination.  Edges that
+    read the same relation give one constraint, kept once in a set.
+    Non-simple polytopes and dimension 0 read every vertex's chart: each
+    row j off S, with its margin M[v][j] and slopes u_j·d_t.
     """
     constraints = set()
     if p.dim and p.is_simple():
         margins, edges = _margins(p), _edges(p)
-        supports = [[] for _ in p.normals]  # per row j, the supports of its relations read so far
-        for v, (mv, tight) in enumerate(zip(margins, p.vertex_masks())):
+        for v, mv in enumerate(margins):
             ends = None
             for _, w, j in edges[v]:
-                if w < v or any(r & tight == r for r in supports[j]):
+                if w < v:
                     continue
                 if ends is None:
                     ends = [(s, margins[x], margins[x][s]) for s, x, _ in edges[v]]
                 terms = [(s, a) for s, mw, lam in ends if (a := _ratio(mv[j] - mw[j], lam))]
-                supports[j].append(sum(1 << s for s, _ in terms))
                 constraints.add((mv[j], tuple(sorted(terms + [(j, 1)]))))
     else:
         for vi, (mv, tight) in enumerate(zip(_margins(p), p.vertex_masks())):
@@ -218,7 +214,6 @@ def _fan_preserving(p: HPolytope, bounds, paired: bool):
                     break
             if ok:
                 yield from descend(depth + 1, leading_zeros and val == 0)
-        b[depth] = 0
 
     yield from descend(0, True)
 

@@ -19,6 +19,7 @@ from .polytope import (
     _bits,
     _checked_face,
     _lattice_search,
+    _require_origin_interior,
     _require_simple,
     _row_vertex_masks,
     _slab_frame,
@@ -188,11 +189,6 @@ def ewald_set(p: HPolytope) -> EwaldSet:
     return EwaldSet(p)
 
 
-def _require_origin_interior(p: HPolytope):
-    if not p.origin_interior():
-        raise ValueError("origin is not interior")
-
-
 def weak_ewald(p: HPolytope):
     """(flag, basis): does E(P) contain a unimodular basis of Z^n?"""
     _require_origin_interior(p)
@@ -255,7 +251,7 @@ def star_sets(p: HPolytope, f) -> StarSets:
     """The star sets of the face f, a FaceRef or facet indices."""
     tight = _bits(_checked_face(p, f))
     ridges = tuple(FaceRef(pair, 2) for pair in combinations(tight, 2))
-    return StarSets(f, tight, ridges, p)
+    return StarSets(FaceRef(tight, len(tight)), tight, ridges, p)
 
 
 def _star_step(state, on, opp):

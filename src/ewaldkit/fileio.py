@@ -422,7 +422,7 @@ def ingest_database(
             continue
         stats.reports.append(report)
         cls = report["result"]["class"]
-        if not (cls["smooth"] and cls["reflexive"]):
+        if not cls["monotone"]:
             stats.excluded.append((report["result"]["name"], "not monotone"))
             continue
         d = report["result"]["dim"]

@@ -82,31 +82,25 @@ def _integerize(row):
     return primitive_part(_integer_row(row))
 
 
-_WIDE = 512  # bits: from here on a digit scan beats clearing low bits
-
-
 def _bits(mask) -> tuple:
-    """The indices of the set bits of an incidence mask, ascending.  Wider
-    than _WIDE bits, where clearing each low bit copies the whole int, they
-    are found by str.find over the binary digits, lowest first."""
-    if mask.bit_length() > _WIDE:
-        digits = format(mask, "b")[::-1]
-        out, k = [], digits.find("1")
-        while k >= 0:
-            out.append(k)
-            k = digits.find("1", k + 1)
-        return tuple(out)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """The indices of the set bits of an incidence mask, ascending: found by
+    str.find over the binary digits, lowest first."""
+    digits = format(mask, "b")[::-1]
+    out, k = [], digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
     return tuple(out)
 
 
 def _require_simple(p):
     if not p.is_simple():
         raise ValueError("face lattice requires simple polytope")
+
+
+def _require_origin_interior(p):
+    if not p.origin_interior():
+        raise ValueError("origin is not interior")
 
 
 def per_polytope(fn):
@@ -960,8 +954,7 @@ def facet_description(v: VPolytope) -> HPolytope:
 
 def dual(p: HPolytope) -> VPolytope:
     """Polar dual vertex set u_F / b_F; requires the origin strictly inside."""
-    if not p.origin_interior():
-        raise ValueError("origin is not interior")
+    _require_origin_interior(p)
     pts = [tuple(Fraction(x) / Fraction(c) for x in u) for u, c in zip(p.normals, p.offsets)]
     return VPolytope.from_points(pts)
 
@@ -1120,8 +1113,7 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     (n − k basis rows) and the integer origin.  Raises ValueError unless
     the facets name a face of p (_checked_face).
     """
-    tight = tuple(sorted(face.tight if isinstance(face, FaceRef) else face))
-    _checked_face(p, tight)
+    tight = _bits(_checked_face(p, face))
     k = len(tight)
     n = p.dim
     rows = [p.normals[i] for i in tight]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import compress, product, repeat
 from math import ceil, lcm
 from operator import eq
@@ -58,7 +57,6 @@ def check_bound(bound: int) -> None:
         raise ValueError("probe bound must be at least 1, got %d" % bound)
 
 
-@cache
 def _directions(n, bound) -> tuple:
     """(dirs, cols): the nonzero directions of max-norm <= bound in scan order
     (max-norm, then lexicographic), and their coordinate columns, column t
@@ -84,7 +82,7 @@ def _probe_directions(p: HPolytope, bound: int) -> tuple:
     _directions order, the mask of all their positions, and per other row j
     whose u_j·λ is not 0 on all of them, (j, masks) with masks[k] the
     positions whose |u_j·λ| <= k, for k below the largest.  Built once per
-    polytope and bound from the cached direction columns."""
+    polytope and bound from the direction columns."""
     dirs, cols = _directions(p.dim, bound)
     size = len(dirs)
     values = [list(_row_values(u, cols, size)) for u in p.normals]
@@ -99,11 +97,7 @@ def _probe_directions(p: HPolytope, bound: int) -> tuple:
             if j == f:
                 continue
             sizes = list(map(abs, map(vj.__getitem__, at)))
-            taken, masks, mask = set(sizes), [], 0
-            for k in range(max(sizes)):
-                if k in taken:  # else the mask of k − 1 holds
-                    mask = _positions_mask(map(k.__ge__, sizes))
-                masks.append(mask)
+            masks = [_positions_mask(map(k.__ge__, sizes)) for k in range(max(sizes))]
             if masks:
                 rows.append((j, tuple(masks)))
         table.append((tuple(map(dirs.__getitem__, at)), (1 << len(at)) - 1, tuple(rows)))

@@ -15,7 +15,7 @@ for UT-freeness on a chart of its own span, hulled there.
 from itertools import combinations
 from math import gcd
 
-from ewaldkit.classify import _ut_free_region, vertex_edge_directions
+from ewaldkit.classify import _ut_free_region
 from ewaldkit.ewald import ewald_set
 from ewaldkit.intlinalg import _extend_saturated, _identity, det, kernel_basis
 from ewaldkit.polytope import _basis_coordinates, _integerize, _point, _vertex_chart, convex_hull, dot
@@ -73,7 +73,7 @@ def chart_deeply_smooth(p):
         rows = [(c - dot(u, v), [dot(u, d) for d in rays]) for u, c in zip(p.normals, p.offsets)]
         if all(margin >= sum(a for a in slopes if a > 0) for margin, slopes in rows):
             continue
-        dirs = vertex_edge_directions(p, i)
+        dirs = adjacency_edge_directions(p, i)
         for r in range(2, len(dirs) + 1):
             for subset in combinations(dirs, r):
                 corner = tuple(x + sum(d[j] for d in subset) for j, x in enumerate(v))

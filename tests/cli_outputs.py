@@ -88,6 +88,7 @@ def command_lines():
         "probe {square} --point ''", "probe {square} --point 1/0,0", "probe {square} --point 1/2",
         "probe {square} --point abc", "probe {missing} --point abc", "probe {missing} --point ''",
         "probe {square} --bound 0", "probe {square} --samples 0", "probe {missing} --samples 0",
+        "probe {square} --point 1/2,0 --samples 0",
         "displace {square} --facets x", "displace {missing} --facets x", "displace {square} --facets 0,0",
         "displace {square} --facets 9", "oda {square} {missing}",
         "EWALDKIT_RADIUS=1 check {square} --json", "EWALDKIT_RADIUS=-1 check {square}",

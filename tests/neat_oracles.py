@@ -99,6 +99,32 @@ def oracle_verdict(p, pairs):
     return "neat_up_to_radius", None
 
 
+def wall_margin_constraints(p):
+    """The fan conditions of a simple polytope of dimension >= 1, one per
+    wall, each read off the chart of the wall's lower vertex:
+    {level: [(const, terms), ...]} with no entry twice.  Vertices v < w with
+    n − 1 tight rows in common span an edge, and w's other row j gives v's
+    strict margin c_j − u_j·v + b_j + Σ_t (u_j·d_t)·b_{s_t}, for d_t the
+    edge rays of v's chart (A_S d_t = −e_t over v's tight rows S)."""
+    verts, tights = p.vertices(), p.vertex_tight_sets()
+    grouped = {}
+    for v, (x, tight) in enumerate(zip(verts, tights)):
+        s = sorted(tight)
+        d, e = scaled_inverse([p.normals[i] for i in s])
+        rays = [[Fraction(-e[c][t], d) for c in range(p.dim)] for t in range(p.dim)]
+        for w in range(v + 1, len(verts)):
+            if len(tights[w] - tight) != 1:
+                continue
+            (j,) = tights[w] - tight
+            u = p.normals[j]
+            terms = [(j, 1)] + [(i, _exact(dot(u, ray))) for i, ray in zip(s, rays) if dot(u, ray)]
+            entry = (_exact(p.offsets[j] - dot(u, x)), tuple(sorted(terms)))
+            level = grouped.setdefault(max(i for i, _ in terms), [])
+            if entry not in level:
+                level.append(entry)
+    return grouped
+
+
 def fraction_margin_constraints(p):
     """The fan conditions of every vertex, built with a Fraction per
     coefficient and normalized by _exact: {level: [(const, terms), ...]}.

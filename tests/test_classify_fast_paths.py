@@ -21,7 +21,7 @@ from classify_oracles import (
 )
 from conftest import random_unimodular, workload_items
 from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, segment, smooth_simplex, ssb
-from ewaldkit.classify import classify, is_deeply_smooth, is_smooth, vertex_edge_directions
+from ewaldkit.classify import classify, is_deeply_smooth, is_smooth
 from ewaldkit.ewald import strong_ewald, weak_ewald
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import find_unimodular_basis
@@ -53,8 +53,6 @@ def _fresh(p):
 def test_classification_matches_the_adjacency_and_corner_scans(monkeypatch):
     several_missing = 0
     for p in _inputs():
-        for i in range(len(p.vertices())):
-            assert vertex_edge_directions(p, i) == adjacency_edge_directions(p, i)
         assert is_smooth(p) == determinant_smooth(p)
         if is_smooth(p)[0] and p.is_lattice():
             got = is_deeply_smooth(p)

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from classify_oracles import adjacency_edge_directions
 from conftest import random_unimodular
 from ewaldkit.bundles import (
     catalog,
@@ -17,7 +18,7 @@ from ewaldkit.bundles import (
     smooth_simplex,
     ssb,
 )
-from ewaldkit.classify import is_deeply_smooth, is_monotone, vertex_edge_directions
+from ewaldkit.classify import is_deeply_smooth, is_monotone
 from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
 from ewaldkit.displace import displacement_slice, first_displacement
 from ewaldkit.ewald import (
@@ -177,6 +178,7 @@ def test_star_sets_examples():
                 fn(c2, bad)
     for face in ((0, 2), (2, 0)):
         by_indices = star_sets(c3, face)
+        assert by_indices.face == FaceRef((0, 2), 2) == se.face
         assert (by_indices.star_facets, by_indices.ridges) == ((0, 2), se.ridges)
         assert by_indices.in_star_star((1, 0, 0)) and by_indices.in_star_lower((1, 1, 0))
     assert star_ewald_face(c3, (0,)) == star_ewald_face(c3, FaceRef((0,), 1))
@@ -240,7 +242,7 @@ def test_deeply_monotone_strong_star_and_edge_vectors():
         assert star_ewald(p)[0]
         e = ewald_set(p)
         for vi in range(len(p.vertices())):
-            dirs = vertex_edge_directions(p, vi)
+            dirs = adjacency_edge_directions(p, vi)
             assert all(d in e.points for d in dirs)
             for u1, u2 in combinations_with_replacement(dirs, 2):
                 if u1 == u2:

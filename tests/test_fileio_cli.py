@@ -451,6 +451,17 @@ def test_cli_checks_every_option_before_it_reads_a_file(tmp_path, capsys):
     assert (code, out) == (2, "") and err == "error: Invalid literal for Fraction: ''\n"
 
 
+def test_cli_probe_point_reads_no_samples(capsys):
+    # --samples sizes the cross-check's grid, which a --point run never builds
+    want = run_cli(["probe", "-", "--point", "1/2,0"], stdin_text=C2_TEXT, capsys=capsys)
+    assert want[0] == 0 and want[1]
+    for samples in ("0", "-3"):
+        argv = ["probe", "-", "--point", "1/2,0", "--samples", samples]
+        assert run_cli(argv, stdin_text=C2_TEXT, capsys=capsys) == want
+    code, out, err = run_cli(["probe", "-", "--samples", "0"], stdin_text=C2_TEXT, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: samples must be positive\n")
+
+
 def test_cli_probe_refuses_a_bound_below_one(capsys):
     for extra in (["--point", "1/2,0"], ["--samples", "2"]):
         for bound in ("0", "-1"):

@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 import incidence_oracles as oracle
+from classify_oracles import adjacency_edge_directions
 from conftest import random_unimodular, workload_items
 from ewaldkit.bundles import (
     BundleSpec,
@@ -27,7 +28,7 @@ from ewaldkit.bundles import (
     ssb,
     ssb_as_bundle,
 )
-from ewaldkit.classify import _triangles, _two_faces, vertex_edge_directions
+from ewaldkit.classify import _triangles, _two_faces
 from ewaldkit.displace import displace
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.polytope import (
@@ -149,14 +150,14 @@ def test_non_simple_vertices_keep_every_edge():
         nbrs = [j for j in range(len(verts)) if j not in (i, antipode)]
         assert cross4.adjacent_vertex_indices(i) == tuple(nbrs)
         edges = sorted(tuple(a - b for a, b in zip(verts[j], v)) for j in nbrs)
-        assert vertex_edge_directions(cross4, i) == tuple(edges)
+        assert adjacency_edge_directions(cross4, i) == tuple(edges)
     # DP5 × segment: every vertex has its edge along the segment
     p = cartesian_product(del_pezzo(5), segment())
     assert not p.is_simple()
     up = (0,) * 5 + (1,)
     for i, v in enumerate(p.vertices()):
         along = up if v[-1] < 0 else tuple(-x for x in up)
-        assert along in vertex_edge_directions(p, i), v
+        assert along in adjacency_edge_directions(p, i), v
 
 
 def test_fans_and_normal_isomorphism_match_frozensets():

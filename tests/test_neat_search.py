@@ -20,8 +20,8 @@ from ewaldkit.displace import (
 from ewaldkit.ewald import _ewald_search
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import inverse_unimodular, mat_vec
-from ewaldkit.polytope import HPolytope, _lattice_search, _margins, _slab_frame, cartesian_product, dot
-from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs
+from ewaldkit.polytope import HPolytope, _lattice_search, _margins, _slab_frame, cartesian_product, convex_hull, dot
+from neat_oracles import box_scan, fraction_margin_constraints, oracle_verdict, qualifying_pairs, wall_margin_constraints
 
 displace = importlib.import_module("ewaldkit.displace")
 
@@ -201,6 +201,35 @@ def test_margin_constraints_match_the_fraction_build(monkeypatch):
             assert _kept(got, m, 2) == _kept(want, m, 2) == streams[fraction_margin_constraints][3], p
     assert len(decided) > 30 and fewer and rational
     assert not any(q.is_simple() for q in non_simple)
+
+
+def test_margin_constraints_are_one_per_wall():
+    # on a simple polytope each wall's condition is kept once, and they are
+    # exactly the conditions read off the lower vertex's chart of each edge,
+    # level by level, with their coefficient types; where a vertex cone is
+    # not unimodular, the two ends of an edge read its wall's relation at
+    # different scales, so reading both ends would keep a wall twice
+    rng = random.Random(46)
+    inputs = [p for p in catalog().values() if p.dim and p.is_simple()]
+    polygons = []
+    while len(polygons) < 12:
+        try:
+            polygons.append(convex_hull({(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(6)}))
+        except ValueError:  # collinear
+            continue
+    inputs += polygons + [cartesian_product(q, segment()) for q in polygons[:4]]
+    inputs.append(HPolytope(3, cube(3).normals, (Fraction(1, 2), 1, Fraction(3, 2), 2, 1, Fraction(1, 3))))
+    inputs += [p.transform(random_unimodular(rng, p.dim)) for p in inputs]
+    for p in inputs[: len(inputs) // 2]:
+        k = rng.randint(2, 3)
+        shift = tuple(rng.randint(-2, 2) for _ in range(p.dim))
+        inputs.append(HPolytope(p.dim, p.normals, [k * c for c in p.offsets]).translate(shift))
+    for p in inputs:
+        got, want = _vertex_margin_constraints(p), wall_margin_constraints(p)
+        assert got.keys() == want.keys(), p
+        for level, entries in got.items():
+            assert len(set(entries)) == len(entries), (p, level)
+            assert _typed({level: entries}) == _typed({level: want[level]}), (p, level)
 
 
 def test_margin_constraints_are_built_once_per_polytope():

@@ -25,8 +25,10 @@ from ewaldkit.polytope import (
     convex_hull,
     dot,
     dual,
+    enumerate_vertices,
     face_slice,
     facet_description,
+    irredundant_rows,
     minkowski_sum,
     normal_fan_signature,
     normally_isomorphic,
@@ -72,6 +74,48 @@ def test_vertices_errors():
         HPolytope(2, square[:2] + ((1, 1),) + square[2:], (1, 1, 3, 1, 1)).validate()
     with pytest.raises(ValueError):
         HPolytope(2, ((1, 0), (-1, 0)), (1, -2)).vertices()  # empty
+
+
+def test_input_guards():
+    # each refusal of a malformed system, hull, face or dimension-0 input
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        HPolytope(-1, (), ())
+    with pytest.raises(ValueError, match="normals/offsets length mismatch"):
+        HPolytope(2, ((1, 0), (0, 1)), (1,))
+    with pytest.raises(ValueError, match="normal row of wrong dimension"):
+        HPolytope(2, ((1, 0), (0, 1, 0)), (1, 1))
+    with pytest.raises(ValueError, match="zero normal row"):
+        HPolytope(2, ((1, 0), (0, 0)), (1, 1))
+    with pytest.raises(ValueError, match="no points"):
+        convex_hull([])
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        convex_hull([(0, 0), (1, 0), (0, 1, 0)])
+    c3 = cube(3)
+    for codim in (-1, 4):
+        with pytest.raises(ValueError, match="codimension out of range"):
+            c3.faces(codim)
+    # a flat system: the segment x = 0, |y| <= 1
+    flat = HPolytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (0, 0, 1, 1))
+    with pytest.raises(ValueError, match="polytope is not full-dimensional"):
+        flat.validate()
+    point = HPolytope(0, ((), ()), (0, 2))
+    assert point.validate() is point
+    with pytest.raises(ValueError, match="empty polytope"):
+        HPolytope(0, ((),), (-1,)).validate()
+    assert enumerate_vertices(0, ((),), (-1,)) == ((), ())
+    with pytest.raises(ValueError, match="empty system"):
+        irredundant_rows(0, ((),), (-1,))
+    # no facets: the slice is P itself, in the identity chart
+    s = face_slice(c3, ())
+    assert (s.chart_dim, s.tight, s.origin) == (3, (), (0, 0, 0))
+    assert s.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert (s.polytope.normals, s.polytope.offsets) == (c3.normals, c3.offsets)
+    # the facets tight at a non-simple vertex of DP3 are dependent
+    dp3 = del_pezzo(3)
+    tight = next(t for t in dp3.vertex_tight_sets() if len(t) > dp3.dim)
+    with pytest.raises(ValueError, match="face facets are not independent"):
+        face_slice(dp3, tuple(tight))
+    assert normally_isomorphic(HPolytope(0, (), ()), point)
 
 
 def test_non_primitive_normals_are_refused_by_their_gcd():

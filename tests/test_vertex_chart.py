@@ -15,10 +15,10 @@ from operator import mul, neg
 
 import pytest
 
-from classify_oracles import corner_scan_deeply_smooth
+from classify_oracles import adjacency_edge_directions, corner_scan_deeply_smooth
 from conftest import CROSS4, random_unimodular, smooth_suite
 from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, nill_triangle, paffenholz_p6, segment, ssb
-from ewaldkit.classify import classify, is_deeply_smooth, is_quasi_smooth_polygon, is_smooth, vertex_edge_directions
+from ewaldkit.classify import classify, is_deeply_smooth, is_quasi_smooth_polygon, is_smooth
 from ewaldkit.displace import is_neat
 from ewaldkit.ewald import deeply_smooth_origin_vertex_basis, ewald_set
 from ewaldkit.fileio import MAX_EWALD_POINTS, _refuse_large_ewald, parse_polytope, serialize_polytope
@@ -337,9 +337,9 @@ def test_the_ewald_limit_refuses_from_vertex_0_alone():
 
 
 def _quasi_smooth_oracle(p):
-    """is_quasi_smooth_polygon off vertex_edge_directions."""
+    """is_quasi_smooth_polygon off adjacency_edge_directions."""
     for i in range(len(p.vertices())):
-        a, b = vertex_edge_directions(p, i)
+        a, b = adjacency_edge_directions(p, i)
         e = primitive_part([x - y for x, y in zip(a, b)])
         if abs(e[0] * a[1] - e[1] * a[0]) != 1:
             return False
@@ -347,12 +347,12 @@ def _quasi_smooth_oracle(p):
 
 
 def _origin_vertex_oracle(p):
-    """deeply_smooth_origin_vertex_basis off vertex_edge_directions."""
+    """deeply_smooth_origin_vertex_basis off adjacency_edge_directions."""
     if not is_deeply_smooth(p)[0]:
         return None
     for i, t in enumerate(p.vertex_masks()):
         if all(p.offsets[j] == 1 for j in _bits(t)):
-            return vertex_edge_directions(p, i)
+            return adjacency_edge_directions(p, i)
     return None
 
 
@@ -360,7 +360,7 @@ def _fresh(p):
     return HPolytope(p.dim, p.normals, p.offsets)
 
 
-def test_edge_direction_readers_match_vertex_edge_directions():
+def test_edge_direction_readers_match_adjacency_edge_directions():
     # the chart's rays are the primitive edge directions at every vertex of
     # a lattice smooth polytope, and point along them at every vertex of a
     # lattice polygon, so deep smoothness's witness, the origin vertex basis
@@ -372,7 +372,7 @@ def test_edge_direction_readers_match_vertex_edge_directions():
     kinds = set()
     for p in smooth:
         for vi in range(len(p.vertices())):
-            assert tuple(sorted(_vertex_chart(p, vi)[1])) == vertex_edge_directions(p, vi), (p, vi)
+            assert tuple(sorted(_vertex_chart(p, vi)[1])) == adjacency_edge_directions(p, vi), (p, vi)
         flag, witness = is_deeply_smooth(_fresh(p))
         assert (flag, witness) == corner_scan_deeply_smooth(p), p
         kinds.add(("not deeply smooth", not flag))
@@ -391,7 +391,7 @@ def test_edge_direction_readers_match_vertex_edge_directions():
     for p in polygons:
         for vi in range(len(p.vertices())):
             rays = _vertex_chart(p, vi)[1]
-            assert tuple(sorted(map(_integerize, rays))) == vertex_edge_directions(p, vi), (p, vi)
+            assert tuple(sorted(map(_integerize, rays))) == adjacency_edge_directions(p, vi), (p, vi)
         flag = is_quasi_smooth_polygon(_fresh(p))
         assert flag == _quasi_smooth_oracle(p), p
         kinds.add(("not quasi-smooth", not flag))
