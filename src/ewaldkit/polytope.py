@@ -633,13 +633,11 @@ def irredundant_rows(dim, normals, offsets):
     rows when one of the collapsed rows is not a facet.  Dropping
     redundant rows leaves a bounded full-dimensional polytope unchanged, so
     when full_dim holds the cache equals a fresh enumeration and validate()
-    passes.
+    passes.  convex_hull keeps its enumeration the same way.  In dimension 0
+    the system is the point () or empty, no row is a facet, and every row is
+    dropped.
     """
     offsets = [_exact(c) for c in offsets]
-    if dim == 0:
-        if any(c < 0 for c in offsets):
-            raise ValueError("empty system")
-        return HPolytope(0, (), ()), tuple(range(len(offsets))), True
     # collapse duplicate normals to the binding offset
     best = {}
     for i, (u, c) in enumerate(zip(normals, offsets)):
@@ -924,7 +922,11 @@ def convex_hull(points, dim=None) -> HPolytope:
 
     The facets are the extreme rays (u, c) of the cone {u·p <= c for every
     point p}, pointed iff the points are full-dimensional.  Rows are sorted
-    by normal, descending in dim 1.
+    by normal, descending in dim 1.  The polytope arrives with its vertex
+    cache filled from the rays' point masks: a point is a vertex exactly
+    when the facets through it meet in that point alone, the AND rule of
+    _face_vertex_mask.  The vertices keep sorted point order, which is
+    enumerate_vertices' order, and their masks index the sorted rows.
     """
     pts = sorted({_point(p) for p in points})
     if not pts:
@@ -939,15 +941,30 @@ def convex_hull(points, dim=None) -> HPolytope:
     rows = {}
     for y, mask in rays:
         u = primitive_part(y[:n])
-        rows[u] = dot(u, pts[(mask & -mask).bit_length() - 1])  # c = u·p, p on the facet
+        rows[u] = (dot(u, pts[(mask & -mask).bit_length() - 1]), mask)  # c = u·p, p on the facet
     normals = tuple(sorted(rows, reverse=n == 1))
-    return HPolytope(n, normals, tuple(rows[u] for u in normals))
+    on_row = [rows[u][1] for u in normals]
+    h = HPolytope(n, normals, tuple(rows[u][0] for u in normals))
+    verts, tights = [], []
+    for k, t in enumerate(_row_vertex_masks(on_row, len(pts))):
+        meet = -1
+        for j in _bits(t):
+            meet &= on_row[j]
+        if meet == 1 << k:
+            verts.append(pts[k])
+            tights.append(t)
+    h._cache["vertices"], h._cache["tights"] = tuple(verts), tuple(tights)
+    return h
 
 
 def facet_description(v: VPolytope) -> HPolytope:
-    """H-rep of a vertex set; rejects inputs that are not exactly vertex sets."""
+    """H-rep of a vertex set; rejects inputs that are not exactly vertex sets.
+
+    The hull's vertices are some of the points, so the points are its
+    vertex set exactly when they are as many as its cached vertices.
+    """
     h = convex_hull(v.points, v.dim)
-    if set(h.vertices()) != set(v.points):
+    if len(h.vertices()) != len(set(v.points)):
         raise ValueError("input points are not the vertex set of their hull")
     return h
 

@@ -44,12 +44,21 @@ def _shifted_cube(n, scale, shift):
     return HPolytope(n, c.normals, tuple(scale * x for x in c.offsets)).translate((shift,) + (0,) * (n - 1))
 
 
+def _vertex_file(name, points):
+    rows = "".join(" ".join(map(str, x)) + "\n" for x in points)
+    return "dim %d\nvertices %d\nname %s\n%s" % (len(points[0]), len(points), name, rows)
+
+
 # inputs past a limit: a class box of 39^6 points ([−2, 18]^6), a radius
-# window [−1, 1]^14 (3·C_7 + 3·e_1), and an unbounded strip
+# window [−1, 1]^14 (3·C_7 + 3·e_1), and an unbounded strip; and two vertex
+# files, which the parse hulls: 2·DP_2's vertices with the origin and an edge
+# midpoint among them, and cube(3)'s vertices under a unimodular map
 EXTRA = {
     "wide": serialize_polytope(HPolytope(6, cube(6).normals, (18, 2) * 6), "wide"),
     "shifted7": serialize_polytope(_shifted_cube(7, 3, 3), "shifted7"),
     "strip": "dim 2\nfacets 2\n1 0 1\n-1 0 1\n",
+    "hexpoints": _vertex_file("hexpoints", [(2, 0), (2, 2), (0, 2), (-2, 0), (0, 0), (-2, -2), (2, 1), (0, -2)]),
+    "cubepoints": _vertex_file("cubepoints", cube(3).transform(((1, 1, 0), (0, 1, -1), (1, 1, 1))).vertices()),
 }
 
 
@@ -94,6 +103,8 @@ def command_lines():
         "EWALDKIT_RADIUS=1 check {square} --json", "EWALDKIT_RADIUS=-1 check {square}",
         "EWALDKIT_RADIUS=abc count simplex 3", "EWALDKIT_BOUND=2 probe {square}", "EWALDKIT_BOUND=0 probe {square}",
     ]
+    lines += [line % {"v": name} for name in ("hexpoints", "cubepoints") for line in (
+        "check {%(v)s}", "check {%(v)s} --json", "ewald {%(v)s}", "probe {%(v)s}", "oda {%(v)s} {%(v)s}")]
     return lines
 
 

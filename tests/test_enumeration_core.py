@@ -15,9 +15,13 @@ import pytest
 
 from conftest import random_unimodular
 from linalg_oracles import kernel_direction
+from ewaldkit import polytope
 from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, ssb
+from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import fraction_free_solve, primitive_part, rank
 from ewaldkit.polytope import (
+    HPolytope,
+    VPolytope,
     _exact,
     _facet_rows,
     _integerize,
@@ -27,7 +31,10 @@ from ewaldkit.polytope import (
     convex_hull,
     dot,
     enumerate_vertices,
+    facet_description,
     irredundant_rows,
+    minkowski_sum,
+    oda_instance_check,
 )
 
 
@@ -254,3 +261,74 @@ def test_hull_of_cube8_vertices_is_cube8():
     h = convex_hull(c8.vertices())
     assert set(zip(h.normals, h.offsets)) == set(zip(c8.normals, c8.offsets))
     assert h.vertices() == c8.vertices()
+
+
+def _fresh(h):
+    # the vertex table of a new polytope on the same rows, enumerated anew
+    f = HPolytope(h.dim, h.normals, h.offsets)
+    return f.vertices(), f.vertex_masks()
+
+
+def test_hull_caches_a_fresh_enumeration_of_its_rows():
+    # convex_hull reads its vertices and masks off its own rays: a point is a
+    # vertex when the facets through it meet in it alone
+    rng = random.Random(20261020)
+    seen = {"interior": 0, "boundary": 0, "duplicate": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        pts = [tuple(2 * rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 6))]
+        pts += [tuple((a + b) // 2 for a, b in zip(*rng.sample(pts, 2))) for _ in range(3)]  # midpoints
+        pts += rng.sample(pts, 2)
+        try:
+            h = convex_hull(pts, dim)
+        except ValueError:  # not full-dimensional
+            continue
+        assert (h.vertices(), h.vertex_masks()) == _fresh(h), pts
+        verts = set(h.vertices())
+        seen["duplicate"] += len(set(pts)) < len(pts)
+        for x in set(pts) - verts:
+            seen["boundary" if any(dot(u, x) == c for u, c in zip(h.normals, h.offsets)) else "interior"] += 1
+    assert min(seen.values()) >= 30, seen
+    quarter = Fraction(1, 4)
+    hulls = [
+        convex_hull([(0, 0), (Fraction(5, 2), 0), (Fraction(1, 3), Fraction(7, 4)), (-quarter, 1)]),
+        convex_hull([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]),  # pyramid
+        convex_hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]),  # bipyramid
+    ]
+    for p in catalog().values():
+        hulls.append(convex_hull(p.transform(random_unimodular(rng, p.dim)).vertices(), p.dim))
+    for h in hulls:
+        assert (h.vertices(), h.vertex_masks()) == _fresh(h), (h.normals, h.offsets)
+
+
+def test_each_hull_runs_one_double_description(monkeypatch):
+    calls = []
+
+    def spy(rows, d):
+        calls.append(d)
+        return extreme_rays(rows, d)
+
+    def count(run):
+        calls.clear()
+        out = run()
+        assert len(calls) == 1
+        return out
+
+    extreme_rays = polytope._extreme_rays
+    monkeypatch.setattr(polytope, "_extreme_rays", spy)
+    parsed = count(lambda: parse_polytope("dim 2\nvertices 5\n0 0\n2 0\n0 2\n2 2\n1 1\n"))
+    assert parsed.warnings == ("vertex list contained non-extreme points; hull taken",)
+
+    def hull_table():
+        h = convex_hull([(0, 0), (3, 0), (0, 3), (1, 1), (1, 0)])
+        return h.vertices(), h.vertex_masks()
+
+    assert count(hull_table)[0] == ((0, 0), (0, 3), (3, 0))
+    count(lambda: facet_description(VPolytope.from_points([(1, 0), (0, 1), (-2, -2)])))
+    with pytest.raises(ValueError, match="not the vertex set"):
+        count(lambda: facet_description(VPolytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])))
+    seg_x, seg_y = VPolytope.from_points([(0, 0), (1, 0)]), VPolytope.from_points([(0, 0), (0, 2)])
+    assert count(lambda: minkowski_sum(seg_x, seg_y)).points == ((0, 0), (0, 2), (1, 0), (1, 2))
+    p, q = monotone_polygon("hexagon"), monotone_polygon("triangle")
+    p.vertices(), q.vertices()
+    assert count(lambda: oda_instance_check(p, q))

@@ -105,6 +105,13 @@ def test_input_guards():
     assert enumerate_vertices(0, ((),), (-1,)) == ((), ())
     with pytest.raises(ValueError, match="empty system"):
         irredundant_rows(0, ((),), (-1,))
+    with pytest.raises(ValueError, match="empty system"):
+        irredundant_rows(0, ((), ()), (3, -1))
+    # dimension 0 with rows and with none: the point, every row dropped
+    for rows, offsets, dropped in ((((), ()), (0, 2), (0, 1)), ((), (), ())):
+        q, out, full_dim = irredundant_rows(0, rows, offsets)
+        assert (q, out, full_dim) == (HPolytope(0, (), ()), dropped, True)
+        assert (q.vertices(), q.vertex_masks()) == (((),), (0,))
     # no facets: the slice is P itself, in the identity chart
     s = face_slice(c3, ())
     assert (s.chart_dim, s.tight, s.origin) == (3, (), (0, 0, 0))
