@@ -12,6 +12,7 @@ from inspect import signature
 
 from .classify import is_monotone, is_smooth
 from .displace import _keeps_fan, _vertex_margin_constraints, is_neat
+from .intlinalg import _as_mat, _as_vec
 from .polytope import HPolytope, VPolytope, dot, facet_description
 
 __all__ = [
@@ -51,7 +52,7 @@ class BundleSpec:
     shifts: tuple  # one exact constant per fiber facet
 
     def __post_init__(self):
-        twist = tuple(tuple(int(x) for x in row) for row in self.twist)
+        twist = _as_mat(self.twist)
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "shifts", tuple(self.shifts))
         if len(twist) != self.fiber.nfacets or len(self.shifts) != self.fiber.nfacets:
@@ -307,12 +308,12 @@ def _family(family: str, args: tuple):
 def member_dim(family: str, args: tuple = ()) -> int:
     """The dimension of generate(family, args), read off the arguments
     without building the member."""
-    args = tuple(int(a) for a in args)
+    args = _as_vec(args)
     return _family(family, args)[0](*args)
 
 
 def generate(family: str, args: tuple = ()) -> HPolytope:
     """Catalog access by family name and integer arguments (the CLI `gen`
     surface)."""
-    args = tuple(int(a) for a in args)
+    args = _as_vec(args)
     return _family(family, args)[1](*args)

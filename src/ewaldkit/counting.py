@@ -15,7 +15,7 @@ from math import comb, factorial, lcm
 from .bundles import small_fiber_bundle, ssb
 from .classify import is_monotone
 from .ewald import _ewald_listing
-from .intlinalg import det
+from .intlinalg import _integer, det
 from .polytope import HPolytope, _face_facets, _row_masks
 
 __all__ = [
@@ -62,6 +62,7 @@ def ewald_count_ssb(n: int, k: int) -> int:
 def emin_upper_bound(n: int) -> int:
     """Upper bound for the minimum Ewald count among monotone n-polytopes,
     attained by iterated small fiber bundles; n = 2 is excluded."""
+    n = _integer(n)
     if n < 3:
         raise ValueError("bound defined for n >= 3 (n = 2 excluded case)")
     k, r = divmod(n - 1, 3)

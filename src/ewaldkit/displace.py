@@ -16,6 +16,7 @@ from operator import mul
 
 from .classify import _require_lattice_smooth
 from .ewald import _ewald_search
+from .intlinalg import _as_vec
 from .polytope import (
     HPolytope,
     Slice,
@@ -89,11 +90,7 @@ class DisplacedSystem:
 
 
 def displace(p: HPolytope, b) -> DisplacedSystem:
-    b = tuple(b)
-    for i, x in enumerate(b):
-        if int(x) != x:
-            raise ValueError("displacement entry %d is not an integer: %s" % (i, x))
-    b = tuple(map(int, b))
+    b = _as_vec(b)
     if len(b) != p.nfacets:
         raise ValueError("displacement length must match facet count")
     return DisplacedSystem(p, b, tuple(c + d for c, d in zip(p.offsets, b)))

@@ -4,7 +4,7 @@ Everything operates on plain tuples of Python ints (vectors) and tuples of
 such tuples (matrices, row-major).  Rational results use fractions.Fraction.
 No floating point anywhere.
 
-Two elimination routines do all the work over Q and over Z:
+Three routines do all the elimination over Q and over Z:
 
 - _reduce, fraction-free Gauss-Jordan elimination (Bareiss), answers every
   question over Q: det, rank, solve_rational and fraction_free_solve, the
@@ -18,15 +18,23 @@ Two elimination routines do all the work over Q and over Z:
 - _extend_saturated adds one row to a saturated set by Euclid's algorithm on
   the functionals vanishing on the set; is_saturated and the unimodular-basis
   search of the Ewald checks are chains of it.
+- hermite_normal_form applies each unimodular row operation once, to the
+  rows of [m | I], and splits its transform U off the identity block at the
+  end: _integer_solutions reads one Hermite form for a kernel basis and an
+  integer solution together, and kernel_basis, solve_integer and every face
+  chart read _integer_solutions.
 
-hermite_normal_form keeps its unimodular transform: _integer_solutions reads
-one Hermite form for a kernel basis and an integer solution together, and
-kernel_basis, solve_integer and every face chart read _integer_solutions.
+Every argument that is lattice data (a matrix or vector of these routines,
+a facet normal, a dimension, a displacement, a probe direction, a family
+argument) passes one gate, _integer, which _as_mat and _as_vec apply to each
+entry that is not an int already: an integral value of any numeric type
+becomes an int, and any other value is refused, never truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -53,12 +61,26 @@ __all__ = [
 ]
 
 
-def _as_vec(v) -> Vec:
-    return tuple(int(x) for x in v)
+def _integer(x, what="value") -> int:
+    """x as an int when it is integral (2, 2.0, Fraction(4, 2)); raise
+    ValueError rather than truncate any other value."""
+    n = int(x)
+    if n != x:
+        raise ValueError("%s is not an integer: %s" % (what, x))
+    return n
 
 
 def _as_mat(m) -> Mat:
-    return tuple(_as_vec(row) for row in m)
+    """The rows of m as tuples of ints, each entry through _integer; rows of
+    ints are returned as they are."""
+    m = tuple(map(tuple, m))
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return m
+    return tuple(tuple(_integer(x, "entry %d" % i) for i, x in enumerate(row)) for row in m)
+
+
+def _as_vec(v) -> Vec:
+    return _as_mat((v,))[0]
 
 
 def mat_vec(m: Mat, v) -> Vec:
@@ -84,8 +106,9 @@ def primitive_part(v) -> Vec:
 
 
 def det(m) -> int:
-    """Exact determinant of a square integer matrix, read off _reduce."""
-    rows = [list(row) for row in m]
+    """Exact determinant of a square integer matrix, read off _reduce of a
+    copy of its rows; a non-integral entry raises ValueError."""
+    rows = list(map(list, _as_mat(m)))
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
@@ -98,50 +121,42 @@ def hermite_normal_form(m) -> tuple[Mat, Mat]:
 
     Returns (H, U) with H = U @ m, U unimodular, H in row echelon form with
     positive pivots and entries above each pivot reduced to [0, pivot).
-    Zero rows of H sit at the bottom.
+    Zero rows of H sit at the bottom.  Each row operation acts once on the
+    rows of [m | I], whose identity block ends as U.
     """
     m = _as_mat(m)
+    if len({len(r) for r in m}) > 1:
+        raise ValueError("rows of different lengths")  # U would take a row's overhang
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    h = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-
-    def rowop_combine(i, j, col):
-        # Replace rows i, j by unimodular combinations zeroing h[j][col].
-        a, b = h[i][col], h[j][col]
-        if b == 0:
-            return
-        if a == 0:
-            h[i], h[j] = h[j], h[i]
-            u[i], u[j] = u[j], u[i]
-            return
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        hi, hj = h[i], h[j]
-        h[i] = [x * hi[c] + y * hj[c] for c in range(cols)]
-        h[j] = [-q * hi[c] + p * hj[c] for c in range(cols)]
-        ui, uj = u[i], u[j]
-        u[i] = [x * ui[c] + y * uj[c] for c in range(rows)]
-        u[j] = [-q * ui[c] + p * uj[c] for c in range(rows)]
-
+    h = [list(r) + e for r, e in zip(m, _identity(rows))]  # [m | I], kept [H | U]
     pivot_row = 0
     for col in range(cols):
-        for i in range(pivot_row + 1, rows):
-            rowop_combine(pivot_row, i, col)
+        for j in range(pivot_row + 1, rows):
+            # replace rows pivot_row and j by unimodular combinations zeroing h[j][col]
+            hi, hj = h[pivot_row], h[j]
+            a, b = hi[col], hj[col]
+            if b == 0:
+                continue
+            if a == 0:
+                h[pivot_row], h[j] = hj, hi
+                continue
+            g, x, y = _xgcd(a, b)
+            p, q = a // g, b // g
+            h[pivot_row] = [x * s + y * t for s, t in zip(hi, hj)]
+            h[j] = [p * t - q * s for s, t in zip(hi, hj)]
         if pivot_row < rows and h[pivot_row][col] != 0:
             if h[pivot_row][col] < 0:
                 h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
             p = h[pivot_row][col]
             for i in range(pivot_row):
                 q = h[i][col] // p
                 if q:
                     h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
             pivot_row += 1
             if pivot_row == rows:
                 break
-    return tuple(tuple(r) for r in h), tuple(tuple(r) for r in u)
+    return tuple(tuple(r[:cols]) for r in h), tuple(tuple(r[cols:]) for r in h)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -240,8 +255,7 @@ def kernel_basis(m) -> Mat:
 
 def solve_integer(a, b):
     """One integer solution x of a @ x = b, or None if none exists."""
-    a = _as_mat(a)
-    b = _as_vec(b)
+    a, b = _as_mat(a), _as_vec(b)
     if not a:
         raise ValueError("empty system")
     return _integer_solutions(a, b)[0]
@@ -292,11 +306,13 @@ def rank(m) -> int:
 
 
 def fraction_free_solve(aug):
-    """Solve an integer augmented system [A | b] with square A, in place.
+    """Solve an integer augmented system [A | b] with square A by _reduce
+    of a copy of its rows; a non-integral entry raises ValueError.
 
     Returns (d, y) with d = |det A| > 0 and A y = d b, or None if A is
     singular; the solution is y / d.
     """
+    aug = list(map(list, _as_mat(aug)))
     n = len(aug)
     piv, d, _ = _reduce(aug, n)
     if len(piv) < n:
@@ -339,7 +355,7 @@ def scaled_inverse(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    rows = [list(row) + e for row, e in zip(m, _identity(n))]
     piv, d, _ = _reduce(rows, n)
     if len(piv) < n:
         return None
@@ -370,7 +386,7 @@ def find_unimodular_basis(points, n: int):
     """
     if n <= 0:
         raise ValueError("dimension must be positive")
-    cands = sorted({tuple(int(x) for x in p) for p in points if any(p)}, key=scan_key)
+    cands = sorted(set(_as_mat(filter(any, points))), key=scan_key)
     return _basis_search([p for p in cands if len(p) == n], n)
 
 

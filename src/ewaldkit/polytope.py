@@ -15,6 +15,8 @@ from math import ceil, floor, gcd, inf, lcm, prod
 from operator import add, mul, neg, sub
 
 from .intlinalg import (
+    _as_mat,
+    _integer,
     _integer_row,
     _integer_solutions,
     _reduce,
@@ -70,11 +72,7 @@ def affine_rank(points) -> int:
     if not pts:
         return -1
     p0 = pts[0]
-    rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return rank(rows)
+    return rank([[a - b for a, b in zip(p, p0)] for p in pts[1:]])
 
 
 def _integerize(row):
@@ -322,8 +320,8 @@ class HPolytope:
     __slots__ = ("dim", "normals", "offsets", "_cache")
 
     def __init__(self, dim, normals, offsets):
-        dim = int(dim)
-        normals = tuple(tuple(int(x) for x in row) for row in normals)
+        dim = _integer(dim, "dimension")
+        normals = _as_mat(normals)
         offsets = tuple(_exact(c) for c in offsets)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")

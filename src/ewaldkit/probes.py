@@ -18,6 +18,7 @@ from operator import eq
 
 from .ewald import star_ewald
 from .classify import is_monotone
+from .intlinalg import _as_vec
 from .polytope import HPolytope, _row_values, _slab_search, dot, per_polytope
 
 __all__ = [
@@ -43,7 +44,7 @@ class Probe:
 def is_integrally_transverse(lam, u_f) -> bool:
     """λ extends to a unimodular basis by vectors parallel to the facet iff
     u_F·λ = ±1 for the primitive facet normal u_F."""
-    lam = tuple(int(x) for x in lam)
+    lam = _as_vec(lam)
     if len(lam) != len(u_f):
         raise ValueError("direction of length %d against a normal of length %d" % (len(lam), len(u_f)))
     if not any(lam):

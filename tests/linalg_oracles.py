@@ -6,8 +6,11 @@ from it, the kernel direction of a corank-one system, the column-subset scan
 for a rational particular solution, and the row-by-row rank loop that picked
 the starting rows of the double-description core.  The transform-free
 saturation echelon and the unimodular-basis search that re-ran it on every
-partial basis were replaced by one echelon carried down the search.  They
-serve only as oracles in the differential tests.
+partial basis were replaced by one echelon carried down the search.  The
+Hermite form that wrote every row operation twice, once on H and once on U,
+was replaced by one pass over the rows of [m | I].  They serve only as
+oracles in the differential tests, beside a determinant and inverse by
+elimination over Fraction.
 """
 
 from fractions import Fraction
@@ -176,3 +179,72 @@ def first_independent_rows(rows, d):
         if len(basis) < d and rank([rows[j] for j in basis] + [r]) > len(basis):
             basis.append(i)
     return basis
+
+
+def hermite_two_tables(m):
+    """Row-style Hermite normal form (H, U), H = U @ m, keeping H and U as
+    two tables and applying every row operation to each."""
+    m = tuple(tuple(r) for r in m)
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    h = [list(r) for r in m]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+
+    def rowop_combine(i, j, col):
+        a, b = h[i][col], h[j][col]
+        if b == 0:
+            return
+        if a == 0:
+            h[i], h[j] = h[j], h[i]
+            u[i], u[j] = u[j], u[i]
+            return
+        g, x, y = _xgcd(a, b)
+        p, q = a // g, b // g
+        hi, hj = h[i], h[j]
+        h[i] = [x * hi[c] + y * hj[c] for c in range(cols)]
+        h[j] = [-q * hi[c] + p * hj[c] for c in range(cols)]
+        ui, uj = u[i], u[j]
+        u[i] = [x * ui[c] + y * uj[c] for c in range(rows)]
+        u[j] = [-q * ui[c] + p * uj[c] for c in range(rows)]
+
+    pivot_row = 0
+    for col in range(cols):
+        for i in range(pivot_row + 1, rows):
+            rowop_combine(pivot_row, i, col)
+        if pivot_row < rows and h[pivot_row][col] != 0:
+            if h[pivot_row][col] < 0:
+                h[pivot_row] = [-x for x in h[pivot_row]]
+                u[pivot_row] = [-x for x in u[pivot_row]]
+            p = h[pivot_row][col]
+            for i in range(pivot_row):
+                q = h[i][col] // p
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
+            pivot_row += 1
+            if pivot_row == rows:
+                break
+    return tuple(tuple(r) for r in h), tuple(tuple(r) for r in u)
+
+
+def fraction_det_inverse(m):
+    """(det m, m^-1) of a square matrix by Gauss-Jordan elimination over
+    Fraction, dividing each pivot row by its pivot; (0, None) when m is
+    singular."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            d = -d
+        d *= rows[col][col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return d, tuple(tuple(row[n:]) for row in rows)

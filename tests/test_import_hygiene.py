@@ -1,7 +1,9 @@
 """Every name a module of ewaldkit imports is read in that module or
 re-exported through its __all__: an import nothing reads is dead code.  No
 module imports a sibling inside a function, and the module-level imports
-form no cycle.  And every helper the README names exists."""
+form no cycle.  Every helper the README names exists.  And no module but
+the integer gate and the text parsers converts to int with a loop of its
+own."""
 
 import ast
 import importlib
@@ -239,3 +241,52 @@ def test_cli_reads_its_limits_and_refusals_from_fileio():
     ]
     limits = {n.id for n in ast.walk(help_text) if isinstance(n, ast.Name) and n.id.startswith("MAX_")}
     assert len(limits) == 5 and all(imported.get(name) == "fileio" for name in limits)
+
+
+# the modules that may convert to int themselves: the integer gate, and the
+# text parsers, where int("1.5") already raises
+INT_CONVERTERS = {"intlinalg.py", "fileio.py", "cli.py"}
+
+
+def _private_int_loops(tree):
+    """The lines of tree that convert to int by a loop of their own: an
+    int(...) call on a bare loop or comprehension variable, or map(int, ...)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            targets = [node.target]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            targets = [g.target for g in node.generators]
+        else:
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map":
+                if node.args and getattr(node.args[0], "id", None) == "int":
+                    found.add(node.lineno)
+            continue
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "int"
+                and len(call.args) == 1
+                and getattr(call.args[0], "id", None) in names
+            ):
+                found.add(call.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_a_private_int_loop():
+    tree = ast.parse(
+        "a = tuple(int(x) for x in v)\n"
+        "for i, y in v:\n    w.append(int(y))\n"
+        "b = list(map(int, v))\n"
+        "c = [int(i == j) for j in v]\n"
+        "d = int(n)\n"
+        "e = [[int(x * s) for x in r] for r in m]\n"
+    )
+    assert _private_int_loops(tree) == [1, 3, 4]
+
+
+def test_only_the_gate_and_the_parsers_convert_to_int():
+    for module in sorted(set(MODULES) - INT_CONVERTERS) + ["__init__.py"]:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            assert _private_int_loops(ast.parse(fh.read(), module)) == [], module

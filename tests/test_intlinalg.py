@@ -117,6 +117,13 @@ def test_is_saturated_refuses_rows_of_different_lengths():
             is_saturated(rows)
 
 
+def test_hermite_form_refuses_rows_of_different_lengths():
+    # [m | I] would pass a long row's overhang into U, or cut a short one
+    for rows in (((1, 0), (0, 1, 5)), ((1, 0, 0), (0, 1)), ((1, 2), (3,))):
+        with pytest.raises(ValueError, match="lengths"):
+            hermite_normal_form(rows)
+
+
 def test_kernel_and_solve():
     rng = random.Random(4)
     for _ in range(200):
