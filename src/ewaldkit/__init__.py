@@ -29,7 +29,6 @@ from .intlinalg import (
     primitive_part,
     det,
     hermite_normal_form,
-    find_unimodular_basis,
 )
 from .classify import (
     ClassReport,
@@ -87,7 +86,6 @@ from .counting import (
     FacetEwaldSplit,
     facet_ewald_split,
     small_bundle_split_recursion_check,
-    ssb_patterns_check,
     volume,
     normalized_volume,
 )

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .bundles import small_fiber_bundle, ssb
+from .bundles import small_fiber_bundle
 from .classify import is_monotone
 from .ewald import _ewald_listing
-from .intlinalg import _integer, det
+from .intlinalg import _det, _integer
 from .polytope import HPolytope, _face_facets, _row_masks
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "FacetEwaldSplit",
     "facet_ewald_split",
     "small_bundle_split_recursion_check",
-    "ssb_patterns_check",
     "volume",
     "normalized_volume",
 ]
@@ -150,7 +149,7 @@ def _pull(face, chain, pts, on_row, steps):
         steps[face] = [g for g in _face_facets(face, on_row) if not g & low]
     rest = steps[face]
     if not rest:  # the face is the vertex low, and chain a simplex
-        return abs(det([[a - b for a, b in zip(v, chain[0])] for v in chain[1:]]))
+        return abs(_det([[a - b for a, b in zip(v, chain[0])] for v in chain[1:]]))
     return sum(_pull(g, chain, pts, on_row, steps) for g in rest)
 
 
@@ -158,30 +157,3 @@ def normalized_volume(p: HPolytope) -> int:
     """Lattice-normalized volume n! · vol(P); an integer for lattice P."""
     out = volume(p) * factorial(p.dim)
     return int(out) if out.denominator == 1 else out
-
-
-def ssb_patterns_check(n: int, k: int) -> bool:
-    """Check the SSB count and volume patterns decidable at (n, k):
-    the three closed-form identities at k ∈ {0, 1, n−1}, monotone decrease
-    of the count in k, volume increase in k, and the count ratio bounds
-    1 < |E(SSB(n,k))| / |E(Δ_{n-1})| <= 3."""
-    if n < 2 or not 0 <= k <= n - 1:
-        raise ValueError("needs n >= 2 and 0 <= k <= n-1")
-    count = ewald_count_ssb(n, k)
-    ok = True
-    if k == 0:
-        ok &= count == 3 * _count_simplex(n - 1)
-    if k == 1:
-        ok &= count == ewald_count_simplex(n)
-    if k == n - 1:
-        ok &= count == _count_simplex(n - 1) + 2 * n
-    if k >= 1:
-        ok &= count < ewald_count_ssb(n, k - 1)
-        # strict for n >= 3; constant in k when n = 2 (both slopes cancel)
-        if n == 2:
-            ok &= volume(ssb(n, k)) >= volume(ssb(n, k - 1))
-        else:
-            ok &= volume(ssb(n, k)) > volume(ssb(n, k - 1))
-    ratio = Fraction(count, _count_simplex(n - 1))
-    ok &= 1 < ratio <= 3
-    return bool(ok)

@@ -23,7 +23,6 @@ from .polytope import (
     _require_simple,
     _row_vertex_masks,
     _slab_frame,
-    _unimodular,
     _vertex_chart,
     _walk_faces,
     dot,
@@ -33,7 +32,6 @@ from .polytope import (
 __all__ = [
     "EwaldSet",
     "ewald_set",
-    "cube_normalization",
     "weak_ewald",
     "strong_ewald",
     "StrongEwaldResult",
@@ -166,20 +164,6 @@ class EwaldSet:
         then lexicographic, as one half-space lattice search and one sort
         build it in _ewald_listing."""
         return _ewald_listing(self._p)[0]
-
-
-def cube_normalization(p: HPolytope):
-    """Unimodular M sending the lex-smallest vertex cone to the standard
-    corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
-    Its chart's edge rays tell a unimodular cone (_unimodular)."""
-    tight = _bits(p.vertex_masks()[0])
-    if len(tight) != p.dim:
-        raise ValueError("vertex is not simple")
-    if any(p.offsets[i] != 1 for i in tight):
-        raise ValueError("vertex facets are not at offset 1")
-    if not _unimodular(_vertex_chart(p, 0)[1]):
-        raise ValueError("vertex cone is not unimodular")
-    return tuple(tuple(-x for x in p.normals[i]) for i in tight)
 
 
 def ewald_set(p: HPolytope) -> EwaldSet:

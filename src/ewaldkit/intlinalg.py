@@ -10,19 +10,22 @@ Three routines do all the elimination over Q and over Z:
   question over Q: det, rank, solve_rational and fraction_free_solve, the
   inverses (scaled_inverse, inverse_unimodular), and in polytope.py the
   starting rows and rays of the double-description core and the particular
-  solution of a face chart.  The vertex cones of a simple polytope take
-  none of it: a vertex chart reads its edge rays off its neighbours in the
-  vertex masks, and the lattice search's frame off vertex 0's chart;
-  smoothness is read off vertex 0's rays and the margins on each edge to
-  an earlier vertex; a non-simple vertex cone takes one scaled_inverse.
+  solution of a face chart.  det and fraction_free_solve gate their rows
+  and hand them to the ungated cores _det and _solve, which counting's
+  volume and solve_rational call directly on rows they build from ints.
+  The vertex cones of a simple polytope take none of it: a vertex chart
+  reads its edge rays off its neighbours in the vertex masks, and the
+  lattice search's frame off vertex 0's chart; smoothness is read off
+  vertex 0's rays and the margins on each edge to an earlier vertex; a
+  non-simple vertex cone takes one scaled_inverse.
 - _extend_saturated adds one row to a saturated set by Euclid's algorithm on
   the functionals vanishing on the set; is_saturated and the unimodular-basis
   search of the Ewald checks are chains of it.
 - hermite_normal_form applies each unimodular row operation once, to the
   rows of [m | I], and splits its transform U off the identity block at the
   end: _integer_solutions reads one Hermite form for a kernel basis and an
-  integer solution together, and kernel_basis, solve_integer and every face
-  chart read _integer_solutions.
+  integer solution together, and kernel_basis and every face chart read
+  _integer_solutions.
 
 Every argument that is lattice data (a matrix or vector of these routines,
 a facet normal, a dimension, a displacement, a probe direction, a family
@@ -47,12 +50,10 @@ __all__ = [
     "hermite_normal_form",
     "is_saturated",
     "kernel_basis",
-    "solve_integer",
     "solve_rational",
     "fraction_free_solve",
     "scaled_inverse",
     "inverse_unimodular",
-    "find_unimodular_basis",
     "mat_vec",
     "mat_mul",
     "scan_key",
@@ -71,16 +72,22 @@ def _integer(x, what="value") -> int:
 
 
 def _as_mat(m) -> Mat:
-    """The rows of m as tuples of ints, each entry through _integer; rows of
-    ints are returned as they are."""
+    """The rows of m as tuples of ints, each entry through _integer, a
+    refusal naming its row and entry; rows of ints are returned as they
+    are."""
     m = tuple(map(tuple, m))
     if set(map(type, chain.from_iterable(m))) <= {int}:
         return m
-    return tuple(tuple(_integer(x, "entry %d" % i) for i, x in enumerate(row)) for row in m)
+    return tuple(_as_vec(row, "row %d, " % r) for r, row in enumerate(m))
 
 
-def _as_vec(v) -> Vec:
-    return _as_mat((v,))[0]
+def _as_vec(v, where="") -> Vec:
+    """v as a tuple of ints, each entry through _integer, a refusal naming
+    the entry after the prefix where."""
+    v = tuple(v)
+    if set(map(type, v)) <= {int}:
+        return v
+    return tuple(_integer(x, "%sentry %d" % (where, i)) for i, x in enumerate(v))
 
 
 def mat_vec(m: Mat, v) -> Vec:
@@ -109,9 +116,14 @@ def det(m) -> int:
     """Exact determinant of a square integer matrix, read off _reduce of a
     copy of its rows; a non-integral entry raises ValueError."""
     rows = list(map(list, _as_mat(m)))
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant requires a square matrix")
+    return _det(rows)
+
+
+def _det(rows) -> int:
+    """det of square rows given as lists of ints, which _reduce consumes."""
+    n = len(rows)
     piv, d, sign = _reduce(rows, n)
     return sign * d if len(piv) == n else 0
 
@@ -253,14 +265,6 @@ def kernel_basis(m) -> Mat:
     return _integer_solutions(m, (0,) * len(m))[1]
 
 
-def solve_integer(a, b):
-    """One integer solution x of a @ x = b, or None if none exists."""
-    a, b = _as_mat(a), _as_vec(b)
-    if not a:
-        raise ValueError("empty system")
-    return _integer_solutions(a, b)[0]
-
-
 def _reduce(rows, width):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
     1968) of integer rows, in place, pivoting on the first `width` columns.
@@ -312,7 +316,12 @@ def fraction_free_solve(aug):
     Returns (d, y) with d = |det A| > 0 and A y = d b, or None if A is
     singular; the solution is y / d.
     """
-    aug = list(map(list, _as_mat(aug)))
+    return _solve(list(map(list, _as_mat(aug))))
+
+
+def _solve(aug):
+    """fraction_free_solve of rows given as lists of ints, which _reduce
+    consumes."""
     n = len(aug)
     piv, d, _ = _reduce(aug, n)
     if len(piv) < n:
@@ -335,10 +344,10 @@ def _integer_row(row) -> list:
 def solve_rational(a, b):
     """Unique exact solution of a square system a @ x = b, or None if singular.
 
-    Rational rows are scaled to integers first; the elimination itself is
-    fraction_free_solve.
+    Rational rows are scaled to integers first, by _integer_row, which
+    builds a fresh list of ints per row; the elimination itself is _solve.
     """
-    sol = fraction_free_solve([_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)])
+    sol = _solve([_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)])
     if sol is None:
         return None
     d, y = sol
@@ -376,18 +385,6 @@ def scan_key(v):
     ascending, then lexicographic.  It fixes which basis, witness and probe
     each search reports first."""
     return max((abs(x) for x in v), default=0), v
-
-
-def find_unimodular_basis(points, n: int):
-    """Search a subset of `points` forming a determinant-±1 basis of Z^n.
-
-    The candidates are sorted by max-norm then lexicographically and
-    searched by _basis_search.  Returns a tuple of n points or None.
-    """
-    if n <= 0:
-        raise ValueError("dimension must be positive")
-    cands = sorted(set(_as_mat(filter(any, points))), key=scan_key)
-    return _basis_search([p for p in cands if len(p) == n], n)
 
 
 def _basis_search(cands, n: int):

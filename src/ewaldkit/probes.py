@@ -27,7 +27,6 @@ __all__ = [
     "displaceable_by_probe",
     "ProbeReport",
     "star_probe_crosscheck",
-    "interior_sample_grid",
 ]
 
 DEFAULT_BOUND = 3
@@ -169,27 +168,22 @@ def check_samples(samples: int) -> None:
 
 @per_polytope
 def _sample_search(p: HPolytope, samples: int):
-    """(search, centre) of the integer q of interior_sample_grid, the origin
-    included: u_j·q <= ⌈c_j·samples⌉ − 1 on every row, on the lattice
-    scaled by samples (polytope._slab_search).  Built once per polytope and
-    sample count for _sample_points and the probe-grid limit of fileio."""
+    """(search, centre) of the integer q with q/samples strictly inside P,
+    the origin included: u_j·q <= ⌈c_j·samples⌉ − 1 on every row, on the
+    lattice scaled by samples (polytope._slab_search).  Built once per
+    polytope and sample count for _sample_points and the probe-grid limit
+    of fileio."""
     check_samples(samples)
     return _slab_search(p, [ceil(c * samples) - 1 for c in p.offsets], samples)
 
 
 def _sample_points(p: HPolytope, samples: int) -> list:
-    """The integer q of interior_sample_grid, in lexicographic order."""
+    """The sample grid of the cross-check: the integer q of _sample_search,
+    the origin excluded, in lexicographic order."""
     search, centre = _sample_search(p, samples)
     points = []
     search(centre, lambda q, e: points.append(q))
     return sorted(q for q in points if any(q))
-
-
-def interior_sample_grid(p: HPolytope, samples: int):
-    """Deterministic rational grid: points q/samples strictly inside P,
-    the origin excluded, in lexicographic order.  Strictly inside reads
-    u_j·q <= ⌈c_j·samples⌉ − 1 on every row, for integer q."""
-    return tuple(tuple(Fraction(x, samples) for x in q) for q in _sample_points(p, samples))
 
 
 @dataclass(frozen=True)

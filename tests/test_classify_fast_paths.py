@@ -24,8 +24,8 @@ from ewaldkit.bundles import catalog, del_pezzo, monotone_polygon, segment, smoo
 from ewaldkit.classify import classify, is_deeply_smooth, is_smooth
 from ewaldkit.ewald import strong_ewald, weak_ewald
 from ewaldkit.fileio import parse_polytope
-from ewaldkit.intlinalg import find_unimodular_basis
 from ewaldkit.polytope import HPolytope, cartesian_product
+from linalg_oracles import find_unimodular_basis
 
 # the package re-exports the function classify under the submodule's name
 classify_module = importlib.import_module("ewaldkit.classify")

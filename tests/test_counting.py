@@ -24,12 +24,12 @@ from ewaldkit.counting import (
     facet_ewald_split,
     normalized_volume,
     small_bundle_split_recursion_check,
-    ssb_patterns_check,
     trinomial,
     volume,
 )
 from ewaldkit.ewald import ewald_set
 from ewaldkit.polytope import HPolytope, _face_facets, cartesian_product, convex_hull
+from test_acceptance import ssb_patterns_check
 
 # the paper's SSB count table, rows n = 2..9
 SSB_TABLE = {

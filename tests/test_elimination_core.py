@@ -21,7 +21,6 @@ from ewaldkit.fileio import parse_polytope, serialize_polytope
 from ewaldkit.intlinalg import (
     _reduce,
     det,
-    find_unimodular_basis,
     inverse_unimodular,
     is_saturated,
     mat_mul,
@@ -29,6 +28,7 @@ from ewaldkit.intlinalg import (
     solve_rational,
 )
 from linalg_oracles import (
+    find_unimodular_basis,
     first_independent_rows,
     per_step_basis_search,
     smith_saturated,

@@ -23,7 +23,6 @@ from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
 from ewaldkit.displace import displacement_slice, first_displacement
 from ewaldkit.ewald import (
     StrongEwaldResult,
-    cube_normalization,
     deeply_smooth_origin_vertex_basis,
     dim3_origin_edge_basis,
     ewald_set,
@@ -36,7 +35,7 @@ from ewaldkit.ewald import (
     verify_origin_next_to,
     weak_ewald,
 )
-from ewaldkit.intlinalg import _basis_search, det, find_unimodular_basis, mat_vec
+from ewaldkit.intlinalg import _basis_search, det, mat_vec
 from ewaldkit.polytope import (
     FaceRef,
     HPolytope,
@@ -46,6 +45,8 @@ from ewaldkit.polytope import (
     dot,
     facet_description,
 )
+from lattice_oracles import cube_normalization
+from linalg_oracles import find_unimodular_basis
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
 

@@ -1,9 +1,10 @@
 """Every name a module of ewaldkit imports is read in that module or
-re-exported through its __all__: an import nothing reads is dead code.  No
-module imports a sibling inside a function, and the module-level imports
-form no cycle.  Every helper the README names exists.  And no module but
-the integer gate and the text parsers converts to int with a loop of its
-own."""
+re-exported through its __all__: an import nothing reads is dead code.
+Every private helper is read, and so is every public name, by the package,
+a demo, the benchmark or the README.  No module imports a sibling inside a
+function, and the module-level imports form no cycle.  Every helper the
+README names exists.  And no module but the integer gate and the text
+parsers converts to int with a loop of its own."""
 
 import ast
 import importlib
@@ -13,7 +14,8 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ewaldkit")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "ewaldkit")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -98,12 +100,78 @@ def test_the_scan_sees_an_unread_helper():
     assert _unread_helpers(trees) == [("a", "_B"), ("a", "_f")]
 
 
-def test_every_private_helper_is_read():
+def _package_trees():
     trees = {}
     for module in MODULES + ["__init__.py"]:
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             trees[module[:-3]] = ast.parse(fh.read(), module)
-    assert _unread_helpers(trees) == []
+    return trees
+
+
+def test_every_private_helper_is_read():
+    assert _unread_helpers(_package_trees()) == []
+
+
+def _public_names(trees):
+    """(module, name) for each name a module of trees (module name -> tree)
+    lists in its __all__, and each the package's __init__ imports from it."""
+    public = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if module == "__init__" and isinstance(node, ast.ImportFrom) and node.level == 1:
+                public.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                public.update((module, name) for name in ast.literal_eval(node.value))
+    return public
+
+
+def _unread_public_names(trees, readers, readme):
+    """The public names of the modules (module name -> tree) that nothing
+    reads.  A name is read where a statement other than its own definition
+    reads it, as a bare name or an attribute, in a module other than the
+    package's __init__ (which only re-exports) or in one of the reader
+    trees (the demos and the benchmark), or where a code span of the readme
+    text names it."""
+    read = {span.rpartition(".")[2] for span in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", readme)}
+    for tree in [t for m, t in trees.items() if m != "__init__"] + readers:
+        for top in tree.body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            read |= names - set(_defined(top))
+    return sorted(key for key in _public_names(trees) if key[1] not in read)
+
+
+def test_the_scan_sees_an_unread_public_name():
+    trees = {
+        "__init__": ast.parse("from .a import f, g, m\n"),
+        "a": ast.parse(
+            "__all__ = ['f', 'g', 'h', 'k', 'C']\n"
+            "def f():\n    return f()\n"
+            "def g(): pass\ndef h(): pass\ndef k(): pass\ndef m(): pass\n"
+            "class C: pass\nc = C()\n"
+        ),
+        "b": ast.parse("from .a import g\ng()\n"),
+    }
+    readers = [ast.parse("import ewaldkit\newaldkit.a.h()\n")]
+    assert _unread_public_names(trees, readers, "`a.k` names k, and f and `m()` are prose") == [("a", "f"), ("a", "m")]
+
+
+def test_every_public_name_is_read():
+    # a name the package exports and nothing reads belongs in tests/, or in
+    # the README with the paper statement it implements
+    readers = []
+    for directory in ("demos", "perfbench"):
+        for name in sorted(os.listdir(os.path.join(ROOT, directory))):
+            if name.endswith(".py"):
+                with open(os.path.join(ROOT, directory, name), encoding="utf-8") as fh:
+                    readers.append(ast.parse(fh.read(), name))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert _unread_public_names(_package_trees(), readers, readme) == []
 
 
 def _sibling_imports(trees):
@@ -166,7 +234,7 @@ def test_no_function_imports_a_sibling_and_no_module_import_cycles():
 def test_fileio_binds_every_call_the_benchmark_traces():
     # perfbench's traced run wraps fileio's binding of each name in its
     # FILEIO_CALLS, read here with ast so that perfbench is not imported
-    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench", "workloads.py")
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     (names,) = [
@@ -216,7 +284,7 @@ def test_the_readme_names_only_helpers_that_exist():
         modules[module[:-3]] = sys.modules["ewaldkit." + module[:-3]]
     assert _stale_mentions("`displace._class_chart` `_bits` `intlinalg.py` `p.size`", modules) == []
     assert _stale_mentions("`displace._gone` `_gone` `classify.is_smooth`", modules) == ["_gone", "displace._gone"]
-    with open(os.path.join(os.path.dirname(os.path.dirname(SRC)), "README.md"), encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         assert _stale_mentions(fh.read(), modules) == []
 
 

@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from ewaldkit import intlinalg
 from ewaldkit.bundles import BundleSpec, cube, generate, member_dim, monotone_simplex, segment
-from ewaldkit.counting import emin_upper_bound
+from ewaldkit.counting import emin_upper_bound, volume
 from ewaldkit.displace import displace
 from ewaldkit.intlinalg import (
     det,
-    find_unimodular_basis,
     fraction_free_solve,
     hermite_normal_form,
     inverse_unimodular,
@@ -26,11 +26,11 @@ from ewaldkit.intlinalg import (
     mat_vec,
     primitive_part,
     scaled_inverse,
-    solve_integer,
+    solve_rational,
 )
 from ewaldkit.polytope import HPolytope
 from ewaldkit.probes import is_integrally_transverse
-from linalg_oracles import fraction_det_inverse, hermite_two_tables
+from linalg_oracles import find_unimodular_basis, fraction_det_inverse, hermite_two_tables, solve_integer
 
 IDENTITY = ((1, 0), (0, 1))
 
@@ -69,10 +69,26 @@ def test_a_non_integral_argument_is_refused(name):
 def test_the_refusal_names_the_entry():
     with pytest.raises(ValueError, match=r"^entry 2 is not an integer: 0\.5$"):
         primitive_part((1, 0, 0.5))
-    with pytest.raises(ValueError, match=r"^entry 1 is not an integer: 1/2$"):
+    with pytest.raises(ValueError, match=r"^row 1, entry 1 is not an integer: 1/2$"):
         is_saturated([(1, 0), (0, Fraction(1, 2))])
+    with pytest.raises(ValueError, match=r"^row 1, entry 1 is not an integer: 0\.5$"):
+        HPolytope(2, [(1, 0), (1, 0.5), (-1, -1)], (1, 1, 1))
     with pytest.raises(ValueError, match=r"^dimension is not an integer: 2\.9$"):
         REFUSED["HPolytope dimension"]()
+
+
+def test_rows_built_of_ints_pass_no_gate(monkeypatch):
+    # volume's simplices and solve_rational's scaled rows are lists of ints
+    # the library builds itself: they go to the ungated cores, and the gate
+    # runs only where a caller's matrix enters
+    calls = []
+    gate = intlinalg._as_mat
+    monkeypatch.setattr(intlinalg, "_as_mat", lambda m: calls.append(m) or gate(m))
+    assert volume(cube(4)) == 16
+    assert solve_rational([[1, 2], [3, Fraction(1, 2)]], [5, 6]) == (Fraction(19, 11), Fraction(18, 11))
+    assert calls == []
+    assert det([[2, 1], [2, 3]]) == 4 and fraction_free_solve([[2, 0, 1], [0, 1, 2]]) == (2, [1, 4])
+    assert len(calls) == 2
 
 
 def test_integral_values_of_other_types_give_the_int_result():

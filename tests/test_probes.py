@@ -3,15 +3,14 @@ from fractions import Fraction
 import pytest
 
 from ewaldkit.bundles import cube, monotone_polygon, monotone_simplex
-from ewaldkit.ewald import cube_normalization
 from ewaldkit.intlinalg import mat_vec
 from ewaldkit.polytope import dot
 from ewaldkit.probes import (
     displaceable_by_probe,
-    interior_sample_grid,
     is_integrally_transverse,
     star_probe_crosscheck,
 )
+from lattice_oracles import cube_normalization, interior_sample_grid
 
 
 def test_integrally_transverse_examples():
