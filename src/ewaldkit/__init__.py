@@ -16,8 +16,6 @@ from .polytope import (
     facet_description,
     convex_hull,
     dual,
-    lattice_points,
-    faces,
     normal_fan_signature,
     normally_isomorphic,
     minkowski_sum,

@@ -82,12 +82,6 @@ class DisplacedSystem:
             "normally_isomorphic_to_parent": iso,
         }
 
-    def as_hpolytope(self) -> HPolytope:
-        flags = self.analyze()
-        if not flags["irredundant_same_rows"]:
-            raise ValueError("displacement is degenerate: %r" % (flags,))
-        return HPolytope(self.parent.dim, self.normals, self.offsets)
-
 
 def displace(p: HPolytope, b) -> DisplacedSystem:
     b = _as_vec(b)

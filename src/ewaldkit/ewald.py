@@ -25,7 +25,6 @@ from .polytope import (
     _slab_frame,
     _vertex_chart,
     _walk_faces,
-    dot,
     per_polytope,
 )
 
@@ -214,21 +213,6 @@ class StarSets:
     star_facets: tuple
     ridges: tuple  # FaceRefs of codim 2 containing the face
     parent: HPolytope
-
-    def _tight_count(self, x) -> int:
-        p = self.parent
-        return sum(
-            1 for i in self.star_facets if dot(p.normals[i], x) == p.offsets[i]
-        )
-
-    def in_star(self, x) -> bool:
-        return self.parent.contains(x) and self._tight_count(x) >= 1
-
-    def in_star_lower(self, x) -> bool:
-        return self.parent.contains(x) and self._tight_count(x) >= 2
-
-    def in_star_star(self, x) -> bool:
-        return self.parent.contains(x) and self._tight_count(x) == 1
 
 
 def star_sets(p: HPolytope, f) -> StarSets:

@@ -25,7 +25,6 @@ from .intlinalg import (
     primitive_part,
     rank,
     scaled_inverse,
-    solve_rational,
 )
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "facet_description",
     "convex_hull",
     "dual",
-    "lattice_points",
-    "faces",
     "normal_fan_signature",
     "normally_isomorphic",
     "minkowski_sum",
@@ -311,7 +308,6 @@ class NormalFanSignature:
     """The vertex cones of the normal fan, each the mask of its rows."""
 
     cones: frozenset
-    nrows: int
 
 
 class HPolytope:
@@ -362,11 +358,9 @@ class HPolytope:
 
     # -- membership ----------------------------------------------------
 
-    def contains(self, point, strict=False) -> bool:
+    def contains(self, point) -> bool:
         if len(point) != self.dim:
             raise ValueError("point of length %d in dimension %d" % (len(point), self.dim))
-        if strict:
-            return all(dot(u, point) < c for u, c in zip(self.normals, self.offsets))
         return all(dot(u, point) <= c for u, c in zip(self.normals, self.offsets))
 
     def origin_interior(self) -> bool:
@@ -426,15 +420,6 @@ class HPolytope:
             return ()
         verts = self.vertices()
         return tuple(verts[k] for k in _bits(_face_vertex_mask(self, face.mask)))
-
-    def adjacent_vertex_indices(self, i: int) -> tuple:
-        """Indices of the vertices sharing an edge with vertex i, ascending:
-        j is one when the rows tight at both hold no third vertex
-        (_face_vertex_mask), the combinatorial adjacency test of the double
-        description, for simple and non-simple polytopes alike.  Vertex i
-        alone is tight on all its rows."""
-        masks = self.vertex_masks()
-        return tuple(j for j, t in enumerate(masks) if _face_vertex_mask(self, masks[i] & t).bit_count() == 2)
 
     # -- lattice points --------------------------------------------------
 
@@ -907,9 +892,6 @@ class VPolytope:
             raise ValueError("no points")
         return VPolytope(len(pts[0]), pts)
 
-    def is_lattice(self) -> bool:
-        return all(all(isinstance(x, int) for x in p) for p in self.points)
-
 
 def vertices(p: HPolytope) -> VPolytope:
     return VPolytope(p.dim, p.vertices())
@@ -974,17 +956,9 @@ def dual(p: HPolytope) -> VPolytope:
     return VPolytope.from_points(pts)
 
 
-def lattice_points(p: HPolytope) -> frozenset:
-    return p.lattice_points()
-
-
-def faces(p: HPolytope, codim: int) -> tuple:
-    return p.faces(codim)
-
-
 def normal_fan_signature(p: HPolytope) -> NormalFanSignature:
     """The vertex cones of p's normal fan: the set of its vertex masks."""
-    return NormalFanSignature(frozenset(p.vertex_masks()), p.nfacets)
+    return NormalFanSignature(frozenset(p.vertex_masks()))
 
 
 def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
@@ -1075,46 +1049,14 @@ class Slice:
 
     parent: HPolytope
     tight: tuple
-    inset: int
-    chart_dim: int
-    basis: tuple  # rows: lattice basis of the direction lattice, in parent coords
+    basis: tuple  # rows: lattice basis of the direction lattice, in parent coords; one per chart dimension
     origin: tuple  # chart origin, in parent coords
     region: HPolytope | None
     polytope: HPolytope | None
 
     @property
-    def chart_vertices(self) -> tuple:
-        return () if self.region is None else self.region.vertices()
-
-    @property
     def is_empty(self):
         return self.region is None
-
-    @property
-    def points_affine_rank(self):
-        return affine_rank(self.chart_vertices)
-
-    def to_parent(self, y) -> tuple:
-        x = list(self.origin)
-        for coef, b in zip(y, self.basis):
-            for i, bi in enumerate(b):
-                x[i] += coef * bi
-        return _point(x)
-
-    def to_chart(self, x) -> tuple:
-        y = _basis_coordinates(self.basis, [a - b for a, b in zip(x, self.origin)])
-        if y is None or self.to_parent(y) != _point(x):
-            raise ValueError("point does not lie on the slice")
-        return _point(y)
-
-
-def _basis_coordinates(basis, v):
-    """The exact coordinates y of v in the independent rows basis, for v in
-    their span (Σ_k y_k basis_k = v), from one solve of the Gram system
-    basis · basis^T y = basis · v; off the span they are those of v's
-    orthogonal projection.  None only for a dependent basis."""
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    return solve_rational(gram, [dot(b, v) for b in basis])
 
 
 def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
@@ -1143,7 +1085,6 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
             raise ValueError("face facets are not independent")
         if not integral or origin is None:
             origin = _rational_particular(rows, targets)
-    chart_dim = n - k
     chart_rows = []
     for j in range(p.nfacets):
         if j in tight:
@@ -1153,17 +1094,17 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
         off = p.offsets[j] - dot(u, origin)
         if not any(w):
             if off < 0:
-                return Slice(p, tight, inset, chart_dim, basis, origin, None, None)
+                return Slice(p, tight, basis, origin, None, None)
             continue
         g = gcd(*w)
         chart_rows.append((tuple(x // g for x in w), _exact(Fraction(off) / g)))
     normals = tuple(r for r, _ in chart_rows)
     offs = tuple(c for _, c in chart_rows)
     try:
-        poly, _, full_dim = irredundant_rows(chart_dim, normals, offs)
+        poly, _, full_dim = irredundant_rows(n - k, normals, offs)
     except ValueError:  # no vertices: the slice is empty
-        return Slice(p, tight, inset, chart_dim, basis, origin, None, None)
-    return Slice(p, tight, inset, chart_dim, basis, origin, poly, poly if full_dim else None)
+        return Slice(p, tight, basis, origin, None, None)
+    return Slice(p, tight, basis, origin, poly, poly if full_dim else None)
 
 
 def _rational_particular(rows, targets):

@@ -18,15 +18,16 @@ from math import gcd
 from ewaldkit.classify import _ut_free_region
 from ewaldkit.ewald import ewald_set
 from ewaldkit.intlinalg import _extend_saturated, _identity, det, kernel_basis
-from ewaldkit.polytope import _basis_coordinates, _integerize, _point, _vertex_chart, convex_hull, dot
-from incidence_oracles import two_faces
+from ewaldkit.polytope import _integerize, _point, _vertex_chart, convex_hull, dot
+from incidence_oracles import mask_adjacent_vertex_indices, two_faces
+from lattice_oracles import basis_coordinates, chart_vertices, points_affine_rank
 
 
 def adjacency_edge_directions(p, vi):
     """Primitive edge directions at vertex vi, from the adjacent vertices."""
     verts = p.vertices()
     dirs = []
-    for wj in p.adjacent_vertex_indices(vi):
+    for wj in mask_adjacent_vertex_indices(p, vi):
         diff = [a - b for a, b in zip(verts[wj], verts[vi])]
         dirs.append(_integerize(diff))
     return tuple(sorted(dirs))
@@ -177,7 +178,7 @@ def _project_to_span(pts, p0):
     # the span is a proper subspace (the region is lower-dimensional), so
     # its annihilator is nonzero
     basis = kernel_basis(kernel_basis(diffs))
-    return [_point(_basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
+    return [_point(basis_coordinates(basis, [x - y for x, y in zip(p, p0)])) for p in pts]
 
 
 def recharted_slice_ut_free(s):
@@ -186,8 +187,8 @@ def recharted_slice_ut_free(s):
     integer vertex, and the hull of those coordinates tested as a
     full-dimensional polytope.  A unimodular triangle has lattice vertices,
     so a region of rank below 2 or with no integer vertex has none."""
-    verts = s.chart_vertices
+    verts = chart_vertices(s)
     p0 = next((v for v in verts if all(isinstance(x, int) for x in v)), None)
-    if s.points_affine_rank < 2 or p0 is None:
+    if points_affine_rank(s) < 2 or p0 is None:
         return True
-    return _ut_free_region(convex_hull(_project_to_span(verts, p0), s.points_affine_rank))
+    return _ut_free_region(convex_hull(_project_to_span(verts, p0), points_affine_rank(s)))

@@ -36,7 +36,7 @@ from ewaldkit.polytope import HPolytope
 # the inputs that gen writes, beside the catalog members
 GENERATED = {"cube6": ["gen", "cube", "6"], "cube7": ["gen", "cube", "7"], "cube8": ["gen", "cube", "8"],
              "cube12": ["gen", "cube", "12"], "cube13": ["--allow-large", "gen", "cube", "13"],
-             "t2": ["gen", "t", "2"]}
+             "t2": ["gen", "t", "2"], "simplex21": ["gen", "smooth-simplex", "2", "1"], "dp3": ["gen", "delpezzo", "3"]}
 
 
 def _shifted_cube(n, scale, shift):
@@ -105,6 +105,8 @@ def command_lines():
     ]
     lines += [line % {"v": name} for name in ("hexpoints", "cubepoints") for line in (
         "check {%(v)s}", "check {%(v)s} --json", "ewald {%(v)s}", "probe {%(v)s}", "oda {%(v)s} {%(v)s}")]
+    # the origin on the boundary, a non-simple input, and a sample no probe displaces
+    lines += ["check {simplex21}", "check {dp3} --skip-neat", "probe {paffenholz} --samples 2 --bound 1"]
     return lines
 
 

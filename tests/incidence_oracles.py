@@ -8,13 +8,17 @@ fan is the set of its vertex cones as sorted tuples.  The non-simple 2-faces
 come from the meet closure of the tight sets, and the volume from a
 recursion through one lattice chart per facet.  A table of masks is
 transposed one set bit at a time, each bit found by clearing the low bit.
+
+The library's own adjacency test by masks, which only tests read, lives
+here too (mask_adjacent_vertex_indices), beside the rank test it is checked
+against.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from ewaldkit.intlinalg import rank
-from ewaldkit.polytope import HPolytope, affine_rank, dot, enumerate_vertices, face_slice
+from ewaldkit.polytope import HPolytope, _face_vertex_mask, affine_rank, dot, enumerate_vertices, face_slice
 
 
 def decode(masks, nrows):
@@ -77,6 +81,16 @@ def adjacent_vertex_indices(p, i):
         for j, tj in enumerate(tights)
         if j != i and rank([p.normals[k] for k in sorted(tights[i] & tj)]) == p.dim - 1
     )
+
+
+def mask_adjacent_vertex_indices(p, i):
+    """Indices of the vertices sharing an edge with vertex i, ascending:
+    j is one when the rows tight at both hold no third vertex
+    (_face_vertex_mask), the combinatorial adjacency test of the double
+    description, for simple and non-simple polytopes alike.  Vertex i
+    alone is tight on all its rows."""
+    masks = p.vertex_masks()
+    return tuple(j for j, t in enumerate(masks) if _face_vertex_mask(p, masks[i] & t).bit_count() == 2)
 
 
 def two_faces(p):

@@ -13,14 +13,18 @@ Two entry points moved here from the library, which never called them:
 cube_normalization, the corner map of the cube scan and of the paper's
 cube bound on E(P), and interior_sample_grid, the probe cross-check's
 sample grid as fractions.
+
+The point tests only tests read live here too: strict membership in P, a
+point's place in the star sets of a face, and a slice chart's maps between
+chart and parent coordinates.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key
-from ewaldkit.polytope import _bits, _unimodular, _vertex_chart, convex_hull, dot
+from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key, solve_rational
+from ewaldkit.polytope import _bits, _point, _unimodular, _vertex_chart, affine_rank, convex_hull, dot
 from ewaldkit.probes import _sample_points
 
 
@@ -93,7 +97,7 @@ def product_grid(p, samples):
         if not any(q):
             continue
         pt = tuple(Fraction(x, samples) for x in q)
-        if p.contains(pt, strict=True):
+        if strictly_inside(p, pt):
             out.append(pt)
     return tuple(out)
 
@@ -149,3 +153,63 @@ def oda_pairwise_sums(p, q):
     sums = {tuple(a + b for a, b in zip(x, y)) for x in p.lattice_points() for y in q.lattice_points()}
     hull = convex_hull({tuple(a + b for a, b in zip(x, y)) for x in p.vertices() for y in q.vertices()}, p.dim)
     return all(pt in sums for pt in hull.lattice_points())
+
+
+def strictly_inside(p, point):
+    """Whether point lies in the interior of p: every inequality strict."""
+    return p.contains(point) and all(dot(u, point) < c for u, c in zip(p.normals, p.offsets))
+
+
+def _tight_count(star, x):
+    p = star.parent
+    return sum(1 for i in star.star_facets if dot(p.normals[i], x) == p.offsets[i])
+
+
+def in_star(star, x):
+    """x ∈ Star(f), for the star sets of f."""
+    return star.parent.contains(x) and _tight_count(star, x) >= 1
+
+
+def in_star_lower(star, x):
+    """x ∈ star(f): on two facets through f, so on a ridge through f."""
+    return star.parent.contains(x) and _tight_count(star, x) >= 2
+
+
+def in_star_star(star, x):
+    """x ∈ Star*(f) = Star(f) \\ star(f)."""
+    return star.parent.contains(x) and _tight_count(star, x) == 1
+
+
+def chart_vertices(s):
+    """A slice's vertices in its chart, () where it is empty."""
+    return () if s.region is None else s.region.vertices()
+
+
+def points_affine_rank(s):
+    return affine_rank(chart_vertices(s))
+
+
+def to_parent(s, y):
+    """The point of chart coordinates y in the slice's parent coordinates."""
+    x = list(s.origin)
+    for coef, b in zip(y, s.basis):
+        for i, bi in enumerate(b):
+            x[i] += coef * bi
+    return _point(x)
+
+
+def to_chart(s, x):
+    """The chart coordinates of the point x of the slice."""
+    y = basis_coordinates(s.basis, [a - b for a, b in zip(x, s.origin)])
+    if y is None or to_parent(s, y) != _point(x):
+        raise ValueError("point does not lie on the slice")
+    return _point(y)
+
+
+def basis_coordinates(basis, v):
+    """The exact coordinates y of v in the independent rows basis, for v in
+    their span (Σ_k y_k basis_k = v), from one solve of the Gram system
+    basis · basis^T y = basis · v; off the span they are those of v's
+    orthogonal projection.  None only for a dependent basis."""
+    gram = [[dot(a, b) for b in basis] for a in basis]
+    return solve_rational(gram, [dot(b, v) for b in basis])

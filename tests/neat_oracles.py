@@ -8,6 +8,9 @@ The neatness search lists every fan-preserving b up to the radius, keeps the
 pairs (b, −b) with b <= −b and −b qualifying as well, and for each pair
 rebuilds every vertex of P_b and of P_{−b} to bound a box, which it scans
 point by point for an x with x ∈ P_b and −x ∈ P_{−b}.
+
+A displaced system becomes a polytope here (as_hpolytope), which only tests
+do.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from math import ceil, floor
 
 from ewaldkit.displace import displace, normally_isomorphic_displacements
 from ewaldkit.intlinalg import inverse_unimodular, rank, scaled_inverse
-from ewaldkit.polytope import _exact, dot, enumerate_vertices, normal_fan_signature
+from ewaldkit.polytope import HPolytope, _exact, dot, enumerate_vertices, normal_fan_signature
 
 
 def enumerated_displacements(p, radius):
@@ -24,6 +27,14 @@ def enumerated_displacements(p, radius):
     (2r+1)^m box, in lexicographic order, with one vertex enumeration each."""
     box = product(range(-radius, radius + 1), repeat=p.nfacets)
     return [b for b in box if displace(p, b).analyze()["normally_isomorphic_to_parent"]]
+
+
+def as_hpolytope(system):
+    """The displaced system as an HPolytope, refused where it is degenerate."""
+    flags = system.analyze()
+    if not flags["irredundant_same_rows"]:
+        raise ValueError("displacement is degenerate: %r" % (flags,))
+    return HPolytope(system.parent.dim, system.normals, system.offsets)
 
 
 def same_fan_same_rows(q, offsets):

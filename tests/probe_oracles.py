@@ -6,12 +6,13 @@ from fractions import Fraction
 
 from ewaldkit.polytope import dot
 from ewaldkit.probes import Probe, _directions
+from lattice_oracles import strictly_inside
 
 
 def fraction_probe(p, u, bound):
     """displaceable_by_probe on Fraction coordinates."""
     u = tuple(Fraction(x) for x in u)
-    if not p.contains(u, strict=True):
+    if not strictly_inside(p, u):
         raise ValueError("probe base point must be strictly interior")
     for fi, (nf, cf) in enumerate(zip(p.normals, p.offsets)):
         for lam in _directions(p.dim, bound)[0]:
@@ -26,7 +27,7 @@ def fraction_probe(p, u, bound):
             ):
                 continue
             mirror = tuple(2 * a - b for a, b in zip(u, w))
-            if p.contains(mirror, strict=True):
+            if strictly_inside(p, mirror):
                 exit_t = min(
                     Fraction(cj - dot(nj, w)) / dot(nj, lam)
                     for nj, cj in zip(p.normals, p.offsets)

@@ -32,7 +32,8 @@ from ewaldkit.polytope import (
     face_slice,
     normally_isomorphic,
 )
-from neat_oracles import enumerated_displacements
+from lattice_oracles import chart_vertices, to_parent
+from neat_oracles import as_hpolytope, enumerated_displacements
 
 
 def test_displace_examples():
@@ -43,7 +44,7 @@ def test_displace_examples():
     d2 = monotone_simplex(2)
     grown = displace(d2, (1, 1, 1))
     assert grown.analyze()["normally_isomorphic_to_parent"]
-    assert grown.as_hpolytope().vertices() == tuple(
+    assert as_hpolytope(grown).vertices() == tuple(
         tuple(2 * x for x in v) for v in d2.vertices()
     )
     with pytest.raises(ValueError):
@@ -105,7 +106,7 @@ def test_displacement_transitivity():
             # displace facet i first, then the image of facet j inside it
             fslice = face_slice(p, (i,), inset=1)
             sub = fslice.polytope
-            direct_parent = {direct.to_parent(y) for y in direct.chart_vertices}
+            direct_parent = {to_parent(direct, y) for y in chart_vertices(direct)}
             # the inner displacement inside the facet's chart
             inner_rows = [
                 ri for ri, (u, c) in enumerate(zip(sub.normals, sub.offsets))
@@ -127,7 +128,7 @@ def test_displacement_transitivity():
             assert target is not None
             inner = face_slice(sub, (target,), inset=1)
             inner_parent = {
-                fslice.to_parent(inner.to_parent(y)) for y in inner.chart_vertices
+                to_parent(fslice, to_parent(inner, y)) for y in chart_vertices(inner)
             }
             assert direct_parent == inner_parent, (p, f)
 
@@ -232,5 +233,5 @@ def test_smooth_displacements_stay_smooth(rng):
         if not p.origin_interior():
             continue
         for b in list(normally_isomorphic_displacements(p, 1))[:10]:
-            q = displace(p, b).as_hpolytope()
+            q = as_hpolytope(displace(p, b))
             assert is_smooth(q)[0] and q.is_lattice()

@@ -45,7 +45,7 @@ from ewaldkit.polytope import (
     dot,
     facet_description,
 )
-from lattice_oracles import cube_normalization
+from lattice_oracles import cube_normalization, in_star, in_star_lower, in_star_star
 from linalg_oracles import find_unimodular_basis
 
 POLYGONS = ["triangle", "trapezoid", "square", "pentagon", "hexagon"]
@@ -158,13 +158,13 @@ def test_star_sets_examples():
     assert ss.star_facets == (0,) and ss.ridges == ()
     # for a facet, Star = Star* = F
     for x in [(1, 0), (1, 1)]:
-        assert ss.in_star(x) and ss.in_star_star(x)
-    assert not ss.in_star((0, 1))
+        assert in_star(ss, x) and in_star_star(ss, x)
+    assert not in_star(ss, (0, 1))
     vertex = FaceRef((0, 2), 2)
     sv = star_sets(c2, vertex)
     assert len(sv.ridges) == 1
-    assert sv.in_star_lower((1, 1))
-    assert sv.in_star_star((1, 0)) and sv.in_star_star((0, 1))
+    assert in_star_lower(sv, (1, 1))
+    assert in_star_star(sv, (1, 0)) and in_star_star(sv, (0, 1))
     c3 = cube(3)
     edge = FaceRef((0, 2), 2)
     se = star_sets(c3, edge)
@@ -181,7 +181,7 @@ def test_star_sets_examples():
         by_indices = star_sets(c3, face)
         assert by_indices.face == FaceRef((0, 2), 2) == se.face
         assert (by_indices.star_facets, by_indices.ridges) == ((0, 2), se.ridges)
-        assert by_indices.in_star_star((1, 0, 0)) and by_indices.in_star_lower((1, 1, 0))
+        assert in_star_star(by_indices, (1, 0, 0)) and in_star_lower(by_indices, (1, 1, 0))
     assert star_ewald_face(c3, (0,)) == star_ewald_face(c3, FaceRef((0,), 1))
 
 

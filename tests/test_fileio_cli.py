@@ -4,12 +4,13 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_unimodular
 from ewaldkit import polytope
-from ewaldkit.bundles import catalog, cube, monotone_simplex, paffenholz_p6, ssb
+from ewaldkit.bundles import catalog, cube, monotone_simplex, nill_triangle, paffenholz_p6, ssb
 from ewaldkit.cli import main
 from ewaldkit.ewald import ewald_set
 from ewaldkit.fileio import (
@@ -469,6 +470,34 @@ def test_cli_probe_refuses_a_bound_below_one(capsys):
             code, out, err = run_cli(argv, stdin_text=C2_TEXT, capsys=capsys)
             assert code == 2 and out == ""
             assert "probe bound must be at least 1, got %s" % bound in err
+
+
+def test_cli_probe_exits_1_when_star_ewald_holds_and_a_sample_is_undisplaceable(monkeypatch, capsys):
+    # no catalog member reaches this at bounds 1 and 2, so the cross-check
+    # is replaced by a report that contradicts the equivalence
+    from ewaldkit import cli
+    from ewaldkit.probes import ProbeReport
+
+    report = ProbeReport(True, 2, 1, 3, 2, ((Fraction(1, 2), 0),))
+    monkeypatch.setattr(cli, "star_probe_crosscheck", lambda p, samples, bound: report)
+    argv = ["probe", "-", "--samples", "2", "--bound", "1"]
+    assert run_cli(argv, stdin_text=C2_TEXT, capsys=capsys) == (
+        1,
+        "star_ewald=True samples=2 bound=1 displaceable=2/3\nundisplaceable: ('1/2', '0')\n",
+        "",
+    )
+
+
+def test_cli_batch_text_names_each_excluded_file(tmp_path, capsys):
+    (tmp_path / "broken.poly").write_text("dim 2\nfacets 1\n1 0\n")
+    (tmp_path / "t2.poly").write_text(serialize_polytope(nill_triangle(2), "t2"))
+    code, out, err = run_cli(["batch", str(tmp_path)], capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == [
+        "1 files analyzed, 2 excluded",
+        "excluded broken.poly: parse error: line 3: expected 3 integers, got 2",
+        "excluded t2: not monotone",
+    ]
 
 
 def test_cli_probe_refuses_a_large_direction_box(monkeypatch, capsys):

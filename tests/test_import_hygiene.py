@@ -1,7 +1,8 @@
 """Every name a module of ewaldkit imports is read in that module or
 re-exported through its __all__: an import nothing reads is dead code.
-Every private helper is read, and so is every public name, by the package,
-a demo, the benchmark or the README.  No module imports a sibling inside a
+Every private helper is read, and so is every public name and every public
+member of a public class, by the package, a demo, the benchmark or the
+README, each name resolved by the scope that reads it.  No module imports a sibling inside a
 function, and the module-level imports form no cycle.  Every helper the
 README names exists.  And no module but the integer gate and the text
 parsers converts to int with a loop of its own."""
@@ -125,24 +126,89 @@ def _public_names(trees):
     return public
 
 
+SPAN = r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`"  # a README code span naming `name` or `head.name`
+
+
+def _public_members(trees, public):
+    """(module, "Class.member") -> the member's statement, for each public
+    method, property and dataclass field of the public classes of trees.  A
+    class whose body lists its own fields (dataclasses.fields) reads every
+    field, so only its methods count."""
+    members = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and (module, node.name) in public:
+                listed = any(getattr(n, "id", None) == "fields" for n in ast.walk(node))
+                for item in node.body:
+                    if listed and isinstance(item, ast.AnnAssign):
+                        continue
+                    for name in _defined(item):
+                        if not name.startswith("_"):
+                            members[module, node.name + "." + name] = item
+    return members
+
+
 def _unread_public_names(trees, readers, readme):
     """The public names of the modules (module name -> tree) that nothing
-    reads.  A name is read where a statement other than its own definition
-    reads it, as a bare name or an attribute, in a module other than the
-    package's __init__ (which only re-exports) or in one of the reader
-    trees (the demos and the benchmark), or where a code span of the readme
-    text names it."""
-    read = {span.rpartition(".")[2] for span in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", readme)}
-    for tree in [t for m, t in trees.items() if m != "__init__"] + readers:
+    reads: each name a module lists in its __all__ or the package's __init__
+    imports, as (module, name), and each public member of a public class,
+    as (module, "Class.member").
+
+    A module-level name is read by a statement other than its own
+    definition, in a module other than __init__ (which only re-exports) or
+    in one of the reader trees (the demos and the benchmark): as a bare
+    name, resolved through the reading module's imports the way
+    _unread_helpers resolves one, or as an attribute qualified by its
+    module or the package (polytope.x, lib.polytope.x, ewaldkit.x).  A
+    local variable or a method of the same name reads nothing.  A member is
+    read by an attribute of its name outside its own body.  A code span of
+    the readme reads `module.name`, a member of its last name, and, bare,
+    the module-level names that no public member shares."""
+    public = _public_names(trees)
+    package = {}  # name -> (module, name), for each name __init__ imports
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            package.update((alias.name, (node.module, alias.name)) for alias in node.names)
+    defs = {(m, name): top for m, tree in trees.items() if m != "__init__" for top in tree.body for name in _defined(top)}
+    members = _public_members(trees, public)
+    member_names = {key[1].partition(".")[2] for key in members}
+    read = set()
+    for span in re.findall(SPAN, readme):
+        head, _, name = span.rpartition(".")
+        read.add((head, name))
+        if not head and name not in member_names:
+            read.update(key for key in public if key[1] == name)
+        read.update(key for key in members if key[1].partition(".")[2] == name)
+    attributes = []
+    sources = [(m, t) for m, t in trees.items() if m != "__init__"] + [(None, t) for t in readers]
+    for module, tree in sources:
+        source = {}  # the names the reading module imports from the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if node.level == 1:
+                        source[name] = (node.module, alias.name)
+                    elif node.module == "ewaldkit":
+                        source[name] = package.get(alias.name)
+                    elif (node.module or "").startswith("ewaldkit."):
+                        source[name] = (node.module.partition(".")[2], alias.name)
         for top in tree.body:
-            names = set()
             for node in ast.walk(top):
+                key = None
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
+                    key = (module, node.id) if (module, node.id) in defs else source.get(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-            read |= names - set(_defined(top))
-    return sorted(key for key in _public_names(trees) if key[1] not in read)
+                    attributes.append(node)
+                    head = getattr(node.value, "id", getattr(node.value, "attr", None))
+                    key = package.get(node.attr) if head == "ewaldkit" else (head, node.attr)
+                if key in public and defs.get(key) is not top:
+                    read.add(key)
+    for key, item in members.items():
+        name, inside = key[1].partition(".")[2], set(ast.walk(item))
+        if any(node.attr == name and node not in inside for node in attributes):
+            read.add(key)
+    return sorted((public | set(members)) - read)
 
 
 def test_the_scan_sees_an_unread_public_name():
@@ -158,6 +224,29 @@ def test_the_scan_sees_an_unread_public_name():
     }
     readers = [ast.parse("import ewaldkit\newaldkit.a.h()\n")]
     assert _unread_public_names(trees, readers, "`a.k` names k, and f and `m()` are prose") == [("a", "f"), ("a", "m")]
+
+
+def test_a_local_or_a_method_of_the_same_name_reads_nothing():
+    trees = {
+        "__init__": ast.parse("from .a import f, g, h, k\n"),
+        "a": ast.parse(
+            "__all__ = ['f', 'g', 'h', 'k', 'C', 'R']\n"
+            "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\n"
+            "class C:\n"
+            "    size: int\n    unread: int\n"
+            "    def f(self):\n        return self.size\n"
+            "    def g(self): pass\n"
+            "    def again(self):\n        return self.again()\n"
+            "class R:\n    flag: int\n    def rows(self):\n        return fields(self)\n"
+        ),
+        # a local h, C's method f and a bare span of C's method name g read
+        # no module-level name
+        "b": ast.parse("from .a import C, R\ndef use():\n    h = C()\n    return h.f(), R().rows()\n"),
+    }
+    readers = [ast.parse("from ewaldkit import a\na.h()\n")]
+    assert _unread_public_names(trees, readers, "`g` and `k`") == [
+        ("a", "C.again"), ("a", "C.unread"), ("a", "f"), ("a", "g"),
+    ]
 
 
 def test_every_public_name_is_read():
@@ -255,7 +344,7 @@ def _stale_mentions(text, modules):
     module itself, and each bare private `_name`, looked up in every
     module.  File names such as `intlinalg.py` are skipped."""
     stale = []
-    for span in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", text))):
+    for span in sorted(set(re.findall(SPAN, text))):
         head, _, name = span.rpartition(".")
         if name == "py":
             continue

@@ -17,6 +17,7 @@ from ewaldkit.ewald import dim3_origin_edge_basis, nill2d_basis, weak_ewald
 from ewaldkit.fileio import parse_polytope
 from ewaldkit.intlinalg import det
 from ewaldkit.polytope import HPolytope
+from lattice_oracles import strictly_inside
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "monotone_dim3")
 
@@ -25,7 +26,7 @@ def _sweep(q):
     """(translates, applied): the number of interior lattice points t of q,
     and of the translates P − t on which a partial result applies; each
     translate has a basis."""
-    interior = [x for x in q.lattice_points() if q.contains(x, strict=True)]
+    interior = [x for x in q.lattice_points() if strictly_inside(q, x)]
     applied = 0
     for t in sorted(interior):
         r = q.translate(tuple(-x for x in t))

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from conftest import random_unimodular
+from ewaldkit import bundles, classify, counting, displace, ewald, intlinalg
 from ewaldkit.bundles import (
     cube,
     del_pezzo,
@@ -35,6 +36,7 @@ from ewaldkit.polytope import (
     oda_instance_check,
     vertices,
 )
+from lattice_oracles import in_star, strictly_inside, to_chart, to_parent
 
 
 def test_vertices_examples():
@@ -59,7 +61,7 @@ def test_contains_refuses_a_point_of_the_wrong_length():
     star = star_sets(c2, FaceRef((0,), 1))
     for point in ((0, 0, 9), (0,), (1,)):
         message = "point of length %d in dimension 2" % len(point)
-        for check in (c2.contains, partial(c2.contains, strict=True), star.in_star):
+        for check in (c2.contains, partial(strictly_inside, c2), partial(in_star, star)):
             with pytest.raises(ValueError, match=message):
                 check(point)
 
@@ -114,7 +116,7 @@ def test_input_guards():
         assert (q.vertices(), q.vertex_masks()) == (((),), (0,))
     # no facets: the slice is P itself, in the identity chart
     s = face_slice(c3, ())
-    assert (s.chart_dim, s.tight, s.origin) == (3, (), (0, 0, 0))
+    assert (len(s.basis), s.tight, s.origin) == (3, (), (0, 0, 0))
     assert s.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert (s.polytope.normals, s.polytope.offsets) == (c3.normals, c3.offsets)
     # the facets tight at a non-simple vertex of DP3 are dependent
@@ -123,6 +125,71 @@ def test_input_guards():
     with pytest.raises(ValueError, match="face facets are not independent"):
         face_slice(dp3, tuple(tight))
     assert normally_isomorphic(HPolytope(0, (), ()), point)
+
+
+# (call, exception, message) for each refusal of bad arguments that no other
+# test, demo, command line or benchmark item reaches
+REFUSALS = {
+    "BundleSpec rows": (
+        lambda: bundles.BundleSpec(segment(), monotone_simplex(2), ((0,), (0,)), (0, 0, 0)),
+        ValueError,
+        "twist/shift rows must match the fiber facets",
+    ),
+    "BundleSpec twist": (
+        lambda: bundles.BundleSpec(segment(), monotone_simplex(2), ((0, 0),) * 3, (0, 0, 0)),
+        ValueError,
+        "twist rows must live in the base space",
+    ),
+    "monotone_simplex": (lambda: monotone_simplex(0), ValueError, "dimension must be positive"),
+    "smooth_simplex": (lambda: bundles.smooth_simplex(2, 0), ValueError, "need n >= 1 and size k >= 1"),
+    "cube": (lambda: cube(0), ValueError, "dimension must be positive"),
+    "del_pezzo": (lambda: del_pezzo(0), ValueError, "dimension must be positive"),
+    "monotone_polygon": (lambda: monotone_polygon("heptagon"), ValueError, "unknown polygon 'heptagon'"),
+    "small_fiber_bundle facet": (lambda: bundles.small_fiber_bundle(cube(2), 4, 1), ValueError, "invalid facet index"),
+    "small_fiber_bundle n": (
+        lambda: bundles.small_fiber_bundle(cube(2), 0, 0), ValueError, "fiber dimension must be positive"
+    ),
+    "is_quasi_smooth_polygon": (
+        lambda: classify.is_quasi_smooth_polygon(nill_triangle(2).translate((Fraction(1, 2), 0))),
+        ValueError,
+        "quasi-smoothness needs a lattice polygon",
+    ),
+    "facet_ewald_split": (lambda: counting.facet_ewald_split(cube(2), 4), ValueError, "invalid facet index"),
+    "first_displacement": (
+        lambda: displace.first_displacement(bundles.smooth_simplex(2, 1), (0, 1)),
+        ValueError,
+        "displacement vanishes",
+    ),
+    "nill2d_basis dimension": (lambda: ewald.nill2d_basis(cube(3)), ValueError, "nill2d_basis expects a polygon"),
+    "nill2d_basis lattice": (
+        lambda: ewald.nill2d_basis(cube(2).translate((Fraction(1, 2), 0))),
+        ValueError,
+        "nill2d_basis expects a lattice polygon",
+    ),
+    "dim3_origin_edge_basis": (
+        lambda: ewald.dim3_origin_edge_basis(cube(2)), ValueError, "requires a smooth 3-polytope"
+    ),
+    "kernel_basis": (lambda: intlinalg.kernel_basis([]), ValueError, "kernel_basis needs at least one row"),
+    "scaled_inverse": (lambda: intlinalg.scaled_inverse([[1, 0]]), ValueError, "inverse requires a square matrix"),
+    "VPolytope.from_points": (lambda: VPolytope.from_points([]), ValueError, "no points"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_bad_arguments_are_refused(name):
+    call, exception, message = REFUSALS[name]
+    with pytest.raises(exception, match="^%s$" % re.escape(message)):
+        call()
+
+
+def test_the_edge_returns():
+    # DP_1 is the segment; 2·C_2 and 2·C_3 have no vertex or edge next to
+    # the origin, so neither basis lemma applies; and x = 0, x = 1 has no
+    # solution, integer or not
+    assert del_pezzo(1) == segment()
+    assert ewald.deeply_smooth_origin_vertex_basis(HPolytope(2, cube(2).normals, (2,) * 4)) is None
+    assert ewald.dim3_origin_edge_basis(HPolytope(3, cube(3).normals, (2,) * 6)) is None
+    assert intlinalg._integer_solutions([[1, 0], [1, 0]], [0, 1]) == (None, ((0, 1),))
 
 
 def test_non_primitive_normals_are_refused_by_their_gcd():
@@ -291,17 +358,17 @@ def test_cartesian_product_faces():
 def test_face_slice_charts():
     c3 = cube(3)
     s = face_slice(c3, (4,), inset=1)  # facet z <= 1 moved to z = 0
-    assert s.chart_dim == 2
+    assert len(s.basis) == 2
     assert s.polytope is not None and len(s.polytope.vertices()) == 4
     assert set(s.polytope.offsets) == {1}
     y = s.polytope.vertices()[0]
-    assert s.to_chart(s.to_parent(y)) == y
+    assert to_chart(s, to_parent(s, y)) == y
     # vertex displacement of a monotone polytope contains the origin
     d2 = monotone_simplex(2)
     for f in d2.faces(2):
         sv = face_slice(d2, f, inset=1)
-        assert sv.chart_dim == 0 and not sv.is_empty
-        assert sv.to_parent(()) is not None
+        assert len(sv.basis) == 0 and not sv.is_empty
+        assert to_parent(sv, ()) is not None
 
 
 def test_face_slice_empty_when_pushed_too_far():

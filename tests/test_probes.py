@@ -10,7 +10,7 @@ from ewaldkit.probes import (
     is_integrally_transverse,
     star_probe_crosscheck,
 )
-from lattice_oracles import cube_normalization, interior_sample_grid
+from lattice_oracles import cube_normalization, interior_sample_grid, strictly_inside
 
 
 def test_integrally_transverse_examples():
@@ -39,8 +39,8 @@ def verify_probe(p, u, probe):
         if j != probe.facet
     )
     mirror = tuple(2 * Fraction(a) - b for a, b in zip(u, probe.start))
-    assert p.contains(mirror, strict=True)
-    assert p.contains(u, strict=True)
+    assert strictly_inside(p, mirror)
+    assert strictly_inside(p, u)
 
 
 def test_probe_example_square():
