@@ -11,7 +11,6 @@ from .polytope import (
     HPolytope,
     VPolytope,
     FaceRef,
-    NormalFanSignature,
     vertices,
     facet_description,
     convex_hull,

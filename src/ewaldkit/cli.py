@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _check_options(args) -> None:
+def _check_options(args: argparse.Namespace) -> None:
     """The input stage of every command, before any file is read.  It
     resolves the radius (the flag, else EWALDKIT_RADIUS; None for the exact
     test) and the bound (the flag, else EWALDKIT_BOUND) into args, and checks
@@ -208,7 +208,7 @@ def _check_options(args) -> None:
         args.face = tuple(int(x) for x in args.facets.split(","))
 
 
-def _dispatch(args) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     parsed = _read_polytope(args.file, args.allow_large) if "file" in args else None
     if args.cmd == "check":
         _refuse_large_analysis(parsed.polytope, args.radius, args.neat, args.allow_large)
@@ -326,7 +326,7 @@ _COUNTS = {
 MAX_COUNT_N = 4300
 
 
-def _count(args) -> int:
+def _count(args: argparse.Namespace) -> int:
     what = args.what
     arity, formula = _COUNTS[what]
     if len(args.args) != arity:

@@ -73,7 +73,7 @@ class DisplacedSystem:
         verts, masks = enumerate_vertices(self.parent.dim, self.normals, self.offsets)
         full_dim, facets = _facet_rows(masks, len(self.normals))
         irredundant = full_dim and len(facets) == len(self.normals)
-        iso = irredundant and frozenset(masks) == normal_fan_signature(self.parent).cones
+        iso = irredundant and frozenset(masks) == normal_fan_signature(self.parent)
         return {
             "nonempty": bool(verts),
             "full_dim": full_dim,

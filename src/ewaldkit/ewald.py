@@ -209,17 +209,15 @@ class StarSets:
     """Star(f) = union of facets containing f; star(f) = union of ridges
     containing f; Star*(f) = Star(f) \\ star(f)."""
 
-    face: FaceRef
-    star_facets: tuple
+    star_facets: tuple  # the facets containing the face, sorted
     ridges: tuple  # FaceRefs of codim 2 containing the face
-    parent: HPolytope
 
 
 def star_sets(p: HPolytope, f) -> StarSets:
     """The star sets of the face f, a FaceRef or facet indices."""
     tight = _bits(_checked_face(p, f))
     ridges = tuple(FaceRef(pair, 2) for pair in combinations(tight, 2))
-    return StarSets(FaceRef(tight, len(tight)), tight, ridges, p)
+    return StarSets(tight, ridges)
 
 
 def _star_step(state, on, opp):

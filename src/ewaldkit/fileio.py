@@ -345,7 +345,7 @@ class DatabaseStats:
     """Aggregates for a directory of polytope files."""
 
     reports: list = field(default_factory=list)
-    excluded: list = field(default_factory=list)  # (name, reason)
+    excluded: list = field(default_factory=list)  # (file name, reason)
     histograms: dict = field(default_factory=dict)  # dim -> {|E|: count}
     class_counts: dict = field(default_factory=dict)  # dim -> (monotone, ut_free, deeply)
 
@@ -423,7 +423,7 @@ def ingest_database(
         stats.reports.append(report)
         cls = report["result"]["class"]
         if not cls["monotone"]:
-            stats.excluded.append((report["result"]["name"], "not monotone"))
+            stats.excluded.append((fname, "not monotone"))
             continue
         d = report["result"]["dim"]
         hist = stats.histograms.setdefault(d, {})

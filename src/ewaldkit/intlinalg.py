@@ -7,12 +7,12 @@ No floating point anywhere.
 Three routines do all the elimination over Q and over Z:
 
 - _reduce, fraction-free Gauss-Jordan elimination (Bareiss), answers every
-  question over Q: det, rank, solve_rational and fraction_free_solve, the
-  inverses (scaled_inverse, inverse_unimodular), and in polytope.py the
-  starting rows and rays of the double-description core and the particular
+  question over Q: det, rank, fraction_free_solve, the inverses
+  (scaled_inverse, inverse_unimodular), and in polytope.py the starting
+  rows and rays of the double-description core and the particular
   solution of a face chart.  det and fraction_free_solve gate their rows
-  and hand them to the ungated cores _det and _solve, which counting's
-  volume and solve_rational call directly on rows they build from ints.
+  and hand them to the ungated cores _det and _solve; counting's volume
+  calls _det directly on rows it builds from ints.
   The vertex cones of a simple polytope take none of it: a vertex chart
   reads its edge rays off its neighbours in the vertex masks, and the
   lattice search's frame off vertex 0's chart; smoothness is read off
@@ -50,7 +50,6 @@ __all__ = [
     "hermite_normal_form",
     "is_saturated",
     "kernel_basis",
-    "solve_rational",
     "fraction_free_solve",
     "scaled_inverse",
     "inverse_unimodular",
@@ -339,19 +338,6 @@ def _integer_row(row) -> list:
     fracs = [Fraction(x) for x in row]
     scale = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs]
-
-
-def solve_rational(a, b):
-    """Unique exact solution of a square system a @ x = b, or None if singular.
-
-    Rational rows are scaled to integers first, by _integer_row, which
-    builds a fresh list of ints per row; the elimination itself is _solve.
-    """
-    sol = _solve([_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)])
-    if sol is None:
-        return None
-    d, y = sol
-    return tuple(Fraction(v, d) for v in y)
 
 
 def scaled_inverse(m):

@@ -31,7 +31,6 @@ __all__ = [
     "HPolytope",
     "VPolytope",
     "FaceRef",
-    "NormalFanSignature",
     "Slice",
     "vertices",
     "facet_description",
@@ -301,13 +300,6 @@ def _checked_face(p, face) -> int:
     if not _face_vertex_mask(p, mask):
         raise ValueError("invalid face")
     return mask
-
-
-@dataclass(frozen=True)
-class NormalFanSignature:
-    """The vertex cones of the normal fan, each the mask of its rows."""
-
-    cones: frozenset
 
 
 class HPolytope:
@@ -956,9 +948,10 @@ def dual(p: HPolytope) -> VPolytope:
     return VPolytope.from_points(pts)
 
 
-def normal_fan_signature(p: HPolytope) -> NormalFanSignature:
-    """The vertex cones of p's normal fan: the set of its vertex masks."""
-    return NormalFanSignature(frozenset(p.vertex_masks()))
+def normal_fan_signature(p: HPolytope) -> frozenset:
+    """The vertex cones of p's normal fan, each the mask of its rows: the
+    set of p's vertex masks."""
+    return frozenset(p.vertex_masks())
 
 
 def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
@@ -976,7 +969,7 @@ def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
         return False
     row = {u: 1 << i for i, u in enumerate(p.normals)}
     bit = [row[u] for u in q.normals]  # q's rows on p's row bits
-    return frozenset(sum(bit[i] for i in _bits(t)) for t in q.vertex_masks()) == normal_fan_signature(p).cones
+    return frozenset(sum(bit[i] for i in _bits(t)) for t in q.vertex_masks()) == normal_fan_signature(p)
 
 
 def minkowski_sum(v: VPolytope, w: VPolytope) -> VPolytope:
@@ -1047,8 +1040,6 @@ class Slice:
     is lower-dimensional, its rows alone do not describe it.  polytope is
     the region where it is full-dimensional in the chart, else None."""
 
-    parent: HPolytope
-    tight: tuple
     basis: tuple  # rows: lattice basis of the direction lattice, in parent coords; one per chart dimension
     origin: tuple  # chart origin, in parent coords
     region: HPolytope | None
@@ -1094,7 +1085,7 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
         off = p.offsets[j] - dot(u, origin)
         if not any(w):
             if off < 0:
-                return Slice(p, tight, basis, origin, None, None)
+                return Slice(basis, origin, None, None)
             continue
         g = gcd(*w)
         chart_rows.append((tuple(x // g for x in w), _exact(Fraction(off) / g)))
@@ -1103,8 +1094,8 @@ def face_slice(p: HPolytope, face, inset: int = 0) -> Slice:
     try:
         poly, _, full_dim = irredundant_rows(n - k, normals, offs)
     except ValueError:  # no vertices: the slice is empty
-        return Slice(p, tight, basis, origin, None, None)
-    return Slice(p, tight, basis, origin, poly, poly if full_dim else None)
+        return Slice(basis, origin, None, None)
+    return Slice(basis, origin, poly, poly if full_dim else None)
 
 
 def _rational_particular(rows, targets):

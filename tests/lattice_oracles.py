@@ -23,9 +23,10 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 
-from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key, solve_rational
+from ewaldkit.intlinalg import inverse_unimodular, mat_vec, scan_key
 from ewaldkit.polytope import _bits, _point, _unimodular, _vertex_chart, affine_rank, convex_hull, dot
 from ewaldkit.probes import _sample_points
+from linalg_oracles import solve_rational
 
 
 def cube_normalization(p):
@@ -160,24 +161,23 @@ def strictly_inside(p, point):
     return p.contains(point) and all(dot(u, point) < c for u, c in zip(p.normals, p.offsets))
 
 
-def _tight_count(star, x):
-    p = star.parent
+def _tight_count(p, star, x):
     return sum(1 for i in star.star_facets if dot(p.normals[i], x) == p.offsets[i])
 
 
-def in_star(star, x):
-    """x ∈ Star(f), for the star sets of f."""
-    return star.parent.contains(x) and _tight_count(star, x) >= 1
+def in_star(p, star, x):
+    """x ∈ Star(f), for the star sets of a face f of p."""
+    return p.contains(x) and _tight_count(p, star, x) >= 1
 
 
-def in_star_lower(star, x):
+def in_star_lower(p, star, x):
     """x ∈ star(f): on two facets through f, so on a ridge through f."""
-    return star.parent.contains(x) and _tight_count(star, x) >= 2
+    return p.contains(x) and _tight_count(p, star, x) >= 2
 
 
-def in_star_star(star, x):
+def in_star_star(p, star, x):
     """x ∈ Star*(f) = Star(f) \\ star(f)."""
-    return star.parent.contains(x) and _tight_count(star, x) == 1
+    return p.contains(x) and _tight_count(p, star, x) == 1
 
 
 def chart_vertices(s):

@@ -12,10 +12,12 @@ was replaced by one pass over the rows of [m | I].  They serve only as
 oracles in the differential tests, beside a determinant and inverse by
 elimination over Fraction.
 
-Two entry points moved here from the library, which never called them:
+Three entry points moved here from the library, which never called them:
 find_unimodular_basis, the sorted front of the basis search that
-weak_ewald runs on E(P) in scan order, and solve_integer, the integer
-solution that face charts read off _integer_solutions beside the kernel.
+weak_ewald runs on E(P) in scan order, solve_integer, the integer
+solution that face charts read off _integer_solutions beside the kernel,
+and solve_rational, the unique rational solution of a square system by
+the fraction-free elimination _solve.
 """
 
 from fractions import Fraction
@@ -26,12 +28,13 @@ from ewaldkit.intlinalg import (
     _as_mat,
     _as_vec,
     _basis_search,
+    _integer_row,
     _integer_solutions,
     _reduce,
+    _solve,
     _xgcd,
     rank,
     scan_key,
-    solve_rational,
 )
 from ewaldkit.polytope import _point
 
@@ -150,6 +153,19 @@ def solve_integer(a, b):
     if not a:
         raise ValueError("empty system")
     return _integer_solutions(a, b)[0]
+
+
+def solve_rational(a, b):
+    """Unique exact solution of a square system a @ x = b, or None if singular.
+
+    Rational rows are scaled to integers first, by _integer_row, which
+    builds a fresh list of ints per row; the elimination itself is _solve.
+    """
+    sol = _solve([_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)])
+    if sol is None:
+        return None
+    d, y = sol
+    return tuple(Fraction(v, d) for v in y)
 
 
 def per_step_basis_search(points, n):

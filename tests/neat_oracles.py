@@ -43,7 +43,7 @@ def same_fan_same_rows(q, offsets):
     verts, masks = enumerate_vertices(q.dim, q.normals, offsets)
     if not verts:
         return False
-    return frozenset(masks) == normal_fan_signature(q).cones
+    return frozenset(masks) == normal_fan_signature(q)
 
 
 def qualifying_pairs(p, radius):

@@ -25,13 +25,13 @@ from ewaldkit.intlinalg import (
     is_saturated,
     mat_mul,
     scaled_inverse,
-    solve_rational,
 )
 from linalg_oracles import (
     find_unimodular_basis,
     first_independent_rows,
     per_step_basis_search,
     smith_saturated,
+    solve_rational,
     subset_particular,
 )
 

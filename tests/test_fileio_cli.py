@@ -496,7 +496,7 @@ def test_cli_batch_text_names_each_excluded_file(tmp_path, capsys):
     assert out.splitlines()[:3] == [
         "1 files analyzed, 2 excluded",
         "excluded broken.poly: parse error: line 3: expected 3 integers, got 2",
-        "excluded t2: not monotone",
+        "excluded t2.poly: not monotone",
     ]
 
 
@@ -905,7 +905,7 @@ def test_cli_batch_passes_allow_large(tmp_path, capsys):
         doc = json.loads(out)
         (report,) = doc["reports"]
         assert report["dim"] == 13 and report["ewald_count"] == 1
-        assert doc["excluded"] == [["smooth-simplex_13_1", "not monotone"]]
+        assert doc["excluded"] == [["simplex13.poly", "not monotone"]]
 
 
 def test_cli_gen_refuses_a_member_above_the_dimension_cap(monkeypatch, capsys):

@@ -2,12 +2,15 @@
 re-exported through its __all__: an import nothing reads is dead code.
 Every private helper is read, and so is every public name and every public
 member of a public class, by the package, a demo, the benchmark or the
-README, each name resolved by the scope that reads it.  No module imports a sibling inside a
-function, and the module-level imports form no cycle.  Every helper the
-README names exists.  And no module but the integer gate and the text
-parsers converts to int with a loop of its own."""
+README, each name resolved by the scope that reads it and each member read
+through a receiver that can own it.  The package imports no standard
+module beyond a fixed set when it is imported.  No module imports a
+sibling inside a function, and the module-level imports form no cycle.
+Every helper the README names exists.  And no module but the integer gate
+and the text parsers converts to int with a loop of its own."""
 
 import ast
+import builtins
 import importlib
 import os
 import re
@@ -148,6 +151,65 @@ def _public_members(trees, public):
     return members
 
 
+# the builtin types, whose values own no member of the package; type(x),
+# super() and object can stand for a class of the package
+BUILTIN_TYPES = frozenset(n for n, v in vars(builtins).items() if isinstance(v, type)) - {"object", "super", "type"}
+LITERALS = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set, ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _receivers(tree, module, env, classes, modules):
+    """(attribute, owners) for each attribute read in tree: owners is the
+    set of public classes, as (module, name), that the attribute's receiver
+    can be or be an instance of, or None where it can be any.  env maps the
+    names tree binds at module level to their owners, classes each public
+    class name to its key, and modules holds the package's submodules.
+
+    self, the first parameter of a method, owns its class alone.  A module
+    (a name bound by an import, or an attribute named after a submodule that
+    no public member shares, as lib.displace) and a builtin value (a builtin
+    type, its call or a literal) own none.  A public class and its call own
+    that class.  A parameter annotated with a class owns that class, or none
+    outside the package, unless its function binds the name again."""
+    found = []
+
+    def owners(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Attribute):
+            if node.attr in classes:
+                return frozenset([classes[node.attr]])
+            return frozenset() if node.attr in modules else None
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in BUILTIN_TYPES | set(classes):
+            return owners(node.func, env)
+        return frozenset() if isinstance(node, LITERALS) else None
+
+    def annotated(node, env):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return owners(node, env) if getattr(node, "id", getattr(node, "attr", None)) in classes else frozenset()
+        return None
+
+    def visit(node, env, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                params = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+                stored = {n.id for n in ast.walk(child) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+                inner = {k: v for k, v in env.items() if k not in stored | {a.arg for a in params}}
+                for a in params:
+                    if a.annotation is not None and a.arg not in stored:
+                        inner[a.arg] = annotated(a.annotation, env)
+                static = any(getattr(d, "id", None) == "staticmethod" for d in getattr(child, "decorator_list", ()))
+                if owner and child.args.args and not static and child.args.args[0].arg not in stored:
+                    inner[child.args.args[0].arg] = frozenset([owner])
+                visit(child, inner, None)
+            else:
+                if isinstance(child, ast.Attribute):
+                    found.append((child, owners(child.value, env)))
+                visit(child, env, (module, child.name) if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, env, None)
+    return found
+
+
 def _unread_public_names(trees, readers, readme):
     """The public names of the modules (module name -> tree) that nothing
     reads: each name a module lists in its __all__ or the package's __init__
@@ -161,9 +223,10 @@ def _unread_public_names(trees, readers, readme):
     _unread_helpers resolves one, or as an attribute qualified by its
     module or the package (polytope.x, lib.polytope.x, ewaldkit.x).  A
     local variable or a method of the same name reads nothing.  A member is
-    read by an attribute of its name outside its own body.  A code span of
-    the readme reads `module.name`, a member of its last name, and, bare,
-    the module-level names that no public member shares."""
+    read by an attribute of its name outside its own body whose receiver
+    can own it (_receivers).  A code span of the readme reads
+    `module.name`, `Class.member`, and, bare, the module-level names that
+    no public member shares."""
     public = _public_names(trees)
     package = {}  # name -> (module, name), for each name __init__ imports
     for node in trees["__init__"].body:
@@ -172,41 +235,55 @@ def _unread_public_names(trees, readers, readme):
     defs = {(m, name): top for m, tree in trees.items() if m != "__init__" for top in tree.body for name in _defined(top)}
     members = _public_members(trees, public)
     member_names = {key[1].partition(".")[2] for key in members}
+    classes = {key[1]: key for key in public if isinstance(defs.get(key), ast.ClassDef)}
+    modules = set(trees) - {"__init__"} - member_names
     read = set()
     for span in re.findall(SPAN, readme):
         head, _, name = span.rpartition(".")
         read.add((head, name))
         if not head and name not in member_names:
             read.update(key for key in public if key[1] == name)
-        read.update(key for key in members if key[1].partition(".")[2] == name)
+        read.update(key for key in members if key[1] == span)
     attributes = []
     sources = [(m, t) for m, t in trees.items() if m != "__init__"] + [(None, t) for t in readers]
     for module, tree in sources:
         source = {}  # the names the reading module imports from the package
+        env = dict.fromkeys(BUILTIN_TYPES - {name for top in tree.body for name in _defined(top)}, frozenset())
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
+            if isinstance(node, ast.Import):
+                env.update((alias.asname or alias.name.partition(".")[0], frozenset()) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     name = alias.asname or alias.name
                     if node.level == 1:
                         source[name] = (node.module, alias.name)
                     elif node.module == "ewaldkit":
                         source[name] = package.get(alias.name)
+                        if alias.name in trees:
+                            env[name] = frozenset()  # a submodule
                     elif (node.module or "").startswith("ewaldkit."):
                         source[name] = (node.module.partition(".")[2], alias.name)
+        for name, key in list(source.items()) + [(k[1], k) for k in defs if k[0] == module]:
+            if key in classes.values():
+                env[name] = frozenset([key])
         for top in tree.body:
             for node in ast.walk(top):
                 key = None
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     key = (module, node.id) if (module, node.id) in defs else source.get(node.id)
                 elif isinstance(node, ast.Attribute):
-                    attributes.append(node)
                     head = getattr(node.value, "id", getattr(node.value, "attr", None))
                     key = package.get(node.attr) if head == "ewaldkit" else (head, node.attr)
                 if key in public and defs.get(key) is not top:
                     read.add(key)
+        attributes += _receivers(tree, module, env, classes, modules)
     for key, item in members.items():
-        name, inside = key[1].partition(".")[2], set(ast.walk(item))
-        if any(node.attr == name and node not in inside for node in attributes):
+        owner, _, name = key[1].partition(".")
+        inside = set(ast.walk(item))
+        if any(
+            node.attr == name and node not in inside and (found is None or (key[0], owner) in found)
+            for node, found in attributes
+        ):
             read.add(key)
     return sorted((public | set(members)) - read)
 
@@ -240,13 +317,57 @@ def test_a_local_or_a_method_of_the_same_name_reads_nothing():
             "class R:\n    flag: int\n    def rows(self):\n        return fields(self)\n"
         ),
         # a local h, C's method f and a bare span of C's method name g read
-        # no module-level name
+        # no module-level name; the span `C.g` reads the method
         "b": ast.parse("from .a import C, R\ndef use():\n    h = C()\n    return h.f(), R().rows()\n"),
     }
     readers = [ast.parse("from ewaldkit import a\na.h()\n")]
-    assert _unread_public_names(trees, readers, "`g` and `k`") == [
+    assert _unread_public_names(trees, readers, "`g`, `k` and `C.g`") == [
         ("a", "C.again"), ("a", "C.unread"), ("a", "f"), ("a", "g"),
     ]
+
+
+def _unread_members(a, b="", readme=""):
+    """The unread members of the classes of a synthetic module a, which a
+    module b of the same package may read."""
+    trees = {"__init__": ast.parse(""), "a": ast.parse(a), "b": ast.parse(b)}
+    return [key[1] for key in _unread_public_names(trees, [], readme) if "." in key[1]]
+
+
+def test_a_read_through_self_counts_for_its_own_class_alone():
+    a = (
+        "__all__ = ['P', 'D']\n"
+        "class P:\n    parent: int\n"
+        "class D:\n    parent: int\n    def normals(self):\n        return self.parent\n"
+    )
+    assert _unread_members(a, "from .a import D\nD(1).normals()\n") == ["P.parent"]
+
+
+def test_a_read_through_a_module_or_a_builtin_value_counts_for_no_member():
+    a = "__all__ = ['H']\nclass H:\n    def translate(self, t): pass\n    def shift(self, t): pass\n"
+    b = (
+        "import families as F\nfrom ewaldkit import a\n"
+        "def run(lib, p, flags):\n"
+        "    F.translate(p, 1), lib.a.translate, a.translate\n"
+        "    bytes(flags).translate(b''), 'x'.translate({})\n"
+        "    return p.shift(1)\n"
+    )
+    assert _unread_members(a, b) == ["H.translate"]
+
+
+def test_an_annotated_parameter_reads_its_own_class_alone():
+    a = "__all__ = ['S', 'T']\nclass S:\n    face: int\n    size: int\nclass T:\n    face: int\n    size: int\n"
+    b = (
+        "import argparse\nfrom .a import S, T\n"
+        "def check(args: argparse.Namespace, t: T):\n    return args.face, t.face, t.size\n"
+        # a parameter bound again may hold any class
+        "def rebound(s: T):\n    s = S()\n    return s.size\n"
+    )
+    assert _unread_members(a, b) == ["S.face"]
+
+
+def test_a_readme_span_reads_a_member_only_as_class_dot_member():
+    a = "__all__ = ['S', 'T']\nclass S:\n    face: int\n    ridges: int\nclass T:\n    basis: int\n"
+    assert _unread_members(a, readme="`face`, `x.ridges` and `T.basis`") == ["S.face", "S.ridges"]
 
 
 def test_every_public_name_is_read():
@@ -261,6 +382,37 @@ def test_every_public_name_is_read():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     assert _unread_public_names(_package_trees(), readers, readme) == []
+
+
+# the modules the package imports when it is imported: each is loaded on
+# every start of the command line and of a benchmark set-up, so a new one
+# is a cost every start pays (concurrent.futures loads only inside batch
+# --jobs)
+MODULE_IMPORTS = {
+    "__future__", "argparse", "dataclasses", "fractions", "functools", "inspect", "itertools",
+    "json", "math", "operator", "os", "sys", "time",
+}
+
+
+def _module_level_imports(tree):
+    """The top-level names of the modules tree imports outside its functions."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_package_imports_no_new_module_when_imported():
+    tree = ast.parse("import os.path\nfrom a.b import c\nfrom . import d\nclass E:\n    import json\ndef f():\n    import g\n")
+    assert _module_level_imports(tree) == {"os", "a", "json"}
+    found = set().union(*map(_module_level_imports, _package_trees().values()))
+    assert found <= MODULE_IMPORTS, sorted(found - MODULE_IMPORTS)
 
 
 def _sibling_imports(trees):

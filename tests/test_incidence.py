@@ -163,7 +163,7 @@ def test_non_simple_vertices_keep_every_edge():
 def test_fans_and_normal_isomorphism_match_frozensets():
     rng = random.Random(17)
     for p in POLYS:
-        cones = normal_fan_signature(p).cones
+        cones = normal_fan_signature(p)
         assert oracle.fan_cones(oracle.decode(cones, p.nfacets)) == oracle.fan_cones(
             oracle.tight_sets(p)
         )

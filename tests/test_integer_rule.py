@@ -26,11 +26,10 @@ from ewaldkit.intlinalg import (
     mat_vec,
     primitive_part,
     scaled_inverse,
-    solve_rational,
 )
 from ewaldkit.polytope import HPolytope
 from ewaldkit.probes import is_integrally_transverse
-from linalg_oracles import find_unimodular_basis, fraction_det_inverse, hermite_two_tables, solve_integer
+from linalg_oracles import find_unimodular_basis, fraction_det_inverse, hermite_two_tables, solve_integer, solve_rational
 
 IDENTITY = ((1, 0), (0, 1))
 

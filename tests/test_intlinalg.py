@@ -14,9 +14,8 @@ from ewaldkit.intlinalg import (
     mat_vec,
     primitive_part,
     rank,
-    solve_rational,
 )
-from linalg_oracles import find_unimodular_basis, kernel_direction, smith_diagonal, solve_integer
+from linalg_oracles import find_unimodular_basis, kernel_direction, smith_diagonal, solve_integer, solve_rational
 
 
 def brute_det(m):

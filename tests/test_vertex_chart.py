@@ -22,7 +22,7 @@ from ewaldkit.classify import classify, is_deeply_smooth, is_quasi_smooth_polygo
 from ewaldkit.displace import is_neat
 from ewaldkit.ewald import deeply_smooth_origin_vertex_basis, ewald_set
 from ewaldkit.fileio import MAX_EWALD_POINTS, _refuse_large_ewald, parse_polytope, serialize_polytope
-from ewaldkit.intlinalg import inverse_unimodular, primitive_part, solve_rational
+from ewaldkit.intlinalg import inverse_unimodular, primitive_part
 from ewaldkit.polytope import (
     HPolytope,
     VPolytope,
@@ -39,6 +39,7 @@ from ewaldkit.polytope import (
     facet_description,
     irredundant_rows,
 )
+from linalg_oracles import solve_rational
 
 intlinalg = importlib.import_module("ewaldkit.intlinalg")
 polytope = importlib.import_module("ewaldkit.polytope")
