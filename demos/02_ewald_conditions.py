@@ -35,9 +35,9 @@ print("=== star sets of a vertex of the square ===")
 sq = monotone_polygon("square")
 vertex_face = sq.faces(2)[0]
 ss = star_sets(sq, vertex_face)
-print(f"vertex face tight facets: {vertex_face.tight}")
+print(f"vertex face tight facets: {vertex_face}")
 print(f"Star(f) facet indices: {ss.star_facets}; ridges through f: "
-      f"{[r.tight for r in ss.ridges]}")
+      f"{list(ss.ridges)}")
 ok, lam = star_ewald_face(sq, vertex_face)
 print(f"star condition at the vertex: {ok}, witness λ = {lam}")
 print(f"  λ lies on exactly one facet through f and -λ = {tuple(-x for x in lam)} "
@@ -57,7 +57,7 @@ print(f"dim {p6.dim}, {p6.nfacets} facets, {len(p6.vertices())} vertices, "
 print(f"weak: {weak_ewald(p6)[0]}   strong: {strong_ewald(p6).ok}")
 ok, failing = star_ewald(p6)
 print(f"star: {ok}")
-print(f"the unique failing face is the vertex on facets {failing.tight} "
+print(f"the unique failing face is the vertex on facets {failing} "
       f"(printed positions 2,3,5,6,9,10):")
 print(f"  {p6.face_vertices(failing)[0]}")
 

@@ -4,9 +4,8 @@ the three equivalent characterizations."""
 
 from ewaldkit import (
     HPolytope,
-    FaceRef,
     deeply_smooth_characterizations_agree,
-    displacement_slice,
+    face_slice,
     first_displacement,
     is_deeply_smooth,
     is_reflexive,
@@ -55,10 +54,10 @@ disp = first_displacement(d3, f)
 print(f"facet of the monotone 3-simplex displaced once: dim {disp.dim}, "
       f"offsets {set(disp.offsets)} -> reflexive: {is_reflexive(disp)}")
 s32 = ssb(3, 2)
-bad = first_displacement(s32, FaceRef((2,), 1))
+bad = first_displacement(s32, (2,))
 print(f"SSB(3,2) facet x_3 = -1 displaced: reflexive={is_reflexive(bad)}, "
       f"smooth={is_smooth(bad)[0]}  (a non-smooth reflexive simplex)")
-slice2 = displacement_slice(ssb(4, 3), FaceRef((1, 2), 2))
+slice2 = face_slice(ssb(4, 3), (1, 2), inset=1)
 print(f"codim-2 displacement of SSB(4,3): vertices {slice2.polytope.vertices()}")
 print("  (a non-lattice vertex: displacements of smooth polytopes can leave "
       "the lattice below codimension one)")

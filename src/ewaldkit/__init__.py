@@ -9,8 +9,6 @@ package does not shadow."""
 
 from .polytope import (
     HPolytope,
-    VPolytope,
-    FaceRef,
     vertices,
     facet_description,
     convex_hull,
@@ -51,7 +49,6 @@ from .ewald import (
 )
 from .displace import (
     first_displacement,
-    displacement_slice,
     normally_isomorphic_displacements,
     NeatVerdict,
     is_neat,

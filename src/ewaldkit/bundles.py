@@ -13,7 +13,7 @@ from inspect import signature
 from .classify import is_monotone, is_smooth
 from .displace import _keeps_fan, _vertex_margin_constraints, is_neat
 from .intlinalg import _as_mat, _as_vec
-from .polytope import HPolytope, VPolytope, dot, facet_description
+from .polytope import HPolytope, dot, facet_description
 
 __all__ = [
     "BundleSpec",
@@ -196,7 +196,7 @@ def nill_triangle(a: int) -> HPolytope:
     """T_a = conv{(1,0), (0,1), (-a,-a)}; its Ewald set is {0}."""
     if a < 1:
         raise ValueError("need a >= 1")
-    return facet_description(VPolytope.from_points([(1, 0), (0, 1), (-a, -a)]))
+    return facet_description([(1, 0), (0, 1), (-a, -a)])
 
 
 def monotone_polygon(name: str) -> HPolytope:

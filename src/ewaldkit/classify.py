@@ -13,7 +13,7 @@ from itertools import combinations
 from math import gcd
 
 from .intlinalg import primitive_part
-from .polytope import FaceRef, HPolytope, Slice, affine_rank, face_slice, normally_isomorphic, per_polytope
+from .polytope import HPolytope, Slice, affine_rank, face_slice, normally_isomorphic, per_polytope
 from .polytope import _bits, _face_facets, _integerize, _row_masks
 from .polytope import _edges, _margins, _unimodular, _vertex_chart
 
@@ -123,12 +123,12 @@ def _is_unimodular_triangle_face(p: HPolytope, face: int) -> bool:
 def is_ut_free(p: HPolytope):
     """(flag, witness 2-face): the witness is the unimodular triangle with
     the least facet tuple (_triangles), the first in the order of
-    faces(n − 2), named by its n − 2 facets, the rows tight on all its
-    vertices."""
+    faces(n − 2), named by the sorted tuple of its n − 2 facets, the rows
+    tight on all its vertices."""
     if not p.is_simple():
         raise ValueError("UT-freeness requires a simple polytope")
     tight = next((t for t, verts in sorted(_triangles(p)) if _is_unimodular_triangle_face(p, verts)), None)
-    return (True, None) if tight is None else (False, FaceRef(tight, p.dim - 2))
+    return tight is None, tight
 
 
 def _ut_free_region(p: HPolytope) -> bool:
@@ -177,13 +177,13 @@ def _slice_ut_free(s: Slice) -> bool:
     return s.region is None or _ut_free_region(s.region)
 
 
-def _displacement_keeps_fan(p: HPolytope, f: FaceRef, sd: Slice) -> bool:
+def _displacement_keeps_fan(p: HPolytope, f: tuple, sd: Slice) -> bool:
     """Whether sd, the first displacement of the face f, is a
     full-dimensional polytope in its chart with the normal fan of f (a
     vertex keeps it whenever the displacement is a point)."""
     if sd.polytope is None:
         return False
-    return f.codim == p.dim or normally_isomorphic(face_slice(p, f).polytope, sd.polytope)
+    return len(f) == p.dim or normally_isomorphic(face_slice(p, f).polytope, sd.polytope)
 
 
 def deeply_smooth_characterizations_agree(p: HPolytope):
@@ -253,7 +253,7 @@ def classify(p: HPolytope) -> ClassReport:
     if simple and lattice:
         ut_free, wf = is_ut_free(p)
         if wf is not None:
-            witnesses["ut_free"] = wf.tight
+            witnesses["ut_free"] = wf
     if smooth and lattice:
         deeply_smooth, wc = is_deeply_smooth(p)
         if wc is not None:

@@ -19,7 +19,6 @@ from .ewald import _ewald_search
 from .intlinalg import _as_vec
 from .polytope import (
     HPolytope,
-    Slice,
     _edges,
     _exact,
     _facet_rows,
@@ -36,7 +35,6 @@ __all__ = [
     "DisplacedSystem",
     "displace",
     "first_displacement",
-    "displacement_slice",
     "normally_isomorphic_displacements",
     "NeatVerdict",
     "is_neat",
@@ -88,11 +86,6 @@ def displace(p: HPolytope, b) -> DisplacedSystem:
     if len(b) != p.nfacets:
         raise ValueError("displacement length must match facet count")
     return DisplacedSystem(p, b, tuple(c + d for c, d in zip(p.offsets, b)))
-
-
-def displacement_slice(p: HPolytope, face) -> Slice:
-    """First displacement of a face with full chart data (may be degenerate)."""
-    return face_slice(p, face, inset=1)
 
 
 def first_displacement(p: HPolytope, face) -> HPolytope:

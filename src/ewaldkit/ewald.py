@@ -14,7 +14,6 @@ from operator import neg
 from .classify import is_deeply_smooth, is_monotone, is_smooth
 from .intlinalg import _basis_search, _xgcd, mat_vec, scan_key
 from .polytope import (
-    FaceRef,
     HPolytope,
     _bits,
     _checked_face,
@@ -210,14 +209,13 @@ class StarSets:
     containing f; Star*(f) = Star(f) \\ star(f)."""
 
     star_facets: tuple  # the facets containing the face, sorted
-    ridges: tuple  # FaceRefs of codim 2 containing the face
+    ridges: tuple  # the codim-2 faces containing the face, as facet pairs
 
 
 def star_sets(p: HPolytope, f) -> StarSets:
-    """The star sets of the face f, a FaceRef or facet indices."""
+    """The star sets of the face f, given by facet indices."""
     tight = _bits(_checked_face(p, f))
-    ridges = tuple(FaceRef(pair, 2) for pair in combinations(tight, 2))
-    return StarSets(tight, ridges)
+    return StarSets(tight, tuple(combinations(tight, 2)))
 
 
 def _star_step(state, on, opp):
@@ -240,7 +238,7 @@ def _star_witnesses(p: HPolytope, face: int) -> int:
     return ones & ~barred
 
 
-def star_ewald_face(p: HPolytope, f: FaceRef):
+def star_ewald_face(p: HPolytope, f):
     """(flag, λ): does some λ ∈ E(P) lie in Star*(f) with −λ ∉ Star(f)?
     λ is the first such point in E(P)'s scan order."""
     _require_origin_interior(p)
@@ -257,8 +255,8 @@ def star_ewald(p: HPolytope):
     One walk of the face lattice (polytope._walk_faces) carries the star
     state per depth, so each face takes one _star_step from its parent's.
     A failing face at codim c lowers the walk's limit to c − 1: a later
-    face fails first in that order only at a smaller codimension.  Only the
-    failing face becomes a FaceRef."""
+    face fails first in that order only at a smaller codimension.  The
+    failing face is its sorted facet tuple."""
     _require_origin_interior(p)
     _require_simple(p)
     _, on, opp = _ewald_listing(p)
@@ -267,7 +265,7 @@ def star_ewald(p: HPolytope):
     for codim, face, _, j in _walk_faces(p, limit):
         ones, barred = states[codim] = _star_step(states[codim - 1], on[j], opp[j])
         if (ones | barred) == barred:  # no witness: ones & ~barred is empty
-            failed, limit[0] = FaceRef(_bits(face), codim), codim - 1
+            failed, limit[0] = _bits(face), codim - 1
     return failed is None, failed
 
 
@@ -302,16 +300,17 @@ def nill2d_basis(p: HPolytope):
     return (q, min(unit, key=lambda x: scan_key(mat_vec(m, x)))) if unit else None
 
 
-def _next_to_origin(p: HPolytope, face: int) -> bool:
-    # every facet of the facet mask face is at lattice distance one from 0
-    return all(p.offsets[i] == 1 for i in _bits(face))
+def _next_to_origin(p: HPolytope, facets) -> bool:
+    # every one of the facet indices is at lattice distance one from 0
+    return all(p.offsets[i] == 1 for i in facets)
 
 
-def verify_origin_next_to(p: HPolytope, f: FaceRef) -> bool:
-    """True iff the origin lies in the first displacement of f, i.e. every
-    facet through f is at lattice distance one from the origin."""
+def verify_origin_next_to(p: HPolytope, f) -> bool:
+    """True iff the origin lies in the first displacement of the face f,
+    given by facet indices, i.e. every facet through f is at lattice
+    distance one from the origin."""
     _require_origin_interior(p)
-    return _next_to_origin(p, _checked_face(p, f))
+    return _next_to_origin(p, _bits(_checked_face(p, f)))
 
 
 def deeply_smooth_origin_vertex_basis(p: HPolytope):
@@ -323,7 +322,7 @@ def deeply_smooth_origin_vertex_basis(p: HPolytope):
     _require_origin_interior(p)
     e = ewald_set(p)
     for i, t in enumerate(p.vertex_masks()):
-        if not _next_to_origin(p, t):
+        if not _next_to_origin(p, _bits(t)):
             continue
         dirs = tuple(sorted(_vertex_chart(p, i)[1]))
         if all(d in e.points for d in dirs):
@@ -338,7 +337,7 @@ def dim3_origin_edge_basis(p: HPolytope):
     if p.dim != 3 or not is_smooth(p)[0]:
         raise ValueError("requires a smooth 3-polytope")
     _require_origin_interior(p)
-    if not any(_next_to_origin(p, f.mask) for f in p.faces(2)):
+    if not any(_next_to_origin(p, f) for f in p.faces(2)):
         return None
     basis = _basis_search(ewald_set(p).ordered(), 3)
     if basis is None:

@@ -215,7 +215,7 @@ def analyze_polytope(
         result["strong_ewald"] = res.ok
         result["strong_ewald_failing_facet"] = res.failing_facet
         result["star_ewald"] = oks
-        result["star_ewald_failing_face"] = failing.tight if failing is not None else None
+        result["star_ewald_failing_face"] = failing
         if not rep.simple:
             result["star_ewald_skipped"] = "skipped: polytope not simple"
         if rep.monotone:

@@ -7,12 +7,11 @@ No floating point anywhere.
 Three routines do all the elimination over Q and over Z:
 
 - _reduce, fraction-free Gauss-Jordan elimination (Bareiss), answers every
-  question over Q: det, rank, fraction_free_solve, the inverses
-  (scaled_inverse, inverse_unimodular), and in polytope.py the starting
-  rows and rays of the double-description core and the particular
-  solution of a face chart.  det and fraction_free_solve gate their rows
-  and hand them to the ungated cores _det and _solve; counting's volume
-  calls _det directly on rows it builds from ints.
+  question over Q: det, rank, the inverses (scaled_inverse,
+  inverse_unimodular), and in polytope.py the starting rows and rays of
+  the double-description core and the particular solution of a face
+  chart.  det gates its rows and hands them to the ungated core _det;
+  counting's volume calls _det directly on rows it builds from ints.
   The vertex cones of a simple polytope take none of it: a vertex chart
   reads its edge rays off its neighbours in the vertex masks, and the
   lattice search's frame off vertex 0's chart; smoothness is read off
@@ -50,7 +49,6 @@ __all__ = [
     "hermite_normal_form",
     "is_saturated",
     "kernel_basis",
-    "fraction_free_solve",
     "scaled_inverse",
     "inverse_unimodular",
     "mat_vec",
@@ -306,29 +304,6 @@ def rank(m) -> int:
     """Rank over Q of a matrix with integer or rational entries."""
     rows = [_integer_row(row) for row in m]
     return len(_reduce(rows, len(rows[0]) if rows else 0)[0])
-
-
-def fraction_free_solve(aug):
-    """Solve an integer augmented system [A | b] with square A by _reduce
-    of a copy of its rows; a non-integral entry raises ValueError.
-
-    Returns (d, y) with d = |det A| > 0 and A y = d b, or None if A is
-    singular; the solution is y / d.
-    """
-    return _solve(list(map(list, _as_mat(aug))))
-
-
-def _solve(aug):
-    """fraction_free_solve of rows given as lists of ints, which _reduce
-    consumes."""
-    n = len(aug)
-    piv, d, _ = _reduce(aug, n)
-    if len(piv) < n:
-        return None
-    y = [row[n] for row in aug]
-    if d < 0:
-        return -d, [-v for v in y]
-    return d, y
 
 
 def _integer_row(row) -> list:

@@ -29,8 +29,6 @@ from .intlinalg import (
 
 __all__ = [
     "HPolytope",
-    "VPolytope",
-    "FaceRef",
     "Slice",
     "vertices",
     "facet_description",
@@ -272,28 +270,11 @@ def _face_vertex_mask(p, face: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FaceRef:
-    """A face of a simple polytope, named by the facets containing it."""
-
-    tight: tuple
-    codim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tight", tuple(sorted(self.tight)))
-
-    @property
-    def mask(self) -> int:
-        """The face's facets as an incidence mask (bit i for facet i).
-        Computed on each read: every reader reads it once per face."""
-        return sum(1 << i for i in set(self.tight))
-
-
 def _checked_face(p, face) -> int:
-    """The facet mask of face, a FaceRef or facet indices, once it names a
+    """The facet mask of face, facet indices in any order, once it names a
     face of p: distinct facets in range, tight together at some vertex.
     Raises ValueError otherwise: the one check of every face taken."""
-    t = tuple(face.tight if isinstance(face, FaceRef) else face)
+    t = tuple(face)
     if len(set(t)) != len(t) or not all(0 <= i < p.nfacets for i in t):
         raise ValueError("invalid face")
     mask = sum(1 << i for i in t)
@@ -396,22 +377,23 @@ class HPolytope:
 
     @per_polytope
     def faces(self, codim: int) -> tuple:
-        """All faces of the given codimension of a simple polytope, ordered
-        by their sorted facet tuples: the face walk's faces at codim, and P
-        itself at codim 0."""
+        """All faces of the given codimension of a simple polytope, each
+        the sorted tuple of the facets containing it, in ascending order:
+        the face walk's faces at codim, and P itself, (), at codim 0."""
         _require_simple(self)
         if codim < 0 or codim > self.dim:
             raise ValueError("codimension out of range")
         if not codim:
-            return (FaceRef((), 0),)
-        return tuple(FaceRef(_bits(f), codim) for c, f, _, _ in _walk_faces(self, [codim]) if c == codim)
+            return ((),)
+        return tuple(_bits(f) for c, f, _, _ in _walk_faces(self, [codim]) if c == codim)
 
-    def face_vertices(self, face: FaceRef) -> tuple:
-        """The vertices of the face, () where it names no face of p."""
-        if min(face.tight, default=0) < 0:
+    def face_vertices(self, face) -> tuple:
+        """The vertices of the face given by facet indices, () where they
+        name no face of p."""
+        if min(face, default=0) < 0:
             return ()
         verts = self.vertices()
-        return tuple(verts[k] for k in _bits(_face_vertex_mask(self, face.mask)))
+        return tuple(verts[k] for k in _bits(_face_vertex_mask(self, sum(1 << i for i in set(face)))))
 
     # -- lattice points --------------------------------------------------
 
@@ -870,23 +852,9 @@ def _point_search(p: HPolytope):
     return _slab_search(p, [floor(c) for c in p.offsets])
 
 
-@dataclass(frozen=True)
-class VPolytope:
-    """Vertex description; points are pairwise distinct extreme points."""
-
-    dim: int
-    points: tuple
-
-    @staticmethod
-    def from_points(points):
-        pts = tuple(sorted({_point(p) for p in points}))
-        if not pts:
-            raise ValueError("no points")
-        return VPolytope(len(pts[0]), pts)
-
-
-def vertices(p: HPolytope) -> VPolytope:
-    return VPolytope(p.dim, p.vertices())
+def vertices(p: HPolytope) -> tuple:
+    """p's vertex set, sorted lexicographically."""
+    return p.vertices()
 
 
 def convex_hull(points, dim=None) -> HPolytope:
@@ -929,23 +897,25 @@ def convex_hull(points, dim=None) -> HPolytope:
     return h
 
 
-def facet_description(v: VPolytope) -> HPolytope:
-    """H-rep of a vertex set; rejects inputs that are not exactly vertex sets.
+def facet_description(points) -> HPolytope:
+    """H-rep of a vertex set, any iterable of points; rejects inputs that
+    are not exactly vertex sets.
 
     The hull's vertices are some of the points, so the points are its
     vertex set exactly when they are as many as its cached vertices.
     """
-    h = convex_hull(v.points, v.dim)
-    if len(h.vertices()) != len(set(v.points)):
+    pts = set(map(tuple, points))
+    h = convex_hull(pts)
+    if len(h.vertices()) != len(pts):
         raise ValueError("input points are not the vertex set of their hull")
     return h
 
 
-def dual(p: HPolytope) -> VPolytope:
-    """Polar dual vertex set u_F / b_F; requires the origin strictly inside."""
+def dual(p: HPolytope) -> tuple:
+    """Polar dual vertex set u_F / b_F, sorted; requires the origin strictly
+    inside."""
     _require_origin_interior(p)
-    pts = [tuple(Fraction(x) / Fraction(c) for x in u) for u, c in zip(p.normals, p.offsets)]
-    return VPolytope.from_points(pts)
+    return tuple(sorted({_point(Fraction(x) / c for x in u) for u, c in zip(p.normals, p.offsets)}))
 
 
 def normal_fan_signature(p: HPolytope) -> frozenset:
@@ -972,11 +942,16 @@ def normally_isomorphic(p: HPolytope, q: HPolytope) -> bool:
     return frozenset(sum(bit[i] for i in _bits(t)) for t in q.vertex_masks()) == normal_fan_signature(p)
 
 
-def minkowski_sum(v: VPolytope, w: VPolytope) -> VPolytope:
-    """Vertices of v + w, from the exact hull of all pairwise vertex sums."""
-    if v.dim != w.dim:
+def minkowski_sum(v, w) -> tuple:
+    """The vertex set of v + w, sorted, for point sets v and w: the exact
+    hull of all pairwise sums.  Refuses an empty set, and points of
+    different lengths in one set or across the two."""
+    v, w = tuple(v), tuple(w)
+    if not v or not w:
+        raise ValueError("no points")
+    if len({len(x) for x in v + w}) != 1:
         raise ValueError("dimension mismatch")
-    return VPolytope(v.dim, _sum_hull(v.points, w.points, v.dim).vertices())
+    return _sum_hull(v, w, len(v[0])).vertices()
 
 
 def _sum_hull(xs, ys, dim: int) -> HPolytope:

@@ -12,18 +12,21 @@ was replaced by one pass over the rows of [m | I].  They serve only as
 oracles in the differential tests, beside a determinant and inverse by
 elimination over Fraction.
 
-Three entry points moved here from the library, which never called them:
+Five entry points moved here from the library, which never called them:
 find_unimodular_basis, the sorted front of the basis search that
 weak_ewald runs on E(P) in scan order, solve_integer, the integer
 solution that face charts read off _integer_solutions beside the kernel,
-and solve_rational, the unique rational solution of a square system by
-the fraction-free elimination _solve.
+solve_rational, the unique rational solution of a square system by the
+fraction-free elimination _solve, and fraction_free_solve, the gated
+front of _solve.  fraction_free_solve reaches the gate as
+intlinalg._as_mat, so a spy set on the module sees its calls.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from ewaldkit import intlinalg
 from ewaldkit.intlinalg import (
     _as_mat,
     _as_vec,
@@ -31,7 +34,6 @@ from ewaldkit.intlinalg import (
     _integer_row,
     _integer_solutions,
     _reduce,
-    _solve,
     _xgcd,
     rank,
     scan_key,
@@ -153,6 +155,29 @@ def solve_integer(a, b):
     if not a:
         raise ValueError("empty system")
     return _integer_solutions(a, b)[0]
+
+
+def fraction_free_solve(aug):
+    """Solve an integer augmented system [A | b] with square A by _reduce
+    of a copy of its rows; a non-integral entry raises ValueError.
+
+    Returns (d, y) with d = |det A| > 0 and A y = d b, or None if A is
+    singular; the solution is y / d.
+    """
+    return _solve(list(map(list, intlinalg._as_mat(aug))))
+
+
+def _solve(aug):
+    """fraction_free_solve of rows given as lists of ints, which _reduce
+    consumes."""
+    n = len(aug)
+    piv, d, _ = _reduce(aug, n)
+    if len(piv) < n:
+        return None
+    y = [row[n] for row in aug]
+    if d < 0:
+        return -d, [-v for v in y]
+    return d, y
 
 
 def solve_rational(a, b):

@@ -19,13 +19,11 @@ from ewaldkit.bundles import (
 from ewaldkit.classify import is_deeply_smooth, is_monotone, is_reflexive, is_ut_free
 from ewaldkit.displace import (
     displace,
-    displacement_slice,
     first_displacement,
     is_neat,
     normally_isomorphic_displacements,
 )
 from ewaldkit.polytope import (
-    FaceRef,
     HPolytope,
     cartesian_product,
     convex_hull,
@@ -69,7 +67,7 @@ def test_displace_roundtrip():
 
 def test_first_displacement_examples():
     c3 = cube(3)
-    f0 = first_displacement(c3, FaceRef((4,), 1))  # z <= 1
+    f0 = first_displacement(c3, (4,))  # z <= 1
     assert f0.dim == 2 and len(f0.vertices()) == 4 and set(f0.offsets) == {1}
     # UT-free monotone: facet displacements stay reflexive and keep the fan
     for p in [monotone_simplex(3), cube(3), ssb(3, 1), ssb(4, 2)]:
@@ -83,7 +81,7 @@ def test_first_displacement_examples():
     # Example-4.4 slice of SSB(n, n-1) is reflexive but not smooth
     from ewaldkit.classify import is_smooth
 
-    s = first_displacement(ssb(3, 2), FaceRef((2,), 1))
+    s = first_displacement(ssb(3, 2), (2,))
     assert is_reflexive(s) and not is_smooth(s)[0]
 
 
@@ -91,9 +89,9 @@ def test_first_displacement_errors():
     tiny = smooth_simplex(2, 1)
     idx = tiny.normals.index((1, 1))
     with pytest.raises(ValueError, match="vanish|lower-dimensional"):
-        first_displacement(tiny, FaceRef((idx,), 1))
+        first_displacement(tiny, (idx,))
     with pytest.raises(ValueError):
-        first_displacement(nill_triangle(2), FaceRef((0,), 1))  # not smooth
+        first_displacement(nill_triangle(2), (0,))  # not smooth
 
 
 def test_displacement_transitivity():
@@ -101,8 +99,8 @@ def test_displacement_transitivity():
     # facet, after aligning charts by vertex sets in parent coordinates
     for p in [monotone_simplex(3), cube(3), ssb(3, 1)]:
         for f in p.faces(2):
-            i, j = f.tight
-            direct = displacement_slice(p, f)
+            i, j = f
+            direct = face_slice(p, f, inset=1)
             # displace facet i first, then the image of facet j inside it
             fslice = face_slice(p, (i,), inset=1)
             sub = fslice.polytope

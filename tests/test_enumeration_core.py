@@ -14,14 +14,13 @@ from math import comb, lcm
 import pytest
 
 from conftest import random_unimodular
-from linalg_oracles import kernel_direction
+from linalg_oracles import fraction_free_solve, kernel_direction
 from ewaldkit import polytope
 from ewaldkit.bundles import catalog, cube, del_pezzo, monotone_polygon, ssb
 from ewaldkit.fileio import parse_polytope
-from ewaldkit.intlinalg import fraction_free_solve, primitive_part, rank
+from ewaldkit.intlinalg import primitive_part, rank
 from ewaldkit.polytope import (
     HPolytope,
-    VPolytope,
     _exact,
     _facet_rows,
     _integerize,
@@ -324,11 +323,11 @@ def test_each_hull_runs_one_double_description(monkeypatch):
         return h.vertices(), h.vertex_masks()
 
     assert count(hull_table)[0] == ((0, 0), (0, 3), (3, 0))
-    count(lambda: facet_description(VPolytope.from_points([(1, 0), (0, 1), (-2, -2)])))
+    count(lambda: facet_description([(1, 0), (0, 1), (-2, -2)]))
     with pytest.raises(ValueError, match="not the vertex set"):
-        count(lambda: facet_description(VPolytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1)])))
-    seg_x, seg_y = VPolytope.from_points([(0, 0), (1, 0)]), VPolytope.from_points([(0, 0), (0, 2)])
-    assert count(lambda: minkowski_sum(seg_x, seg_y)).points == ((0, 0), (0, 2), (1, 0), (1, 2))
+        count(lambda: facet_description([(0, 0), (2, 0), (0, 2), (1, 1)]))
+    seg_x, seg_y = [(0, 0), (1, 0)], [(0, 0), (0, 2)]
+    assert count(lambda: minkowski_sum(seg_x, seg_y)) == ((0, 0), (0, 2), (1, 0), (1, 2))
     p, q = monotone_polygon("hexagon"), monotone_polygon("triangle")
     p.vertices(), q.vertices()
     assert count(lambda: oda_instance_check(p, q))

@@ -18,9 +18,9 @@ from ewaldkit.bundles import (
     smooth_simplex,
     ssb,
 )
-from ewaldkit.classify import is_deeply_smooth, is_monotone
+from ewaldkit.classify import is_deeply_smooth, is_monotone, is_ut_free
 from ewaldkit.counting import FacetEwaldSplit, facet_ewald_split
-from ewaldkit.displace import displacement_slice, first_displacement
+from ewaldkit.displace import first_displacement
 from ewaldkit.ewald import (
     StrongEwaldResult,
     deeply_smooth_origin_vertex_basis,
@@ -37,13 +37,11 @@ from ewaldkit.ewald import (
 )
 from ewaldkit.intlinalg import _basis_search, det, mat_vec
 from ewaldkit.polytope import (
-    FaceRef,
     HPolytope,
-    VPolytope,
     cartesian_product,
     convex_hull,
     dot,
-    facet_description,
+    face_slice,
 )
 from lattice_oracles import cube_normalization, in_star, in_star_lower, in_star_star
 from linalg_oracles import find_unimodular_basis
@@ -153,35 +151,66 @@ def test_strong_ewald_searches_only_facets_at_height_one():
 
 def test_star_sets_examples():
     c2 = cube(2)
-    facet = FaceRef((0,), 1)
+    facet = (0,)
     ss = star_sets(c2, facet)
     assert ss.star_facets == (0,) and ss.ridges == ()
     # for a facet, Star = Star* = F
     for x in [(1, 0), (1, 1)]:
         assert in_star(c2, ss, x) and in_star_star(c2, ss, x)
     assert not in_star(c2, ss, (0, 1))
-    vertex = FaceRef((0, 2), 2)
+    vertex = (0, 2)
     sv = star_sets(c2, vertex)
     assert len(sv.ridges) == 1
     assert in_star_lower(c2, sv, (1, 1))
     assert in_star_star(c2, sv, (1, 0)) and in_star_star(c2, sv, (0, 1))
     c3 = cube(3)
-    edge = FaceRef((0, 2), 2)
+    edge = (0, 2)
     se = star_sets(c3, edge)
     assert len(se.star_facets) == 2 and len(se.ridges) == 1
     with pytest.raises(ValueError):
-        star_sets(c2, FaceRef((0, 1), 2))  # opposite facets meet nowhere
+        star_sets(c2, (0, 1))  # opposite facets meet nowhere
     # a repeated facet names no face: facet 0 must not count twice; the face
-    # may be given as a FaceRef or as facet indices
+    # may be given as a tuple or a list of facet indices
     for fn in (star_sets, star_ewald_face, verify_origin_next_to):
-        for bad in (FaceRef((0, 0), 2), FaceRef((0, 1), 2), (0, 0), (0, 1), (0, 9)):
+        for bad in ((0, 0), (0, 1), [0, 0], [0, 1], (0, 9)):
             with pytest.raises(ValueError, match="invalid face"):
                 fn(c2, bad)
     for face in ((0, 2), (2, 0)):
         by_indices = star_sets(c3, face)
         assert (by_indices.star_facets, by_indices.ridges) == ((0, 2), se.ridges)
         assert in_star_star(c3, by_indices, (1, 0, 0)) and in_star_lower(c3, by_indices, (1, 1, 0))
-    assert star_ewald_face(c3, (0,)) == star_ewald_face(c3, FaceRef((0,), 1))
+    assert star_ewald_face(c3, [0]) == star_ewald_face(c3, (0,))
+
+
+def _plain_face(f):
+    return type(f) is tuple and all(type(i) is int for i in f) and list(f) == sorted(set(f))
+
+
+def test_faces_are_plain_facet_tuples():
+    # a face the library hands out is the sorted tuple of its facets' ints,
+    # and a face it takes may be any sequence of facet indices, in any order
+    c3, p6, s4 = cube(3), paffenholz_p6(), smooth_simplex(4, 1)
+    for p in (c3, p6):
+        for codim in range(p.dim + 1):
+            assert all(map(_plain_face, p.faces(codim)))
+    star_failing = star_ewald(p6)[1]
+    ut_witness = is_ut_free(s4)[1]
+    ridges = star_sets(c3, (4, 0, 2)).ridges
+    assert ridges == ((0, 2), (0, 4), (2, 4))
+    for p, witness in [(p6, star_failing), (s4, ut_witness)] + [(c3, r) for r in ridges]:
+        assert _plain_face(witness) and witness in p.faces(len(witness)), (p, witness)
+    takers = (
+        star_sets,
+        star_ewald_face,
+        verify_origin_next_to,
+        face_slice,
+        lambda p, f: p.face_vertices(f),
+    )
+    for p, face in ((c3, (0, 2)), (c3, (0, 2, 4)), (monotone_simplex(3), (1, 3)), (p6, star_failing)):
+        for fn in takers:
+            want = fn(p, face)
+            for other in (list(face), face[::-1], list(face[::-1])):
+                assert fn(p, other) == want, (p, face, fn)
 
 
 def test_star_ewald_examples():
@@ -191,7 +220,7 @@ def test_star_ewald_examples():
     for n in (2, 3):
         assert star_ewald(cube(n))[0]
     # facet of C_n is star Ewald with an axis witness
-    ok, lam = star_ewald_face(cube(3), FaceRef((0,), 1))
+    ok, lam = star_ewald_face(cube(3), (0,))
     assert ok and dot((1, 0, 0), lam) == 1
 
 
@@ -200,8 +229,8 @@ def test_paffenholz_star_failure():
     assert strong_ewald(p6).ok
     ok, failing = star_ewald(p6)
     assert not ok
-    assert failing.codim == 6
-    assert failing.tight == (1, 2, 4, 5, 8, 9)  # printed positions 2,3,5,6,9,10
+    assert len(failing) == 6
+    assert failing == (1, 2, 4, 5, 8, 9)  # printed positions 2,3,5,6,9,10
     assert p6.face_vertices(failing) == ((14, -1, -1, 6, -1, -1),)
 
 
@@ -301,11 +330,11 @@ def test_verify_origin_next_to_examples():
         for f in d3.faces(codim):
             assert verify_origin_next_to(d3, f)
     c2 = cube(2)
-    v = FaceRef((0, 2), 2)  # vertex (1, 1)
+    v = (0, 2)  # vertex (1, 1)
     assert verify_origin_next_to(c2, v)
     # a dilated square: origin no longer next to anything
     big = HPolytope(2, c2.normals, (2, 2, 2, 2))
-    assert not verify_origin_next_to(big, FaceRef((0,), 1))
+    assert not verify_origin_next_to(big, (0,))
 
 
 def test_origin_next_to_verifiers():
@@ -326,7 +355,7 @@ def test_origin_next_to_verifiers():
 def _oracle_star_face(p, f):
     # the per-face scan: re-sort E(P), dot every λ against the face's facets
     e = ewald_set(p).points
-    rows = [(p.normals[i], p.offsets[i]) for i in f.tight]
+    rows = [(p.normals[i], p.offsets[i]) for i in f]
     for lam in sorted(e, key=lambda q: (max((abs(x) for x in q), default=0), q)):
         if sum(1 for u, c in rows if dot(u, lam) == c) != 1:
             continue
@@ -384,9 +413,9 @@ def test_star_masks_match_per_face_oracle(rng):
 
 def test_star_ewald_face_rejects_invalid_faces():
     with pytest.raises(ValueError):
-        star_ewald_face(cube(2), FaceRef((0, 9), 2))
+        star_ewald_face(cube(2), (0, 9))
     with pytest.raises(ValueError):
-        star_ewald_face(cube(2), FaceRef((0, 0), 2))
+        star_ewald_face(cube(2), (0, 0))
     # one check for every face-taking function: a repeated facet, opposite
     # facets (no common vertex), an index out of range on either side, and
     # two facets of the hexagon whose independent rows x <= 1 and y <= 1
@@ -394,14 +423,14 @@ def test_star_ewald_face_rejects_invalid_faces():
     hexagon = monotone_polygon("hexagon")
     assert hexagon.normals[0:3:2] == ((1, 0), (0, 1)) and not hexagon.contains((1, 1))
     bad_faces = [
-        (cube(2), FaceRef((0, 0), 2)),
-        (cube(2), FaceRef((0, 1), 2)),
-        (cube(2), FaceRef((0, 9), 2)),
-        (cube(2), FaceRef((4,), 1)),
-        (cube(2), FaceRef((-1,), 1)),
-        (hexagon, FaceRef((0, 2), 2)),
+        (cube(2), (0, 0)),
+        (cube(2), (0, 1)),
+        (cube(2), (0, 9)),
+        (cube(2), (4,)),
+        (cube(2), (-1,)),
+        (hexagon, (0, 2)),
     ]
-    for fn in (star_ewald_face, star_sets, verify_origin_next_to, first_displacement, displacement_slice):
+    for fn in (star_ewald_face, star_sets, verify_origin_next_to, first_displacement, face_slice):
         for p, f in bad_faces:
             with pytest.raises(ValueError, match="invalid face"):
                 fn(p, f)

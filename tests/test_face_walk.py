@@ -11,7 +11,7 @@ from conftest import random_unimodular
 from ewaldkit import ewald
 from ewaldkit.bundles import catalog, cube, monotone_polygon
 from ewaldkit.ewald import ewald_set, star_ewald
-from ewaldkit.polytope import FaceRef, _bits, _row_vertex_masks, _walk_faces, cartesian_product
+from ewaldkit.polytope import _bits, _row_vertex_masks, _walk_faces, cartesian_product
 from lattice_oracles import dot_tight_masks
 
 
@@ -57,8 +57,8 @@ def test_star_reports_the_first_failure_by_codimension_then_order(monkeypatch):
     assert ewald._star_witnesses(p, 0b1) and ewald._star_witnesses(p, 0b100)
     walked = [facets for _, facets, _, _ in _walk_faces(p, [3])]
     assert walked.index(0b101) < walked.index(0b10000)
-    scan = next(f for c in range(1, 4) for f in p.faces(c) if not ewald._star_witnesses(p, f.mask))
-    assert scan == FaceRef((4,), 1)
+    scan = next(f for c in range(1, 4) for f in p.faces(c) if not ewald._star_witnesses(p, sum(1 << i for i in f)))
+    assert scan == (4,)
     assert star_ewald(p) == (False, scan)
 
 

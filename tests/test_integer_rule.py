@@ -18,7 +18,6 @@ from ewaldkit.counting import emin_upper_bound, volume
 from ewaldkit.displace import displace
 from ewaldkit.intlinalg import (
     det,
-    fraction_free_solve,
     hermite_normal_form,
     inverse_unimodular,
     is_saturated,
@@ -29,7 +28,14 @@ from ewaldkit.intlinalg import (
 )
 from ewaldkit.polytope import HPolytope
 from ewaldkit.probes import is_integrally_transverse
-from linalg_oracles import find_unimodular_basis, fraction_det_inverse, hermite_two_tables, solve_integer, solve_rational
+from linalg_oracles import (
+    find_unimodular_basis,
+    fraction_det_inverse,
+    fraction_free_solve,
+    hermite_two_tables,
+    solve_integer,
+    solve_rational,
+)
 
 IDENTITY = ((1, 0), (0, 1))
 

@@ -34,7 +34,7 @@ def _sweep(q):
         assert ok and abs(det(basis)) == 1, (q.normals, q.offsets, t)
         if r.dim == 2:
             found = nill2d_basis(r)
-        elif r.dim == 3 and any(all(r.offsets[i] == 1 for i in f.tight) for f in r.faces(2)):
+        elif r.dim == 3 and any(all(r.offsets[i] == 1 for i in f) for f in r.faces(2)):
             found = dim3_origin_edge_basis(r)
         else:
             continue

@@ -19,9 +19,7 @@ from ewaldkit.bundles import (
 from ewaldkit.ewald import star_sets
 from ewaldkit.polytope import _row_values
 from ewaldkit.polytope import (
-    FaceRef,
     HPolytope,
-    VPolytope,
     cartesian_product,
     convex_hull,
     dot,
@@ -58,7 +56,7 @@ def test_vertices_examples():
 def test_contains_refuses_a_point_of_the_wrong_length():
     c2 = cube(2)
     assert c2.contains((1, 0)) and not c2.contains((2, 0))
-    star = star_sets(c2, FaceRef((0,), 1))
+    star = star_sets(c2, (0,))
     for point in ((0, 0, 9), (0,), (1,)):
         message = "point of length %d in dimension 2" % len(point)
         for check in (c2.contains, partial(strictly_inside, c2), partial(in_star, c2, star)):
@@ -172,7 +170,17 @@ REFUSALS = {
     ),
     "kernel_basis": (lambda: intlinalg.kernel_basis([]), ValueError, "kernel_basis needs at least one row"),
     "scaled_inverse": (lambda: intlinalg.scaled_inverse([[1, 0]]), ValueError, "inverse requires a square matrix"),
-    "VPolytope.from_points": (lambda: VPolytope.from_points([]), ValueError, "no points"),
+    "facet_description no points": (lambda: facet_description([]), ValueError, "no points"),
+    "facet_description mixed lengths": (
+        lambda: facet_description([(0, 0), (1, 0, 5), (0, 1)]), ValueError, "mixed dimensions"
+    ),
+    "minkowski_sum no points": (lambda: minkowski_sum([], [(0, 0)]), ValueError, "no points"),
+    "minkowski_sum mixed lengths in one set": (
+        lambda: minkowski_sum([(0, 0), (1, 0, 5), (0, 1)], [(0, 0), (1, 1)]), ValueError, "dimension mismatch"
+    ),
+    "minkowski_sum mixed lengths across sets": (
+        lambda: minkowski_sum([(0, 0), (1, 0)], [(0, 0, 0), (1, 0, 0)]), ValueError, "dimension mismatch"
+    ),
 }
 
 
@@ -205,7 +213,7 @@ def test_non_primitive_normals_are_refused_by_their_gcd():
 
 
 def test_facet_description_examples():
-    v = VPolytope.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    v = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     h = facet_description(v)
     assert h.nfacets == 4
     assert set(zip(h.normals, h.offsets)) == {
@@ -214,15 +222,15 @@ def test_facet_description_examples():
         ((0, 1), 1),
         ((0, -1), 1),
     }
-    t1 = facet_description(VPolytope.from_points([(1, 0), (0, 1), (-1, -1)]))
+    t1 = facet_description([(1, 0), (0, 1), (-1, -1)])
     assert t1.nfacets == 3 and set(t1.offsets) == {1}
     with pytest.raises(ValueError):
-        facet_description(VPolytope.from_points([(0, 0), (1, 1)]))  # degenerate
+        facet_description([(0, 0), (1, 1)])  # degenerate
 
 
 def test_facet_description_rejects_non_vertex_input():
     with pytest.raises(ValueError):
-        facet_description(VPolytope.from_points([(0, 0), (2, 0), (0, 2), (1, 1)]))
+        facet_description([(0, 0), (2, 0), (0, 2), (1, 1)])
 
 
 def test_roundtrip_on_generators():
@@ -250,8 +258,8 @@ def test_dual_examples():
             e[i] = 1
             expect.add(tuple(e))
             expect.add(tuple(-x for x in e))
-        assert set(cross.points) == expect
-    assert set(dual(monotone_simplex(2)).points) == {(-1, 0), (0, -1), (1, 1)}
+        assert set(cross) == expect
+    assert set(dual(monotone_simplex(2))) == {(-1, 0), (0, -1), (1, 1)}
     shifted = HPolytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (1, 0, 1, 1))
     with pytest.raises(ValueError):
         dual(shifted)  # origin on the boundary
@@ -261,7 +269,7 @@ def test_dual_dual_identity_on_reflexive_builtins():
     for p in [cube(2), cube(3), monotone_simplex(2), monotone_simplex(3),
               del_pezzo(2), del_pezzo(3), ssb(3, 2), monotone_polygon("pentagon")]:
         dd = dual(facet_description(dual(p)))
-        assert set(dd.points) == set(p.vertices())
+        assert set(dd) == set(p.vertices())
 
 
 def test_lattice_points_examples():
@@ -314,15 +322,15 @@ def test_normal_fan_signature_examples():
 
 def test_minkowski_examples():
     d2 = vertices(monotone_simplex(2))
-    origin = VPolytope.from_points([(0, 0)])
-    assert set(minkowski_sum(d2, origin).points) == set(d2.points)
-    seg_x = VPolytope.from_points([(-1, 0), (1, 0)])
-    seg_y = VPolytope.from_points([(0, -1), (0, 1)])
-    assert set(minkowski_sum(seg_x, seg_y).points) == set(cube(2).vertices())
+    origin = [(0, 0)]
+    assert set(minkowski_sum(d2, origin)) == set(d2)
+    seg_x = [(-1, 0), (1, 0)]
+    seg_y = [(0, -1), (0, 1)]
+    assert set(minkowski_sum(seg_x, seg_y)) == set(cube(2).vertices())
     double = minkowski_sum(d2, d2)
-    assert set(double.points) == {(-2, -2), (4, -2), (-2, 4)}
+    assert set(double) == {(-2, -2), (4, -2), (-2, 4)}
     with pytest.raises(ValueError):
-        minkowski_sum(seg_x, VPolytope.from_points([(0, 0, 0), (1, 0, 0)]))
+        minkowski_sum(seg_x, [(0, 0, 0), (1, 0, 0)])
 
 
 def test_oda_examples():
@@ -373,7 +381,7 @@ def test_face_slice_charts():
 
 
 def test_face_slice_empty_when_pushed_too_far():
-    tiny = facet_description(VPolytope.from_points([(0, 0), (1, 0), (0, 1)]))
+    tiny = facet_description([(0, 0), (1, 0), (0, 1)])
     idx = tiny.normals.index((1, 1))
     s = face_slice(tiny, (idx,), inset=2)
     assert s.is_empty

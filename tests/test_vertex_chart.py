@@ -25,7 +25,6 @@ from ewaldkit.fileio import MAX_EWALD_POINTS, _refuse_large_ewald, parse_polytop
 from ewaldkit.intlinalg import inverse_unimodular, primitive_part
 from ewaldkit.polytope import (
     HPolytope,
-    VPolytope,
     _bits,
     _cone_rows,
     _edges,
@@ -264,8 +263,8 @@ def test_a_first_cone_that_is_not_unimodular_takes_no_elimination(monkeypatch):
     # a parse, is_smooth names vertex 0 from its chart's rays, and classify,
     # the count and the listing of E(P), whose search runs in the unit
     # coordinates, take no det, scaled_inverse, inverse_unimodular or _reduce
-    tetrahedron = facet_description(VPolytope.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]))
-    triangle = facet_description(VPolytope.from_points([(0, 0), (2, 1), (1, 2)]))
+    tetrahedron = facet_description([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    triangle = facet_description([(0, 0), (2, 1), (1, 2)])
     for p in (nill_triangle(2), tetrahedron, triangle):
         q = parse_polytope(serialize_polytope(p)).polytope
         calls = _spy_eliminations(monkeypatch, "_reduce")
